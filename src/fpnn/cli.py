@@ -2,7 +2,7 @@
 evaluation, depth sweeps, ablations, hyperparameter search, weight export.
 
 Commands: ``gen, preprocess, train, eval, sweep-noi, ablate, hyperopt,
-export-weights``. Every run writes exactly one ``manifest.json`` next to
+export-weights``. Every run writes exactly one ``run_manifest.json`` next to
 its outputs recording the effective configuration, named sub-seeds, input
 paths, wall clock, and a sha256 per artifact, so identical inputs and seed
 reproduce identical checksums.
@@ -91,7 +91,7 @@ def _fmt_metric(value: float) -> str:
 
 
 class Manifest:
-    """Collects run metadata and writes the single manifest.json."""
+    """Collects run metadata and writes the single run_manifest.json."""
 
     def __init__(self, command: str, out_dir: Path, config: dict, seed: int,
                  inputs: list[str]):

@@ -31,8 +31,8 @@ from .errors import ShapeError
 from .ops import (
     BnState,
     ConvSpec,
-    _conv_backward,
     _conv_forward,
+    _conv_saved_backward,
     avg_pool2d,
     batchnorm2d_backward,
     batchnorm2d_forward,
@@ -265,7 +265,7 @@ def build_model(config: FpnnConfig) -> FpnnParams:
 def _cba_forward(x, params, name, spec, mode, new_states):
     w = params.tensors[f"{name}.w"]
     b = params.tensors[f"{name}.b"]
-    z, cols = _conv_forward(x, w, b, spec, return_cols=True)
+    z, xpad = _conv_forward(x, w, b, spec, return_cols=True)
     bn = f"{name}.bn"
     z2, state, bn_cache = batchnorm2d_forward(
         z, params.tensors[f"{bn}.scale"], params.tensors[f"{bn}.shift"],
@@ -273,7 +273,7 @@ def _cba_forward(x, params, name, spec, mode, new_states):
     )
     new_states[bn] = state
     out = leaky_relu_forward(z2, params.config.alpha)
-    cache = {"name": name, "spec": spec, "x": x, "cols": cols,
+    cache = {"name": name, "spec": spec, "xpad": xpad,
              "bn_cache": bn_cache, "act_in": z2}
     return out, cache
 
@@ -285,8 +285,8 @@ def _cba_backward(gout, params, cache, grads):
     bn = f"{name}.bn"
     grads[f"{bn}.scale"] = bn_g.param_grads["scale"]
     grads[f"{bn}.shift"] = bn_g.param_grads["shift"]
-    conv_g = _conv_backward(cache["x"], params.tensors[f"{name}.w"], spec,
-                            bn_g.input_grad, cols=cache["cols"])
+    conv_g = _conv_saved_backward(cache["xpad"], params.tensors[f"{name}.w"], spec,
+                                  bn_g.input_grad)
     grads[f"{name}.w"] = conv_g.param_grads["weights"]
     grads[f"{name}.b"] = conv_g.param_grads["bias"]
     return conv_g.input_grad
@@ -309,14 +309,14 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
     pooled = avg_pool2d(xp, (3, 3), 1)  # stride 1 + pad 1 preserves H x W
     b4, c4 = _cba_forward(pooled, params, f"{prefix}.b4.conv", specs[f"{prefix}.b4.conv"], mode, new_states)
     out = np.concatenate([b1, b2, b3, b4], axis=1)
-    cache = {"prefix": prefix, "x": x, "xp": xp,
+    cache = {"prefix": prefix, "xp": xp,
              "b1": c1, "b2": (c2r, c2c), "b3": (c3r, c3a, c3b), "b4": c4}
     if not cfg.detach.residual:
         proj = params.tensors[f"{prefix}.proj.w"]
-        skip, proj_cols = _conv_forward(x, proj, np.zeros(proj.shape[0]),
+        skip, proj_xpad = _conv_forward(x, proj, np.zeros(proj.shape[0]),
                                         specs[f"{prefix}.proj"], return_cols=True)
         out = out + skip
-        cache["proj_cols"] = proj_cols
+        cache["proj_xpad"] = proj_xpad
     check_finite("inception block", out)
     return out, cache
 
@@ -324,7 +324,6 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
 def _block_backward(gout, params, specs, cache, grads):
     cfg = params.config
     prefix = cache["prefix"]
-    x = cache["x"]
     sizes = [BRANCH_NARROW, BRANCH_WIDE, BRANCH_WIDE, BRANCH_WIDE]
     g1, g2, g3, g4 = concat_channels_backward(gout, sizes)
 
@@ -341,7 +340,7 @@ def _block_backward(gout, params, specs, cache, grads):
 
     if not cfg.detach.residual:
         proj = params.tensors[f"{prefix}.proj.w"]
-        pg = _conv_backward(x, proj, specs[f"{prefix}.proj"], gout, cols=cache["proj_cols"])
+        pg = _conv_saved_backward(cache["proj_xpad"], proj, specs[f"{prefix}.proj"], gout)
         grads[f"{prefix}.proj.w"] = pg.param_grads["weights"]
         gx = gx + pg.input_grad
     return gx
@@ -365,15 +364,15 @@ def _stream_forward(x5, params, specs, stream, mode, new_states):
     if cfg.detach.conv3d:
         x4 = x5.mean(axis=2)
         name = f"{stream}.front.proj"
-        z, cols = _conv_forward(x4, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
+        z, xpad = _conv_forward(x4, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
                                 specs[name], return_cols=True)
-        cache["front"] = {"kind": "proj", "x4": x4, "cols": cols}
+        cache["front"] = {"kind": "proj", "xpad": xpad}
     else:
         name = f"{stream}.front.conv3d"
-        z5, cols = _conv_forward(x5, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
+        z5, xpad = _conv_forward(x5, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
                                  specs[name], return_cols=True)
         z = z5[:, :, 0]  # kernel depth spans all frames, so D' == 1
-        cache["front"] = {"kind": "conv3d", "x5": x5, "cols": cols}
+        cache["front"] = {"kind": "conv3d", "xpad": xpad}
 
     bn = f"{stream}.front.bn"
     z2, st, bn_cache = batchnorm2d_forward(
@@ -426,16 +425,15 @@ def _stream_backward(gout, params, specs, cache, grads):
     front = cache["front"]
     if front["kind"] == "proj":
         name = f"{stream}.front.proj"
-        cg = _conv_backward(front["x4"], params.tensors[f"{name}.w"], specs[name], g,
-                            cols=front["cols"])
+        cg = _conv_saved_backward(front["xpad"], params.tensors[f"{name}.w"], specs[name], g)
         grads[f"{name}.w"] = cg.param_grads["weights"]
         grads[f"{name}.b"] = cg.param_grads["bias"]
         depth = cfg.stream_depth(stream)
         g_in = np.repeat(cg.input_grad[:, :, None], depth, axis=2) / depth
     else:
         name = f"{stream}.front.conv3d"
-        cg = _conv_backward(front["x5"], params.tensors[f"{name}.w"], specs[name],
-                            g[:, :, None], cols=front["cols"])
+        cg = _conv_saved_backward(front["xpad"], params.tensors[f"{name}.w"], specs[name],
+                                  g[:, :, None])
         grads[f"{name}.w"] = cg.param_grads["weights"]
         grads[f"{name}.b"] = cg.param_grads["bias"]
         g_in = cg.input_grad

@@ -3,9 +3,13 @@
 Every operation is a pure function of its arguments: nothing is mutated,
 batch normalization returns an updated state object instead of touching the
 one it was given. All arithmetic is float64. Convolution is plain
-cross-correlation (no kernel flip); sliding windows are gathered once and
-reduced with a single BLAS matmul, which keeps desk-scale training fast
-without leaving numpy.
+cross-correlation (no kernel flip) computed by shift-and-matmul: the input
+is zero-padded once into channels-last layout, and each kernel offset adds
+``shifted input @ W[offset]`` with one BLAS matmul. The backward pass runs
+the same offset loop over the saved padded input, so no window matrix of
+size [rows, C_in * prod(kernel)] is ever built. Leading kernel axes that
+span their whole unpadded input (the 3D front end's depth) are folded into
+the channel axis first.
 
 Spatial operations accept either a single sample (``[C, *spatial]``) or a
 batch with a leading axis (``[N, C, *spatial]``); the output matches the
@@ -20,8 +24,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteError, ShapeError
-
-DTYPE = np.float64
 
 
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -96,76 +98,144 @@ def _with_batch(x: np.ndarray, spatial_ndim: int) -> tuple[np.ndarray, bool]:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _conv_windows(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-pad and gather strided sliding windows.
+def _n_folded(spec: ConvSpec, in_extents: tuple[int, ...]) -> int:
+    """Count of leading kernel axes that span their whole unpadded input axis.
 
-    Returns (padded input, windows[N, C, *out_spatial, *kernel]).
+    Such an axis has one output position, so folding it into the channel
+    axis (a zero-copy reshape of [N, C, D, ...] to [N, C*D, ...]) is exact.
     """
-    nd = spec.ndim
-    pad = [(0, 0), (0, 0)] + [(p, p) for p in spec.padding]
-    xp = np.pad(x, pad) if any(spec.padding) else x
-    win = sliding_window_view(xp, spec.kernel, axis=tuple(range(2, 2 + nd)))
-    slicer = (slice(None), slice(None)) + tuple(slice(None, None, s) for s in spec.stride)
-    return xp, win[slicer]
+    n = 0
+    for k, p, e in zip(spec.kernel, spec.padding, in_extents):
+        if p != 0 or k != e:
+            break
+        n += 1
+    return n
 
 
-def _im2col(win: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Flatten windows to a [N * prod(out_spatial), C_in * prod(kernel)] matrix."""
-    nd = spec.ndim
-    order = (0, *range(2, 2 + nd), 1, *range(2 + nd, 2 + 2 * nd))
-    cols = win.transpose(order)
-    return cols.reshape(-1, spec.in_channels * int(np.prod(spec.kernel)))
+def _conv_operand(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """The one array a convolution saves for its backward pass: ``x`` with
+    full-extent leading axes folded into channels, zero-padded and
+    channels-last, ``[N, *padded_spatial, C_in * prod(folded kernel)]``."""
+    nf = _n_folded(spec, x.shape[2:])
+    x = x.reshape(x.shape[0], int(np.prod(x.shape[1:2 + nf])), *x.shape[2 + nf:])
+    pads = spec.padding[nf:]
+    xs = np.zeros((x.shape[0], *(e + 2 * p for e, p in zip(x.shape[2:], pads)), x.shape[1]))
+    interior = tuple(slice(p, p + e) for p, e in zip(pads, x.shape[2:]))
+    xs[(slice(None),) + interior] = np.moveaxis(x, 1, -1)
+    return xs
+
+
+def _operand_geometry(xs: np.ndarray, spec: ConvSpec):
+    """(folded axis count, unfolded input shape, unfolded spatial output
+    extents) of the input that ``_conv_operand`` turned into ``xs``."""
+    nf = spec.ndim - (xs.ndim - 2)
+    rest = tuple(e - 2 * p for e, p in zip(xs.shape[1:-1], spec.padding[nf:]))
+    in_shape = (xs.shape[0], spec.in_channels, *spec.kernel[:nf], *rest)
+    return nf, in_shape, spec.out_extents(in_shape[2:])
+
+
+def _shifted(xs: np.ndarray, offset, stride, out_sp) -> np.ndarray:
+    """The [N, *out_sp, C] view of ``xs`` that one kernel offset reads."""
+    window = tuple(slice(o, o + s * (e - 1) + 1, s) for o, s, e in zip(offset, stride, out_sp))
+    return xs[(slice(None),) + window]
+
+
+def _kernel_matrices(weights: np.ndarray, nf: int) -> np.ndarray:
+    """[C_out, C_in, *kernel] -> [*unfolded kernel, C_in * prod(folded), C_out]:
+    one [C_in, C_out] matrix per kernel offset."""
+    w = weights.reshape(weights.shape[0], -1, *weights.shape[2 + nf:])
+    return np.ascontiguousarray(np.moveaxis(w, (0, 1), (-1, -2)))
+
+
+# Samples per block of the offset loop: the block's [rows, C_out] output (or
+# output gradient) stays cache-resident across all kernel offsets, where a
+# whole-batch pass per offset streams it from memory every time.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _sample_blocks(n: int, rows_per_sample: int, width: int) -> list[slice]:
+    step = max(1, _BLOCK_BYTES // (8 * rows_per_sample * width))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _conv_forward(x, weights, bias, spec, return_cols=False):
-    n = x.shape[0]
+    """Shift-and-matmul: the sum over kernel offsets of shifted input @ W[offset].
+
+    With ``return_cols`` also returns the operand ``_conv_saved_backward``
+    needs, the padded channels-last input of ``_conv_operand``.
+    """
     if x.shape[1] != spec.in_channels:
         raise ShapeError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
     if weights.shape != spec.weight_shape():
         raise ShapeError(f"weights {weights.shape} do not match spec {spec.weight_shape()}")
     if bias.shape != (spec.out_channels,):
         raise ShapeError(f"bias {bias.shape} must be ({spec.out_channels},)")
-    out_sp = spec.out_extents(x.shape[2:])
-    _, win = _conv_windows(x, spec)
-    cols = _im2col(win, spec)
-    out = cols @ weights.reshape(spec.out_channels, -1).T
+    n, out_sp = x.shape[0], spec.out_extents(x.shape[2:])
+    nf = _n_folded(spec, x.shape[2:])
+    xs = _conv_operand(x, spec)
+    wk = _kernel_matrices(weights, nf)
+    stride, sp = spec.stride[nf:], out_sp[nf:]
+    c, rows = xs.shape[-1], int(np.prod(sp))
+    blocks = _sample_blocks(n, rows, spec.out_channels)
+    # One shift buffer and one product buffer serve every offset: fresh
+    # multi-MiB temporaries per offset page-fault, which in a fresh process
+    # doubled the 7x7 stem's forward time.
+    shift_buf = np.empty((blocks[0].stop, *sp, c))
+    prod_buf = np.empty((blocks[0].stop * rows, spec.out_channels))
+    out = np.zeros((n, rows, spec.out_channels))
+    for blk in blocks:
+        m = blk.stop - blk.start
+        x_shift, prod, out_blk = shift_buf[:m], prod_buf[: m * rows], out[blk].reshape(-1, spec.out_channels)
+        for offset in np.ndindex(*wk.shape[:-2]):
+            np.copyto(x_shift, _shifted(xs[blk], offset, stride, sp))
+            out_blk += np.matmul(x_shift.reshape(-1, c), wk[offset], out=prod)
     out += bias
-    out = out.reshape(n, *out_sp, spec.out_channels)
-    out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
+    out = np.moveaxis(out.reshape(n, *sp, spec.out_channels), -1, 1)
+    out = np.ascontiguousarray(out).reshape(n, spec.out_channels, *out_sp)
     check_finite("conv forward", out)
-    return (out, cols) if return_cols else out
+    return (out, xs) if return_cols else out
 
 
-def _conv_backward(x, weights, spec, output_grad, cols=None):
-    n = x.shape[0]
-    out_sp = spec.out_extents(x.shape[2:])
+def _conv_saved_backward(xs, weights, spec, output_grad) -> LayerGrads:
+    """Gradients from the saved operand: the forward pass's offset loop,
+    recomputing each shifted input instead of reading a cached window matrix."""
+    nf, in_shape, out_sp = _operand_geometry(xs, spec)
+    n = in_shape[0]
     if output_grad.shape != (n, spec.out_channels, *out_sp):
         raise ShapeError(
             f"output_grad {output_grad.shape} does not match forward output "
             f"{(n, spec.out_channels, *out_sp)}"
         )
-    if cols is None:
-        _, win = _conv_windows(x, spec)
-        cols = _im2col(win, spec)
-    gmat = np.moveaxis(output_grad, 1, -1).reshape(-1, spec.out_channels)
-    d_weights = (gmat.T @ cols).reshape(weights.shape)
-    d_bias = gmat.sum(axis=0)
+    wk = _kernel_matrices(weights, nf)
+    stride, sp = spec.stride[nf:], out_sp[nf:]
+    c, rows = xs.shape[-1], int(np.prod(sp))
+    gmat = np.moveaxis(output_grad.reshape(n, spec.out_channels, *sp), 1, -1)
+    gmat = np.ascontiguousarray(gmat).reshape(n, rows, spec.out_channels)
+    blocks = _sample_blocks(n, rows, spec.out_channels)
+    shift_buf = np.empty((blocks[0].stop, *sp, c))
+    gx_buf = np.empty_like(shift_buf)
+    dw = np.empty(wk.shape[-2:])
+    d_wk = np.zeros_like(wk)
+    gxs = np.zeros_like(xs)
+    for blk in blocks:
+        m = blk.stop - blk.start
+        x_shift, gx_shift, g_blk = shift_buf[:m], gx_buf[:m], gmat[blk].reshape(-1, spec.out_channels)
+        for offset in np.ndindex(*wk.shape[:-2]):
+            np.copyto(x_shift, _shifted(xs[blk], offset, stride, sp))
+            d_wk[offset] += np.matmul(x_shift.reshape(-1, c).T, g_blk, out=dw)
+            np.matmul(g_blk, wk[offset].T, out=gx_shift.reshape(-1, c))
+            _shifted(gxs[blk], offset, stride, sp)[...] += gx_shift
+    d_weights = np.ascontiguousarray(np.moveaxis(d_wk, (-1, -2), (0, 1))).reshape(weights.shape)
+    interior = tuple(slice(p, e - p) for p, e in zip(spec.padding[nf:], xs.shape[1:-1]))
+    gx = np.ascontiguousarray(np.moveaxis(gxs[(slice(None),) + interior], -1, 1)).reshape(in_shape)
+    d_bias = gmat.reshape(-1, spec.out_channels).sum(axis=0)
+    return LayerGrads(gx, {"weights": d_weights, "bias": d_bias})
 
-    # Scatter input grads one kernel offset at a time (windows overlap).
-    wmat = weights.reshape(spec.out_channels, -1)
-    tmp = (gmat @ wmat).reshape(n, *out_sp, spec.in_channels, *spec.kernel)
-    pad = [(0, 0), (0, 0)] + [(p, p) for p in spec.padding]
-    gx_pad = np.zeros((n, spec.in_channels) + tuple(e + 2 * p for e, p in zip(x.shape[2:], spec.padding)))
-    nd = spec.ndim
-    for offset in np.ndindex(*spec.kernel):
-        dest = tuple(
-            slice(o, o + s * e, s) for o, s, e in zip(offset, spec.stride, out_sp)
-        )
-        src = (slice(None),) + (slice(None),) * nd + (slice(None),) + offset
-        gx_pad[(slice(None), slice(None)) + dest] += np.moveaxis(tmp[src], -1, 1)
-    unpad = tuple(slice(p, p + e) for p, e in zip(spec.padding, x.shape[2:]))
-    input_grad = gx_pad[(slice(None), slice(None)) + unpad]
-    return LayerGrads(input_grad, {"weights": d_weights, "bias": d_bias})
+
+def _conv_backward(x, weights, spec, output_grad, cols=None):
+    # ``cols`` is the operand _conv_forward(..., return_cols=True) saved; None rebuilds it from x.
+    return _conv_saved_backward(_conv_operand(x, spec) if cols is None else cols,
+                                weights, spec, output_grad)
 
 
 def conv2d_forward(x, weights, bias, spec: ConvSpec) -> np.ndarray:

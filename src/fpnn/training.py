@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .errors import CheckpointError, TrainingError
+from .errors import CheckpointError, NonFiniteError, TrainingError
 from .model import FpnnConfig, FpnnParams, fpnn_backward, fpnn_forward
 from .ops import BnState
 from .preprocess import SampleSet
@@ -235,14 +235,15 @@ def train(
             idx = order[lo : lo + config.batch_size]
             batch = (train_samples.raw[idx], train_samples.diff[idx])
             target = train_samples.labels[idx]
-            preds, bn_states, cache = fpnn_forward(batch, work, mode="train", want_cache=True)
-            loss, pred_grad = mse_loss(preds, target)
-            if not math.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {n_batches} "
-                    f"(samples {lo}..{lo + len(idx) - 1})"
-                )
-            grads = fpnn_backward(work, cache, pred_grad)
+            where = f"epoch {epoch}, batch {n_batches} (samples {lo}..{lo + len(idx) - 1})"
+            try:
+                preds, bn_states, cache = fpnn_forward(batch, work, mode="train", want_cache=True)
+                loss, pred_grad = mse_loss(preds, target)
+                if not math.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at {where}")
+                grads = fpnn_backward(work, cache, pred_grad)
+            except NonFiniteError as exc:
+                raise TrainingError(f"{exc} at {where}") from exc
             work.bn_states = bn_states
             work.tensors, opt = adam_step(work.tensors, grads, opt, config)
             epoch_loss += loss * len(idx)

@@ -63,6 +63,43 @@ class TestConv2dBackward:
         assert g.param_grads["bias"].shape == (3,)
 
 
+    def test_stem_geometry_finite_differences(self, rng):
+        # 7x7 stride 2 pad 3 on an even input, as in the network's stem
+        x = rng.standard_normal((2, 8, 8))
+        w = rng.standard_normal((3, 2, 7, 7))
+        b = rng.standard_normal(3)
+        spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 2, 3)
+        probe = _loss_weights(rng, ops.conv2d_forward(x, w, b, spec).shape)
+        g = ops.conv2d_backward(x, w, spec, probe)
+        gradcheck(lambda v: float((ops.conv2d_forward(v, w, b, spec) * probe).sum()),
+                  x, g.input_grad, rtol=1e-4)
+        gradcheck(lambda v: float((ops.conv2d_forward(x, v, b, spec) * probe).sum()),
+                  w, g.param_grads["weights"], rtol=1e-4)
+        gradcheck(lambda v: float((ops.conv2d_forward(x, w, v, spec) * probe).sum()),
+                  b, g.param_grads["bias"], rtol=1e-4)
+
+
+class TestConvSavedOperand:
+    @pytest.mark.parametrize("shape,kernel,stride,pad", [
+        ((2, 9, 8), (7, 7), (2, 2), (3, 3)),
+        ((3, 4, 5, 5), (4, 3, 3), (1, 1, 1), (0, 1, 1)),
+        ((3, 4, 5, 5), (2, 3, 3), (1, 2, 1), (0, 1, 1)),
+    ])
+    def test_saved_operand_backward_bitwise(self, rng, shape, kernel, stride, pad):
+        """The operand the forward pass saves gives the same gradients, bit
+        for bit, as rebuilding it from the input."""
+        x = rng.standard_normal((2, *shape))
+        spec = ops.ConvSpec(kernel, stride, pad, shape[0], 4)
+        w = rng.standard_normal(spec.weight_shape())
+        out, saved = ops._conv_forward(x, w, rng.standard_normal(4), spec, return_cols=True)
+        g = rng.standard_normal(out.shape)
+        a = ops._conv_backward(x, w, spec, g, cols=saved)
+        b = ops._conv_backward(x, w, spec, g, cols=None)
+        assert np.array_equal(a.input_grad, b.input_grad)
+        assert np.array_equal(a.param_grads["weights"], b.param_grads["weights"])
+        assert np.array_equal(a.param_grads["bias"], b.param_grads["bias"])
+
+
 class TestConv3dBackward:
     def test_zero_grad(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))
@@ -95,6 +132,21 @@ class TestConv3dBackward:
                   x, g.input_grad, rtol=1e-4)
         gradcheck(lambda v: float((ops.conv3d_forward(x, v, b, spec) * probe).sum()),
                   w, g.param_grads["weights"], rtol=1e-4)
+
+    def test_short_depth_kernel_finite_differences(self, rng):
+        # kernel depth 2 < input depth 4: the unfolded n-d path
+        x = rng.standard_normal((2, 4, 4, 5))
+        w = rng.standard_normal((3, 2, 2, 3, 3))
+        b = rng.standard_normal(3)
+        spec = ops.ConvSpec((2, 3, 3), (1, 2, 1), (0, 1, 1), 2, 3)
+        probe = _loss_weights(rng, ops.conv3d_forward(x, w, b, spec).shape)
+        g = ops.conv3d_backward(x, w, spec, probe)
+        gradcheck(lambda v: float((ops.conv3d_forward(v, w, b, spec) * probe).sum()),
+                  x, g.input_grad, rtol=1e-4)
+        gradcheck(lambda v: float((ops.conv3d_forward(x, v, b, spec) * probe).sum()),
+                  w, g.param_grads["weights"], rtol=1e-4)
+        gradcheck(lambda v: float((ops.conv3d_forward(x, w, v, spec) * probe).sum()),
+                  b, g.param_grads["bias"], rtol=1e-4)
 
 
 class TestLeakyReluBackward:

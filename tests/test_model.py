@@ -236,6 +236,35 @@ class TestBackward:
             assert err < 1e-3, f"{name}{idx}: analytic {analytic}, numeric {numeric}"
 
 
+def _cache_nbytes(obj, seen) -> int:
+    """Bytes of the arrays reachable from a cache, counting each shared base
+    array once."""
+    if isinstance(obj, np.ndarray):
+        base = obj
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        if id(base) in seen:
+            return 0
+        seen.add(id(base))
+        return base.nbytes
+    if isinstance(obj, dict):
+        return sum(_cache_nbytes(v, seen) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_cache_nbytes(v, seen) for v in obj)
+    return 0
+
+
+class TestForwardCacheMemory:
+    def test_train_cache_under_128_mib(self):
+        # batch 16, G=32, noi=1: each conv keeps only its padded input
+        config = M.FpnnConfig(noi=1, grid_side=32)
+        params = M.build_model(config)
+        batch = random_batch(config, n=16, seed=4)
+        _, _, cache = M.fpnn_forward(batch, params, mode="train", want_cache=True)
+        mib = _cache_nbytes(cache, set()) / 2**20
+        assert mib < 128, f"forward cache holds {mib:.1f} MiB"
+
+
 class TestWeightExport:
     def test_eight_matrices(self):
         params = M.build_model(micro_config(noi=3))

@@ -135,6 +135,17 @@ class TestConv2d:
         with pytest.raises(NonFiniteError):
             ops.conv2d_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1), spec)
 
+    def test_stem_geometry_matches_loop_oracle(self, rng):
+        # the network's 7x7 stride-2 pad-3 stem on an even input: the last
+        # padded row and column are never read
+        x = rng.standard_normal((3, 10, 10))
+        w = rng.standard_normal((4, 3, 7, 7))
+        b = rng.standard_normal(4)
+        spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 3, 4)
+        got = ops.conv2d_forward(x, w, b, spec)
+        assert got.shape == (4, 5, 5)
+        np.testing.assert_allclose(got, conv2d_loop(x, w, b, (2, 2), (3, 3)), atol=1e-12, rtol=0)
+
 
 class TestConv3d:
     def test_depth_sum(self):
@@ -161,6 +172,17 @@ class TestConv3d:
         want = conv3d_loop(x, w, b, (1, 1, 1), (0, 1, 1))
         assert got.shape == (8, 1, 6, 6)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+    def test_short_depth_kernel_matches_loop_oracle(self, rng):
+        # kernel depth < input depth: no axis folds into channels
+        x = rng.standard_normal((2, 5, 6, 6))
+        w = rng.standard_normal((3, 2, 2, 3, 3))
+        b = rng.standard_normal(3)
+        spec = ops.ConvSpec((2, 3, 3), (1, 2, 1), (0, 1, 1), 2, 3)
+        got = ops.conv3d_forward(x, w, b, spec)
+        assert got.shape == (3, 4, 3, 6)
+        np.testing.assert_allclose(got, conv3d_loop(x, w, b, (1, 2, 1), (0, 1, 1)),
+                                   atol=1e-12, rtol=0)
 
     def test_full_depth_kernel_collapses_depth(self, rng):
         x = rng.standard_normal((2, 3, 5, 5))

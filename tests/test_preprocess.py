@@ -240,6 +240,56 @@ class TestSplit:
             pp.split_train_test(self._fleet(1), seed=0)
 
 
+def sample_set(n_batteries, per_battery=3):
+    """A tiny SampleSet whose samples carry their battery's index as label."""
+    n = n_batteries * per_battery
+    return pp.SampleSet(
+        raw=np.zeros((n, 3, 4, 2, 2)),
+        diff=np.zeros((n, 3, 3, 2, 2)),
+        labels=np.repeat(np.arange(1.0, n_batteries + 1), per_battery),
+        battery_ids=[f"b{i:02d}" for i in range(n_batteries) for _ in range(per_battery)],
+        anchor_cycles=np.tile(np.arange(4, 4 + per_battery), n_batteries),
+    )
+
+
+class TestHoldoutByBattery:
+    def test_no_battery_in_both_splits(self):
+        samples = sample_set(10)
+        fit, val = pp.holdout_by_battery(samples, 0.2, seed=3)
+        assert not set(fit.battery_ids) & set(val.battery_ids)
+        assert sorted(fit.battery_ids + val.battery_ids) == sorted(samples.battery_ids)
+        for part in (fit, val):
+            assert all(label == 1 + int(b[1:]) for label, b in zip(part.labels, part.battery_ids))
+
+    def test_deterministic_per_seed(self):
+        samples = sample_set(12)
+        a_fit, a_val = pp.holdout_by_battery(samples, 0.25, seed=7)
+        b_fit, b_val = pp.holdout_by_battery(samples, 0.25, seed=7)
+        assert a_val.battery_ids == b_val.battery_ids and a_fit.battery_ids == b_fit.battery_ids
+        np.testing.assert_array_equal(a_val.labels, b_val.labels)
+        np.testing.assert_array_equal(a_fit.anchor_cycles, b_fit.anchor_cycles)
+        vals = {tuple(pp.holdout_by_battery(samples, 0.25, seed=s)[1].battery_ids)
+                for s in range(8)}
+        assert len(vals) > 1
+
+    @pytest.mark.parametrize("n_batteries,fraction,n_val", [
+        (10, 0.2, 2), (10, 0.25, 2), (7, 0.5, 4), (3, 0.1, 1), (3, 0.9, 2), (2, 0.5, 1),
+    ])
+    def test_holdout_size_rounds_and_clamps(self, n_batteries, fraction, n_val):
+        # round(n * fraction), clamped so each side keeps at least one battery
+        _, val = pp.holdout_by_battery(sample_set(n_batteries), fraction, seed=0)
+        assert len(set(val.battery_ids)) == n_val
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
+    def test_bad_fraction_rejected(self, fraction):
+        with pytest.raises(ValueError):
+            pp.holdout_by_battery(sample_set(5), fraction, seed=0)
+
+    def test_single_battery_rejected(self):
+        with pytest.raises(ValueError):
+            pp.holdout_by_battery(sample_set(1, per_battery=4), 0.5, seed=0)
+
+
 class TestCanonicalDataset:
     def test_empty_dir(self, tmp_path):
         assert load_canonical_dataset(tmp_path) == []

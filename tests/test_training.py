@@ -6,7 +6,7 @@ import pytest
 
 from fpnn import training as T
 from fpnn.datagen import generate_fleet
-from fpnn.errors import CheckpointError, TrainingError
+from fpnn.errors import CheckpointError, NonFiniteError, TrainingError
 from fpnn.model import DetachFlags, FpnnConfig, build_model
 from fpnn.preprocess import preprocess_fleet
 
@@ -177,6 +177,16 @@ class TestTrainLoop:
         with pytest.raises(TrainingError):
             T.train(build_model(config), train_set.subset([]), val_set,
                     T.TrainConfig(epochs=1))
+
+    def test_overflow_names_epoch_and_batch(self, tiny_splits):
+        train_set, val_set = tiny_splits
+        params = build_model(FpnnConfig(noi=0, grid_side=8, head_hidden=(4,), seed=0))
+        # the stem's window sums overflow float64 in the first forward pass
+        params.tensors["raw.init.conv.w"] = np.full_like(params.tensors["raw.init.conv.w"], 1e308)
+        with np.errstate(over="ignore"), pytest.raises(
+                TrainingError, match=r"epoch 1, batch 0 \(samples 0\.\.7\)") as info:
+            T.train(params, train_set, val_set, T.TrainConfig(epochs=1, batch_size=8))
+        assert isinstance(info.value.__cause__, NonFiniteError)
 
     def test_overfits_small_set(self, tiny_splits):
         # capacity sanity: a micro model memorizes 16 samples
