@@ -31,7 +31,6 @@ from .model import (
     export_block_weights,
     fpnn_backward,
     fpnn_forward,
-    import_block_weights,
 )
 from .preprocess import (
     SamplePair,
@@ -67,7 +66,7 @@ __all__ = [
     "Dimension", "GpSurrogate", "SearchSpace", "Trial", "bayes_optimize",
     "default_search_space", "expected_improvement", "gp_fit", "gp_predict", "noi_sweep",
     "DetachFlags", "FpnnConfig", "FpnnParams", "build_model", "export_block_weights",
-    "fpnn_backward", "fpnn_forward", "import_block_weights",
+    "fpnn_backward", "fpnn_forward",
     "SamplePair", "SampleSet", "ScalerParams", "apply_scaler", "assemble_samples",
     "fit_scaler", "hampel_filter", "load_sample_archive", "preprocess_fleet",
     "resample_to_grid", "save_sample_archive", "savitzky_golay", "split_train_test",

@@ -11,9 +11,17 @@ pad 1) and applies ``noi`` inception units, each concatenating four branches
 outputs are globally average-pooled, concatenated, and regressed to a
 single life value (in cycles) by a small linear head.
 
+:func:`conv_layout` is the one description of the network: every conv the
+config instantiates, by name, in build order. :func:`build_model` walks it;
+each conv gets a weight and, except the residual projections
+(``*.block{i}.proj``), a bias and the batchnorm after it. Every such conv,
+the 3D front end included, runs in one conv -> batchnorm -> Leaky ReLU unit
+(``_cba_forward``/``_cba_backward``), and an inception unit loops over its
+branch table ``_BRANCHES``.
+
 Every forward pass has a hand-written backward composed from the layer
 primitives in :mod:`fpnn.ops`; there is no autograd tape. Detach flags
-prune subgraphs for ablation studies: ``initial_layers`` skips the 7x7 +
+prune the layout for ablation studies: ``initial_layers`` skips the 7x7 +
 max-pool stage, ``conv3d`` replaces the 3D front end with depth-averaging
 plus a 1x1 conv (keeping downstream shapes legal), ``residual`` removes
 the projected skip connections, and ``diff_branch`` drops the differential
@@ -23,7 +31,7 @@ stream entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -112,12 +120,7 @@ class FpnnConfig:
             "sample_depth": self.sample_depth,
             "alpha": self.alpha,
             "head_hidden": list(self.head_hidden),
-            "detach": {
-                "initial_layers": self.detach.initial_layers,
-                "conv3d": self.detach.conv3d,
-                "residual": self.detach.residual,
-                "diff_branch": self.detach.diff_branch,
-            },
+            "detach": asdict(self.detach),
             "seed": self.seed,
         }
 
@@ -159,10 +162,6 @@ class FpnnParams:
 # layout: every conv spec in the network, derived from the config
 # ---------------------------------------------------------------------------
 
-def _block_in_channels(block_index: int) -> int:
-    return INIT_CHANNELS if block_index == 0 else BLOCK_CHANNELS
-
-
 def conv_layout(config: FpnnConfig) -> dict[str, ConvSpec]:
     """Name -> ConvSpec for every convolution the config instantiates."""
     specs: dict[str, ConvSpec] = {}
@@ -183,7 +182,7 @@ def conv_layout(config: FpnnConfig) -> dict[str, ConvSpec]:
         if not config.detach.initial_layers:
             conv2(f"{s}.init.conv", FRONT_CHANNELS, INIT_CHANNELS, 7, stride=2, pad=3)
         for i in range(config.noi):
-            c_in = _block_in_channels(i)
+            c_in = INIT_CHANNELS if i == 0 else BLOCK_CHANNELS
             p = f"{s}.block{i}"
             conv2(f"{p}.b1.conv", c_in, BRANCH_NARROW, 1)
             conv2(f"{p}.b2.reduce", c_in, BRANCH_NARROW, 1)
@@ -201,8 +200,20 @@ def conv_layout(config: FpnnConfig) -> dict[str, ConvSpec]:
 # build
 # ---------------------------------------------------------------------------
 
+def _is_residual_proj(name: str) -> bool:
+    """Block skip projections are the only convs without bias and batchnorm."""
+    return ".block" in name and name.endswith(".proj")
+
+
+def _bn_name(name: str) -> str:
+    """The batchnorm after conv ``name``; the front conv's is ``{stream}.front.bn``."""
+    stream, stage = name.split(".")[:2]
+    return f"{stream}.front.bn" if stage == "front" else f"{name}.bn"
+
+
 def build_model(config: FpnnConfig) -> FpnnParams:
-    """Initialize parameters from the config's seed.
+    """Initialize parameters from the config's seed, one conv of
+    :func:`conv_layout` at a time.
 
     Conv/linear weights are Kaiming-uniform with the gain adjusted for the
     Leaky ReLU slope; biases start at zero, batchnorm at scale 1 / shift 0.
@@ -216,40 +227,16 @@ def build_model(config: FpnnConfig) -> FpnnParams:
         bound = gain * math.sqrt(3.0 / fan_in)
         return rng.uniform(-bound, bound, shape)
 
-    def add_conv(name, spec, bias=True):
+    for name, spec in conv_layout(config).items():
         fan_in = spec.in_channels * int(np.prod(spec.kernel))
         tensors[f"{name}.w"] = kaiming(spec.weight_shape(), fan_in)
-        if bias:
-            tensors[f"{name}.b"] = np.zeros(spec.out_channels)
-
-    def add_bn(name, channels):
-        tensors[f"{name}.scale"] = np.ones(channels)
-        tensors[f"{name}.shift"] = np.zeros(channels)
-        states[name] = BnState.initial(channels)
-
-    specs = conv_layout(config)
-    for s in config.streams():
-        front = f"{s}.front.proj" if config.detach.conv3d else f"{s}.front.conv3d"
-        add_conv(front, specs[front])
-        add_bn(f"{s}.front.bn", FRONT_CHANNELS)
-        if not config.detach.initial_layers:
-            add_conv(f"{s}.init.conv", specs[f"{s}.init.conv"])
-            add_bn(f"{s}.init.conv.bn", INIT_CHANNELS)
-        for i in range(config.noi):
-            p = f"{s}.block{i}"
-            for layer, c_out in (
-                ("b1.conv", BRANCH_NARROW),
-                ("b2.reduce", BRANCH_NARROW),
-                ("b2.conv", BRANCH_WIDE),
-                ("b3.reduce", BRANCH_NARROW),
-                ("b3.conv1", BRANCH_WIDE),
-                ("b3.conv2", BRANCH_WIDE),
-                ("b4.conv", BRANCH_WIDE),
-            ):
-                add_conv(f"{p}.{layer}", specs[f"{p}.{layer}"])
-                add_bn(f"{p}.{layer}.bn", c_out)
-            if not config.detach.residual:
-                add_conv(f"{p}.proj", specs[f"{p}.proj"], bias=False)
+        if _is_residual_proj(name):
+            continue
+        c, bn = spec.out_channels, _bn_name(name)
+        tensors[f"{name}.b"] = np.zeros(c)
+        tensors[f"{bn}.scale"] = np.ones(c)
+        tensors[f"{bn}.shift"] = np.zeros(c)
+        states[bn] = BnState.initial(c)
 
     widths = config.head_widths()
     for i, (w_in, w_out) in enumerate(zip(widths, widths[1:])):
@@ -259,34 +246,36 @@ def build_model(config: FpnnConfig) -> FpnnParams:
 
 
 # ---------------------------------------------------------------------------
-# conv -> batchnorm -> leaky relu composite
+# conv -> batchnorm -> leaky relu: the unit every conv with a bias runs in
 # ---------------------------------------------------------------------------
 
-def _cba_forward(x, params, name, spec, mode, new_states):
-    w = params.tensors[f"{name}.w"]
-    b = params.tensors[f"{name}.b"]
-    z, xpad = _conv_forward(x, w, b, spec, return_cols=True)
-    bn = f"{name}.bn"
+def _cba_forward(x, params, specs, name, mode, new_states):
+    spec = specs[name]
+    z, xpad = _conv_forward(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
+                            spec, return_cols=True)
+    conv_shape = z.shape
+    z = z.reshape(*z.shape[:2], *z.shape[-2:])  # 3D front end: [N, C, 1, G, G] -> [N, C, G, G]
+    bn = _bn_name(name)
     z2, state, bn_cache = batchnorm2d_forward(
         z, params.tensors[f"{bn}.scale"], params.tensors[f"{bn}.shift"],
         params.bn_states[bn], mode,
     )
     new_states[bn] = state
     out = leaky_relu_forward(z2, params.config.alpha)
-    cache = {"name": name, "spec": spec, "xpad": xpad,
+    cache = {"name": name, "spec": spec, "xpad": xpad, "conv_shape": conv_shape,
              "bn_cache": bn_cache, "act_in": z2}
     return out, cache
 
 
 def _cba_backward(gout, params, cache, grads):
-    name, spec = cache["name"], cache["spec"]
+    name = cache["name"]
     g = leaky_relu_backward(cache["act_in"], params.config.alpha, gout)
     bn_g = batchnorm2d_backward(cache["bn_cache"], g)
-    bn = f"{name}.bn"
+    bn = _bn_name(name)
     grads[f"{bn}.scale"] = bn_g.param_grads["scale"]
     grads[f"{bn}.shift"] = bn_g.param_grads["shift"]
-    conv_g = _conv_saved_backward(cache["xpad"], params.tensors[f"{name}.w"], spec,
-                                  bn_g.input_grad)
+    conv_g = _conv_saved_backward(cache["xpad"], params.tensors[f"{name}.w"], cache["spec"],
+                                  bn_g.input_grad.reshape(cache["conv_shape"]))
     grads[f"{name}.w"] = conv_g.param_grads["weights"]
     grads[f"{name}.b"] = conv_g.param_grads["bias"]
     return conv_g.input_grad
@@ -296,52 +285,57 @@ def _cba_backward(gout, params, cache, grads):
 # inception unit
 # ---------------------------------------------------------------------------
 
+# Conv chains of the four branches, in concatenation order; the last branch
+# reads a 3x3 average pool of the block input, the others the input itself.
+_BRANCHES = (("b1.conv",), ("b2.reduce", "b2.conv"), ("b3.reduce", "b3.conv1", "b3.conv2"),
+             ("b4.conv",))
+
+
 def _block_forward(x, params, specs, prefix, mode, new_states):
     """Four branches concatenated to 88 channels, plus the projected skip."""
-    cfg = params.config
-    b1, c1 = _cba_forward(x, params, f"{prefix}.b1.conv", specs[f"{prefix}.b1.conv"], mode, new_states)
-    r2, c2r = _cba_forward(x, params, f"{prefix}.b2.reduce", specs[f"{prefix}.b2.reduce"], mode, new_states)
-    b2, c2c = _cba_forward(r2, params, f"{prefix}.b2.conv", specs[f"{prefix}.b2.conv"], mode, new_states)
-    r3, c3r = _cba_forward(x, params, f"{prefix}.b3.reduce", specs[f"{prefix}.b3.reduce"], mode, new_states)
-    m3, c3a = _cba_forward(r3, params, f"{prefix}.b3.conv1", specs[f"{prefix}.b3.conv1"], mode, new_states)
-    b3, c3b = _cba_forward(m3, params, f"{prefix}.b3.conv2", specs[f"{prefix}.b3.conv2"], mode, new_states)
-    xp = pad_spatial(x, 1)
-    pooled = avg_pool2d(xp, (3, 3), 1)  # stride 1 + pad 1 preserves H x W
-    b4, c4 = _cba_forward(pooled, params, f"{prefix}.b4.conv", specs[f"{prefix}.b4.conv"], mode, new_states)
-    out = np.concatenate([b1, b2, b3, b4], axis=1)
-    cache = {"prefix": prefix, "xp": xp,
-             "b1": c1, "b2": (c2r, c2c), "b3": (c3r, c3a, c3b), "b4": c4}
-    if not cfg.detach.residual:
-        proj = params.tensors[f"{prefix}.proj.w"]
-        skip, proj_xpad = _conv_forward(x, proj, np.zeros(proj.shape[0]),
-                                        specs[f"{prefix}.proj"], return_cols=True)
+    cache = {"prefix": prefix, "branches": []}
+    outs = []
+    for chain in _BRANCHES:
+        h = x
+        if chain is _BRANCHES[-1]:
+            h = pad_spatial(x, 1)
+            cache["pool_shape"] = h.shape
+            h = avg_pool2d(h, (3, 3), 1)  # stride 1 + pad 1 preserves H x W
+        caches = []
+        for layer in chain:
+            h, c = _cba_forward(h, params, specs, f"{prefix}.{layer}", mode, new_states)
+            caches.append(c)
+        outs.append(h)
+        cache["branches"].append(caches)
+    out = np.concatenate(outs, axis=1)
+    proj = f"{prefix}.proj"
+    if proj in specs:
+        spec = specs[proj]
+        skip, cache["proj_xpad"] = _conv_forward(x, params.tensors[f"{proj}.w"],
+                                                 np.zeros(spec.out_channels), spec,
+                                                 return_cols=True)
         out = out + skip
-        cache["proj_xpad"] = proj_xpad
     check_finite("inception block", out)
     return out, cache
 
 
 def _block_backward(gout, params, specs, cache, grads):
-    cfg = params.config
-    prefix = cache["prefix"]
-    sizes = [BRANCH_NARROW, BRANCH_WIDE, BRANCH_WIDE, BRANCH_WIDE]
-    g1, g2, g3, g4 = concat_channels_backward(gout, sizes)
+    chains = cache["branches"]
+    parts = concat_channels_backward(gout, [c[-1]["spec"].out_channels for c in chains])
+    gx = None
+    for caches, g in zip(chains, parts):
+        for c in reversed(caches):
+            g = _cba_backward(g, params, c, grads)
+        if caches is chains[-1]:
+            # avg-pool backward reads only the input's shape, so it gets a zero-stride stand-in
+            stand_in = np.broadcast_to(0.0, cache["pool_shape"])
+            g = unpad_spatial_grad(pool2d_backward(stand_in, (3, 3), 1, g, "avg"), 1)
+        gx = g if gx is None else gx + g
 
-    gx = _cba_backward(g1, params, cache["b1"], grads)
-    c2r, c2c = cache["b2"]
-    gx = gx + _cba_backward(_cba_backward(g2, params, c2c, grads), params, c2r, grads)
-    c3r, c3a, c3b = cache["b3"]
-    g = _cba_backward(g3, params, c3b, grads)
-    g = _cba_backward(g, params, c3a, grads)
-    gx = gx + _cba_backward(g, params, c3r, grads)
-    g_pool_out = _cba_backward(g4, params, cache["b4"], grads)
-    g_padded = pool2d_backward(cache["xp"], (3, 3), 1, g_pool_out, "avg")
-    gx = gx + unpad_spatial_grad(g_padded, 1)
-
-    if not cfg.detach.residual:
-        proj = params.tensors[f"{prefix}.proj.w"]
-        pg = _conv_saved_backward(cache["proj_xpad"], proj, specs[f"{prefix}.proj"], gout)
-        grads[f"{prefix}.proj.w"] = pg.param_grads["weights"]
+    proj = f"{cache['prefix']}.proj"
+    if proj in specs:
+        pg = _conv_saved_backward(cache["proj_xpad"], params.tensors[f"{proj}.w"], specs[proj], gout)
+        grads[f"{proj}.w"] = pg.param_grads["weights"]
         gx = gx + pg.input_grad
     return gx
 
@@ -353,46 +347,24 @@ def _block_backward(gout, params, specs, cache, grads):
 def _stream_forward(x5, params, specs, stream, mode, new_states):
     cfg = params.config
     depth = cfg.stream_depth(stream)
-    n = x5.shape[0]
     if x5.shape[1:] != (3, depth, cfg.grid_side, cfg.grid_side):
         raise ShapeError(
             f"{stream} stream expects [N, 3, {depth}, {cfg.grid_side}, {cfg.grid_side}], "
             f"got {x5.shape}"
         )
-    cache = {"stream": stream, "input_shape": x5.shape}
+    cache = {"stream": stream, "init": None}
 
-    if cfg.detach.conv3d:
-        x4 = x5.mean(axis=2)
-        name = f"{stream}.front.proj"
-        z, xpad = _conv_forward(x4, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
-                                specs[name], return_cols=True)
-        cache["front"] = {"kind": "proj", "xpad": xpad}
-    else:
-        name = f"{stream}.front.conv3d"
-        z5, xpad = _conv_forward(x5, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
-                                 specs[name], return_cols=True)
-        z = z5[:, :, 0]  # kernel depth spans all frames, so D' == 1
-        cache["front"] = {"kind": "conv3d", "xpad": xpad}
+    if cfg.detach.conv3d:  # frame mean, then a 1x1 conv
+        front, x = f"{stream}.front.proj", x5.mean(axis=2)
+    else:  # kernel depth spans all frames, so the 3D conv has one output frame
+        front, x = f"{stream}.front.conv3d", x5
+    h, cache["front"] = _cba_forward(x, params, specs, front, mode, new_states)
 
-    bn = f"{stream}.front.bn"
-    z2, st, bn_cache = batchnorm2d_forward(
-        z, params.tensors[f"{bn}.scale"], params.tensors[f"{bn}.shift"],
-        params.bn_states[bn], mode,
-    )
-    new_states[bn] = st
-    h = leaky_relu_forward(z2, cfg.alpha)
-    cache["front"]["bn_cache"] = bn_cache
-    cache["front"]["act_in"] = z2
-
-    if not cfg.detach.initial_layers:
-        h, init_cba = _cba_forward(h, params, f"{stream}.init.conv",
-                                   specs[f"{stream}.init.conv"], mode, new_states)
+    if f"{stream}.init.conv" in specs:
+        h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", mode, new_states)
         hp = pad_spatial(h, 1)
-        pooled = max_pool2d(hp, (3, 3), 2)
-        cache["init"] = {"cba": init_cba, "padded": hp, "pooled_shape": pooled.shape}
-        h = pooled
-    else:
-        cache["init"] = None
+        h = max_pool2d(hp, (3, 3), 2)
+        cache["init"] = {"cba": init_cba, "padded": hp}
 
     block_caches = []
     for i in range(cfg.noi):
@@ -404,40 +376,19 @@ def _stream_forward(x5, params, specs, stream, mode, new_states):
 
 def _stream_backward(gout, params, specs, cache, grads):
     cfg = params.config
-    stream = cache["stream"]
     g = gout
     for bc in reversed(cache["blocks"]):
         g = _block_backward(g, params, specs, bc, grads)
 
     if cache["init"] is not None:
-        hp = cache["init"]["padded"]
-        g_padded = pool2d_backward(hp, (3, 3), 2, g, "max")
-        g = unpad_spatial_grad(g_padded, 1)
-        g = _cba_backward(g, params, cache["init"]["cba"], grads)
+        g_padded = pool2d_backward(cache["init"]["padded"], (3, 3), 2, g, "max")
+        g = _cba_backward(unpad_spatial_grad(g_padded, 1), params, cache["init"]["cba"], grads)
 
-    g = leaky_relu_backward(cache["front"]["act_in"], cfg.alpha, g)
-    bn = f"{stream}.front.bn"
-    bn_g = batchnorm2d_backward(cache["front"]["bn_cache"], g)
-    grads[f"{bn}.scale"] = bn_g.param_grads["scale"]
-    grads[f"{bn}.shift"] = bn_g.param_grads["shift"]
-    g = bn_g.input_grad
-
-    front = cache["front"]
-    if front["kind"] == "proj":
-        name = f"{stream}.front.proj"
-        cg = _conv_saved_backward(front["xpad"], params.tensors[f"{name}.w"], specs[name], g)
-        grads[f"{name}.w"] = cg.param_grads["weights"]
-        grads[f"{name}.b"] = cg.param_grads["bias"]
-        depth = cfg.stream_depth(stream)
-        g_in = np.repeat(cg.input_grad[:, :, None], depth, axis=2) / depth
-    else:
-        name = f"{stream}.front.conv3d"
-        cg = _conv_saved_backward(front["xpad"], params.tensors[f"{name}.w"], specs[name],
-                                  g[:, :, None])
-        grads[f"{name}.w"] = cg.param_grads["weights"]
-        grads[f"{name}.b"] = cg.param_grads["bias"]
-        g_in = cg.input_grad
-    return g_in
+    g = _cba_backward(g, params, cache["front"], grads)
+    if cfg.detach.conv3d:
+        depth = cfg.stream_depth(cache["stream"])
+        g = np.repeat(g[:, :, None], depth, axis=2) / depth
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -526,23 +477,8 @@ def fpnn_backward(params: FpnnParams, cache, pred_grad: np.ndarray) -> dict[str,
 
 
 # ---------------------------------------------------------------------------
-# standalone inception-unit surface (used by tests and inspection)
+# weight export
 # ---------------------------------------------------------------------------
-
-def inception_block_forward(x, params: FpnnParams, stream: str, block_index: int,
-                            mode: str = "eval"):
-    """Run one inception unit on [C,H,W] or [N,C,H,W]; returns [.., 88, H, W]."""
-    cfg = params.config
-    if block_index < 0 or block_index >= cfg.noi:
-        raise ValueError(f"block index {block_index} out of range for noi={cfg.noi}")
-    if stream not in cfg.streams():
-        raise ValueError(f"stream {stream!r} not present in this model")
-    squeeze = x.ndim == 3
-    xb = x[None] if squeeze else x
-    out, _ = _block_forward(xb, params, conv_layout(cfg), f"{stream}.block{block_index}",
-                            mode, {})
-    return out[0] if squeeze else out
-
 
 BLOCK_EXPORT_LAYERS = {
     "branch1x1_conv": "b1.conv",
@@ -577,20 +513,3 @@ def export_block_weights(params: FpnnParams, block_index: int, stream: str = "ra
         kernel = params.tensors[key]
         out[public] = kernel.reshape(kernel.shape[0], -1).copy()
     return out
-
-
-def import_block_weights(params: FpnnParams, block_index: int, stream: str,
-                         matrices: dict[str, np.ndarray]) -> FpnnParams:
-    """Inverse of export_block_weights; returns updated parameters."""
-    new = params.copy()
-    prefix = f"{stream}.block{block_index}"
-    for public, layer in BLOCK_EXPORT_LAYERS.items():
-        if public not in matrices:
-            continue
-        key = f"{prefix}.{layer}.w"
-        if key not in new.tensors:
-            raise ValueError(f"model has no tensor {key}")
-        new.tensors[key] = np.asarray(matrices[public], dtype=float).reshape(
-            new.tensors[key].shape
-        )
-    return new

@@ -337,8 +337,10 @@ def max_pool2d(x, window, stride) -> np.ndarray:
 def pool2d_backward(x, window, stride, output_grad, mode: str) -> np.ndarray:
     """Input gradient of avg/max pooling.
 
-    avg distributes grad/(K*L) to every window member; max routes the whole
-    grad to the window argmax (first in row-major order on ties).
+    avg distributes grad/(K*L) to every window member and reads only the
+    shape of ``x``, so a zero-stride ``np.broadcast_to`` view serves; max
+    routes the whole grad to the window argmax (first in row-major order on
+    ties).
     """
     kh, kw, sh, sw = _pool_args(window, stride)
     xb, squeeze = _with_batch(x, 2)
@@ -459,20 +461,8 @@ def batchnorm2d_backward(cache, output_grad) -> LayerGrads:
 
 
 # ---------------------------------------------------------------------------
-# concat / linear / residual / global pooling
+# concat backward / linear / global pooling
 # ---------------------------------------------------------------------------
-
-def concat_channels(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate feature maps along the channel axis (axis -3)."""
-    if not parts:
-        raise ShapeError("concat_channels needs at least one part")
-    spatial = parts[0].shape[-2:]
-    lead = parts[0].shape[:-3]
-    for p in parts[1:]:
-        if p.shape[-2:] != spatial or p.shape[:-3] != lead:
-            raise ShapeError(f"spatial/batch mismatch in concat: {p.shape} vs {parts[0].shape}")
-    return np.concatenate(parts, axis=-3)
-
 
 def concat_channels_backward(output_grad: np.ndarray, channel_sizes: list[int]) -> list[np.ndarray]:
     if sum(channel_sizes) != output_grad.shape[-3]:
@@ -497,26 +487,6 @@ def linear_backward(x, weights, output_grad) -> LayerGrads:
         output_grad @ weights.T,
         {"weights": x.T @ output_grad, "bias": output_grad.sum(axis=0)},
     )
-
-
-def residual_add(fx, x, proj_weights) -> np.ndarray:
-    """fx + W*x where W is a bias-free 1x1 convolution projecting channels."""
-    c1, c2 = proj_weights.shape[0], proj_weights.shape[1]
-    if proj_weights.shape != (c1, c2, 1, 1):
-        raise ShapeError("projection must be a 1x1 kernel")
-    spec = ConvSpec((1, 1), (1, 1), (0, 0), c2, c1)
-    projected = conv2d_forward(x, proj_weights, np.zeros(c1), spec)
-    if projected.shape != fx.shape:
-        raise ShapeError(f"residual shapes differ: {fx.shape} vs {projected.shape}")
-    return fx + projected
-
-
-def residual_add_backward(x, proj_weights, output_grad):
-    """Returns (grad_fx, grad_x, grad_proj). grad_fx is output_grad itself."""
-    c1, c2 = proj_weights.shape[0], proj_weights.shape[1]
-    spec = ConvSpec((1, 1), (1, 1), (0, 0), c2, c1)
-    g = conv2d_backward(x, proj_weights, spec, output_grad)
-    return output_grad, g.input_grad, g.param_grads["weights"]
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

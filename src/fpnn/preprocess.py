@@ -80,13 +80,6 @@ class SampleSet:
             anchor_cycles=np.array([p.anchor_cycle for p in pairs], dtype=int),
         )
 
-    def pairs(self) -> list[SamplePair]:
-        return [
-            SamplePair(self.raw[i], self.diff[i], float(self.labels[i]),
-                       self.battery_ids[i], int(self.anchor_cycles[i]))
-            for i in range(len(self))
-        ]
-
     def subset(self, idx) -> "SampleSet":
         idx = np.asarray(idx, dtype=int)
         return SampleSet(

@@ -4,8 +4,10 @@ differences on small random tensors."""
 import numpy as np
 import pytest
 
+from fpnn import model as M
 from fpnn import ops
-from fpnn.gradcheck import gradcheck, numerical_gradient, relative_error
+
+from gradcheck import gradcheck, numerical_gradient, relative_error
 
 
 @pytest.fixture
@@ -175,6 +177,14 @@ class TestPoolBackward:
         g = ops.pool2d_backward(x, (2, 2), 1, gout, "avg")
         np.testing.assert_array_equal(g, np.full((1, 2, 2), 0.25))
 
+    def test_avg_reads_only_input_shape(self, rng):
+        # the model passes a zero-stride stand-in instead of keeping the input
+        x = rng.standard_normal((2, 3, 7, 7))
+        gout = rng.standard_normal((2, 3, 5, 5))
+        want = ops.pool2d_backward(x, (3, 3), 1, gout, "avg")
+        got = ops.pool2d_backward(np.broadcast_to(0.0, x.shape), (3, 3), 1, gout, "avg")
+        np.testing.assert_array_equal(got, want)
+
     def test_max_routes_to_argmax(self, rng):
         x = rng.permutation(16).astype(float).reshape(1, 4, 4)
         gout = rng.standard_normal((1, 2, 2))
@@ -249,16 +259,27 @@ class TestLinearBackward:
 
 class TestResidualBackward:
     def test_finite_differences(self, rng):
-        fx = rng.standard_normal((4, 3, 3))
-        x = rng.standard_normal((2, 3, 3))
-        proj = rng.standard_normal((4, 2, 1, 1))
-        probe = _loss_weights(rng, fx.shape)
-        g_fx, g_x, g_proj = ops.residual_add_backward(x, proj, probe)
-        np.testing.assert_array_equal(g_fx, probe)
-        gradcheck(lambda v: float((ops.residual_add(fx, v, proj) * probe).sum()),
-                  x, g_x, rtol=1e-4)
-        gradcheck(lambda v: float((ops.residual_add(fx, x, v) * probe).sum()),
-                  proj, g_proj, rtol=1e-4)
+        # an inception block: four branches plus the 1x1-projected skip
+        config = M.FpnnConfig(noi=1, grid_side=8, seed=3)
+        params = M.build_model(config)
+        specs = M.conv_layout(config)
+        x = rng.standard_normal((1, 64, 2, 2))
+        probe = _loss_weights(rng, (1, 88, 2, 2))
+        _, cache = M._block_forward(x, params, specs, "raw.block0", "train", {})
+        grads = {}
+        gx = M._block_backward(probe, params, specs, cache, grads)
+
+        def loss(v):
+            out, _ = M._block_forward(v, params, specs, "raw.block0", "train", {})
+            return float((out * probe).sum())
+
+        def loss_proj(rows):  # first four output channels of the projection
+            params.tensors["raw.block0.proj.w"] = np.concatenate([rows, proj[4:]])
+            return loss(x)
+
+        gradcheck(loss, x, gx, rtol=1e-3)
+        proj = params.tensors["raw.block0.proj.w"]
+        gradcheck(loss_proj, proj[:4], grads["raw.block0.proj.w"][:4], rtol=1e-4)
 
 
 class TestGlobalAvgPoolBackward:

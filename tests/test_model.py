@@ -1,18 +1,27 @@
-"""Architecture contracts: shapes, determinism, parameter counts, detach
-behavior, residual identity, weight export, and full-model gradients."""
+"""Architecture contracts: shapes, determinism, parameter counts, the layer
+table and checkpoint names, detach behavior, residual identity, weight
+export, and full-model gradients."""
 
 import numpy as np
 import pytest
 
 from fpnn import model as M
 from fpnn import ops
-from fpnn.gradcheck import relative_error
+
+from gradcheck import relative_error
 
 
 def micro_config(**kw):
     defaults = dict(noi=1, grid_side=8, alpha=0.01, head_hidden=(8,), seed=3)
     defaults.update(kw)
     return M.FpnnConfig(**defaults)
+
+
+# One variant per ablation flag, plus the full architecture.
+DETACH_VARIANTS = [M.DetachFlags()] + [
+    M.DetachFlags(**{flag: True})
+    for flag in ("initial_layers", "conv3d", "residual", "diff_branch")
+]
 
 
 def random_batch(config, n=2, seed=0):
@@ -69,6 +78,42 @@ class TestBuild:
         assert not p.tensors["raw.front.bn.shift"].any()
 
 
+# Checkpoint tensor names of one stream of the default noi=1 model, in build order.
+STREAM_TENSORS = [
+    "front.conv3d.w", "front.conv3d.b", "front.bn.scale", "front.bn.shift",
+    "init.conv.w", "init.conv.b", "init.conv.bn.scale", "init.conv.bn.shift",
+    "block0.b1.conv.w", "block0.b1.conv.b", "block0.b1.conv.bn.scale", "block0.b1.conv.bn.shift",
+    "block0.b2.reduce.w", "block0.b2.reduce.b",
+    "block0.b2.reduce.bn.scale", "block0.b2.reduce.bn.shift",
+    "block0.b2.conv.w", "block0.b2.conv.b", "block0.b2.conv.bn.scale", "block0.b2.conv.bn.shift",
+    "block0.b3.reduce.w", "block0.b3.reduce.b",
+    "block0.b3.reduce.bn.scale", "block0.b3.reduce.bn.shift",
+    "block0.b3.conv1.w", "block0.b3.conv1.b",
+    "block0.b3.conv1.bn.scale", "block0.b3.conv1.bn.shift",
+    "block0.b3.conv2.w", "block0.b3.conv2.b",
+    "block0.b3.conv2.bn.scale", "block0.b3.conv2.bn.shift",
+    "block0.b4.conv.w", "block0.b4.conv.b", "block0.b4.conv.bn.scale", "block0.b4.conv.bn.shift",
+    "block0.proj.w",
+]
+
+
+class TestLayerTable:
+    @pytest.mark.parametrize("detach", DETACH_VARIANTS)
+    def test_layout_names_every_conv_weight(self, detach):
+        config = micro_config(noi=2, detach=detach)
+        params = M.build_model(config)
+        conv_weights = {k for k in params.tensors if k.endswith(".w") and not k.startswith("head.")}
+        assert {f"{n}.w" for n in M.conv_layout(config)} == conv_weights
+
+    def test_checkpoint_names_in_build_order(self):
+        params = M.build_model(M.FpnnConfig())
+        streams = [f"{s}.{n}" for s in ("raw", "diff") for n in STREAM_TENSORS]
+        assert list(params.tensors) == streams + ["head.fc0.w", "head.fc0.b",
+                                                  "head.fc1.w", "head.fc1.b"]
+        assert list(params.bn_states) == [n[: -len(".scale")] for n in streams
+                                          if n.endswith(".scale")]
+
+
 class TestForwardShapes:
     @pytest.mark.parametrize("noi", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("grid", [16, 32])
@@ -85,18 +130,19 @@ class TestForwardShapes:
         params = M.build_model(config)
         raw, diff = random_batch(config, n=1)
         _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
-        assert cache["streams"]["raw"]["init"]["pooled_shape"][-2:] == (8, 8)
         assert cache["gap_shapes"]["raw"] == (1, 88, 8, 8)
 
     def test_block_emits_88_channels(self):
         config = micro_config(noi=3)
         params = M.build_model(config)
         rng = np.random.default_rng(0)
+        specs = M.conv_layout(config)
         x = rng.standard_normal((2, 64, 5, 5))
-        out = M.inception_block_forward(x, params, "raw", 0)
+        out, _ = M._block_forward(x, params, specs, "raw.block0", "eval", {})
         assert out.shape == (2, 88, 5, 5)
-        out2 = M.inception_block_forward(rng.standard_normal((88, 5, 5)), params, "raw", 1)
-        assert out2.shape == (88, 5, 5)
+        x2 = rng.standard_normal((1, 88, 5, 5))
+        out2, _ = M._block_forward(x2, params, specs, "raw.block1", "eval", {})
+        assert out2.shape == (1, 88, 5, 5)
 
     def test_noi_zero_stream_keeps_64_channels(self):
         config = micro_config(noi=0)
@@ -154,7 +200,8 @@ class TestDetachBehavior:
         with_res = M.build_model(config)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 64, 5, 5))
-        out_res = M.inception_block_forward(x, with_res, "raw", 0)
+        out_res, _ = M._block_forward(x, with_res, M.conv_layout(config), "raw.block0",
+                                      "eval", {})
 
         no_res_cfg = micro_config(noi=1, detach=M.DetachFlags(residual=True))
         no_res = M.build_model(no_res_cfg)
@@ -162,7 +209,8 @@ class TestDetachBehavior:
         for k, v in with_res.tensors.items():
             if k in no_res.tensors:
                 no_res.tensors[k] = v.copy()
-        out_plain = M.inception_block_forward(x, no_res, "raw", 0)
+        out_plain, _ = M._block_forward(x, no_res, M.conv_layout(no_res_cfg), "raw.block0",
+                                        "eval", {})
 
         proj = with_res.tensors["raw.block0.proj.w"]
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 64, 88)
@@ -201,39 +249,55 @@ class TestBackward:
 
     def test_full_model_finite_differences(self):
         # micro network, a handful of randomly probed parameters
-        config = micro_config(noi=1, grid_side=8)
-        params = M.build_model(config)
-        batch = random_batch(config, n=2, seed=33)
-        target = np.array([3.0, -1.0])
+        def pick(params, rng):
+            names = [k for k in params.tensors if params.tensors[k].size > 0]
+            return [(name, _random_index(params.tensors[name], rng))
+                    for name in rng.choice(names, size=8, replace=False)]
 
-        def loss_fn():
-            preds = M.fpnn_forward(batch, params, mode="train")
-            return float(((preds - target) ** 2).mean())
+        _check_finite_differences(micro_config(noi=1, grid_side=8), pick)
 
-        preds, _, cache = M.fpnn_forward(batch, params, mode="train", want_cache=True)
-        grads = M.fpnn_backward(params, cache, 2 * (preds - target) / preds.size)
+    @pytest.mark.parametrize(
+        "config",
+        [micro_config(noi=0)] + [micro_config(detach=d) for d in DETACH_VARIANTS[1:]],
+        ids=["noi0", "no_initial_layers", "no_conv3d", "no_residual", "no_diff_branch"],
+    )
+    def test_finite_differences_per_variant(self, config):
+        # one random entry of every tensor, so each pruned path is probed
+        _check_finite_differences(config, lambda params, rng: [
+            (name, _random_index(t, rng)) for name, t in params.tensors.items()])
 
-        rng = np.random.default_rng(8)
-        names = [k for k in params.tensors if params.tensors[k].size > 0]
-        probes = []
-        for name in rng.choice(names, size=8, replace=False):
-            t = params.tensors[name]
-            idx = tuple(rng.integers(0, s) for s in t.shape)
-            probes.append((name, idx))
 
-        eps = 1e-5
-        for name, idx in probes:
-            t = params.tensors[name]
-            orig = t[idx]
-            t[idx] = orig + eps
-            up = loss_fn()
-            t[idx] = orig - eps
-            down = loss_fn()
-            t[idx] = orig
-            numeric = (up - down) / (2 * eps)
-            analytic = grads[name][idx]
-            err = relative_error(np.array([analytic]), np.array([numeric]))
-            assert err < 1e-3, f"{name}{idx}: analytic {analytic}, numeric {numeric}"
+def _random_index(t, rng):
+    return tuple(rng.integers(0, s) for s in t.shape)
+
+
+def _check_finite_differences(config, pick):
+    """Central differences of a train-mode MSE loss against fpnn_backward at
+    the (tensor name, index) probes ``pick(params, rng)`` returns."""
+    params = M.build_model(config)
+    batch = random_batch(config, n=2, seed=33)
+    target = np.array([3.0, -1.0])
+
+    def loss_fn():
+        preds = M.fpnn_forward(batch, params, mode="train")
+        return float(((preds - target) ** 2).mean())
+
+    preds, _, cache = M.fpnn_forward(batch, params, mode="train", want_cache=True)
+    grads = M.fpnn_backward(params, cache, 2 * (preds - target) / preds.size)
+
+    eps = 1e-5
+    for name, idx in pick(params, np.random.default_rng(8)):
+        t = params.tensors[name]
+        orig = t[idx]
+        t[idx] = orig + eps
+        up = loss_fn()
+        t[idx] = orig - eps
+        down = loss_fn()
+        t[idx] = orig
+        numeric = (up - down) / (2 * eps)
+        analytic = grads[name][idx]
+        err = relative_error(np.array([analytic]), np.array([numeric]))
+        assert err < 1e-3, f"{name}{idx}: analytic {analytic}, numeric {numeric}"
 
 
 def _cache_nbytes(obj, seen) -> int:
@@ -285,11 +349,12 @@ class TestWeightExport:
         assert mats1["residual_proj"].shape == (88, 88)
 
     def test_round_trip_bitwise(self):
+        # each exported matrix reshapes bitwise back to its kernel
         params = M.build_model(micro_config(noi=1))
         mats = M.export_block_weights(params, 0, "raw")
-        restored = M.import_block_weights(params, 0, "raw", mats)
-        for k in params.tensors:
-            assert np.array_equal(restored.tensors[k], params.tensors[k]), k
+        for public, layer in M.BLOCK_EXPORT_LAYERS.items():
+            kernel = params.tensors[f"raw.block0.{layer}.w"]
+            assert np.array_equal(mats[public].reshape(kernel.shape), kernel), public
 
     def test_block_out_of_range(self):
         params = M.build_model(micro_config(noi=1))

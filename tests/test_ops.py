@@ -287,21 +287,6 @@ class TestBatchNorm:
 
 
 class TestConcat:
-    def test_branch_channel_sum(self, rng):
-        parts = [rng.standard_normal((c, 5, 5)) for c in (16, 24, 24, 24)]
-        out = ops.concat_channels(parts)
-        assert out.shape == (88, 5, 5)
-        np.testing.assert_array_equal(out[:16], parts[0])
-        np.testing.assert_array_equal(out[64:], parts[3])
-
-    def test_single_part_identity(self, rng):
-        x = rng.standard_normal((4, 3, 3))
-        np.testing.assert_array_equal(ops.concat_channels([x]), x)
-
-    def test_mismatched_spatial(self, rng):
-        with pytest.raises(ShapeError):
-            ops.concat_channels([rng.standard_normal((2, 4, 4)), rng.standard_normal((2, 5, 4))])
-
     def test_backward_splits(self, rng):
         grad = rng.standard_normal((7, 3, 3))
         parts = ops.concat_channels_backward(grad, [2, 5])
@@ -323,42 +308,6 @@ class TestLinear:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             ops.linear_forward(rng.standard_normal((4, 5)), rng.standard_normal((6, 3)), np.zeros(3))
-
-
-class TestResidual:
-    def test_identity_projection(self, rng):
-        c, h, w = 4, 5, 5
-        fx = rng.standard_normal((c, h, w))
-        x = rng.standard_normal((c, h, w))
-        proj = np.eye(c).reshape(c, c, 1, 1)
-        np.testing.assert_allclose(ops.residual_add(fx, x, proj), fx + x, atol=1e-12)
-
-    def test_zero_fx_gives_projection(self, rng):
-        from fpnn.ops import ConvSpec, conv2d_forward
-
-        x = rng.standard_normal((3, 4, 4))
-        proj = rng.standard_normal((5, 3, 1, 1))
-        out = ops.residual_add(np.zeros((5, 4, 4)), x, proj)
-        spec = ConvSpec((1, 1), (1, 1), (0, 0), 3, 5)
-        np.testing.assert_array_equal(out, conv2d_forward(x, proj, np.zeros(5), spec))
-
-    def test_compositional_oracle(self, rng):
-        from fpnn.ops import ConvSpec, conv2d_forward
-
-        fx = rng.standard_normal((5, 4, 4))
-        x = rng.standard_normal((3, 4, 4))
-        proj = rng.standard_normal((5, 3, 1, 1))
-        spec = ConvSpec((1, 1), (1, 1), (0, 0), 3, 5)
-        want = fx + conv2d_forward(x, proj, np.zeros(5), spec)
-        np.testing.assert_allclose(ops.residual_add(fx, x, proj), want, atol=1e-12)
-
-    def test_spatial_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            ops.residual_add(
-                rng.standard_normal((2, 4, 4)),
-                rng.standard_normal((2, 5, 5)),
-                np.eye(2).reshape(2, 2, 1, 1),
-            )
 
 
 class TestOracleSweep:
