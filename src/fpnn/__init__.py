@@ -21,7 +21,6 @@ from .hyperopt import (
     expected_improvement,
     gp_fit,
     gp_predict,
-    noi_sweep,
 )
 from .model import (
     DetachFlags,
@@ -33,7 +32,6 @@ from .model import (
     fpnn_forward,
 )
 from .preprocess import (
-    SamplePair,
     SampleSet,
     ScalerParams,
     apply_scaler,
@@ -55,6 +53,7 @@ from .training import (
     evaluate,
     load_checkpoint,
     mse_loss,
+    noi_sweep,
     save_checkpoint,
     train,
 )
@@ -64,12 +63,12 @@ __all__ = [
     "BatteryRecord", "CycleCurve", "load_canonical_dataset", "save_canonical_dataset",
     "SynthPolicy", "generate_battery", "generate_fleet",
     "Dimension", "GpSurrogate", "SearchSpace", "Trial", "bayes_optimize",
-    "default_search_space", "expected_improvement", "gp_fit", "gp_predict", "noi_sweep",
+    "default_search_space", "expected_improvement", "gp_fit", "gp_predict",
     "DetachFlags", "FpnnConfig", "FpnnParams", "build_model", "export_block_weights",
     "fpnn_backward", "fpnn_forward",
-    "SamplePair", "SampleSet", "ScalerParams", "apply_scaler", "assemble_samples",
+    "SampleSet", "ScalerParams", "apply_scaler", "assemble_samples",
     "fit_scaler", "hampel_filter", "load_sample_archive", "preprocess_fleet",
     "resample_to_grid", "save_sample_archive", "savitzky_golay", "split_train_test",
     "EvalReport", "TrainConfig", "adam_step", "compute_metrics", "evaluate",
-    "load_checkpoint", "mse_loss", "save_checkpoint", "train",
+    "load_checkpoint", "mse_loss", "noi_sweep", "save_checkpoint", "train",
 ]

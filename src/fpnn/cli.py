@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .datagen import generate_fleet
 from .dataset import load_canonical_dataset
-from .hyperopt import SweepCell, bayes_optimize, default_search_space, noi_sweep, run_sweep_cell
+from .hyperopt import bayes_optimize, default_search_space
 from .io import sha256_file
 from .model import DetachFlags, FpnnConfig, build_model, export_block_weights
 from .preprocess import (
@@ -39,9 +39,12 @@ from .preprocess import (
     save_sample_archive,
 )
 from .training import (
+    SweepCell,
     TrainConfig,
     evaluate,
     load_checkpoint,
+    noi_sweep,
+    run_sweep_cell,
     save_checkpoint,
     save_history,
     train,
@@ -91,16 +94,19 @@ def _fmt_metric(value: float) -> str:
 
 
 class Manifest:
-    """Collects run metadata and writes the single run_manifest.json."""
+    """Collects run metadata and writes the single run_manifest.json.
 
-    def __init__(self, command: str, out_dir: Path, config: dict, seed: int,
-                 inputs: list[str]):
-        self.command = command
-        self.out_dir = out_dir
+    The wall clock runs from ``args.started``, which :func:`main` stamps
+    before the command starts its work.
+    """
+
+    def __init__(self, args, config: dict, inputs: list[str]):
+        self.command = args.command
+        self.out_dir = Path(args.out)
         self.config = config
-        self.seed = seed
+        self.seed = args.seed
         self.inputs = inputs
-        self.started = time.time()
+        self.started = args.started
 
     FILENAME = "run_manifest.json"
 
@@ -116,7 +122,7 @@ class Manifest:
             "sub_seeds": _sub_seeds(self.seed),
             "inputs": self.inputs,
             "outputs": outputs,
-            "wall_clock_s": round(time.time() - self.started, 3),
+            "wall_clock_s": round(time.perf_counter() - self.started, 3),
             "version": __version__,
         }
         path = self.out_dir / self.FILENAME
@@ -150,9 +156,7 @@ def cmd_gen(args) -> int:
     lives = sorted(r.life for r in records)
     print(f"generated {len(records)} batteries -> {out}")
     print(f"life cycles: min {lives[0]}, median {lives[len(lives) // 2]}, max {lives[-1]}")
-    manifest = Manifest("gen", out, {"n": args.n, "life_range": [args.life_min, args.life_max]},
-                        args.seed, inputs=[])
-    manifest.write()
+    Manifest(args, {"n": args.n, "life_range": [args.life_min, args.life_max]}, inputs=[]).write()
     return 0
 
 
@@ -169,11 +173,9 @@ def cmd_preprocess(args) -> int:
                         args.cycles, args.grid, args.seed)
     print(f"preprocessed {len(records)} batteries: "
           f"{len(train_set)} train / {len(test_set)} test samples -> {out}")
-    manifest = Manifest("preprocess", out,
-                        {"cycles": args.cycles, "grid": args.grid,
-                         "train_batteries": len(train_ids), "test_batteries": len(test_ids)},
-                        args.seed, inputs=[str(args.data)])
-    manifest.write()
+    Manifest(args, {"cycles": args.cycles, "grid": args.grid,
+                    "train_batteries": len(train_ids), "test_batteries": len(test_ids)},
+             inputs=[str(args.data)]).write()
     return 0
 
 
@@ -231,10 +233,8 @@ def cmd_train(args) -> int:
     _write_report(out, report)
     print(f"trained {len(history)} epochs; {eval_split} MAPE {report.mape:.2f}%, "
           f"MAE {report.mae:.1f}, RMSE {report.rmse:.1f} -> {out}")
-    manifest = Manifest("train", out, {**effective, "grid_side": grid_side,
-                                       "eval_split": eval_split},
-                        args.seed, inputs=[str(args.data)])
-    manifest.write()
+    Manifest(args, {**effective, "grid_side": grid_side, "eval_split": eval_split},
+             inputs=[str(args.data)]).write()
     return 0
 
 
@@ -248,9 +248,8 @@ def cmd_eval(args) -> int:
     _write_report(out, report)
     print(f"{args.split} MAPE {report.mape:.2f}%, MAE {report.mae:.1f}, "
           f"RMSE {report.rmse:.1f} -> {out}")
-    manifest = Manifest("eval", out, {"split": args.split, "checkpoint": str(args.checkpoint)},
-                        args.seed, inputs=[str(args.checkpoint), str(args.data)])
-    manifest.write()
+    Manifest(args, {"split": args.split, "checkpoint": str(args.checkpoint)},
+             inputs=[str(args.checkpoint), str(args.data)]).write()
     return 0
 
 
@@ -280,11 +279,9 @@ def cmd_sweep_noi(args) -> int:
     _write_sweep_csv(out / "sweep.csv", cells)
     for c in cells:
         print(f"cycles {c.n_input_cycles} blocks {c.noi}: MAPE {_fmt_metric(c.mape)}")
-    manifest = Manifest("sweep-noi", out,
-                        {**effective, "cycles": cycles, "noi": nois, "grid": args.grid,
-                         "cell_seeds": [c.seed for c in cells]},
-                        args.seed, inputs=[str(args.data)])
-    manifest.write()
+    Manifest(args, {**effective, "cycles": cycles, "noi": nois, "grid": args.grid,
+                    "cell_seeds": [c.seed for c in cells]},
+             inputs=[str(args.data)]).write()
     return 0
 
 
@@ -308,12 +305,9 @@ def cmd_ablate(args) -> int:
         for label, cell in rows:
             writer.writerow([args.cycles, label, _fmt_metric(cell.mape),
                              _fmt_metric(cell.mae), _fmt_metric(cell.rmse)])
-    manifest = Manifest("ablate", out,
-                        {**effective, "cycles": args.cycles, "grid": args.grid,
-                         "rows": ABLATE_ROWS,
-                         "cell_seeds": [args.seed + 1000 * i for i in range(len(ABLATE_ROWS))]},
-                        args.seed, inputs=[str(args.data)])
-    manifest.write()
+    Manifest(args, {**effective, "cycles": args.cycles, "grid": args.grid, "rows": ABLATE_ROWS,
+                    "cell_seeds": [args.seed + 1000 * i for i in range(len(ABLATE_ROWS))]},
+             inputs=[str(args.data)]).write()
     return 0
 
 
@@ -356,11 +350,9 @@ def cmd_hyperopt(args) -> int:
     }
     (out / "best_config.json").write_text(json.dumps(best_config, indent=2, sort_keys=True))
     print(f"best validation MAPE {best_trial.objective:.2f}% at {best_trial.point}")
-    manifest = Manifest("hyperopt", out,
-                        {"budget": args.budget, "cycles": args.cycles, "grid": args.grid,
-                         "epochs": args.epochs},
-                        args.seed, inputs=[str(args.data)])
-    manifest.write()
+    Manifest(args, {"budget": args.budget, "cycles": args.cycles, "grid": args.grid,
+                    "epochs": args.epochs},
+             inputs=[str(args.data)]).write()
     return 0
 
 
@@ -376,11 +368,8 @@ def cmd_export_weights(args) -> int:
                 writer.writerow([repr(float(v)) for v in row])
     print(f"exported {len(matrices)} weight matrices for block {args.block} "
           f"({args.stream} stream) -> {out}")
-    manifest = Manifest("export-weights", out,
-                        {"block": args.block, "stream": args.stream,
-                         "matrices": sorted(matrices)},
-                        args.seed, inputs=[str(args.checkpoint)])
-    manifest.write()
+    Manifest(args, {"block": args.block, "stream": args.stream, "matrices": sorted(matrices)},
+             inputs=[str(args.checkpoint)]).write()
     return 0
 
 
@@ -502,6 +491,7 @@ def main(argv=None) -> int:
         parser.error("--n must be at least 2")
     if args.command == "hyperopt" and args.budget < 4:
         parser.error("--budget must be at least 4")
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single-line machine-parsable error

@@ -1,5 +1,5 @@
 """Bayesian hyperparameter search with a Gaussian-process surrogate and
-expected-improvement acquisition, plus the exhaustive depth sweep.
+expected-improvement acquisition.
 
 The surrogate is an exact GP with an anisotropic squared-exponential kernel
 and a noise term, fit by Cholesky on points normalized to the unit cube and
@@ -7,7 +7,9 @@ objectives standardized. Kernel hyperparameters are chosen by maximizing
 the log marginal likelihood with a multi-start coordinate search, keeping
 the module free of gradient-based optimizers and fully deterministic.
 Integer dimensions are relaxed to continuous values and rounded before
-evaluation.
+evaluation. The objective is any callable on a point dict; the module
+imports nothing of the network or training (the exhaustive depth sweep
+lives in :mod:`fpnn.training`).
 """
 
 from __future__ import annotations
@@ -361,72 +363,3 @@ def bayes_optimize(objective, space: SearchSpace, budget: int, seed: int) -> tup
         raise FpnnError("every trial failed; nothing to optimize")
     best_trial = min(ok_trials, key=lambda t: t.objective)
     return best_trial, trials
-
-
-# ---------------------------------------------------------------------------
-# depth sweep
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SweepCell:
-    """One (input window, unit count) grid cell of the depth sweep."""
-
-    n_input_cycles: int
-    noi: int
-    seed: int
-    mape: float = float("nan")
-    mae: float = float("nan")
-    rmse: float = float("nan")
-    error: str = ""
-
-
-def run_sweep_cell(records, n_input_cycles: int, noi: int, grid_side: int,
-                   train_config, cell_seed: int, detach=None) -> SweepCell:
-    """Train and evaluate one grid cell; failures land in the cell, they
-    never propagate."""
-    from .model import DetachFlags, FpnnConfig, build_model
-    from .preprocess import holdout_by_battery, preprocess_fleet
-    from .training import evaluate, train
-
-    cell = SweepCell(n_input_cycles, noi, cell_seed)
-    try:
-        train_set, test_set, _, _ = preprocess_fleet(
-            records, n_input_cycles, grid_side=grid_side, seed=train_config.seed
-        )
-        fit_set, val_set = holdout_by_battery(train_set, 0.2, cell_seed)
-        config = FpnnConfig(
-            noi=noi, grid_side=grid_side, seed=cell_seed,
-            detach=detach if detach is not None else DetachFlags(),
-        )
-        cfg = type(train_config)(**{**train_config.to_dict(), "seed": cell_seed})
-        best, _ = train(build_model(config), fit_set, val_set, cfg)
-        report = evaluate(best, test_set)
-        cell.mape, cell.mae, cell.rmse = report.mape, report.mae, report.rmse
-    except Exception as exc:  # noqa: BLE001 - recorded as a NaN row
-        cell.error = str(exc)
-    return cell
-
-
-def noi_sweep(records, cycles_values, noi_values, grid_side: int, train_config,
-              seed: int, jobs: int = 1) -> list[SweepCell]:
-    """Grid of (input window, unit count) cells with everything else held
-    fixed; per-cell seeds are the base seed plus a fixed 1000 * index
-    offset. Failed cells become NaN rows."""
-    tasks = []
-    index = 0
-    for cycles in cycles_values:
-        for noi in noi_values:
-            tasks.append((records, cycles, noi, grid_side, train_config, seed + 1000 * index))
-            index += 1
-    if not tasks:
-        raise ValueError("empty sweep grid")
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_cell_star, tasks))
-    return [_run_cell_star(t) for t in tasks]
-
-
-def _run_cell_star(args):
-    return run_sweep_cell(*args)

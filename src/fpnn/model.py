@@ -352,7 +352,7 @@ def _stream_forward(x5, params, specs, stream, mode, new_states):
             f"{stream} stream expects [N, 3, {depth}, {cfg.grid_side}, {cfg.grid_side}], "
             f"got {x5.shape}"
         )
-    cache = {"stream": stream, "init": None}
+    cache = {"init": None}
 
     if cfg.detach.conv3d:  # frame mean, then a 1x1 conv
         front, x = f"{stream}.front.proj", x5.mean(axis=2)
@@ -375,7 +375,7 @@ def _stream_forward(x5, params, specs, stream, mode, new_states):
 
 
 def _stream_backward(gout, params, specs, cache, grads):
-    cfg = params.config
+    """Parameter gradients of one stream; the input gradient is never needed."""
     g = gout
     for bc in reversed(cache["blocks"]):
         g = _block_backward(g, params, specs, bc, grads)
@@ -384,11 +384,7 @@ def _stream_backward(gout, params, specs, cache, grads):
         g_padded = pool2d_backward(cache["init"]["padded"], (3, 3), 2, g, "max")
         g = _cba_backward(unpad_spatial_grad(g_padded, 1), params, cache["init"]["cba"], grads)
 
-    g = _cba_backward(g, params, cache["front"], grads)
-    if cfg.detach.conv3d:
-        depth = cfg.stream_depth(cache["stream"])
-        g = np.repeat(g[:, :, None], depth, axis=2) / depth
-    return g
+    _cba_backward(g, params, cache["front"], grads)
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,22 @@
 
 Pipeline per battery: outlier removal (Hampel) and Savitzky-Golay smoothing
 per channel per cycle, linear resampling of each cycle onto a G*G
-capacity-grid image, assembly of 4-frame samples (first cycle + the three
-most recent before each anchor), a differential twin stream (each recent
-frame minus the first-cycle frame), then per-channel min-max scaling to
-[-1, 1] fitted on training data only. Labels stay in cycles, unscaled.
+capacity-grid image, then sample assembly by indexing that frame stack: each
+anchor cycle gives 4 raw frames (first cycle + the three most recent) and a
+differential twin stream (each recent frame minus the first-cycle frame).
+Samples live in one :class:`SampleSet` of stacked arrays from assembly to
+archive; the per-battery sets of a split are concatenated, and per-channel
+min-max scaling to [-1, 1] is fitted on the training set only and applied
+to each split in one call. Labels stay in cycles, unscaled.
 
 The train/test split is by battery (94:30 for the canonical 124-battery
-fleet, proportional otherwise) so no battery leaks across the split.
+fleet, the same proportion otherwise) so no battery leaks across the split.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,25 +44,14 @@ _MAD_SCALE = 1.4826  # MAD -> sigma for Gaussian data
 
 
 @dataclass
-class SamplePair:
-    """One training sample: raw frames, differential frames, life label."""
-
-    raw: np.ndarray  # [3, 4, G, G]
-    diff: np.ndarray  # [3, 3, G, G]
-    label: float  # life in cycles
-    battery_id: str
-    anchor_cycle: int  # latest cycle used
-
-
-@dataclass
 class SampleSet:
-    """A batch of SamplePairs stacked into contiguous arrays."""
+    """Samples stacked into contiguous arrays, one row per (battery, anchor)."""
 
     raw: np.ndarray  # [N, 3, 4, G, G]
     diff: np.ndarray  # [N, 3, 3, G, G]
-    labels: np.ndarray  # [N]
+    labels: np.ndarray  # [N], life in cycles
     battery_ids: list[str]
-    anchor_cycles: np.ndarray  # [N]
+    anchor_cycles: np.ndarray  # [N], latest cycle used
 
     def __len__(self) -> int:
         return self.raw.shape[0]
@@ -67,18 +59,6 @@ class SampleSet:
     @property
     def grid_side(self) -> int:
         return self.raw.shape[-1]
-
-    @classmethod
-    def from_pairs(cls, pairs: list[SamplePair]) -> "SampleSet":
-        if not pairs:
-            raise ValueError("cannot build a SampleSet from zero samples")
-        return cls(
-            raw=np.stack([p.raw for p in pairs]),
-            diff=np.stack([p.diff for p in pairs]),
-            labels=np.array([p.label for p in pairs], dtype=float),
-            battery_ids=[p.battery_id for p in pairs],
-            anchor_cycles=np.array([p.anchor_cycle for p in pairs], dtype=int),
-        )
 
     def subset(self, idx) -> "SampleSet":
         idx = np.asarray(idx, dtype=int)
@@ -187,8 +167,8 @@ def assemble_samples(
     n_input_cycles: int,
     grid_side: int = DEFAULT_GRID_SIDE,
     smooth: bool = True,
-) -> list[SamplePair]:
-    """Build unscaled SamplePairs from the battery's first n_input_cycles.
+) -> SampleSet:
+    """Build the battery's unscaled samples from its first n_input_cycles.
 
     One sample per anchor cycle t in [4, n_input_cycles]: raw frames are
     cycles (1, t-2, t-1, t); the diff stream is frames (t-2, t-1, t) minus
@@ -205,22 +185,28 @@ def assemble_samples(
     frames = np.stack(
         [cycle_frame(battery.cycles[i], grid_side, smooth) for i in range(n_input_cycles)]
     )  # [n, 3, G, G], index i = cycle i+1
-    first = frames[0]
-    samples = []
-    for anchor in range(SAMPLE_DEPTH, n_input_cycles + 1):
-        recent = frames[anchor - 3 : anchor]  # cycles t-2, t-1, t
-        raw = np.stack([first, *recent], axis=1)  # [3, 4, G, G]
-        diff = np.stack([f - first for f in recent], axis=1)  # [3, 3, G, G]
-        samples.append(
-            SamplePair(
-                raw=raw,
-                diff=diff,
-                label=float(battery.life),
-                battery_id=battery.battery_id,
-                anchor_cycle=anchor,
-            )
-        )
-    return samples
+    anchors = np.arange(SAMPLE_DEPTH, n_input_cycles + 1)
+    # frame indices of cycles (1, t-2, t-1, t) for each anchor t
+    idx = np.stack([np.zeros_like(anchors), anchors - 3, anchors - 2, anchors - 1], axis=1)
+    raw = np.ascontiguousarray(frames[idx].transpose(0, 2, 1, 3, 4))  # [A, 3, 4, G, G]
+    return SampleSet(
+        raw=raw,
+        diff=raw[:, :, 1:] - raw[:, :, :1],  # [A, 3, 3, G, G]
+        labels=np.full(len(anchors), float(battery.life)),
+        battery_ids=[battery.battery_id] * len(anchors),
+        anchor_cycles=anchors,
+    )
+
+
+def _concatenate(sets: list[SampleSet]) -> SampleSet:
+    """One SampleSet holding ``sets`` in order."""
+    return SampleSet(
+        raw=np.concatenate([s.raw for s in sets]),
+        diff=np.concatenate([s.diff for s in sets]),
+        labels=np.concatenate([s.labels for s in sets]),
+        battery_ids=[b for s in sets for b in s.battery_ids],
+        anchor_cycles=np.concatenate([s.anchor_cycles for s in sets]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,31 +223,23 @@ class ScalerParams:
     diff_max: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "raw_min": self.raw_min.tolist(),
-            "raw_max": self.raw_max.tolist(),
-            "diff_min": self.diff_min.tolist(),
-            "diff_max": self.diff_max.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScalerParams":
-        return cls(*(np.asarray(d[k], dtype=float)
-                     for k in ("raw_min", "raw_max", "diff_min", "diff_max")))
+        return cls(*(np.asarray(d[f.name], dtype=float) for f in fields(cls)))
 
 
-def fit_scaler(train_samples: list[SamplePair]) -> ScalerParams:
+def fit_scaler(train: SampleSet) -> ScalerParams:
     """Channel-wise min/max over all training samples, per stream."""
-    if not train_samples:
+    if len(train) == 0:
         raise ValueError("cannot fit a scaler on zero samples")
-    raw = np.stack([s.raw for s in train_samples])
-    diff = np.stack([s.diff for s in train_samples])
     reduce_axes = (0, 2, 3, 4)
     params = ScalerParams(
-        raw_min=raw.min(axis=reduce_axes),
-        raw_max=raw.max(axis=reduce_axes),
-        diff_min=diff.min(axis=reduce_axes),
-        diff_max=diff.max(axis=reduce_axes),
+        raw_min=train.raw.min(axis=reduce_axes),
+        raw_max=train.raw.max(axis=reduce_axes),
+        diff_min=train.diff.min(axis=reduce_axes),
+        diff_max=train.diff.max(axis=reduce_axes),
     )
     for name, lo, hi in (("raw", params.raw_min, params.raw_max),
                          ("diff", params.diff_min, params.diff_max)):
@@ -272,20 +250,16 @@ def fit_scaler(train_samples: list[SamplePair]) -> ScalerParams:
 
 
 def _scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    shape = (N_CHANNELS,) + (1,) * (x.ndim - 1)
-    lo = lo.reshape(shape)
-    hi = hi.reshape(shape)
+    shape = (1, N_CHANNELS) + (1,) * (x.ndim - 2)  # x is [N, 3, D, G, G]
+    lo, hi = lo.reshape(shape), hi.reshape(shape)
     return 2.0 * (x - lo) / (hi - lo) - 1.0
 
 
-def apply_scaler(sample: SamplePair, params: ScalerParams) -> SamplePair:
-    """Map each channel to [-1, 1] using train-set extrema; the label is
+def apply_scaler(samples: SampleSet, params: ScalerParams) -> SampleSet:
+    """Map each channel to [-1, 1] using train-set extrema; labels are
     untouched. Test samples may exceed [-1, 1]."""
-    return replace(
-        sample,
-        raw=_scale(sample.raw, params.raw_min, params.raw_max),
-        diff=_scale(sample.diff, params.diff_min, params.diff_max),
-    )
+    return replace(samples, raw=_scale(samples.raw, params.raw_min, params.raw_max),
+                   diff=_scale(samples.diff, params.diff_min, params.diff_max))
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +267,15 @@ def apply_scaler(sample: SamplePair, params: ScalerParams) -> SamplePair:
 # ---------------------------------------------------------------------------
 
 def split_train_test(batteries: list[BatteryRecord], seed: int) -> tuple[list[str], list[str]]:
-    """Deterministic battery-level split: 94:30 for 124 batteries, the same
-    proportion (rounded) otherwise."""
+    """Deterministic battery-level split in the canonical 94:124 proportion,
+    rounded (94:30 for 124 batteries), each side keeping at least one."""
     ids = [b.battery_id for b in batteries]
     if len(ids) < 2:
         raise ValueError(f"need at least 2 batteries to split, got {len(ids)}")
     if len(set(ids)) != len(ids):
         raise DataValidationError("duplicate battery ids in dataset")
-    if len(ids) == CANONICAL_TRAIN + CANONICAL_TEST:
-        n_train = CANONICAL_TRAIN
-    else:
-        n_train = round(len(ids) * CANONICAL_TRAIN / (CANONICAL_TRAIN + CANONICAL_TEST))
-        n_train = min(max(n_train, 1), len(ids) - 1)
+    n_train = round(len(ids) * CANONICAL_TRAIN / (CANONICAL_TRAIN + CANONICAL_TEST))
+    n_train = min(max(n_train, 1), len(ids) - 1)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
@@ -337,19 +308,13 @@ def preprocess_fleet(
     """Full pipeline: split, assemble, fit scaler on train, scale both."""
     train_ids, test_ids = split_train_test(records, seed)
     by_id = {r.battery_id: r for r in records}
-
-    def build(ids):
-        pairs = []
-        for bid in ids:
-            pairs.extend(assemble_samples(by_id[bid], n_input_cycles, grid_side, smooth))
-        return pairs
-
-    train_pairs = build(train_ids)
-    test_pairs = build(test_ids)
-    scaler = fit_scaler(train_pairs)
-    train = SampleSet.from_pairs([apply_scaler(p, scaler) for p in train_pairs])
-    test = SampleSet.from_pairs([apply_scaler(p, scaler) for p in test_pairs])
-    return train, test, scaler, (train_ids, test_ids)
+    train, test = (
+        _concatenate([assemble_samples(by_id[bid], n_input_cycles, grid_side, smooth)
+                      for bid in ids])
+        for ids in (train_ids, test_ids)
+    )
+    scaler = fit_scaler(train)
+    return apply_scaler(train, scaler), apply_scaler(test, scaler), scaler, (train_ids, test_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +332,8 @@ def save_sample_archive(
     """Write one tensor file per split plus a JSON manifest listing samples."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format_version": 1,
-        "n_input_cycles": n_input_cycles,
-        "grid_side": grid_side,
-        "seed": seed,
-        "scaler": scaler.to_dict(),
-        "splits": {},
-    }
+    manifest = {"format_version": 1, "n_input_cycles": n_input_cycles, "grid_side": grid_side,
+                "seed": seed, "scaler": scaler.to_dict(), "splits": {}}
     for name, ss in splits.items():
         fname = f"{name}.fpt"
         tio.write_tensors(
@@ -387,27 +346,37 @@ def save_sample_archive(
             "file": fname,
             "n_samples": len(ss),
             "battery_ids": sorted(set(ss.battery_ids)),
-            "samples": [
-                {"battery_id": ss.battery_ids[i],
-                 "anchor_cycle": int(ss.anchor_cycles[i]),
-                 "label": float(ss.labels[i])}
-                for i in range(len(ss))
-            ],
+            "samples": [{"battery_id": b, "anchor_cycle": int(a), "label": float(y)}
+                        for b, a, y in zip(ss.battery_ids, ss.anchor_cycles, ss.labels)],
         }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return out
 
 
 def load_sample_archive(path: str | Path) -> tuple[dict[str, SampleSet], ScalerParams, dict]:
-    """Inverse of save_sample_archive; returns (splits, scaler, manifest)."""
+    """Inverse of save_sample_archive; returns (splits, scaler, manifest).
+
+    Each split's tensor shapes must match the manifest's sample count, the
+    length of its sample list and its grid side.
+    """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise DataValidationError(f"{root}: missing manifest.json")
     manifest = json.loads(manifest_path.read_text())
+    g = manifest["grid_side"]
     splits = {}
     for name, info in manifest["splits"].items():
         _, tensors = tio.read_tensors(root / info["file"])
+        n = info["n_samples"]
+        want = {"raw": (n, N_CHANNELS, SAMPLE_DEPTH, g, g),
+                "diff": (n, N_CHANNELS, SAMPLE_DEPTH - 1, g, g),
+                "labels": (n,), "anchor_cycles": (n,)}
+        got = {k: getattr(tensors.get(k), "shape", None) for k in want}
+        if got != want or len(info["samples"]) != n:
+            raise DataValidationError(
+                f"{root / info['file']}: split {name!r} does not match manifest.json "
+                f"({n} samples, {len(info['samples'])} listed, grid side {g}): shapes {got}")
         splits[name] = SampleSet(
             raw=tensors["raw"],
             diff=tensors["diff"],

@@ -4,23 +4,25 @@ Loss is mean squared error on raw cycle labels (labels are never scaled).
 Optimization is Adam with optional L2 weight decay added to the gradient.
 The loop shuffles with a seeded generator, tracks validation MAPE each
 epoch, keeps the best-validation parameter snapshot, and stops early after
-``patience`` non-improving epochs.
+``patience`` non-improving epochs. The depth sweep trains and scores one
+model per (input window, unit count) cell on the same loop.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io as tio
 from .errors import CheckpointError, NonFiniteError, TrainingError
-from .model import FpnnConfig, FpnnParams, fpnn_backward, fpnn_forward
+from .model import DetachFlags, FpnnConfig, FpnnParams, build_model, fpnn_backward, fpnn_forward
 from .ops import BnState
-from .preprocess import SampleSet
+from .preprocess import SampleSet, holdout_by_battery, preprocess_fleet
 
 CHECKPOINT_KIND = "fpnn-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -269,6 +271,69 @@ def save_history(path: str | Path, history: list[EpochRecord]) -> None:
         writer.writerow(["epoch", "train_loss", "val_mape"])
         for rec in history:
             writer.writerow([rec.epoch, repr(rec.train_loss), repr(rec.val_mape)])
+
+
+# ---------------------------------------------------------------------------
+# depth sweep
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SweepCell:
+    """One (input window, unit count) grid cell of the depth sweep."""
+
+    n_input_cycles: int
+    noi: int
+    seed: int
+    mape: float = float("nan")
+    mae: float = float("nan")
+    rmse: float = float("nan")
+    error: str = ""
+
+
+def run_sweep_cell(records, n_input_cycles: int, noi: int, grid_side: int,
+                   train_config: TrainConfig, cell_seed: int, detach=None) -> SweepCell:
+    """Train and evaluate one grid cell; failures land in the cell, they
+    never propagate."""
+    cell = SweepCell(n_input_cycles, noi, cell_seed)
+    try:
+        train_set, test_set, _, _ = preprocess_fleet(
+            records, n_input_cycles, grid_side=grid_side, seed=train_config.seed
+        )
+        fit_set, val_set = holdout_by_battery(train_set, 0.2, cell_seed)
+        config = FpnnConfig(
+            noi=noi, grid_side=grid_side, seed=cell_seed,
+            detach=detach if detach is not None else DetachFlags(),
+        )
+        best, _ = train(build_model(config), fit_set, val_set,
+                        replace(train_config, seed=cell_seed))
+        report = evaluate(best, test_set)
+        cell.mape, cell.mae, cell.rmse = report.mape, report.mae, report.rmse
+    except Exception as exc:  # noqa: BLE001 - recorded as a NaN row
+        cell.error = str(exc)
+    return cell
+
+
+def noi_sweep(records, cycles_values, noi_values, grid_side: int, train_config: TrainConfig,
+              seed: int, jobs: int = 1) -> list[SweepCell]:
+    """Grid of (input window, unit count) cells with everything else held
+    fixed; per-cell seeds are the base seed plus a fixed 1000 * index
+    offset. Failed cells become NaN rows."""
+    tasks = []
+    index = 0
+    for cycles in cycles_values:
+        for noi in noi_values:
+            tasks.append((records, cycles, noi, grid_side, train_config, seed + 1000 * index))
+            index += 1
+    if not tasks:
+        raise ValueError("empty sweep grid")
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_cell_star, tasks))
+    return [_run_cell_star(t) for t in tasks]
+
+
+def _run_cell_star(args):
+    return run_sweep_cell(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,72 @@
+"""The command-line entry point end to end: a tiny gen -> preprocess ->
+train -> eval -> export-weights chain reproduces every artifact checksum
+under the same seed, errors exit 1 with one line, and the manifest clock
+covers the command's work."""
+
+import json
+import time
+
+from fpnn import cli
+
+
+def run(*argv):
+    assert cli.main([str(a) for a in argv]) == 0
+
+
+def manifest(out):
+    return json.loads((out / cli.Manifest.FILENAME).read_text())
+
+
+COMMANDS = {"fleet": "gen", "archive": "preprocess", "train": "train", "eval": "eval",
+            "weights": "export-weights"}  # out dir -> the command writing it
+
+
+def chain(root, seed=5):
+    """Run the tiny chain under ``root``; returns each command's out dir."""
+    dirs = {name: root / name for name in COMMANDS}
+    run("gen", "--n", 6, "--seed", seed, "--life-min", 200, "--life-max", 700,
+        "--out", dirs["fleet"])
+    run("preprocess", "--data", dirs["fleet"], "--cycles", 10, "--grid", 8, "--seed", seed,
+        "--out", dirs["archive"])
+    run("train", "--data", dirs["archive"], "--epochs", 2, "--batch-size", 4, "--seed", seed,
+        "--out", dirs["train"])
+    checkpoint = dirs["train"] / "checkpoint.fpt"
+    run("eval", "--checkpoint", checkpoint, "--data", dirs["archive"], "--seed", seed,
+        "--out", dirs["eval"])
+    run("export-weights", "--checkpoint", checkpoint, "--seed", seed, "--out", dirs["weights"])
+    return dirs
+
+
+class TestEndToEnd:
+    def test_same_seed_reproduces_every_artifact(self, tmp_path):
+        first = chain(tmp_path / "a")
+        second = chain(tmp_path / "b")
+        for name, out in first.items():
+            doc = manifest(out)
+            assert doc["command"] == COMMANDS[name]
+            assert doc["outputs"], name
+            assert doc["outputs"] == manifest(second[name])["outputs"], name
+        assert "checkpoint.fpt" in manifest(first["train"])["outputs"]
+
+    def test_missing_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        code = cli.main(["eval", "--checkpoint", str(tmp_path / "none.fpt"),
+                         "--data", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestManifestClock:
+    def test_wall_clock_covers_the_command(self, tmp_path, monkeypatch):
+        dirs = chain(tmp_path)
+        real_train = cli.train
+
+        def slow_train(*args, **kwargs):
+            time.sleep(0.5)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", slow_train)
+        out = tmp_path / "slow"
+        run("train", "--data", dirs["archive"], "--epochs", 1, "--batch-size", 4, "--out", out)
+        assert manifest(out)["wall_clock_s"] >= 0.5
+

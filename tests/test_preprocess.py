@@ -131,34 +131,48 @@ class TestAssemble:
         battery = make_battery(n_cycles=10)
         samples = pp.assemble_samples(battery, 10, grid_side=4)
         assert len(samples) == 7  # anchors 4..10
-        assert [s.anchor_cycle for s in samples] == list(range(4, 11))
+        assert samples.anchor_cycles.tolist() == list(range(4, 11))
 
     def test_earliest_anchor_uses_first_four_cycles(self):
         battery = make_battery(n_cycles=10)
         samples = pp.assemble_samples(battery, 10, grid_side=4, smooth=False)
-        s = samples[0]
+        raw = samples.raw[0]
         f1 = pp.resample_to_grid(battery.cycles[0], 4)
         f2 = pp.resample_to_grid(battery.cycles[1], 4)
         f4 = pp.resample_to_grid(battery.cycles[3], 4)
-        np.testing.assert_array_equal(s.raw[:, 0], f1)
-        np.testing.assert_array_equal(s.raw[:, 1], f2)
-        np.testing.assert_array_equal(s.raw[:, 3], f4)
+        np.testing.assert_array_equal(raw[:, 0], f1)
+        np.testing.assert_array_equal(raw[:, 1], f2)
+        np.testing.assert_array_equal(raw[:, 3], f4)
+
+    def test_every_anchor_reads_first_and_three_latest_cycles(self):
+        battery = make_battery(n_cycles=10)
+        samples = pp.assemble_samples(battery, 10, grid_side=4, smooth=False)
+        frames = [pp.resample_to_grid(c, 4) for c in battery.cycles]  # frames[i] = cycle i+1
+        for raw, t in zip(samples.raw, samples.anchor_cycles):
+            for d, cycle in enumerate((1, t - 2, t - 1, t)):
+                np.testing.assert_array_equal(raw[:, d], frames[cycle - 1])
 
     def test_diff_is_raw_minus_first_frame(self):
         battery = make_battery(n_cycles=10)
-        for s in pp.assemble_samples(battery, 10, grid_side=4, smooth=False):
-            assert s.diff.shape == (3, 3, 4, 4)
-            first = s.raw[:, 0]
-            for d in range(3):
-                np.testing.assert_allclose(s.diff[:, d], s.raw[:, d + 1] - first, atol=1e-12)
+        samples = pp.assemble_samples(battery, 10, grid_side=4, smooth=False)
+        assert samples.diff.shape == (7, 3, 3, 4, 4)
+        first = samples.raw[:, :, 0]
+        for d in range(3):
+            np.testing.assert_allclose(samples.diff[:, :, d], samples.raw[:, :, d + 1] - first,
+                                       atol=1e-12)
 
     def test_labels_and_shapes(self):
         battery = make_battery(n_cycles=12, life=321)
         samples = pp.assemble_samples(battery, 10, grid_side=6)
-        for s in samples:
-            assert s.raw.shape == (3, 4, 6, 6)
-            assert s.label == 321.0
-            assert s.battery_id == "b0"
+        assert samples.raw.shape == (7, 3, 4, 6, 6)
+        assert samples.labels.tolist() == [321.0] * 7
+        assert samples.battery_ids == ["b0"] * 7
+
+    def test_arrays_contiguous_float64(self):
+        samples = pp.assemble_samples(make_battery(n_cycles=10), 10, grid_side=4)
+        for a in (samples.raw, samples.diff, samples.labels):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert np.issubdtype(samples.anchor_cycles.dtype, np.integer)
 
     def test_insufficient_cycles(self):
         with pytest.raises(DataValidationError):
@@ -169,25 +183,27 @@ class TestAssemble:
             pp.assemble_samples(make_battery(n_cycles=20), 15, grid_side=4)
 
 
+def samples_of(raw, diff):
+    """A SampleSet over the given [N, 3, 4, G, G] and [N, 3, 3, G, G] frames."""
+    n = len(raw)
+    return pp.SampleSet(raw, diff, np.full(n, 100.0), [f"b{i}" for i in range(n)],
+                        np.full(n, 4))
+
+
 class TestScaler:
     def _samples(self):
         rng = np.random.default_rng(3)
-        out = []
-        for i in range(5):
-            raw = rng.uniform(0.0, 10.0, (3, 4, 4, 4))
-            diff = rng.uniform(-2.0, 2.0, (3, 3, 4, 4))
-            out.append(pp.SamplePair(raw, diff, 100.0, f"b{i}", 4))
-        return out
+        return samples_of(rng.uniform(0.0, 10.0, (5, 3, 4, 4, 4)),
+                          rng.uniform(-2.0, 2.0, (5, 3, 3, 4, 4)))
 
     def test_midpoint_maps_to_zero(self):
         samples = self._samples()
         params = pp.fit_scaler(samples)
-        mid = pp.SamplePair(
+        mid = samples_of(
             np.broadcast_to(((params.raw_min + params.raw_max) / 2)[:, None, None, None],
-                            (3, 4, 4, 4)).copy(),
+                            (1, 3, 4, 4, 4)).copy(),
             np.broadcast_to(((params.diff_min + params.diff_max) / 2)[:, None, None, None],
-                            (3, 3, 4, 4)).copy(),
-            100.0, "m", 4,
+                            (1, 3, 3, 4, 4)).copy(),
         )
         scaled = pp.apply_scaler(mid, params)
         np.testing.assert_allclose(scaled.raw, 0.0, atol=1e-12)
@@ -196,21 +212,31 @@ class TestScaler:
     def test_train_extremes_hit_unit_bounds(self):
         samples = self._samples()
         params = pp.fit_scaler(samples)
-        scaled = [pp.apply_scaler(s, params) for s in samples]
-        raw_all = np.stack([s.raw for s in scaled])
+        raw_all = pp.apply_scaler(samples, params).raw
         assert raw_all.min() >= -1.0 - 1e-12 and raw_all.max() <= 1.0 + 1e-12
         np.testing.assert_allclose(raw_all.max(), 1.0, atol=1e-12)
         np.testing.assert_allclose(raw_all.min(), -1.0, atol=1e-12)
 
-    def test_labels_untouched(self):
+    def test_each_channel_scaled_by_its_own_extrema(self):
         samples = self._samples()
         params = pp.fit_scaler(samples)
-        assert pp.apply_scaler(samples[0], params).label == samples[0].label
+        scaled = pp.apply_scaler(samples, params)
+        for c in range(3):
+            lo, hi = params.diff_min[c], params.diff_max[c]
+            np.testing.assert_array_equal(scaled.diff[:, c],
+                                          2.0 * (samples.diff[:, c] - lo) / (hi - lo) - 1.0)
+
+    def test_labels_untouched(self):
+        samples = self._samples()
+        scaled = pp.apply_scaler(samples, pp.fit_scaler(samples))
+        np.testing.assert_array_equal(scaled.labels, samples.labels)
+        np.testing.assert_array_equal(scaled.anchor_cycles, samples.anchor_cycles)
+        assert scaled.battery_ids == samples.battery_ids
 
     def test_degenerate_channel_rejected(self):
-        s = pp.SamplePair(np.zeros((3, 4, 2, 2)), np.zeros((3, 3, 2, 2)), 1.0, "b", 4)
+        s = samples_of(np.zeros((1, 3, 4, 2, 2)), np.zeros((1, 3, 3, 2, 2)))
         with pytest.raises(ValueError):
-            pp.fit_scaler([s])
+            pp.fit_scaler(s)
 
 
 class TestSplit:
@@ -366,3 +392,22 @@ class TestPipeline:
         assert splits["test"].battery_ids == test.battery_ids
         np.testing.assert_array_equal(scaler2.raw_min, scaler.raw_min)
         assert manifest["grid_side"] == 8
+
+    @pytest.mark.parametrize("tamper", ["n_samples", "grid_side", "samples"])
+    def test_archive_shapes_checked_against_manifest(self, tmp_path, tamper):
+        import json
+
+        records = generate_fleet(4, seed=6, life_range=(200, 800))
+        train, test, scaler, _ = pp.preprocess_fleet(records, 10, grid_side=8, seed=2)
+        pp.save_sample_archive(tmp_path, {"train": train, "test": test}, scaler, 10, 8, 2)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if tamper == "n_samples":
+            manifest["splits"]["test"]["n_samples"] += 1
+        elif tamper == "grid_side":
+            manifest["grid_side"] = 16
+        else:
+            manifest["splits"]["test"]["samples"].pop()
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataValidationError, match=r"test\.fpt: split 'test'"):
+            pp.load_sample_archive(tmp_path)

@@ -1,10 +1,11 @@
 """Loss/metric fidelity, Adam hand-checks, loop determinism and early
-stopping, and checkpoint round trips."""
+stopping, checkpoint round trips, and the depth sweep's cell bookkeeping."""
 
 import numpy as np
 import pytest
 
 from fpnn import training as T
+from fpnn.dataset import BatteryRecord, CycleCurve
 from fpnn.datagen import generate_fleet
 from fpnn.errors import CheckpointError, NonFiniteError, TrainingError
 from fpnn.model import DetachFlags, FpnnConfig, build_model
@@ -258,3 +259,29 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             T.load_checkpoint(tmp_path / "nope.fpt")
+
+
+def short_fleet(n_batteries=3, n_cycles=8):
+    """Batteries with too few cycles for any input window, so no cell trains."""
+    q = np.linspace(0.01, 1.0, 16)
+    cycles = [CycleCurve(k, q, 3.0 + q, np.ones(16), np.full(16, 30.0))
+              for k in range(1, n_cycles + 1)]
+    return [BatteryRecord(f"s{i}", cycles, life=400) for i in range(n_batteries)]
+
+
+class TestSweep:
+    def test_failed_cell_is_nan_row_with_error(self):
+        cell = T.run_sweep_cell(short_fleet(), 10, 1, 8, T.TrainConfig(epochs=1), cell_seed=42)
+        assert (cell.n_input_cycles, cell.noi, cell.seed) == (10, 1, 42)
+        assert np.isnan([cell.mape, cell.mae, cell.rmse]).all()
+        assert "has 8 cycles, needs >= 10" in cell.error
+
+    def test_cells_window_major_with_offset_seeds(self):
+        cells = T.noi_sweep(short_fleet(), [10, 20], [0, 2], 8, T.TrainConfig(epochs=1), seed=7)
+        assert [(c.n_input_cycles, c.noi) for c in cells] == [(10, 0), (10, 2), (20, 0), (20, 2)]
+        assert [c.seed for c in cells] == [7, 1007, 2007, 3007]
+        assert all(c.error and np.isnan(c.mape) for c in cells)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError):
+            T.noi_sweep(short_fleet(), [], [0], 8, T.TrainConfig(epochs=1), seed=0)
