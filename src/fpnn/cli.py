@@ -44,7 +44,7 @@ from .training import (
     evaluate,
     load_checkpoint,
     noi_sweep,
-    run_sweep_cell,
+    run_sweep_window,
     save_checkpoint,
     save_history,
     train,
@@ -291,12 +291,14 @@ def cmd_ablate(args) -> int:
     flags = {k: getattr(args, k, None) for k in TRAIN_DEFAULTS}
     effective = _merge_config(TRAIN_DEFAULTS, args.config, flags)
     _, train_config = _train_configs(effective, args.seed, args.grid)
-    rows = []
-    for i, label in enumerate(ABLATE_ROWS):
-        cell = run_sweep_cell(records, args.cycles, int(effective["noi"]), args.grid,
-                              train_config, args.seed + 1000 * i,
-                              detach=ABLATE_FLAGS[label])
-        rows.append((label, cell))
+    cells = run_sweep_window(
+        records, args.cycles,
+        [(int(effective["noi"]), args.seed + 1000 * i, ABLATE_FLAGS[label])
+         for i, label in enumerate(ABLATE_ROWS)],
+        args.grid, train_config,
+    )
+    rows = list(zip(ABLATE_ROWS, cells))
+    for label, cell in rows:
         print(f"{label}: MAPE {_fmt_metric(cell.mape)}"
               + (f" ({cell.error})" if cell.error else ""))
     with open(out / "ablate.csv", "w", newline="") as fh:
@@ -306,7 +308,7 @@ def cmd_ablate(args) -> int:
             writer.writerow([args.cycles, label, _fmt_metric(cell.mape),
                              _fmt_metric(cell.mae), _fmt_metric(cell.rmse)])
     Manifest(args, {**effective, "cycles": args.cycles, "grid": args.grid, "rows": ABLATE_ROWS,
-                    "cell_seeds": [args.seed + 1000 * i for i in range(len(ABLATE_ROWS))]},
+                    "cell_seeds": [c.seed for c in cells]},
              inputs=[str(args.data)]).write()
     return 0
 

@@ -267,7 +267,9 @@ def _cba_forward(x, params, specs, name, mode, new_states):
     return out, cache
 
 
-def _cba_backward(gout, params, cache, grads):
+def _cba_backward(gout, params, cache, grads, want_input_grad=True):
+    """Fills the unit's parameter gradients into ``grads``; returns the
+    input gradient, or None when ``want_input_grad`` is False."""
     name = cache["name"]
     g = leaky_relu_backward(cache["act_in"], params.config.alpha, gout)
     bn_g = batchnorm2d_backward(cache["bn_cache"], g)
@@ -275,7 +277,7 @@ def _cba_backward(gout, params, cache, grads):
     grads[f"{bn}.scale"] = bn_g.param_grads["scale"]
     grads[f"{bn}.shift"] = bn_g.param_grads["shift"]
     conv_g = _conv_saved_backward(cache["xpad"], params.tensors[f"{name}.w"], cache["spec"],
-                                  bn_g.input_grad.reshape(cache["conv_shape"]))
+                                  bn_g.input_grad.reshape(cache["conv_shape"]), want_input_grad)
     grads[f"{name}.w"] = conv_g.param_grads["weights"]
     grads[f"{name}.b"] = conv_g.param_grads["bias"]
     return conv_g.input_grad
@@ -384,7 +386,7 @@ def _stream_backward(gout, params, specs, cache, grads):
         g_padded = pool2d_backward(cache["init"]["padded"], (3, 3), 2, g, "max")
         g = _cba_backward(unpad_spatial_grad(g_padded, 1), params, cache["init"]["cba"], grads)
 
-    _cba_backward(g, params, cache["front"], grads)
+    _cba_backward(g, params, cache["front"], grads, want_input_grad=False)
 
 
 # ---------------------------------------------------------------------------

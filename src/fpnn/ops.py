@@ -81,7 +81,7 @@ class ConvSpec:
 class LayerGrads:
     """Gradients of a layer: w.r.t. its input plus named parameter grads."""
 
-    input_grad: np.ndarray
+    input_grad: np.ndarray | None  # None when the caller asked for none
     param_grads: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -196,9 +196,13 @@ def _conv_forward(x, weights, bias, spec, return_cols=False):
     return (out, xs) if return_cols else out
 
 
-def _conv_saved_backward(xs, weights, spec, output_grad) -> LayerGrads:
+def _conv_saved_backward(xs, weights, spec, output_grad, want_input_grad=True) -> LayerGrads:
     """Gradients from the saved operand: the forward pass's offset loop,
-    recomputing each shifted input instead of reading a cached window matrix."""
+    recomputing each shifted input instead of reading a cached window matrix.
+
+    With ``want_input_grad=False`` the input-gradient matmuls are skipped and
+    ``input_grad`` is None; the parameter gradients are the same.
+    """
     nf, in_shape, out_sp = _operand_geometry(xs, spec)
     n = in_shape[0]
     if output_grad.shape != (n, spec.out_channels, *out_sp):
@@ -213,22 +217,28 @@ def _conv_saved_backward(xs, weights, spec, output_grad) -> LayerGrads:
     gmat = np.ascontiguousarray(gmat).reshape(n, rows, spec.out_channels)
     blocks = _sample_blocks(n, rows, spec.out_channels)
     shift_buf = np.empty((blocks[0].stop, *sp, c))
-    gx_buf = np.empty_like(shift_buf)
     dw = np.empty(wk.shape[-2:])
     d_wk = np.zeros_like(wk)
-    gxs = np.zeros_like(xs)
+    if want_input_grad:
+        gx_buf = np.empty_like(shift_buf)
+        gxs = np.zeros_like(xs)
     for blk in blocks:
         m = blk.stop - blk.start
-        x_shift, gx_shift, g_blk = shift_buf[:m], gx_buf[:m], gmat[blk].reshape(-1, spec.out_channels)
+        x_shift, g_blk = shift_buf[:m], gmat[blk].reshape(-1, spec.out_channels)
+        if want_input_grad:
+            gx_shift = gx_buf[:m]
         for offset in np.ndindex(*wk.shape[:-2]):
             np.copyto(x_shift, _shifted(xs[blk], offset, stride, sp))
             d_wk[offset] += np.matmul(x_shift.reshape(-1, c).T, g_blk, out=dw)
-            np.matmul(g_blk, wk[offset].T, out=gx_shift.reshape(-1, c))
-            _shifted(gxs[blk], offset, stride, sp)[...] += gx_shift
+            if want_input_grad:
+                np.matmul(g_blk, wk[offset].T, out=gx_shift.reshape(-1, c))
+                _shifted(gxs[blk], offset, stride, sp)[...] += gx_shift
     d_weights = np.ascontiguousarray(np.moveaxis(d_wk, (-1, -2), (0, 1))).reshape(weights.shape)
-    interior = tuple(slice(p, e - p) for p, e in zip(spec.padding[nf:], xs.shape[1:-1]))
-    gx = np.ascontiguousarray(np.moveaxis(gxs[(slice(None),) + interior], -1, 1)).reshape(in_shape)
     d_bias = gmat.reshape(-1, spec.out_channels).sum(axis=0)
+    gx = None
+    if want_input_grad:
+        interior = tuple(slice(p, e - p) for p, e in zip(spec.padding[nf:], xs.shape[1:-1]))
+        gx = np.ascontiguousarray(np.moveaxis(gxs[(slice(None),) + interior], -1, 1)).reshape(in_shape)
     return LayerGrads(gx, {"weights": d_weights, "bias": d_bias})
 
 

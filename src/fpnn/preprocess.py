@@ -1,8 +1,9 @@
 """Turn charge-cycle curves into video-like sample tensors.
 
-Pipeline per battery: outlier removal (Hampel) and Savitzky-Golay smoothing
-per channel per cycle, linear resampling of each cycle onto a G*G
-capacity-grid image, then sample assembly by indexing that frame stack: each
+Pipeline per battery: cleaning per cycle (a Hampel outlier filter over the
+three channels stacked in one call, then Savitzky-Golay smoothing of each
+channel), linear resampling of each cycle onto a G*G capacity-grid image,
+then sample assembly by indexing that frame stack: each
 anchor cycle gives 4 raw frames (first cycle + the three most recent) and a
 differential twin stream (each recent frame minus the first-cycle frame).
 Samples live in one :class:`SampleSet` of stacked arrays from assembly to
@@ -21,6 +22,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import savgol_filter
 
 from .dataset import BatteryRecord, CycleCurve
@@ -76,25 +78,34 @@ class SampleSet:
 # ---------------------------------------------------------------------------
 
 def hampel_filter(series: np.ndarray, window: int = HAMPEL_WINDOW, n_sigmas: float = HAMPEL_SIGMAS) -> np.ndarray:
-    """Replace rolling-median outliers.
+    """Replace rolling-median outliers along the last axis of ``[..., points]``.
 
-    A point deviating from the window median by more than
-    n_sigmas * 1.4826 * MAD is replaced with that median. Edge windows are
-    truncated to the available points.
+    A point deviating from its window median by more than
+    n_sigmas * 1.4826 * MAD is replaced with that median. The window spans
+    ``window // 2`` points on each side. Full windows are taken in one
+    sliding-window pass; the positions within ``window // 2`` of either end
+    use windows truncated to the available points, filtered in mirrored
+    pairs (positions i and n-1-i have truncated windows of equal length).
     """
     x = np.asarray(series, dtype=float)
-    if x.size < 3:
-        raise ValueError(f"hampel_filter needs at least 3 points, got {x.size}")
+    n = x.shape[-1] if x.ndim else 0
+    if n < 3:
+        raise ValueError(f"hampel_filter needs at least 3 points, got {n}")
     half = window // 2
+    thresh = n_sigmas * _MAD_SCALE
     out = x.copy()
-    for i in range(x.size):
-        lo = max(0, i - half)
-        hi = min(x.size, i + half + 1)
-        win = x[lo:hi]
-        med = np.median(win)
-        mad = np.median(np.abs(win - med))
-        if np.abs(x[i] - med) > n_sigmas * _MAD_SCALE * mad:
-            out[i] = med
+
+    def replace_outliers(positions, windows):
+        centre = x[..., positions]
+        med = np.median(windows, axis=-1)
+        mad = np.median(np.abs(windows - med[..., None]), axis=-1)
+        out[..., positions] = np.where(np.abs(centre - med) > thresh * mad, med, centre)
+
+    if n > 2 * half:
+        replace_outliers(slice(half, n - half), sliding_window_view(x, 2 * half + 1, axis=-1))
+    for i in range(min(half, (n + 1) // 2)):
+        lo, hi = max(0, i - half), min(n, i + half + 1)
+        replace_outliers([i, n - 1 - i], np.stack([x[..., lo:hi], x[..., n - hi : n - lo]], axis=-2))
     return out
 
 
@@ -113,11 +124,6 @@ def savitzky_golay(series: np.ndarray, window: int = SG_WINDOW, polyorder: int =
     if x.size < window:
         raise ValueError(f"series length {x.size} shorter than window {window}")
     return savgol_filter(x, window_length=window, polyorder=polyorder, mode="interp")
-
-
-def clean_series(series: np.ndarray) -> np.ndarray:
-    """Default cleaning used by the pipeline: Hampel then Savitzky-Golay."""
-    return savitzky_golay(hampel_filter(series))
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +155,20 @@ def resample_to_grid(curve: CycleCurve, grid_side: int) -> np.ndarray:
 
 
 def cycle_frame(curve: CycleCurve, grid_side: int, smooth: bool = True) -> np.ndarray:
-    """Clean one cycle's channels and resample to a [3, G, G] frame."""
+    """Clean one cycle's channels and resample to a [3, G, G] frame.
+
+    The Hampel filter runs on the three channels stacked; Savitzky-Golay
+    smoothing runs per channel.
+    """
     if not smooth:
         return resample_to_grid(curve, grid_side)
+    v, i, t = hampel_filter(np.stack([curve.voltage, curve.current, curve.temperature]))
     cleaned = CycleCurve(
         cycle_index=curve.cycle_index,
         charged_capacity=curve.charged_capacity,
-        voltage=clean_series(curve.voltage),
-        current=clean_series(curve.current),
-        temperature=clean_series(curve.temperature),
+        voltage=savitzky_golay(v),
+        current=savitzky_golay(i),
+        temperature=savitzky_golay(t),
     )
     return resample_to_grid(cleaned, grid_side)
 

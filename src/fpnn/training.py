@@ -4,8 +4,9 @@ Loss is mean squared error on raw cycle labels (labels are never scaled).
 Optimization is Adam with optional L2 weight decay added to the gradient.
 The loop shuffles with a seeded generator, tracks validation MAPE each
 epoch, keeps the best-validation parameter snapshot, and stops early after
-``patience`` non-improving epochs. The depth sweep trains and scores one
-model per (input window, unit count) cell on the same loop.
+``patience`` non-improving epochs. The depth sweep preprocesses each input
+window once and trains and scores one model per (input window, unit count)
+cell on the same loop.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -290,15 +292,13 @@ class SweepCell:
     error: str = ""
 
 
-def run_sweep_cell(records, n_input_cycles: int, noi: int, grid_side: int,
-                   train_config: TrainConfig, cell_seed: int, detach=None) -> SweepCell:
-    """Train and evaluate one grid cell; failures land in the cell, they
-    never propagate."""
+def run_sweep_cell(train_set: SampleSet, test_set: SampleSet, n_input_cycles: int, noi: int,
+                   grid_side: int, train_config: TrainConfig, cell_seed: int,
+                   detach=None) -> SweepCell:
+    """Train and evaluate one grid cell on its window's preprocessed splits;
+    failures land in the cell, they never propagate."""
     cell = SweepCell(n_input_cycles, noi, cell_seed)
     try:
-        train_set, test_set, _, _ = preprocess_fleet(
-            records, n_input_cycles, grid_side=grid_side, seed=train_config.seed
-        )
         fit_set, val_set = holdout_by_battery(train_set, 0.2, cell_seed)
         config = FpnnConfig(
             noi=noi, grid_side=grid_side, seed=cell_seed,
@@ -313,27 +313,47 @@ def run_sweep_cell(records, n_input_cycles: int, noi: int, grid_side: int,
     return cell
 
 
+def run_sweep_window(records, n_input_cycles: int, cells, grid_side: int,
+                     train_config: TrainConfig) -> list[SweepCell]:
+    """Preprocess one input window once, then train and score each of its
+    cells, given as (noi, cell seed, detach flags or None), on the result.
+
+    The fleet is split with ``train_config.seed``. If preprocessing fails,
+    every cell of the window becomes a NaN row carrying the error.
+    """
+    try:
+        train_set, test_set, _, _ = preprocess_fleet(
+            records, n_input_cycles, grid_side=grid_side, seed=train_config.seed
+        )
+    except Exception as exc:  # noqa: BLE001 - recorded as NaN rows
+        return [SweepCell(n_input_cycles, noi, cell_seed, error=str(exc))
+                for noi, cell_seed, _ in cells]
+    return [run_sweep_cell(train_set, test_set, n_input_cycles, noi, grid_side, train_config,
+                           cell_seed, detach)
+            for noi, cell_seed, detach in cells]
+
+
 def noi_sweep(records, cycles_values, noi_values, grid_side: int, train_config: TrainConfig,
               seed: int, jobs: int = 1) -> list[SweepCell]:
     """Grid of (input window, unit count) cells with everything else held
-    fixed; per-cell seeds are the base seed plus a fixed 1000 * index
+    fixed, returned window-major. Each window is preprocessed once and its
+    cells trained on the result (``run_sweep_window``); with ``jobs`` > 1
+    the windows run in worker processes, which receive the records once per
+    window. Per-cell seeds are the base seed plus a fixed 1000 * index
     offset. Failed cells become NaN rows."""
-    tasks = []
-    index = 0
-    for cycles in cycles_values:
-        for noi in noi_values:
-            tasks.append((records, cycles, noi, grid_side, train_config, seed + 1000 * index))
-            index += 1
-    if not tasks:
+    windows = list(cycles_values)
+    if not windows or not noi_values:
         raise ValueError("empty sweep grid")
+    cells = [[(noi, seed + 1000 * (w * len(noi_values) + j), None)
+              for j, noi in enumerate(noi_values)]
+             for w in range(len(windows))]
+    run = partial(run_sweep_window, records, grid_side=grid_side, train_config=train_config)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_cell_star, tasks))
-    return [_run_cell_star(t) for t in tasks]
-
-
-def _run_cell_star(args):
-    return run_sweep_cell(*args)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(windows))) as pool:
+            rows = list(pool.map(run, windows, cells))
+    else:
+        rows = list(map(run, windows, cells))
+    return [cell for row in rows for cell in row]
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +376,8 @@ def save_checkpoint(params: FpnnParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> FpnnParams:
+    """Read a checkpoint and check it against ``build_model`` of its config:
+    every tensor and batchnorm state by name and shape, nothing extra."""
     meta, tensors = tio.read_tensors(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise CheckpointError(f"{path}: not a model checkpoint")
@@ -365,9 +387,23 @@ def load_checkpoint(path: str | Path) -> FpnnParams:
             f"incompatible with {CHECKPOINT_VERSION}"
         )
     config = FpnnConfig.from_dict(meta["config"])
-    bn_states = {}
-    for name in meta["bn_names"]:
-        bn_states[name] = BnState(
-            tensors.pop(f"{name}.running_mean"), tensors.pop(f"{name}.running_var")
-        )
+    expected = build_model(config)
+    shapes = {name: t.shape for name, t in expected.tensors.items()}
+    for name, state in expected.bn_states.items():
+        shapes[f"{name}.running_mean"] = state.mean.shape
+        shapes[f"{name}.running_var"] = state.var.shape
+    for name, shape in shapes.items():
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"the config needs {shape}"
+            )
+    for name in tensors:
+        if name not in shapes:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+    bn_states = {name: BnState(tensors.pop(f"{name}.running_mean"),
+                               tensors.pop(f"{name}.running_var"))
+                 for name in expected.bn_states}  # build order
     return FpnnParams(config, tensors, bn_states)

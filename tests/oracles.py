@@ -94,6 +94,24 @@ def max_pool_loop(x, window, stride):
     return out
 
 
+def hampel_loop(series, window=11, n_sigmas=3.0):
+    """Hampel filter one point at a time along the last axis: each point
+    more than n_sigmas * 1.4826 * MAD from the median of its window
+    (truncated at the ends) is replaced with that median."""
+    x = np.asarray(series, dtype=float)
+    half = window // 2
+    out = x.copy()
+    for row in np.ndindex(*x.shape[:-1]):
+        xr = x[row]
+        for i in range(xr.size):
+            win = xr[max(0, i - half) : min(xr.size, i + half + 1)]
+            med = np.median(win)
+            mad = np.median(np.abs(win - med))
+            if np.abs(xr[i] - med) > n_sigmas * 1.4826 * mad:
+                out[row + (i,)] = med
+    return out
+
+
 def savgol_window_loop(x, window, polyorder):
     """Per-window least-squares polynomial fit evaluated pointwise.
 

@@ -1,10 +1,13 @@
 """The command-line entry point end to end: a tiny gen -> preprocess ->
 train -> eval -> export-weights chain reproduces every artifact checksum
-under the same seed, errors exit 1 with one line, and the manifest clock
-covers the command's work."""
+under the same seed, errors exit 1 with one line, the manifest clock
+covers the command's work, and sweep-noi and ablate write one CSV row per
+cell with the cell seeds in the manifest."""
 
 import json
 import time
+
+import pytest
 
 from fpnn import cli
 
@@ -70,3 +73,32 @@ class TestManifestClock:
         run("train", "--data", dirs["archive"], "--epochs", 1, "--batch-size", 4, "--out", out)
         assert manifest(out)["wall_clock_s"] >= 0.5
 
+
+def csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+class TestSweepCommands:
+    @pytest.fixture(scope="class")
+    def fleet(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cli") / "fleet"
+        run("gen", "--n", 6, "--seed", 4, "--life-min", 200, "--life-max", 700, "--out", out)
+        return out
+
+    def test_sweep_noi(self, fleet, tmp_path):
+        run("sweep-noi", "--data", fleet, "--cycles", "10,20", "--noi", "0-1", "--grid", 8,
+            "--epochs", 1, "--batch-size", 4, "--seed", 9, "--out", tmp_path)
+        rows = csv_rows(tmp_path / "sweep.csv")
+        assert rows[0] == cli.SWEEP_HEADER
+        assert [r[:2] for r in rows[1:]] == [["10", "0"], ["10", "1"], ["20", "0"], ["20", "1"]]
+        assert all(r[2] != "NaN" for r in rows[1:])
+        assert manifest(tmp_path)["config"]["cell_seeds"] == [9, 1009, 2009, 3009]
+
+    def test_ablate(self, fleet, tmp_path):
+        run("ablate", "--data", fleet, "--cycles", 10, "--grid", 8, "--epochs", 1,
+            "--batch-size", 4, "--seed", 9, "--out", tmp_path)
+        rows = csv_rows(tmp_path / "ablate.csv")
+        assert rows[0] == cli.ABLATE_HEADER
+        assert [r[1] for r in rows[1:]] == cli.ABLATE_ROWS
+        assert all(r[0] == "10" and r[2] != "NaN" for r in rows[1:])
+        assert manifest(tmp_path)["config"]["cell_seeds"] == [9 + 1000 * i for i in range(5)]

@@ -101,6 +101,25 @@ class TestConvSavedOperand:
         assert np.array_equal(a.param_grads["weights"], b.param_grads["weights"])
         assert np.array_equal(a.param_grads["bias"], b.param_grads["bias"])
 
+    @pytest.mark.parametrize("shape,kernel,stride,pad", [
+        ((2, 9, 8), (7, 7), (2, 2), (3, 3)),
+        ((3, 4, 5, 5), (4, 3, 3), (1, 1, 1), (0, 1, 1)),
+        ((3, 4, 5, 5), (2, 3, 3), (1, 2, 1), (0, 1, 1)),
+    ])
+    def test_skipped_input_grad_keeps_param_grads_bitwise(self, rng, shape, kernel, stride, pad):
+        """Skipping the input gradient leaves the weight and bias gradients
+        bit for bit as they are with it."""
+        x = rng.standard_normal((2, *shape))
+        spec = ops.ConvSpec(kernel, stride, pad, shape[0], 4)
+        w = rng.standard_normal(spec.weight_shape())
+        out, saved = ops._conv_forward(x, w, rng.standard_normal(4), spec, return_cols=True)
+        g = rng.standard_normal(out.shape)
+        full = ops._conv_saved_backward(saved, w, spec, g)
+        skip = ops._conv_saved_backward(saved, w, spec, g, want_input_grad=False)
+        assert skip.input_grad is None
+        assert full.param_grads["weights"].tobytes() == skip.param_grads["weights"].tobytes()
+        assert full.param_grads["bias"].tobytes() == skip.param_grads["bias"].tobytes()
+
 
 class TestConv3dBackward:
     def test_zero_grad(self, rng):

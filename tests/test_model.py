@@ -247,6 +247,24 @@ class TestBackward:
         dead = [k for k, g in grads.items() if np.linalg.norm(g) == 0.0]
         assert dead == []
 
+    @pytest.mark.parametrize("detach", [M.DetachFlags(), M.DetachFlags(conv3d=True)],
+                             ids=["conv3d", "front_proj"])
+    def test_front_unit_skips_input_grad_bitwise(self, detach):
+        # fpnn_backward asks the front unit for no input gradient; its
+        # parameter gradients match those of the full backward bit for bit
+        config = micro_config(detach=detach)
+        params = M.build_model(config)
+        _, _, cache = M.fpnn_forward(random_batch(config, n=3, seed=4), params,
+                                     mode="train", want_cache=True)
+        front = cache["streams"]["raw"]["front"]
+        gout = np.random.default_rng(5).standard_normal(front["act_in"].shape)
+        full, skip = {}, {}
+        assert M._cba_backward(gout, params, front, full) is not None
+        assert M._cba_backward(gout, params, front, skip, want_input_grad=False) is None
+        assert list(full) == list(skip) and len(full) == 4
+        for name in full:
+            assert full[name].tobytes() == skip[name].tobytes(), name
+
     def test_full_model_finite_differences(self):
         # micro network, a handful of randomly probed parameters
         def pick(params, rng):

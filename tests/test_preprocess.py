@@ -3,13 +3,15 @@ splitting, and archive round trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpnn.dataset import BatteryRecord, CycleCurve, load_canonical_dataset, save_canonical_dataset
 from fpnn.datagen import SynthPolicy, fade_for_life, generate_battery, generate_fleet
 from fpnn.errors import DataValidationError
 from fpnn import preprocess as pp
 
-from oracles import savgol_window_loop
+from oracles import hampel_loop, savgol_window_loop
 
 
 def make_curve(cycle_index=1, n=32, seed=0):
@@ -55,6 +57,48 @@ class TestHampel:
     def test_too_short(self):
         with pytest.raises(ValueError):
             pp.hampel_filter(np.array([1.0, 2.0]))
+
+
+@st.composite
+def hampel_stacks(draw):
+    """[k, n] series with n from 3 to past the default window, drawn from a
+    coarse grid (so windows hold ties) or a continuous range, with a few
+    outliers added at random points."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(3, 30))
+    value = st.one_of(st.integers(-3, 3).map(float),
+                      st.floats(-5.0, 5.0, allow_nan=False, allow_subnormal=False))
+    x = np.array(draw(st.lists(value, min_size=k * n, max_size=k * n))).reshape(k, n)
+    for row, col, jump in draw(st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(0, n - 1),
+                      st.sampled_from([-1e3, -40.0, 40.0, 1e3])), max_size=4)):
+        x[row, col] += jump
+    return x
+
+
+class TestHampelOracle:
+    @given(x=hampel_stacks(), window=st.sampled_from([3, 5, 11, 12]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_point_loop_bitwise(self, x, window):
+        """Stacked and 1-D input give exactly the per-point loop's output."""
+        want = hampel_loop(x, window=window)
+        assert pp.hampel_filter(x, window=window).tobytes() == want.tobytes()
+        for row in range(x.shape[0]):
+            assert pp.hampel_filter(x[row], window=window).tobytes() == want[row].tobytes()
+
+    def test_cycle_frame_cleans_each_channel_as_the_loop(self):
+        """Cleaning the stacked channels gives each channel's loop-filtered,
+        smoothed series, in voltage, current, temperature order."""
+        curve = make_curve(3, n=40)
+        curve.current[7] += 5.0  # an outlier the filter must replace
+        want = pp.resample_to_grid(CycleCurve(
+            curve.cycle_index, curve.charged_capacity,
+            *(pp.savitzky_golay(hampel_loop(s))
+              for s in (curve.voltage, curve.current, curve.temperature))), 4)
+        assert pp.cycle_frame(curve, 4).tobytes() == want.tobytes()
+
+    def test_stack_too_short(self):
+        with pytest.raises(ValueError, match="at least 3 points"):
+            pp.hampel_filter(np.zeros((3, 2)))
 
 
 class TestSavitzkyGolay:

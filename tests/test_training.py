@@ -1,5 +1,6 @@
 """Loss/metric fidelity, Adam hand-checks, loop determinism and early
-stopping, checkpoint round trips, and the depth sweep's cell bookkeeping."""
+stopping, checkpoint round trips and validation, and the depth sweep's
+once-per-window preprocessing and cell bookkeeping."""
 
 import numpy as np
 import pytest
@@ -260,6 +261,54 @@ class TestCheckpoint:
         with pytest.raises(FileNotFoundError):
             T.load_checkpoint(tmp_path / "nope.fpt")
 
+    def _saved(self, tmp_path, edit):
+        params = self._params()
+        edit(params)
+        path = tmp_path / "model.fpt"
+        T.save_checkpoint(params, path)
+        return path
+
+    def test_missing_tensor_named(self, tmp_path):
+        path = self._saved(tmp_path, lambda p: p.tensors.pop("raw.block0.b2.conv.w"))
+        with pytest.raises(CheckpointError, match=r"model\.fpt.*'raw\.block0\.b2\.conv\.w'"):
+            T.load_checkpoint(path)
+
+    def test_wrong_shape_named(self, tmp_path):
+        def edit(p):
+            p.tensors["head.fc0.b"] = np.zeros(5)
+        path = self._saved(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=r"model\.fpt.*'head\.fc0\.b' has shape \(5,\)"):
+            T.load_checkpoint(path)
+
+    def test_missing_bn_state_named(self, tmp_path):
+        path = self._saved(tmp_path, lambda p: p.bn_states.pop("diff.init.conv.bn"))
+        with pytest.raises(CheckpointError, match=r"model\.fpt.*'diff\.init\.conv\.bn\.running_mean'"):
+            T.load_checkpoint(path)
+
+    def test_unexpected_tensor_named(self, tmp_path):
+        def edit(p):
+            p.tensors["raw.block7.proj.w"] = np.zeros((88, 88, 1, 1))
+        path = self._saved(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=r"model\.fpt.*'raw\.block7\.proj\.w'"):
+            T.load_checkpoint(path)
+
+    def test_valid_checkpoint_loads_bitwise(self, tmp_path):
+        params = self._params()
+        rng = np.random.default_rng(8)
+        for state in params.bn_states.values():  # non-initial running statistics
+            state.mean += rng.standard_normal(state.mean.shape)
+            state.var += rng.random(state.var.shape)
+        path = tmp_path / "model.fpt"
+        T.save_checkpoint(params, path)
+        loaded = T.load_checkpoint(path)
+        assert list(loaded.tensors) == list(params.tensors)
+        assert list(loaded.bn_states) == list(params.bn_states)
+        for k, t in params.tensors.items():
+            assert loaded.tensors[k].tobytes() == t.tobytes(), k
+        for k, state in params.bn_states.items():
+            assert loaded.bn_states[k].mean.tobytes() == state.mean.tobytes(), k
+            assert loaded.bn_states[k].var.tobytes() == state.var.tobytes(), k
+
 
 def short_fleet(n_batteries=3, n_cycles=8):
     """Batteries with too few cycles for any input window, so no cell trains."""
@@ -269,12 +318,37 @@ def short_fleet(n_batteries=3, n_cycles=8):
     return [BatteryRecord(f"s{i}", cycles, life=400) for i in range(n_batteries)]
 
 
+@pytest.fixture(scope="module")
+def sweep_fleet():
+    return generate_fleet(4, seed=3, life_range=(200, 700))
+
+
+SWEEP_CONFIG = T.TrainConfig(epochs=1, batch_size=4, seed=5)
+
+
+def count_preprocessing(monkeypatch) -> list[int]:
+    """Windows passed to preprocess_fleet from here on, in call order."""
+    windows = []
+    real = T.preprocess_fleet
+
+    def counting(records, n_input_cycles, *args, **kwargs):
+        windows.append(n_input_cycles)
+        return real(records, n_input_cycles, *args, **kwargs)
+
+    monkeypatch.setattr(T, "preprocess_fleet", counting)
+    return windows
+
+
 class TestSweep:
-    def test_failed_cell_is_nan_row_with_error(self):
-        cell = T.run_sweep_cell(short_fleet(), 10, 1, 8, T.TrainConfig(epochs=1), cell_seed=42)
+    def test_failed_cell_is_nan_row_with_error(self, sweep_fleet):
+        train_set, test_set, _, _ = preprocess_fleet(sweep_fleet, 10, grid_side=8, seed=5)
+        one_battery = train_set.subset(
+            [i for i, b in enumerate(train_set.battery_ids) if b == train_set.battery_ids[0]])
+        cell = T.run_sweep_cell(one_battery, test_set, 10, 1, 8, T.TrainConfig(epochs=1),
+                                cell_seed=42)
         assert (cell.n_input_cycles, cell.noi, cell.seed) == (10, 1, 42)
         assert np.isnan([cell.mape, cell.mae, cell.rmse]).all()
-        assert "has 8 cycles, needs >= 10" in cell.error
+        assert "need at least 2 batteries to hold one out" in cell.error
 
     def test_cells_window_major_with_offset_seeds(self):
         cells = T.noi_sweep(short_fleet(), [10, 20], [0, 2], 8, T.TrainConfig(epochs=1), seed=7)
@@ -285,3 +359,44 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             T.noi_sweep(short_fleet(), [], [0], 8, T.TrainConfig(epochs=1), seed=0)
+        with pytest.raises(ValueError):
+            T.noi_sweep(short_fleet(), [10], [], 8, T.TrainConfig(epochs=1), seed=0)
+
+    def test_preprocesses_once_per_window(self, sweep_fleet, monkeypatch):
+        windows = count_preprocessing(monkeypatch)
+        cells = T.noi_sweep(sweep_fleet, [10, 20], [0, 1, 2], 8, SWEEP_CONFIG, seed=2)
+        assert windows == [10, 20]
+        assert len(cells) == 6 and not any(c.error for c in cells)
+
+    def test_ablate_preprocesses_once(self, sweep_fleet, tmp_path, monkeypatch):
+        from fpnn import cli
+        from fpnn.dataset import save_canonical_dataset
+
+        save_canonical_dataset(sweep_fleet, tmp_path / "fleet")
+        windows = count_preprocessing(monkeypatch)
+        assert cli.main(["ablate", "--data", str(tmp_path / "fleet"), "--cycles", "10",
+                         "--grid", "8", "--epochs", "1", "--batch-size", "4",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert windows == [10]
+
+    def test_worker_processes_give_the_same_cells(self, sweep_fleet):
+        serial = T.noi_sweep(sweep_fleet, [10, 20], [0, 1], 8, SWEEP_CONFIG, seed=2)
+        pooled = T.noi_sweep(sweep_fleet, [10, 20], [0, 1], 8, SWEEP_CONFIG, seed=2, jobs=2)
+        assert not any(c.error for c in serial)
+        assert [(c.n_input_cycles, c.noi, c.seed, c.error) for c in pooled] == \
+            [(c.n_input_cycles, c.noi, c.seed, c.error) for c in serial]
+        for a, b in zip(serial, pooled):
+            assert np.array([a.mape, a.mae, a.rmse]).tobytes() == \
+                np.array([b.mape, b.mae, b.rmse]).tobytes()
+
+    def test_failed_window_gives_every_cell_a_nan_row(self, sweep_fleet):
+        fleet = list(sweep_fleet)
+        fleet[1] = BatteryRecord(fleet[1].battery_id, fleet[1].cycles[:15], fleet[1].life)
+        cells = T.noi_sweep(fleet, [10, 20], [0, 1, 2], 8, SWEEP_CONFIG, seed=2)
+        assert [(c.n_input_cycles, c.noi) for c in cells] == \
+            [(w, n) for w in (10, 20) for n in (0, 1, 2)]
+        assert [c.seed for c in cells] == [2 + 1000 * i for i in range(6)]
+        assert not any(c.error for c in cells[:3])
+        for c in cells[3:]:
+            assert np.isnan([c.mape, c.mae, c.rmse]).all()
+            assert "has 15 cycles, needs >= 20" in c.error
