@@ -5,7 +5,22 @@ charge-curve preprocessing into video-like tensors, a dual-stream network
 with a configurable number of inception units and hand-written backward
 passes, a deterministic training loop with the standard regression
 metrics, and Gaussian-process Bayesian hyperparameter search.
+
+BLAS threads: the network runs its two streams on two threads of its own
+(see :mod:`fpnn.model`), so a BLAS thread pool per stream would compete
+with the other stream for the cores. Importing ``fpnn`` therefore sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to
+``"1"`` where they are unset; a value already in the environment wins. The
+BLAS library reads them when numpy is first imported, so this takes effect
+only when ``fpnn`` is imported before numpy. Worker processes inherit it.
 """
+
+import os
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+del _var
 
 __version__ = "0.1.0"
 

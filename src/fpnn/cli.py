@@ -4,8 +4,9 @@ evaluation, depth sweeps, ablations, hyperparameter search, weight export.
 Commands: ``gen, preprocess, train, eval, sweep-noi, ablate, hyperopt,
 export-weights``. Every run writes exactly one ``run_manifest.json`` next to
 its outputs recording the effective configuration, named sub-seeds, input
-paths, wall clock, and a sha256 per artifact, so identical inputs and seed
-reproduce identical checksums.
+paths, wall clock, the numeric environment (python, numpy, scipy and BLAS
+versions, BLAS thread variables, stream threads) and a sha256 per artifact,
+so identical inputs and seed reproduce identical checksums.
 
 Config precedence: CLI flags > ``--config`` JSON file > built-in defaults.
 All randomness flows from one ``--seed`` through fixed named offsets
@@ -21,16 +22,20 @@ import json
 import logging
 import math
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
-from . import __version__
+import numpy as np
+import scipy
+
+from . import BLAS_THREAD_VARS, __version__
 from .datagen import generate_fleet
 from .dataset import load_canonical_dataset
 from .hyperopt import bayes_optimize, default_search_space
 from .io import sha256_file
-from .model import DetachFlags, FpnnConfig, build_model, export_block_weights
+from .model import STREAMS, DetachFlags, FpnnConfig, build_model, export_block_weights
 from .preprocess import (
     VALID_INPUT_CYCLES,
     holdout_by_battery,
@@ -93,6 +98,19 @@ def _fmt_metric(value: float) -> str:
     return "NaN" if (value is None or math.isnan(value)) else f"{value:.4f}"
 
 
+def _numeric_environment() -> dict:
+    """Versions, BLAS library and thread settings the numbers came from."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "stream_threads": len(STREAMS),
+    }
+
+
 class Manifest:
     """Collects run metadata and writes the single run_manifest.json.
 
@@ -124,6 +142,7 @@ class Manifest:
             "outputs": outputs,
             "wall_clock_s": round(time.perf_counter() - self.started, 3),
             "version": __version__,
+            "environment": _numeric_environment(),
         }
         path = self.out_dir / self.FILENAME
         path.write_text(json.dumps(doc, indent=2, sort_keys=True))
@@ -449,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated input windows (e.g. 10,20)")
     p.add_argument("--noi", default="0-4", help="unit-count range (e.g. 0-2 or 1,3)")
     p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, one input window each; every worker "
+                        "runs two threads, one per stream")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_train_flags(p, include_noi=False)

@@ -26,16 +26,30 @@ max-pool stage, ``conv3d`` replaces the 3D front end with depth-averaging
 plus a 1x1 conv (keeping downstream shapes legal), ``residual`` removes
 the projected skip connections, and ``diff_branch`` drops the differential
 stream entirely.
+
+The two streams share no tensor until their global pools are concatenated,
+so :func:`fpnn_forward` and :func:`fpnn_backward` run them at the same time
+(``_map_streams``): the differential stream on a worker thread, the raw
+stream in the calling thread. numpy releases the GIL inside BLAS calls and
+ufunc loops, so the two stems and batchnorm passes overlap on two cores.
+Each stream writes its batchnorm states and gradients into its own dict,
+and the dicts are merged in stream order, so predictions, states and
+gradients (key order included) are bitwise those of running the streams
+one after the other: no arithmetic is shared or reordered across streams.
+The worker thread lives for one call only, so no thread is alive when a
+caller forks worker processes.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 from .ops import (
     BnState,
     ConvSpec,
@@ -64,6 +78,7 @@ BRANCH_NARROW = 16  # 1x1 branch width and 1x1 reduction width
 BRANCH_WIDE = 24  # 3x3 conv widths
 BLOCK_CHANNELS = BRANCH_NARROW + 3 * BRANCH_WIDE  # 88
 MAX_NOI = 8
+STREAMS = ("raw", "diff")  # one thread each in a forward or backward pass
 
 
 @dataclass(frozen=True)
@@ -101,7 +116,7 @@ class FpnnConfig:
             raise ValueError("head_hidden must be nonempty positive widths")
 
     def streams(self) -> tuple[str, ...]:
-        return ("raw",) if self.detach.diff_branch else ("raw", "diff")
+        return STREAMS[:1] if self.detach.diff_branch else STREAMS
 
     def stream_depth(self, stream: str) -> int:
         return self.sample_depth if stream == "raw" else self.sample_depth - 1
@@ -250,29 +265,37 @@ def build_model(config: FpnnConfig) -> FpnnParams:
 # ---------------------------------------------------------------------------
 
 def _cba_forward(x, params, specs, name, mode, new_states):
+    """A non-finite value anywhere in the unit raises NonFiniteError
+    prefixed with the unit's conv name (``diff.front.conv3d: ...``)."""
     spec = specs[name]
-    z, xpad = _conv_forward(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
-                            spec, return_cols=True)
-    conv_shape = z.shape
-    z = z.reshape(*z.shape[:2], *z.shape[-2:])  # 3D front end: [N, C, 1, G, G] -> [N, C, G, G]
     bn = _bn_name(name)
-    z2, state, bn_cache = batchnorm2d_forward(
-        z, params.tensors[f"{bn}.scale"], params.tensors[f"{bn}.shift"],
-        params.bn_states[bn], mode,
-    )
+    try:
+        z, xpad = _conv_forward(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
+                                spec, return_cols=True)
+        conv_shape = z.shape
+        z = z.reshape(*z.shape[:2], *z.shape[-2:])  # 3D front end: [N, C, 1, G, G] -> [N, C, G, G]
+        z2, state, bn_cache = batchnorm2d_forward(
+            z, params.tensors[f"{bn}.scale"], params.tensors[f"{bn}.shift"],
+            params.bn_states[bn], mode,
+        )
+        out = leaky_relu_forward(z2, params.config.alpha)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{name}: {exc}") from exc
     new_states[bn] = state
-    out = leaky_relu_forward(z2, params.config.alpha)
     cache = {"name": name, "spec": spec, "xpad": xpad, "conv_shape": conv_shape,
              "bn_cache": bn_cache, "act_in": z2}
     return out, cache
 
 
-def _cba_backward(gout, params, cache, grads, want_input_grad=True):
+def _cba_backward(gout, params, cache, grads, want_input_grad=True, activated=False):
     """Fills the unit's parameter gradients into ``grads``; returns the
-    input gradient, or None when ``want_input_grad`` is False."""
+    input gradient, or None when ``want_input_grad`` is False. With
+    ``activated``, ``gout`` is already the gradient at the Leaky ReLU's input."""
     name = cache["name"]
-    g = leaky_relu_backward(cache["act_in"], params.config.alpha, gout)
-    bn_g = batchnorm2d_backward(cache["bn_cache"], g)
+    if not activated:
+        gout = leaky_relu_backward(cache["act_in"], params.config.alpha, gout)
+    bn_g = batchnorm2d_backward(cache["bn_cache"], gout)
+    del gout  # the activation gradient, when this unit made it
     bn = _bn_name(name)
     grads[f"{bn}.scale"] = bn_g.param_grads["scale"]
     grads[f"{bn}.shift"] = bn_g.param_grads["shift"]
@@ -317,7 +340,7 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
                                                  np.zeros(spec.out_channels), spec,
                                                  return_cols=True)
         out = out + skip
-    check_finite("inception block", out)
+    check_finite(f"{prefix} inception block", out)
     return out, cache
 
 
@@ -385,8 +408,29 @@ def _stream_backward(gout, params, specs, cache, grads):
     if cache["init"] is not None:
         g_padded = pool2d_backward(cache["init"]["padded"], (3, 3), 2, g, "max")
         g = _cba_backward(unpad_spatial_grad(g_padded, 1), params, cache["init"]["cba"], grads)
+        del g_padded
 
-    _cba_backward(g, params, cache["front"], grads, want_input_grad=False)
+    # The front's activation backward runs here, so that rebinding g frees
+    # the stem's input gradient before the front unit's batchnorm and conv.
+    g = leaky_relu_backward(cache["front"]["act_in"], params.config.alpha, g)
+    _cba_backward(g, params, cache["front"], grads, want_input_grad=False, activated=True)
+
+
+def _map_streams(fn, streams):
+    """``[fn(s) for s in streams]``, with every stream after the first on a
+    worker thread of this call and the first in the calling thread.
+
+    Workers run in a copy of the caller's context, so ``np.errstate`` holds
+    there too. An exception of the first stream wins, as it would in a
+    loop; the pool is shut down (its threads joined) before anything returns
+    or raises.
+    """
+    if len(streams) < 2:
+        return [fn(s) for s in streams]
+    with ThreadPoolExecutor(max_workers=len(streams) - 1) as pool:
+        rest = [pool.submit(contextvars.copy_context().run, fn, s) for s in streams[1:]]
+        first = fn(streams[0])
+        return [first] + [f.result() for f in rest]
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +458,24 @@ def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool
     cfg = params.config
     specs = conv_layout(cfg)
     raw, diff = _batch_arrays(batch)
+    inputs = {"raw": raw, "diff": diff}
+    if "diff" in cfg.streams() and diff is None:
+        raise ShapeError("diff stream required but batch has no diff tensor")
+
+    def run_stream(stream):
+        states: dict[str, BnState] = {}
+        h, sc = _stream_forward(inputs[stream], params, specs, stream, mode, states)
+        return global_avg_pool(h), h.shape, sc, states
+
     new_states: dict[str, BnState] = dict(params.bn_states)
     cache = {"streams": {}, "gap_shapes": {}, "head": {}}
-
     feats = []
-    for stream in cfg.streams():
-        x5 = raw if stream == "raw" else diff
-        if x5 is None:
-            raise ShapeError("diff stream required but batch has no diff tensor")
-        h, sc = _stream_forward(x5, params, specs, stream, mode, new_states)
+    for stream, (feat, shape, sc, states) in zip(cfg.streams(),
+                                                 _map_streams(run_stream, cfg.streams())):
+        feats.append(feat)
+        cache["gap_shapes"][stream] = shape
         cache["streams"][stream] = sc
-        cache["gap_shapes"][stream] = h.shape
-        feats.append(global_avg_pool(h))
+        new_states.update(states)  # keys exist already: build order is kept
     h = np.concatenate(feats, axis=1)
 
     widths = cfg.head_widths()
@@ -460,13 +510,17 @@ def fpnn_backward(params: FpnnParams, cache, pred_grad: np.ndarray) -> dict[str,
         grads[f"head.fc{i}.b"] = lg.param_grads["bias"]
         g = lg.input_grad
 
-    offset = 0
-    for stream in cfg.streams():
-        c = cfg.stream_out_channels()
-        g_feat = g[:, offset : offset + c]
-        offset += c
-        g_map = global_avg_pool_backward(cache["gap_shapes"][stream], g_feat)
-        _stream_backward(g_map, params, specs, cache["streams"][stream], grads)
+    c = cfg.stream_out_channels()
+    g_feats = {stream: g[:, i * c : (i + 1) * c] for i, stream in enumerate(cfg.streams())}
+
+    def run_stream(stream):
+        stream_grads: dict[str, np.ndarray] = {}
+        g_map = global_avg_pool_backward(cache["gap_shapes"][stream], g_feats[stream])
+        _stream_backward(g_map, params, specs, cache["streams"][stream], stream_grads)
+        return stream_grads
+
+    for stream_grads in _map_streams(run_stream, cfg.streams()):
+        grads.update(stream_grads)
 
     for name, tensor in params.tensors.items():
         if name not in grads:

@@ -311,7 +311,9 @@ def leaky_relu_backward(x: np.ndarray, alpha: float, output_grad: np.ndarray) ->
     _check_alpha(alpha)
     if x.shape != output_grad.shape:
         raise ShapeError("output_grad shape must match input")
-    return output_grad * np.where(x > 0, 1.0, alpha)
+    out = np.asarray(output_grad * alpha)  # a 0-d array, not a scalar, for 0-d input
+    np.copyto(out, output_grad, where=x > 0)  # output_grad * 1.0, bit for bit
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +459,20 @@ def batchnorm2d_backward(cache, output_grad) -> LayerGrads:
     d_scale = (output_grad * xhat).sum(axis=(0, 2, 3))
     d_shift = output_grad.sum(axis=(0, 2, 3))
     dxhat = output_grad * scale[:, None, None]
+    # The input gradient is built in dxhat's buffer, with the operations and
+    # their order of (inv_std / m) * (m * dxhat - sum_d - xhat * sum_dx).
     if cache["mode"] == "train":
         n, c, h, w = xhat.shape
         m = n * h * w
         sum_d = dxhat.sum(axis=(0, 2, 3))
         sum_dx = (dxhat * xhat).sum(axis=(0, 2, 3))
-        input_grad = (inv_std[:, None, None] / m) * (
-            m * dxhat - sum_d[:, None, None] - xhat * sum_dx[:, None, None]
-        )
+        dxhat *= m
+        dxhat -= sum_d[:, None, None]
+        dxhat -= xhat * sum_dx[:, None, None]
+        dxhat *= inv_std[:, None, None] / m
     else:
-        input_grad = dxhat * inv_std[:, None, None]
-    return LayerGrads(input_grad, {"scale": d_scale, "shift": d_shift})
+        dxhat *= inv_std[:, None, None]
+    return LayerGrads(dxhat, {"scale": d_scale, "shift": d_shift})
 
 
 # ---------------------------------------------------------------------------

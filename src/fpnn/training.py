@@ -52,20 +52,6 @@ class TrainConfig:
         if self.weight_decay < 0 or self.patience < 0:
             raise ValueError("weight_decay and patience must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate, "beta1": self.beta1,
-            "beta2": self.beta2, "eps": self.eps,
-            "weight_decay": self.weight_decay, "patience": self.patience,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
-        return cls(**known)
-
 
 # ---------------------------------------------------------------------------
 # loss and metrics
@@ -246,6 +232,8 @@ def train(
                 if not math.isfinite(loss):
                     raise TrainingError(f"non-finite loss at {where}")
                 grads = fpnn_backward(work, cache, pred_grad)
+                # else the step's forward cache lives through the next forward pass
+                del preds, cache, pred_grad
             except NonFiniteError as exc:
                 raise TrainingError(f"{exc} at {where}") from exc
             work.bn_states = bn_states

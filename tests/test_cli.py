@@ -1,14 +1,18 @@
 """The command-line entry point end to end: a tiny gen -> preprocess ->
 train -> eval -> export-weights chain reproduces every artifact checksum
 under the same seed, errors exit 1 with one line, the manifest clock
-covers the command's work, and sweep-noi and ablate write one CSV row per
-cell with the cell seeds in the manifest."""
+covers the command's work and the manifest records the numeric
+environment, sweep-noi and ablate write one CSV row per cell with the cell
+seeds in the manifest, and hyperopt writes its trials and best config
+reproducibly."""
 
 import json
 import time
 
+import numpy as np
 import pytest
 
+import fpnn
 from fpnn import cli
 
 
@@ -50,6 +54,12 @@ class TestEndToEnd:
             assert doc["outputs"], name
             assert doc["outputs"] == manifest(second[name])["outputs"], name
         assert "checkpoint.fpt" in manifest(first["train"])["outputs"]
+        for out in first.values():
+            env = manifest(out)["environment"]
+            assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads",
+                                "stream_threads"}
+            assert set(env["blas_threads"]) == set(fpnn.BLAS_THREAD_VARS)
+            assert env["numpy"] == np.__version__ and env["stream_threads"] == 2
 
     def test_missing_checkpoint_is_one_error_line(self, tmp_path, capsys):
         code = cli.main(["eval", "--checkpoint", str(tmp_path / "none.fpt"),
@@ -102,3 +112,22 @@ class TestSweepCommands:
         assert [r[1] for r in rows[1:]] == cli.ABLATE_ROWS
         assert all(r[0] == "10" and r[2] != "NaN" for r in rows[1:])
         assert manifest(tmp_path)["config"]["cell_seeds"] == [9 + 1000 * i for i in range(5)]
+
+
+class TestHyperopt:
+    def test_trials_best_config_and_reproducible_artifacts(self, tmp_path):
+        fleet = tmp_path / "fleet"
+        run("gen", "--n", 6, "--seed", 4, "--life-min", 200, "--life-max", 700, "--out", fleet)
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            run("hyperopt", "--data", fleet, "--budget", 4, "--epochs", 1, "--grid", 8,
+                "--seed", 3, "--out", out)
+        rows = csv_rows(outs[0] / "trials.csv")
+        assert rows[0] == cli.TRIALS_HEADER
+        assert [(r[0], r[-1]) for r in rows[1:]] == [(str(i), "ok") for i in range(4)]
+        best = json.loads((outs[0] / "best_config.json").read_text())
+        assert set(best) == {"noi", "alpha", "learning_rate", "batch_size", "weight_decay",
+                             "epochs", "patience"}
+        doc = manifest(outs[0])
+        assert set(doc["outputs"]) == {"trials.csv", "best_config.json"}
+        assert doc["outputs"] == manifest(outs[1])["outputs"]

@@ -209,6 +209,15 @@ class TestLeakyRelu:
             with pytest.raises(ValueError):
                 ops.leaky_relu_forward(np.zeros(3), alpha)
 
+    def test_backward_bitwise_equals_slope_product(self, rng):
+        x = rng.standard_normal((4, 3, 5, 5))
+        x[0, 0, 0, :3] = [0.0, -0.0, 1e-300]
+        g = rng.standard_normal(x.shape)
+        g_before = g.copy()
+        got = ops.leaky_relu_backward(x, 0.07, g)
+        assert got.tobytes() == (g * np.where(x > 0, 1.0, 0.07)).tobytes()
+        assert g.tobytes() == g_before.tobytes()
+
 
 class TestPooling:
     def test_avg_mean(self):
@@ -278,6 +287,28 @@ class TestBatchNorm:
         want = (x - state.mean[:, None, None]) / np.sqrt(state.var + 1e-5)[:, None, None]
         np.testing.assert_allclose(out, want, atol=1e-12)
         assert same_state is state
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_backward_bitwise_equals_closed_form(self, rng, mode):
+        x = rng.standard_normal((4, 3, 5, 5)) * 2.0 + 1.0
+        scale, shift = rng.standard_normal(3), rng.standard_normal(3)
+        state = ops.BnState(rng.uniform(-1, 1, 3), rng.uniform(0.5, 2, 3))
+        _, _, cache = ops.batchnorm2d_forward(x, scale, shift, state, mode)
+        g = rng.standard_normal(x.shape)
+        g_before, xhat_before = g.copy(), cache["xhat"].copy()
+        got = ops.batchnorm2d_backward(cache, g)
+        xhat, inv_std = cache["xhat"], cache["inv_std"][:, None, None]
+        dxhat = g * scale[:, None, None]
+        if mode == "train":
+            m = 4 * 5 * 5
+            want = (inv_std / m) * (m * dxhat - dxhat.sum(axis=(0, 2, 3))[:, None, None]
+                                    - xhat * (dxhat * xhat).sum(axis=(0, 2, 3))[:, None, None])
+        else:
+            want = dxhat * inv_std
+        assert got.input_grad.tobytes() == want.tobytes()
+        assert got.param_grads["scale"].tobytes() == (g * xhat).sum(axis=(0, 2, 3)).tobytes()
+        assert g.tobytes() == g_before.tobytes()
+        assert xhat.tobytes() == xhat_before.tobytes()
 
     def test_tiny_batch_rejected(self):
         with pytest.raises(ShapeError):

@@ -2,6 +2,13 @@
 stopping, checkpoint round trips and validation, and the depth sweep's
 once-per-window preprocessing and cell bookkeeping."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -188,6 +195,18 @@ class TestTrainLoop:
         with np.errstate(over="ignore"), pytest.raises(
                 TrainingError, match=r"epoch 1, batch 0 \(samples 0\.\.7\)") as info:
             T.train(params, train_set, val_set, T.TrainConfig(epochs=1, batch_size=8))
+        assert isinstance(info.value.__cause__, NonFiniteError)
+
+    def test_non_finite_diff_input_names_epoch_batch_and_layer(self, tiny_splits):
+        train_set, val_set = tiny_splits
+        cfg = T.TrainConfig(epochs=1, batch_size=8, seed=3)
+        bad = train_set.subset(np.arange(len(train_set)))
+        # the first sample of the second batch, in the loop's shuffled order
+        bad.diff[np.random.default_rng(cfg.seed).permutation(len(bad))[8], 2] = np.nan
+        params = build_model(FpnnConfig(noi=0, grid_side=8, head_hidden=(4,), seed=0))
+        with pytest.raises(TrainingError, match=r"^diff\.front\.conv3d: .* at epoch 1, "
+                                                r"batch 1 \(samples 8\.\.15\)$") as info:
+            T.train(params, bad, val_set, cfg)
         assert isinstance(info.value.__cause__, NonFiniteError)
 
     def test_overfits_small_set(self, tiny_splits):
@@ -388,6 +407,35 @@ class TestSweep:
         for a, b in zip(serial, pooled):
             assert np.array([a.mape, a.mae, a.rmse]).tobytes() == \
                 np.array([b.mape, b.mae, b.rmse]).tobytes()
+
+    def test_worker_processes_after_threaded_training(self):
+        # Worker processes fork from a process whose train() already ran the
+        # stream threads; a thread or lock left behind would hang them.
+        code = textwrap.dedent("""
+            import json
+            from fpnn import training as T
+            from fpnn.datagen import generate_fleet
+            from fpnn.model import FpnnConfig, build_model
+            from fpnn.preprocess import preprocess_fleet
+
+            records = generate_fleet(4, seed=3, life_range=(200, 700))
+            fit, val, _, _ = preprocess_fleet(records, 10, grid_side=8, seed=1)
+            T.train(build_model(FpnnConfig(noi=1, grid_side=8, seed=0)), fit, val,
+                    T.TrainConfig(epochs=1, batch_size=4))
+            cfg = T.TrainConfig(epochs=1, batch_size=4, seed=5)
+            rows = [[(c.n_input_cycles, c.noi, c.seed, c.error, c.mape.hex(), c.mae.hex(),
+                      c.rmse.hex()) for c in T.noi_sweep(records, [10, 20], [0, 1], 8, cfg,
+                                                         seed=2, jobs=jobs)]
+                    for jobs in (2, 1)]
+            print(json.dumps(rows))
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(T.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        pooled, serial = json.loads(proc.stdout)
+        assert len(serial) == 4 and not any(row[3] for row in serial)
+        assert pooled == serial
 
     def test_failed_window_gives_every_cell_a_nan_row(self, sweep_fleet):
         fleet = list(sweep_fleet)
