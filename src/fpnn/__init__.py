@@ -13,11 +13,24 @@ with the other stream for the cores. Importing ``fpnn`` therefore sets
 ``"1"`` where they are unset; a value already in the environment wins. The
 BLAS library reads them when numpy is first imported, so this takes effect
 only when ``fpnn`` is imported before numpy. Worker processes inherit it.
+When numpy came first and none of the variables is set, the BLAS library
+already runs its own default thread count, and the import emits a
+``RuntimeWarning`` saying so.
 """
 
 import os
+import sys
+import warnings
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
+    warnings.warn(
+        f"numpy was imported before fpnn with {', '.join(BLAS_THREAD_VARS)} unset, so the "
+        "BLAS library already runs its default thread count and fpnn's default of one "
+        "BLAS thread per stream cannot take effect; import fpnn before numpy, or set "
+        "these variables",
+        RuntimeWarning, stacklevel=2,
+    )
 for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 del _var

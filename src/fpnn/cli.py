@@ -292,9 +292,9 @@ def cmd_sweep_noi(args) -> int:
     flags = {k: getattr(args, k, None) for k in TRAIN_DEFAULTS if k != "noi"}
     effective = _merge_config(TRAIN_DEFAULTS, args.config, flags)
     effective["noi"] = 0  # placeholder; the grid supplies per-cell values
-    _, train_config = _train_configs(effective, args.seed, args.grid)
+    model_config, train_config = _train_configs(effective, args.seed, args.grid)
     cells = noi_sweep(records, cycles, nois, args.grid, train_config, args.seed,
-                      jobs=args.jobs)
+                      jobs=args.jobs, model_config=model_config)
     _write_sweep_csv(out / "sweep.csv", cells)
     for c in cells:
         print(f"cycles {c.n_input_cycles} blocks {c.noi}: MAPE {_fmt_metric(c.mape)}")
@@ -309,12 +309,12 @@ def cmd_ablate(args) -> int:
     records = load_canonical_dataset(args.data)
     flags = {k: getattr(args, k, None) for k in TRAIN_DEFAULTS}
     effective = _merge_config(TRAIN_DEFAULTS, args.config, flags)
-    _, train_config = _train_configs(effective, args.seed, args.grid)
+    model_config, train_config = _train_configs(effective, args.seed, args.grid)
     cells = run_sweep_window(
         records, args.cycles,
         [(int(effective["noi"]), args.seed + 1000 * i, ABLATE_FLAGS[label])
          for i, label in enumerate(ABLATE_ROWS)],
-        args.grid, train_config,
+        args.grid, train_config, model_config=model_config,
     )
     rows = list(zip(ABLATE_ROWS, cells))
     for label, cell in rows:

@@ -19,8 +19,11 @@ the 3D front end included, runs in one conv -> batchnorm -> Leaky ReLU unit
 (``_cba_forward``/``_cba_backward``), and an inception unit loops over its
 branch table ``_BRANCHES``.
 
-Every forward pass has a hand-written backward composed from the layer
-primitives in :mod:`fpnn.ops`; there is no autograd tape. Detach flags
+Every forward pass has a hand-written backward composed from the batched
+layer primitives in :mod:`fpnn.ops`; there is no autograd tape. A backward
+reads only what its forward cached: a conv its padded input, the stem's max
+pool its argmax offsets. The pools zero-pad their own input, and the
+block's average pool needs nothing but its input's shape. Detach flags
 prune the layout for ablation studies: ``initial_layers`` skips the 7x7 +
 max-pool stage, ``conv3d`` replaces the 3D front end with depth-averaging
 plus a 1x1 conv (keeping downstream shapes legal), ``residual`` removes
@@ -59,7 +62,6 @@ from .ops import (
     batchnorm2d_backward,
     batchnorm2d_forward,
     check_finite,
-    concat_channels_backward,
     global_avg_pool,
     global_avg_pool_backward,
     leaky_relu_backward,
@@ -67,9 +69,7 @@ from .ops import (
     linear_backward,
     linear_forward,
     max_pool2d,
-    pad_spatial,
     pool2d_backward,
-    unpad_spatial_grad,
 )
 
 FRONT_CHANNELS = 64
@@ -318,14 +318,10 @@ _BRANCHES = (("b1.conv",), ("b2.reduce", "b2.conv"), ("b3.reduce", "b3.conv1", "
 
 def _block_forward(x, params, specs, prefix, mode, new_states):
     """Four branches concatenated to 88 channels, plus the projected skip."""
-    cache = {"prefix": prefix, "branches": []}
+    cache = {"branches": [], "proj": None}
     outs = []
     for chain in _BRANCHES:
-        h = x
-        if chain is _BRANCHES[-1]:
-            h = pad_spatial(x, 1)
-            cache["pool_shape"] = h.shape
-            h = avg_pool2d(h, (3, 3), 1)  # stride 1 + pad 1 preserves H x W
+        h = avg_pool2d(x, 3, 1, 1) if chain is _BRANCHES[-1] else x  # keeps H x W
         caches = []
         for layer in chain:
             h, c = _cba_forward(h, params, specs, f"{prefix}.{layer}", mode, new_states)
@@ -336,31 +332,30 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
     proj = f"{prefix}.proj"
     if proj in specs:
         spec = specs[proj]
-        skip, cache["proj_xpad"] = _conv_forward(x, params.tensors[f"{proj}.w"],
-                                                 np.zeros(spec.out_channels), spec,
-                                                 return_cols=True)
+        skip, xpad = _conv_forward(x, params.tensors[f"{proj}.w"], np.zeros(spec.out_channels),
+                                   spec, return_cols=True)
+        cache["proj"] = {"name": proj, "spec": spec, "xpad": xpad}
         out = out + skip
     check_finite(f"{prefix} inception block", out)
     return out, cache
 
 
-def _block_backward(gout, params, specs, cache, grads):
+def _block_backward(gout, params, cache, grads):
     chains = cache["branches"]
-    parts = concat_channels_backward(gout, [c[-1]["spec"].out_channels for c in chains])
+    widths = [caches[-1]["spec"].out_channels for caches in chains]
     gx = None
-    for caches, g in zip(chains, parts):
+    for caches, g in zip(chains, np.split(gout, np.cumsum(widths)[:-1], axis=1)):
         for c in reversed(caches):
             g = _cba_backward(g, params, c, grads)
         if caches is chains[-1]:
-            # avg-pool backward reads only the input's shape, so it gets a zero-stride stand-in
-            stand_in = np.broadcast_to(0.0, cache["pool_shape"])
-            g = unpad_spatial_grad(pool2d_backward(stand_in, (3, 3), 1, g, "avg"), 1)
+            g = pool2d_backward(g, g.shape, 3, 1, 1)  # the pool keeps the block input's shape
         gx = g if gx is None else gx + g
 
-    proj = f"{cache['prefix']}.proj"
-    if proj in specs:
-        pg = _conv_saved_backward(cache["proj_xpad"], params.tensors[f"{proj}.w"], specs[proj], gout)
-        grads[f"{proj}.w"] = pg.param_grads["weights"]
+    proj = cache["proj"]
+    if proj is not None:
+        name = proj["name"]
+        pg = _conv_saved_backward(proj["xpad"], params.tensors[f"{name}.w"], proj["spec"], gout)
+        grads[f"{name}.w"] = pg.param_grads["weights"]
         gx = gx + pg.input_grad
     return gx
 
@@ -387,9 +382,8 @@ def _stream_forward(x5, params, specs, stream, mode, new_states):
 
     if f"{stream}.init.conv" in specs:
         h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", mode, new_states)
-        hp = pad_spatial(h, 1)
-        h = max_pool2d(hp, (3, 3), 2)
-        cache["init"] = {"cba": init_cba, "padded": hp}
+        cache["init"] = {"cba": init_cba, "pool_in": h.shape}
+        h, cache["init"]["argmax"] = max_pool2d(h, 3, 2, 1)
 
     block_caches = []
     for i in range(cfg.noi):
@@ -399,16 +393,16 @@ def _stream_forward(x5, params, specs, stream, mode, new_states):
     return h, cache
 
 
-def _stream_backward(gout, params, specs, cache, grads):
+def _stream_backward(gout, params, cache, grads):
     """Parameter gradients of one stream; the input gradient is never needed."""
     g = gout
     for bc in reversed(cache["blocks"]):
-        g = _block_backward(g, params, specs, bc, grads)
+        g = _block_backward(g, params, bc, grads)
 
-    if cache["init"] is not None:
-        g_padded = pool2d_backward(cache["init"]["padded"], (3, 3), 2, g, "max")
-        g = _cba_backward(unpad_spatial_grad(g_padded, 1), params, cache["init"]["cba"], grads)
-        del g_padded
+    init = cache["init"]
+    if init is not None:
+        g = pool2d_backward(g, init["pool_in"], 3, 2, 1, init["argmax"])
+        g = _cba_backward(g, params, init["cba"], grads)
 
     # The front's activation backward runs here, so that rebinding g frees
     # the stem's input gradient before the front unit's batchnorm and conv.
@@ -437,19 +431,12 @@ def _map_streams(fn, streams):
 # full network
 # ---------------------------------------------------------------------------
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray | None]:
-    if isinstance(batch, tuple):
-        raw, diff = batch
-    else:
-        raw, diff = batch.raw, batch.diff
-    return np.asarray(raw, dtype=float), None if diff is None else np.asarray(diff, dtype=float)
-
-
 def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool = False):
     """Predict life (in cycles) for a batch of samples.
 
-    ``batch`` is a SampleSet or a (raw, diff) array tuple with shapes
-    [N, 3, D, G, G] and [N, 3, D-1, G, G]. Returns predictions of shape
+    ``batch`` is a (raw, diff) array tuple with shapes [N, 3, D, G, G] and
+    [N, 3, D-1, G, G]; ``diff`` may be None when the config has no
+    differential stream. Returns predictions of shape
     [N]; with ``want_cache`` also returns the updated batchnorm states and
     the cache consumed by :func:`fpnn_backward`.
     """
@@ -457,8 +444,9 @@ def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool
         raise ValueError(f"unknown mode {mode!r}")
     cfg = params.config
     specs = conv_layout(cfg)
-    raw, diff = _batch_arrays(batch)
-    inputs = {"raw": raw, "diff": diff}
+    raw, diff = batch
+    inputs = {"raw": np.asarray(raw, dtype=float),
+              "diff": None if diff is None else np.asarray(diff, dtype=float)}
     if "diff" in cfg.streams() and diff is None:
         raise ShapeError("diff stream required but batch has no diff tensor")
 
@@ -498,7 +486,6 @@ def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool
 def fpnn_backward(params: FpnnParams, cache, pred_grad: np.ndarray) -> dict[str, np.ndarray]:
     """Reverse-mode gradients of every learnable tensor, given d(loss)/d(preds)."""
     cfg = params.config
-    specs = conv_layout(cfg)
     grads: dict[str, np.ndarray] = {}
 
     g = np.asarray(pred_grad, dtype=float)[:, None]
@@ -516,7 +503,7 @@ def fpnn_backward(params: FpnnParams, cache, pred_grad: np.ndarray) -> dict[str,
     def run_stream(stream):
         stream_grads: dict[str, np.ndarray] = {}
         g_map = global_avg_pool_backward(cache["gap_shapes"][stream], g_feats[stream])
-        _stream_backward(g_map, params, specs, cache["streams"][stream], stream_grads)
+        _stream_backward(g_map, params, cache["streams"][stream], stream_grads)
         return stream_grads
 
     for stream_grads in _map_streams(run_stream, cfg.streams()):

@@ -11,9 +11,10 @@ size [rows, C_in * prod(kernel)] is ever built. Leading kernel axes that
 span their whole unpadded input (the 3D front end's depth) are folded into
 the channel axis first.
 
-Spatial operations accept either a single sample (``[C, *spatial]``) or a
-batch with a leading axis (``[N, C, *spatial]``); the output matches the
-input's batching.
+Every spatial layer takes a batch, ``[N, C, *spatial]``. The pools zero-pad
+their own input: the max pool returns the offset of each window's maximum,
+which is all its backward pass needs, and the average pool's backward reads
+only the input's shape.
 """
 
 from __future__ import annotations
@@ -83,15 +84,6 @@ class LayerGrads:
 
     input_grad: np.ndarray | None  # None when the caller asked for none
     param_grads: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def _with_batch(x: np.ndarray, spatial_ndim: int) -> tuple[np.ndarray, bool]:
-    """Promote an unbatched [C, *spatial] array to [1, C, *spatial]."""
-    if x.ndim == spatial_ndim + 1:
-        return x[None], True
-    if x.ndim == spatial_ndim + 2:
-        return x, False
-    raise ShapeError(f"expected {spatial_ndim + 1} or {spatial_ndim + 2} axes, got {x.ndim}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,52 +234,16 @@ def _conv_saved_backward(xs, weights, spec, output_grad, want_input_grad=True) -
     return LayerGrads(gx, {"weights": d_weights, "bias": d_bias})
 
 
-def _conv_backward(x, weights, spec, output_grad, cols=None):
-    # ``cols`` is the operand _conv_forward(..., return_cols=True) saved; None rebuilds it from x.
-    return _conv_saved_backward(_conv_operand(x, spec) if cols is None else cols,
-                                weights, spec, output_grad)
+# conv2d_forward, conv3d_forward and _conv_backward are the names the
+# benchmark's per-layer probe calls; the network calls _conv_forward and
+# _conv_saved_backward.
+conv2d_forward = conv3d_forward = _conv_forward
 
 
-def conv2d_forward(x, weights, bias, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlate ``x`` [C,H,W] (or [N,C,H,W]) with ``weights``
-    [C_out,C_in,kh,kw], add per-channel bias."""
-    if spec.ndim != 2:
-        raise ShapeError("conv2d requires a 2-axis ConvSpec")
-    xb, squeeze = _with_batch(x, 2)
-    out = _conv_forward(xb, weights, bias, spec)
-    return out[0] if squeeze else out
-
-
-def conv2d_backward(x, weights, spec: ConvSpec, output_grad) -> LayerGrads:
-    """Gradients of conv2d_forward w.r.t. input, weights and bias."""
-    if spec.ndim != 2:
-        raise ShapeError("conv2d requires a 2-axis ConvSpec")
-    xb, squeeze = _with_batch(x, 2)
-    gb, _ = _with_batch(output_grad, 2)
-    grads = _conv_backward(xb, weights, spec, gb)
-    if squeeze:
-        grads.input_grad = grads.input_grad[0]
-    return grads
-
-
-def conv3d_forward(x, weights, bias, spec: ConvSpec) -> np.ndarray:
-    """3D cross-correlation over [C,D,H,W] (or batched) inputs."""
-    if spec.ndim != 3:
-        raise ShapeError("conv3d requires a 3-axis ConvSpec")
-    xb, squeeze = _with_batch(x, 3)
-    out = _conv_forward(xb, weights, bias, spec)
-    return out[0] if squeeze else out
-
-
-def conv3d_backward(x, weights, spec: ConvSpec, output_grad) -> LayerGrads:
-    if spec.ndim != 3:
-        raise ShapeError("conv3d requires a 3-axis ConvSpec")
-    xb, squeeze = _with_batch(x, 3)
-    gb, _ = _with_batch(output_grad, 3)
-    grads = _conv_backward(xb, weights, spec, gb)
-    if squeeze:
-        grads.input_grad = grads.input_grad[0]
-    return grads
+def _conv_backward(x, weights, spec, output_grad, cols):
+    """_conv_saved_backward of ``cols``, the operand _conv_forward(...,
+    return_cols=True) saved; ``x`` is not read."""
+    return _conv_saved_backward(cols, weights, spec, output_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -317,80 +273,83 @@ def leaky_relu_backward(x: np.ndarray, alpha: float, output_grad: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
-# pooling (unpadded; callers pad explicitly when they need it)
+# pooling: square windows over the zero-padded input
 # ---------------------------------------------------------------------------
 
-def _pool_args(window, stride):
-    kh, kw = (window, window) if np.isscalar(window) else tuple(window)
-    sh, sw = (stride, stride) if np.isscalar(stride) else tuple(stride)
-    if kh < 1 or kw < 1 or sh < 1 or sw < 1:
-        raise ShapeError("pool window and stride must be positive")
-    return kh, kw, sh, sw
+def _pool_geometry(in_shape, window: int, stride: int, pad: int):
+    """(padded height, padded width, output height, output width)."""
+    if window < 1 or stride < 1 or pad < 0:
+        raise ShapeError("pool window and stride must be positive and pad nonnegative")
+    if len(in_shape) != 4:
+        raise ShapeError(f"pools expect [N, C, H, W], got {tuple(in_shape)}")
+    hp, wp = in_shape[2] + 2 * pad, in_shape[3] + 2 * pad
+    if hp < window or wp < window:
+        raise ShapeError(f"pool window {window} larger than padded input {(hp, wp)}")
+    return hp, wp, (hp - window) // stride + 1, (wp - window) // stride + 1
 
 
-def _pool_windows(x, window, stride):
-    kh, kw, sh, sw = _pool_args(window, stride)
-    if x.shape[-2] < kh or x.shape[-1] < kw:
-        raise ShapeError(f"pool window {(kh, kw)} larger than input {x.shape[-2:]}")
-    win = sliding_window_view(x, (kh, kw), axis=(-2, -1))
-    return win[..., ::sh, ::sw, :, :]
+def _padded(x, pad: int):
+    return np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)])
 
 
-def avg_pool2d(x, window, stride) -> np.ndarray:
-    """Mean over each window; windows never read outside the input."""
-    return check_finite("avg_pool2d", _pool_windows(x, window, stride).mean(axis=(-2, -1)))
+def _window_offsets(window: int, stride: int, oh: int, ow: int):
+    """(offset index, view index) per window offset in row-major order; the
+    view index selects the [N, C, oh, ow] elements that offset reads."""
+    return [(m * window + l, (Ellipsis, slice(m, m + stride * (oh - 1) + 1, stride),
+                              slice(l, l + stride * (ow - 1) + 1, stride)))
+            for m in range(window) for l in range(window)]
 
 
-def max_pool2d(x, window, stride) -> np.ndarray:
-    """Max over each window."""
-    return check_finite("max_pool2d", _pool_windows(x, window, stride).max(axis=(-2, -1)))
+def avg_pool2d(x, window: int, stride: int, pad: int) -> np.ndarray:
+    """Mean over each window; the zero padding counts in the mean."""
+    _pool_geometry(x.shape, window, stride, pad)
+    win = sliding_window_view(_padded(x, pad), (window, window), axis=(-2, -1))
+    return check_finite("avg_pool2d", win[..., ::stride, ::stride, :, :].mean(axis=(-2, -1)))
 
 
-def pool2d_backward(x, window, stride, output_grad, mode: str) -> np.ndarray:
-    """Input gradient of avg/max pooling.
+def max_pool2d(x, window: int, stride: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max over each window, and the offset of each maximum in its window
+    (row-major, the first one on ties), which pool2d_backward reads."""
+    _, _, oh, ow = _pool_geometry(x.shape, window, stride, pad)
+    xp = _padded(x, pad)
+    offsets = _window_offsets(window, stride, oh, ow)
+    out = xp[offsets[0][1]].copy()
+    argmax = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
+    better = np.empty(out.shape, dtype=bool)
+    for k, view in offsets[1:]:
+        np.greater(xp[view], out, out=better)
+        np.copyto(argmax, k, where=better)
+        np.maximum(out, xp[view], out=out)  # propagates NaN into the finiteness check
+    return check_finite("max_pool2d", out), argmax
 
-    avg distributes grad/(K*L) to every window member and reads only the
-    shape of ``x``, so a zero-stride ``np.broadcast_to`` view serves; max
-    routes the whole grad to the window argmax (first in row-major order on
-    ties).
+
+def pool2d_backward(output_grad, in_shape, window: int, stride: int, pad: int,
+                    argmax=None) -> np.ndarray:
+    """Input gradient of max_pool2d, given the ``argmax`` it returned, or of
+    avg_pool2d when ``argmax`` is None.
+
+    One loop over the window offsets adds each offset's share into a padded
+    gradient and returns its interior. avg gives every window member
+    grad/window**2. max routes each grad to its window's argmax, going over
+    the offsets in reverse row-major order: a cell covered by several
+    windows then sums their grads in row-major window order, the order a
+    scatter-add over the output (``np.add.at``) would.
     """
-    kh, kw, sh, sw = _pool_args(window, stride)
-    xb, squeeze = _with_batch(x, 2)
-    gb, _ = _with_batch(output_grad, 2)
-    n, c, h, w = xb.shape
-    oh = (h - kh) // sh + 1
-    ow = (w - kw) // sw + 1
-    if gb.shape != (n, c, oh, ow):
-        raise ShapeError(f"output_grad {gb.shape} does not match pool output {(n, c, oh, ow)}")
-    gx = np.zeros_like(xb)
-    if mode == "avg":
-        g = gb / (kh * kw)
-        for m in range(kh):
-            for l in range(kw):
-                gx[:, :, m : m + sh * oh : sh, l : l + sw * ow : sw] += g
-    elif mode == "max":
-        win = _pool_windows(xb, window, stride).reshape(n, c, oh, ow, kh * kw)
-        arg = win.argmax(axis=-1)  # first max in row-major window order
-        ni, ci, oi, oj = np.indices((n, c, oh, ow))
-        rows = oi * sh + arg // kw
-        cols = oj * sw + arg % kw
-        np.add.at(gx, (ni, ci, rows, cols), gb)
+    hp, wp, oh, ow = _pool_geometry(in_shape, window, stride, pad)
+    if output_grad.shape != (*in_shape[:2], oh, ow):
+        raise ShapeError(f"output_grad {output_grad.shape} does not match pool output "
+                         f"{(*in_shape[:2], oh, ow)}")
+    gx = np.zeros((*in_shape[:2], hp, wp))
+    offsets = _window_offsets(window, stride, oh, ow)
+    if argmax is None:
+        g = output_grad / (window * window)
+        for _, view in offsets:
+            gx[view] += g
     else:
-        raise ValueError(f"unknown pool mode {mode!r}")
-    return gx[0] if squeeze else gx
-
-
-def pad_spatial(x: np.ndarray, pad: int | tuple[int, int]) -> np.ndarray:
-    """Zero-pad the last two axes; gradient of this is unpad_spatial_grad."""
-    ph, pw = (pad, pad) if np.isscalar(pad) else tuple(pad)
-    width = [(0, 0)] * (x.ndim - 2) + [(ph, ph), (pw, pw)]
-    return np.pad(x, width)
-
-
-def unpad_spatial_grad(grad: np.ndarray, pad: int | tuple[int, int]) -> np.ndarray:
-    ph, pw = (pad, pad) if np.isscalar(pad) else tuple(pad)
-    h, w = grad.shape[-2], grad.shape[-1]
-    return grad[..., ph : h - ph, pw : w - pw]
+        for k, view in reversed(offsets):
+            dst = gx[view]
+            np.add(dst, output_grad, out=dst, where=argmax == k)
+    return gx[..., pad : hp - pad, pad : wp - pad]
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +435,8 @@ def batchnorm2d_backward(cache, output_grad) -> LayerGrads:
 
 
 # ---------------------------------------------------------------------------
-# concat backward / linear / global pooling
+# linear / global pooling
 # ---------------------------------------------------------------------------
-
-def concat_channels_backward(output_grad: np.ndarray, channel_sizes: list[int]) -> list[np.ndarray]:
-    if sum(channel_sizes) != output_grad.shape[-3]:
-        raise ShapeError("channel sizes do not sum to grad channels")
-    splits = np.cumsum(channel_sizes)[:-1]
-    return np.split(output_grad, splits, axis=-3)
-
 
 def linear_forward(x, weights, bias) -> np.ndarray:
     """Affine map [N, F] @ [F, G] + [G]."""

@@ -22,12 +22,17 @@ import numpy as np
 
 from . import io as tio
 from .errors import CheckpointError, NonFiniteError, TrainingError
-from .model import DetachFlags, FpnnConfig, FpnnParams, build_model, fpnn_backward, fpnn_forward
+from .model import FpnnConfig, FpnnParams, build_model, fpnn_backward, fpnn_forward
 from .ops import BnState
 from .preprocess import SampleSet, holdout_by_battery, preprocess_fleet
 
 CHECKPOINT_KIND = "fpnn-checkpoint"
 CHECKPOINT_VERSION = 1
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -35,20 +40,15 @@ class TrainConfig:
     epochs: int = 300
     batch_size: int = 16
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-5
     patience: int = 30
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.learning_rate <= 0 or self.eps <= 0:
-            raise ValueError("epochs, learning_rate and eps must be positive")
+        if self.epochs < 1 or self.learning_rate <= 0:
+            raise ValueError("epochs and learning_rate must be positive")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batchnorm needs real batches)")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ValueError("adam betas must lie in [0, 1)")
         if self.weight_decay < 0 or self.patience < 0:
             raise ValueError("weight_decay and patience must be nonnegative")
 
@@ -138,7 +138,7 @@ def adam_step(
     if set(tensors) != set(grads) or set(tensors) != set(state.m):
         raise ValueError("params, grads and optimizer state must share keys")
     t = state.t + 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_tensors, new_m, new_v = {}, {}, {}
     for k, x in tensors.items():
         g = grads[k]
@@ -150,7 +150,7 @@ def adam_step(
         v = b2 * state.v[k] + (1 - b2) * g * g
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        new_tensors[k] = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+        new_tensors[k] = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[k] = m
         new_v[k] = v
     return new_tensors, AdamState(new_m, new_v, t)
@@ -282,16 +282,19 @@ class SweepCell:
 
 def run_sweep_cell(train_set: SampleSet, test_set: SampleSet, n_input_cycles: int, noi: int,
                    grid_side: int, train_config: TrainConfig, cell_seed: int,
-                   detach=None) -> SweepCell:
+                   detach=None, *, model_config: FpnnConfig | None = None) -> SweepCell:
     """Train and evaluate one grid cell on its window's preprocessed splits;
-    failures land in the cell, they never propagate."""
+    failures land in the cell, they never propagate.
+
+    The cell's model is ``model_config`` (default ``FpnnConfig()``) with the
+    cell's ``noi``, ``grid_side``, seed and, unless None, detach flags.
+    """
     cell = SweepCell(n_input_cycles, noi, cell_seed)
     try:
         fit_set, val_set = holdout_by_battery(train_set, 0.2, cell_seed)
-        config = FpnnConfig(
-            noi=noi, grid_side=grid_side, seed=cell_seed,
-            detach=detach if detach is not None else DetachFlags(),
-        )
+        base = model_config or FpnnConfig()
+        config = replace(base, noi=noi, grid_side=grid_side, seed=cell_seed,
+                         detach=base.detach if detach is None else detach)
         best, _ = train(build_model(config), fit_set, val_set,
                         replace(train_config, seed=cell_seed))
         report = evaluate(best, test_set)
@@ -302,7 +305,8 @@ def run_sweep_cell(train_set: SampleSet, test_set: SampleSet, n_input_cycles: in
 
 
 def run_sweep_window(records, n_input_cycles: int, cells, grid_side: int,
-                     train_config: TrainConfig) -> list[SweepCell]:
+                     train_config: TrainConfig, *,
+                     model_config: FpnnConfig | None = None) -> list[SweepCell]:
     """Preprocess one input window once, then train and score each of its
     cells, given as (noi, cell seed, detach flags or None), on the result.
 
@@ -317,25 +321,28 @@ def run_sweep_window(records, n_input_cycles: int, cells, grid_side: int,
         return [SweepCell(n_input_cycles, noi, cell_seed, error=str(exc))
                 for noi, cell_seed, _ in cells]
     return [run_sweep_cell(train_set, test_set, n_input_cycles, noi, grid_side, train_config,
-                           cell_seed, detach)
+                           cell_seed, detach, model_config=model_config)
             for noi, cell_seed, detach in cells]
 
 
 def noi_sweep(records, cycles_values, noi_values, grid_side: int, train_config: TrainConfig,
-              seed: int, jobs: int = 1) -> list[SweepCell]:
+              seed: int, jobs: int = 1, *,
+              model_config: FpnnConfig | None = None) -> list[SweepCell]:
     """Grid of (input window, unit count) cells with everything else held
     fixed, returned window-major. Each window is preprocessed once and its
     cells trained on the result (``run_sweep_window``); with ``jobs`` > 1
     the windows run in worker processes, which receive the records once per
     window. Per-cell seeds are the base seed plus a fixed 1000 * index
-    offset. Failed cells become NaN rows."""
+    offset. Failed cells become NaN rows. ``model_config`` gives every
+    cell's model all but its per-cell fields (see ``run_sweep_cell``)."""
     windows = list(cycles_values)
     if not windows or not noi_values:
         raise ValueError("empty sweep grid")
     cells = [[(noi, seed + 1000 * (w * len(noi_values) + j), None)
               for j, noi in enumerate(noi_values)]
              for w in range(len(windows))]
-    run = partial(run_sweep_window, records, grid_side=grid_side, train_config=train_config)
+    run = partial(run_sweep_window, records, grid_side=grid_side, train_config=train_config,
+                  model_config=model_config)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(windows))) as pool:
             rows = list(pool.map(run, windows, cells))

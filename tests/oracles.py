@@ -59,9 +59,17 @@ def conv3d_loop(x, w, b, stride, pad):
     return out
 
 
-def avg_pool_loop(x, window, stride):
-    """x: [C,H,W] -> windowed means, no padding."""
+def _zero_padded(x, pad):
     c_in, h, w = x.shape
+    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
+    xp[:, pad : pad + h, pad : pad + w] = x
+    return xp
+
+
+def avg_pool_loop(x, window, stride, pad=0):
+    """x: [C,H,W] -> windowed means over the zero-padded input."""
+    xp = _zero_padded(x, pad)
+    c_in, h, w = xp.shape
     kh, kw = window
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
@@ -72,13 +80,14 @@ def avg_pool_loop(x, window, stride):
                 acc = 0.0
                 for m in range(kh):
                     for n in range(kw):
-                        acc += x[c, i * stride + m, j * stride + n]
+                        acc += xp[c, i * stride + m, j * stride + n]
                 out[c, i, j] = acc / (kh * kw)
     return out
 
 
-def max_pool_loop(x, window, stride):
-    c_in, h, w = x.shape
+def max_pool_loop(x, window, stride, pad=0):
+    xp = _zero_padded(x, pad)
+    c_in, h, w = xp.shape
     kh, kw = window
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
@@ -89,9 +98,31 @@ def max_pool_loop(x, window, stride):
                 best = -np.inf
                 for m in range(kh):
                     for n in range(kw):
-                        best = max(best, x[c, i * stride + m, j * stride + n])
+                        best = max(best, xp[c, i * stride + m, j * stride + n])
                 out[c, i, j] = best
     return out
+
+
+def max_pool_backward_loop(x, window, stride, pad, output_grad):
+    """Input gradient of a zero-padded max pool over x: [C,H,W]. Each
+    window's grad goes to its first maximum in row-major order; a cell in
+    several windows sums their grads in row-major window order."""
+    xp = _zero_padded(x, pad)
+    c_in, h, w = xp.shape
+    gx = np.zeros((c_in, h, w))
+    kh, kw = window
+    _, oh, ow = output_grad.shape
+    for c in range(c_in):
+        for i in range(oh):
+            for j in range(ow):
+                best, at = -np.inf, None
+                for m in range(kh):
+                    for n in range(kw):
+                        v = xp[c, i * stride + m, j * stride + n]
+                        if v > best:
+                            best, at = v, (i * stride + m, j * stride + n)
+                gx[c, at[0], at[1]] += output_grad[c, i, j]
+    return gx[:, pad : h - pad, pad : w - pad]
 
 
 def hampel_loop(series, window=11, n_sigmas=3.0):

@@ -3,7 +3,8 @@ train -> eval -> export-weights chain reproduces every artifact checksum
 under the same seed, errors exit 1 with one line, the manifest clock
 covers the command's work and the manifest records the numeric
 environment, sweep-noi and ablate write one CSV row per cell with the cell
-seeds in the manifest, and hyperopt writes its trials and best config
+seeds in the manifest and build each cell's model from the command's model
+options, and hyperopt writes its trials and best config
 reproducibly."""
 
 import json
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import fpnn
-from fpnn import cli
+from fpnn import cli, training
+from fpnn import model as M
 
 
 def run(*argv):
@@ -112,6 +114,37 @@ class TestSweepCommands:
         assert [r[1] for r in rows[1:]] == cli.ABLATE_ROWS
         assert all(r[0] == "10" and r[2] != "NaN" for r in rows[1:])
         assert manifest(tmp_path)["config"]["cell_seeds"] == [9 + 1000 * i for i in range(5)]
+
+    @pytest.mark.parametrize("command,grid_args,n_cells", [
+        ("sweep-noi", ("--cycles", "10,20", "--noi", "0-1"), 4),
+        ("ablate", ("--cycles", 10), 5),
+    ])
+    def test_model_options_reach_every_cell(self, fleet, tmp_path, monkeypatch, command,
+                                            grid_args, n_cells):
+        """--alpha, and the config file's alpha, head_hidden and (where the
+        command sets no detach flags per cell) detach, build every cell's
+        model."""
+        built = []
+
+        def record_config(config):  # the cell then fails fast and records the error
+            built.append(config)
+            raise RuntimeError("model config recorded")
+
+        monkeypatch.setattr(training, "build_model", record_config)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"alpha": 0.3, "head_hidden": [8, 4],
+                                           "detach": {"residual": True}}))
+        run(command, "--data", fleet, *grid_args, "--grid", 8, "--epochs", 1,
+            "--batch-size", 4, "--seed", 9, "--alpha", 0.2, "--out", tmp_path / "flag")
+        assert [c.alpha for c in built] == [0.2] * n_cells
+        built.clear()
+        run(command, "--data", fleet, *grid_args, "--grid", 8, "--epochs", 1,
+            "--batch-size", 4, "--seed", 9, "--config", config_file, "--out", tmp_path / "file")
+        assert [(c.alpha, c.head_hidden) for c in built] == [(0.3, (8, 4))] * n_cells
+        assert [c.seed for c in built] == manifest(tmp_path / "file")["config"]["cell_seeds"]
+        want_detach = ([M.DetachFlags(residual=True)] * n_cells if command == "sweep-noi"
+                       else [cli.ABLATE_FLAGS[row] for row in cli.ABLATE_ROWS])
+        assert [c.detach for c in built] == want_detach
 
 
 class TestHyperopt:

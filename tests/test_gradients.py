@@ -1,5 +1,6 @@
 """Every explicit backward pass is checked against central finite
-differences on small random tensors."""
+differences on small random tensors; the max pool's backward also against
+a loop oracle, byte for byte."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fpnn import model as M
 from fpnn import ops
 
 from gradcheck import gradcheck, numerical_gradient, relative_error
+from oracles import max_pool_backward_loop
 
 
 @pytest.fixture
@@ -20,46 +22,57 @@ def _loss_weights(rng, shape):
     return rng.standard_normal(shape)
 
 
+def conv_grads(x, w, spec, output_grad):
+    """Conv gradients as the model takes them: from the operand the forward
+    pass saved."""
+    _, saved = ops._conv_forward(x, w, np.zeros(spec.out_channels), spec, return_cols=True)
+    return ops._conv_saved_backward(saved, w, spec, output_grad)
+
+
+def conv(x, w, b, spec):
+    return ops._conv_forward(x, w, b, spec)
+
+
 class TestConv2dBackward:
     def test_zero_grad_gives_zero(self, rng):
-        x = rng.standard_normal((2, 5, 5))
+        x = rng.standard_normal((2, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
-        g = ops.conv2d_backward(x, w, spec, np.zeros((3, 5, 5)))
+        g = conv_grads(x, w, spec, np.zeros((2, 3, 5, 5)))
         assert not g.input_grad.any()
         assert not g.param_grads["weights"].any()
         assert not g.param_grads["bias"].any()
 
     def test_scalar_chain(self):
         # 1x1 kernel: input grad is w * output_grad elementwise
-        x = np.array([[[1.0, -2.0], [0.5, 3.0]]])
+        x = np.array([[[[1.0, -2.0], [0.5, 3.0]]]])
         w = np.full((1, 1, 1, 1), 1.75)
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 1, 1)
-        gout = np.array([[[2.0, -1.0], [4.0, 0.5]]])
-        g = ops.conv2d_backward(x, w, spec, gout)
+        gout = np.array([[[[2.0, -1.0], [4.0, 0.5]]]])
+        g = conv_grads(x, w, spec, gout)
         np.testing.assert_allclose(g.input_grad, 1.75 * gout, atol=1e-12)
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (1, 0)])
     def test_finite_differences(self, rng, stride, pad):
-        x = rng.standard_normal((2, 6, 5))
+        x = rng.standard_normal((2, 2, 6, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((3, 3), (stride, stride), (pad, pad), 2, 3)
-        probe = _loss_weights(rng, ops.conv2d_forward(x, w, b, spec).shape)
+        probe = _loss_weights(rng, conv(x, w, b, spec).shape)
 
-        g = ops.conv2d_backward(x, w, spec, probe)
-        gradcheck(lambda v: float((ops.conv2d_forward(v, w, b, spec) * probe).sum()),
+        g = conv_grads(x, w, spec, probe)
+        gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
                   x, g.input_grad, rtol=1e-4)
-        gradcheck(lambda v: float((ops.conv2d_forward(x, v, b, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
                   w, g.param_grads["weights"], rtol=1e-4)
-        gradcheck(lambda v: float((ops.conv2d_forward(x, w, v, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()),
                   b, g.param_grads["bias"], rtol=1e-4)
 
     def test_grad_shapes_match_values(self, rng):
-        x = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((2, 2, 4, 4))
         w = rng.standard_normal((3, 2, 2, 2))
         spec = ops.ConvSpec((2, 2), (2, 2), (0, 0), 2, 3)
-        g = ops.conv2d_backward(x, w, spec, rng.standard_normal((3, 2, 2)))
+        g = conv_grads(x, w, spec, rng.standard_normal((2, 3, 2, 2)))
         assert g.input_grad.shape == x.shape
         assert g.param_grads["weights"].shape == w.shape
         assert g.param_grads["bias"].shape == (3,)
@@ -67,17 +80,17 @@ class TestConv2dBackward:
 
     def test_stem_geometry_finite_differences(self, rng):
         # 7x7 stride 2 pad 3 on an even input, as in the network's stem
-        x = rng.standard_normal((2, 8, 8))
+        x = rng.standard_normal((2, 2, 8, 8))
         w = rng.standard_normal((3, 2, 7, 7))
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 2, 3)
-        probe = _loss_weights(rng, ops.conv2d_forward(x, w, b, spec).shape)
-        g = ops.conv2d_backward(x, w, spec, probe)
-        gradcheck(lambda v: float((ops.conv2d_forward(v, w, b, spec) * probe).sum()),
+        probe = _loss_weights(rng, conv(x, w, b, spec).shape)
+        g = conv_grads(x, w, spec, probe)
+        gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
                   x, g.input_grad, rtol=1e-4)
-        gradcheck(lambda v: float((ops.conv2d_forward(x, v, b, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
                   w, g.param_grads["weights"], rtol=1e-4)
-        gradcheck(lambda v: float((ops.conv2d_forward(x, w, v, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()),
                   b, g.param_grads["bias"], rtol=1e-4)
 
 
@@ -88,15 +101,15 @@ class TestConvSavedOperand:
         ((3, 4, 5, 5), (2, 3, 3), (1, 2, 1), (0, 1, 1)),
     ])
     def test_saved_operand_backward_bitwise(self, rng, shape, kernel, stride, pad):
-        """The operand the forward pass saves gives the same gradients, bit
-        for bit, as rebuilding it from the input."""
+        """``_conv_backward`` given the operand the forward pass saved gives
+        the gradients of an operand rebuilt from the input, bit for bit."""
         x = rng.standard_normal((2, *shape))
         spec = ops.ConvSpec(kernel, stride, pad, shape[0], 4)
         w = rng.standard_normal(spec.weight_shape())
         out, saved = ops._conv_forward(x, w, rng.standard_normal(4), spec, return_cols=True)
         g = rng.standard_normal(out.shape)
         a = ops._conv_backward(x, w, spec, g, cols=saved)
-        b = ops._conv_backward(x, w, spec, g, cols=None)
+        b = ops._conv_saved_backward(ops._conv_operand(x, spec), w, spec, g)
         assert np.array_equal(a.input_grad, b.input_grad)
         assert np.array_equal(a.param_grads["weights"], b.param_grads["weights"])
         assert np.array_equal(a.param_grads["bias"], b.param_grads["bias"])
@@ -123,50 +136,50 @@ class TestConvSavedOperand:
 
 class TestConv3dBackward:
     def test_zero_grad(self, rng):
-        x = rng.standard_normal((2, 3, 4, 4))
+        x = rng.standard_normal((2, 2, 3, 4, 4))
         w = rng.standard_normal((3, 2, 3, 2, 2))
         spec = ops.ConvSpec((3, 2, 2), (1, 1, 1), (0, 0, 0), 2, 3)
-        gout_shape = (3, 1, 3, 3)
-        g = ops.conv3d_backward(x, w, spec, np.zeros(gout_shape))
+        gout_shape = (2, 3, 1, 3, 3)
+        g = conv_grads(x, w, spec, np.zeros(gout_shape))
         assert not g.input_grad.any() and not g.param_grads["weights"].any()
 
     def test_depth1_reduces_to_conv2d(self, rng):
-        x2 = rng.standard_normal((2, 5, 5))
+        x2 = rng.standard_normal((2, 2, 5, 5))
         w2 = rng.standard_normal((3, 2, 3, 3))
-        gout = rng.standard_normal((3, 5, 5))
+        gout = rng.standard_normal((2, 3, 5, 5))
         spec2 = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
         spec3 = ops.ConvSpec((1, 3, 3), (1, 1, 1), (0, 1, 1), 2, 3)
-        g2 = ops.conv2d_backward(x2, w2, spec2, gout)
-        g3 = ops.conv3d_backward(x2[:, None], w2[:, :, None], spec3, gout[:, None])
-        np.testing.assert_allclose(g3.input_grad[:, 0], g2.input_grad, atol=1e-12)
+        g2 = conv_grads(x2, w2, spec2, gout)
+        g3 = conv_grads(x2[:, :, None], w2[:, :, None], spec3, gout[:, :, None])
+        np.testing.assert_allclose(g3.input_grad[:, :, 0], g2.input_grad, atol=1e-12)
         np.testing.assert_allclose(g3.param_grads["weights"][:, :, 0],
                                    g2.param_grads["weights"], atol=1e-12)
 
     def test_finite_differences(self, rng):
-        x = rng.standard_normal((2, 3, 4, 4))
+        x = rng.standard_normal((2, 2, 3, 4, 4))
         w = rng.standard_normal((2, 2, 3, 3, 3))
         b = rng.standard_normal(2)
         spec = ops.ConvSpec((3, 3, 3), (1, 1, 1), (0, 1, 1), 2, 2)
-        probe = _loss_weights(rng, ops.conv3d_forward(x, w, b, spec).shape)
-        g = ops.conv3d_backward(x, w, spec, probe)
-        gradcheck(lambda v: float((ops.conv3d_forward(v, w, b, spec) * probe).sum()),
+        probe = _loss_weights(rng, conv(x, w, b, spec).shape)
+        g = conv_grads(x, w, spec, probe)
+        gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
                   x, g.input_grad, rtol=1e-4)
-        gradcheck(lambda v: float((ops.conv3d_forward(x, v, b, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
                   w, g.param_grads["weights"], rtol=1e-4)
 
     def test_short_depth_kernel_finite_differences(self, rng):
         # kernel depth 2 < input depth 4: the unfolded n-d path
-        x = rng.standard_normal((2, 4, 4, 5))
+        x = rng.standard_normal((2, 2, 4, 4, 5))
         w = rng.standard_normal((3, 2, 2, 3, 3))
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((2, 3, 3), (1, 2, 1), (0, 1, 1), 2, 3)
-        probe = _loss_weights(rng, ops.conv3d_forward(x, w, b, spec).shape)
-        g = ops.conv3d_backward(x, w, spec, probe)
-        gradcheck(lambda v: float((ops.conv3d_forward(v, w, b, spec) * probe).sum()),
+        probe = _loss_weights(rng, conv(x, w, b, spec).shape)
+        g = conv_grads(x, w, spec, probe)
+        gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
                   x, g.input_grad, rtol=1e-4)
-        gradcheck(lambda v: float((ops.conv3d_forward(x, v, b, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
                   w, g.param_grads["weights"], rtol=1e-4)
-        gradcheck(lambda v: float((ops.conv3d_forward(x, w, v, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()),
                   b, g.param_grads["bias"], rtol=1e-4)
 
 
@@ -189,42 +202,72 @@ class TestLeakyReluBackward:
                   x, analytic, rtol=1e-4)
 
 
+def max_pool_grads(x, window, stride, pad, output_grad):
+    _, argmax = ops.max_pool2d(x, window, stride, pad)
+    return ops.pool2d_backward(output_grad, x.shape, window, stride, pad, argmax)
+
+
 class TestPoolBackward:
     def test_avg_uniform_distribution(self):
-        x = np.zeros((1, 2, 2))
-        gout = np.ones((1, 1, 1))
-        g = ops.pool2d_backward(x, (2, 2), 1, gout, "avg")
-        np.testing.assert_array_equal(g, np.full((1, 2, 2), 0.25))
-
-    def test_avg_reads_only_input_shape(self, rng):
-        # the model passes a zero-stride stand-in instead of keeping the input
-        x = rng.standard_normal((2, 3, 7, 7))
-        gout = rng.standard_normal((2, 3, 5, 5))
-        want = ops.pool2d_backward(x, (3, 3), 1, gout, "avg")
-        got = ops.pool2d_backward(np.broadcast_to(0.0, x.shape), (3, 3), 1, gout, "avg")
-        np.testing.assert_array_equal(got, want)
+        gout = np.ones((1, 1, 1, 1))
+        g = ops.pool2d_backward(gout, (1, 1, 2, 2), 2, 1, 0)
+        np.testing.assert_array_equal(g, np.full((1, 1, 2, 2), 0.25))
 
     def test_max_routes_to_argmax(self, rng):
-        x = rng.permutation(16).astype(float).reshape(1, 4, 4)
-        gout = rng.standard_normal((1, 2, 2))
-        g = ops.pool2d_backward(x, (2, 2), 2, gout, "max")
+        x = rng.permutation(16).astype(float).reshape(1, 1, 4, 4)
+        gout = rng.standard_normal((1, 1, 2, 2))
+        g = max_pool_grads(x, 2, 2, 0, gout)
         assert (g != 0).sum() == 4  # one winner per window
 
     def test_max_tie_breaks_first_row_major(self):
-        x = np.full((1, 2, 2), 3.0)
-        gout = np.ones((1, 1, 1))
-        g = ops.pool2d_backward(x, (2, 2), 1, gout, "max")
-        np.testing.assert_array_equal(g, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
+        x = np.full((1, 1, 2, 2), 3.0)
+        gout = np.ones((1, 1, 1, 1))
+        g = max_pool_grads(x, 2, 1, 0, gout)
+        np.testing.assert_array_equal(g, np.array([[[[1.0, 0.0], [0.0, 0.0]]]]))
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
     def test_finite_differences(self, rng, mode):
         # distinct values keep max pooling differentiable
-        x = rng.permutation(2 * 6 * 6).astype(float).reshape(2, 6, 6)
+        x = rng.permutation(2 * 6 * 6).astype(float).reshape(1, 2, 6, 6)
         x += rng.standard_normal(x.shape) * 0.01
-        fn = ops.avg_pool2d if mode == "avg" else ops.max_pool2d
-        probe = _loss_weights(rng, fn(x, (3, 3), 2).shape)
-        analytic = ops.pool2d_backward(x, (3, 3), 2, probe, mode)
-        gradcheck(lambda v: float((fn(v, (3, 3), 2) * probe).sum()), x, analytic, rtol=1e-4)
+        if mode == "avg":
+            fn = ops.avg_pool2d
+            probe = _loss_weights(rng, fn(x, 3, 2, 1).shape)
+            analytic = ops.pool2d_backward(probe, x.shape, 3, 2, 1)
+        else:
+            fn = lambda v, *geometry: ops.max_pool2d(v, *geometry)[0]  # noqa: E731
+            probe = _loss_weights(rng, fn(x, 3, 2, 1).shape)
+            analytic = max_pool_grads(x, 3, 2, 1, probe)
+        gradcheck(lambda v: float((fn(v, 3, 2, 1) * probe).sum()), x, analytic, rtol=1e-4)
+
+    @staticmethod
+    def _assert_max_backward_matches_oracle(x, window, stride, pad, gout):
+        got = max_pool_grads(x, window, stride, pad, gout)
+        want = np.stack([max_pool_backward_loop(xi, (window, window), stride, pad, gi)
+                         for xi, gi in zip(x, gout)])
+        assert got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_max_backward_matches_loop_oracle_at_stem_geometry(self, rng):
+        # 3x3, stride 2, pad 1 on an even input: overlapping windows, and
+        # small integers give ties within windows and with the zero padding
+        x = rng.integers(-3, 4, (2, 8, 16, 16)).astype(float)
+        gout = rng.standard_normal((2, 8, 8, 8))
+        self._assert_max_backward_matches_oracle(x, 3, 2, 1, gout)
+
+    def test_max_backward_matches_loop_oracle_random_shapes(self):
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            k = int(rng.integers(1, 4))
+            s = int(rng.integers(1, 3))
+            p = int(rng.integers(0, 2))
+            shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)),
+                     int(rng.integers(k, 9)), int(rng.integers(k, 9)))
+            x = rng.standard_normal(shape)
+            if trial % 2:
+                x = np.round(x)  # ties
+            out, _ = ops.max_pool2d(x, k, s, p)
+            self._assert_max_backward_matches_oracle(x, k, s, p, rng.standard_normal(out.shape))
 
 
 class TestBatchNormBackward:
@@ -286,7 +329,7 @@ class TestResidualBackward:
         probe = _loss_weights(rng, (1, 88, 2, 2))
         _, cache = M._block_forward(x, params, specs, "raw.block0", "train", {})
         grads = {}
-        gx = M._block_backward(probe, params, specs, cache, grads)
+        gx = M._block_backward(probe, params, cache, grads)
 
         def loss(v):
             out, _ = M._block_forward(v, params, specs, "raw.block0", "train", {})

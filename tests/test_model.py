@@ -214,7 +214,7 @@ class TestDetachBehavior:
 
         proj = with_res.tensors["raw.block0.proj.w"]
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 64, 88)
-        skip = ops.conv2d_forward(x, proj, np.zeros(88), spec)
+        skip = ops._conv_forward(x, proj, np.zeros(88), spec)
         np.testing.assert_allclose(out_res - out_plain, skip, atol=1e-12)
 
 

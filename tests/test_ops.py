@@ -55,141 +55,141 @@ class TestConvSpec:
             assert spec.out_extents((n, n))[0] == positions
 
 
+def per_sample(oracle, x, *args):
+    """An unbatched [C, ...] loop oracle applied to each sample of a batch."""
+    return np.stack([oracle(xi, *args) for xi in x])
+
+
 class TestConv2d:
     def test_scaling_identity(self):
-        x = np.ones((1, 3, 3))
+        x = np.ones((1, 1, 3, 3))
         w = np.full((1, 1, 1, 1), 2.0)
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 1, 1)
-        out = ops.conv2d_forward(x, w, np.zeros(1), spec)
-        assert out.shape == (1, 3, 3)
-        np.testing.assert_array_equal(out, np.full((1, 3, 3), 2.0))
+        out = ops._conv_forward(x, w, np.zeros(1), spec)
+        assert out.shape == (1, 1, 3, 3)
+        np.testing.assert_array_equal(out, np.full((1, 1, 3, 3), 2.0))
 
     def test_full_window_sum(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         w = np.ones((1, 1, 2, 2))
         spec = ops.ConvSpec((2, 2), (1, 1), (0, 0), 1, 1)
-        out = ops.conv2d_forward(x, w, np.zeros(1), spec)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 10.0
+        out = ops._conv_forward(x, w, np.zeros(1), spec)
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 10.0
 
     def test_matches_loop_oracle(self, rng):
-        x = rng.standard_normal((3, 8, 8))
+        x = rng.standard_normal((2, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 3, 4)
-        got = ops.conv2d_forward(x, w, b, spec)
-        want = conv2d_loop(x, w, b, (1, 1), (1, 1))
+        got = ops._conv_forward(x, w, b, spec)
+        want = per_sample(conv2d_loop, x, w, b, (1, 1), (1, 1))
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2), (3, 0)])
     def test_loop_oracle_strided(self, rng, stride, pad):
-        x = rng.standard_normal((2, 9, 7))
+        x = rng.standard_normal((2, 2, 9, 7))
         w = rng.standard_normal((3, 2, 3, 2))
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((3, 2), (stride, stride), (pad, pad), 2, 3)
-        got = ops.conv2d_forward(x, w, b, spec)
-        want = conv2d_loop(x, w, b, (stride, stride), (pad, pad))
+        got = ops._conv_forward(x, w, b, spec)
+        want = per_sample(conv2d_loop, x, w, b, (stride, stride), (pad, pad))
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_linearity(self, rng):
         w = rng.standard_normal((4, 2, 3, 3))
         b = np.zeros(4)
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 4)
-        x = rng.standard_normal((2, 6, 6))
-        y = rng.standard_normal((2, 6, 6))
+        x = rng.standard_normal((2, 2, 6, 6))
+        y = rng.standard_normal((2, 2, 6, 6))
         a, c = 1.7, -0.4
-        lhs = ops.conv2d_forward(a * x + c * y, w, b, spec)
-        rhs = a * ops.conv2d_forward(x, w, b, spec) + c * ops.conv2d_forward(y, w, b, spec)
+        lhs = ops._conv_forward(a * x + c * y, w, b, spec)
+        rhs = a * ops._conv_forward(x, w, b, spec) + c * ops._conv_forward(y, w, b, spec)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10, rtol=0)
 
-    def test_batched_matches_per_sample(self, rng):
-        xb = rng.standard_normal((3, 2, 5, 5))
-        w = rng.standard_normal((4, 2, 3, 3))
-        b = rng.standard_normal(4)
-        spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 4)
-        out = ops.conv2d_forward(xb, w, b, spec)
-        for i in range(3):
-            np.testing.assert_array_equal(out[i], ops.conv2d_forward(xb[i], w, b, spec))
-
     def test_deterministic(self, rng):
-        x = rng.standard_normal((2, 5, 5))
+        x = rng.standard_normal((2, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
-        a = ops.conv2d_forward(x, w, b, spec)
-        c = ops.conv2d_forward(x.copy(), w.copy(), b.copy(), spec)
+        a = ops._conv_forward(x, w, b, spec)
+        c = ops._conv_forward(x.copy(), w.copy(), b.copy(), spec)
         assert np.array_equal(a, c)
 
     def test_shape_mismatch_rejected(self, rng):
         spec = ops.ConvSpec((3, 3), (1, 1), (0, 0), 2, 4)
         with pytest.raises(ShapeError):
-            ops.conv2d_forward(rng.standard_normal((3, 5, 5)),
+            ops._conv_forward(rng.standard_normal((1, 3, 5, 5)),
                                rng.standard_normal((4, 2, 3, 3)), np.zeros(4), spec)
         with pytest.raises(ShapeError):
-            ops.conv2d_forward(rng.standard_normal((2, 5, 5)),
+            ops._conv_forward(rng.standard_normal((1, 2, 5, 5)),
                                rng.standard_normal((4, 2, 2, 3)), np.zeros(4), spec)
+        with pytest.raises(ShapeError):  # a batch axis is required
+            ops._conv_forward(rng.standard_normal((2, 5, 5)),
+                               rng.standard_normal((4, 2, 3, 3)), np.zeros(4), spec)
 
     def test_nonfinite_rejected(self):
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 1, 1)
-        x = np.full((1, 2, 2), np.inf)
+        x = np.full((1, 1, 2, 2), np.inf)
         with pytest.raises(NonFiniteError):
-            ops.conv2d_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1), spec)
+            ops._conv_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1), spec)
 
     def test_stem_geometry_matches_loop_oracle(self, rng):
         # the network's 7x7 stride-2 pad-3 stem on an even input: the last
         # padded row and column are never read
-        x = rng.standard_normal((3, 10, 10))
+        x = rng.standard_normal((2, 3, 10, 10))
         w = rng.standard_normal((4, 3, 7, 7))
         b = rng.standard_normal(4)
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 3, 4)
-        got = ops.conv2d_forward(x, w, b, spec)
-        assert got.shape == (4, 5, 5)
-        np.testing.assert_allclose(got, conv2d_loop(x, w, b, (2, 2), (3, 3)), atol=1e-12, rtol=0)
+        got = ops._conv_forward(x, w, b, spec)
+        assert got.shape == (2, 4, 5, 5)
+        np.testing.assert_allclose(got, per_sample(conv2d_loop, x, w, b, (2, 2), (3, 3)),
+                                   atol=1e-12, rtol=0)
 
 
 class TestConv3d:
     def test_depth_sum(self):
-        x = np.zeros((1, 2, 1, 1))
-        x[0, 0, 0, 0], x[0, 1, 0, 0] = 3.0, 4.0
+        x = np.zeros((1, 1, 2, 1, 1))
+        x[0, 0, 0, 0, 0], x[0, 0, 1, 0, 0] = 3.0, 4.0
         w = np.ones((1, 1, 2, 1, 1))
         spec = ops.ConvSpec((2, 1, 1), (1, 1, 1), (0, 0, 0), 1, 1)
-        out = ops.conv3d_forward(x, w, np.zeros(1), spec)
-        assert out.shape == (1, 1, 1, 1)
-        assert out[0, 0, 0, 0] == 7.0
+        out = ops._conv_forward(x, w, np.zeros(1), spec)
+        assert out.shape == (1, 1, 1, 1, 1)
+        assert out[0, 0, 0, 0, 0] == 7.0
 
     def test_identity_kernel(self, rng):
-        x = rng.standard_normal((1, 1, 4, 4))
+        x = rng.standard_normal((2, 1, 1, 4, 4))
         w = np.ones((1, 1, 1, 1, 1))
         spec = ops.ConvSpec((1, 1, 1), (1, 1, 1), (0, 0, 0), 1, 1)
-        np.testing.assert_array_equal(ops.conv3d_forward(x, w, np.zeros(1), spec), x)
+        np.testing.assert_array_equal(ops._conv_forward(x, w, np.zeros(1), spec), x)
 
     def test_matches_loop_oracle(self, rng):
-        x = rng.standard_normal((3, 4, 6, 6))
+        x = rng.standard_normal((2, 3, 4, 6, 6))
         w = rng.standard_normal((8, 3, 4, 3, 3))
         b = rng.standard_normal(8)
         spec = ops.ConvSpec((4, 3, 3), (1, 1, 1), (0, 1, 1), 3, 8)
-        got = ops.conv3d_forward(x, w, b, spec)
-        want = conv3d_loop(x, w, b, (1, 1, 1), (0, 1, 1))
-        assert got.shape == (8, 1, 6, 6)
+        got = ops._conv_forward(x, w, b, spec)
+        want = per_sample(conv3d_loop, x, w, b, (1, 1, 1), (0, 1, 1))
+        assert got.shape == (2, 8, 1, 6, 6)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_short_depth_kernel_matches_loop_oracle(self, rng):
         # kernel depth < input depth: no axis folds into channels
-        x = rng.standard_normal((2, 5, 6, 6))
+        x = rng.standard_normal((2, 2, 5, 6, 6))
         w = rng.standard_normal((3, 2, 2, 3, 3))
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((2, 3, 3), (1, 2, 1), (0, 1, 1), 2, 3)
-        got = ops.conv3d_forward(x, w, b, spec)
-        assert got.shape == (3, 4, 3, 6)
-        np.testing.assert_allclose(got, conv3d_loop(x, w, b, (1, 2, 1), (0, 1, 1)),
+        got = ops._conv_forward(x, w, b, spec)
+        assert got.shape == (2, 3, 4, 3, 6)
+        np.testing.assert_allclose(got, per_sample(conv3d_loop, x, w, b, (1, 2, 1), (0, 1, 1)),
                                    atol=1e-12, rtol=0)
 
     def test_full_depth_kernel_collapses_depth(self, rng):
-        x = rng.standard_normal((2, 3, 5, 5))
+        x = rng.standard_normal((2, 2, 3, 5, 5))
         w = rng.standard_normal((4, 2, 3, 3, 3))
         spec = ops.ConvSpec((3, 3, 3), (1, 1, 1), (0, 1, 1), 2, 4)
-        out = ops.conv3d_forward(x, w, np.zeros(4), spec)
-        assert out.shape == (4, 1, 5, 5)
+        out = ops._conv_forward(x, w, np.zeros(4), spec)
+        assert out.shape == (2, 4, 1, 5, 5)
 
 
 class TestLeakyRelu:
@@ -221,40 +221,59 @@ class TestLeakyRelu:
 
 class TestPooling:
     def test_avg_mean(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert ops.avg_pool2d(x, (2, 2), 1)[0, 0, 0] == 2.5
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        assert ops.avg_pool2d(x, 2, 1, 0)[0, 0, 0, 0] == 2.5
 
     def test_avg_constant(self):
-        x = np.full((2, 5, 5), 3.25)
-        out = ops.avg_pool2d(x, (3, 3), 2)
-        np.testing.assert_array_equal(out, np.full((2, 2, 2), 3.25))
+        x = np.full((1, 2, 5, 5), 3.25)
+        out = ops.avg_pool2d(x, 3, 2, 0)
+        np.testing.assert_array_equal(out, np.full((1, 2, 2, 2), 3.25))
 
     def test_avg_matches_loop(self, rng):
-        x = rng.standard_normal((2, 5, 5))
-        got = ops.avg_pool2d(x, (3, 3), 1)
-        np.testing.assert_allclose(got, avg_pool_loop(x, (3, 3), 1), atol=1e-12, rtol=0)
+        x = rng.standard_normal((2, 2, 5, 5))
+        for pad in (0, 1):
+            got = ops.avg_pool2d(x, 3, 1, pad)
+            np.testing.assert_allclose(got, per_sample(avg_pool_loop, x, (3, 3), 1, pad),
+                                       atol=1e-12, rtol=0)
 
     def test_max_window(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert ops.max_pool2d(x, (2, 2), 1)[0, 0, 0] == 4.0
+        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        out, argmax = ops.max_pool2d(x, 2, 1, 0)
+        assert out[0, 0, 0, 0] == 4.0 and argmax[0, 0, 0, 0] == 3
 
     def test_max_monotone_ramp(self):
         h = w = 6
-        x = (np.arange(h)[:, None] + np.arange(w)[None, :]).astype(float)[None]
-        out = ops.max_pool2d(x, (2, 2), 1)[0]
+        x = (np.arange(h)[:, None] + np.arange(w)[None, :]).astype(float)[None, None]
+        out = ops.max_pool2d(x, 2, 1, 0)[0][0, 0]
         assert np.all(np.diff(out, axis=0) > 0)
         assert np.all(np.diff(out, axis=1) > 0)
 
     def test_max_matches_loop(self, rng):
-        x = rng.standard_normal((3, 7, 6))
-        got = ops.max_pool2d(x, (3, 2), 2)
-        np.testing.assert_array_equal(got, max_pool_loop(x, (3, 2), 2))
+        x = rng.standard_normal((2, 3, 7, 6))
+        for pad in (0, 1):
+            got, _ = ops.max_pool2d(x, 3, 2, pad)
+            np.testing.assert_array_equal(got, per_sample(max_pool_loop, x, (3, 3), 2, pad))
+
+    def test_max_padding_is_zero(self):
+        # an all-negative input: every window reaches into the padding and
+        # takes its first zero in row-major order
+        out, argmax = ops.max_pool2d(np.full((1, 1, 3, 3), -1.0), 3, 2, 1)
+        np.testing.assert_array_equal(out, np.zeros((1, 1, 2, 2)))
+        np.testing.assert_array_equal(argmax, [[[[0, 0], [0, 2]]]])
+
+    def test_max_nonfinite_rejected(self):
+        x = np.zeros((1, 1, 4, 4))
+        x[0, 0, 3, 3] = np.nan
+        with pytest.raises(NonFiniteError):
+            ops.max_pool2d(x, 3, 2, 1)
 
     def test_window_too_large(self):
         with pytest.raises(ShapeError):
-            ops.max_pool2d(np.zeros((1, 2, 2)), (3, 3), 1)
+            ops.max_pool2d(np.zeros((1, 1, 2, 2)), 3, 1, 0)
         with pytest.raises(ShapeError):
-            ops.avg_pool2d(np.zeros((1, 2, 2)), (3, 3), 1)
+            ops.avg_pool2d(np.zeros((1, 1, 2, 2)), 3, 1, 0)
+        with pytest.raises(ShapeError):  # a batch axis is required
+            ops.max_pool2d(np.zeros((1, 4, 4)), 3, 1, 1)
 
 
 class TestBatchNorm:
@@ -317,14 +336,6 @@ class TestBatchNorm:
             )
 
 
-class TestConcat:
-    def test_backward_splits(self, rng):
-        grad = rng.standard_normal((7, 3, 3))
-        parts = ops.concat_channels_backward(grad, [2, 5])
-        np.testing.assert_array_equal(parts[0], grad[:2])
-        np.testing.assert_array_equal(parts[1], grad[2:])
-
-
 class TestLinear:
     def test_identity(self, rng):
         x = rng.standard_normal((4, 5))
@@ -354,13 +365,13 @@ class TestOracleSweep:
             p = int(rng.integers(0, 2))
             h = int(rng.integers(k, 9))
             w = int(rng.integers(k, 9))
-            x = rng.standard_normal((c_in, h, w))
+            x = rng.standard_normal((2, c_in, h, w))
             wts = rng.standard_normal((c_out, c_in, k, k))
             b = rng.standard_normal(c_out)
             spec = ops.ConvSpec((k, k), (s, s), (p, p), c_in, c_out)
             np.testing.assert_allclose(
-                ops.conv2d_forward(x, wts, b, spec),
-                conv2d_loop(x, wts, b, (s, s), (p, p)),
+                ops._conv_forward(x, wts, b, spec),
+                per_sample(conv2d_loop, x, wts, b, (s, s), (p, p)),
                 atol=1e-12, rtol=0,
             )
 
@@ -375,13 +386,13 @@ class TestOracleSweep:
             h = int(rng.integers(k, 7))
             w = int(rng.integers(k, 7))
             p = int(rng.integers(0, 2))
-            x = rng.standard_normal((c_in, d, h, w))
+            x = rng.standard_normal((2, c_in, d, h, w))
             wts = rng.standard_normal((c_out, c_in, kd, k, k))
             b = rng.standard_normal(c_out)
             spec = ops.ConvSpec((kd, k, k), (1, 1, 1), (0, p, p), c_in, c_out)
             np.testing.assert_allclose(
-                ops.conv3d_forward(x, wts, b, spec),
-                conv3d_loop(x, wts, b, (1, 1, 1), (0, p, p)),
+                ops._conv_forward(x, wts, b, spec),
+                per_sample(conv3d_loop, x, wts, b, (1, 1, 1), (0, p, p)),
                 atol=1e-12, rtol=0,
             )
 
@@ -391,10 +402,13 @@ class TestOracleSweep:
             c = int(rng.integers(1, 4))
             k = int(rng.integers(1, 4))
             s = int(rng.integers(1, 3))
+            p = int(rng.integers(0, 2))
             h = int(rng.integers(k, 9))
             w = int(rng.integers(k, 9))
-            x = rng.standard_normal((c, h, w))
+            x = rng.standard_normal((2, c, h, w))
             np.testing.assert_allclose(
-                ops.avg_pool2d(x, (k, k), s), avg_pool_loop(x, (k, k), s), atol=1e-12, rtol=0
+                ops.avg_pool2d(x, k, s, p), per_sample(avg_pool_loop, x, (k, k), s, p),
+                atol=1e-12, rtol=0,
             )
-            np.testing.assert_array_equal(ops.max_pool2d(x, (k, k), s), max_pool_loop(x, (k, k), s))
+            np.testing.assert_array_equal(ops.max_pool2d(x, k, s, p)[0],
+                                          per_sample(max_pool_loop, x, (k, k), s, p))

@@ -1,7 +1,7 @@
 """The two streams on two threads: bitwise the results of running them one
 after the other, errors as a loop would raise them, no thread alive after a
 call, a cache that survives repeated backward passes, and the BLAS thread
-default that ``import fpnn`` sets."""
+default that ``import fpnn`` sets, with its warning when numpy came first."""
 
 import json
 import os
@@ -109,15 +109,20 @@ class TestThreadedStreams:
             M.fpnn_forward((raw, diff), M.build_model(config), mode="train")
 
 
-def blas_vars_in_fresh_process(**preset) -> dict:
+def fresh_process(code: str, **preset) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter with the BLAS variables unset but
+    for ``preset``; every warning is shown on stderr."""
     env = {k: v for k, v in os.environ.items() if k not in fpnn.BLAS_THREAD_VARS}
     env.update(preset)
     env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-W", "always", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+
+
+def blas_vars_in_fresh_process(**preset) -> dict:
     code = ("import json, os, fpnn, numpy; "
             "print(json.dumps({v: os.environ.get(v) for v in fpnn.BLAS_THREAD_VARS}))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    return json.loads(proc.stdout)
+    return json.loads(fresh_process(code, **preset).stdout)
 
 
 class TestBlasThreadDefault:
@@ -128,3 +133,15 @@ class TestBlasThreadDefault:
         got = blas_vars_in_fresh_process(OPENBLAS_NUM_THREADS="3")
         assert got == {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1",
                        "MKL_NUM_THREADS": "1"}
+
+    def test_numpy_imported_first_warns(self):
+        err = fresh_process("import numpy; import fpnn").stderr
+        assert err.count("RuntimeWarning") == 1
+        assert all(v in err for v in fpnn.BLAS_THREAD_VARS)
+        assert "import fpnn before numpy" in err
+
+    def test_fpnn_imported_first_is_silent(self):
+        assert fresh_process("import fpnn; import numpy").stderr == ""
+
+    def test_preset_variable_with_numpy_first_is_silent(self):
+        assert fresh_process("import numpy; import fpnn", OPENBLAS_NUM_THREADS="2").stderr == ""

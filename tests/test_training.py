@@ -116,7 +116,7 @@ class TestAdam:
         v = 0.001 * g * g
         m_hat = m / (1 - 0.9)
         v_hat = v / (1 - 0.999)
-        want = 1.0 - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        want = 1.0 - lr * m_hat / (np.sqrt(v_hat) + T.ADAM_EPS)
         np.testing.assert_allclose(new_x["a"][0], want, atol=1e-15)
         np.testing.assert_allclose(new_state.m["a"][0], m, atol=1e-15)
         np.testing.assert_allclose(new_state.v["a"][0], v, atol=1e-15)
