@@ -46,7 +46,6 @@ from .hyperopt import (
     Trial,
     bayes_optimize,
     default_search_space,
-    expected_improvement,
     gp_fit,
     gp_predict,
 )
@@ -91,7 +90,7 @@ __all__ = [
     "BatteryRecord", "CycleCurve", "load_canonical_dataset", "save_canonical_dataset",
     "SynthPolicy", "generate_battery", "generate_fleet",
     "Dimension", "GpSurrogate", "SearchSpace", "Trial", "bayes_optimize",
-    "default_search_space", "expected_improvement", "gp_fit", "gp_predict",
+    "default_search_space", "gp_fit", "gp_predict",
     "DetachFlags", "FpnnConfig", "FpnnParams", "build_model", "export_block_weights",
     "fpnn_backward", "fpnn_forward",
     "SampleSet", "ScalerParams", "apply_scaler", "assemble_samples",

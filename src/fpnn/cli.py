@@ -8,10 +8,17 @@ paths, wall clock, the numeric environment (python, numpy, scipy and BLAS
 versions, BLAS thread variables, stream threads) and a sha256 per artifact,
 so identical inputs and seed reproduce identical checksums.
 
-Config precedence: CLI flags > ``--config`` JSON file > built-in defaults.
-All randomness flows from one ``--seed`` through fixed named offsets
-(split +1, init +2, shuffle +3, bayesian search +4). ``FPNN_LOG`` selects
-error|info|debug logging.
+Config precedence: CLI flags > ``--config`` JSON file > the field defaults
+of ``FpnnConfig`` and ``TrainConfig``. A config file may set ``noi``,
+``alpha``, ``head_hidden``, ``detach`` and the ``TrainConfig`` fields but
+``seed``; any other key is rejected by name. Only ``_train_configs`` turns
+settings into configs, in every command, so ``hyperopt``'s
+``best_config.json`` is a valid ``--config`` file. ``sweep-noi`` rejects
+unit counts outside ``0..MAX_NOI`` and windows outside
+``VALID_INPUT_CYCLES`` while parsing its arguments. All randomness flows
+from one ``--seed`` through fixed named offsets (split +1, init +2,
+shuffle +3, bayesian search +4). ``FPNN_LOG`` selects error|info|debug
+logging.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +43,7 @@ from .datagen import generate_fleet
 from .dataset import load_canonical_dataset
 from .hyperopt import bayes_optimize, default_search_space
 from .io import sha256_file
-from .model import STREAMS, DetachFlags, FpnnConfig, build_model, export_block_weights
+from .model import MAX_NOI, STREAMS, DetachFlags, FpnnConfig, build_model, export_block_weights
 from .preprocess import (
     VALID_INPUT_CYCLES,
     holdout_by_battery,
@@ -44,14 +52,12 @@ from .preprocess import (
     save_sample_archive,
 )
 from .training import (
-    SweepCell,
     TrainConfig,
     evaluate,
     load_checkpoint,
     noi_sweep,
     run_sweep_window,
     save_checkpoint,
-    save_history,
     train,
 )
 
@@ -70,16 +76,13 @@ ABLATE_FLAGS = {
     "No detach": DetachFlags(),
 }
 TRIALS_HEADER = ["trial", "point_json", "objective", "status"]
+MANIFEST_FILENAME = "run_manifest.json"
 
-TRAIN_DEFAULTS = {
-    "noi": 1,
-    "alpha": 0.01,
-    "epochs": 300,
-    "batch_size": 16,
-    "learning_rate": 1e-3,
-    "weight_decay": 1e-5,
-    "patience": 30,
-}
+# What every training command records: settings at the configs' field defaults
+MODEL_KEYS = ("noi", "alpha")
+TRAIN_DEFAULTS = {**{k: getattr(FpnnConfig, k) for k in MODEL_KEYS},
+                  **{f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}}
+CONFIG_KEYS = {*TRAIN_DEFAULTS, "head_hidden", "detach"}
 
 
 def _setup_logging() -> None:
@@ -111,51 +114,68 @@ def _numeric_environment() -> dict:
     }
 
 
-class Manifest:
-    """Collects run metadata and writes the single run_manifest.json.
-
-    The wall clock runs from ``args.started``, which :func:`main` stamps
-    before the command starts its work.
-    """
-
-    def __init__(self, args, config: dict, inputs: list[str]):
-        self.command = args.command
-        self.out_dir = Path(args.out)
-        self.config = config
-        self.seed = args.seed
-        self.inputs = inputs
-        self.started = args.started
-
-    FILENAME = "run_manifest.json"
-
-    def write(self) -> Path:
-        outputs = {}
-        for path in sorted(self.out_dir.rglob("*")):
-            if path.is_file() and path.name != self.FILENAME:
-                outputs[str(path.relative_to(self.out_dir))] = sha256_file(path)
-        doc = {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "sub_seeds": _sub_seeds(self.seed),
-            "inputs": self.inputs,
-            "outputs": outputs,
-            "wall_clock_s": round(time.perf_counter() - self.started, 3),
-            "version": __version__,
-            "environment": _numeric_environment(),
-        }
-        path = self.out_dir / self.FILENAME
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
-        return path
+def write_manifest(args, config: dict, inputs: list[str]) -> Path:
+    """Write the run's single run_manifest.json into ``args.out``, hashing
+    every other file there. The wall clock runs from ``args.started``, which
+    :func:`main` stamps before the command starts its work."""
+    out_dir = Path(args.out)
+    outputs = {str(path.relative_to(out_dir)): sha256_file(path)
+               for path in sorted(out_dir.rglob("*"))
+               if path.is_file() and path.name != MANIFEST_FILENAME}
+    doc = {
+        "command": args.command,
+        "config": config,
+        "seed": args.seed,
+        "sub_seeds": _sub_seeds(args.seed),
+        "inputs": inputs,
+        "outputs": outputs,
+        "wall_clock_s": round(time.perf_counter() - args.started, 3),
+        "version": __version__,
+        "environment": _numeric_environment(),
+    }
+    path = out_dir / MANIFEST_FILENAME
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    return path
 
 
-def _merge_config(defaults: dict, config_file: str | None, flags: dict) -> dict:
-    """flags > config file > defaults; unknown file keys are kept verbatim."""
-    merged = dict(defaults)
-    if config_file:
-        merged.update(json.loads(Path(config_file).read_text()))
-    merged.update({k: v for k, v in flags.items() if v is not None})
+def _merge_config(args) -> dict:
+    """Flags > ``--config`` file > ``TRAIN_DEFAULTS``; a file key outside
+    ``CONFIG_KEYS`` is an error."""
+    merged = dict(TRAIN_DEFAULTS)
+    if args.config:
+        doc = json.loads(Path(args.config).read_text())
+        unknown = sorted(set(doc) - CONFIG_KEYS)
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config keys {', '.join(unknown)} "
+                             f"(known: {', '.join(sorted(CONFIG_KEYS))})")
+        merged.update(doc)
+    merged.update({k: v for k in TRAIN_DEFAULTS if (v := getattr(args, k, None)) is not None})
     return merged
+
+
+def _train_configs(settings: dict, seed: int, grid_side: int) -> tuple[FpnnConfig, TrainConfig]:
+    """The one place settings become configs: the model through
+    ``FpnnConfig.from_dict``, training with each value cast to its
+    default's type, seeded with the init and shuffle sub-seeds."""
+    seeds = _sub_seeds(seed)
+    model_config = FpnnConfig.from_dict({**settings, "grid_side": grid_side,
+                                         "seed": seeds["init"]})
+    train_config = TrainConfig(**{k: type(v)(settings[k]) for k, v in TRAIN_DEFAULTS.items()
+                                  if k not in MODEL_KEYS}, seed=seeds["shuffle"])
+    return model_config, train_config
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_report(out: Path, report) -> None:
+    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    _write_csv(out / "residuals.csv", ["index", "residual"],
+               ([i, repr(float(r))] for i, r in enumerate(report.residuals)))
 
 
 def _out_dir(args) -> Path:
@@ -175,7 +195,7 @@ def cmd_gen(args) -> int:
     lives = sorted(r.life for r in records)
     print(f"generated {len(records)} batteries -> {out}")
     print(f"life cycles: min {lives[0]}, median {lives[len(lives) // 2]}, max {lives[-1]}")
-    Manifest(args, {"n": args.n, "life_range": [args.life_min, args.life_max]}, inputs=[]).write()
+    write_manifest(args, {"n": args.n, "life_range": [args.life_min, args.life_max]}, inputs=[])
     return 0
 
 
@@ -192,50 +212,18 @@ def cmd_preprocess(args) -> int:
                         args.cycles, args.grid, args.seed)
     print(f"preprocessed {len(records)} batteries: "
           f"{len(train_set)} train / {len(test_set)} test samples -> {out}")
-    Manifest(args, {"cycles": args.cycles, "grid": args.grid,
-                    "train_batteries": len(train_ids), "test_batteries": len(test_ids)},
-             inputs=[str(args.data)]).write()
+    write_manifest(args, {"cycles": args.cycles, "grid": args.grid,
+                          "train_batteries": len(train_ids), "test_batteries": len(test_ids)},
+                   inputs=[str(args.data)])
     return 0
-
-
-def _train_configs(effective: dict, seed: int, grid_side: int) -> tuple[FpnnConfig, TrainConfig]:
-    seeds = _sub_seeds(seed)
-    detach = DetachFlags(**effective.get("detach", {}))
-    model_config = FpnnConfig(
-        noi=int(effective["noi"]),
-        grid_side=grid_side,
-        alpha=float(effective["alpha"]),
-        head_hidden=tuple(effective.get("head_hidden", (64,))),
-        detach=detach,
-        seed=seeds["init"],
-    )
-    train_config = TrainConfig(
-        epochs=int(effective["epochs"]),
-        batch_size=int(effective["batch_size"]),
-        learning_rate=float(effective["learning_rate"]),
-        weight_decay=float(effective["weight_decay"]),
-        patience=int(effective["patience"]),
-        seed=seeds["shuffle"],
-    )
-    return model_config, train_config
-
-
-def _write_report(out: Path, report, prefix: str = "report") -> None:
-    (out / f"{prefix}.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    with open(out / "residuals.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "residual"])
-        for i, r in enumerate(report.residuals):
-            writer.writerow([i, repr(float(r))])
 
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
+    effective = _merge_config(args)
     splits, _, manifest_doc = load_sample_archive(args.data)
     if "train" not in splits:
         raise ValueError(f"archive {args.data} has no train split")
-    flags = {k: getattr(args, k, None) for k in TRAIN_DEFAULTS}
-    effective = _merge_config(TRAIN_DEFAULTS, args.config, flags)
     grid_side = int(manifest_doc["grid_side"])
     model_config, train_config = _train_configs(effective, args.seed, grid_side)
 
@@ -245,15 +233,16 @@ def cmd_train(args) -> int:
     params = build_model(model_config)
     best, history = train(params, fit_set, val_set, train_config)
     save_checkpoint(best, out / "checkpoint.fpt")
-    save_history(out / "history.csv", history)
+    _write_csv(out / "history.csv", ["epoch", "train_loss", "val_mape"],
+               ([r.epoch, repr(r.train_loss), repr(r.val_mape)] for r in history))
 
     eval_split = "test" if "test" in splits else "train"
     report = evaluate(best, splits[eval_split])
     _write_report(out, report)
     print(f"trained {len(history)} epochs; {eval_split} MAPE {report.mape:.2f}%, "
           f"MAE {report.mae:.1f}, RMSE {report.rmse:.1f} -> {out}")
-    Manifest(args, {**effective, "grid_side": grid_side, "eval_split": eval_split},
-             inputs=[str(args.data)]).write()
+    write_manifest(args, {**effective, "grid_side": grid_side, "eval_split": eval_split},
+                   inputs=[str(args.data)])
     return 0
 
 
@@ -267,68 +256,51 @@ def cmd_eval(args) -> int:
     _write_report(out, report)
     print(f"{args.split} MAPE {report.mape:.2f}%, MAE {report.mae:.1f}, "
           f"RMSE {report.rmse:.1f} -> {out}")
-    Manifest(args, {"split": args.split, "checkpoint": str(args.checkpoint)},
-             inputs=[str(args.checkpoint), str(args.data)]).write()
+    write_manifest(args, {"split": args.split, "checkpoint": str(args.checkpoint)},
+                   inputs=[str(args.checkpoint), str(args.data)])
     return 0
 
 
-def _write_sweep_csv(path: Path, cells: list[SweepCell]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        for c in cells:
-            writer.writerow([c.n_input_cycles, c.noi, _fmt_metric(c.mape),
-                             _fmt_metric(c.mae), _fmt_metric(c.rmse)])
+def _metric_row(first, second, cell) -> list:
+    return [first, second, _fmt_metric(cell.mape), _fmt_metric(cell.mae), _fmt_metric(cell.rmse)]
 
 
 def cmd_sweep_noi(args) -> int:
     out = _out_dir(args)
+    effective = _merge_config(args)
     records = load_canonical_dataset(args.data)
-    cycles = _parse_int_list(args.cycles)
-    for c in cycles:
-        if c not in VALID_INPUT_CYCLES:
-            raise ValueError(f"cycles values must be in {VALID_INPUT_CYCLES}, got {c}")
-    nois = _parse_int_range(args.noi)
-    flags = {k: getattr(args, k, None) for k in TRAIN_DEFAULTS if k != "noi"}
-    effective = _merge_config(TRAIN_DEFAULTS, args.config, flags)
-    effective["noi"] = 0  # placeholder; the grid supplies per-cell values
     model_config, train_config = _train_configs(effective, args.seed, args.grid)
-    cells = noi_sweep(records, cycles, nois, args.grid, train_config, args.seed,
+    cells = noi_sweep(records, args.cycles, args.nois, args.grid, train_config, args.seed,
                       jobs=args.jobs, model_config=model_config)
-    _write_sweep_csv(out / "sweep.csv", cells)
+    _write_csv(out / "sweep.csv", SWEEP_HEADER,
+               (_metric_row(c.n_input_cycles, c.noi, c) for c in cells))
     for c in cells:
         print(f"cycles {c.n_input_cycles} blocks {c.noi}: MAPE {_fmt_metric(c.mape)}")
-    Manifest(args, {**effective, "cycles": cycles, "noi": nois, "grid": args.grid,
-                    "cell_seeds": [c.seed for c in cells]},
-             inputs=[str(args.data)]).write()
+    write_manifest(args, {**effective, "cycles": args.cycles, "noi": args.nois,
+                          "grid": args.grid, "cell_seeds": [c.seed for c in cells]},
+                   inputs=[str(args.data)])
     return 0
 
 
 def cmd_ablate(args) -> int:
     out = _out_dir(args)
+    effective = _merge_config(args)
     records = load_canonical_dataset(args.data)
-    flags = {k: getattr(args, k, None) for k in TRAIN_DEFAULTS}
-    effective = _merge_config(TRAIN_DEFAULTS, args.config, flags)
     model_config, train_config = _train_configs(effective, args.seed, args.grid)
     cells = run_sweep_window(
         records, args.cycles,
-        [(int(effective["noi"]), args.seed + 1000 * i, ABLATE_FLAGS[label])
+        [replace(model_config, seed=args.seed + 1000 * i, detach=ABLATE_FLAGS[label])
          for i, label in enumerate(ABLATE_ROWS)],
-        args.grid, train_config, model_config=model_config,
+        train_config,
     )
-    rows = list(zip(ABLATE_ROWS, cells))
-    for label, cell in rows:
+    for label, cell in zip(ABLATE_ROWS, cells):
         print(f"{label}: MAPE {_fmt_metric(cell.mape)}"
               + (f" ({cell.error})" if cell.error else ""))
-    with open(out / "ablate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ABLATE_HEADER)
-        for label, cell in rows:
-            writer.writerow([args.cycles, label, _fmt_metric(cell.mape),
-                             _fmt_metric(cell.mae), _fmt_metric(cell.rmse)])
-    Manifest(args, {**effective, "cycles": args.cycles, "grid": args.grid, "rows": ABLATE_ROWS,
-                    "cell_seeds": [c.seed for c in cells]},
-             inputs=[str(args.data)]).write()
+    _write_csv(out / "ablate.csv", ABLATE_HEADER,
+               (_metric_row(args.cycles, label, c) for label, c in zip(ABLATE_ROWS, cells)))
+    write_manifest(args, {**effective, "cycles": args.cycles, "grid": args.grid,
+                          "rows": ABLATE_ROWS, "cell_seeds": [c.seed for c in cells]},
+                   inputs=[str(args.data)])
     return 0
 
 
@@ -341,39 +313,27 @@ def cmd_hyperopt(args) -> int:
                                           seed=seeds["split"])
     fit_set, val_set = holdout_by_battery(train_set, 0.2, seeds["split"])
 
+    def configs(point: dict) -> tuple[FpnnConfig, TrainConfig]:
+        settings = {**point, "epochs": args.epochs, "patience": args.patience}
+        return _train_configs(settings, args.seed, args.grid)
+
     def objective(point: dict) -> float:
-        config = FpnnConfig(noi=int(point["noi"]), grid_side=args.grid,
-                            alpha=float(point["alpha"]), seed=seeds["init"])
-        tc = TrainConfig(
-            epochs=args.epochs, batch_size=int(point["batch_size"]),
-            learning_rate=float(point["learning_rate"]),
-            weight_decay=float(point["weight_decay"]),
-            patience=args.patience, seed=seeds["shuffle"],
-        )
-        best, _ = train(build_model(config), fit_set, val_set, tc)
+        model_config, train_config = configs(point)
+        best, _ = train(build_model(model_config), fit_set, val_set, train_config)
         return evaluate(best, val_set).mape
 
     best_trial, trials = bayes_optimize(objective, space, args.budget, seeds["bo"])
-    with open(out / "trials.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIALS_HEADER)
-        for i, t in enumerate(trials):
-            writer.writerow([i, json.dumps(t.point, sort_keys=True),
-                             _fmt_metric(t.objective), t.status])
-    best_config = {
-        "noi": int(best_trial.point["noi"]),
-        "alpha": float(best_trial.point["alpha"]),
-        "learning_rate": float(best_trial.point["learning_rate"]),
-        "batch_size": int(best_trial.point["batch_size"]),
-        "weight_decay": float(best_trial.point["weight_decay"]),
-        "epochs": args.epochs,
-        "patience": args.patience,
-    }
+    _write_csv(out / "trials.csv", TRIALS_HEADER,
+               ([i, json.dumps(t.point, sort_keys=True), _fmt_metric(t.objective), t.status]
+                for i, t in enumerate(trials)))
+    model_config, train_config = configs(best_trial.point)
+    best_config = {k: getattr(model_config if k in MODEL_KEYS else train_config, k)
+                   for k in TRAIN_DEFAULTS}
     (out / "best_config.json").write_text(json.dumps(best_config, indent=2, sort_keys=True))
     print(f"best validation MAPE {best_trial.objective:.2f}% at {best_trial.point}")
-    Manifest(args, {"budget": args.budget, "cycles": args.cycles, "grid": args.grid,
-                    "epochs": args.epochs},
-             inputs=[str(args.data)]).write()
+    write_manifest(args, {"budget": args.budget, "cycles": args.cycles, "grid": args.grid,
+                          "epochs": args.epochs},
+                   inputs=[str(args.data)])
     return 0
 
 
@@ -382,15 +342,13 @@ def cmd_export_weights(args) -> int:
     params = load_checkpoint(args.checkpoint)
     matrices = export_block_weights(params, args.block, args.stream)
     for name, mat in matrices.items():
-        with open(out / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"in_{j}" for j in range(mat.shape[1])])
-            for row in mat:
-                writer.writerow([repr(float(v)) for v in row])
+        _write_csv(out / f"{name}.csv", [f"in_{j}" for j in range(mat.shape[1])],
+                   ([repr(float(v)) for v in row] for row in mat))
     print(f"exported {len(matrices)} weight matrices for block {args.block} "
           f"({args.stream} stream) -> {out}")
-    Manifest(args, {"block": args.block, "stream": args.stream, "matrices": sorted(matrices)},
-             inputs=[str(args.checkpoint)]).write()
+    write_manifest(args, {"block": args.block, "stream": args.stream,
+                          "matrices": sorted(matrices)},
+                   inputs=[str(args.checkpoint)])
     return 0
 
 
@@ -399,16 +357,24 @@ def cmd_export_weights(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x != ""]
+    return [int(x) for x in text.split(",") if x != ""]
 
 
-def _parse_int_range(text: str) -> list[int]:
+def _input_windows(text: str) -> list[int]:
+    windows = _parse_int_list(text)
+    if not windows or any(c not in VALID_INPUT_CYCLES for c in windows):
+        raise argparse.ArgumentTypeError(
+            f"input windows must be in {VALID_INPUT_CYCLES}, got {text!r}")
+    return windows
+
+
+def _unit_counts(text: str) -> list[int]:
     """'0-2' -> [0, 1, 2]; '1,3' -> [1, 3]; '2' -> [2]."""
-    text = str(text)
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return _parse_int_list(text)
+    lo, dash, hi = text.partition("-")
+    nois = list(range(int(lo), int(hi) + 1)) if dash else _parse_int_list(text)
+    if not nois or any(not 0 <= n <= MAX_NOI for n in nois):
+        raise argparse.ArgumentTypeError(f"unit counts must lie in 0..{MAX_NOI}, got {text!r}")
+    return nois
 
 
 def _add_train_flags(p: argparse.ArgumentParser, include_noi: bool = True) -> None:
@@ -464,9 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-noi", help="grid over input windows and unit counts")
     p.add_argument("--data", required=True)
-    p.add_argument("--cycles", default="10,20,30,40",
+    p.add_argument("--cycles", type=_input_windows, default="10,20,30,40",
                    help="comma-separated input windows (e.g. 10,20)")
-    p.add_argument("--noi", default="0-4", help="unit-count range (e.g. 0-2 or 1,3)")
+    p.add_argument("--noi", dest="nois", type=_unit_counts, default="0-4",
+                   help="unit-count range (e.g. 0-2 or 1,3)")
     p.add_argument("--grid", type=int, default=32)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes, one input window each; every worker "

@@ -278,12 +278,6 @@ def ei_value(mean, sigma, best):
     return float(out[0]) if scalar else out
 
 
-def expected_improvement(surrogate: GpSurrogate, x, best_so_far: float) -> float:
-    """EI of a single point under the surrogate (minimization)."""
-    mean, var = gp_predict(surrogate, np.asarray(x, dtype=float))
-    return float(ei_value(np.asarray(mean), np.sqrt(np.asarray(var)), best_so_far))
-
-
 # ---------------------------------------------------------------------------
 # optimization loop
 # ---------------------------------------------------------------------------

@@ -129,26 +129,20 @@ class FpnnConfig:
         return (in_width, *self.head_hidden, 1)
 
     def to_dict(self) -> dict:
-        return {
-            "noi": self.noi,
-            "grid_side": self.grid_side,
-            "sample_depth": self.sample_depth,
-            "alpha": self.alpha,
-            "head_hidden": list(self.head_hidden),
-            "detach": asdict(self.detach),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FpnnConfig":
+        """Inverse of :meth:`to_dict`; a missing optional key takes its field
+        default, and keys that are not fields are ignored."""
         return cls(
             noi=int(d["noi"]),
             grid_side=int(d["grid_side"]),
-            sample_depth=int(d.get("sample_depth", 4)),
+            sample_depth=int(d.get("sample_depth", cls.sample_depth)),
             alpha=float(d["alpha"]),
-            head_hidden=tuple(int(h) for h in d.get("head_hidden", (64,))),
+            head_hidden=tuple(int(h) for h in d.get("head_hidden", cls.head_hidden)),
             detach=DetachFlags(**d.get("detach", {})),
-            seed=int(d.get("seed", 0)),
+            seed=int(d.get("seed", cls.seed)),
         )
 
 

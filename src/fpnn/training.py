@@ -4,14 +4,13 @@ Loss is mean squared error on raw cycle labels (labels are never scaled).
 Optimization is Adam with optional L2 weight decay added to the gradient.
 The loop shuffles with a seeded generator, tracks validation MAPE each
 epoch, keeps the best-validation parameter snapshot, and stops early after
-``patience`` non-improving epochs. The depth sweep preprocesses each input
-window once and trains and scores one model per (input window, unit count)
-cell on the same loop.
+``patience`` non-improving epochs. A sweep cell is a full ``FpnnConfig``:
+the depth sweep and the ablation preprocess each input window once and
+train and score one model per cell config on the same loop.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -255,21 +254,14 @@ def train(
     return best_params, history
 
 
-def save_history(path: str | Path, history: list[EpochRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_mape"])
-        for rec in history:
-            writer.writerow([rec.epoch, repr(rec.train_loss), repr(rec.val_mape)])
-
-
 # ---------------------------------------------------------------------------
 # depth sweep
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SweepCell:
-    """One (input window, unit count) grid cell of the depth sweep."""
+    """One cell of a depth sweep or ablation: its input window, unit count
+    and seed, and its test metrics (NaN, with the error, if it failed)."""
 
     n_input_cycles: int
     noi: int
@@ -280,23 +272,21 @@ class SweepCell:
     error: str = ""
 
 
-def run_sweep_cell(train_set: SampleSet, test_set: SampleSet, n_input_cycles: int, noi: int,
-                   grid_side: int, train_config: TrainConfig, cell_seed: int,
-                   detach=None, *, model_config: FpnnConfig | None = None) -> SweepCell:
-    """Train and evaluate one grid cell on its window's preprocessed splits;
-    failures land in the cell, they never propagate.
+def run_sweep_cell(train_set: SampleSet, test_set: SampleSet, n_input_cycles: int,
+                   model_config: FpnnConfig, train_config: TrainConfig) -> SweepCell:
+    """Train the model ``model_config`` describes on its window's
+    preprocessed splits and score it on the test split; failures land in
+    the cell, they never propagate.
 
-    The cell's model is ``model_config`` (default ``FpnnConfig()``) with the
-    cell's ``noi``, ``grid_side``, seed and, unless None, detach flags.
+    The cell's seed is ``model_config.seed``: it initialises the model,
+    holds out the validation batteries and shuffles the batches.
     """
-    cell = SweepCell(n_input_cycles, noi, cell_seed)
+    seed = model_config.seed
+    cell = SweepCell(n_input_cycles, model_config.noi, seed)
     try:
-        fit_set, val_set = holdout_by_battery(train_set, 0.2, cell_seed)
-        base = model_config or FpnnConfig()
-        config = replace(base, noi=noi, grid_side=grid_side, seed=cell_seed,
-                         detach=base.detach if detach is None else detach)
-        best, _ = train(build_model(config), fit_set, val_set,
-                        replace(train_config, seed=cell_seed))
+        fit_set, val_set = holdout_by_battery(train_set, 0.2, seed)
+        best, _ = train(build_model(model_config), fit_set, val_set,
+                        replace(train_config, seed=seed))
         report = evaluate(best, test_set)
         cell.mape, cell.mae, cell.rmse = report.mape, report.mae, report.rmse
     except Exception as exc:  # noqa: BLE001 - recorded as a NaN row
@@ -304,50 +294,48 @@ def run_sweep_cell(train_set: SampleSet, test_set: SampleSet, n_input_cycles: in
     return cell
 
 
-def run_sweep_window(records, n_input_cycles: int, cells, grid_side: int,
-                     train_config: TrainConfig, *,
-                     model_config: FpnnConfig | None = None) -> list[SweepCell]:
-    """Preprocess one input window once, then train and score each of its
-    cells, given as (noi, cell seed, detach flags or None), on the result.
+def run_sweep_window(records, n_input_cycles: int, model_configs: list[FpnnConfig],
+                     train_config: TrainConfig) -> list[SweepCell]:
+    """Preprocess one input window once, at the grid side its cells'
+    configs share, then train and score one cell per config on the result.
 
     The fleet is split with ``train_config.seed``. If preprocessing fails,
     every cell of the window becomes a NaN row carrying the error.
     """
+    grid_sides = {config.grid_side for config in model_configs}
+    if len(grid_sides) != 1:
+        raise ValueError(f"a window's cells need one grid side, got {sorted(grid_sides)}")
     try:
         train_set, test_set, _, _ = preprocess_fleet(
-            records, n_input_cycles, grid_side=grid_side, seed=train_config.seed
+            records, n_input_cycles, grid_side=grid_sides.pop(), seed=train_config.seed
         )
     except Exception as exc:  # noqa: BLE001 - recorded as NaN rows
-        return [SweepCell(n_input_cycles, noi, cell_seed, error=str(exc))
-                for noi, cell_seed, _ in cells]
-    return [run_sweep_cell(train_set, test_set, n_input_cycles, noi, grid_side, train_config,
-                           cell_seed, detach, model_config=model_config)
-            for noi, cell_seed, detach in cells]
+        return [SweepCell(n_input_cycles, c.noi, c.seed, error=str(exc)) for c in model_configs]
+    return [run_sweep_cell(train_set, test_set, n_input_cycles, c, train_config)
+            for c in model_configs]
 
 
 def noi_sweep(records, cycles_values, noi_values, grid_side: int, train_config: TrainConfig,
               seed: int, jobs: int = 1, *,
-              model_config: FpnnConfig | None = None) -> list[SweepCell]:
-    """Grid of (input window, unit count) cells with everything else held
-    fixed, returned window-major. Each window is preprocessed once and its
-    cells trained on the result (``run_sweep_window``); with ``jobs`` > 1
-    the windows run in worker processes, which receive the records once per
-    window. Per-cell seeds are the base seed plus a fixed 1000 * index
-    offset. Failed cells become NaN rows. ``model_config`` gives every
-    cell's model all but its per-cell fields (see ``run_sweep_cell``)."""
+              model_config: FpnnConfig = FpnnConfig()) -> list[SweepCell]:
+    """Grid of (input window, unit count) cells, returned window-major.
+    Each cell is ``model_config`` with its ``noi``, ``grid_side`` and seed
+    (the base seed plus a fixed 1000 * index offset) replaced. Each window
+    runs through ``run_sweep_window``; with ``jobs`` > 1 the windows run in
+    worker processes, which receive the records once per window."""
     windows = list(cycles_values)
     if not windows or not noi_values:
         raise ValueError("empty sweep grid")
-    cells = [[(noi, seed + 1000 * (w * len(noi_values) + j), None)
-              for j, noi in enumerate(noi_values)]
-             for w in range(len(windows))]
-    run = partial(run_sweep_window, records, grid_side=grid_side, train_config=train_config,
-                  model_config=model_config)
+    configs = [[replace(model_config, noi=noi, grid_side=grid_side,
+                        seed=seed + 1000 * (w * len(noi_values) + j))
+                for j, noi in enumerate(noi_values)]
+               for w in range(len(windows))]
+    run = partial(run_sweep_window, records, train_config=train_config)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(windows))) as pool:
-            rows = list(pool.map(run, windows, cells))
+            rows = list(pool.map(run, windows, configs))
     else:
-        rows = list(map(run, windows, cells))
+        rows = list(map(run, windows, configs))
     return [cell for row in rows for cell in row]
 
 

@@ -2,10 +2,11 @@
 train -> eval -> export-weights chain reproduces every artifact checksum
 under the same seed, errors exit 1 with one line, the manifest clock
 covers the command's work and the manifest records the numeric
-environment, sweep-noi and ablate write one CSV row per cell with the cell
-seeds in the manifest and build each cell's model from the command's model
-options, and hyperopt writes its trials and best config
-reproducibly."""
+environment, a config file with an unknown key and a sweep grid out of
+range are rejected before any work, sweep-noi and ablate write one CSV row
+per cell with the cell seeds in the manifest and build each cell's model
+from the command's model options, and hyperopt writes its trials and a
+best config that train accepts, reproducibly."""
 
 import json
 import time
@@ -23,7 +24,7 @@ def run(*argv):
 
 
 def manifest(out):
-    return json.loads((out / cli.Manifest.FILENAME).read_text())
+    return json.loads((out / cli.MANIFEST_FILENAME).read_text())
 
 
 COMMANDS = {"fleet": "gen", "archive": "preprocess", "train": "train", "eval": "eval",
@@ -71,6 +72,21 @@ class TestEndToEnd:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("command", ["train", "sweep-noi", "ablate"])
+    def test_unknown_key_is_one_error_line_naming_it(self, tmp_path, capsys, command):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"learning_rat": 0.5, "alpha": 0.2}))
+        out = tmp_path / "out"
+        code = cli.main([command, "--data", str(tmp_path / "none"), "--config", str(config_file),
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "learning_rat" in err
+        assert not (out / cli.MANIFEST_FILENAME).exists()
+
+
 class TestManifestClock:
     def test_wall_clock_covers_the_command(self, tmp_path, monkeypatch):
         dirs = chain(tmp_path)
@@ -114,6 +130,17 @@ class TestSweepCommands:
         assert [r[1] for r in rows[1:]] == cli.ABLATE_ROWS
         assert all(r[0] == "10" and r[2] != "NaN" for r in rows[1:])
         assert manifest(tmp_path)["config"]["cell_seeds"] == [9 + 1000 * i for i in range(5)]
+
+    @pytest.mark.parametrize("flag,value", [("--noi", "9"), ("--noi", "0-9"), ("--noi", "-1"),
+                                            ("--cycles", "10,15")])
+    def test_out_of_range_grid_rejected_when_parsed(self, fleet, tmp_path, capsys, flag,
+                                                    value):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["sweep-noi", "--data", str(fleet), f"{flag}={value}", "--grid", "8",
+                      "--epochs", "1", "--batch-size", "4", "--out", str(tmp_path)])
+        assert exit_info.value.code != 0
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command,grid_args,n_cells", [
         ("sweep-noi", ("--cycles", "10,20", "--noi", "0-1"), 4),
@@ -164,3 +191,9 @@ class TestHyperopt:
         doc = manifest(outs[0])
         assert set(doc["outputs"]) == {"trials.csv", "best_config.json"}
         assert doc["outputs"] == manifest(outs[1])["outputs"]
+
+        run("preprocess", "--data", fleet, "--cycles", 10, "--grid", 8, "--out", tmp_path / "arc")
+        run("train", "--data", tmp_path / "arc", "--config", outs[0] / "best_config.json",
+            "--batch-size", 4, "--out", tmp_path / "train")
+        assert manifest(tmp_path / "train")["config"] == {
+            **best, "batch_size": 4, "grid_side": 8, "eval_split": "test"}

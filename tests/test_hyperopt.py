@@ -163,7 +163,8 @@ class TestExpectedImprovement:
         x = np.array([[0.2], [0.9]])
         surr = H.gp_fit(x, np.array([5.0, 1.0]),
                         H.KernelParams(np.array([0.3]), 1.0, 1e-6))
-        assert H.expected_improvement(surr, np.array([0.5]), 1.0) >= 0.0
+        mean, var = H.gp_predict(surr, np.array([[0.5]]))
+        assert H.ei_value(mean, np.sqrt(var), 1.0)[0] >= 0.0
 
 
 class TestBayesOptimize:

@@ -2,6 +2,8 @@
 table and checkpoint names, detach behavior, residual identity, weight
 export, and full-model gradients."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,24 @@ STREAM_TENSORS = [
     "block0.b4.conv.w", "block0.b4.conv.b", "block0.b4.conv.bn.scale", "block0.b4.conv.bn.shift",
     "block0.proj.w",
 ]
+
+
+class TestConfigDict:
+    def test_missing_keys_take_the_defaults(self):
+        config = M.FpnnConfig.from_dict({"noi": 2, "grid_side": 16, "alpha": 0.1,
+                                         "detach": {"residual": True}})
+        assert config == M.FpnnConfig(noi=2, grid_side=16, alpha=0.1,
+                                      detach=M.DetachFlags(residual=True))
+        assert (config.sample_depth, config.head_hidden, config.seed) == (4, (64,), 0)
+
+    def test_checkpoint_bytes_pinned(self):
+        config = M.FpnnConfig(noi=2, grid_side=16, alpha=0.1, head_hidden=(8, 4),
+                              detach=M.DetachFlags(conv3d=True, residual=True), seed=7)
+        assert json.dumps(config.to_dict(), sort_keys=True) == (
+            '{"alpha": 0.1, "detach": {"conv3d": true, "diff_branch": false, '
+            '"initial_layers": false, "residual": true}, "grid_side": 16, '
+            '"head_hidden": [8, 4], "noi": 2, "sample_depth": 4, "seed": 7}')
+        assert M.FpnnConfig.from_dict(config.to_dict()) == config
 
 
 class TestLayerTable:

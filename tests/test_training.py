@@ -363,8 +363,8 @@ class TestSweep:
         train_set, test_set, _, _ = preprocess_fleet(sweep_fleet, 10, grid_side=8, seed=5)
         one_battery = train_set.subset(
             [i for i, b in enumerate(train_set.battery_ids) if b == train_set.battery_ids[0]])
-        cell = T.run_sweep_cell(one_battery, test_set, 10, 1, 8, T.TrainConfig(epochs=1),
-                                cell_seed=42)
+        cell = T.run_sweep_cell(one_battery, test_set, 10,
+                                FpnnConfig(noi=1, grid_side=8, seed=42), T.TrainConfig(epochs=1))
         assert (cell.n_input_cycles, cell.noi, cell.seed) == (10, 1, 42)
         assert np.isnan([cell.mape, cell.mae, cell.rmse]).all()
         assert "need at least 2 batteries to hold one out" in cell.error
@@ -380,6 +380,11 @@ class TestSweep:
             T.noi_sweep(short_fleet(), [], [0], 8, T.TrainConfig(epochs=1), seed=0)
         with pytest.raises(ValueError):
             T.noi_sweep(short_fleet(), [10], [], 8, T.TrainConfig(epochs=1), seed=0)
+
+    def test_window_cells_share_one_grid_side(self):
+        configs = [FpnnConfig(grid_side=8), FpnnConfig(grid_side=16)]
+        with pytest.raises(ValueError, match="one grid side"):
+            T.run_sweep_window(short_fleet(), 10, configs, T.TrainConfig(epochs=1))
 
     def test_preprocesses_once_per_window(self, sweep_fleet, monkeypatch):
         windows = count_preprocessing(monkeypatch)
