@@ -2,23 +2,28 @@
 evaluation, depth sweeps, ablations, hyperparameter search, weight export.
 
 Commands: ``gen, preprocess, train, eval, sweep-noi, ablate, hyperopt,
-export-weights``. Every run writes exactly one ``run_manifest.json`` next to
-its outputs recording the effective configuration, named sub-seeds, input
-paths, wall clock, the numeric environment (python, numpy, scipy and BLAS
-versions, BLAS thread variables, stream threads) and a sha256 per artifact,
-so identical inputs and seed reproduce identical checksums.
+export-weights``. :func:`main` is the one runner: it makes the out dir, runs
+``cmd_*(args, out)``, which writes the artifacts, then writes the single
+``run_manifest.json``; a failing command exits 1 with one ``error:`` line
+and no manifest. The manifest's ``config`` is every parsed argument but
+``--out``, ``--seed`` and the input files, plus the dict the command
+returns: for ``train``, ``sweep-noi`` and ``ablate`` every field of the
+configs built but their seeds and a field set per cell (``sweep-noi`` has
+``nois``, ``ablate`` ``rows``, both ``cell_seeds``). ``inputs`` lists the
+``--checkpoint``, ``--data`` and ``--config`` paths given. It also records
+the sub-seeds, wall clock, numeric environment (python, numpy, scipy and
+BLAS versions, BLAS thread variables, stream threads) and a sha256 per
+artifact, so identical inputs and seed reproduce identical checksums.
 
 Config precedence: CLI flags > ``--config`` JSON file > the field defaults
 of ``FpnnConfig`` and ``TrainConfig``. A config file may set ``noi``,
 ``alpha``, ``head_hidden``, ``detach`` and the ``TrainConfig`` fields but
-``seed``; any other key is rejected by name. Only ``_train_configs`` turns
-settings into configs, in every command, so ``hyperopt``'s
-``best_config.json`` is a valid ``--config`` file. ``sweep-noi`` rejects
-unit counts outside ``0..MAX_NOI`` and windows outside
-``VALID_INPUT_CYCLES`` while parsing its arguments. All randomness flows
-from one ``--seed`` through fixed named offsets (split +1, init +2,
-shuffle +3, bayesian search +4). ``FPNN_LOG`` selects error|info|debug
-logging.
+``seed``; an unknown key or a mistyped value is rejected by name before
+any data is read. Only ``_train_configs`` turns settings into configs, so
+``hyperopt``'s ``best_config.json`` is a valid ``--config`` file. Counts,
+grids and windows out of range are rejected while parsing. All randomness
+flows from one ``--seed`` through fixed named offsets (split +1, init +2,
+shuffle +3, bayesian search +4). ``FPNN_LOG`` selects error|info|debug.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +72,7 @@ SEED_OFFSETS = {"split": 1, "init": 2, "shuffle": 3, "bo": 4}
 
 SWEEP_HEADER = ["dataset", "blocks", "mape", "mae", "rmse"]
 ABLATE_HEADER = ["dataset", "detach", "mape", "mae", "rmse"]
-ABLATE_ROWS = ["Initial layers", "3D conv", "Residual", "A branch", "No detach"]
-ABLATE_FLAGS = {
+ABLATE_FLAGS = {  # row label -> the component that row detaches
     "Initial layers": DetachFlags(initial_layers=True),
     "3D conv": DetachFlags(conv3d=True),
     "Residual": DetachFlags(residual=True),
@@ -77,12 +81,14 @@ ABLATE_FLAGS = {
 }
 TRIALS_HEADER = ["trial", "point_json", "objective", "status"]
 MANIFEST_FILENAME = "run_manifest.json"
+INPUT_ARGS = ("checkpoint", "data", "config")  # the manifest's inputs, not its config
 
 # What every training command records: settings at the configs' field defaults
 MODEL_KEYS = ("noi", "alpha")
 TRAIN_DEFAULTS = {**{k: getattr(FpnnConfig, k) for k in MODEL_KEYS},
                   **{f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}}
 CONFIG_KEYS = {*TRAIN_DEFAULTS, "head_hidden", "detach"}
+DETACH_KEYS = [f.name for f in fields(DetachFlags)]
 
 
 def _setup_logging() -> None:
@@ -114,33 +120,50 @@ def _numeric_environment() -> dict:
     }
 
 
-def write_manifest(args, config: dict, inputs: list[str]) -> Path:
+def write_manifest(args, recorded: dict, started: float) -> None:
     """Write the run's single run_manifest.json into ``args.out``, hashing
-    every other file there. The wall clock runs from ``args.started``, which
-    :func:`main` stamps before the command starts its work."""
+    every other file there; ``recorded`` updates the parsed arguments in
+    ``config``, and the wall clock runs from ``started``."""
     out_dir = Path(args.out)
     outputs = {str(path.relative_to(out_dir)): sha256_file(path)
                for path in sorted(out_dir.rglob("*"))
                if path.is_file() and path.name != MANIFEST_FILENAME}
+    unrecorded = {"command", "func", "out", "seed", *INPUT_ARGS}
     doc = {
         "command": args.command,
-        "config": config,
+        "config": {**{k: v for k, v in vars(args).items() if k not in unrecorded},
+                   **recorded},
         "seed": args.seed,
         "sub_seeds": _sub_seeds(args.seed),
-        "inputs": inputs,
+        "inputs": [str(path) for k in INPUT_ARGS if (path := getattr(args, k, None))],
         "outputs": outputs,
-        "wall_clock_s": round(time.perf_counter() - args.started, 3),
+        "wall_clock_s": round(time.perf_counter() - started, 3),
         "version": __version__,
         "environment": _numeric_environment(),
     }
-    path = out_dir / MANIFEST_FILENAME
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
-    return path
+    (out_dir / MANIFEST_FILENAME).write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _check_config_value(path: str, key: str, value) -> None:
+    """Raise unless ``value`` from config file ``path`` is what ``key`` takes."""
+    if key == "head_hidden":
+        ok = isinstance(value, list) and value and all(type(h) is int and h > 0 for h in value)
+        wanted = "a nonempty list of positive ints"
+    elif key == "detach":
+        ok = (isinstance(value, dict) and set(value) <= set(DETACH_KEYS)
+              and all(type(flag) is bool for flag in value.values()))
+        wanted = f"an object mapping some of {', '.join(DETACH_KEYS)} to bools"
+    elif type(TRAIN_DEFAULTS[key]) is int:
+        ok, wanted = type(value) is int, "an int"
+    else:
+        ok, wanted = type(value) in (int, float), "a number"
+    if not ok:
+        raise ValueError(f"{path}: {key} must be {wanted}, got {json.dumps(value)}")
 
 
 def _merge_config(args) -> dict:
     """Flags > ``--config`` file > ``TRAIN_DEFAULTS``; a file key outside
-    ``CONFIG_KEYS`` is an error."""
+    ``CONFIG_KEYS`` or a file value of the wrong type is an error."""
     merged = dict(TRAIN_DEFAULTS)
     if args.config:
         doc = json.loads(Path(args.config).read_text())
@@ -148,6 +171,8 @@ def _merge_config(args) -> dict:
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {', '.join(unknown)} "
                              f"(known: {', '.join(sorted(CONFIG_KEYS))})")
+        for key, value in doc.items():
+            _check_config_value(args.config, key, value)
         merged.update(doc)
     merged.update({k: v for k in TRAIN_DEFAULTS if (v := getattr(args, k, None)) is not None})
     return merged
@@ -165,6 +190,12 @@ def _train_configs(settings: dict, seed: int, grid_side: int) -> tuple[FpnnConfi
     return model_config, train_config
 
 
+def _built_fields(*configs, per_cell: str | None = None) -> dict:
+    """The fields of the configs a command built but their seeds (in
+    ``sub_seeds``) and ``per_cell``, a field the command sets per cell."""
+    return {k: v for c in configs for k, v in asdict(c).items() if k not in ("seed", per_cell)}
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -178,29 +209,20 @@ def _write_report(out: Path, report) -> None:
                ([i, repr(float(r))] for i, r in enumerate(report.residuals)))
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns what its manifest records beyond the parsed arguments
 # ---------------------------------------------------------------------------
 
-def cmd_gen(args) -> int:
-    out = _out_dir(args)
+def cmd_gen(args, out: Path) -> dict:
     records = generate_fleet(args.n, seed=args.seed,
                              life_range=(args.life_min, args.life_max), out_dir=out)
     lives = sorted(r.life for r in records)
     print(f"generated {len(records)} batteries -> {out}")
     print(f"life cycles: min {lives[0]}, median {lives[len(lives) // 2]}, max {lives[-1]}")
-    write_manifest(args, {"n": args.n, "life_range": [args.life_min, args.life_max]}, inputs=[])
-    return 0
+    return {}
 
 
-def cmd_preprocess(args) -> int:
-    out = _out_dir(args)
+def cmd_preprocess(args, out: Path) -> dict:
     records = load_canonical_dataset(args.data)
     if not records:
         raise ValueError(f"no batteries found under {args.data}")
@@ -212,20 +234,16 @@ def cmd_preprocess(args) -> int:
                         args.cycles, args.grid, args.seed)
     print(f"preprocessed {len(records)} batteries: "
           f"{len(train_set)} train / {len(test_set)} test samples -> {out}")
-    write_manifest(args, {"cycles": args.cycles, "grid": args.grid,
-                          "train_batteries": len(train_ids), "test_batteries": len(test_ids)},
-                   inputs=[str(args.data)])
-    return 0
+    return {"train_batteries": len(train_ids), "test_batteries": len(test_ids)}
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
+def cmd_train(args, out: Path) -> dict:
     effective = _merge_config(args)
     splits, _, manifest_doc = load_sample_archive(args.data)
     if "train" not in splits:
         raise ValueError(f"archive {args.data} has no train split")
-    grid_side = int(manifest_doc["grid_side"])
-    model_config, train_config = _train_configs(effective, args.seed, grid_side)
+    model_config, train_config = _train_configs(effective, args.seed,
+                                                int(manifest_doc["grid_side"]))
 
     seeds = _sub_seeds(args.seed)
     fit_set, val_set = holdout_by_battery(splits["train"], 0.2, seeds["split"])
@@ -241,13 +259,10 @@ def cmd_train(args) -> int:
     _write_report(out, report)
     print(f"trained {len(history)} epochs; {eval_split} MAPE {report.mape:.2f}%, "
           f"MAE {report.mae:.1f}, RMSE {report.rmse:.1f} -> {out}")
-    write_manifest(args, {**effective, "grid_side": grid_side, "eval_split": eval_split},
-                   inputs=[str(args.data)])
-    return 0
+    return {**_built_fields(model_config, train_config), "eval_split": eval_split}
 
 
-def cmd_eval(args) -> int:
-    out = _out_dir(args)
+def cmd_eval(args, out: Path) -> dict:
     params = load_checkpoint(args.checkpoint)
     splits, _, _ = load_sample_archive(args.data)
     if args.split not in splits:
@@ -256,17 +271,14 @@ def cmd_eval(args) -> int:
     _write_report(out, report)
     print(f"{args.split} MAPE {report.mape:.2f}%, MAE {report.mae:.1f}, "
           f"RMSE {report.rmse:.1f} -> {out}")
-    write_manifest(args, {"split": args.split, "checkpoint": str(args.checkpoint)},
-                   inputs=[str(args.checkpoint), str(args.data)])
-    return 0
+    return {}
 
 
 def _metric_row(first, second, cell) -> list:
     return [first, second, _fmt_metric(cell.mape), _fmt_metric(cell.mae), _fmt_metric(cell.rmse)]
 
 
-def cmd_sweep_noi(args) -> int:
-    out = _out_dir(args)
+def cmd_sweep_noi(args, out: Path) -> dict:
     effective = _merge_config(args)
     records = load_canonical_dataset(args.data)
     model_config, train_config = _train_configs(effective, args.seed, args.grid)
@@ -276,36 +288,30 @@ def cmd_sweep_noi(args) -> int:
                (_metric_row(c.n_input_cycles, c.noi, c) for c in cells))
     for c in cells:
         print(f"cycles {c.n_input_cycles} blocks {c.noi}: MAPE {_fmt_metric(c.mape)}")
-    write_manifest(args, {**effective, "cycles": args.cycles, "noi": args.nois,
-                          "grid": args.grid, "cell_seeds": [c.seed for c in cells]},
-                   inputs=[str(args.data)])
-    return 0
+    return {**_built_fields(model_config, train_config, per_cell="noi"),
+            "cell_seeds": [c.seed for c in cells]}
 
 
-def cmd_ablate(args) -> int:
-    out = _out_dir(args)
+def cmd_ablate(args, out: Path) -> dict:
     effective = _merge_config(args)
     records = load_canonical_dataset(args.data)
     model_config, train_config = _train_configs(effective, args.seed, args.grid)
     cells = run_sweep_window(
         records, args.cycles,
-        [replace(model_config, seed=args.seed + 1000 * i, detach=ABLATE_FLAGS[label])
-         for i, label in enumerate(ABLATE_ROWS)],
+        [replace(model_config, seed=args.seed + 1000 * i, detach=flags)
+         for i, flags in enumerate(ABLATE_FLAGS.values())],
         train_config,
     )
-    for label, cell in zip(ABLATE_ROWS, cells):
+    for label, cell in zip(ABLATE_FLAGS, cells):
         print(f"{label}: MAPE {_fmt_metric(cell.mape)}"
               + (f" ({cell.error})" if cell.error else ""))
     _write_csv(out / "ablate.csv", ABLATE_HEADER,
-               (_metric_row(args.cycles, label, c) for label, c in zip(ABLATE_ROWS, cells)))
-    write_manifest(args, {**effective, "cycles": args.cycles, "grid": args.grid,
-                          "rows": ABLATE_ROWS, "cell_seeds": [c.seed for c in cells]},
-                   inputs=[str(args.data)])
-    return 0
+               (_metric_row(args.cycles, label, c) for label, c in zip(ABLATE_FLAGS, cells)))
+    return {**_built_fields(model_config, train_config, per_cell="detach"),
+            "rows": list(ABLATE_FLAGS), "cell_seeds": [c.seed for c in cells]}
 
 
-def cmd_hyperopt(args) -> int:
-    out = _out_dir(args)
+def cmd_hyperopt(args, out: Path) -> dict:
     records = load_canonical_dataset(args.data)
     seeds = _sub_seeds(args.seed)
     space = default_search_space()
@@ -331,14 +337,10 @@ def cmd_hyperopt(args) -> int:
                    for k in TRAIN_DEFAULTS}
     (out / "best_config.json").write_text(json.dumps(best_config, indent=2, sort_keys=True))
     print(f"best validation MAPE {best_trial.objective:.2f}% at {best_trial.point}")
-    write_manifest(args, {"budget": args.budget, "cycles": args.cycles, "grid": args.grid,
-                          "epochs": args.epochs},
-                   inputs=[str(args.data)])
-    return 0
+    return {}
 
 
-def cmd_export_weights(args) -> int:
-    out = _out_dir(args)
+def cmd_export_weights(args, out: Path) -> dict:
     params = load_checkpoint(args.checkpoint)
     matrices = export_block_weights(params, args.block, args.stream)
     for name, mat in matrices.items():
@@ -346,10 +348,7 @@ def cmd_export_weights(args) -> int:
                    ([repr(float(v)) for v in row] for row in mat))
     print(f"exported {len(matrices)} weight matrices for block {args.block} "
           f"({args.stream} stream) -> {out}")
-    write_manifest(args, {"block": args.block, "stream": args.stream,
-                          "matrices": sorted(matrices)},
-                   inputs=[str(args.checkpoint)])
-    return 0
+    return {"matrices": sorted(matrices)}
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +376,15 @@ def _unit_counts(text: str) -> list[int]:
     return nois
 
 
+def _at_least(low: int):
+    """An argparse type: an int no smaller than ``low``."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _add_train_flags(p: argparse.ArgumentParser, include_noi: bool = True) -> None:
     p.add_argument("--config", help="JSON config file (flags override it)")
     if include_noi:
@@ -396,97 +404,76 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--seed", type=int, default=0)
+    shared.add_argument("--out", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic battery fleet")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    def command(name: str, func, summary: str, data: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[shared], help=summary)
+        p.set_defaults(func=func)
+        if data:
+            p.add_argument("--data", required=True)
+        return p
+
+    p = command("gen", cmd_gen, "generate a synthetic battery fleet", data=False)
+    p.add_argument("--n", type=_at_least(2), required=True)
     p.add_argument("--life-min", type=int, default=150)
     p.add_argument("--life-max", type=int, default=1200)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("preprocess", help="build sample archives from a fleet")
-    p.add_argument("--data", required=True)
+    p = command("preprocess", cmd_preprocess, "build sample archives from a fleet")
     p.add_argument("--cycles", type=int, required=True, choices=VALID_INPUT_CYCLES)
-    p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_preprocess)
+    p.add_argument("--grid", type=_at_least(2), default=32)
 
-    p = sub.add_parser("train", help="train a model on a sample archive")
-    p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
+    _add_train_flags(command("train", cmd_train, "train a model on a sample archive"))
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on an archive split")
+    p = command("eval", cmd_eval, "evaluate a checkpoint on an archive split")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep-noi", help="grid over input windows and unit counts")
-    p.add_argument("--data", required=True)
+    p = command("sweep-noi", cmd_sweep_noi, "grid over input windows and unit counts")
     p.add_argument("--cycles", type=_input_windows, default="10,20,30,40",
                    help="comma-separated input windows (e.g. 10,20)")
     p.add_argument("--noi", dest="nois", type=_unit_counts, default="0-4",
                    help="unit-count range (e.g. 0-2 or 1,3)")
-    p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--grid", type=_at_least(2), default=32)
+    p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="worker processes, one input window each; every worker "
                         "runs two threads, one per stream")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     _add_train_flags(p, include_noi=False)
-    p.set_defaults(func=cmd_sweep_noi)
 
-    p = sub.add_parser("ablate", help="detach one component at a time")
-    p.add_argument("--data", required=True)
+    p = command("ablate", cmd_ablate, "detach one component at a time")
     p.add_argument("--cycles", type=int, default=10, choices=VALID_INPUT_CYCLES)
-    p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--grid", type=_at_least(2), default=32)
     _add_train_flags(p)
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("hyperopt", help="bayesian search over hyperparameters")
-    p.add_argument("--data", required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p = command("hyperopt", cmd_hyperopt, "bayesian search over hyperparameters")
+    p.add_argument("--budget", type=_at_least(4), required=True)
     p.add_argument("--cycles", type=int, default=10, choices=VALID_INPUT_CYCLES)
-    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--grid", type=_at_least(2), default=32)
     p.add_argument("--epochs", type=int, default=60)
     p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_hyperopt)
 
-    p = sub.add_parser("export-weights", help="dump inception-unit kernels to CSV")
+    p = command("export-weights", cmd_export_weights, "dump inception-unit kernels to CSV",
+                data=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--block", type=int, default=0)
     p.add_argument("--stream", default="raw", choices=["raw", "diff"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_weights)
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse ``argv``, make the out dir, run the command, write its manifest."""
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "gen" and args.n < 2:
-        parser.error("--n must be at least 2")
-    if args.command == "hyperopt" and args.budget < 4:
-        parser.error("--budget must be at least 4")
-    args.started = time.perf_counter()
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        write_manifest(args, args.func(args, out), started)
     except Exception as exc:  # noqa: BLE001 - single-line machine-parsable error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

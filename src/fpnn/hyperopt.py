@@ -131,10 +131,9 @@ class GpSurrogate:
     x: np.ndarray  # [n, d] observed points
     y_mean: float
     y_std: float
-    y_standardized: np.ndarray  # [n]
     kernel: KernelParams
     chol: np.ndarray  # lower Cholesky factor of K + noise*I (+ jitter)
-    alpha: np.ndarray  # solve(K, y_standardized)
+    alpha: np.ndarray  # solve(K, standardized objectives)
     jitter: float
 
 
@@ -237,19 +236,16 @@ def gp_fit(points: np.ndarray, objectives: np.ndarray, kernel: KernelParams | No
     k_mat = _kernel_matrix(x, x, kernel) + kernel.noise_var * np.eye(len(x))
     chol, jitter = _cholesky_with_jitter(k_mat)
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, ys))
-    return GpSurrogate(x, y_mean, y_std, ys, kernel, chol, alpha, jitter)
+    return GpSurrogate(x, y_mean, y_std, kernel, chol, alpha, jitter)
 
 
-def gp_predict(surrogate: GpSurrogate, x) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance at one point [d] or a batch [m, d].
+def gp_predict(surrogate: GpSurrogate, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and variance at a batch of points [m, d].
 
     Variance is clamped at zero (numerical dust can dip to about -1e-12).
     """
-    q = np.atleast_2d(np.asarray(x, dtype=float))
-    if q.shape[1] != surrogate.x.shape[1]:
-        raise ValueError(
-            f"query dimension {q.shape[1]} != surrogate dimension {surrogate.x.shape[1]}"
-        )
+    if q.ndim != 2 or q.shape[1] != surrogate.x.shape[1]:
+        raise ValueError(f"query shape {q.shape} is not [m, {surrogate.x.shape[1]}]")
     k_star = _kernel_matrix(q, surrogate.x, surrogate.kernel)
     mean_std = k_star @ surrogate.alpha
     v = np.linalg.solve(surrogate.chol, k_star.T)
@@ -257,25 +253,21 @@ def gp_predict(surrogate: GpSurrogate, x) -> tuple[np.ndarray, np.ndarray]:
     var_std = np.maximum(var_std, 0.0)
     mean = surrogate.y_mean + surrogate.y_std * mean_std
     var = surrogate.y_std**2 * var_std
-    if np.ndim(x) == 1:
-        return float(mean[0]), float(var[0])
     return mean, var
 
 
-def ei_value(mean, sigma, best):
-    """Expected improvement for minimization; sigma == 0 collapses to
-    max(0, best - mean). Accepts scalars or equal-length arrays."""
-    scalar = np.ndim(mean) == 0 and np.ndim(sigma) == 0
-    mean_arr = np.atleast_1d(np.asarray(mean, dtype=float))
-    sigma_arr = np.broadcast_to(np.atleast_1d(np.asarray(sigma, dtype=float)), mean_arr.shape).copy()
-    if np.any(sigma_arr < 0):
+def ei_value(mean: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
+    """Expected improvement for minimization at equal-length arrays of
+    posterior means and standard deviations; sigma == 0 collapses to
+    max(0, best - mean)."""
+    if np.any(sigma < 0):
         raise ValueError("sigma must be nonnegative")
-    improve = best - mean_arr
+    improve = best - mean
     out = np.maximum(improve, 0.0)
-    pos = sigma_arr > 0
-    z = improve[pos] / sigma_arr[pos]
-    out[pos] = improve[pos] * ndtr(z) + sigma_arr[pos] * np.exp(-0.5 * z * z) / _SQRT_2PI
-    return float(out[0]) if scalar else out
+    pos = sigma > 0
+    z = improve[pos] / sigma[pos]
+    out[pos] = improve[pos] * ndtr(z) + sigma[pos] * np.exp(-0.5 * z * z) / _SQRT_2PI
+    return out
 
 
 # ---------------------------------------------------------------------------

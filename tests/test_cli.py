@@ -1,8 +1,9 @@
 """The command-line entry point end to end: a tiny gen -> preprocess ->
 train -> eval -> export-weights chain reproduces every artifact checksum
 under the same seed, errors exit 1 with one line, the manifest clock
-covers the command's work and the manifest records the numeric
-environment, a config file with an unknown key and a sweep grid out of
+covers the command's work, the manifest records the numeric environment,
+every parsed argument, the configs each command built and its input files,
+a config file with an unknown key or a mistyped value and arguments out of
 range are rejected before any work, sweep-noi and ablate write one CSV row
 per cell with the cell seeds in the manifest and build each cell's model
 from the command's model options, and hyperopt writes its trials and a
@@ -31,20 +32,26 @@ COMMANDS = {"fleet": "gen", "archive": "preprocess", "train": "train", "eval": "
             "weights": "export-weights"}  # out dir -> the command writing it
 
 
+def chain_argvs(root, seed=5):
+    """The tiny chain's command lines, each writing ``root / <out dir>``."""
+    dirs = {name: root / name for name in COMMANDS}
+    checkpoint = dirs["train"] / "checkpoint.fpt"
+    argvs = {
+        "fleet": ["gen", "--n", 6, "--life-min", 200, "--life-max", 700],
+        "archive": ["preprocess", "--data", dirs["fleet"], "--cycles", 10, "--grid", 8],
+        "train": ["train", "--data", dirs["archive"], "--epochs", 2, "--batch-size", 4],
+        "eval": ["eval", "--checkpoint", checkpoint, "--data", dirs["archive"]],
+        "weights": ["export-weights", "--checkpoint", checkpoint],
+    }
+    return {name: [str(a) for a in [*argv, "--seed", seed, "--out", dirs[name]]]
+            for name, argv in argvs.items()}
+
+
 def chain(root, seed=5):
     """Run the tiny chain under ``root``; returns each command's out dir."""
-    dirs = {name: root / name for name in COMMANDS}
-    run("gen", "--n", 6, "--seed", seed, "--life-min", 200, "--life-max", 700,
-        "--out", dirs["fleet"])
-    run("preprocess", "--data", dirs["fleet"], "--cycles", 10, "--grid", 8, "--seed", seed,
-        "--out", dirs["archive"])
-    run("train", "--data", dirs["archive"], "--epochs", 2, "--batch-size", 4, "--seed", seed,
-        "--out", dirs["train"])
-    checkpoint = dirs["train"] / "checkpoint.fpt"
-    run("eval", "--checkpoint", checkpoint, "--data", dirs["archive"], "--seed", seed,
-        "--out", dirs["eval"])
-    run("export-weights", "--checkpoint", checkpoint, "--seed", seed, "--out", dirs["weights"])
-    return dirs
+    for argv in chain_argvs(root, seed).values():
+        run(*argv)
+    return {name: root / name for name in COMMANDS}
 
 
 class TestEndToEnd:
@@ -64,6 +71,29 @@ class TestEndToEnd:
             assert set(env["blas_threads"]) == set(fpnn.BLAS_THREAD_VARS)
             assert env["numpy"] == np.__version__ and env["stream_threads"] == 2
 
+    def test_manifest_records_arguments_built_config_and_inputs(self, tmp_path):
+        argvs = chain_argvs(tmp_path)
+        for argv in argvs.values():
+            run(*argv)
+        unrecorded = {"command", "func", "out", "seed", "checkpoint", "data", "config"}
+        for name, argv in argvs.items():
+            parsed = vars(cli.build_parser().parse_args(argv))
+            config = manifest(tmp_path / name)["config"]
+            assert set(parsed) - unrecorded <= set(config), name
+            assert all(config[k] == v for k, v in parsed.items()
+                       if k not in unrecorded and v is not None), name
+        checkpoint = tmp_path / "train" / "checkpoint.fpt"
+        archive = tmp_path / "archive"
+        assert [manifest(tmp_path / name)["inputs"] for name in COMMANDS] == [
+            [], [str(tmp_path / "fleet")], [str(archive)], [str(checkpoint), str(archive)],
+            [str(checkpoint)]]
+        built = json.loads(json.dumps(training.load_checkpoint(checkpoint).config.to_dict()))
+        config = manifest(tmp_path / "train")["config"]
+        for key in ("head_hidden", "detach", "sample_depth", "grid_side"):
+            assert config[key] == built[key], key
+        assert config["epochs"] == 2 and config["eval_split"] == "test"
+        assert "seed" not in config
+
     def test_missing_checkpoint_is_one_error_line(self, tmp_path, capsys):
         code = cli.main(["eval", "--checkpoint", str(tmp_path / "none.fpt"),
                          "--data", str(tmp_path), "--out", str(tmp_path / "out")])
@@ -72,18 +102,36 @@ class TestEndToEnd:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+BAD_CONFIGS = [  # (test id suffix, config file, the key its error names)
+    ("", {"learning_rat": 0.5, "alpha": 0.2}, "learning_rat"),
+    ("-float-epochs", {"epochs": 2.7}, "epochs"),
+    ("-string-epochs", {"epochs": "abc"}, "epochs"),
+    ("-bool-batch_size", {"batch_size": True}, "batch_size"),
+    ("-string-learning_rate", {"learning_rate": "0.1"}, "learning_rate"),
+    ("-empty-head_hidden", {"head_hidden": []}, "head_hidden"),
+    ("-zero-head_hidden", {"head_hidden": [8, 0]}, "head_hidden"),
+    ("-unknown-detach", {"detach": {"residul": True}}, "detach"),
+    ("-int-detach", {"detach": {"residual": 1}}, "detach"),
+]
+
+
 class TestConfigFile:
-    @pytest.mark.parametrize("command", ["train", "sweep-noi", "ablate"])
-    def test_unknown_key_is_one_error_line_naming_it(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,doc,key", [
+        pytest.param(command, doc, key, id=command + suffix)
+        for command in ("train", "sweep-noi", "ablate") for suffix, doc, key in BAD_CONFIGS])
+    def test_unknown_key_is_one_error_line_naming_it(self, tmp_path, capsys, command, doc,
+                                                     key):
+        """An unknown key or a value of the wrong type fails before any data
+        is read (the data path does not exist)."""
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps({"learning_rat": 0.5, "alpha": 0.2}))
+        config_file.write_text(json.dumps(doc))
         out = tmp_path / "out"
         code = cli.main([command, "--data", str(tmp_path / "none"), "--config", str(config_file),
                          "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "learning_rat" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ValueError: ")
+        assert key in err and str(config_file) in err
         assert not (out / cli.MANIFEST_FILENAME).exists()
 
 
@@ -106,6 +154,9 @@ def csv_rows(path):
     return [line.split(",") for line in path.read_text().splitlines()]
 
 
+SWEEP_ARGS = ["sweep-noi", "--grid", "8", "--epochs", "1", "--batch-size", "4"]
+
+
 class TestSweepCommands:
     @pytest.fixture(scope="class")
     def fleet(self, tmp_path_factory):
@@ -120,27 +171,41 @@ class TestSweepCommands:
         assert rows[0] == cli.SWEEP_HEADER
         assert [r[:2] for r in rows[1:]] == [["10", "0"], ["10", "1"], ["20", "0"], ["20", "1"]]
         assert all(r[2] != "NaN" for r in rows[1:])
-        assert manifest(tmp_path)["config"]["cell_seeds"] == [9, 1009, 2009, 3009]
+        config = manifest(tmp_path)["config"]
+        assert config["cell_seeds"] == [9, 1009, 2009, 3009]
+        assert config["nois"] == [0, 1] and config["jobs"] == 1 and "noi" not in config
 
     def test_ablate(self, fleet, tmp_path):
         run("ablate", "--data", fleet, "--cycles", 10, "--grid", 8, "--epochs", 1,
             "--batch-size", 4, "--seed", 9, "--out", tmp_path)
         rows = csv_rows(tmp_path / "ablate.csv")
         assert rows[0] == cli.ABLATE_HEADER
-        assert [r[1] for r in rows[1:]] == cli.ABLATE_ROWS
+        assert [r[1] for r in rows[1:]] == list(cli.ABLATE_FLAGS)
         assert all(r[0] == "10" and r[2] != "NaN" for r in rows[1:])
-        assert manifest(tmp_path)["config"]["cell_seeds"] == [9 + 1000 * i for i in range(5)]
+        config = manifest(tmp_path)["config"]
+        assert config["cell_seeds"] == [9 + 1000 * i for i in range(5)]
+        assert config["rows"] == list(cli.ABLATE_FLAGS) and "detach" not in config
 
-    @pytest.mark.parametrize("flag,value", [("--noi", "9"), ("--noi", "0-9"), ("--noi", "-1"),
-                                            ("--cycles", "10,15")])
-    def test_out_of_range_grid_rejected_when_parsed(self, fleet, tmp_path, capsys, flag,
+    @pytest.mark.parametrize("argv,flag,value", [
+        *(pytest.param(SWEEP_ARGS, flag, value, id=f"{flag}-{value}")
+          for flag, value in [("--noi", "9"), ("--noi", "0-9"), ("--noi", "-1"),
+                              ("--cycles", "10,15"), ("--grid", "1"), ("--jobs", "0"),
+                              ("--jobs", "-3")]),
+        *(pytest.param(argv, "--grid", "1", id=f"{argv[0]}---grid-1")
+          for argv in (["preprocess", "--cycles", "10"], ["ablate"],
+                       ["hyperopt", "--budget", "4"])),
+        pytest.param(["hyperopt"], "--budget", "3", id="hyperopt---budget-3"),
+        pytest.param(["gen"], "--n", "1", id="gen---n-1"),
+    ])
+    def test_out_of_range_grid_rejected_when_parsed(self, fleet, tmp_path, capsys, argv, flag,
                                                     value):
+        out = tmp_path / "out"
+        data = [] if argv[0] == "gen" else ["--data", str(fleet)]
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["sweep-noi", "--data", str(fleet), f"{flag}={value}", "--grid", "8",
-                      "--epochs", "1", "--batch-size", "4", "--out", str(tmp_path)])
+            cli.main([*argv, *data, f"{flag}={value}", "--out", str(out)])
         assert exit_info.value.code != 0
         assert flag in capsys.readouterr().err
-        assert not (tmp_path / "sweep.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,grid_args,n_cells", [
         ("sweep-noi", ("--cycles", "10,20", "--noi", "0-1"), 4),
@@ -170,7 +235,7 @@ class TestSweepCommands:
         assert [(c.alpha, c.head_hidden) for c in built] == [(0.3, (8, 4))] * n_cells
         assert [c.seed for c in built] == manifest(tmp_path / "file")["config"]["cell_seeds"]
         want_detach = ([M.DetachFlags(residual=True)] * n_cells if command == "sweep-noi"
-                       else [cli.ABLATE_FLAGS[row] for row in cli.ABLATE_ROWS])
+                       else list(cli.ABLATE_FLAGS.values()))
         assert [c.detach for c in built] == want_detach
 
 
@@ -191,9 +256,16 @@ class TestHyperopt:
         doc = manifest(outs[0])
         assert set(doc["outputs"]) == {"trials.csv", "best_config.json"}
         assert doc["outputs"] == manifest(outs[1])["outputs"]
+        assert doc["config"] == {"budget": 4, "cycles": 10, "grid": 8, "epochs": 1,
+                                 "patience": 10}
 
         run("preprocess", "--data", fleet, "--cycles", 10, "--grid", 8, "--out", tmp_path / "arc")
         run("train", "--data", tmp_path / "arc", "--config", outs[0] / "best_config.json",
             "--batch-size", 4, "--out", tmp_path / "train")
-        assert manifest(tmp_path / "train")["config"] == {
-            **best, "batch_size": 4, "grid_side": 8, "eval_split": "test"}
+        doc = manifest(tmp_path / "train")
+        assert doc["config"] == {
+            **best, "batch_size": 4, "grid_side": 8, "sample_depth": 4, "head_hidden": [64],
+            "detach": {"initial_layers": False, "conv3d": False, "residual": False,
+                       "diff_branch": False},
+            "eval_split": "test"}
+        assert doc["inputs"] == [str(tmp_path / "arc"), str(outs[0] / "best_config.json")]

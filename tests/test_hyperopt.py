@@ -50,16 +50,16 @@ class TestGp:
         kernel = H.KernelParams(np.array([0.3]), 1.0, 1e-10)
         surr = H.gp_fit(x, y, kernel)
         for xi, yi in zip(x, y):
-            mean, var = H.gp_predict(surr, xi)
-            assert abs(mean - yi) < 1e-6
-            assert var < 1e-6
+            mean, var = H.gp_predict(surr, xi[None, :])
+            assert abs(mean[0] - yi) < 1e-6
+            assert var[0] < 1e-6
 
     def test_constant_objectives(self):
         x = np.array([[0.1], [0.5], [0.9]])
         surr = H.gp_fit(x, np.full(3, 7.5))
         for q in (0.0, 0.33, 1.0):
-            mean, _ = H.gp_predict(surr, np.array([q]))
-            assert abs(mean - 7.5) < 1e-9
+            mean, _ = H.gp_predict(surr, np.array([[q]]))
+            assert abs(mean[0] - 7.5) < 1e-9
 
     def test_matches_dense_oracle(self):
         # 5 points from a seeded quadratic, fixed kernel, 20 probes
@@ -97,11 +97,11 @@ class TestGp:
         x = np.array([[0.5, 0.5], [0.52, 0.5]])
         kernel = H.KernelParams(np.array([0.1, 0.1]), 1.0, 1e-8)
         surr = H.gp_fit(x, np.array([1.0, 1.1]), kernel)
-        _, v_near = H.gp_predict(surr, np.array([0.5, 0.5]))
-        _, v_far = H.gp_predict(surr, np.array([0.0, 0.0]))
-        assert v_near < 1e-6
+        _, v_near = H.gp_predict(surr, np.array([[0.5, 0.5]]))
+        _, v_far = H.gp_predict(surr, np.array([[0.0, 0.0]]))
+        assert v_near[0] < 1e-6
         prior_var = kernel.signal_var * surr.y_std**2
-        assert v_far > 0.99 * prior_var
+        assert v_far[0] > 0.99 * prior_var
 
     def test_fitted_kernel_interpolates(self):
         # noise fixed near zero after fitting: |mu(x_i) - y_i| < 1e-5
@@ -112,8 +112,8 @@ class TestGp:
         low_noise = H.KernelParams(surr.kernel.lengthscales, surr.kernel.signal_var, 1e-10)
         surr0 = H.gp_fit(x, y, low_noise)
         for xi, yi in zip(x, y):
-            mean, _ = H.gp_predict(surr0, xi)
-            assert abs(mean - yi) < 1e-5
+            mean, _ = H.gp_predict(surr0, xi[None, :])
+            assert abs(mean[0] - yi) < 1e-5
 
     def test_too_few_or_duplicate_points(self):
         with pytest.raises(ValueError):
@@ -125,18 +125,23 @@ class TestGp:
         surr = H.gp_fit(np.array([[0.1, 0.2], [0.6, 0.7]]), np.array([1.0, 2.0]),
                         H.KernelParams(np.array([0.5, 0.5]), 1.0, 1e-4))
         with pytest.raises(ValueError):
-            H.gp_predict(surr, np.array([0.5]))
+            H.gp_predict(surr, np.array([[0.5]]))
+
+
+def ei_at(mean, sigma, best):
+    """EI of one posterior point, passed as 1-element arrays."""
+    return H.ei_value(np.array([mean]), np.array([sigma]), best)[0]
 
 
 class TestExpectedImprovement:
     def test_zero_sigma_deterministic_limit(self):
-        assert H.ei_value(1.0, 0.0, 3.0) == 2.0
-        assert H.ei_value(5.0, 0.0, 3.0) == 0.0
+        assert ei_at(1.0, 0.0, 3.0) == 2.0
+        assert ei_at(5.0, 0.0, 3.0) == 0.0
 
     def test_at_best_with_unit_sigma(self):
         # z = 0: EI = phi(0) = 1/sqrt(2*pi)
         want = 1.0 / np.sqrt(2 * np.pi)
-        assert abs(H.ei_value(2.0, 1.0, 2.0) - want) < 1e-12
+        assert abs(ei_at(2.0, 1.0, 2.0) - want) < 1e-12
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(0)
@@ -144,20 +149,20 @@ class TestExpectedImprovement:
         sigma = rng.uniform(0, 10, 1000)
         best = rng.uniform(-50, 50, 1000)
         for m, s, b in zip(mu, sigma, best):
-            assert H.ei_value(m, s, b) >= 0.0
+            assert ei_at(m, s, b) >= 0.0
 
     def test_monotone_in_sigma_for_promising_mean(self):
         # strictly increasing where float precision can resolve dEI = phi(z)
         sigmas = np.linspace(0.5, 5.0, 60)
-        values = [H.ei_value(1.0, s, 2.0) for s in sigmas]
+        values = [ei_at(1.0, s, 2.0) for s in sigmas]
         assert all(b > a for a, b in zip(values, values[1:]))
         # never decreasing even deep in the saturated small-sigma regime
-        wide = [H.ei_value(1.0, s, 2.0) for s in np.linspace(1e-4, 5.0, 200)]
+        wide = [ei_at(1.0, s, 2.0) for s in np.linspace(1e-4, 5.0, 200)]
         assert all(b >= a for a, b in zip(wide, wide[1:]))
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            H.ei_value(0.0, -1.0, 1.0)
+            ei_at(0.0, -1.0, 1.0)
 
     def test_surrogate_ei(self):
         x = np.array([[0.2], [0.9]])
