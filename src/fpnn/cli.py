@@ -18,8 +18,11 @@ artifact, so identical inputs and seed reproduce identical checksums.
 Config precedence: CLI flags > ``--config`` JSON file > the field defaults
 of ``FpnnConfig`` and ``TrainConfig``. A config file may set ``noi``,
 ``alpha``, ``head_hidden``, ``detach`` and the ``TrainConfig`` fields but
-``seed``; an unknown key or a mistyped value is rejected by name before
-any data is read. Only ``_train_configs`` turns settings into configs, so
+``seed``, and not the field a command sets per cell: ``sweep-noi`` rejects
+``noi`` and ``ablate`` rejects ``detach``. An unknown or per-cell key, a
+mistyped value or a value out of range is rejected by name, with the
+file's name, and every command builds its configs before it reads any
+data. Only ``_train_configs`` turns settings into configs, so
 ``hyperopt``'s ``best_config.json`` is a valid ``--config`` file. Counts,
 grids and windows out of range are rejected while parsing. All randomness
 flows from one ``--seed`` through fixed named offsets (split +1, init +2,
@@ -88,6 +91,7 @@ MODEL_KEYS = ("noi", "alpha")
 TRAIN_DEFAULTS = {**{k: getattr(FpnnConfig, k) for k in MODEL_KEYS},
                   **{f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}}
 CONFIG_KEYS = {*TRAIN_DEFAULTS, "head_hidden", "detach"}
+PER_CELL_KEYS = {"sweep-noi": "noi", "ablate": "detach"}  # command -> the field it sets per cell
 DETACH_KEYS = [f.name for f in fields(DetachFlags)]
 
 
@@ -162,8 +166,9 @@ def _check_config_value(path: str, key: str, value) -> None:
 
 
 def _merge_config(args) -> dict:
-    """Flags > ``--config`` file > ``TRAIN_DEFAULTS``; a file key outside
-    ``CONFIG_KEYS`` or a file value of the wrong type is an error."""
+    """Flags > ``--config`` file > ``TRAIN_DEFAULTS``. A file key outside
+    ``CONFIG_KEYS`` or the command's ``PER_CELL_KEYS`` key, or a file
+    value of the wrong type or out of range, is an error naming the file."""
     merged = dict(TRAIN_DEFAULTS)
     if args.config:
         doc = json.loads(Path(args.config).read_text())
@@ -171,9 +176,17 @@ def _merge_config(args) -> dict:
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {', '.join(unknown)} "
                              f"(known: {', '.join(sorted(CONFIG_KEYS))})")
+        per_cell = PER_CELL_KEYS.get(args.command)
+        if per_cell in doc:
+            raise ValueError(f"{args.config}: {args.command} sets {per_cell} per cell, "
+                             "so a config file may not set it")
         for key, value in doc.items():
             _check_config_value(args.config, key, value)
         merged.update(doc)
+        try:  # the ranges the configs check
+            _train_configs(merged, args.seed, FpnnConfig.grid_side)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     merged.update({k: v for k in TRAIN_DEFAULTS if (v := getattr(args, k, None)) is not None})
     return merged
 
@@ -238,12 +251,12 @@ def cmd_preprocess(args, out: Path) -> dict:
 
 
 def cmd_train(args, out: Path) -> dict:
-    effective = _merge_config(args)
+    model_config, train_config = _train_configs(_merge_config(args), args.seed,
+                                                FpnnConfig.grid_side)
     splits, _, manifest_doc = load_sample_archive(args.data)
     if "train" not in splits:
         raise ValueError(f"archive {args.data} has no train split")
-    model_config, train_config = _train_configs(effective, args.seed,
-                                                int(manifest_doc["grid_side"]))
+    model_config = replace(model_config, grid_side=int(manifest_doc["grid_side"]))
 
     seeds = _sub_seeds(args.seed)
     fit_set, val_set = holdout_by_battery(splits["train"], 0.2, seeds["split"])
@@ -279,23 +292,21 @@ def _metric_row(first, second, cell) -> list:
 
 
 def cmd_sweep_noi(args, out: Path) -> dict:
-    effective = _merge_config(args)
+    model_config, train_config = _train_configs(_merge_config(args), args.seed, args.grid)
     records = load_canonical_dataset(args.data)
-    model_config, train_config = _train_configs(effective, args.seed, args.grid)
     cells = noi_sweep(records, args.cycles, args.nois, args.grid, train_config, args.seed,
                       jobs=args.jobs, model_config=model_config)
     _write_csv(out / "sweep.csv", SWEEP_HEADER,
                (_metric_row(c.n_input_cycles, c.noi, c) for c in cells))
     for c in cells:
         print(f"cycles {c.n_input_cycles} blocks {c.noi}: MAPE {_fmt_metric(c.mape)}")
-    return {**_built_fields(model_config, train_config, per_cell="noi"),
+    return {**_built_fields(model_config, train_config, per_cell=PER_CELL_KEYS[args.command]),
             "cell_seeds": [c.seed for c in cells]}
 
 
 def cmd_ablate(args, out: Path) -> dict:
-    effective = _merge_config(args)
+    model_config, train_config = _train_configs(_merge_config(args), args.seed, args.grid)
     records = load_canonical_dataset(args.data)
-    model_config, train_config = _train_configs(effective, args.seed, args.grid)
     cells = run_sweep_window(
         records, args.cycles,
         [replace(model_config, seed=args.seed + 1000 * i, detach=flags)
@@ -307,7 +318,7 @@ def cmd_ablate(args, out: Path) -> dict:
               + (f" ({cell.error})" if cell.error else ""))
     _write_csv(out / "ablate.csv", ABLATE_HEADER,
                (_metric_row(args.cycles, label, c) for label, c in zip(ABLATE_FLAGS, cells)))
-    return {**_built_fields(model_config, train_config, per_cell="detach"),
+    return {**_built_fields(model_config, train_config, per_cell=PER_CELL_KEYS[args.command]),
             "rows": list(ABLATE_FLAGS), "cell_seeds": [c.seed for c in cells]}
 
 
@@ -323,10 +334,10 @@ def cmd_hyperopt(args, out: Path) -> dict:
         settings = {**point, "epochs": args.epochs, "patience": args.patience}
         return _train_configs(settings, args.seed, args.grid)
 
-    def objective(point: dict) -> float:
+    def objective(point: dict) -> float:  # validation MAPE of the params train returns
         model_config, train_config = configs(point)
-        best, _ = train(build_model(model_config), fit_set, val_set, train_config)
-        return evaluate(best, val_set).mape
+        _, history = train(build_model(model_config), fit_set, val_set, train_config)
+        return min(r.val_mape for r in history)
 
     best_trial, trials = bayes_optimize(objective, space, args.budget, seeds["bo"])
     _write_csv(out / "trials.csv", TRIALS_HEADER,

@@ -134,7 +134,6 @@ class GpSurrogate:
     kernel: KernelParams
     chol: np.ndarray  # lower Cholesky factor of K + noise*I (+ jitter)
     alpha: np.ndarray  # solve(K, standardized objectives)
-    jitter: float
 
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, k: KernelParams) -> np.ndarray:
@@ -142,12 +141,16 @@ def _kernel_matrix(a: np.ndarray, b: np.ndarray, k: KernelParams) -> np.ndarray:
     return k.signal_var * np.exp(-0.5 * np.sum(d * d, axis=-1))
 
 
-def _cholesky_with_jitter(k_mat: np.ndarray) -> tuple[np.ndarray, float]:
+def _factor(x: np.ndarray, ys: np.ndarray, kernel: KernelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factor of K + noise*I + jitter*I, at the first of
+    ``_JITTERS`` that makes it positive definite, and solve(K, ys)."""
+    k_mat = _kernel_matrix(x, x, kernel) + kernel.noise_var * np.eye(len(x))
     for jitter in _JITTERS:
         try:
-            return np.linalg.cholesky(k_mat + jitter * np.eye(len(k_mat))), jitter
+            chol = np.linalg.cholesky(k_mat + jitter * np.eye(len(k_mat)))
         except np.linalg.LinAlgError:
             continue
+        return chol, np.linalg.solve(chol.T, np.linalg.solve(chol, ys))
     raise FpnnError(
         "kernel matrix is not positive definite even with jitter 1e-6; "
         "likely duplicate observation points with near-zero noise"
@@ -155,12 +158,10 @@ def _cholesky_with_jitter(k_mat: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _log_marginal_likelihood(x, ys, kernel: KernelParams) -> float:
-    k_mat = _kernel_matrix(x, x, kernel) + kernel.noise_var * np.eye(len(x))
     try:
-        chol, _ = _cholesky_with_jitter(k_mat)
+        chol, alpha = _factor(x, ys, kernel)
     except FpnnError:
         return -np.inf
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, ys))
     return float(
         -0.5 * ys @ alpha - np.log(np.diag(chol)).sum() - 0.5 * len(x) * math.log(2 * math.pi)
     )
@@ -170,37 +171,25 @@ def _fit_kernel(x: np.ndarray, ys: np.ndarray) -> KernelParams:
     """Maximize log marginal likelihood by multi-start coordinate search."""
     d = x.shape[1]
     factors = np.array([0.25, 0.5, 1 / 1.4, 1.0, 1.4, 2.0, 4.0])
-    bounds = {"ell": (0.05, 20.0), "sf": (1e-2, 1e2), "sn": (1e-8, 1.0)}
+    # coordinates: lengthscales..., signal variance, noise variance
+    low = np.array([0.05] * d + [1e-2, 1e-8])
+    high = np.array([20.0] * d + [1e2, 1.0])
 
-    def clamp(v, lo, hi):
-        return min(max(v, lo), hi)
+    def kernel(theta: np.ndarray) -> KernelParams:
+        return KernelParams(theta[:d].copy(), float(theta[d]), float(theta[d + 1]))
 
-    best = None
-    best_lml = -np.inf
+    best, best_lml = None, -np.inf
     for ell0, sn0 in ((0.3, 1e-4), (1.0, 1e-2), (3.0, 1e-2)):
-        ell = np.full(d, ell0)
-        sf = 1.0
-        sn = sn0
+        theta = np.array([ell0] * d + [1.0, sn0])
         for _ in range(3):  # coordinate sweeps
-            for j in range(d):
-                cand = [clamp(ell[j] * f, *bounds["ell"]) for f in factors]
-                lmls = []
-                for c in cand:
-                    trial_ell = ell.copy()
-                    trial_ell[j] = c
-                    lmls.append(_log_marginal_likelihood(
-                        x, ys, KernelParams(trial_ell, sf, sn)))
-                ell[j] = cand[int(np.argmax(lmls))]
-            cand = [clamp(sf * f, *bounds["sf"]) for f in factors]
-            lmls = [_log_marginal_likelihood(x, ys, KernelParams(ell, c, sn)) for c in cand]
-            sf = cand[int(np.argmax(lmls))]
-            cand = [clamp(sn * f, *bounds["sn"]) for f in factors]
-            lmls = [_log_marginal_likelihood(x, ys, KernelParams(ell, sf, c)) for c in cand]
-            sn = cand[int(np.argmax(lmls))]
-        lml = _log_marginal_likelihood(x, ys, KernelParams(ell.copy(), sf, sn))
+            for j in range(d + 2):
+                cands = np.repeat(theta[None], len(factors), axis=0)
+                cands[:, j] = np.clip(theta[j] * factors, low[j], high[j])
+                lmls = [_log_marginal_likelihood(x, ys, kernel(t)) for t in cands]
+                theta = cands[int(np.argmax(lmls))]
+        lml = _log_marginal_likelihood(x, ys, kernel(theta))
         if lml > best_lml:
-            best_lml = lml
-            best = KernelParams(ell.copy(), sf, sn)
+            best, best_lml = kernel(theta), lml
     if best is None:
         raise FpnnError("kernel fitting failed for every start")
     return best
@@ -233,10 +222,8 @@ def gp_fit(points: np.ndarray, objectives: np.ndarray, kernel: KernelParams | No
                               float(kernel.signal_var), float(kernel.noise_var))
         if kernel.lengthscales.shape != (x.shape[1],):
             raise ValueError("lengthscales must have one entry per dimension")
-    k_mat = _kernel_matrix(x, x, kernel) + kernel.noise_var * np.eye(len(x))
-    chol, jitter = _cholesky_with_jitter(k_mat)
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, ys))
-    return GpSurrogate(x, y_mean, y_std, kernel, chol, alpha, jitter)
+    chol, alpha = _factor(x, ys, kernel)
+    return GpSurrogate(x, y_mean, y_std, kernel, chol, alpha)
 
 
 def gp_predict(surrogate: GpSurrogate, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,15 +20,16 @@ the 3D front end included, runs in one conv -> batchnorm -> Leaky ReLU unit
 branch table ``_BRANCHES``.
 
 Every forward pass has a hand-written backward composed from the batched
-layer primitives in :mod:`fpnn.ops`; there is no autograd tape. A backward
-reads only what its forward cached: a conv its padded input, the stem's max
-pool its argmax offsets. The pools zero-pad their own input, and the
-block's average pool needs nothing but its input's shape. Detach flags
-prune the layout for ablation studies: ``initial_layers`` skips the 7x7 +
-max-pool stage, ``conv3d`` replaces the 3D front end with depth-averaging
-plus a 1x1 conv (keeping downstream shapes legal), ``residual`` removes
-the projected skip connections, and ``diff_branch`` drops the differential
-stream entirely.
+layer primitives in :mod:`fpnn.ops`, whose ``(input_grad, *param_grads)``
+tuples are unpacked straight into the gradient dict; there is no autograd
+tape. A backward reads only what its forward cached: a conv its padded
+input, the stem's max pool its argmax offsets. The pools zero-pad their
+own input, and the block's average pool needs nothing but its input's
+shape. Detach flags prune the layout for ablation studies:
+``initial_layers`` skips the 7x7 + max-pool stage, ``conv3d`` replaces the
+3D front end with depth-averaging plus a 1x1 conv (keeping downstream
+shapes legal), ``residual`` removes the projected skip connections, and
+``diff_branch`` drops the differential stream entirely.
 
 The two streams share no tensor until their global pools are concatenated,
 so :func:`fpnn_forward` and :func:`fpnn_backward` run them at the same time
@@ -155,9 +156,6 @@ class FpnnParams:
     config: FpnnConfig
     tensors: dict[str, np.ndarray]
     bn_states: dict[str, BnState]
-
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self.tensors.values())
 
     def copy(self) -> "FpnnParams":
         return FpnnParams(
@@ -288,16 +286,12 @@ def _cba_backward(gout, params, cache, grads, want_input_grad=True, activated=Fa
     name = cache["name"]
     if not activated:
         gout = leaky_relu_backward(cache["act_in"], params.config.alpha, gout)
-    bn_g = batchnorm2d_backward(cache["bn_cache"], gout)
-    del gout  # the activation gradient, when this unit made it
-    bn = _bn_name(name)
-    grads[f"{bn}.scale"] = bn_g.param_grads["scale"]
-    grads[f"{bn}.shift"] = bn_g.param_grads["shift"]
-    conv_g = _conv_saved_backward(cache["xpad"], params.tensors[f"{name}.w"], cache["spec"],
-                                  bn_g.input_grad.reshape(cache["conv_shape"]), want_input_grad)
-    grads[f"{name}.w"] = conv_g.param_grads["weights"]
-    grads[f"{name}.b"] = conv_g.param_grads["bias"]
-    return conv_g.input_grad
+    bn = _bn_name(name)  # rebinding gout below frees the activation gradient it held
+    gout, grads[f"{bn}.scale"], grads[f"{bn}.shift"] = batchnorm2d_backward(cache["bn_cache"], gout)
+    gx, grads[f"{name}.w"], grads[f"{name}.b"] = _conv_saved_backward(
+        cache["xpad"], params.tensors[f"{name}.w"], cache["spec"],
+        gout.reshape(cache["conv_shape"]), want_input_grad)
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +342,9 @@ def _block_backward(gout, params, cache, grads):
     proj = cache["proj"]
     if proj is not None:
         name = proj["name"]
-        pg = _conv_saved_backward(proj["xpad"], params.tensors[f"{name}.w"], proj["spec"], gout)
-        grads[f"{name}.w"] = pg.param_grads["weights"]
-        gx = gx + pg.input_grad
+        g, grads[f"{name}.w"], _ = _conv_saved_backward(
+            proj["xpad"], params.tensors[f"{name}.w"], proj["spec"], gout)
+        gx = gx + g
     return gx
 
 
@@ -486,10 +480,8 @@ def fpnn_backward(params: FpnnParams, cache, pred_grad: np.ndarray) -> dict[str,
     for i, fc in reversed(list(enumerate(cache["head"]["fcs"]))):
         if not fc["last"]:
             g = leaky_relu_backward(fc["z"], cfg.alpha, g)
-        lg = linear_backward(fc["x"], params.tensors[f"head.fc{i}.w"], g)
-        grads[f"head.fc{i}.w"] = lg.param_grads["weights"]
-        grads[f"head.fc{i}.b"] = lg.param_grads["bias"]
-        g = lg.input_grad
+        g, grads[f"head.fc{i}.w"], grads[f"head.fc{i}.b"] = linear_backward(
+            fc["x"], params.tensors[f"head.fc{i}.w"], g)
 
     c = cfg.stream_out_channels()
     g_feats = {stream: g[:, i * c : (i + 1) * c] for i, stream in enumerate(cfg.streams())}
@@ -502,10 +494,6 @@ def fpnn_backward(params: FpnnParams, cache, pred_grad: np.ndarray) -> dict[str,
 
     for stream_grads in _map_streams(run_stream, cfg.streams()):
         grads.update(stream_grads)
-
-    for name, tensor in params.tensors.items():
-        if name not in grads:
-            grads[name] = np.zeros_like(tensor)
     return grads
 
 

@@ -11,7 +11,9 @@ size [rows, C_in * prod(kernel)] is ever built. Leading kernel axes that
 span their whole unpadded input (the 3D front end's depth) are folded into
 the channel axis first.
 
-Every spatial layer takes a batch, ``[N, C, *spatial]``. The pools zero-pad
+Every spatial layer takes a batch, ``[N, C, *spatial]``. A backward pass
+with parameters returns the plain tuple ``(input_grad, *param_grads)``,
+the parameters in the order the forward pass takes them. The pools zero-pad
 their own input: the max pool returns the offset of each window's maximum,
 which is all its backward pass needs, and the average pool's backward reads
 only the input's shape.
@@ -19,7 +21,7 @@ only the input's shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,14 +78,6 @@ class ConvSpec:
 
     def weight_shape(self) -> tuple[int, ...]:
         return (self.out_channels, self.in_channels, *self.kernel)
-
-
-@dataclass
-class LayerGrads:
-    """Gradients of a layer: w.r.t. its input plus named parameter grads."""
-
-    input_grad: np.ndarray | None  # None when the caller asked for none
-    param_grads: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +182,12 @@ def _conv_forward(x, weights, bias, spec, return_cols=False):
     return (out, xs) if return_cols else out
 
 
-def _conv_saved_backward(xs, weights, spec, output_grad, want_input_grad=True) -> LayerGrads:
+def _conv_saved_backward(xs, weights, spec, output_grad, want_input_grad=True):
     """Gradients from the saved operand: the forward pass's offset loop,
     recomputing each shifted input instead of reading a cached window matrix.
 
     With ``want_input_grad=False`` the input-gradient matmuls are skipped and
-    ``input_grad`` is None; the parameter gradients are the same.
+    the input gradient is None; the parameter gradients are the same.
     """
     nf, in_shape, out_sp = _operand_geometry(xs, spec)
     n = in_shape[0]
@@ -231,7 +225,7 @@ def _conv_saved_backward(xs, weights, spec, output_grad, want_input_grad=True) -
     if want_input_grad:
         interior = tuple(slice(p, e - p) for p, e in zip(spec.padding[nf:], xs.shape[1:-1]))
         gx = np.ascontiguousarray(np.moveaxis(gxs[(slice(None),) + interior], -1, 1)).reshape(in_shape)
-    return LayerGrads(gx, {"weights": d_weights, "bias": d_bias})
+    return gx, d_weights, d_bias
 
 
 # conv2d_forward, conv3d_forward and _conv_backward are the names the
@@ -411,7 +405,7 @@ def batchnorm2d_forward(x, scale, shift, state: BnState, mode: str):
     return out, new_state, cache
 
 
-def batchnorm2d_backward(cache, output_grad) -> LayerGrads:
+def batchnorm2d_backward(cache, output_grad):
     xhat, inv_std, scale = cache["xhat"], cache["inv_std"], cache["scale"]
     if output_grad.shape != xhat.shape:
         raise ShapeError("output_grad shape must match forward input")
@@ -431,7 +425,7 @@ def batchnorm2d_backward(cache, output_grad) -> LayerGrads:
         dxhat *= inv_std[:, None, None] / m
     else:
         dxhat *= inv_std[:, None, None]
-    return LayerGrads(dxhat, {"scale": d_scale, "shift": d_shift})
+    return dxhat, d_scale, d_shift
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +441,10 @@ def linear_forward(x, weights, bias) -> np.ndarray:
     return check_finite("linear", x @ weights + bias)
 
 
-def linear_backward(x, weights, output_grad) -> LayerGrads:
+def linear_backward(x, weights, output_grad):
     if output_grad.shape != (x.shape[0], weights.shape[1]):
         raise ShapeError("output_grad shape mismatch in linear backward")
-    return LayerGrads(
-        output_grad @ weights.T,
-        {"weights": x.T @ output_grad, "bias": output_grad.sum(axis=0)},
-    )
+    return output_grad @ weights.T, x.T @ output_grad, output_grad.sum(axis=0)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

@@ -58,10 +58,6 @@ class SampleSet:
     def __len__(self) -> int:
         return self.raw.shape[0]
 
-    @property
-    def grid_side(self) -> int:
-        return self.raw.shape[-1]
-
     def subset(self, idx) -> "SampleSet":
         idx = np.asarray(idx, dtype=int)
         return SampleSet(

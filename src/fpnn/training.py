@@ -92,9 +92,6 @@ class EvalReport:
     residuals: np.ndarray  # yhat - y per sample
     per_battery: dict[str, dict[str, float]]
 
-    def __post_init__(self):
-        assert self.rmse >= self.mae >= 0.0 and self.mape >= 0.0
-
     def to_dict(self) -> dict:
         return {
             "mape_percent": self.mape,

@@ -134,6 +134,40 @@ class TestConfigFile:
         assert key in err and str(config_file) in err
         assert not (out / cli.MANIFEST_FILENAME).exists()
 
+    @pytest.mark.parametrize("command,doc,text", [
+        pytest.param("sweep-noi", {"noi": 2},
+                     "sweep-noi sets noi per cell, so a config file may not set it",
+                     id="sweep-noi-noi"),
+        pytest.param("ablate", {"detach": {"residual": True}},
+                     "ablate sets detach per cell, so a config file may not set it",
+                     id="ablate-detach"),
+        pytest.param("train", {"epochs": 0}, "epochs and learning_rate must be positive",
+                     id="train-epochs-0"),
+        pytest.param("train", {"noi": 9}, "noi must lie in [0, 8], got 9", id="train-noi-9"),
+        pytest.param("sweep-noi", {"alpha": 1.5}, "alpha must lie in (0, 1)",
+                     id="sweep-noi-alpha-1.5"),
+        pytest.param("ablate", {"batch_size": 1},
+                     "batch_size must be >= 2 (batchnorm needs real batches)",
+                     id="ablate-batch_size-1"),
+    ])
+    def test_per_cell_key_or_value_out_of_range_fails_before_data(self, tmp_path, capsys,
+                                                                   command, doc, text):
+        """The config error is reported, not the data path that does not exist."""
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(doc))
+        code = cli.main([command, "--data", str(tmp_path / "none"), "--config", str(config_file),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ValueError: {config_file}: {text}\n"
+
+    def test_flag_out_of_range_fails_before_data(self, tmp_path, capsys):
+        code = cli.main(["train", "--data", str(tmp_path / "none"), "--epochs", "0",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: epochs and learning_rate must be positive\n")
+
 
 class TestManifestClock:
     def test_wall_clock_covers_the_command(self, tmp_path, monkeypatch):
@@ -224,8 +258,9 @@ class TestSweepCommands:
 
         monkeypatch.setattr(training, "build_model", record_config)
         config_file = tmp_path / "config.json"
+        per_cell_detach = {"detach": {"residual": True}} if command == "sweep-noi" else {}
         config_file.write_text(json.dumps({"alpha": 0.3, "head_hidden": [8, 4],
-                                           "detach": {"residual": True}}))
+                                           **per_cell_detach}))
         run(command, "--data", fleet, *grid_args, "--grid", 8, "--epochs", 1,
             "--batch-size", 4, "--seed", 9, "--alpha", 0.2, "--out", tmp_path / "flag")
         assert [c.alpha for c in built] == [0.2] * n_cells

@@ -38,10 +38,10 @@ class TestConv2dBackward:
         x = rng.standard_normal((2, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
-        g = conv_grads(x, w, spec, np.zeros((2, 3, 5, 5)))
-        assert not g.input_grad.any()
-        assert not g.param_grads["weights"].any()
-        assert not g.param_grads["bias"].any()
+        gx, gw, gb = conv_grads(x, w, spec, np.zeros((2, 3, 5, 5)))
+        assert not gx.any()
+        assert not gw.any()
+        assert not gb.any()
 
     def test_scalar_chain(self):
         # 1x1 kernel: input grad is w * output_grad elementwise
@@ -49,8 +49,8 @@ class TestConv2dBackward:
         w = np.full((1, 1, 1, 1), 1.75)
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 1, 1)
         gout = np.array([[[[2.0, -1.0], [4.0, 0.5]]]])
-        g = conv_grads(x, w, spec, gout)
-        np.testing.assert_allclose(g.input_grad, 1.75 * gout, atol=1e-12)
+        gx, _, _ = conv_grads(x, w, spec, gout)
+        np.testing.assert_allclose(gx, 1.75 * gout, atol=1e-12)
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (1, 0)])
     def test_finite_differences(self, rng, stride, pad):
@@ -60,22 +60,22 @@ class TestConv2dBackward:
         spec = ops.ConvSpec((3, 3), (stride, stride), (pad, pad), 2, 3)
         probe = _loss_weights(rng, conv(x, w, b, spec).shape)
 
-        g = conv_grads(x, w, spec, probe)
+        gx, gw, gb = conv_grads(x, w, spec, probe)
         gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
-                  x, g.input_grad, rtol=1e-4)
+                  x, gx, rtol=1e-4)
         gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
-                  w, g.param_grads["weights"], rtol=1e-4)
+                  w, gw, rtol=1e-4)
         gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()),
-                  b, g.param_grads["bias"], rtol=1e-4)
+                  b, gb, rtol=1e-4)
 
     def test_grad_shapes_match_values(self, rng):
         x = rng.standard_normal((2, 2, 4, 4))
         w = rng.standard_normal((3, 2, 2, 2))
         spec = ops.ConvSpec((2, 2), (2, 2), (0, 0), 2, 3)
-        g = conv_grads(x, w, spec, rng.standard_normal((2, 3, 2, 2)))
-        assert g.input_grad.shape == x.shape
-        assert g.param_grads["weights"].shape == w.shape
-        assert g.param_grads["bias"].shape == (3,)
+        gx, gw, gb = conv_grads(x, w, spec, rng.standard_normal((2, 3, 2, 2)))
+        assert gx.shape == x.shape
+        assert gw.shape == w.shape
+        assert gb.shape == (3,)
 
 
     def test_stem_geometry_finite_differences(self, rng):
@@ -85,13 +85,13 @@ class TestConv2dBackward:
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 2, 3)
         probe = _loss_weights(rng, conv(x, w, b, spec).shape)
-        g = conv_grads(x, w, spec, probe)
+        gx, gw, gb = conv_grads(x, w, spec, probe)
         gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
-                  x, g.input_grad, rtol=1e-4)
+                  x, gx, rtol=1e-4)
         gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
-                  w, g.param_grads["weights"], rtol=1e-4)
+                  w, gw, rtol=1e-4)
         gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()),
-                  b, g.param_grads["bias"], rtol=1e-4)
+                  b, gb, rtol=1e-4)
 
 
 class TestConvSavedOperand:
@@ -108,11 +108,11 @@ class TestConvSavedOperand:
         w = rng.standard_normal(spec.weight_shape())
         out, saved = ops._conv_forward(x, w, rng.standard_normal(4), spec, return_cols=True)
         g = rng.standard_normal(out.shape)
-        a = ops._conv_backward(x, w, spec, g, cols=saved)
-        b = ops._conv_saved_backward(ops._conv_operand(x, spec), w, spec, g)
-        assert np.array_equal(a.input_grad, b.input_grad)
-        assert np.array_equal(a.param_grads["weights"], b.param_grads["weights"])
-        assert np.array_equal(a.param_grads["bias"], b.param_grads["bias"])
+        a_x, a_w, a_b = ops._conv_backward(x, w, spec, g, cols=saved)
+        b_x, b_w, b_b = ops._conv_saved_backward(ops._conv_operand(x, spec), w, spec, g)
+        assert np.array_equal(a_x, b_x)
+        assert np.array_equal(a_w, b_w)
+        assert np.array_equal(a_b, b_b)
 
     @pytest.mark.parametrize("shape,kernel,stride,pad", [
         ((2, 9, 8), (7, 7), (2, 2), (3, 3)),
@@ -127,11 +127,11 @@ class TestConvSavedOperand:
         w = rng.standard_normal(spec.weight_shape())
         out, saved = ops._conv_forward(x, w, rng.standard_normal(4), spec, return_cols=True)
         g = rng.standard_normal(out.shape)
-        full = ops._conv_saved_backward(saved, w, spec, g)
-        skip = ops._conv_saved_backward(saved, w, spec, g, want_input_grad=False)
-        assert skip.input_grad is None
-        assert full.param_grads["weights"].tobytes() == skip.param_grads["weights"].tobytes()
-        assert full.param_grads["bias"].tobytes() == skip.param_grads["bias"].tobytes()
+        full_x, full_w, full_b = ops._conv_saved_backward(saved, w, spec, g)
+        skip_x, skip_w, skip_b = ops._conv_saved_backward(saved, w, spec, g, want_input_grad=False)
+        assert skip_x is None
+        assert full_w.tobytes() == skip_w.tobytes()
+        assert full_b.tobytes() == skip_b.tobytes()
 
 
 class TestConv3dBackward:
@@ -140,8 +140,8 @@ class TestConv3dBackward:
         w = rng.standard_normal((3, 2, 3, 2, 2))
         spec = ops.ConvSpec((3, 2, 2), (1, 1, 1), (0, 0, 0), 2, 3)
         gout_shape = (2, 3, 1, 3, 3)
-        g = conv_grads(x, w, spec, np.zeros(gout_shape))
-        assert not g.input_grad.any() and not g.param_grads["weights"].any()
+        gx, gw, _ = conv_grads(x, w, spec, np.zeros(gout_shape))
+        assert not gx.any() and not gw.any()
 
     def test_depth1_reduces_to_conv2d(self, rng):
         x2 = rng.standard_normal((2, 2, 5, 5))
@@ -149,11 +149,10 @@ class TestConv3dBackward:
         gout = rng.standard_normal((2, 3, 5, 5))
         spec2 = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
         spec3 = ops.ConvSpec((1, 3, 3), (1, 1, 1), (0, 1, 1), 2, 3)
-        g2 = conv_grads(x2, w2, spec2, gout)
-        g3 = conv_grads(x2[:, :, None], w2[:, :, None], spec3, gout[:, :, None])
-        np.testing.assert_allclose(g3.input_grad[:, :, 0], g2.input_grad, atol=1e-12)
-        np.testing.assert_allclose(g3.param_grads["weights"][:, :, 0],
-                                   g2.param_grads["weights"], atol=1e-12)
+        g2x, g2w, _ = conv_grads(x2, w2, spec2, gout)
+        g3x, g3w, _ = conv_grads(x2[:, :, None], w2[:, :, None], spec3, gout[:, :, None])
+        np.testing.assert_allclose(g3x[:, :, 0], g2x, atol=1e-12)
+        np.testing.assert_allclose(g3w[:, :, 0], g2w, atol=1e-12)
 
     def test_finite_differences(self, rng):
         x = rng.standard_normal((2, 2, 3, 4, 4))
@@ -161,11 +160,11 @@ class TestConv3dBackward:
         b = rng.standard_normal(2)
         spec = ops.ConvSpec((3, 3, 3), (1, 1, 1), (0, 1, 1), 2, 2)
         probe = _loss_weights(rng, conv(x, w, b, spec).shape)
-        g = conv_grads(x, w, spec, probe)
+        gx, gw, _ = conv_grads(x, w, spec, probe)
         gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
-                  x, g.input_grad, rtol=1e-4)
+                  x, gx, rtol=1e-4)
         gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
-                  w, g.param_grads["weights"], rtol=1e-4)
+                  w, gw, rtol=1e-4)
 
     def test_short_depth_kernel_finite_differences(self, rng):
         # kernel depth 2 < input depth 4: the unfolded n-d path
@@ -174,13 +173,13 @@ class TestConv3dBackward:
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((2, 3, 3), (1, 2, 1), (0, 1, 1), 2, 3)
         probe = _loss_weights(rng, conv(x, w, b, spec).shape)
-        g = conv_grads(x, w, spec, probe)
+        gx, gw, gb = conv_grads(x, w, spec, probe)
         gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
-                  x, g.input_grad, rtol=1e-4)
+                  x, gx, rtol=1e-4)
         gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
-                  w, g.param_grads["weights"], rtol=1e-4)
+                  w, gw, rtol=1e-4)
         gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()),
-                  b, g.param_grads["bias"], rtol=1e-4)
+                  b, gb, rtol=1e-4)
 
 
 class TestLeakyReluBackward:
@@ -283,10 +282,10 @@ class TestBatchNormBackward:
             return float((out * probe).sum())
 
         _, _, cache = ops.batchnorm2d_forward(x, scale, shift, state, "train")
-        g = ops.batchnorm2d_backward(cache, probe)
-        gradcheck(lambda v: loss(v, scale, shift), x, g.input_grad, rtol=1e-3)
-        gradcheck(lambda v: loss(x, v, shift), scale, g.param_grads["scale"], rtol=1e-3)
-        gradcheck(lambda v: loss(x, scale, v), shift, g.param_grads["shift"], rtol=1e-3)
+        gx, gscale, gshift = ops.batchnorm2d_backward(cache, probe)
+        gradcheck(lambda v: loss(v, scale, shift), x, gx, rtol=1e-3)
+        gradcheck(lambda v: loss(x, v, shift), scale, gscale, rtol=1e-3)
+        gradcheck(lambda v: loss(x, scale, v), shift, gshift, rtol=1e-3)
 
     def test_eval_mode_backward(self, rng):
         x = rng.standard_normal((2, 2, 3, 3))
@@ -295,13 +294,13 @@ class TestBatchNormBackward:
         shift = np.zeros(2)
         probe = _loss_weights(rng, x.shape)
         _, _, cache = ops.batchnorm2d_forward(x, scale, shift, state, "eval")
-        g = ops.batchnorm2d_backward(cache, probe)
+        gx, _, _ = ops.batchnorm2d_backward(cache, probe)
 
         def loss(v):
             out, _, _ = ops.batchnorm2d_forward(v, scale, shift, state, "eval")
             return float((out * probe).sum())
 
-        gradcheck(loss, x, g.input_grad, rtol=1e-4)
+        gradcheck(loss, x, gx, rtol=1e-4)
 
 
 class TestLinearBackward:
@@ -310,13 +309,13 @@ class TestLinearBackward:
         w = rng.standard_normal((6, 3))
         b = rng.standard_normal(3)
         probe = _loss_weights(rng, (4, 3))
-        g = ops.linear_backward(x, w, probe)
+        gx, gw, gb = ops.linear_backward(x, w, probe)
         gradcheck(lambda v: float((ops.linear_forward(v, w, b) * probe).sum()),
-                  x, g.input_grad, rtol=1e-4)
+                  x, gx, rtol=1e-4)
         gradcheck(lambda v: float((ops.linear_forward(x, v, b) * probe).sum()),
-                  w, g.param_grads["weights"], rtol=1e-4)
+                  w, gw, rtol=1e-4)
         gradcheck(lambda v: float((ops.linear_forward(x, w, v) * probe).sum()),
-                  b, g.param_grads["bias"], rtol=1e-4)
+                  b, gb, rtol=1e-4)
 
 
 class TestResidualBackward:

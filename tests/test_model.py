@@ -48,12 +48,13 @@ class TestBuild:
         assert any(not np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
 
     def test_param_count_strictly_increasing_in_noi(self):
-        counts = [M.build_model(micro_config(noi=k)).n_parameters() for k in range(5)]
+        counts = [sum(t.size for t in M.build_model(micro_config(noi=k)).tensors.values())
+                  for k in range(5)]
         assert all(b > a for a, b in zip(counts, counts[1:]))
 
     def test_param_count_pure_function_of_config(self):
-        c1 = M.build_model(micro_config(seed=10)).n_parameters()
-        c2 = M.build_model(micro_config(seed=99)).n_parameters()
+        c1 = sum(t.size for t in M.build_model(micro_config(seed=10)).tensors.values())
+        c2 = sum(t.size for t in M.build_model(micro_config(seed=99)).tensors.values())
         assert c1 == c2
 
     def test_detach_diff_branch_prunes_stream(self):
@@ -256,6 +257,16 @@ class TestBackward:
         grads = M.fpnn_backward(params, cache, pred_grad)
         last = f"head.fc{len(config.head_widths()) - 2}.b"
         np.testing.assert_allclose(grads[last], [pred_grad.sum()], atol=1e-12)
+
+    @pytest.mark.parametrize("detach", DETACH_VARIANTS)
+    def test_every_tensor_gets_a_gradient(self, detach):
+        config = micro_config(detach=detach)
+        params = M.build_model(config)
+        _, _, cache = M.fpnn_forward(random_batch(config), params, mode="train",
+                                     want_cache=True)
+        grads = M.fpnn_backward(params, cache, np.ones(2))
+        assert sorted(grads) == sorted(params.tensors)
+        assert all(grads[k].shape == t.shape for k, t in params.tensors.items())
 
     def test_gradient_flow_everywhere(self):
         # after one backward on a nonzero loss every parameter gets signal

@@ -17,7 +17,7 @@ from fpnn.dataset import BatteryRecord, CycleCurve
 from fpnn.datagen import generate_fleet
 from fpnn.errors import CheckpointError, NonFiniteError, TrainingError
 from fpnn.model import DetachFlags, FpnnConfig, build_model
-from fpnn.preprocess import preprocess_fleet
+from fpnn.preprocess import SampleSet, preprocess_fleet
 
 from oracles import metrics_loop
 
@@ -229,6 +229,17 @@ class TestEvaluate:
         assert report.rmse >= report.mae >= 0
         assert len(report.residuals) == 10
         assert all("mae" in v and "life" in v for v in report.per_battery.values())
+
+    def test_equal_magnitude_errors_give_a_report(self, monkeypatch):
+        # 18 errors of one magnitude: rounding puts the RMSE an ulp below the MAE
+        n, error = 18, 980.8355304228423
+        samples = SampleSet(raw=np.zeros((n, 3, 4, 2, 2)), diff=np.zeros((n, 3, 3, 2, 2)),
+                            labels=np.full(n, 1500.0), battery_ids=["b0"] * n,
+                            anchor_cycles=np.full(n, 10))
+        monkeypatch.setattr(T, "_forward_in_chunks", lambda params, s: s.labels - error)
+        report = T.evaluate(None, samples)
+        assert report.mae == pytest.approx(error) and report.rmse == pytest.approx(error)
+        assert report.per_battery["b0"]["n_samples"] == n
 
 
 class TestCheckpoint:
