@@ -11,8 +11,8 @@ returns: for ``train``, ``sweep-noi`` and ``ablate`` every field of the
 configs built but their seeds and a field set per cell (``sweep-noi`` has
 ``nois``, ``ablate`` ``rows``, both ``cell_seeds``). ``inputs`` lists the
 ``--checkpoint``, ``--data`` and ``--config`` paths given. It also records
-the sub-seeds, wall clock, numeric environment (python, numpy, scipy and
-BLAS versions, BLAS thread variables, stream threads) and a sha256 per
+the sub-seeds, wall clock, numeric environment (python and numpy versions,
+BLAS library, BLAS thread variables, stream threads) and a sha256 per
 artifact, so identical inputs and seed reproduce identical checksums.
 
 Config precedence: CLI flags > ``--config`` JSON file > the field defaults
@@ -44,7 +44,6 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import BLAS_THREAD_VARS, __version__
 from .datagen import generate_fleet
@@ -117,7 +116,6 @@ def _numeric_environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "stream_threads": len(STREAMS),
@@ -166,12 +164,19 @@ def _check_config_value(path: str, key: str, value) -> None:
 
 
 def _merge_config(args) -> dict:
-    """Flags > ``--config`` file > ``TRAIN_DEFAULTS``. A file key outside
-    ``CONFIG_KEYS`` or the command's ``PER_CELL_KEYS`` key, or a file
-    value of the wrong type or out of range, is an error naming the file."""
+    """Flags > ``--config`` file > ``TRAIN_DEFAULTS``. A file that is not a
+    JSON object, a file key outside ``CONFIG_KEYS`` or the command's
+    ``PER_CELL_KEYS`` key, or a file value of the wrong type or out of
+    range, is an error naming the file."""
     merged = dict(TRAIN_DEFAULTS)
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: must hold a JSON object, got "
+                             f"{type(doc).__name__}")
         unknown = sorted(set(doc) - CONFIG_KEYS)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {', '.join(unknown)} "

@@ -1,8 +1,8 @@
 """Turn charge-cycle curves into video-like sample tensors.
 
-Pipeline per battery: cleaning per cycle (a Hampel outlier filter over the
-three channels stacked in one call, then Savitzky-Golay smoothing of each
-channel), linear resampling of each cycle onto a G*G capacity-grid image,
+Pipeline per battery: cleaning per cycle (a Hampel outlier filter, then
+Savitzky-Golay smoothing, each over the three channels stacked in one
+call), linear resampling of each cycle onto a G*G capacity-grid image,
 then sample assembly by indexing that frame stack: each
 anchor cycle gives 4 raw frames (first cycle + the three most recent) and a
 differential twin stream (each recent frame minus the first-cycle frame).
@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import savgol_filter
 
 from .dataset import BatteryRecord, CycleCurve
 from .errors import DataValidationError
@@ -105,21 +104,65 @@ def hampel_filter(series: np.ndarray, window: int = HAMPEL_WINDOW, n_sigmas: flo
     return out
 
 
-def savitzky_golay(series: np.ndarray, window: int = SG_WINDOW, polyorder: int = SG_POLYORDER) -> np.ndarray:
-    """Least-squares polynomial smoothing over a sliding window.
+def _savgol_coeffs(window: int, polyorder: int) -> np.ndarray:
+    """Savitzky-Golay smoothing weights in convolution order: the least-squares
+    solution of the flipped Vandermonde grid against the unit vector e0."""
+    half = window // 2
+    grid = np.arange(-half, window - half, dtype=float)[::-1]
+    grid = grid ** np.arange(polyorder + 1)[:, None]
+    return np.linalg.lstsq(grid, np.eye(polyorder + 1)[0], rcond=None)[0]
 
-    Each interior point takes the center value of the window's polynomial
-    fit; edge points are evaluated from the polynomial fitted to the
-    nearest full window.
+
+_SG_COEFFS = _savgol_coeffs(SG_WINDOW, SG_POLYORDER)
+
+
+def savitzky_golay(series: np.ndarray, window: int = SG_WINDOW, polyorder: int = SG_POLYORDER) -> np.ndarray:
+    """Least-squares polynomial smoothing along the last axis of ``[..., points]``.
+
+    Each interior point takes the center value of its window's polynomial
+    fit; the first and last ``window // 2`` points are evaluated from the
+    polynomial fitted to the nearest full window. For the pipeline's
+    (9, 3) this is ``scipy.signal.savgol_filter(x, 9, 3, mode="interp")`` on
+    each 1-D series, bitwise, because it repeats scipy's arithmetic:
+
+    - the weights ``c`` are scipy's ``savgol_coeffs``: ``lstsq`` of the
+      flipped Vandermonde grid against e0 (see :func:`_savgol_coeffs`);
+    - an interior point is ``x[i]*c[h]``, then ``+ (x[i-j] + x[i+j]) * c[h+j]``
+      for ``j = h..1``, outermost pair first, with ``h = window // 2``: the
+      summation order ``ndimage.convolve1d`` uses on weights symmetric to
+      within machine epsilon;
+    - each edge is ``np.polyval(np.polyfit(arange(window), w, polyorder), t)``
+      over its own 1-D window ``w``. Fitting the stacked series' windows in
+      one ``polyfit`` would round differently, so the edges are fitted per
+      series.
+
+    Low orders such as (7, 2) and (11, 3) also match bitwise. Some orders
+    of 4 and above leave ``lstsq``'s weights less symmetric than that;
+    ndimage then sums in another order and the two differ by rounding.
     """
     x = np.asarray(series, dtype=float)
     if window % 2 == 0 or window < 5:
         raise ValueError(f"window must be odd and >= 5, got {window}")
     if polyorder >= window:
         raise ValueError(f"polyorder {polyorder} must be < window {window}")
-    if x.size < window:
-        raise ValueError(f"series length {x.size} shorter than window {window}")
-    return savgol_filter(x, window_length=window, polyorder=polyorder, mode="interp")
+    n = x.shape[-1] if x.ndim else x.size
+    if n < window:
+        raise ValueError(f"series length {n} shorter than window {window}")
+    if (window, polyorder) == (SG_WINDOW, SG_POLYORDER):
+        c = _SG_COEFFS
+    else:
+        c = _savgol_coeffs(window, polyorder)
+    half = window // 2
+    out = np.empty(x.shape)
+    interior = x[..., half : n - half] * c[half]
+    for j in range(half, 0, -1):
+        interior += (x[..., half - j : n - half - j] + x[..., half + j : n - half + j]) * c[half + j]
+    out[..., half : n - half] = interior
+    t = np.arange(window, dtype=float)
+    for row, smoothed in zip(x.reshape(-1, n), out.reshape(-1, n)):
+        smoothed[:half] = np.polyval(np.polyfit(t, row[:window], polyorder), t[:half])
+        smoothed[n - half :] = np.polyval(np.polyfit(t, row[n - window :], polyorder), t[window - half :])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,18 +196,19 @@ def resample_to_grid(curve: CycleCurve, grid_side: int) -> np.ndarray:
 def cycle_frame(curve: CycleCurve, grid_side: int, smooth: bool = True) -> np.ndarray:
     """Clean one cycle's channels and resample to a [3, G, G] frame.
 
-    The Hampel filter runs on the three channels stacked; Savitzky-Golay
-    smoothing runs per channel.
+    The Hampel filter and then Savitzky-Golay smoothing run on the three
+    channels stacked.
     """
     if not smooth:
         return resample_to_grid(curve, grid_side)
-    v, i, t = hampel_filter(np.stack([curve.voltage, curve.current, curve.temperature]))
+    channels = np.stack([curve.voltage, curve.current, curve.temperature])
+    v, i, t = savitzky_golay(hampel_filter(channels))
     cleaned = CycleCurve(
         cycle_index=curve.cycle_index,
         charged_capacity=curve.charged_capacity,
-        voltage=savitzky_golay(v),
-        current=savitzky_golay(i),
-        temperature=savitzky_golay(t),
+        voltage=v,
+        current=i,
+        temperature=t,
     )
     return resample_to_grid(cleaned, grid_side)
 

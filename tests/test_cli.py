@@ -7,10 +7,15 @@ a config file with an unknown key or a mistyped value and arguments out of
 range are rejected before any work, sweep-noi and ablate write one CSV row
 per cell with the cell seeds in the manifest and build each cell's model
 from the command's model options, and hyperopt writes its trials and a
-best config that train accepts, reproducibly."""
+best config that train accepts, reproducibly. Importing the package and
+its CLI loads no scipy module."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +59,17 @@ def chain(root, seed=5):
     return {name: root / name for name in COMMANDS}
 
 
+class TestNumpyOnly:
+    def test_importing_the_package_and_cli_loads_no_scipy(self):
+        """A fresh interpreter imports ``fpnn`` and ``fpnn.cli`` on numpy alone."""
+        code = ("import sys, fpnn, fpnn.cli; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        src = Path(fpnn.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.stdout == "[]\n"
+
+
 class TestEndToEnd:
     def test_same_seed_reproduces_every_artifact(self, tmp_path):
         first = chain(tmp_path / "a")
@@ -66,8 +82,7 @@ class TestEndToEnd:
         assert "checkpoint.fpt" in manifest(first["train"])["outputs"]
         for out in first.values():
             env = manifest(out)["environment"]
-            assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads",
-                                "stream_threads"}
+            assert set(env) == {"python", "numpy", "blas", "blas_threads", "stream_threads"}
             assert set(env["blas_threads"]) == set(fpnn.BLAS_THREAD_VARS)
             assert env["numpy"] == np.__version__ and env["stream_threads"] == 2
 
@@ -160,6 +175,21 @@ class TestConfigFile:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: ValueError: {config_file}: {text}\n"
+
+    @pytest.mark.parametrize("command", ["train", "sweep-noi", "ablate"])
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("[]", "must hold a JSON object, got list", id="list"),
+        pytest.param("{bad", "not valid JSON: Expecting property name enclosed in double "
+                     "quotes: line 1 column 2 (char 1)", id="bad-json"),
+    ])
+    def test_config_file_not_a_json_object_fails_before_data(self, tmp_path, capsys, command,
+                                                             text, message):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(text)
+        code = cli.main([command, "--data", str(tmp_path / "none"), "--config", str(config_file),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: ValueError: {config_file}: {message}\n"
 
     def test_flag_out_of_range_fails_before_data(self, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "none"), "--epochs", "0",

@@ -160,6 +160,23 @@ class TestExpectedImprovement:
         wide = [ei_at(1.0, s, 2.0) for s in np.linspace(1e-4, 5.0, 200)]
         assert all(b >= a for a, b in zip(wide, wide[1:]))
 
+    def test_matches_scipy_normal_cdf(self):
+        """The normal CDF agrees with ``scipy.special.ndtr`` to 1e-10 relative
+        wherever ndtr is nonzero, and so does EI for z >= -20; further down,
+        EI's two terms cancel and amplify any CDF rounding about z**2-fold."""
+        from scipy.special import ndtr  # the oracle only
+
+        z = np.linspace(-37, 37, 20001)
+        np.testing.assert_allclose(H._normal_cdf(z), ndtr(z), rtol=1e-10, atol=0)
+        rng = np.random.default_rng(3)
+        sigma = 10.0 ** rng.uniform(-3, 2, 5000)
+        best = 1.5
+        mean = best - rng.uniform(-20, 8, 5000) * sigma
+        improve = best - mean
+        z = improve / sigma
+        want = improve * ndtr(z) + sigma * np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
+        np.testing.assert_allclose(H.ei_value(mean, sigma, best), want, rtol=1e-10, atol=0)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             ei_at(0.0, -1.0, 1.0)

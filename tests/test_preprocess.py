@@ -125,6 +125,33 @@ class TestSavitzkyGolay:
         want = savgol_window_loop(x, window=7, polyorder=2)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
+    @pytest.mark.parametrize("window,polyorder", [(9, 3), (7, 2), (5, 2), (11, 3)])
+    def test_equals_scipy_savgol_filter_bitwise(self, window, polyorder):
+        """1-D and stacked [3, n] series of random lengths (the window to
+        window + 3 among them), scales and offsets give exactly scipy's
+        ``savgol_filter(mode="interp")`` on each series."""
+        from scipy.signal import savgol_filter  # the oracle only
+
+        rng = np.random.default_rng(window * 10 + polyorder)
+        for n in [*range(window, window + 4), *rng.integers(window + 4, 400, 30)]:
+            x = (rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, (3, 1))
+                 + rng.uniform(-100, 100, (3, 1)))
+            want = np.stack([savgol_filter(row, window, polyorder, mode="interp") for row in x])
+            assert pp.savitzky_golay(x, window, polyorder).tobytes() == want.tobytes()
+            for row, want_row in zip(x, want):
+                assert pp.savitzky_golay(row, window, polyorder).tobytes() == want_row.tobytes()
+
+    def test_fleet_cycles_equal_scipy_savgol_filter_bitwise(self):
+        """Every cycle of a synthetic fleet, Hampel-cleaned as the pipeline
+        does, smooths to exactly scipy's output per channel."""
+        from scipy.signal import savgol_filter  # the oracle only
+
+        for battery in generate_fleet(3, seed=5, life_range=(200, 400)):
+            for curve in battery.cycles:
+                x = pp.hampel_filter(np.stack([curve.voltage, curve.current, curve.temperature]))
+                want = np.stack([savgol_filter(row, 9, 3, mode="interp") for row in x])
+                assert pp.savitzky_golay(x).tobytes() == want.tobytes()
+
     def test_invalid_window(self):
         x = np.zeros(30)
         with pytest.raises(ValueError):
@@ -133,6 +160,8 @@ class TestSavitzkyGolay:
             pp.savitzky_golay(x, window=7, polyorder=7)
         with pytest.raises(ValueError):
             pp.savitzky_golay(np.zeros(5), window=7, polyorder=2)
+        with pytest.raises(ValueError, match="series length 8 shorter than window 9"):
+            pp.savitzky_golay(np.zeros((3, 8)))
 
 
 class TestResample:
