@@ -53,6 +53,7 @@ from .io import sha256_file
 from .model import MAX_NOI, STREAMS, DetachFlags, FpnnConfig, build_model, export_block_weights
 from .preprocess import (
     VALID_INPUT_CYCLES,
+    HOLDOUT_FRACTION,
     holdout_by_battery,
     load_sample_archive,
     preprocess_fleet,
@@ -264,7 +265,7 @@ def cmd_train(args, out: Path) -> dict:
     model_config = replace(model_config, grid_side=int(manifest_doc["grid_side"]))
 
     seeds = _sub_seeds(args.seed)
-    fit_set, val_set = holdout_by_battery(splits["train"], 0.2, seeds["split"])
+    fit_set, val_set = holdout_by_battery(splits["train"], HOLDOUT_FRACTION, seeds["split"])
     log.info("training on %d samples, validating on %d", len(fit_set), len(val_set))
     params = build_model(model_config)
     best, history = train(params, fit_set, val_set, train_config)
@@ -282,7 +283,10 @@ def cmd_train(args, out: Path) -> dict:
 
 def cmd_eval(args, out: Path) -> dict:
     params = load_checkpoint(args.checkpoint)
-    splits, _, _ = load_sample_archive(args.data)
+    splits, _, manifest = load_sample_archive(args.data)
+    if params.config.grid_side != manifest["grid_side"]:
+        raise ValueError(f"checkpoint {args.checkpoint} has grid_side {params.config.grid_side}, "
+                         f"but archive {args.data} has grid_side {manifest['grid_side']}")
     if args.split not in splits:
         raise ValueError(f"archive has no {args.split!r} split")
     report = evaluate(params, splits[args.split])
@@ -333,7 +337,7 @@ def cmd_hyperopt(args, out: Path) -> dict:
     space = default_search_space()
     train_set, _, _, _ = preprocess_fleet(records, args.cycles, grid_side=args.grid,
                                           seed=seeds["split"])
-    fit_set, val_set = holdout_by_battery(train_set, 0.2, seeds["split"])
+    fit_set, val_set = holdout_by_battery(train_set, HOLDOUT_FRACTION, seeds["split"])
 
     def configs(point: dict) -> tuple[FpnnConfig, TrainConfig]:
         settings = {**point, "epochs": args.epochs, "patience": args.patience}

@@ -132,7 +132,6 @@ def generate_fleet(
     n_batteries: int,
     seed: int,
     life_range: tuple[int, int] = (150, 1200),
-    noise_sigma: tuple[float, float, float] = (5e-4, 5e-3, 0.02),
     out_dir: str | Path | None = None,
 ) -> list[BatteryRecord]:
     """Sample per-battery policies and simulate the fleet.
@@ -151,7 +150,6 @@ def generate_fleet(
             q1=float(rng.uniform(20.0, 70.0)),
             c2=float(rng.uniform(1.0, 4.5)),
             fade_rate=fade_for_life(int(round(life))),
-            noise_sigma=noise_sigma,
             seed=int(rng.integers(0, 2**63 - 1)),
         )
         records.append(generate_battery(policy, f"synth-{i:03d}"))

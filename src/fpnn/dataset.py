@@ -52,9 +52,12 @@ class CycleCurve:
         if self.cycle_index < 1:
             raise DataValidationError(f"{where}: cycle index must be positive")
         n = len(self.charged_capacity)
-        for name in ("voltage", "current", "temperature"):
-            if len(getattr(self, name)) != n:
+        for name in ("charged_capacity", "voltage", "current", "temperature"):
+            series = getattr(self, name)
+            if len(series) != n:
                 raise DataValidationError(f"{where}: {name} length != capacity length")
+            if not np.isfinite(series).all():
+                raise DataValidationError(f"{where}: {name} has non-finite values")
         if n < MIN_CURVE_POINTS:
             raise DataValidationError(f"{where}: needs >= {MIN_CURVE_POINTS} points, got {n}")
         if not np.all(np.diff(self.charged_capacity) > 0):

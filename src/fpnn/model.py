@@ -19,13 +19,15 @@ the 3D front end included, runs in one conv -> batchnorm -> Leaky ReLU unit
 (``_cba_forward``/``_cba_backward``), and an inception unit loops over its
 branch table ``_BRANCHES``.
 
-Every forward pass has a hand-written backward composed from the batched
-layer primitives in :mod:`fpnn.ops`, whose ``(input_grad, *param_grads)``
-tuples are unpacked straight into the gradient dict; there is no autograd
-tape. A backward reads only what its forward cached: a conv its padded
-input, the stem's max pool its argmax offsets. The pools zero-pad their
-own input, and the block's average pool needs nothing but its input's
-shape. Detach flags prune the layout for ablation studies:
+Activations are channels-last, ``[N, H, W, C]``, from each stream's input
+to its global pool: ``_stream_forward`` folds the frames into channels
+once, no layer after it moves an activation between layouts, and branch
+outputs concatenate on the last axis. Every forward pass has a hand-written
+backward composed from the batched layer primitives in :mod:`fpnn.ops`,
+whose ``(input_grad, *param_grads)`` tuples are unpacked straight into the
+gradient dict; there is no autograd tape. A backward reads only what its
+forward cached: a conv what ``conv_forward`` saved, the stem's max pool its
+argmax offsets. Detach flags prune the layout for ablation studies:
 ``initial_layers`` skips the 7x7 + max-pool stage, ``conv3d`` replaces the
 3D front end with depth-averaging plus a 1x1 conv (keeping downstream
 shapes legal), ``residual`` removes the projected skip connections, and
@@ -57,12 +59,13 @@ from .errors import NonFiniteError, ShapeError
 from .ops import (
     BnState,
     ConvSpec,
-    _conv_forward,
-    _conv_saved_backward,
     avg_pool2d,
     batchnorm2d_backward,
     batchnorm2d_forward,
+    channels_last,
     check_finite,
+    conv_backward,
+    conv_forward,
     global_avg_pool,
     global_avg_pool_backward,
     leaky_relu_backward,
@@ -259,13 +262,10 @@ def build_model(config: FpnnConfig) -> FpnnParams:
 def _cba_forward(x, params, specs, name, mode, new_states):
     """A non-finite value anywhere in the unit raises NonFiniteError
     prefixed with the unit's conv name (``diff.front.conv3d: ...``)."""
-    spec = specs[name]
     bn = _bn_name(name)
     try:
-        z, xpad = _conv_forward(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
-                                spec, return_cols=True)
-        conv_shape = z.shape
-        z = z.reshape(*z.shape[:2], *z.shape[-2:])  # 3D front end: [N, C, 1, G, G] -> [N, C, G, G]
+        z, conv = conv_forward(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
+                               specs[name])
         z2, state, bn_cache = batchnorm2d_forward(
             z, params.tensors[f"{bn}.scale"], params.tensors[f"{bn}.shift"],
             params.bn_states[bn], mode,
@@ -274,8 +274,7 @@ def _cba_forward(x, params, specs, name, mode, new_states):
     except NonFiniteError as exc:
         raise NonFiniteError(f"{name}: {exc}") from exc
     new_states[bn] = state
-    cache = {"name": name, "spec": spec, "xpad": xpad, "conv_shape": conv_shape,
-             "bn_cache": bn_cache, "act_in": z2}
+    cache = {"name": name, "conv": conv, "bn_cache": bn_cache, "act_in": z2}
     return out, cache
 
 
@@ -288,9 +287,7 @@ def _cba_backward(gout, params, cache, grads, want_input_grad=True, activated=Fa
         gout = leaky_relu_backward(cache["act_in"], params.config.alpha, gout)
     bn = _bn_name(name)  # rebinding gout below frees the activation gradient it held
     gout, grads[f"{bn}.scale"], grads[f"{bn}.shift"] = batchnorm2d_backward(cache["bn_cache"], gout)
-    gx, grads[f"{name}.w"], grads[f"{name}.b"] = _conv_saved_backward(
-        cache["xpad"], params.tensors[f"{name}.w"], cache["spec"],
-        gout.reshape(cache["conv_shape"]), want_input_grad)
+    gx, grads[f"{name}.w"], grads[f"{name}.b"] = conv_backward(cache["conv"], gout, want_input_grad)
     return gx
 
 
@@ -306,7 +303,7 @@ _BRANCHES = (("b1.conv",), ("b2.reduce", "b2.conv"), ("b3.reduce", "b3.conv1", "
 
 def _block_forward(x, params, specs, prefix, mode, new_states):
     """Four branches concatenated to 88 channels, plus the projected skip."""
-    cache = {"branches": [], "proj": None}
+    cache = {"prefix": prefix, "branches": [], "proj": None}
     outs = []
     for chain in _BRANCHES:
         h = avg_pool2d(x, 3, 1, 1) if chain is _BRANCHES[-1] else x  # keeps H x W
@@ -316,13 +313,13 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
             caches.append(c)
         outs.append(h)
         cache["branches"].append(caches)
-    out = np.concatenate(outs, axis=1)
+    cache["splits"] = np.cumsum([h.shape[-1] for h in outs])[:-1]
+    out = np.concatenate(outs, axis=-1)
     proj = f"{prefix}.proj"
     if proj in specs:
         spec = specs[proj]
-        skip, xpad = _conv_forward(x, params.tensors[f"{proj}.w"], np.zeros(spec.out_channels),
-                                   spec, return_cols=True)
-        cache["proj"] = {"name": proj, "spec": spec, "xpad": xpad}
+        skip, cache["proj"] = conv_forward(x, params.tensors[f"{proj}.w"],
+                                           np.zeros(spec.out_channels), spec)
         out = out + skip
     check_finite(f"{prefix} inception block", out)
     return out, cache
@@ -330,20 +327,16 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
 
 def _block_backward(gout, params, cache, grads):
     chains = cache["branches"]
-    widths = [caches[-1]["spec"].out_channels for caches in chains]
     gx = None
-    for caches, g in zip(chains, np.split(gout, np.cumsum(widths)[:-1], axis=1)):
+    for caches, g in zip(chains, np.split(gout, cache["splits"], axis=-1)):
         for c in reversed(caches):
             g = _cba_backward(g, params, c, grads)
         if caches is chains[-1]:
             g = pool2d_backward(g, g.shape, 3, 1, 1)  # the pool keeps the block input's shape
         gx = g if gx is None else gx + g
 
-    proj = cache["proj"]
-    if proj is not None:
-        name = proj["name"]
-        g, grads[f"{name}.w"], _ = _conv_saved_backward(
-            proj["xpad"], params.tensors[f"{name}.w"], proj["spec"], gout)
+    if cache["proj"] is not None:
+        g, grads[f"{cache['prefix']}.proj.w"], _ = conv_backward(cache["proj"], gout)
         gx = gx + g
     return gx
 
@@ -362,10 +355,11 @@ def _stream_forward(x5, params, specs, stream, mode, new_states):
         )
     cache = {"init": None}
 
+    # The one layout decision: channels-last from here to the global pool.
     if cfg.detach.conv3d:  # frame mean, then a 1x1 conv
-        front, x = f"{stream}.front.proj", x5.mean(axis=2)
-    else:  # kernel depth spans all frames, so the 3D conv has one output frame
-        front, x = f"{stream}.front.conv3d", x5
+        front, x = f"{stream}.front.proj", channels_last(x5.mean(axis=2))
+    else:  # kernel depth spans all frames: the frames fold into channels
+        front, x = f"{stream}.front.conv3d", channels_last(x5, 1)
     h, cache["front"] = _cba_forward(x, params, specs, front, mode, new_states)
 
     if f"{stream}.init.conv" in specs:

@@ -1,30 +1,36 @@
 """Dense-tensor layer primitives with explicit forward and backward passes.
 
-Every operation is a pure function of its arguments: nothing is mutated,
-batch normalization returns an updated state object instead of touching the
-one it was given. All arithmetic is float64. Convolution is plain
-cross-correlation (no kernel flip) computed by shift-and-matmul: the input
-is zero-padded once into channels-last layout, and each kernel offset adds
-``shifted input @ W[offset]`` with one BLAS matmul. The backward pass runs
-the same offset loop over the saved padded input, so no window matrix of
-size [rows, C_in * prod(kernel)] is ever built. Leading kernel axes that
-span their whole unpadded input (the 3D front end's depth) are folded into
-the channel axis first.
+Activations are channels-last, ``[N, *spatial, C]``, the layout the
+convolution's matmuls read; weights are ``[C_out, C_in, *kernel]``. Every
+operation is a pure function of its arguments (batch normalization returns
+a new state) and writes into no array it was given, since a convolution may
+save its caller's array for its backward pass. All arithmetic is float64.
 
-Every spatial layer takes a batch, ``[N, C, *spatial]``. A backward pass
-with parameters returns the plain tuple ``(input_grad, *param_grads)``,
-the parameters in the order the forward pass takes them. The pools zero-pad
-their own input: the max pool returns the offset of each window's maximum,
-which is all its backward pass needs, and the average pool's backward reads
-only the input's shape.
+Convolutions and pools share one window machinery: ``_padded`` zero-pads
+the spatial axes, or returns its input when nothing is padded, and
+``_shifted`` is the view that one window offset reads. A convolution adds
+``shifted input @ W[offset]`` over the kernel offsets (cross-correlation,
+one BLAS matmul each), and its backward runs the same loop over the saved
+padded input, so no window matrix is ever built. Kernel axes the input
+lacks are folded into its channels (``channels_last``): the 3D front end's
+kernel spans all frames, so it runs as a 3x3 convolution over 3 * D
+channels. A backward pass returns ``(input_grad, *param_grads)``, the
+parameters in forward order; the max pool returns each window's argmax
+offset for its backward.
+
+``_conv_forward`` (also named ``conv2d_forward`` and ``conv3d_forward``) and
+``_conv_backward`` are NCHW adapters over ``conv_forward`` and
+``conv_backward``, kept for the benchmark's per-layer probe, which calls
+them with NCHW arrays; each moves the layout at both ends, which the
+network never does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFiniteError, ShapeError
 
@@ -81,47 +87,31 @@ class ConvSpec:
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# window machinery and convolution
 # ---------------------------------------------------------------------------
 
-def _n_folded(spec: ConvSpec, in_extents: tuple[int, ...]) -> int:
-    """Count of leading kernel axes that span their whole unpadded input axis.
-
-    Such an axis has one output position, so folding it into the channel
-    axis (a zero-copy reshape of [N, C, D, ...] to [N, C*D, ...]) is exact.
-    """
-    n = 0
-    for k, p, e in zip(spec.kernel, spec.padding, in_extents):
-        if p != 0 or k != e:
-            break
-        n += 1
-    return n
+def channels_last(x: np.ndarray, n_folded: int = 0) -> np.ndarray:
+    """[N, C, *spatial] -> [N, *spatial[n_folded:], C * prod(spatial[:n_folded])]:
+    the first ``n_folded`` spatial axes folded into channels as
+    ``c * extent + d``, the order in which ``_kernel_matrices`` folds a kernel."""
+    return np.moveaxis(x.reshape(x.shape[0], -1, *x.shape[2 + n_folded:]), 1, -1)
 
 
-def _conv_operand(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """The one array a convolution saves for its backward pass: ``x`` with
-    full-extent leading axes folded into channels, zero-padded and
-    channels-last, ``[N, *padded_spatial, C_in * prod(folded kernel)]``."""
-    nf = _n_folded(spec, x.shape[2:])
-    x = x.reshape(x.shape[0], int(np.prod(x.shape[1:2 + nf])), *x.shape[2 + nf:])
-    pads = spec.padding[nf:]
-    xs = np.zeros((x.shape[0], *(e + 2 * p for e, p in zip(x.shape[2:], pads)), x.shape[1]))
-    interior = tuple(slice(p, p + e) for p, e in zip(pads, x.shape[2:]))
-    xs[(slice(None),) + interior] = np.moveaxis(x, 1, -1)
-    return xs
+def _padded(x: np.ndarray, pads) -> np.ndarray:
+    """``x`` zero-padded by ``pads[i]`` on both sides of spatial axis i, or
+    ``x`` itself when no axis is padded."""
+    if not any(pads):
+        return x
+    return np.pad(x, [(0, 0), *((p, p) for p in pads), (0, 0)])
 
 
-def _operand_geometry(xs: np.ndarray, spec: ConvSpec):
-    """(folded axis count, unfolded input shape, unfolded spatial output
-    extents) of the input that ``_conv_operand`` turned into ``xs``."""
-    nf = spec.ndim - (xs.ndim - 2)
-    rest = tuple(e - 2 * p for e, p in zip(xs.shape[1:-1], spec.padding[nf:]))
-    in_shape = (xs.shape[0], spec.in_channels, *spec.kernel[:nf], *rest)
-    return nf, in_shape, spec.out_extents(in_shape[2:])
+def _unpadded(xs: np.ndarray, pads) -> np.ndarray:
+    """The view of ``xs`` that ``_padded(x, pads)`` copied ``x`` into."""
+    return xs[(slice(None), *(slice(p, e - p) for p, e in zip(pads, xs.shape[1:-1])))]
 
 
 def _shifted(xs: np.ndarray, offset, stride, out_sp) -> np.ndarray:
-    """The [N, *out_sp, C] view of ``xs`` that one kernel offset reads."""
+    """The [N, *out_sp, C] view of ``xs`` that one window offset reads."""
     window = tuple(slice(o, o + s * (e - 1) + 1, s) for o, s, e in zip(offset, stride, out_sp))
     return xs[(slice(None),) + window]
 
@@ -139,105 +129,122 @@ def _kernel_matrices(weights: np.ndarray, nf: int) -> np.ndarray:
 _BLOCK_BYTES = 256 * 1024
 
 
-def _sample_blocks(n: int, rows_per_sample: int, width: int) -> list[slice]:
-    step = max(1, _BLOCK_BYTES // (8 * rows_per_sample * width))
+def _sample_blocks(n: int, rows_per_sample: int, width: int, itemsize: int) -> list[slice]:
+    step = max(1, _BLOCK_BYTES // (itemsize * rows_per_sample * width))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _conv_forward(x, weights, bias, spec, return_cols=False):
-    """Shift-and-matmul: the sum over kernel offsets of shifted input @ W[offset].
+def conv_forward(x, weights, bias, spec: ConvSpec):
+    """``(out, saved)``: ``out`` [N, *out_spatial, C_out], the sum over
+    kernel offsets of shifted ``x`` @ W[offset], plus the bias.
 
-    With ``return_cols`` also returns the operand ``_conv_saved_backward``
-    needs, the padded channels-last input of ``_conv_operand``.
+    ``x`` is [N, *spatial, C]. When it has fewer spatial axes than the
+    kernel, the leading kernel axes are folded into its channels, C = C_in *
+    prod(folded kernel). ``saved``, what ``conv_backward`` reads, is the
+    padded input (``x`` itself when nothing is padded), weights and spec.
     """
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(f"input has {x.shape[1]} channels, spec expects {spec.in_channels}")
+    nf = spec.ndim - (x.ndim - 2)
+    if not 0 <= nf <= spec.ndim or any(spec.padding[:nf]):
+        raise ShapeError(f"input {x.shape} does not fit kernel {spec.kernel} padded {spec.padding}")
+    c = spec.in_channels * math.prod(spec.kernel[:nf])
+    if x.shape[-1] != c:
+        raise ShapeError(f"input has {x.shape[-1]} channels, spec expects {c}")
     if weights.shape != spec.weight_shape():
         raise ShapeError(f"weights {weights.shape} do not match spec {spec.weight_shape()}")
     if bias.shape != (spec.out_channels,):
         raise ShapeError(f"bias {bias.shape} must be ({spec.out_channels},)")
-    n, out_sp = x.shape[0], spec.out_extents(x.shape[2:])
-    nf = _n_folded(spec, x.shape[2:])
-    xs = _conv_operand(x, spec)
+    out_sp = spec.out_extents((*spec.kernel[:nf], *x.shape[1:-1]))[nf:]
+    xs = _padded(x, spec.padding[nf:])
     wk = _kernel_matrices(weights, nf)
-    stride, sp = spec.stride[nf:], out_sp[nf:]
-    c, rows = xs.shape[-1], int(np.prod(sp))
-    blocks = _sample_blocks(n, rows, spec.out_channels)
+    n, c_out, stride, rows = x.shape[0], spec.out_channels, spec.stride[nf:], math.prod(out_sp)
+    blocks = _sample_blocks(n, rows, c_out, xs.itemsize)
     # One shift buffer and one product buffer serve every offset: fresh
     # multi-MiB temporaries per offset page-fault, which in a fresh process
     # doubled the 7x7 stem's forward time.
-    shift_buf = np.empty((blocks[0].stop, *sp, c))
-    prod_buf = np.empty((blocks[0].stop * rows, spec.out_channels))
-    out = np.zeros((n, rows, spec.out_channels))
+    shift_buf = np.empty((blocks[0].stop, *out_sp, c))
+    prod_buf = np.empty((blocks[0].stop * rows, c_out))
+    out = np.zeros((n, *out_sp, c_out))
     for blk in blocks:
         m = blk.stop - blk.start
-        x_shift, prod, out_blk = shift_buf[:m], prod_buf[: m * rows], out[blk].reshape(-1, spec.out_channels)
+        x_shift, prod, out_blk = shift_buf[:m], prod_buf[: m * rows], out[blk].reshape(-1, c_out)
         for offset in np.ndindex(*wk.shape[:-2]):
-            np.copyto(x_shift, _shifted(xs[blk], offset, stride, sp))
+            np.copyto(x_shift, _shifted(xs[blk], offset, stride, out_sp))
             out_blk += np.matmul(x_shift.reshape(-1, c), wk[offset], out=prod)
     out += bias
-    out = np.moveaxis(out.reshape(n, *sp, spec.out_channels), -1, 1)
-    out = np.ascontiguousarray(out).reshape(n, spec.out_channels, *out_sp)
     check_finite("conv forward", out)
-    return (out, xs) if return_cols else out
+    return out, (xs, weights, spec)
 
 
-def _conv_saved_backward(xs, weights, spec, output_grad, want_input_grad=True):
-    """Gradients from the saved operand: the forward pass's offset loop,
-    recomputing each shifted input instead of reading a cached window matrix.
-
-    With ``want_input_grad=False`` the input-gradient matmuls are skipped and
-    the input gradient is None; the parameter gradients are the same.
+def conv_backward(saved, output_grad, want_input_grad=True):
+    """``(input_grad, d_weights, d_bias)`` from what ``conv_forward`` saved,
+    by its offset loop again. With ``want_input_grad=False`` the input
+    gradient is None and its matmuls are skipped; the rest is the same.
     """
-    nf, in_shape, out_sp = _operand_geometry(xs, spec)
-    n = in_shape[0]
-    if output_grad.shape != (n, spec.out_channels, *out_sp):
+    xs, weights, spec = saved
+    nf = spec.ndim - (xs.ndim - 2)
+    pads = spec.padding[nf:]
+    in_sp = tuple(e - 2 * p for e, p in zip(xs.shape[1:-1], pads))
+    out_sp = spec.out_extents((*spec.kernel[:nf], *in_sp))[nf:]
+    n, c, c_out = xs.shape[0], xs.shape[-1], spec.out_channels
+    if output_grad.shape != (n, *out_sp, c_out):
         raise ShapeError(
-            f"output_grad {output_grad.shape} does not match forward output "
-            f"{(n, spec.out_channels, *out_sp)}"
+            f"output_grad {output_grad.shape} does not match forward output {(n, *out_sp, c_out)}"
         )
     wk = _kernel_matrices(weights, nf)
-    stride, sp = spec.stride[nf:], out_sp[nf:]
-    c, rows = xs.shape[-1], int(np.prod(sp))
-    gmat = np.moveaxis(output_grad.reshape(n, spec.out_channels, *sp), 1, -1)
-    gmat = np.ascontiguousarray(gmat).reshape(n, rows, spec.out_channels)
-    blocks = _sample_blocks(n, rows, spec.out_channels)
-    shift_buf = np.empty((blocks[0].stop, *sp, c))
+    stride, rows = spec.stride[nf:], math.prod(out_sp)
+    gmat = output_grad.reshape(n, rows, c_out)
+    blocks = _sample_blocks(n, rows, c_out, xs.itemsize)
+    shift_buf = np.empty((blocks[0].stop, *out_sp, c))
     dw = np.empty(wk.shape[-2:])
     d_wk = np.zeros_like(wk)
     if want_input_grad:
         gx_buf = np.empty_like(shift_buf)
-        gxs = np.zeros_like(xs)
+        gxs = np.zeros(xs.shape)
     for blk in blocks:
         m = blk.stop - blk.start
-        x_shift, g_blk = shift_buf[:m], gmat[blk].reshape(-1, spec.out_channels)
+        x_shift, g_blk = shift_buf[:m], gmat[blk].reshape(-1, c_out)
         if want_input_grad:
             gx_shift = gx_buf[:m]
         for offset in np.ndindex(*wk.shape[:-2]):
-            np.copyto(x_shift, _shifted(xs[blk], offset, stride, sp))
+            np.copyto(x_shift, _shifted(xs[blk], offset, stride, out_sp))
             d_wk[offset] += np.matmul(x_shift.reshape(-1, c).T, g_blk, out=dw)
             if want_input_grad:
                 np.matmul(g_blk, wk[offset].T, out=gx_shift.reshape(-1, c))
-                _shifted(gxs[blk], offset, stride, sp)[...] += gx_shift
+                _shifted(gxs[blk], offset, stride, out_sp)[...] += gx_shift
     d_weights = np.ascontiguousarray(np.moveaxis(d_wk, (-1, -2), (0, 1))).reshape(weights.shape)
-    d_bias = gmat.reshape(-1, spec.out_channels).sum(axis=0)
-    gx = None
-    if want_input_grad:
-        interior = tuple(slice(p, e - p) for p, e in zip(spec.padding[nf:], xs.shape[1:-1]))
-        gx = np.ascontiguousarray(np.moveaxis(gxs[(slice(None),) + interior], -1, 1)).reshape(in_shape)
-    return gx, d_weights, d_bias
+    d_bias = gmat.reshape(-1, c_out).sum(axis=0)
+    return (_unpadded(gxs, pads) if want_input_grad else None), d_weights, d_bias
 
 
-# conv2d_forward, conv3d_forward and _conv_backward are the names the
-# benchmark's per-layer probe calls; the network calls _conv_forward and
-# _conv_saved_backward.
+def _n_folded(spec: ConvSpec, in_extents: tuple[int, ...]) -> int:
+    """Count of leading kernel axes that span their whole unpadded input
+    axis, and so can fold into the channels."""
+    n = 0
+    while n < spec.ndim and spec.padding[n] == 0 and spec.kernel[n] == in_extents[n]:
+        n += 1
+    return n
+
+
+def _conv_forward(x, weights, bias, spec, return_cols=False):
+    """NCHW adapter: ``conv_forward`` of ``x`` [N, C_in, *spatial], the
+    output [N, C_out, *out_spatial]; with ``return_cols`` also what it saved.
+    Full-extent leading axes are folded into channels, as the network folds
+    its 3D front end's frames."""
+    out_sp = spec.out_extents(x.shape[2:])
+    out, saved = conv_forward(channels_last(x, _n_folded(spec, x.shape[2:])), weights, bias, spec)
+    out = np.ascontiguousarray(np.moveaxis(out, -1, 1)).reshape(x.shape[0], spec.out_channels, *out_sp)
+    return (out, saved) if return_cols else out
+
+
 conv2d_forward = conv3d_forward = _conv_forward
 
 
 def _conv_backward(x, weights, spec, output_grad, cols):
-    """_conv_saved_backward of ``cols``, the operand _conv_forward(...,
-    return_cols=True) saved; ``x`` is not read."""
-    return _conv_saved_backward(cols, weights, spec, output_grad)
+    """NCHW adapter: ``conv_backward`` of ``cols``, what ``_conv_forward(x,
+    weights, ..., spec, return_cols=True)`` saved, with an NCHW output
+    gradient; the input gradient comes back shaped like ``x``."""
+    gx, d_weights, d_bias = conv_backward(cols, channels_last(output_grad, _n_folded(spec, x.shape[2:])))
+    return np.ascontiguousarray(np.moveaxis(gx, -1, 1)).reshape(x.shape), d_weights, d_bias
 
 
 # ---------------------------------------------------------------------------
@@ -270,50 +277,43 @@ def leaky_relu_backward(x: np.ndarray, alpha: float, output_grad: np.ndarray) ->
 # pooling: square windows over the zero-padded input
 # ---------------------------------------------------------------------------
 
-def _pool_geometry(in_shape, window: int, stride: int, pad: int):
-    """(padded height, padded width, output height, output width)."""
+def _pool_windows(x, window: int, stride: int, pad: int):
+    """``(xp, views)``: ``x`` [N, H, W, C] zero-padded, and the ``_shifted``
+    view of ``xp`` that each window offset reads, in row-major offset order."""
     if window < 1 or stride < 1 or pad < 0:
         raise ShapeError("pool window and stride must be positive and pad nonnegative")
-    if len(in_shape) != 4:
-        raise ShapeError(f"pools expect [N, C, H, W], got {tuple(in_shape)}")
-    hp, wp = in_shape[2] + 2 * pad, in_shape[3] + 2 * pad
+    if x.ndim != 4:
+        raise ShapeError(f"pools expect [N, H, W, C], got {x.shape}")
+    hp, wp = x.shape[1] + 2 * pad, x.shape[2] + 2 * pad
     if hp < window or wp < window:
         raise ShapeError(f"pool window {window} larger than padded input {(hp, wp)}")
-    return hp, wp, (hp - window) // stride + 1, (wp - window) // stride + 1
-
-
-def _padded(x, pad: int):
-    return np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)])
-
-
-def _window_offsets(window: int, stride: int, oh: int, ow: int):
-    """(offset index, view index) per window offset in row-major order; the
-    view index selects the [N, C, oh, ow] elements that offset reads."""
-    return [(m * window + l, (Ellipsis, slice(m, m + stride * (oh - 1) + 1, stride),
-                              slice(l, l + stride * (ow - 1) + 1, stride)))
-            for m in range(window) for l in range(window)]
+    out_sp = ((hp - window) // stride + 1, (wp - window) // stride + 1)
+    xp = _padded(x, (pad, pad))
+    return xp, [_shifted(xp, o, (stride, stride), out_sp) for o in np.ndindex(window, window)]
 
 
 def avg_pool2d(x, window: int, stride: int, pad: int) -> np.ndarray:
-    """Mean over each window; the zero padding counts in the mean."""
-    _pool_geometry(x.shape, window, stride, pad)
-    win = sliding_window_view(_padded(x, pad), (window, window), axis=(-2, -1))
-    return check_finite("avg_pool2d", win[..., ::stride, ::stride, :, :].mean(axis=(-2, -1)))
+    """Mean over each window; the zero padding counts in the mean. A
+    window's values are added in row-major offset order, then divided."""
+    _, views = _pool_windows(x, window, stride, pad)
+    out = views[0].copy()
+    for view in views[1:]:
+        out += view
+    out /= window * window
+    return check_finite("avg_pool2d", out)
 
 
 def max_pool2d(x, window: int, stride: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
     """Max over each window, and the offset of each maximum in its window
     (row-major, the first one on ties), which pool2d_backward reads."""
-    _, _, oh, ow = _pool_geometry(x.shape, window, stride, pad)
-    xp = _padded(x, pad)
-    offsets = _window_offsets(window, stride, oh, ow)
-    out = xp[offsets[0][1]].copy()
+    _, views = _pool_windows(x, window, stride, pad)
+    out = views[0].copy()
     argmax = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
     better = np.empty(out.shape, dtype=bool)
-    for k, view in offsets[1:]:
-        np.greater(xp[view], out, out=better)
+    for k, view in enumerate(views[1:], 1):
+        np.greater(view, out, out=better)
         np.copyto(argmax, k, where=better)
-        np.maximum(out, xp[view], out=out)  # propagates NaN into the finiteness check
+        np.maximum(out, view, out=out)  # propagates NaN into the finiteness check
     return check_finite("max_pool2d", out), argmax
 
 
@@ -329,21 +329,19 @@ def pool2d_backward(output_grad, in_shape, window: int, stride: int, pad: int,
     windows then sums their grads in row-major window order, the order a
     scatter-add over the output (``np.add.at``) would.
     """
-    hp, wp, oh, ow = _pool_geometry(in_shape, window, stride, pad)
-    if output_grad.shape != (*in_shape[:2], oh, ow):
+    n, h, w, c = in_shape  # the windows are views of the padded gradient itself
+    gx, views = _pool_windows(np.zeros((n, h + 2 * pad, w + 2 * pad, c)), window, stride, 0)
+    if output_grad.shape != views[0].shape:
         raise ShapeError(f"output_grad {output_grad.shape} does not match pool output "
-                         f"{(*in_shape[:2], oh, ow)}")
-    gx = np.zeros((*in_shape[:2], hp, wp))
-    offsets = _window_offsets(window, stride, oh, ow)
+                         f"{views[0].shape}")
     if argmax is None:
         g = output_grad / (window * window)
-        for _, view in offsets:
-            gx[view] += g
+        for view in views:
+            view += g
     else:
-        for k, view in reversed(offsets):
-            dst = gx[view]
-            np.add(dst, output_grad, out=dst, where=argmax == k)
-    return gx[..., pad : hp - pad, pad : wp - pad]
+        for k in reversed(range(len(views))):
+            np.add(views[k], output_grad, out=views[k], where=argmax == k)
+    return _unpadded(gx, (pad, pad))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +350,7 @@ def pool2d_backward(output_grad, in_shape, window: int, stride: int, pad: int,
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+_LEADING = (0, 1, 2)  # the axes a [N, H, W, C] batch statistic reduces over
 
 
 @dataclass
@@ -370,24 +369,23 @@ class BnState:
 
 
 def batchnorm2d_forward(x, scale, shift, state: BnState, mode: str):
-    """Per-channel batch normalization over [N, C, H, W].
+    """Per-channel batch normalization over [N, H, W, C].
 
-    Train mode normalizes with batch statistics and returns an updated
-    running-stats state (momentum 0.1); eval mode normalizes with the
-    running stats. Returns (out, new_state, cache) where cache feeds
-    batchnorm2d_backward.
+    Train mode normalizes with batch statistics, taken over the leading
+    axes, and returns an updated running-stats state (momentum 0.1); eval
+    mode normalizes with the running stats. Returns (out, new_state, cache)
+    where cache feeds batchnorm2d_backward.
     """
     if x.ndim != 4:
-        raise ShapeError("batchnorm2d expects [N, C, H, W]")
-    n, c, h, w = x.shape
+        raise ShapeError("batchnorm2d expects [N, H, W, C]")
+    c = x.shape[-1]
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError("scale/shift must have one entry per channel")
     if mode == "train":
-        m = n * h * w
-        if m < 2:
+        if x.size // c < 2:
             raise ShapeError("train-mode batchnorm needs N*H*W >= 2")
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        mean = x.mean(axis=_LEADING)
+        var = x.var(axis=_LEADING)
         new_state = BnState(
             (1 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mean,
             (1 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var,
@@ -398,8 +396,8 @@ def batchnorm2d_forward(x, scale, shift, state: BnState, mode: str):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
-    out = scale[:, None, None] * xhat + shift[:, None, None]
+    xhat = (x - mean) * inv_std
+    out = scale * xhat + shift
     check_finite("batchnorm2d", out)
     cache = {"xhat": xhat, "inv_std": inv_std, "scale": scale, "mode": mode}
     return out, new_state, cache
@@ -409,22 +407,21 @@ def batchnorm2d_backward(cache, output_grad):
     xhat, inv_std, scale = cache["xhat"], cache["inv_std"], cache["scale"]
     if output_grad.shape != xhat.shape:
         raise ShapeError("output_grad shape must match forward input")
-    d_scale = (output_grad * xhat).sum(axis=(0, 2, 3))
-    d_shift = output_grad.sum(axis=(0, 2, 3))
-    dxhat = output_grad * scale[:, None, None]
+    d_scale = (output_grad * xhat).sum(axis=_LEADING)
+    d_shift = output_grad.sum(axis=_LEADING)
+    dxhat = output_grad * scale
     # The input gradient is built in dxhat's buffer, with the operations and
     # their order of (inv_std / m) * (m * dxhat - sum_d - xhat * sum_dx).
     if cache["mode"] == "train":
-        n, c, h, w = xhat.shape
-        m = n * h * w
-        sum_d = dxhat.sum(axis=(0, 2, 3))
-        sum_dx = (dxhat * xhat).sum(axis=(0, 2, 3))
+        m = xhat.size // xhat.shape[-1]
+        sum_d = dxhat.sum(axis=_LEADING)
+        sum_dx = (dxhat * xhat).sum(axis=_LEADING)
         dxhat *= m
-        dxhat -= sum_d[:, None, None]
-        dxhat -= xhat * sum_dx[:, None, None]
-        dxhat *= inv_std[:, None, None] / m
+        dxhat -= sum_d
+        dxhat -= xhat * sum_dx
+        dxhat *= inv_std / m
     else:
-        dxhat *= inv_std[:, None, None]
+        dxhat *= inv_std
     return dxhat, d_scale, d_shift
 
 
@@ -448,14 +445,14 @@ def linear_backward(x, weights, output_grad):
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """[N, C, H, W] -> [N, C] spatial mean."""
+    """[N, H, W, C] -> [N, C] spatial mean."""
     if x.ndim != 4:
-        raise ShapeError("global_avg_pool expects [N, C, H, W]")
-    return x.mean(axis=(2, 3))
+        raise ShapeError("global_avg_pool expects [N, H, W, C]")
+    return x.mean(axis=(1, 2))
 
 
 def global_avg_pool_backward(x_shape: tuple[int, ...], output_grad: np.ndarray) -> np.ndarray:
-    n, c, h, w = x_shape
+    n, h, w, c = x_shape
     if output_grad.shape != (n, c):
         raise ShapeError("output_grad must be [N, C]")
-    return np.broadcast_to(output_grad[:, :, None, None] / (h * w), x_shape).copy()
+    return np.broadcast_to(output_grad[:, None, None, :] / (h * w), x_shape).copy()

@@ -35,6 +35,7 @@ DEFAULT_GRID_SIDE = 32
 
 CANONICAL_TRAIN = 94
 CANONICAL_TEST = 30
+HOLDOUT_FRACTION = 0.2  # share of a train split's batteries held out for validation
 
 HAMPEL_WINDOW = 11
 HAMPEL_SIGMAS = 3.0

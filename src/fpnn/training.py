@@ -23,10 +23,11 @@ from . import io as tio
 from .errors import CheckpointError, NonFiniteError, TrainingError
 from .model import FpnnConfig, FpnnParams, build_model, fpnn_backward, fpnn_forward
 from .ops import BnState
-from .preprocess import SampleSet, holdout_by_battery, preprocess_fleet
+from .preprocess import HOLDOUT_FRACTION, SampleSet, holdout_by_battery, preprocess_fleet
 
 CHECKPOINT_KIND = "fpnn-checkpoint"
 CHECKPOINT_VERSION = 1
+EVAL_CHUNK = 64  # samples per eval-mode forward pass
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -156,10 +157,10 @@ def adam_step(
 # train / evaluate
 # ---------------------------------------------------------------------------
 
-def _forward_in_chunks(params: FpnnParams, samples: SampleSet, chunk: int = 64) -> np.ndarray:
+def _forward_in_chunks(params: FpnnParams, samples: SampleSet) -> np.ndarray:
     preds = []
-    for lo in range(0, len(samples), chunk):
-        batch = (samples.raw[lo : lo + chunk], samples.diff[lo : lo + chunk])
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        batch = (samples.raw[lo : lo + EVAL_CHUNK], samples.diff[lo : lo + EVAL_CHUNK])
         preds.append(fpnn_forward(batch, params, mode="eval"))
     return np.concatenate(preds)
 
@@ -281,7 +282,7 @@ def run_sweep_cell(train_set: SampleSet, test_set: SampleSet, n_input_cycles: in
     seed = model_config.seed
     cell = SweepCell(n_input_cycles, model_config.noi, seed)
     try:
-        fit_set, val_set = holdout_by_battery(train_set, 0.2, seed)
+        fit_set, val_set = holdout_by_battery(train_set, HOLDOUT_FRACTION, seed)
         best, _ = train(build_model(model_config), fit_set, val_set,
                         replace(train_config, seed=seed))
         report = evaluate(best, test_set)

@@ -1,10 +1,22 @@
 """Independent brute-force oracles used by the test suite.
 
 These are deliberately naive nested-loop implementations that share no code
-with the library; they exist to cross-check the vectorized operations.
+with the library; they exist to cross-check the vectorized operations. They
+take one NCHW sample, [C, *spatial]; fpnn's layers take channels-last
+batches, so tests convert at the boundary with ``nhwc`` and ``nchw``.
 """
 
 import numpy as np
+
+
+def nhwc(x):
+    """[N, C, *spatial] -> [N, *spatial, C]."""
+    return np.ascontiguousarray(np.moveaxis(x, 1, -1))
+
+
+def nchw(x):
+    """[N, *spatial, C] -> [N, C, *spatial]."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 1))
 
 
 def conv2d_loop(x, w, b, stride, pad):

@@ -109,6 +109,44 @@ class TestEndToEnd:
         assert config["epochs"] == 2 and config["eval_split"] == "test"
         assert "seed" not in config
 
+    def test_nonfinite_fleet_value_fails_preprocess(self, tmp_path, capsys):
+        """A NaN voltage cell fails ``preprocess`` with one line naming the
+        battery, the cycle and the series, and writes no archive."""
+        fleet = tmp_path / "fleet"
+        run("gen", "--n", 4, "--seed", 5, "--out", fleet)
+        path = sorted(fleet.glob("*/cycles.csv"))[1]
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = "nan"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(["preprocess", "--data", str(fleet), "--cycles", "10", "--grid", "8",
+                         "--out", str(tmp_path / "archive")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: DataValidationError: battery '{path.parent.name}' "
+                              "cycle 1: voltage has non-finite values")
+        assert not (tmp_path / "archive" / "manifest.json").exists()
+
+    def test_eval_grid_mismatch_names_both_files(self, tmp_path, capsys):
+        """A grid-8 checkpoint on a grid-16 archive fails before predicting,
+        with one line naming both paths and both grid sides."""
+        fleet, archive = tmp_path / "fleet", tmp_path / "archive"
+        run("gen", "--n", 4, "--seed", 5, "--out", fleet)
+        run("preprocess", "--data", fleet, "--cycles", 10, "--grid", 16, "--seed", 5,
+            "--out", archive)
+        checkpoint = tmp_path / "grid8.fpt"
+        training.save_checkpoint(M.build_model(M.FpnnConfig(grid_side=8)), checkpoint)
+        capsys.readouterr()
+        code = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(archive),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: ValueError: checkpoint {checkpoint} has grid_side 8, "
+                       f"but archive {archive} has grid_side 16\n")
+
     def test_missing_checkpoint_is_one_error_line(self, tmp_path, capsys):
         code = cli.main(["eval", "--checkpoint", str(tmp_path / "none.fpt"),
                          "--data", str(tmp_path), "--out", str(tmp_path / "out")])

@@ -9,7 +9,7 @@ from fpnn import model as M
 from fpnn import ops
 
 from gradcheck import gradcheck, numerical_gradient, relative_error
-from oracles import max_pool_backward_loop
+from oracles import max_pool_backward_loop, nchw, nhwc
 
 
 @pytest.fixture
@@ -23,10 +23,10 @@ def _loss_weights(rng, shape):
 
 
 def conv_grads(x, w, spec, output_grad):
-    """Conv gradients as the model takes them: from the operand the forward
-    pass saved."""
+    """Conv gradients as the model takes them, from what the forward pass
+    saved, through the NCHW adapters."""
     _, saved = ops._conv_forward(x, w, np.zeros(spec.out_channels), spec, return_cols=True)
-    return ops._conv_saved_backward(saved, w, spec, output_grad)
+    return ops._conv_backward(x, w, spec, output_grad, saved)
 
 
 def conv(x, w, b, spec):
@@ -101,16 +101,20 @@ class TestConvSavedOperand:
         ((3, 4, 5, 5), (2, 3, 3), (1, 2, 1), (0, 1, 1)),
     ])
     def test_saved_operand_backward_bitwise(self, rng, shape, kernel, stride, pad):
-        """``_conv_backward`` given the operand the forward pass saved gives
-        the gradients of an operand rebuilt from the input, bit for bit."""
+        """The NCHW ``_conv_backward`` given what the forward pass saved
+        gives the gradients of ``conv_backward`` on a channels-last operand
+        rebuilt from the input, bit for bit."""
         x = rng.standard_normal((2, *shape))
         spec = ops.ConvSpec(kernel, stride, pad, shape[0], 4)
         w = rng.standard_normal(spec.weight_shape())
-        out, saved = ops._conv_forward(x, w, rng.standard_normal(4), spec, return_cols=True)
+        b = rng.standard_normal(4)
+        out, saved = ops._conv_forward(x, w, b, spec, return_cols=True)
         g = rng.standard_normal(out.shape)
         a_x, a_w, a_b = ops._conv_backward(x, w, spec, g, cols=saved)
-        b_x, b_w, b_b = ops._conv_saved_backward(ops._conv_operand(x, spec), w, spec, g)
-        assert np.array_equal(a_x, b_x)
+        nf = ops._n_folded(spec, x.shape[2:])
+        _, rebuilt = ops.conv_forward(ops.channels_last(x.copy(), nf), w, b, spec)
+        b_x, b_w, b_b = ops.conv_backward(rebuilt, ops.channels_last(g, nf))
+        assert np.array_equal(a_x, nchw(b_x).reshape(x.shape))
         assert np.array_equal(a_w, b_w)
         assert np.array_equal(a_b, b_b)
 
@@ -125,10 +129,10 @@ class TestConvSavedOperand:
         x = rng.standard_normal((2, *shape))
         spec = ops.ConvSpec(kernel, stride, pad, shape[0], 4)
         w = rng.standard_normal(spec.weight_shape())
-        out, saved = ops._conv_forward(x, w, rng.standard_normal(4), spec, return_cols=True)
+        out, saved = ops.conv_forward(nhwc(x), w, rng.standard_normal(4), spec)
         g = rng.standard_normal(out.shape)
-        full_x, full_w, full_b = ops._conv_saved_backward(saved, w, spec, g)
-        skip_x, skip_w, skip_b = ops._conv_saved_backward(saved, w, spec, g, want_input_grad=False)
+        full_x, full_w, full_b = ops.conv_backward(saved, g)
+        skip_x, skip_w, skip_b = ops.conv_backward(saved, g, want_input_grad=False)
         assert skip_x is None
         assert full_w.tobytes() == skip_w.tobytes()
         assert full_b.tobytes() == skip_b.tobytes()
@@ -209,26 +213,27 @@ def max_pool_grads(x, window, stride, pad, output_grad):
 class TestPoolBackward:
     def test_avg_uniform_distribution(self):
         gout = np.ones((1, 1, 1, 1))
-        g = ops.pool2d_backward(gout, (1, 1, 2, 2), 2, 1, 0)
-        np.testing.assert_array_equal(g, np.full((1, 1, 2, 2), 0.25))
+        g = ops.pool2d_backward(gout, (1, 2, 2, 1), 2, 1, 0)
+        np.testing.assert_array_equal(g, np.full((1, 2, 2, 1), 0.25))
 
     def test_max_routes_to_argmax(self, rng):
-        x = rng.permutation(16).astype(float).reshape(1, 1, 4, 4)
-        gout = rng.standard_normal((1, 1, 2, 2))
+        x = rng.permutation(16).astype(float).reshape(1, 4, 4, 1)
+        gout = rng.standard_normal((1, 2, 2, 1))
         g = max_pool_grads(x, 2, 2, 0, gout)
         assert (g != 0).sum() == 4  # one winner per window
 
     def test_max_tie_breaks_first_row_major(self):
-        x = np.full((1, 1, 2, 2), 3.0)
+        x = np.full((1, 2, 2, 1), 3.0)
         gout = np.ones((1, 1, 1, 1))
         g = max_pool_grads(x, 2, 1, 0, gout)
-        np.testing.assert_array_equal(g, np.array([[[[1.0, 0.0], [0.0, 0.0]]]]))
+        np.testing.assert_array_equal(g[..., 0], np.array([[[1.0, 0.0], [0.0, 0.0]]]))
 
     @pytest.mark.parametrize("mode", ["avg", "max"])
     def test_finite_differences(self, rng, mode):
         # distinct values keep max pooling differentiable
         x = rng.permutation(2 * 6 * 6).astype(float).reshape(1, 2, 6, 6)
         x += rng.standard_normal(x.shape) * 0.01
+        x = nhwc(x)
         if mode == "avg":
             fn = ops.avg_pool2d
             probe = _loss_weights(rng, fn(x, 3, 2, 1).shape)
@@ -241,7 +246,7 @@ class TestPoolBackward:
 
     @staticmethod
     def _assert_max_backward_matches_oracle(x, window, stride, pad, gout):
-        got = max_pool_grads(x, window, stride, pad, gout)
+        got = nchw(max_pool_grads(nhwc(x), window, stride, pad, nhwc(gout)))
         want = np.stack([max_pool_backward_loop(xi, (window, window), stride, pad, gi)
                          for xi, gi in zip(x, gout)])
         assert got.shape == x.shape
@@ -265,13 +270,13 @@ class TestPoolBackward:
             x = rng.standard_normal(shape)
             if trial % 2:
                 x = np.round(x)  # ties
-            out, _ = ops.max_pool2d(x, k, s, p)
+            out = nchw(ops.max_pool2d(nhwc(x), k, s, p)[0])
             self._assert_max_backward_matches_oracle(x, k, s, p, rng.standard_normal(out.shape))
 
 
 class TestBatchNormBackward:
     def test_finite_differences(self, rng):
-        x = rng.standard_normal((3, 2, 4, 4))
+        x = rng.standard_normal((3, 4, 4, 2))
         scale = rng.uniform(0.5, 1.5, 2)
         shift = rng.standard_normal(2)
         state = ops.BnState.initial(2)
@@ -288,7 +293,7 @@ class TestBatchNormBackward:
         gradcheck(lambda v: loss(x, scale, v), shift, gshift, rtol=1e-3)
 
     def test_eval_mode_backward(self, rng):
-        x = rng.standard_normal((2, 2, 3, 3))
+        x = rng.standard_normal((2, 3, 3, 2))
         state = ops.BnState(np.array([0.3, -0.2]), np.array([1.5, 0.7]))
         scale = np.array([1.2, 0.8])
         shift = np.zeros(2)
@@ -324,8 +329,8 @@ class TestResidualBackward:
         config = M.FpnnConfig(noi=1, grid_side=8, seed=3)
         params = M.build_model(config)
         specs = M.conv_layout(config)
-        x = rng.standard_normal((1, 64, 2, 2))
-        probe = _loss_weights(rng, (1, 88, 2, 2))
+        x = rng.standard_normal((1, 2, 2, 64))
+        probe = _loss_weights(rng, (1, 2, 2, 88))
         _, cache = M._block_forward(x, params, specs, "raw.block0", "train", {})
         grads = {}
         gx = M._block_backward(probe, params, cache, grads)
@@ -345,7 +350,7 @@ class TestResidualBackward:
 
 class TestGlobalAvgPoolBackward:
     def test_finite_differences(self, rng):
-        x = rng.standard_normal((2, 3, 4, 4))
+        x = rng.standard_normal((2, 4, 4, 3))
         probe = _loss_weights(rng, (2, 3))
         analytic = ops.global_avg_pool_backward(x.shape, probe)
         gradcheck(lambda v: float((ops.global_avg_pool(v) * probe).sum()),

@@ -1,5 +1,5 @@
 """Architecture contracts: shapes, determinism, parameter counts, the layer
-table and checkpoint names, detach behavior, residual identity, weight
+table and checkpoint names, the stream's frame fold, detach behavior, residual identity, weight
 export, and full-model gradients."""
 
 import json
@@ -11,6 +11,7 @@ from fpnn import model as M
 from fpnn import ops
 
 from gradcheck import relative_error
+from oracles import conv3d_loop, nchw
 
 
 def micro_config(**kw):
@@ -151,26 +152,26 @@ class TestForwardShapes:
         params = M.build_model(config)
         raw, diff = random_batch(config, n=1)
         _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
-        assert cache["gap_shapes"]["raw"] == (1, 88, 8, 8)
+        assert cache["gap_shapes"]["raw"] == (1, 8, 8, 88)
 
     def test_block_emits_88_channels(self):
         config = micro_config(noi=3)
         params = M.build_model(config)
         rng = np.random.default_rng(0)
         specs = M.conv_layout(config)
-        x = rng.standard_normal((2, 64, 5, 5))
+        x = rng.standard_normal((2, 5, 5, 64))
         out, _ = M._block_forward(x, params, specs, "raw.block0", "eval", {})
-        assert out.shape == (2, 88, 5, 5)
-        x2 = rng.standard_normal((1, 88, 5, 5))
+        assert out.shape == (2, 5, 5, 88)
+        x2 = rng.standard_normal((1, 5, 5, 88))
         out2, _ = M._block_forward(x2, params, specs, "raw.block1", "eval", {})
-        assert out2.shape == (1, 88, 5, 5)
+        assert out2.shape == (1, 5, 5, 88)
 
     def test_noi_zero_stream_keeps_64_channels(self):
         config = micro_config(noi=0)
         params = M.build_model(config)
         raw, diff = random_batch(config)
         _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
-        assert cache["gap_shapes"]["raw"][1] == 64
+        assert cache["gap_shapes"]["raw"][-1] == 64
 
     def test_eval_deterministic_bitwise(self):
         config = micro_config()
@@ -188,6 +189,22 @@ class TestForwardShapes:
 
         with pytest.raises(ShapeError):
             M.fpnn_forward((raw[:, :, :, :4], diff), params)
+
+
+class TestStreamLayout:
+    def test_frame_fold_matches_conv3d_loop(self):
+        # the operand the stream saves for its 3D front conv is its
+        # channels-last input with the frames folded into channels
+        config = M.FpnnConfig(noi=0, grid_side=6, seed=2)
+        params = M.build_model(config)
+        x5 = np.random.default_rng(3).standard_normal((2, 3, 4, 6, 6))
+        _, cache = M._stream_forward(x5, params, M.conv_layout(config), "raw", "train", {})
+        padded, w, spec = cache["front"]["conv"]
+        out, _ = ops.conv_forward(padded[:, 1:-1, 1:-1], w, params.tensors["raw.front.conv3d.b"],
+                                  spec)
+        want = np.stack([conv3d_loop(x, w, params.tensors["raw.front.conv3d.b"], (1, 1, 1),
+                                     (0, 1, 1)) for x in x5])
+        np.testing.assert_allclose(nchw(out)[:, :, None], want, atol=1e-12, rtol=0)
 
 
 class TestDetachBehavior:
@@ -213,14 +230,14 @@ class TestDetachBehavior:
         raw, diff = random_batch(config)
         _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
         g = config.grid_side
-        assert cache["gap_shapes"]["raw"][-2:] == (g, g)
+        assert cache["gap_shapes"]["raw"][1:3] == (g, g)
 
     def test_residual_identity(self):
         # residual on vs off differs by exactly the projected input
         config = micro_config(noi=1)
         with_res = M.build_model(config)
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((1, 64, 5, 5))
+        x = rng.standard_normal((1, 5, 5, 64))
         out_res, _ = M._block_forward(x, with_res, M.conv_layout(config), "raw.block0",
                                       "eval", {})
 
@@ -235,7 +252,7 @@ class TestDetachBehavior:
 
         proj = with_res.tensors["raw.block0.proj.w"]
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 64, 88)
-        skip = ops._conv_forward(x, proj, np.zeros(88), spec)
+        skip, _ = ops.conv_forward(x, proj, np.zeros(88), spec)
         np.testing.assert_allclose(out_res - out_plain, skip, atol=1e-12)
 
 

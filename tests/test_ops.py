@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fpnn import ops
 from fpnn.errors import NonFiniteError, ShapeError
 
-from oracles import avg_pool_loop, conv2d_loop, conv3d_loop, max_pool_loop
+from oracles import avg_pool_loop, conv2d_loop, conv3d_loop, max_pool_loop, nchw, nhwc
 
 
 @pytest.fixture
@@ -192,6 +192,41 @@ class TestConv3d:
         assert out.shape == (2, 4, 1, 5, 5)
 
 
+class TestLayoutBoundary:
+    """The NCHW adapters give the channels-last convolution's numbers bit
+    for bit, forward and backward, at the network's conv geometries."""
+
+    @pytest.mark.parametrize("shape,kernel,stride,pad", [
+        ((4, 10, 10), (7, 7), (2, 2), (3, 3)),  # stem
+        ((3, 6, 6), (3, 3), (1, 1), (1, 1)),  # inception 3x3
+        ((6, 5, 5), (1, 1), (1, 1), (0, 0)),  # inception 1x1
+        ((3, 4, 6, 6), (4, 3, 3), (1, 1, 1), (0, 1, 1)),  # 3D front end, frames folded
+    ], ids=["stem", "3x3", "1x1", "front"])
+    def test_adapters_equal_channels_last_conv_bitwise(self, rng, shape, kernel, stride, pad):
+        x = rng.standard_normal((2, *shape))
+        spec = ops.ConvSpec(kernel, stride, pad, shape[0], 5)
+        w, b = rng.standard_normal(spec.weight_shape()), rng.standard_normal(5)
+        folded = nhwc(x.reshape(2, -1, *shape[-2:]))  # frames into channels, c * depth + d
+        out, saved = ops.conv_forward(folded, w, b, spec)
+        adapter = ops.conv3d_forward if len(kernel) == 3 else ops.conv2d_forward
+        out_nchw, cols = ops._conv_forward(x, w, b, spec, return_cols=True)
+        want = nchw(out).reshape(out_nchw.shape)
+        assert out_nchw.tobytes() == want.tobytes()
+        assert adapter(x, w, b, spec).tobytes() == want.tobytes()
+
+        g = rng.standard_normal(out.shape)
+        gx, gw, gb = ops.conv_backward(saved, g)
+        a_x, a_w, a_b = ops._conv_backward(x, w, spec, nchw(g).reshape(out_nchw.shape), cols)
+        assert a_x.tobytes() == nchw(gx).reshape(x.shape).tobytes()
+        assert a_w.tobytes() == gw.tobytes() and a_b.tobytes() == gb.tobytes()
+
+    def test_unpadded_conv_saves_its_input(self, rng):
+        x = rng.standard_normal((2, 5, 5, 6))
+        _, (saved_x, _, _) = ops.conv_forward(x, rng.standard_normal((4, 6, 1, 1)), np.zeros(4),
+                                              ops.ConvSpec((1, 1), (1, 1), (0, 0), 6, 4))
+        assert saved_x is x
+
+
 class TestLeakyRelu:
     def test_positive_branch(self):
         assert ops.leaky_relu_forward(np.array(2.0), 0.01) == 2.0
@@ -221,118 +256,118 @@ class TestLeakyRelu:
 
 class TestPooling:
     def test_avg_mean(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
         assert ops.avg_pool2d(x, 2, 1, 0)[0, 0, 0, 0] == 2.5
 
     def test_avg_constant(self):
-        x = np.full((1, 2, 5, 5), 3.25)
+        x = np.full((1, 5, 5, 2), 3.25)
         out = ops.avg_pool2d(x, 3, 2, 0)
         np.testing.assert_array_equal(out, np.full((1, 2, 2, 2), 3.25))
 
     def test_avg_matches_loop(self, rng):
         x = rng.standard_normal((2, 2, 5, 5))
         for pad in (0, 1):
-            got = ops.avg_pool2d(x, 3, 1, pad)
+            got = nchw(ops.avg_pool2d(nhwc(x), 3, 1, pad))
             np.testing.assert_allclose(got, per_sample(avg_pool_loop, x, (3, 3), 1, pad),
                                        atol=1e-12, rtol=0)
 
     def test_max_window(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
         out, argmax = ops.max_pool2d(x, 2, 1, 0)
         assert out[0, 0, 0, 0] == 4.0 and argmax[0, 0, 0, 0] == 3
 
     def test_max_monotone_ramp(self):
         h = w = 6
-        x = (np.arange(h)[:, None] + np.arange(w)[None, :]).astype(float)[None, None]
-        out = ops.max_pool2d(x, 2, 1, 0)[0][0, 0]
+        x = (np.arange(h)[:, None] + np.arange(w)[None, :]).astype(float)[None, :, :, None]
+        out = ops.max_pool2d(x, 2, 1, 0)[0][0, :, :, 0]
         assert np.all(np.diff(out, axis=0) > 0)
         assert np.all(np.diff(out, axis=1) > 0)
 
     def test_max_matches_loop(self, rng):
         x = rng.standard_normal((2, 3, 7, 6))
         for pad in (0, 1):
-            got, _ = ops.max_pool2d(x, 3, 2, pad)
+            got = nchw(ops.max_pool2d(nhwc(x), 3, 2, pad)[0])
             np.testing.assert_array_equal(got, per_sample(max_pool_loop, x, (3, 3), 2, pad))
 
     def test_max_padding_is_zero(self):
         # an all-negative input: every window reaches into the padding and
         # takes its first zero in row-major order
-        out, argmax = ops.max_pool2d(np.full((1, 1, 3, 3), -1.0), 3, 2, 1)
-        np.testing.assert_array_equal(out, np.zeros((1, 1, 2, 2)))
-        np.testing.assert_array_equal(argmax, [[[[0, 0], [0, 2]]]])
+        out, argmax = ops.max_pool2d(np.full((1, 3, 3, 1), -1.0), 3, 2, 1)
+        np.testing.assert_array_equal(out, np.zeros((1, 2, 2, 1)))
+        np.testing.assert_array_equal(argmax[..., 0], [[[0, 0], [0, 2]]])
 
     def test_max_nonfinite_rejected(self):
-        x = np.zeros((1, 1, 4, 4))
-        x[0, 0, 3, 3] = np.nan
+        x = np.zeros((1, 4, 4, 1))
+        x[0, 3, 3, 0] = np.nan
         with pytest.raises(NonFiniteError):
             ops.max_pool2d(x, 3, 2, 1)
 
     def test_window_too_large(self):
         with pytest.raises(ShapeError):
-            ops.max_pool2d(np.zeros((1, 1, 2, 2)), 3, 1, 0)
+            ops.max_pool2d(np.zeros((1, 2, 2, 1)), 3, 1, 0)
         with pytest.raises(ShapeError):
-            ops.avg_pool2d(np.zeros((1, 1, 2, 2)), 3, 1, 0)
+            ops.avg_pool2d(np.zeros((1, 2, 2, 1)), 3, 1, 0)
         with pytest.raises(ShapeError):  # a batch axis is required
-            ops.max_pool2d(np.zeros((1, 4, 4)), 3, 1, 1)
+            ops.max_pool2d(np.zeros((4, 4, 1)), 3, 1, 1)
 
 
 class TestBatchNorm:
     def test_train_normalizes(self, rng):
-        x = rng.standard_normal((4, 3, 5, 5)) * 5.0 + 2.0
+        x = rng.standard_normal((4, 5, 5, 3)) * 5.0 + 2.0
         state = ops.BnState.initial(3)
         out, new_state, _ = ops.batchnorm2d_forward(x, np.ones(3), np.zeros(3), state, "train")
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
-        np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
+        np.testing.assert_allclose(out.mean(axis=(0, 1, 2)), 0.0, atol=1e-6)
+        np.testing.assert_allclose(out.var(axis=(0, 1, 2)), 1.0, atol=1e-4)
         assert new_state is not state
 
     def test_constant_channel(self):
-        x = np.full((2, 1, 3, 3), 7.0)
+        x = np.full((2, 3, 3, 1), 7.0)
         out, _, _ = ops.batchnorm2d_forward(
             x, np.ones(1), np.zeros(1), ops.BnState.initial(1), "train"
         )
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_running_stats_update(self, rng):
-        x = rng.standard_normal((4, 2, 4, 4)) + 3.0
+        x = rng.standard_normal((4, 4, 4, 2)) + 3.0
         state = ops.BnState.initial(2)
         _, new_state, _ = ops.batchnorm2d_forward(x, np.ones(2), np.zeros(2), state, "train")
-        want_mean = 0.9 * state.mean + 0.1 * x.mean(axis=(0, 2, 3))
+        want_mean = 0.9 * state.mean + 0.1 * x.mean(axis=(0, 1, 2))
         np.testing.assert_allclose(new_state.mean, want_mean, atol=1e-12)
 
     def test_eval_uses_running_stats(self, rng):
-        x = rng.standard_normal((4, 2, 4, 4))
+        x = rng.standard_normal((4, 4, 4, 2))
         state = ops.BnState(np.array([1.0, -1.0]), np.array([4.0, 0.25]))
         out, same_state, _ = ops.batchnorm2d_forward(x, np.ones(2), np.zeros(2), state, "eval")
-        want = (x - state.mean[:, None, None]) / np.sqrt(state.var + 1e-5)[:, None, None]
+        want = (x - state.mean) / np.sqrt(state.var + 1e-5)
         np.testing.assert_allclose(out, want, atol=1e-12)
         assert same_state is state
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_backward_bitwise_equals_closed_form(self, rng, mode):
-        x = rng.standard_normal((4, 3, 5, 5)) * 2.0 + 1.0
+        x = rng.standard_normal((4, 5, 5, 3)) * 2.0 + 1.0
         scale, shift = rng.standard_normal(3), rng.standard_normal(3)
         state = ops.BnState(rng.uniform(-1, 1, 3), rng.uniform(0.5, 2, 3))
         _, _, cache = ops.batchnorm2d_forward(x, scale, shift, state, mode)
         g = rng.standard_normal(x.shape)
         g_before, xhat_before = g.copy(), cache["xhat"].copy()
         got_x, got_scale, _ = ops.batchnorm2d_backward(cache, g)
-        xhat, inv_std = cache["xhat"], cache["inv_std"][:, None, None]
-        dxhat = g * scale[:, None, None]
+        xhat, inv_std = cache["xhat"], cache["inv_std"]
+        dxhat = g * scale
         if mode == "train":
             m = 4 * 5 * 5
-            want = (inv_std / m) * (m * dxhat - dxhat.sum(axis=(0, 2, 3))[:, None, None]
-                                    - xhat * (dxhat * xhat).sum(axis=(0, 2, 3))[:, None, None])
+            want = (inv_std / m) * (m * dxhat - dxhat.sum(axis=(0, 1, 2))
+                                    - xhat * (dxhat * xhat).sum(axis=(0, 1, 2)))
         else:
             want = dxhat * inv_std
         assert got_x.tobytes() == want.tobytes()
-        assert got_scale.tobytes() == (g * xhat).sum(axis=(0, 2, 3)).tobytes()
+        assert got_scale.tobytes() == (g * xhat).sum(axis=(0, 1, 2)).tobytes()
         assert g.tobytes() == g_before.tobytes()
         assert xhat.tobytes() == xhat_before.tobytes()
 
     def test_tiny_batch_rejected(self):
         with pytest.raises(ShapeError):
             ops.batchnorm2d_forward(
-                np.zeros((1, 2, 1, 1)), np.ones(2), np.zeros(2), ops.BnState.initial(2), "train"
+                np.zeros((1, 1, 1, 2)), np.ones(2), np.zeros(2), ops.BnState.initial(2), "train"
             )
 
 
@@ -407,8 +442,8 @@ class TestOracleSweep:
             w = int(rng.integers(k, 9))
             x = rng.standard_normal((2, c, h, w))
             np.testing.assert_allclose(
-                ops.avg_pool2d(x, k, s, p), per_sample(avg_pool_loop, x, (k, k), s, p),
+                nchw(ops.avg_pool2d(nhwc(x), k, s, p)), per_sample(avg_pool_loop, x, (k, k), s, p),
                 atol=1e-12, rtol=0,
             )
-            np.testing.assert_array_equal(ops.max_pool2d(x, k, s, p)[0],
+            np.testing.assert_array_equal(nchw(ops.max_pool2d(nhwc(x), k, s, p)[0]),
                                           per_sample(max_pool_loop, x, (k, k), s, p))

@@ -426,6 +426,22 @@ class TestCanonicalDataset:
         with pytest.raises(DataValidationError, match="cycle 2"):
             load_canonical_dataset(tmp_path)
 
+    @pytest.mark.parametrize("column,series", [
+        (1, "charged_capacity"), (2, "voltage"), (3, "current"), (4, "temperature")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_value_names_battery_cycle_and_series(self, tmp_path, column, series, value):
+        save_canonical_dataset([make_battery(battery_id="nan-1", n_cycles=3)], tmp_path)
+        path = tmp_path / "nan-1" / "cycles.csv"
+        lines = path.read_text().splitlines()
+        row_of_cycle_2 = next(i for i, line in enumerate(lines) if line.startswith("2,"))
+        cells = lines[row_of_cycle_2 + 5].split(",")
+        cells[column] = value
+        lines[row_of_cycle_2 + 5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError,
+                           match=f"battery 'nan-1' cycle 2: {series} has non-finite values"):
+            load_canonical_dataset(tmp_path)
+
     def test_missing_meta(self, tmp_path):
         (tmp_path / "b0").mkdir()
         with pytest.raises(DataValidationError, match="meta.json"):
