@@ -26,7 +26,10 @@ data. Only ``_train_configs`` turns settings into configs, so
 ``hyperopt``'s ``best_config.json`` is a valid ``--config`` file. Counts,
 grids and windows out of range are rejected while parsing. All randomness
 flows from one ``--seed`` through fixed named offsets (split +1, init +2,
-shuffle +3, bayesian search +4). ``FPNN_LOG`` selects error|info|debug.
+shuffle +3, bayesian search +4): every command splits a fleet with the
+split sub-seed, and in ``sweep-noi`` and ``ablate`` each cell's seed drives
+its init, holdout and shuffle. A failed cell or trial keeps its exception
+type in its CSV row. ``FPNN_LOG`` selects error|info|debug.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ log = logging.getLogger("fpnn")
 
 SEED_OFFSETS = {"split": 1, "init": 2, "shuffle": 3, "bo": 4}
 
-SWEEP_HEADER = ["dataset", "blocks", "mape", "mae", "rmse"]
-ABLATE_HEADER = ["dataset", "detach", "mape", "mae", "rmse"]
+SWEEP_HEADER = ["dataset", "blocks", "mape", "mae", "rmse", "error"]
+ABLATE_HEADER = ["dataset", "detach", "mape", "mae", "rmse", "error"]
 ABLATE_FLAGS = {  # row label -> the component that row detaches
     "Initial layers": DetachFlags(initial_layers=True),
     "3D conv": DetachFlags(conv3d=True),
@@ -82,7 +85,7 @@ ABLATE_FLAGS = {  # row label -> the component that row detaches
     "A branch": DetachFlags(diff_branch=True),
     "No detach": DetachFlags(),
 }
-TRIALS_HEADER = ["trial", "point_json", "objective", "status"]
+TRIALS_HEADER = ["trial", "point_json", "objective", "message", "status"]
 MANIFEST_FILENAME = "run_manifest.json"
 INPUT_ARGS = ("checkpoint", "data", "config")  # the manifest's inputs, not its config
 
@@ -297,13 +300,14 @@ def cmd_eval(args, out: Path) -> dict:
 
 
 def _metric_row(first, second, cell) -> list:
-    return [first, second, _fmt_metric(cell.mape), _fmt_metric(cell.mae), _fmt_metric(cell.rmse)]
+    return [first, second, *map(_fmt_metric, (cell.mape, cell.mae, cell.rmse)), cell.error]
 
 
 def cmd_sweep_noi(args, out: Path) -> dict:
     model_config, train_config = _train_configs(_merge_config(args), args.seed, args.grid)
     records = load_canonical_dataset(args.data)
-    cells = noi_sweep(records, args.cycles, args.nois, args.grid, train_config, args.seed,
+    split = replace(train_config, seed=_sub_seeds(args.seed)["split"])  # each cell reseeds the rest
+    cells = noi_sweep(records, args.cycles, args.nois, args.grid, split, args.seed,
                       jobs=args.jobs, model_config=model_config)
     _write_csv(out / "sweep.csv", SWEEP_HEADER,
                (_metric_row(c.n_input_cycles, c.noi, c) for c in cells))
@@ -320,7 +324,7 @@ def cmd_ablate(args, out: Path) -> dict:
         records, args.cycles,
         [replace(model_config, seed=args.seed + 1000 * i, detach=flags)
          for i, flags in enumerate(ABLATE_FLAGS.values())],
-        train_config,
+        replace(train_config, seed=_sub_seeds(args.seed)["split"]),  # each cell reseeds the rest
     )
     for label, cell in zip(ABLATE_FLAGS, cells):
         print(f"{label}: MAPE {_fmt_metric(cell.mape)}"
@@ -350,8 +354,8 @@ def cmd_hyperopt(args, out: Path) -> dict:
 
     best_trial, trials = bayes_optimize(objective, space, args.budget, seeds["bo"])
     _write_csv(out / "trials.csv", TRIALS_HEADER,
-               ([i, json.dumps(t.point, sort_keys=True), _fmt_metric(t.objective), t.status]
-                for i, t in enumerate(trials)))
+               ([i, json.dumps(t.point, sort_keys=True), _fmt_metric(t.objective), t.message,
+                 t.status] for i, t in enumerate(trials)))
     model_config, train_config = configs(best_trial.point)
     best_config = {k: getattr(model_config if k in MODEL_KEYS else train_config, k)
                    for k in TRAIN_DEFAULTS}

@@ -312,7 +312,7 @@ def bayes_optimize(objective, space: SearchSpace, budget: int, seed: int) -> tup
             else:
                 trials.append(Trial(point, float("nan"), "failed", "non-finite objective"))
         except Exception as exc:  # noqa: BLE001 - failed trials are data
-            trials.append(Trial(point, float("nan"), "failed", str(exc)))
+            trials.append(Trial(point, float("nan"), "failed", f"{type(exc).__name__}: {exc}"))
         unit_points.append(space.to_unit(point) if trials[-1].status == "ok" else u)
 
     for u in _halton(min(N_INITIAL_TRIALS, budget), space.ndim):

@@ -58,7 +58,8 @@ def write_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict |
 
 def read_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Load a container; returns (meta, tensors). Raises CheckpointError on
-    bad magic, unsupported version, or checksum mismatch."""
+    bad magic, unsupported version, or checksum mismatch. Parsing goes
+    through a memoryview: a payload's one copy is its returned array."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a tensor container (bad magic)")
@@ -67,12 +68,12 @@ def read_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(
             f"{path}: format version {version} not supported (expected {FORMAT_VERSION})"
         )
-    body = raw[16:]
+    body = memoryview(raw)[16:]
     if zlib.crc32(body) != crc:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupt")
     off = 0
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal off
         if off + n > len(body):
             raise CheckpointError(f"{path}: truncated container")
@@ -81,12 +82,12 @@ def read_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         return out
 
     (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(take(meta_len).decode("utf-8"))
+    meta = json.loads(str(take(meta_len), "utf-8"))
     (n_tensors,) = struct.unpack("<I", take(4))
     entries = []
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name = str(take(name_len), "utf-8")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
         entries.append((name, shape))

@@ -25,9 +25,10 @@ once, no layer after it moves an activation between layouts, and branch
 outputs concatenate on the last axis. Every forward pass has a hand-written
 backward composed from the batched layer primitives in :mod:`fpnn.ops`,
 whose ``(input_grad, *param_grads)`` tuples are unpacked straight into the
-gradient dict; there is no autograd tape. A backward reads only what its
-forward cached: a conv what ``conv_forward`` saved, the stem's max pool its
-argmax offsets. Detach flags prune the layout for ablation studies:
+gradient dict; there is no autograd tape. A cache holds only the ``saved``
+values the ops' forwards returned, plus the names and branch splits that
+key the gradients, and each backward call passes an op its ``saved`` and
+the output gradient alone. Detach flags prune the layout for ablation studies:
 ``initial_layers`` skips the 7x7 + max-pool stage, ``conv3d`` replaces the
 3D front end with depth-averaging plus a 1x1 conv (keeping downstream
 shapes legal), ``residual`` removes the projected skip connections, and
@@ -266,27 +267,26 @@ def _cba_forward(x, params, specs, name, mode, new_states):
     try:
         z, conv = conv_forward(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
                                specs[name])
-        z2, state, bn_cache = batchnorm2d_forward(
+        z, state, norm = batchnorm2d_forward(
             z, params.tensors[f"{bn}.scale"], params.tensors[f"{bn}.shift"],
             params.bn_states[bn], mode,
         )
-        out = leaky_relu_forward(z2, params.config.alpha)
+        out, act = leaky_relu_forward(z, params.config.alpha)
     except NonFiniteError as exc:
         raise NonFiniteError(f"{name}: {exc}") from exc
     new_states[bn] = state
-    cache = {"name": name, "conv": conv, "bn_cache": bn_cache, "act_in": z2}
-    return out, cache
+    return out, {"name": name, "conv": conv, "bn": norm, "act": act}
 
 
-def _cba_backward(gout, params, cache, grads, want_input_grad=True, activated=False):
+def _cba_backward(gout, cache, grads, want_input_grad=True, activated=False):
     """Fills the unit's parameter gradients into ``grads``; returns the
     input gradient, or None when ``want_input_grad`` is False. With
     ``activated``, ``gout`` is already the gradient at the Leaky ReLU's input."""
     name = cache["name"]
     if not activated:
-        gout = leaky_relu_backward(cache["act_in"], params.config.alpha, gout)
+        gout = leaky_relu_backward(cache["act"], gout)
     bn = _bn_name(name)  # rebinding gout below frees the activation gradient it held
-    gout, grads[f"{bn}.scale"], grads[f"{bn}.shift"] = batchnorm2d_backward(cache["bn_cache"], gout)
+    gout, grads[f"{bn}.scale"], grads[f"{bn}.shift"] = batchnorm2d_backward(cache["bn"], gout)
     gx, grads[f"{name}.w"], grads[f"{name}.b"] = conv_backward(cache["conv"], gout, want_input_grad)
     return gx
 
@@ -306,7 +306,9 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
     cache = {"prefix": prefix, "branches": [], "proj": None}
     outs = []
     for chain in _BRANCHES:
-        h = avg_pool2d(x, 3, 1, 1) if chain is _BRANCHES[-1] else x  # keeps H x W
+        h = x
+        if chain is _BRANCHES[-1]:  # keeps H x W
+            h, cache["pool"] = avg_pool2d(x, 3, 1, 1)
         caches = []
         for layer in chain:
             h, c = _cba_forward(h, params, specs, f"{prefix}.{layer}", mode, new_states)
@@ -325,14 +327,14 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
     return out, cache
 
 
-def _block_backward(gout, params, cache, grads):
+def _block_backward(gout, cache, grads):
     chains = cache["branches"]
     gx = None
     for caches, g in zip(chains, np.split(gout, cache["splits"], axis=-1)):
         for c in reversed(caches):
-            g = _cba_backward(g, params, c, grads)
+            g = _cba_backward(g, c, grads)
         if caches is chains[-1]:
-            g = pool2d_backward(g, g.shape, 3, 1, 1)  # the pool keeps the block input's shape
+            g = pool2d_backward(cache["pool"], g)
         gx = g if gx is None else gx + g
 
     if cache["proj"] is not None:
@@ -345,7 +347,9 @@ def _block_backward(gout, params, cache, grads):
 # stream: front end + initial layers + blocks
 # ---------------------------------------------------------------------------
 
-def _stream_forward(x5, params, specs, stream, mode, new_states):
+def _stream_forward(x5, params, specs, stream, mode):
+    """The stream's globally pooled features [N, C], its cache, and the new
+    states of its batchnorms."""
     cfg = params.config
     depth = cfg.stream_depth(stream)
     if x5.shape[1:] != (3, depth, cfg.grid_side, cfg.grid_side):
@@ -353,7 +357,7 @@ def _stream_forward(x5, params, specs, stream, mode, new_states):
             f"{stream} stream expects [N, 3, {depth}, {cfg.grid_side}, {cfg.grid_side}], "
             f"got {x5.shape}"
         )
-    cache = {"init": None}
+    cache, new_states = {"init": None, "blocks": []}, {}
 
     # The one layout decision: channels-last from here to the global pool.
     if cfg.detach.conv3d:  # frame mean, then a 1x1 conv
@@ -364,32 +368,34 @@ def _stream_forward(x5, params, specs, stream, mode, new_states):
 
     if f"{stream}.init.conv" in specs:
         h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", mode, new_states)
-        cache["init"] = {"cba": init_cba, "pool_in": h.shape}
-        h, cache["init"]["argmax"] = max_pool2d(h, 3, 2, 1)
+        h, pool = max_pool2d(h, 3, 2, 1)
+        cache["init"] = {"cba": init_cba, "pool": pool}
 
-    block_caches = []
     for i in range(cfg.noi):
         h, bc = _block_forward(h, params, specs, f"{stream}.block{i}", mode, new_states)
-        block_caches.append(bc)
-    cache["blocks"] = block_caches
-    return h, cache
+        cache["blocks"].append(bc)
+    feat, cache["gap"] = global_avg_pool(h)
+    return feat, cache, new_states
 
 
-def _stream_backward(gout, params, cache, grads):
-    """Parameter gradients of one stream; the input gradient is never needed."""
-    g = gout
+def _stream_backward(g_feat, cache):
+    """Parameter gradients of one stream, from the gradient at its pooled
+    features; the input gradient is never needed."""
+    grads: dict[str, np.ndarray] = {}
+    g = global_avg_pool_backward(cache["gap"], g_feat)
     for bc in reversed(cache["blocks"]):
-        g = _block_backward(g, params, bc, grads)
+        g = _block_backward(g, bc, grads)
 
     init = cache["init"]
     if init is not None:
-        g = pool2d_backward(g, init["pool_in"], 3, 2, 1, init["argmax"])
-        g = _cba_backward(g, params, init["cba"], grads)
+        g = pool2d_backward(init["pool"], g)
+        g = _cba_backward(g, init["cba"], grads)
 
     # The front's activation backward runs here, so that rebinding g frees
     # the stem's input gradient before the front unit's batchnorm and conv.
-    g = leaky_relu_backward(cache["front"]["act_in"], params.config.alpha, g)
-    _cba_backward(g, params, cache["front"], grads, want_input_grad=False, activated=True)
+    g = leaky_relu_backward(cache["front"]["act"], g)
+    _cba_backward(g, cache["front"], grads, want_input_grad=False, activated=True)
+    return grads
 
 
 def _map_streams(fn, streams):
@@ -418,9 +424,9 @@ def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool
 
     ``batch`` is a (raw, diff) array tuple with shapes [N, 3, D, G, G] and
     [N, 3, D-1, G, G]; ``diff`` may be None when the config has no
-    differential stream. Returns predictions of shape
-    [N]; with ``want_cache`` also returns the updated batchnorm states and
-    the cache consumed by :func:`fpnn_backward`.
+    differential stream. Returns predictions of shape [N]; with
+    ``want_cache`` also returns the updated batchnorm states and the cache
+    consumed by :func:`fpnn_backward`.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -432,32 +438,23 @@ def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool
     if "diff" in cfg.streams() and diff is None:
         raise ShapeError("diff stream required but batch has no diff tensor")
 
-    def run_stream(stream):
-        states: dict[str, BnState] = {}
-        h, sc = _stream_forward(inputs[stream], params, specs, stream, mode, states)
-        return global_avg_pool(h), h.shape, sc, states
-
     new_states: dict[str, BnState] = dict(params.bn_states)
-    cache = {"streams": {}, "gap_shapes": {}, "head": {}}
+    cache = {"streams": {}, "head": []}
     feats = []
-    for stream, (feat, shape, sc, states) in zip(cfg.streams(),
-                                                 _map_streams(run_stream, cfg.streams())):
+    runs = _map_streams(lambda s: _stream_forward(inputs[s], params, specs, s, mode), cfg.streams())
+    for stream, (feat, sc, states) in zip(cfg.streams(), runs):
         feats.append(feat)
-        cache["gap_shapes"][stream] = shape
         cache["streams"][stream] = sc
         new_states.update(states)  # keys exist already: build order is kept
     h = np.concatenate(feats, axis=1)
 
-    widths = cfg.head_widths()
-    fc_caches = []
-    for i in range(len(widths) - 1):
-        w = params.tensors[f"head.fc{i}.w"]
-        b = params.tensors[f"head.fc{i}.b"]
-        z = linear_forward(h, w, b)
-        last = i == len(widths) - 2
-        fc_caches.append({"x": h, "z": z, "last": last})
-        h = z if last else leaky_relu_forward(z, cfg.alpha)
-    cache["head"]["fcs"] = fc_caches
+    n_fc = len(cfg.head_widths()) - 1
+    for i in range(n_fc):
+        h, fc = linear_forward(h, params.tensors[f"head.fc{i}.w"], params.tensors[f"head.fc{i}.b"])
+        act = None
+        if i < n_fc - 1:
+            h, act = leaky_relu_forward(h, cfg.alpha)
+        cache["head"].append((fc, act))
     preds = h[:, 0]
     check_finite("fpnn predictions", preds)
     if want_cache:
@@ -471,22 +468,14 @@ def fpnn_backward(params: FpnnParams, cache, pred_grad: np.ndarray) -> dict[str,
     grads: dict[str, np.ndarray] = {}
 
     g = np.asarray(pred_grad, dtype=float)[:, None]
-    for i, fc in reversed(list(enumerate(cache["head"]["fcs"]))):
-        if not fc["last"]:
-            g = leaky_relu_backward(fc["z"], cfg.alpha, g)
-        g, grads[f"head.fc{i}.w"], grads[f"head.fc{i}.b"] = linear_backward(
-            fc["x"], params.tensors[f"head.fc{i}.w"], g)
+    for i, (fc, act) in reversed(list(enumerate(cache["head"]))):
+        if act is not None:
+            g = leaky_relu_backward(act, g)
+        g, grads[f"head.fc{i}.w"], grads[f"head.fc{i}.b"] = linear_backward(fc, g)
 
-    c = cfg.stream_out_channels()
-    g_feats = {stream: g[:, i * c : (i + 1) * c] for i, stream in enumerate(cfg.streams())}
-
-    def run_stream(stream):
-        stream_grads: dict[str, np.ndarray] = {}
-        g_map = global_avg_pool_backward(cache["gap_shapes"][stream], g_feats[stream])
-        _stream_backward(g_map, params, cache["streams"][stream], stream_grads)
-        return stream_grads
-
-    for stream_grads in _map_streams(run_stream, cfg.streams()):
+    g_feats = dict(zip(cfg.streams(), np.split(g, len(cfg.streams()), axis=1)))
+    for stream_grads in _map_streams(lambda s: _stream_backward(g_feats[s], cache["streams"][s]),
+                                     cfg.streams()):
         grads.update(stream_grads)
     return grads
 

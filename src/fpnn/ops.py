@@ -3,8 +3,14 @@
 Activations are channels-last, ``[N, *spatial, C]``, the layout the
 convolution's matmuls read; weights are ``[C_out, C_in, *kernel]``. Every
 operation is a pure function of its arguments (batch normalization returns
-a new state) and writes into no array it was given, since a convolution may
+a new state) and writes into no array it was given, since a forward may
 save its caller's array for its backward pass. All arithmetic is float64.
+
+Every layer's forward returns ``(out, saved)`` (batch normalization
+``(out, new_state, saved)``), and its backward, ``backward(saved,
+output_grad)``, reads nothing else: no shape, geometry, slope or weight. It
+returns the input gradient, or ``(input_grad, *param_grads)`` in forward
+order for a layer with parameters.
 
 Convolutions and pools share one window machinery: ``_padded`` zero-pads
 the spatial axes, or returns its input when nothing is padded, and
@@ -14,9 +20,7 @@ one BLAS matmul each), and its backward runs the same loop over the saved
 padded input, so no window matrix is ever built. Kernel axes the input
 lacks are folded into its channels (``channels_last``): the 3D front end's
 kernel spans all frames, so it runs as a 3x3 convolution over 3 * D
-channels. A backward pass returns ``(input_grad, *param_grads)``, the
-parameters in forward order; the max pool returns each window's argmax
-offset for its backward.
+channels.
 
 ``_conv_forward`` (also named ``conv2d_forward`` and ``conv3d_forward``) and
 ``_conv_backward`` are NCHW adapters over ``conv_forward`` and
@@ -251,25 +255,22 @@ def _conv_backward(x, weights, spec, output_grad, cols):
 # activation
 # ---------------------------------------------------------------------------
 
-def _check_alpha(alpha: float) -> None:
+def leaky_relu_forward(x: np.ndarray, alpha: float):
+    """Elementwise x if x > 0 else alpha * x; saves the mask x > 0 and alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"leaky ReLU slope must lie in (0, 1), got {alpha}")
+    positive = x > 0
+    return check_finite("leaky_relu", np.where(positive, x, alpha * x)), (positive, alpha)
 
 
-def leaky_relu_forward(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Elementwise x if x > 0 else alpha * x."""
-    _check_alpha(alpha)
-    return check_finite("leaky_relu", np.where(x > 0, x, alpha * x))
-
-
-def leaky_relu_backward(x: np.ndarray, alpha: float, output_grad: np.ndarray) -> np.ndarray:
+def leaky_relu_backward(saved, output_grad: np.ndarray) -> np.ndarray:
     """Slope 1 where x > 0, alpha where x <= 0 (boundary follows the
     forward branch assignment)."""
-    _check_alpha(alpha)
-    if x.shape != output_grad.shape:
+    positive, alpha = saved
+    if positive.shape != output_grad.shape:
         raise ShapeError("output_grad shape must match input")
     out = np.asarray(output_grad * alpha)  # a 0-d array, not a scalar, for 0-d input
-    np.copyto(out, output_grad, where=x > 0)  # output_grad * 1.0, bit for bit
+    np.copyto(out, output_grad, where=positive)  # output_grad * 1.0, bit for bit
     return out
 
 
@@ -292,20 +293,21 @@ def _pool_windows(x, window: int, stride: int, pad: int):
     return xp, [_shifted(xp, o, (stride, stride), out_sp) for o in np.ndindex(window, window)]
 
 
-def avg_pool2d(x, window: int, stride: int, pad: int) -> np.ndarray:
+def avg_pool2d(x, window: int, stride: int, pad: int):
     """Mean over each window; the zero padding counts in the mean. A
-    window's values are added in row-major offset order, then divided."""
+    window's values are added in row-major offset order, then divided.
+    Saves the input shape and geometry."""
     _, views = _pool_windows(x, window, stride, pad)
     out = views[0].copy()
     for view in views[1:]:
         out += view
     out /= window * window
-    return check_finite("avg_pool2d", out)
+    return check_finite("avg_pool2d", out), (x.shape, window, stride, pad, None)
 
 
-def max_pool2d(x, window: int, stride: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Max over each window, and the offset of each maximum in its window
-    (row-major, the first one on ties), which pool2d_backward reads."""
+def max_pool2d(x, window: int, stride: int, pad: int):
+    """Max over each window. Saves the input shape, geometry and the offset
+    of each maximum in its window (row-major, the first one on ties)."""
     _, views = _pool_windows(x, window, stride, pad)
     out = views[0].copy()
     argmax = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
@@ -314,22 +316,22 @@ def max_pool2d(x, window: int, stride: int, pad: int) -> tuple[np.ndarray, np.nd
         np.greater(view, out, out=better)
         np.copyto(argmax, k, where=better)
         np.maximum(out, view, out=out)  # propagates NaN into the finiteness check
-    return check_finite("max_pool2d", out), argmax
+    return check_finite("max_pool2d", out), (x.shape, window, stride, pad, argmax)
 
 
-def pool2d_backward(output_grad, in_shape, window: int, stride: int, pad: int,
-                    argmax=None) -> np.ndarray:
-    """Input gradient of max_pool2d, given the ``argmax`` it returned, or of
-    avg_pool2d when ``argmax`` is None.
+def pool2d_backward(saved, output_grad) -> np.ndarray:
+    """Input gradient of max_pool2d, whose saved argmax it reads, or of
+    avg_pool2d, which saves None in its place.
 
-    One loop over the window offsets adds each offset's share into a padded
-    gradient and returns its interior. avg gives every window member
-    grad/window**2. max routes each grad to its window's argmax, going over
-    the offsets in reverse row-major order: a cell covered by several
-    windows then sums their grads in row-major window order, the order a
-    scatter-add over the output (``np.add.at``) would.
+    One loop over the window offsets adds each offset's share into its
+    ``_shifted`` view of a padded gradient, whose interior is returned. avg
+    gives every window member grad/window**2. max routes each grad to its
+    window's argmax, going over the offsets in reverse row-major order: a
+    cell covered by several windows then sums their grads in row-major
+    window order, the order a scatter-add over the output (``np.add.at``)
+    would.
     """
-    n, h, w, c = in_shape  # the windows are views of the padded gradient itself
+    (n, h, w, c), window, stride, pad, argmax = saved
     gx, views = _pool_windows(np.zeros((n, h + 2 * pad, w + 2 * pad, c)), window, stride, 0)
     if output_grad.shape != views[0].shape:
         raise ShapeError(f"output_grad {output_grad.shape} does not match pool output "
@@ -373,8 +375,9 @@ def batchnorm2d_forward(x, scale, shift, state: BnState, mode: str):
 
     Train mode normalizes with batch statistics, taken over the leading
     axes, and returns an updated running-stats state (momentum 0.1); eval
-    mode normalizes with the running stats. Returns (out, new_state, cache)
-    where cache feeds batchnorm2d_backward.
+    mode normalizes with the running stats. Returns ``(out, new_state,
+    saved)``; ``saved`` is the normalized input, the inverse deviations,
+    ``scale`` and the mode.
     """
     if x.ndim != 4:
         raise ShapeError("batchnorm2d expects [N, H, W, C]")
@@ -399,12 +402,11 @@ def batchnorm2d_forward(x, scale, shift, state: BnState, mode: str):
     xhat = (x - mean) * inv_std
     out = scale * xhat + shift
     check_finite("batchnorm2d", out)
-    cache = {"xhat": xhat, "inv_std": inv_std, "scale": scale, "mode": mode}
-    return out, new_state, cache
+    return out, new_state, (xhat, inv_std, scale, mode)
 
 
-def batchnorm2d_backward(cache, output_grad):
-    xhat, inv_std, scale = cache["xhat"], cache["inv_std"], cache["scale"]
+def batchnorm2d_backward(saved, output_grad):
+    xhat, inv_std, scale, mode = saved
     if output_grad.shape != xhat.shape:
         raise ShapeError("output_grad shape must match forward input")
     d_scale = (output_grad * xhat).sum(axis=_LEADING)
@@ -412,7 +414,7 @@ def batchnorm2d_backward(cache, output_grad):
     dxhat = output_grad * scale
     # The input gradient is built in dxhat's buffer, with the operations and
     # their order of (inv_std / m) * (m * dxhat - sum_d - xhat * sum_dx).
-    if cache["mode"] == "train":
+    if mode == "train":
         m = xhat.size // xhat.shape[-1]
         sum_d = dxhat.sum(axis=_LEADING)
         sum_dx = (dxhat * xhat).sum(axis=_LEADING)
@@ -429,30 +431,31 @@ def batchnorm2d_backward(cache, output_grad):
 # linear / global pooling
 # ---------------------------------------------------------------------------
 
-def linear_forward(x, weights, bias) -> np.ndarray:
-    """Affine map [N, F] @ [F, G] + [G]."""
+def linear_forward(x, weights, bias):
+    """Affine map [N, F] @ [F, G] + [G]; saves ``x`` and ``weights``."""
     if x.ndim != 2 or weights.ndim != 2 or x.shape[1] != weights.shape[0]:
         raise ShapeError(f"linear shapes incompatible: {x.shape} @ {weights.shape}")
     if bias.shape != (weights.shape[1],):
         raise ShapeError("bias must match output width")
-    return check_finite("linear", x @ weights + bias)
+    return check_finite("linear", x @ weights + bias), (x, weights)
 
 
-def linear_backward(x, weights, output_grad):
+def linear_backward(saved, output_grad):
+    x, weights = saved
     if output_grad.shape != (x.shape[0], weights.shape[1]):
         raise ShapeError("output_grad shape mismatch in linear backward")
     return output_grad @ weights.T, x.T @ output_grad, output_grad.sum(axis=0)
 
 
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """[N, H, W, C] -> [N, C] spatial mean."""
+def global_avg_pool(x: np.ndarray):
+    """[N, H, W, C] -> [N, C] spatial mean; saves the input shape."""
     if x.ndim != 4:
         raise ShapeError("global_avg_pool expects [N, H, W, C]")
-    return x.mean(axis=(1, 2))
+    return x.mean(axis=(1, 2)), x.shape
 
 
-def global_avg_pool_backward(x_shape: tuple[int, ...], output_grad: np.ndarray) -> np.ndarray:
-    n, h, w, c = x_shape
+def global_avg_pool_backward(saved: tuple[int, ...], output_grad: np.ndarray) -> np.ndarray:
+    n, h, w, c = saved
     if output_grad.shape != (n, c):
         raise ShapeError("output_grad must be [N, C]")
-    return np.broadcast_to(output_grad[:, None, None, :] / (h * w), x_shape).copy()
+    return np.broadcast_to(output_grad[:, None, None, :] / (h * w), saved).copy()

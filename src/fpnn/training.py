@@ -288,7 +288,7 @@ def run_sweep_cell(train_set: SampleSet, test_set: SampleSet, n_input_cycles: in
         report = evaluate(best, test_set)
         cell.mape, cell.mae, cell.rmse = report.mape, report.mae, report.rmse
     except Exception as exc:  # noqa: BLE001 - recorded as a NaN row
-        cell.error = str(exc)
+        cell.error = f"{type(exc).__name__}: {exc}"
     return cell
 
 
@@ -297,8 +297,9 @@ def run_sweep_window(records, n_input_cycles: int, model_configs: list[FpnnConfi
     """Preprocess one input window once, at the grid side its cells'
     configs share, then train and score one cell per config on the result.
 
-    The fleet is split with ``train_config.seed``. If preprocessing fails,
-    every cell of the window becomes a NaN row carrying the error.
+    The fleet is split with ``train_config.seed``, the split seed: each
+    cell replaces it with its own seed. If preprocessing fails, every cell
+    of the window becomes a NaN row carrying the error.
     """
     grid_sides = {config.grid_side for config in model_configs}
     if len(grid_sides) != 1:
@@ -308,7 +309,8 @@ def run_sweep_window(records, n_input_cycles: int, model_configs: list[FpnnConfi
             records, n_input_cycles, grid_side=grid_sides.pop(), seed=train_config.seed
         )
     except Exception as exc:  # noqa: BLE001 - recorded as NaN rows
-        return [SweepCell(n_input_cycles, c.noi, c.seed, error=str(exc)) for c in model_configs]
+        error = f"{type(exc).__name__}: {exc}"
+        return [SweepCell(n_input_cycles, c.noi, c.seed, error=error) for c in model_configs]
     return [run_sweep_cell(train_set, test_set, n_input_cycles, c, train_config)
             for c in model_configs]
 
@@ -319,8 +321,9 @@ def noi_sweep(records, cycles_values, noi_values, grid_side: int, train_config: 
     """Grid of (input window, unit count) cells, returned window-major.
     Each cell is ``model_config`` with its ``noi``, ``grid_side`` and seed
     (the base seed plus a fixed 1000 * index offset) replaced. Each window
-    runs through ``run_sweep_window``; with ``jobs`` > 1 the windows run in
-    worker processes, which receive the records once per window."""
+    runs through ``run_sweep_window``, which splits the fleet with
+    ``train_config.seed``, the split seed; with ``jobs`` > 1 the windows run
+    in worker processes, which receive the records once per window."""
     windows = list(cycles_values)
     if not windows or not noi_values:
         raise ValueError("empty sweep grid")

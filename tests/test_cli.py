@@ -4,12 +4,15 @@ under the same seed, errors exit 1 with one line, the manifest clock
 covers the command's work, the manifest records the numeric environment,
 every parsed argument, the configs each command built and its input files,
 a config file with an unknown key or a mistyped value and arguments out of
-range are rejected before any work, sweep-noi and ablate write one CSV row
-per cell with the cell seeds in the manifest and build each cell's model
-from the command's model options, and hyperopt writes its trials and a
-best config that train accepts, reproducibly. Importing the package and
-its CLI loads no scipy module."""
+range are rejected before any work, preprocess, sweep-noi, ablate and
+hyperopt split a fleet with the same sub-seed, sweep-noi and ablate write
+one CSV row per cell with the cell seeds in the manifest, a failed cell's
+exception type in its row, and build each cell's model from the command's
+model options, and hyperopt writes its trials and a best config that train
+accepts, reproducibly. Importing the package and its CLI loads no scipy
+module."""
 
+import csv
 import json
 import os
 import subprocess
@@ -23,6 +26,7 @@ import pytest
 import fpnn
 from fpnn import cli, training
 from fpnn import model as M
+from fpnn.errors import TrainingError
 
 
 def run(*argv):
@@ -287,6 +291,43 @@ class TestSweepCommands:
         config = manifest(tmp_path)["config"]
         assert config["cell_seeds"] == [9 + 1000 * i for i in range(5)]
         assert config["rows"] == list(cli.ABLATE_FLAGS) and "detach" not in config
+
+    def test_every_command_splits_with_the_split_sub_seed(self, fleet, tmp_path, monkeypatch):
+        splits = {}  # command -> (seed, test battery ids) of each split it made
+        real = training.preprocess_fleet
+
+        def recording(records, n_input_cycles, **kwargs):
+            result = real(records, n_input_cycles, **kwargs)
+            splits.setdefault(command, []).append((kwargs["seed"], result[3][1]))
+            return result
+
+        monkeypatch.setattr(cli, "preprocess_fleet", recording)
+        monkeypatch.setattr(training, "preprocess_fleet", recording)
+        commands = {"preprocess": [], "sweep-noi": ["--noi", 0, "--epochs", 1],
+                    "ablate": ["--batch-size", 4, "--epochs", 1],
+                    "hyperopt": ["--budget", 4, "--epochs", 1]}
+        for command, argv in commands.items():
+            run(command, "--data", fleet, "--cycles", 10, "--grid", 8, *argv, "--seed", 9,
+                "--out", tmp_path / command)
+        want = [(cli.SEED_OFFSETS["split"] + 9, splits["preprocess"][0][1])]
+        assert splits == {name: want for name in commands}
+
+    @pytest.mark.parametrize("command,argv,csv_name", [
+        ("sweep-noi", ["--noi", "0"], "sweep.csv"),
+        ("ablate", [], "ablate.csv"),
+    ])
+    def test_failed_cell_writes_its_exception_type(self, fleet, tmp_path, monkeypatch, command,
+                                                   argv, csv_name):
+        def failing_train(*args, **kwargs):
+            raise TrainingError("no epochs, thanks")
+
+        monkeypatch.setattr(training, "train", failing_train)
+        run(command, "--data", fleet, "--cycles", 10, "--grid", 8, *argv, "--epochs", 1,
+            "--batch-size", 4, "--out", tmp_path)
+        with open(tmp_path / csv_name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["mape"] == "NaN" for r in rows)
+        assert {r["error"] for r in rows} == {"TrainingError: no epochs, thanks"}
 
     @pytest.mark.parametrize("argv,flag,value", [
         *(pytest.param(SWEEP_ARGS, flag, value, id=f"{flag}-{value}")

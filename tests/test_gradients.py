@@ -188,11 +188,13 @@ class TestConv3dBackward:
 
 class TestLeakyReluBackward:
     def test_positive(self):
-        assert ops.leaky_relu_backward(np.array(5.0), 0.01, np.array(1.0)) == 1.0
+        saved = ops.leaky_relu_forward(np.array(5.0), 0.01)[1]
+        assert ops.leaky_relu_backward(saved, np.array(1.0)) == 1.0
 
     def test_negative(self):
         np.testing.assert_allclose(
-            ops.leaky_relu_backward(np.array(-5.0), 0.1, np.array(2.0)), 0.2
+            ops.leaky_relu_backward(ops.leaky_relu_forward(np.array(-5.0), 0.1)[1],
+                                    np.array(2.0)), 0.2
         )
 
     def test_finite_differences_away_from_kink(self, rng):
@@ -200,20 +202,21 @@ class TestLeakyReluBackward:
         x = np.where(np.abs(x) < 1e-3, 0.5, x)  # keep clear of the kink
         alpha = 0.07
         probe = _loss_weights(rng, x.shape)
-        analytic = ops.leaky_relu_backward(x, alpha, probe)
-        gradcheck(lambda v: float((ops.leaky_relu_forward(v, alpha) * probe).sum()),
+        analytic = ops.leaky_relu_backward(ops.leaky_relu_forward(x, alpha)[1], probe)
+        gradcheck(lambda v: float((ops.leaky_relu_forward(v, alpha)[0] * probe).sum()),
                   x, analytic, rtol=1e-4)
 
 
 def max_pool_grads(x, window, stride, pad, output_grad):
-    _, argmax = ops.max_pool2d(x, window, stride, pad)
-    return ops.pool2d_backward(output_grad, x.shape, window, stride, pad, argmax)
+    _, saved = ops.max_pool2d(x, window, stride, pad)
+    return ops.pool2d_backward(saved, output_grad)
 
 
 class TestPoolBackward:
     def test_avg_uniform_distribution(self):
         gout = np.ones((1, 1, 1, 1))
-        g = ops.pool2d_backward(gout, (1, 2, 2, 1), 2, 1, 0)
+        _, saved = ops.avg_pool2d(np.zeros((1, 2, 2, 1)), 2, 1, 0)
+        g = ops.pool2d_backward(saved, gout)
         np.testing.assert_array_equal(g, np.full((1, 2, 2, 1), 0.25))
 
     def test_max_routes_to_argmax(self, rng):
@@ -234,15 +237,11 @@ class TestPoolBackward:
         x = rng.permutation(2 * 6 * 6).astype(float).reshape(1, 2, 6, 6)
         x += rng.standard_normal(x.shape) * 0.01
         x = nhwc(x)
-        if mode == "avg":
-            fn = ops.avg_pool2d
-            probe = _loss_weights(rng, fn(x, 3, 2, 1).shape)
-            analytic = ops.pool2d_backward(probe, x.shape, 3, 2, 1)
-        else:
-            fn = lambda v, *geometry: ops.max_pool2d(v, *geometry)[0]  # noqa: E731
-            probe = _loss_weights(rng, fn(x, 3, 2, 1).shape)
-            analytic = max_pool_grads(x, 3, 2, 1, probe)
-        gradcheck(lambda v: float((fn(v, 3, 2, 1) * probe).sum()), x, analytic, rtol=1e-4)
+        pool = ops.avg_pool2d if mode == "avg" else ops.max_pool2d
+        out, saved = pool(x, 3, 2, 1)
+        probe = _loss_weights(rng, out.shape)
+        analytic = ops.pool2d_backward(saved, probe)
+        gradcheck(lambda v: float((pool(v, 3, 2, 1)[0] * probe).sum()), x, analytic, rtol=1e-4)
 
     @staticmethod
     def _assert_max_backward_matches_oracle(x, window, stride, pad, gout):
@@ -314,12 +313,12 @@ class TestLinearBackward:
         w = rng.standard_normal((6, 3))
         b = rng.standard_normal(3)
         probe = _loss_weights(rng, (4, 3))
-        gx, gw, gb = ops.linear_backward(x, w, probe)
-        gradcheck(lambda v: float((ops.linear_forward(v, w, b) * probe).sum()),
+        gx, gw, gb = ops.linear_backward(ops.linear_forward(x, w, b)[1], probe)
+        gradcheck(lambda v: float((ops.linear_forward(v, w, b)[0] * probe).sum()),
                   x, gx, rtol=1e-4)
-        gradcheck(lambda v: float((ops.linear_forward(x, v, b) * probe).sum()),
+        gradcheck(lambda v: float((ops.linear_forward(x, v, b)[0] * probe).sum()),
                   w, gw, rtol=1e-4)
-        gradcheck(lambda v: float((ops.linear_forward(x, w, v) * probe).sum()),
+        gradcheck(lambda v: float((ops.linear_forward(x, w, v)[0] * probe).sum()),
                   b, gb, rtol=1e-4)
 
 
@@ -333,7 +332,7 @@ class TestResidualBackward:
         probe = _loss_weights(rng, (1, 2, 2, 88))
         _, cache = M._block_forward(x, params, specs, "raw.block0", "train", {})
         grads = {}
-        gx = M._block_backward(probe, params, cache, grads)
+        gx = M._block_backward(probe, cache, grads)
 
         def loss(v):
             out, _ = M._block_forward(v, params, specs, "raw.block0", "train", {})
@@ -352,8 +351,8 @@ class TestGlobalAvgPoolBackward:
     def test_finite_differences(self, rng):
         x = rng.standard_normal((2, 4, 4, 3))
         probe = _loss_weights(rng, (2, 3))
-        analytic = ops.global_avg_pool_backward(x.shape, probe)
-        gradcheck(lambda v: float((ops.global_avg_pool(v) * probe).sum()),
+        analytic = ops.global_avg_pool_backward(ops.global_avg_pool(x)[1], probe)
+        gradcheck(lambda v: float((ops.global_avg_pool(v)[0] * probe).sum()),
                   x, analytic, rtol=1e-4)
 
 

@@ -235,6 +235,7 @@ class TestBayesOptimize:
         best, trials = H.bayes_optimize(flaky, self.space(), budget=12, seed=3)
         failed = [t for t in trials if t.status == "failed"]
         assert failed and all(np.isnan(t.objective) for t in failed)
+        assert {t.message for t in failed} == {"RuntimeError: boom"}
         assert best.status == "ok"
 
     def test_all_failures_raise(self):

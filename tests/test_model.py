@@ -152,7 +152,7 @@ class TestForwardShapes:
         params = M.build_model(config)
         raw, diff = random_batch(config, n=1)
         _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
-        assert cache["gap_shapes"]["raw"] == (1, 8, 8, 88)
+        assert cache["streams"]["raw"]["gap"] == (1, 8, 8, 88)
 
     def test_block_emits_88_channels(self):
         config = micro_config(noi=3)
@@ -171,7 +171,7 @@ class TestForwardShapes:
         params = M.build_model(config)
         raw, diff = random_batch(config)
         _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
-        assert cache["gap_shapes"]["raw"][-1] == 64
+        assert cache["streams"]["raw"]["gap"][-1] == 64
 
     def test_eval_deterministic_bitwise(self):
         config = micro_config()
@@ -198,7 +198,7 @@ class TestStreamLayout:
         config = M.FpnnConfig(noi=0, grid_side=6, seed=2)
         params = M.build_model(config)
         x5 = np.random.default_rng(3).standard_normal((2, 3, 4, 6, 6))
-        _, cache = M._stream_forward(x5, params, M.conv_layout(config), "raw", "train", {})
+        _, cache, _ = M._stream_forward(x5, params, M.conv_layout(config), "raw", "train")
         padded, w, spec = cache["front"]["conv"]
         out, _ = ops.conv_forward(padded[:, 1:-1, 1:-1], w, params.tensors["raw.front.conv3d.b"],
                                   spec)
@@ -230,7 +230,7 @@ class TestDetachBehavior:
         raw, diff = random_batch(config)
         _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
         g = config.grid_side
-        assert cache["gap_shapes"]["raw"][1:3] == (g, g)
+        assert cache["streams"]["raw"]["gap"][1:3] == (g, g)
 
     def test_residual_identity(self):
         # residual on vs off differs by exactly the projected input
@@ -305,10 +305,10 @@ class TestBackward:
         _, _, cache = M.fpnn_forward(random_batch(config, n=3, seed=4), params,
                                      mode="train", want_cache=True)
         front = cache["streams"]["raw"]["front"]
-        gout = np.random.default_rng(5).standard_normal(front["act_in"].shape)
+        gout = np.random.default_rng(5).standard_normal(front["act"][0].shape)
         full, skip = {}, {}
-        assert M._cba_backward(gout, params, front, full) is not None
-        assert M._cba_backward(gout, params, front, skip, want_input_grad=False) is None
+        assert M._cba_backward(gout, front, full) is not None
+        assert M._cba_backward(gout, front, skip, want_input_grad=False) is None
         assert list(full) == list(skip) and len(full) == 4
         for name in full:
             assert full[name].tobytes() == skip[name].tobytes(), name
@@ -393,6 +393,33 @@ class TestForwardCacheMemory:
         _, _, cache = M.fpnn_forward(batch, params, mode="train", want_cache=True)
         mib = _cache_nbytes(cache, set()) / 2**20
         assert mib < 128, f"forward cache holds {mib:.1f} MiB"
+
+    def test_leaky_relus_cache_bool_masks(self, monkeypatch):
+        # every Leaky ReLU's saved value reaches the cache, and it holds the
+        # x > 0 mask, not the float input
+        saved = []
+
+        def record(x, alpha):
+            out, s = ops.leaky_relu_forward(x, alpha)
+            saved.append(s)
+            return out, s
+
+        def held(obj):
+            yield obj
+            for v in (obj.values() if isinstance(obj, dict)
+                      else obj if isinstance(obj, (list, tuple)) else ()):
+                yield from held(v)
+
+        monkeypatch.setattr(M, "leaky_relu_forward", record)
+        config = micro_config()
+        _, _, cache = M.fpnn_forward(random_batch(config), M.build_model(config), mode="train",
+                                     want_cache=True)
+        assert len(saved) == 2 * (2 + 7) + 1  # per stream front, stem, unit; one hidden fc
+        cached = {id(obj) for obj in held(cache)}
+        for s in saved:
+            assert id(s) in cached
+            arrays = [a for a in held(s) if isinstance(a, np.ndarray)]
+            assert [a.dtype for a in arrays] == [np.bool_]
 
 
 class TestWeightExport:

@@ -229,15 +229,16 @@ class TestLayoutBoundary:
 
 class TestLeakyRelu:
     def test_positive_branch(self):
-        assert ops.leaky_relu_forward(np.array(2.0), 0.01) == 2.0
+        assert ops.leaky_relu_forward(np.array(2.0), 0.01)[0] == 2.0
 
     def test_negative_branch(self):
-        np.testing.assert_allclose(ops.leaky_relu_forward(np.array(-2.0), 0.01), -0.02)
+        np.testing.assert_allclose(ops.leaky_relu_forward(np.array(-2.0), 0.01)[0], -0.02)
 
     def test_zero_goes_to_negative_branch(self):
         # boundary belongs to the alpha branch, so the value is alpha * 0 = 0
-        assert ops.leaky_relu_forward(np.array(0.0), 0.3) == 0.0
-        assert ops.leaky_relu_backward(np.array(0.0), 0.3, np.array(1.0)) == 0.3
+        out, saved = ops.leaky_relu_forward(np.array(0.0), 0.3)
+        assert out == 0.0
+        assert ops.leaky_relu_backward(saved, np.array(1.0)) == 0.3
 
     def test_alpha_out_of_range(self):
         for alpha in (0.0, 1.0, -0.1, 1.5):
@@ -249,7 +250,7 @@ class TestLeakyRelu:
         x[0, 0, 0, :3] = [0.0, -0.0, 1e-300]
         g = rng.standard_normal(x.shape)
         g_before = g.copy()
-        got = ops.leaky_relu_backward(x, 0.07, g)
+        got = ops.leaky_relu_backward(ops.leaky_relu_forward(x, 0.07)[1], g)
         assert got.tobytes() == (g * np.where(x > 0, 1.0, 0.07)).tobytes()
         assert g.tobytes() == g_before.tobytes()
 
@@ -257,23 +258,23 @@ class TestLeakyRelu:
 class TestPooling:
     def test_avg_mean(self):
         x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
-        assert ops.avg_pool2d(x, 2, 1, 0)[0, 0, 0, 0] == 2.5
+        assert ops.avg_pool2d(x, 2, 1, 0)[0][0, 0, 0, 0] == 2.5
 
     def test_avg_constant(self):
         x = np.full((1, 5, 5, 2), 3.25)
-        out = ops.avg_pool2d(x, 3, 2, 0)
+        out, _ = ops.avg_pool2d(x, 3, 2, 0)
         np.testing.assert_array_equal(out, np.full((1, 2, 2, 2), 3.25))
 
     def test_avg_matches_loop(self, rng):
         x = rng.standard_normal((2, 2, 5, 5))
         for pad in (0, 1):
-            got = nchw(ops.avg_pool2d(nhwc(x), 3, 1, pad))
+            got = nchw(ops.avg_pool2d(nhwc(x), 3, 1, pad)[0])
             np.testing.assert_allclose(got, per_sample(avg_pool_loop, x, (3, 3), 1, pad),
                                        atol=1e-12, rtol=0)
 
     def test_max_window(self):
         x = np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]])
-        out, argmax = ops.max_pool2d(x, 2, 1, 0)
+        out, (_, _, _, _, argmax) = ops.max_pool2d(x, 2, 1, 0)
         assert out[0, 0, 0, 0] == 4.0 and argmax[0, 0, 0, 0] == 3
 
     def test_max_monotone_ramp(self):
@@ -292,7 +293,7 @@ class TestPooling:
     def test_max_padding_is_zero(self):
         # an all-negative input: every window reaches into the padding and
         # takes its first zero in row-major order
-        out, argmax = ops.max_pool2d(np.full((1, 3, 3, 1), -1.0), 3, 2, 1)
+        out, (_, _, _, _, argmax) = ops.max_pool2d(np.full((1, 3, 3, 1), -1.0), 3, 2, 1)
         np.testing.assert_array_equal(out, np.zeros((1, 2, 2, 1)))
         np.testing.assert_array_equal(argmax[..., 0], [[[0, 0], [0, 2]]])
 
@@ -349,9 +350,9 @@ class TestBatchNorm:
         state = ops.BnState(rng.uniform(-1, 1, 3), rng.uniform(0.5, 2, 3))
         _, _, cache = ops.batchnorm2d_forward(x, scale, shift, state, mode)
         g = rng.standard_normal(x.shape)
-        g_before, xhat_before = g.copy(), cache["xhat"].copy()
+        g_before, xhat_before = g.copy(), cache[0].copy()
         got_x, got_scale, _ = ops.batchnorm2d_backward(cache, g)
-        xhat, inv_std = cache["xhat"], cache["inv_std"]
+        xhat, inv_std, _, _ = cache
         dxhat = g * scale
         if mode == "train":
             m = 4 * 5 * 5
@@ -374,12 +375,12 @@ class TestBatchNorm:
 class TestLinear:
     def test_identity(self, rng):
         x = rng.standard_normal((4, 5))
-        out = ops.linear_forward(x, np.eye(5), np.zeros(5))
+        out, _ = ops.linear_forward(x, np.eye(5), np.zeros(5))
         np.testing.assert_array_equal(out, x)
 
     def test_zero_weights_bias_rows(self, rng):
         b = rng.standard_normal(3)
-        out = ops.linear_forward(rng.standard_normal((4, 5)), np.zeros((5, 3)), b)
+        out, _ = ops.linear_forward(rng.standard_normal((4, 5)), np.zeros((5, 3)), b)
         np.testing.assert_array_equal(out, np.tile(b, (4, 1)))
 
     def test_shape_mismatch(self, rng):
@@ -442,8 +443,8 @@ class TestOracleSweep:
             w = int(rng.integers(k, 9))
             x = rng.standard_normal((2, c, h, w))
             np.testing.assert_allclose(
-                nchw(ops.avg_pool2d(nhwc(x), k, s, p)), per_sample(avg_pool_loop, x, (k, k), s, p),
-                atol=1e-12, rtol=0,
+                nchw(ops.avg_pool2d(nhwc(x), k, s, p)[0]),
+                per_sample(avg_pool_loop, x, (k, k), s, p), atol=1e-12, rtol=0,
             )
             np.testing.assert_array_equal(nchw(ops.max_pool2d(nhwc(x), k, s, p)[0]),
                                           per_sample(max_pool_loop, x, (k, k), s, p))

@@ -378,7 +378,7 @@ class TestSweep:
                                 FpnnConfig(noi=1, grid_side=8, seed=42), T.TrainConfig(epochs=1))
         assert (cell.n_input_cycles, cell.noi, cell.seed) == (10, 1, 42)
         assert np.isnan([cell.mape, cell.mae, cell.rmse]).all()
-        assert "need at least 2 batteries to hold one out" in cell.error
+        assert cell.error == "ValueError: need at least 2 batteries to hold one out"
 
     def test_cells_window_major_with_offset_seeds(self):
         cells = T.noi_sweep(short_fleet(), [10, 20], [0, 2], 8, T.TrainConfig(epochs=1), seed=7)
@@ -463,4 +463,5 @@ class TestSweep:
         assert not any(c.error for c in cells[:3])
         for c in cells[3:]:
             assert np.isnan([c.mape, c.mae, c.rmse]).all()
+            assert c.error.startswith("DataValidationError: ")
             assert "has 15 cycles, needs >= 20" in c.error
