@@ -24,11 +24,13 @@ mistyped value or a value out of range is rejected by name, with the
 file's name, and every command builds its configs before it reads any
 data. Only ``_train_configs`` turns settings into configs, so
 ``hyperopt``'s ``best_config.json`` is a valid ``--config`` file. Counts,
-grids and windows out of range are rejected while parsing. All randomness
-flows from one ``--seed`` through fixed named offsets (split +1, init +2,
-shuffle +3, bayesian search +4): every command splits a fleet with the
-split sub-seed, and in ``sweep-noi`` and ``ablate`` each cell's seed drives
-its init, holdout and shuffle. A failed cell or trial keeps its exception
+grids and windows out of range are rejected while parsing, among them
+``gen --life-min``/``--life-max`` below 1 and ``hyperopt --epochs`` below 1
+or ``--patience`` below 0 (a life min above the max fails naming the range,
+before any fleet is made). All randomness flows from one ``--seed`` through
+fixed named offsets (split +1, init +2, shuffle +3, bayesian search +4):
+every command splits a fleet with the split sub-seed, and in ``sweep-noi``
+and ``ablate`` each cell's seed drives its init, holdout and shuffle. A failed cell or trial keeps its exception
 type in its CSV row. ``FPNN_LOG`` selects error|info|debug.
 """
 
@@ -49,12 +51,13 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_THREAD_VARS, __version__
-from .datagen import generate_fleet
+from .datagen import DEFAULT_LIFE_RANGE, generate_fleet
 from .dataset import load_canonical_dataset
 from .hyperopt import bayes_optimize, default_search_space
 from .io import sha256_file
 from .model import MAX_NOI, STREAMS, DetachFlags, FpnnConfig, build_model, export_block_weights
 from .preprocess import (
+    DEFAULT_GRID_SIDE,
     VALID_INPUT_CYCLES,
     HOLDOUT_FRACTION,
     holdout_by_battery,
@@ -431,9 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--out", required=True)
+    grid_flag = argparse.ArgumentParser(add_help=False)  # the four commands that preprocess
+    grid_flag.add_argument("--grid", type=_at_least(2), default=DEFAULT_GRID_SIDE)
 
-    def command(name: str, func, summary: str, data: bool = True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[shared], help=summary)
+    def command(name: str, func, summary: str, data: bool = True,
+                grid: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[shared, grid_flag] if grid else [shared], help=summary)
         p.set_defaults(func=func)
         if data:
             p.add_argument("--data", required=True)
@@ -441,12 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gen", cmd_gen, "generate a synthetic battery fleet", data=False)
     p.add_argument("--n", type=_at_least(2), required=True)
-    p.add_argument("--life-min", type=int, default=150)
-    p.add_argument("--life-max", type=int, default=1200)
+    p.add_argument("--life-min", type=_at_least(1), default=DEFAULT_LIFE_RANGE[0])
+    p.add_argument("--life-max", type=_at_least(1), default=DEFAULT_LIFE_RANGE[1])
 
-    p = command("preprocess", cmd_preprocess, "build sample archives from a fleet")
+    p = command("preprocess", cmd_preprocess, "build sample archives from a fleet", grid=True)
     p.add_argument("--cycles", type=int, required=True, choices=VALID_INPUT_CYCLES)
-    p.add_argument("--grid", type=_at_least(2), default=32)
 
     _add_train_flags(command("train", cmd_train, "train a model on a sample archive"))
 
@@ -454,28 +459,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
 
-    p = command("sweep-noi", cmd_sweep_noi, "grid over input windows and unit counts")
+    p = command("sweep-noi", cmd_sweep_noi, "grid over input windows and unit counts", grid=True)
     p.add_argument("--cycles", type=_input_windows, default="10,20,30,40",
                    help="comma-separated input windows (e.g. 10,20)")
     p.add_argument("--noi", dest="nois", type=_unit_counts, default="0-4",
                    help="unit-count range (e.g. 0-2 or 1,3)")
-    p.add_argument("--grid", type=_at_least(2), default=32)
     p.add_argument("--jobs", type=_at_least(1), default=1,
                    help="worker processes, one input window each; every worker "
                         "runs two threads, one per stream")
     _add_train_flags(p, include_noi=False)
 
-    p = command("ablate", cmd_ablate, "detach one component at a time")
+    p = command("ablate", cmd_ablate, "detach one component at a time", grid=True)
     p.add_argument("--cycles", type=int, default=10, choices=VALID_INPUT_CYCLES)
-    p.add_argument("--grid", type=_at_least(2), default=32)
     _add_train_flags(p)
 
-    p = command("hyperopt", cmd_hyperopt, "bayesian search over hyperparameters")
+    p = command("hyperopt", cmd_hyperopt, "bayesian search over hyperparameters", grid=True)
     p.add_argument("--budget", type=_at_least(4), required=True)
     p.add_argument("--cycles", type=int, default=10, choices=VALID_INPUT_CYCLES)
-    p.add_argument("--grid", type=_at_least(2), default=32)
-    p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--epochs", type=_at_least(1), default=60)
+    p.add_argument("--patience", type=_at_least(0), default=10)
 
     p = command("export-weights", cmd_export_weights, "dump inception-unit kernels to CSV",
                 data=False)

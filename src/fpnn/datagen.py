@@ -24,6 +24,7 @@ FAILURE_CAPACITY_AH = NOMINAL_CAPACITY_AH * FAILURE_FRACTION  # 0.88 Ah
 CUTOFF_VOLTAGE = 3.6
 MIN_VOLTAGE = 2.0
 MAX_STORED_CYCLES = 120  # exceeds the largest usable input window (40)
+DEFAULT_LIFE_RANGE = (150, 1200)  # cycles, lowest and highest
 
 POINTS_PER_CYCLE = 64
 VOLTAGE_SHIFT_SCALE = 6.0  # volts of shift per unit fade fraction
@@ -131,20 +132,24 @@ def generate_battery(policy: SynthPolicy, battery_id: str) -> BatteryRecord:
 def generate_fleet(
     n_batteries: int,
     seed: int,
-    life_range: tuple[int, int] = (150, 1200),
+    life_range: tuple[int, int] = DEFAULT_LIFE_RANGE,
     out_dir: str | Path | None = None,
 ) -> list[BatteryRecord]:
     """Sample per-battery policies and simulate the fleet.
 
-    Lives are spread log-uniformly over ``life_range``. When ``out_dir`` is
-    given the fleet is also written in the canonical dataset layout.
+    Lives are spread log-uniformly over ``life_range``, which needs
+    ``1 <= low <= high``. When ``out_dir`` is given the fleet is also
+    written in the canonical dataset layout.
     """
     if n_batteries < 2:
         raise ValueError(f"a fleet needs at least 2 batteries, got {n_batteries}")
+    low, high = life_range
+    if not 1 <= low <= high:
+        raise ValueError(f"life range ({low}, {high}) must satisfy 1 <= low <= high")
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n_batteries):
-        life = float(np.exp(rng.uniform(np.log(life_range[0]), np.log(life_range[1]))))
+        life = float(np.exp(rng.uniform(np.log(low), np.log(high))))
         policy = SynthPolicy(
             c1=float(rng.uniform(3.0, 6.5)),
             q1=float(rng.uniform(20.0, 70.0)),

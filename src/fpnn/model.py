@@ -1,23 +1,26 @@
 """The flexible parallel network: a dual-stream CNN over video-like battery
 samples with a configurable number of four-branch inception units.
 
+A sample's geometry (``N_CHANNELS`` series over ``SAMPLE_DEPTH`` frames of
+a G x G grid) is the archive format's, imported from :mod:`fpnn.preprocess`.
 Per stream: a 3D conv front end (64 channels, kernel depth = stream depth,
 spatial 3x3, pad (0,1,1)) collapses the frame axis, then batchnorm + Leaky
 ReLU. The stack that follows starts with "initial layers" (7x7/64 conv,
 stride 2, pad 3 -> batchnorm -> Leaky ReLU -> 3x3 max pool, stride 2,
-pad 1) and applies ``noi`` inception units, each concatenating four branches
-(1x1/16; 1x1/16 -> 3x3/24; 1x1/16 -> 3x3/24 -> 3x3/24; 3x3 avg pool ->
-3x3/24) into 88 channels with a 1x1-projected residual connection. Stream
-outputs are globally average-pooled, concatenated, and regressed to a
-single life value (in cycles) by a small linear head.
+pad 1) and applies ``noi`` inception units. A unit concatenates the four
+conv chains of the table ``_BRANCHES`` (the last one reads a 3x3 average
+pool of the unit input) into 88 channels, with a 1x1-projected residual
+connection. Stream outputs are globally average-pooled, concatenated, and
+regressed to a single life value (in cycles) by a small linear head.
 
 :func:`conv_layout` is the one description of the network: every conv the
 config instantiates, by name, in build order. :func:`build_model` walks it;
 each conv gets a weight and, except the residual projections
 (``*.block{i}.proj``), a bias and the batchnorm after it. Every such conv,
 the 3D front end included, runs in one conv -> batchnorm -> Leaky ReLU unit
-(``_cba_forward``/``_cba_backward``), and an inception unit loops over its
-branch table ``_BRANCHES``.
+(``_cba_forward``/``_cba_backward``). ``_BRANCHES`` is the one statement of
+the inception unit: ``conv_layout``, the unit's forward and backward,
+``BLOCK_CHANNELS`` and the exported weight names all walk it.
 
 Activations are channels-last, ``[N, H, W, C]``, from each stream's input
 to its global pool: ``_stream_forward`` folds the frames into channels
@@ -26,9 +29,9 @@ outputs concatenate on the last axis. Every forward pass has a hand-written
 backward composed from the batched layer primitives in :mod:`fpnn.ops`,
 whose ``(input_grad, *param_grads)`` tuples are unpacked straight into the
 gradient dict; there is no autograd tape. A cache holds only the ``saved``
-values the ops' forwards returned, plus the names and branch splits that
-key the gradients, and each backward call passes an op its ``saved`` and
-the output gradient alone. Detach flags prune the layout for ablation studies:
+values the ops' forwards returned, plus the names that key the gradients,
+and each backward call passes an op its ``saved`` and the output gradient
+alone. Detach flags prune the layout for ablation studies:
 ``initial_layers`` skips the 7x7 + max-pool stage, ``conv3d`` replaces the
 3D front end with depth-averaging plus a 1x1 conv (keeping downstream
 shapes legal), ``residual`` removes the projected skip connections, and
@@ -53,6 +56,7 @@ import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -76,13 +80,25 @@ from .ops import (
     max_pool2d,
     pool2d_backward,
 )
+from .preprocess import DEFAULT_GRID_SIDE, N_CHANNELS, SAMPLE_DEPTH
 
 FRONT_CHANNELS = 64
 INIT_CHANNELS = 64
-BRANCH_NARROW = 16  # 1x1 branch width and 1x1 reduction width
-BRANCH_WIDE = 24  # 3x3 conv widths
-BLOCK_CHANNELS = BRANCH_NARROW + 3 * BRANCH_WIDE  # 88
 MAX_NOI = 8
+
+# The inception unit, one row per conv: (layer, exported name, out channels,
+# square kernel), branch by branch in concatenation order. A chain's first
+# conv reads the unit input (the last chain through a 3x3 average pool of
+# it), each later conv the previous conv's output.
+_BRANCHES = (
+    (("b1.conv", "branch1x1_conv", 16, 1),),
+    (("b2.reduce", "branch3x3_reduce", 16, 1), ("b2.conv", "branch3x3_conv", 24, 3)),
+    (("b3.reduce", "branch3x3stack_reduce", 16, 1), ("b3.conv1", "branch3x3stack_conv1", 24, 3),
+     ("b3.conv2", "branch3x3stack_conv2", 24, 3)),
+    (("b4.conv", "branch_pool_conv", 24, 3),),
+)
+BLOCK_CHANNELS = sum(chain[-1][2] for chain in _BRANCHES)  # 88
+_BRANCH_SPLITS = np.cumsum([chain[-1][2] for chain in _BRANCHES])[:-1]  # in the unit output
 STREAMS = ("raw", "diff")  # one thread each in a forward or backward pass
 
 
@@ -100,9 +116,9 @@ class DetachFlags:
 class FpnnConfig:
     """Architecture hyperparameters; fully determines the parameter set."""
 
+    sample_depth: ClassVar[int] = SAMPLE_DEPTH  # the archive format's; the bench probe reads it
     noi: int = 1
-    grid_side: int = 32
-    sample_depth: int = 4
+    grid_side: int = DEFAULT_GRID_SIDE
     alpha: float = 0.01
     head_hidden: tuple[int, ...] = (64,)
     detach: DetachFlags = field(default_factory=DetachFlags)
@@ -113,8 +129,6 @@ class FpnnConfig:
             raise ValueError(f"noi must lie in [0, {MAX_NOI}], got {self.noi}")
         if self.grid_side < 2:
             raise ValueError("grid_side must be >= 2")
-        if self.sample_depth < 2:
-            raise ValueError("sample_depth must be >= 2")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not self.head_hidden or any(h < 1 for h in self.head_hidden):
@@ -124,7 +138,7 @@ class FpnnConfig:
         return STREAMS[:1] if self.detach.diff_branch else STREAMS
 
     def stream_depth(self, stream: str) -> int:
-        return self.sample_depth if stream == "raw" else self.sample_depth - 1
+        return SAMPLE_DEPTH if stream == "raw" else SAMPLE_DEPTH - 1
 
     def stream_out_channels(self) -> int:
         return INIT_CHANNELS if self.noi == 0 else BLOCK_CHANNELS
@@ -143,7 +157,6 @@ class FpnnConfig:
         return cls(
             noi=int(d["noi"]),
             grid_side=int(d["grid_side"]),
-            sample_depth=int(d.get("sample_depth", cls.sample_depth)),
             alpha=float(d["alpha"]),
             head_hidden=tuple(int(h) for h in d.get("head_hidden", cls.head_hidden)),
             detach=DetachFlags(**d.get("detach", {})),
@@ -185,23 +198,21 @@ def conv_layout(config: FpnnConfig) -> dict[str, ConvSpec]:
     for s in config.streams():
         depth = config.stream_depth(s)
         if config.detach.conv3d:
-            conv2(f"{s}.front.proj", 3, FRONT_CHANNELS, 1)
+            conv2(f"{s}.front.proj", N_CHANNELS, FRONT_CHANNELS, 1)
         else:
             specs[f"{s}.front.conv3d"] = ConvSpec(
-                (depth, 3, 3), (1, 1, 1), (0, 1, 1), 3, FRONT_CHANNELS
+                (depth, 3, 3), (1, 1, 1), (0, 1, 1), N_CHANNELS, FRONT_CHANNELS
             )
         if not config.detach.initial_layers:
             conv2(f"{s}.init.conv", FRONT_CHANNELS, INIT_CHANNELS, 7, stride=2, pad=3)
         for i in range(config.noi):
             c_in = INIT_CHANNELS if i == 0 else BLOCK_CHANNELS
             p = f"{s}.block{i}"
-            conv2(f"{p}.b1.conv", c_in, BRANCH_NARROW, 1)
-            conv2(f"{p}.b2.reduce", c_in, BRANCH_NARROW, 1)
-            conv2(f"{p}.b2.conv", BRANCH_NARROW, BRANCH_WIDE, 3)
-            conv2(f"{p}.b3.reduce", c_in, BRANCH_NARROW, 1)
-            conv2(f"{p}.b3.conv1", BRANCH_NARROW, BRANCH_WIDE, 3)
-            conv2(f"{p}.b3.conv2", BRANCH_WIDE, BRANCH_WIDE, 3)
-            conv2(f"{p}.b4.conv", c_in, BRANCH_WIDE, 3)
+            for chain in _BRANCHES:
+                width = c_in
+                for layer, _, c_out, k in chain:
+                    conv2(f"{p}.{layer}", width, c_out, k)
+                    width = c_out
             if not config.detach.residual:
                 conv2(f"{p}.proj", c_in, BLOCK_CHANNELS, 1)
     return specs
@@ -295,14 +306,9 @@ def _cba_backward(gout, cache, grads, want_input_grad=True, activated=False):
 # inception unit
 # ---------------------------------------------------------------------------
 
-# Conv chains of the four branches, in concatenation order; the last branch
-# reads a 3x3 average pool of the block input, the others the input itself.
-_BRANCHES = (("b1.conv",), ("b2.reduce", "b2.conv"), ("b3.reduce", "b3.conv1", "b3.conv2"),
-             ("b4.conv",))
-
-
 def _block_forward(x, params, specs, prefix, mode, new_states):
-    """Four branches concatenated to 88 channels, plus the projected skip."""
+    """The chains of ``_BRANCHES`` concatenated to 88 channels, plus the
+    projected skip."""
     cache = {"prefix": prefix, "branches": [], "proj": None}
     outs = []
     for chain in _BRANCHES:
@@ -310,12 +316,11 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
         if chain is _BRANCHES[-1]:  # keeps H x W
             h, cache["pool"] = avg_pool2d(x, 3, 1, 1)
         caches = []
-        for layer in chain:
+        for layer, *_ in chain:
             h, c = _cba_forward(h, params, specs, f"{prefix}.{layer}", mode, new_states)
             caches.append(c)
         outs.append(h)
         cache["branches"].append(caches)
-    cache["splits"] = np.cumsum([h.shape[-1] for h in outs])[:-1]
     out = np.concatenate(outs, axis=-1)
     proj = f"{prefix}.proj"
     if proj in specs:
@@ -328,12 +333,12 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
 
 
 def _block_backward(gout, cache, grads):
-    chains = cache["branches"]
     gx = None
-    for caches, g in zip(chains, np.split(gout, cache["splits"], axis=-1)):
+    for chain, caches, g in zip(_BRANCHES, cache["branches"],
+                                np.split(gout, _BRANCH_SPLITS, axis=-1)):
         for c in reversed(caches):
             g = _cba_backward(g, c, grads)
-        if caches is chains[-1]:
+        if chain is _BRANCHES[-1]:
             g = pool2d_backward(cache["pool"], g)
         gx = g if gx is None else gx + g
 
@@ -352,10 +357,10 @@ def _stream_forward(x5, params, specs, stream, mode):
     states of its batchnorms."""
     cfg = params.config
     depth = cfg.stream_depth(stream)
-    if x5.shape[1:] != (3, depth, cfg.grid_side, cfg.grid_side):
+    if x5.shape[1:] != (N_CHANNELS, depth, cfg.grid_side, cfg.grid_side):
         raise ShapeError(
-            f"{stream} stream expects [N, 3, {depth}, {cfg.grid_side}, {cfg.grid_side}], "
-            f"got {x5.shape}"
+            f"{stream} stream expects [N, {N_CHANNELS}, {depth}, {cfg.grid_side}, "
+            f"{cfg.grid_side}], got {x5.shape}"
         )
     cache, new_states = {"init": None, "blocks": []}, {}
 
@@ -422,8 +427,8 @@ def _map_streams(fn, streams):
 def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool = False):
     """Predict life (in cycles) for a batch of samples.
 
-    ``batch`` is a (raw, diff) array tuple with shapes [N, 3, D, G, G] and
-    [N, 3, D-1, G, G]; ``diff`` may be None when the config has no
+    ``batch`` is a (raw, diff) array tuple with shapes [N, N_CHANNELS,
+    SAMPLE_DEPTH, G, G] and [N, N_CHANNELS, SAMPLE_DEPTH - 1, G, G]; ``diff`` may be None when the config has no
     differential stream. Returns predictions of shape [N]; with
     ``want_cache`` also returns the updated batchnorm states and the cache
     consumed by :func:`fpnn_backward`.
@@ -484,16 +489,8 @@ def fpnn_backward(params: FpnnParams, cache, pred_grad: np.ndarray) -> dict[str,
 # weight export
 # ---------------------------------------------------------------------------
 
-BLOCK_EXPORT_LAYERS = {
-    "branch1x1_conv": "b1.conv",
-    "branch3x3_reduce": "b2.reduce",
-    "branch3x3_conv": "b2.conv",
-    "branch3x3stack_reduce": "b3.reduce",
-    "branch3x3stack_conv1": "b3.conv1",
-    "branch3x3stack_conv2": "b3.conv2",
-    "branch_pool_conv": "b4.conv",
-    "residual_proj": "proj",
-}
+BLOCK_EXPORT_LAYERS = {**{public: layer for chain in _BRANCHES for layer, public, *_ in chain},
+                       "residual_proj": "proj"}
 
 
 def export_block_weights(params: FpnnParams, block_index: int, stream: str = "raw") -> dict[str, np.ndarray]:

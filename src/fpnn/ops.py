@@ -24,9 +24,10 @@ channels.
 
 ``_conv_forward`` (also named ``conv2d_forward`` and ``conv3d_forward``) and
 ``_conv_backward`` are NCHW adapters over ``conv_forward`` and
-``conv_backward``, kept for the benchmark's per-layer probe, which calls
-them with NCHW arrays; each moves the layout at both ends, which the
-network never does.
+``conv_backward``, used only by the benchmark's per-layer probe, which
+calls them with NCHW arrays; each moves the layout at both ends, which the
+network never does. They fold frames by the network's one rule: a 3D
+kernel's depth axis goes into the channels.
 """
 
 from __future__ import annotations
@@ -220,22 +221,14 @@ def conv_backward(saved, output_grad, want_input_grad=True):
     return (_unpadded(gxs, pads) if want_input_grad else None), d_weights, d_bias
 
 
-def _n_folded(spec: ConvSpec, in_extents: tuple[int, ...]) -> int:
-    """Count of leading kernel axes that span their whole unpadded input
-    axis, and so can fold into the channels."""
-    n = 0
-    while n < spec.ndim and spec.padding[n] == 0 and spec.kernel[n] == in_extents[n]:
-        n += 1
-    return n
-
-
 def _conv_forward(x, weights, bias, spec, return_cols=False):
     """NCHW adapter: ``conv_forward`` of ``x`` [N, C_in, *spatial], the
     output [N, C_out, *out_spatial]; with ``return_cols`` also what it saved.
-    Full-extent leading axes are folded into channels, as the network folds
-    its 3D front end's frames."""
+    A 3D kernel's depth axis folds into the channels (``channels_last(x,
+    spec.ndim - 2)``), as the network folds its front end's frames, so the
+    kernel must span the input's depth."""
     out_sp = spec.out_extents(x.shape[2:])
-    out, saved = conv_forward(channels_last(x, _n_folded(spec, x.shape[2:])), weights, bias, spec)
+    out, saved = conv_forward(channels_last(x, spec.ndim - 2), weights, bias, spec)
     out = np.ascontiguousarray(np.moveaxis(out, -1, 1)).reshape(x.shape[0], spec.out_channels, *out_sp)
     return (out, saved) if return_cols else out
 
@@ -247,7 +240,7 @@ def _conv_backward(x, weights, spec, output_grad, cols):
     """NCHW adapter: ``conv_backward`` of ``cols``, what ``_conv_forward(x,
     weights, ..., spec, return_cols=True)`` saved, with an NCHW output
     gradient; the input gradient comes back shaped like ``x``."""
-    gx, d_weights, d_bias = conv_backward(cols, channels_last(output_grad, _n_folded(spec, x.shape[2:])))
+    gx, d_weights, d_bias = conv_backward(cols, channels_last(output_grad, spec.ndim - 2))
     return np.ascontiguousarray(np.moveaxis(gx, -1, 1)).reshape(x.shape), d_weights, d_bias
 
 

@@ -354,7 +354,6 @@ def save_checkpoint(params: FpnnParams, path: str | Path) -> None:
         "kind": CHECKPOINT_KIND,
         "checkpoint_version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
-        "bn_names": sorted(params.bn_states),
     }
     tio.write_tensors(path, tensors, meta)
 

@@ -108,8 +108,9 @@ class TestEndToEnd:
             [str(checkpoint)]]
         built = json.loads(json.dumps(training.load_checkpoint(checkpoint).config.to_dict()))
         config = manifest(tmp_path / "train")["config"]
-        for key in ("head_hidden", "detach", "sample_depth", "grid_side"):
+        for key in ("head_hidden", "detach", "grid_side"):
             assert config[key] == built[key], key
+        assert "sample_depth" not in config
         assert config["epochs"] == 2 and config["eval_split"] == "test"
         assert "seed" not in config
 
@@ -233,6 +234,13 @@ class TestConfigFile:
         assert code == 1
         assert capsys.readouterr().err == f"error: ValueError: {config_file}: {message}\n"
 
+    def test_inverted_life_range_is_one_error_line_naming_it(self, tmp_path, capsys):
+        code = cli.main(["gen", "--n", "2", "--life-min", "500", "--life-max", "100",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: life range (500, 100) must satisfy 1 <= low <= high\n")
+
     def test_flag_out_of_range_fails_before_data(self, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "none"), "--epochs", "0",
                          "--out", str(tmp_path / "out")])
@@ -338,7 +346,11 @@ class TestSweepCommands:
           for argv in (["preprocess", "--cycles", "10"], ["ablate"],
                        ["hyperopt", "--budget", "4"])),
         pytest.param(["hyperopt"], "--budget", "3", id="hyperopt---budget-3"),
+        *(pytest.param(["hyperopt", "--budget", "4"], flag, value, id=f"hyperopt-{flag}-{value}")
+          for flag, value in [("--epochs", "0"), ("--patience", "-1")]),
         pytest.param(["gen"], "--n", "1", id="gen---n-1"),
+        *(pytest.param(["gen", "--n", "2"], flag, value, id=f"gen-{flag}-{value}")
+          for flag, value in [("--life-min", "0"), ("--life-min", "-5"), ("--life-max", "0")]),
     ])
     def test_out_of_range_grid_rejected_when_parsed(self, fleet, tmp_path, capsys, argv, flag,
                                                     value):
@@ -408,7 +420,7 @@ class TestHyperopt:
             "--batch-size", 4, "--out", tmp_path / "train")
         doc = manifest(tmp_path / "train")
         assert doc["config"] == {
-            **best, "batch_size": 4, "grid_side": 8, "sample_depth": 4, "head_hidden": [64],
+            **best, "batch_size": 4, "grid_side": 8, "head_hidden": [64],
             "detach": {"initial_layers": False, "conv3d": False, "residual": False,
                        "diff_branch": False},
             "eval_split": "test"}

@@ -120,3 +120,8 @@ class TestGenerateFleet:
     def test_too_small(self):
         with pytest.raises(ValueError):
             datagen.generate_fleet(1, seed=0)
+
+    @pytest.mark.parametrize("life_range", [(0, 100), (-5, 100), (500, 100)])
+    def test_life_range_outside_one_to_high_named(self, life_range):
+        with pytest.raises(ValueError, match=rf"life range \({life_range[0]}, {life_range[1]}\)"):
+            datagen.generate_fleet(2, seed=0, life_range=life_range)

@@ -24,13 +24,14 @@ def _loss_weights(rng, shape):
 
 def conv_grads(x, w, spec, output_grad):
     """Conv gradients as the model takes them, from what the forward pass
-    saved, through the NCHW adapters."""
-    _, saved = ops._conv_forward(x, w, np.zeros(spec.out_channels), spec, return_cols=True)
-    return ops._conv_backward(x, w, spec, output_grad, saved)
+    saved, with NCHW arrays at the boundary."""
+    _, saved = ops.conv_forward(nhwc(x), w, np.zeros(spec.out_channels), spec)
+    gx, gw, gb = ops.conv_backward(saved, nhwc(output_grad))
+    return nchw(gx), gw, gb
 
 
 def conv(x, w, b, spec):
-    return ops._conv_forward(x, w, b, spec)
+    return nchw(ops.conv_forward(nhwc(x), w, b, spec)[0])
 
 
 class TestConv2dBackward:
@@ -101,20 +102,20 @@ class TestConvSavedOperand:
         ((3, 4, 5, 5), (2, 3, 3), (1, 2, 1), (0, 1, 1)),
     ])
     def test_saved_operand_backward_bitwise(self, rng, shape, kernel, stride, pad):
-        """The NCHW ``_conv_backward`` given what the forward pass saved
-        gives the gradients of ``conv_backward`` on a channels-last operand
-        rebuilt from the input, bit for bit."""
-        x = rng.standard_normal((2, *shape))
+        """``conv_backward`` given what the forward pass saved gives the
+        gradients it gives on an operand rebuilt from a copy of the input,
+        bit for bit, shaped like the input and the weights."""
+        x = nhwc(rng.standard_normal((2, *shape)))
         spec = ops.ConvSpec(kernel, stride, pad, shape[0], 4)
         w = rng.standard_normal(spec.weight_shape())
         b = rng.standard_normal(4)
-        out, saved = ops._conv_forward(x, w, b, spec, return_cols=True)
+        out, saved = ops.conv_forward(x, w, b, spec)
         g = rng.standard_normal(out.shape)
-        a_x, a_w, a_b = ops._conv_backward(x, w, spec, g, cols=saved)
-        nf = ops._n_folded(spec, x.shape[2:])
-        _, rebuilt = ops.conv_forward(ops.channels_last(x.copy(), nf), w, b, spec)
-        b_x, b_w, b_b = ops.conv_backward(rebuilt, ops.channels_last(g, nf))
-        assert np.array_equal(a_x, nchw(b_x).reshape(x.shape))
+        a_x, a_w, a_b = ops.conv_backward(saved, g)
+        _, rebuilt = ops.conv_forward(x.copy(), w, b, spec)
+        b_x, b_w, b_b = ops.conv_backward(rebuilt, g)
+        assert a_x.shape == x.shape and a_w.shape == w.shape
+        assert np.array_equal(a_x, b_x)
         assert np.array_equal(a_w, b_w)
         assert np.array_equal(a_b, b_b)
 

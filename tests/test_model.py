@@ -2,6 +2,7 @@
 table and checkpoint names, the stream's frame fold, detach behavior, residual identity, weight
 export, and full-model gradients."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from fpnn import model as M
 from fpnn import ops
+from fpnn.preprocess import SAMPLE_DEPTH
 
 from gradcheck import relative_error
 from oracles import conv3d_loop, nchw
@@ -115,8 +117,18 @@ class TestConfigDict:
         assert json.dumps(config.to_dict(), sort_keys=True) == (
             '{"alpha": 0.1, "detach": {"conv3d": true, "diff_branch": false, '
             '"initial_layers": false, "residual": true}, "grid_side": 16, '
-            '"head_hidden": [8, 4], "noi": 2, "sample_depth": 4, "seed": 7}')
+            '"head_hidden": [8, 4], "noi": 2, "seed": 7}')
         assert M.FpnnConfig.from_dict(config.to_dict()) == config
+
+    def test_frame_count_is_the_archive_format_not_a_field(self):
+        assert M.FpnnConfig.sample_depth == SAMPLE_DEPTH
+        assert [f.name for f in dataclasses.fields(M.FpnnConfig)] == [
+            "noi", "grid_side", "alpha", "head_hidden", "detach", "seed"]
+        with pytest.raises(TypeError):
+            M.FpnnConfig(sample_depth=4)
+        # a config dict written while it was a field still reads
+        assert M.FpnnConfig.from_dict({"noi": 1, "grid_side": 8, "alpha": 0.01,
+                                       "sample_depth": 4}) == M.FpnnConfig(grid_side=8)
 
 
 class TestLayerTable:

@@ -60,12 +60,18 @@ def per_sample(oracle, x, *args):
     return np.stack([oracle(xi, *args) for xi in x])
 
 
+def conv_nchw(x, w, b, spec):
+    """``conv_forward`` with NCHW arrays at the boundary; no axis folds into
+    the channels, so a 3D kernel runs as a 3D convolution."""
+    return nchw(ops.conv_forward(nhwc(x), w, b, spec)[0])
+
+
 class TestConv2d:
     def test_scaling_identity(self):
         x = np.ones((1, 1, 3, 3))
         w = np.full((1, 1, 1, 1), 2.0)
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 1, 1)
-        out = ops._conv_forward(x, w, np.zeros(1), spec)
+        out = conv_nchw(x, w, np.zeros(1), spec)
         assert out.shape == (1, 1, 3, 3)
         np.testing.assert_array_equal(out, np.full((1, 1, 3, 3), 2.0))
 
@@ -73,7 +79,7 @@ class TestConv2d:
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         w = np.ones((1, 1, 2, 2))
         spec = ops.ConvSpec((2, 2), (1, 1), (0, 0), 1, 1)
-        out = ops._conv_forward(x, w, np.zeros(1), spec)
+        out = conv_nchw(x, w, np.zeros(1), spec)
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 10.0
 
@@ -82,7 +88,7 @@ class TestConv2d:
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 3, 4)
-        got = ops._conv_forward(x, w, b, spec)
+        got = conv_nchw(x, w, b, spec)
         want = per_sample(conv2d_loop, x, w, b, (1, 1), (1, 1))
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -92,7 +98,7 @@ class TestConv2d:
         w = rng.standard_normal((3, 2, 3, 2))
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((3, 2), (stride, stride), (pad, pad), 2, 3)
-        got = ops._conv_forward(x, w, b, spec)
+        got = conv_nchw(x, w, b, spec)
         want = per_sample(conv2d_loop, x, w, b, (stride, stride), (pad, pad))
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -103,8 +109,8 @@ class TestConv2d:
         x = rng.standard_normal((2, 2, 6, 6))
         y = rng.standard_normal((2, 2, 6, 6))
         a, c = 1.7, -0.4
-        lhs = ops._conv_forward(a * x + c * y, w, b, spec)
-        rhs = a * ops._conv_forward(x, w, b, spec) + c * ops._conv_forward(y, w, b, spec)
+        lhs = conv_nchw(a * x + c * y, w, b, spec)
+        rhs = a * conv_nchw(x, w, b, spec) + c * conv_nchw(y, w, b, spec)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10, rtol=0)
 
     def test_deterministic(self, rng):
@@ -112,27 +118,27 @@ class TestConv2d:
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
-        a = ops._conv_forward(x, w, b, spec)
-        c = ops._conv_forward(x.copy(), w.copy(), b.copy(), spec)
+        a = conv_nchw(x, w, b, spec)
+        c = conv_nchw(x.copy(), w.copy(), b.copy(), spec)
         assert np.array_equal(a, c)
 
     def test_shape_mismatch_rejected(self, rng):
         spec = ops.ConvSpec((3, 3), (1, 1), (0, 0), 2, 4)
         with pytest.raises(ShapeError):
-            ops._conv_forward(rng.standard_normal((1, 3, 5, 5)),
-                               rng.standard_normal((4, 2, 3, 3)), np.zeros(4), spec)
+            conv_nchw(rng.standard_normal((1, 3, 5, 5)),
+                      rng.standard_normal((4, 2, 3, 3)), np.zeros(4), spec)
         with pytest.raises(ShapeError):
-            ops._conv_forward(rng.standard_normal((1, 2, 5, 5)),
-                               rng.standard_normal((4, 2, 2, 3)), np.zeros(4), spec)
+            conv_nchw(rng.standard_normal((1, 2, 5, 5)),
+                      rng.standard_normal((4, 2, 2, 3)), np.zeros(4), spec)
         with pytest.raises(ShapeError):  # a batch axis is required
-            ops._conv_forward(rng.standard_normal((2, 5, 5)),
-                               rng.standard_normal((4, 2, 3, 3)), np.zeros(4), spec)
+            conv_nchw(rng.standard_normal((2, 5, 5)),
+                      rng.standard_normal((4, 2, 3, 3)), np.zeros(4), spec)
 
     def test_nonfinite_rejected(self):
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 1, 1)
         x = np.full((1, 1, 2, 2), np.inf)
         with pytest.raises(NonFiniteError):
-            ops._conv_forward(x, np.ones((1, 1, 1, 1)), np.zeros(1), spec)
+            conv_nchw(x, np.ones((1, 1, 1, 1)), np.zeros(1), spec)
 
     def test_stem_geometry_matches_loop_oracle(self, rng):
         # the network's 7x7 stride-2 pad-3 stem on an even input: the last
@@ -141,7 +147,7 @@ class TestConv2d:
         w = rng.standard_normal((4, 3, 7, 7))
         b = rng.standard_normal(4)
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 3, 4)
-        got = ops._conv_forward(x, w, b, spec)
+        got = conv_nchw(x, w, b, spec)
         assert got.shape == (2, 4, 5, 5)
         np.testing.assert_allclose(got, per_sample(conv2d_loop, x, w, b, (2, 2), (3, 3)),
                                    atol=1e-12, rtol=0)
@@ -153,7 +159,7 @@ class TestConv3d:
         x[0, 0, 0, 0, 0], x[0, 0, 1, 0, 0] = 3.0, 4.0
         w = np.ones((1, 1, 2, 1, 1))
         spec = ops.ConvSpec((2, 1, 1), (1, 1, 1), (0, 0, 0), 1, 1)
-        out = ops._conv_forward(x, w, np.zeros(1), spec)
+        out = conv_nchw(x, w, np.zeros(1), spec)
         assert out.shape == (1, 1, 1, 1, 1)
         assert out[0, 0, 0, 0, 0] == 7.0
 
@@ -161,14 +167,14 @@ class TestConv3d:
         x = rng.standard_normal((2, 1, 1, 4, 4))
         w = np.ones((1, 1, 1, 1, 1))
         spec = ops.ConvSpec((1, 1, 1), (1, 1, 1), (0, 0, 0), 1, 1)
-        np.testing.assert_array_equal(ops._conv_forward(x, w, np.zeros(1), spec), x)
+        np.testing.assert_array_equal(conv_nchw(x, w, np.zeros(1), spec), x)
 
     def test_matches_loop_oracle(self, rng):
         x = rng.standard_normal((2, 3, 4, 6, 6))
         w = rng.standard_normal((8, 3, 4, 3, 3))
         b = rng.standard_normal(8)
         spec = ops.ConvSpec((4, 3, 3), (1, 1, 1), (0, 1, 1), 3, 8)
-        got = ops._conv_forward(x, w, b, spec)
+        got = conv_nchw(x, w, b, spec)
         want = per_sample(conv3d_loop, x, w, b, (1, 1, 1), (0, 1, 1))
         assert got.shape == (2, 8, 1, 6, 6)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
@@ -179,7 +185,7 @@ class TestConv3d:
         w = rng.standard_normal((3, 2, 2, 3, 3))
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((2, 3, 3), (1, 2, 1), (0, 1, 1), 2, 3)
-        got = ops._conv_forward(x, w, b, spec)
+        got = conv_nchw(x, w, b, spec)
         assert got.shape == (2, 3, 4, 3, 6)
         np.testing.assert_allclose(got, per_sample(conv3d_loop, x, w, b, (1, 2, 1), (0, 1, 1)),
                                    atol=1e-12, rtol=0)
@@ -188,7 +194,7 @@ class TestConv3d:
         x = rng.standard_normal((2, 2, 3, 5, 5))
         w = rng.standard_normal((4, 2, 3, 3, 3))
         spec = ops.ConvSpec((3, 3, 3), (1, 1, 1), (0, 1, 1), 2, 4)
-        out = ops._conv_forward(x, w, np.zeros(4), spec)
+        out = conv_nchw(x, w, np.zeros(4), spec)
         assert out.shape == (2, 4, 1, 5, 5)
 
 
@@ -406,7 +412,7 @@ class TestOracleSweep:
             b = rng.standard_normal(c_out)
             spec = ops.ConvSpec((k, k), (s, s), (p, p), c_in, c_out)
             np.testing.assert_allclose(
-                ops._conv_forward(x, wts, b, spec),
+                conv_nchw(x, wts, b, spec),
                 per_sample(conv2d_loop, x, wts, b, (s, s), (p, p)),
                 atol=1e-12, rtol=0,
             )
@@ -427,7 +433,7 @@ class TestOracleSweep:
             b = rng.standard_normal(c_out)
             spec = ops.ConvSpec((kd, k, k), (1, 1, 1), (0, p, p), c_in, c_out)
             np.testing.assert_allclose(
-                ops._conv_forward(x, wts, b, spec),
+                conv_nchw(x, wts, b, spec),
                 per_sample(conv3d_loop, x, wts, b, (1, 1, 1), (0, p, p)),
                 atol=1e-12, rtol=0,
             )

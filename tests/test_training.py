@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fpnn import io as tio
 from fpnn import training as T
 from fpnn.dataset import BatteryRecord, CycleCurve
 from fpnn.datagen import generate_fleet
 from fpnn.errors import CheckpointError, NonFiniteError, TrainingError
-from fpnn.model import DetachFlags, FpnnConfig, build_model
+from fpnn.model import DetachFlags, FpnnConfig, build_model, fpnn_forward
 from fpnn.preprocess import SampleSet, preprocess_fleet
 
 from oracles import metrics_loop
@@ -338,6 +339,26 @@ class TestCheckpoint:
         for k, state in params.bn_states.items():
             assert loaded.bn_states[k].mean.tobytes() == state.mean.tobytes(), k
             assert loaded.bn_states[k].var.tobytes() == state.var.tobytes(), k
+
+    def test_checkpoint_with_former_meta_keys_predicts_bitwise(self, tmp_path):
+        """A checkpoint whose meta still holds ``sample_depth`` in its config
+        and a ``bn_names`` list, as they were once written, loads and
+        predicts in eval mode bit for bit what the same tensors saved now do."""
+        params = self._params()
+        rng = np.random.default_rng(9)
+        for state in params.bn_states.values():
+            state.mean += rng.standard_normal(state.mean.shape)
+            state.var += rng.random(state.var.shape)
+        T.save_checkpoint(params, tmp_path / "now.fpt")
+        meta, tensors = tio.read_tensors(tmp_path / "now.fpt")
+        assert "bn_names" not in meta and "sample_depth" not in meta["config"]
+        former = {**meta, "config": {**meta["config"], "sample_depth": 4},
+                  "bn_names": sorted(params.bn_states)}
+        tio.write_tensors(tmp_path / "former.fpt", tensors, former)
+        batch = (rng.uniform(-1, 1, (4, 3, 4, 8, 8)), rng.uniform(-1, 1, (4, 3, 3, 8, 8)))
+        preds = [fpnn_forward(batch, T.load_checkpoint(tmp_path / name))
+                 for name in ("now.fpt", "former.fpt")]
+        assert preds[0].tobytes() == preds[1].tobytes()
 
 
 def short_fleet(n_batteries=3, n_cycles=8):
