@@ -250,17 +250,38 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return 0.5 * _ERFC(-z / math.sqrt(2.0)).astype(float)
 
 
+# Below this z = (best - mean) / sigma, EI = sigma * (z * cdf(z) + pdf(z))
+# loses about z**2-fold relative accuracy to the cancellation of its two
+# terms, so the tail form of ``_ei_tail`` takes over.
+EI_TAIL_Z = -5.0
+_EI_TAIL_TERMS = 40  # continued-fraction depth: 3e-16 relative at z = -5
+
+
+def _ei_tail(x: np.ndarray) -> np.ndarray:
+    """``z * cdf(z) + pdf(z)`` at z = -x for x > -EI_TAIL_Z, with no terms
+    that cancel. Laplace's continued fraction gives the Mills ratio
+    cdf(-x) / pdf(x) = 1 / f0, where f_{k-1} = x + k / f_k; then 1 - x / f0 =
+    1 / (f0 * f1), so the value is pdf(x) / (f0 * f1)."""
+    f = x.copy()
+    for k in range(_EI_TAIL_TERMS, 1, -1):
+        f = x + k / f
+    return np.exp(-0.5 * x * x) / _SQRT_2PI / ((x + 1.0 / f) * f)
+
+
 def ei_value(mean: np.ndarray, sigma: np.ndarray, best: float) -> np.ndarray:
     """Expected improvement for minimization at equal-length arrays of
     posterior means and standard deviations; sigma == 0 collapses to
-    max(0, best - mean)."""
+    max(0, best - mean). Below ``EI_TAIL_Z`` it takes the tail form."""
     if np.any(sigma < 0):
         raise ValueError("sigma must be nonnegative")
     improve = best - mean
     out = np.maximum(improve, 0.0)
     pos = sigma > 0
     z = improve[pos] / sigma[pos]
-    out[pos] = improve[pos] * _normal_cdf(z) + sigma[pos] * np.exp(-0.5 * z * z) / _SQRT_2PI
+    ei = improve[pos] * _normal_cdf(z) + sigma[pos] * np.exp(-0.5 * z * z) / _SQRT_2PI
+    tail = z < EI_TAIL_Z
+    ei[tail] = sigma[pos][tail] * _ei_tail(-z[tail])
+    out[pos] = ei
     return out
 
 

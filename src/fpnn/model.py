@@ -31,7 +31,9 @@ whose ``(input_grad, *param_grads)`` tuples are unpacked straight into the
 gradient dict; there is no autograd tape. A cache holds only the ``saved``
 values the ops' forwards returned, plus the names that key the gradients,
 and each backward call passes an op its ``saved`` and the output gradient
-alone. Detach flags prune the layout for ablation studies:
+alone. A forward without ``want_cache`` keeps no cache: each layer's saved
+values die with the layer, so evaluation holds one layer's temporaries at a
+time. Detach flags prune the layout for ablation studies:
 ``initial_layers`` skips the 7x7 + max-pool stage, ``conv3d`` replaces the
 3D front end with depth-averaging plus a 1x1 conv (keeping downstream
 shapes legal), ``residual`` removes the projected skip connections, and
@@ -271,9 +273,10 @@ def build_model(config: FpnnConfig) -> FpnnParams:
 # conv -> batchnorm -> leaky relu: the unit every conv with a bias runs in
 # ---------------------------------------------------------------------------
 
-def _cba_forward(x, params, specs, name, mode, new_states):
+def _cba_forward(x, params, specs, name, mode, new_states, keep=True):
     """A non-finite value anywhere in the unit raises NonFiniteError
-    prefixed with the unit's conv name (``diff.front.conv3d: ...``)."""
+    prefixed with the unit's conv name (``diff.front.conv3d: ...``). The
+    cache is None unless ``keep``, so the unit's saved values die with it."""
     bn = _bn_name(name)
     try:
         z, conv = conv_forward(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
@@ -286,7 +289,7 @@ def _cba_forward(x, params, specs, name, mode, new_states):
     except NonFiniteError as exc:
         raise NonFiniteError(f"{name}: {exc}") from exc
     new_states[bn] = state
-    return out, {"name": name, "conv": conv, "bn": norm, "act": act}
+    return out, ({"name": name, "conv": conv, "bn": norm, "act": act} if keep else None)
 
 
 def _cba_backward(gout, cache, grads, want_input_grad=True, activated=False):
@@ -306,9 +309,9 @@ def _cba_backward(gout, cache, grads, want_input_grad=True, activated=False):
 # inception unit
 # ---------------------------------------------------------------------------
 
-def _block_forward(x, params, specs, prefix, mode, new_states):
+def _block_forward(x, params, specs, prefix, mode, new_states, keep=True):
     """The chains of ``_BRANCHES`` concatenated to 88 channels, plus the
-    projected skip."""
+    projected skip; the cache is None unless ``keep``."""
     cache = {"prefix": prefix, "branches": [], "proj": None}
     outs = []
     for chain in _BRANCHES:
@@ -317,7 +320,7 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
             h, cache["pool"] = avg_pool2d(x, 3, 1, 1)
         caches = []
         for layer, *_ in chain:
-            h, c = _cba_forward(h, params, specs, f"{prefix}.{layer}", mode, new_states)
+            h, c = _cba_forward(h, params, specs, f"{prefix}.{layer}", mode, new_states, keep)
             caches.append(c)
         outs.append(h)
         cache["branches"].append(caches)
@@ -329,7 +332,7 @@ def _block_forward(x, params, specs, prefix, mode, new_states):
                                            np.zeros(spec.out_channels), spec)
         out = out + skip
     check_finite(f"{prefix} inception block", out)
-    return out, cache
+    return out, (cache if keep else None)
 
 
 def _block_backward(gout, cache, grads):
@@ -352,9 +355,9 @@ def _block_backward(gout, cache, grads):
 # stream: front end + initial layers + blocks
 # ---------------------------------------------------------------------------
 
-def _stream_forward(x5, params, specs, stream, mode):
-    """The stream's globally pooled features [N, C], its cache, and the new
-    states of its batchnorms."""
+def _stream_forward(x5, params, specs, stream, mode, keep=True):
+    """The stream's globally pooled features [N, C], its cache (None unless
+    ``keep``), and the new states of its batchnorms."""
     cfg = params.config
     depth = cfg.stream_depth(stream)
     if x5.shape[1:] != (N_CHANNELS, depth, cfg.grid_side, cfg.grid_side):
@@ -369,18 +372,18 @@ def _stream_forward(x5, params, specs, stream, mode):
         front, x = f"{stream}.front.proj", channels_last(x5.mean(axis=2))
     else:  # kernel depth spans all frames: the frames fold into channels
         front, x = f"{stream}.front.conv3d", channels_last(x5, 1)
-    h, cache["front"] = _cba_forward(x, params, specs, front, mode, new_states)
+    h, cache["front"] = _cba_forward(x, params, specs, front, mode, new_states, keep)
 
     if f"{stream}.init.conv" in specs:
-        h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", mode, new_states)
+        h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", mode, new_states, keep)
         h, pool = max_pool2d(h, 3, 2, 1)
         cache["init"] = {"cba": init_cba, "pool": pool}
 
     for i in range(cfg.noi):
-        h, bc = _block_forward(h, params, specs, f"{stream}.block{i}", mode, new_states)
+        h, bc = _block_forward(h, params, specs, f"{stream}.block{i}", mode, new_states, keep)
         cache["blocks"].append(bc)
     feat, cache["gap"] = global_avg_pool(h)
-    return feat, cache, new_states
+    return feat, (cache if keep else None), new_states
 
 
 def _stream_backward(g_feat, cache):
@@ -446,7 +449,8 @@ def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool
     new_states: dict[str, BnState] = dict(params.bn_states)
     cache = {"streams": {}, "head": []}
     feats = []
-    runs = _map_streams(lambda s: _stream_forward(inputs[s], params, specs, s, mode), cfg.streams())
+    runs = _map_streams(lambda s: _stream_forward(inputs[s], params, specs, s, mode, want_cache),
+                        cfg.streams())
     for stream, (feat, sc, states) in zip(cfg.streams(), runs):
         feats.append(feat)
         cache["streams"][stream] = sc

@@ -22,6 +22,34 @@ lacks are folded into its channels (``channels_last``): the 3D front end's
 kernel spans all frames, so it runs as a 3x3 convolution over 3 * D
 channels.
 
+One rule, ``_winograd_route(spec)``, gives a 7x7 kernel at stride 2 (the
+network's stem) a second route; every other convolution runs the offset
+loop. The zero-padded input is split into its four stride-2 phases,
+stacked on the channel axis (K = 4 * C_in), which makes the convolution
+one stride-1 convolution with a 4x4 kernel whose taps past the 7x7 are
+zero. That runs as Winograd minimal filtering F(4x4, 4x4) (Lavin & Gray
+2015, arXiv:1509.09308), alpha = 7, at the points 0, +-1, +-2, 1/2 and
+infinity: per block of samples, the 7x7 input tiles are transformed (V =
+BT d B, one matmul per axis over strided views), multiplied by the
+transformed kernel (U = G W' G^T) in one batched [49, tiles, K] @ [49, K,
+C_out] matmul, and transformed back (A^T M A). The kernel and output
+transforms are one matmul each, by kron(G, G) and kron(A^T, A^T). That is
+a quarter of the offset loop's multiplies. Tiles cover any output extent;
+what they compute past it is cropped. The backward makes two passes over
+the blocks: dU += V^T dM, with V recomputed from the saved phases, then
+dV = dM U^T, whose adjoint transform gives the input gradient, written
+block by block straight into its unpadded positions. ``saved`` holds the
+phase-split padded input, which has the padded input's size, in place of
+the padded input.
+
+The route differs from the loop by rounding only: at the stem's geometry,
+outputs and gradients lie within 1e-13 of their largest magnitude. Its
+transforms mix signs, so an overflow that leaves the loop an inf can leave
+the route inf - inf = nan. The route therefore ignores numpy's "invalid"
+floating-point status (an overflow still warns or raises as the caller's
+``np.errstate`` says), and ``check_finite`` raises NonFiniteError either
+way.
+
 ``_conv_forward`` (also named ``conv2d_forward`` and ``conv3d_forward``) and
 ``_conv_backward`` are NCHW adapters over ``conv_forward`` and
 ``conv_backward``, used only by the benchmark's per-layer probe, which
@@ -146,7 +174,9 @@ def conv_forward(x, weights, bias, spec: ConvSpec):
     ``x`` is [N, *spatial, C]. When it has fewer spatial axes than the
     kernel, the leading kernel axes are folded into its channels, C = C_in *
     prod(folded kernel). ``saved``, what ``conv_backward`` reads, is the
-    padded input (``x`` itself when nothing is padded), weights and spec.
+    padded input (``x`` itself when nothing is padded), weights and spec; on
+    the Winograd route, the phase-split padded input, weights, spec and the
+    input's spatial extents.
     """
     nf = spec.ndim - (x.ndim - 2)
     if not 0 <= nf <= spec.ndim or any(spec.padding[:nf]):
@@ -159,6 +189,10 @@ def conv_forward(x, weights, bias, spec: ConvSpec):
     if bias.shape != (spec.out_channels,):
         raise ShapeError(f"bias {bias.shape} must be ({spec.out_channels},)")
     out_sp = spec.out_extents((*spec.kernel[:nf], *x.shape[1:-1]))[nf:]
+    if _winograd_route(spec):
+        if nf:
+            raise ShapeError(f"a 7x7 stride-2 convolution takes [N, H, W, C], got {x.shape}")
+        return _winograd_forward(x, weights, bias, spec, out_sp)
     xs = _padded(x, spec.padding[nf:])
     wk = _kernel_matrices(weights, nf)
     n, c_out, stride, rows = x.shape[0], spec.out_channels, spec.stride[nf:], math.prod(out_sp)
@@ -182,19 +216,19 @@ def conv_forward(x, weights, bias, spec: ConvSpec):
 
 def conv_backward(saved, output_grad, want_input_grad=True):
     """``(input_grad, d_weights, d_bias)`` from what ``conv_forward`` saved,
-    by its offset loop again. With ``want_input_grad=False`` the input
-    gradient is None and its matmuls are skipped; the rest is the same.
+    by its offset loop again (or its Winograd route). With
+    ``want_input_grad=False`` the input gradient is None and its matmuls
+    are skipped; the rest is the same.
     """
+    if _winograd_route(saved[2]):
+        return _winograd_backward(saved, output_grad, want_input_grad)
     xs, weights, spec = saved
     nf = spec.ndim - (xs.ndim - 2)
     pads = spec.padding[nf:]
     in_sp = tuple(e - 2 * p for e, p in zip(xs.shape[1:-1], pads))
     out_sp = spec.out_extents((*spec.kernel[:nf], *in_sp))[nf:]
     n, c, c_out = xs.shape[0], xs.shape[-1], spec.out_channels
-    if output_grad.shape != (n, *out_sp, c_out):
-        raise ShapeError(
-            f"output_grad {output_grad.shape} does not match forward output {(n, *out_sp, c_out)}"
-        )
+    _check_output_grad(output_grad, (n, *out_sp, c_out))
     wk = _kernel_matrices(weights, nf)
     stride, rows = spec.stride[nf:], math.prod(out_sp)
     gmat = output_grad.reshape(n, rows, c_out)
@@ -219,6 +253,282 @@ def conv_backward(saved, output_grad, want_input_grad=True):
     d_weights = np.ascontiguousarray(np.moveaxis(d_wk, (-1, -2), (0, 1))).reshape(weights.shape)
     d_bias = gmat.reshape(-1, c_out).sum(axis=0)
     return (_unpadded(gxs, pads) if want_input_grad else None), d_weights, d_bias
+
+
+def _check_output_grad(output_grad, want):
+    if output_grad.shape != want:
+        raise ShapeError(f"output_grad {output_grad.shape} does not match forward output {want}")
+
+
+# ---------------------------------------------------------------------------
+# the Winograd route of the 7x7 stride-2 convolution
+# ---------------------------------------------------------------------------
+
+def _winograd_route(spec: ConvSpec) -> bool:
+    """The one rule that picks a convolution's route: a 7x7 kernel at
+    stride 2 runs as Winograd F(4x4, 4x4) over its four stride-2 phases,
+    every other convolution as the offset loop."""
+    return spec.kernel == (7, 7) and spec.stride == (2, 2)
+
+
+def _winograd_matrices(points, m: int, r: int):
+    """``(A, G, BT)`` of the Toom-Cook algorithm F(m, r) at the finite
+    ``points`` and infinity, alpha = m + r - 1 = len(points) + 1, such that
+    ``A.T @ ((G @ g) * (BT @ d))`` is the correlation ``y[i] = sum_k d[i + k]
+    g[k]`` of d (length alpha) with g (length r). A and G evaluate a
+    polynomial at the points (infinity: its leading coefficient); BT holds the
+    coefficients of prod_{j != k} (t - p_j) in row k (of prod_j (t - p_j) in
+    the infinity row), which are small dyadic numbers, so the Lagrange
+    denominators prod_{j != k} (p_k - p_j) divide G's rows instead."""
+    pts = np.asarray(points, dtype=float)
+    a = np.vstack([pts[:, None] ** np.arange(m), np.eye(m)[-1]])
+    g = np.vstack([pts[:, None] ** np.arange(r), np.eye(r)[-1]])
+    bt = np.empty((len(pts) + 1, len(pts) + 1))
+    for k, p in enumerate(pts):
+        others = np.delete(pts, k)
+        bt[k] = np.append(np.poly(others)[::-1], 0.0)
+        g[k] /= np.prod(p - others)
+    bt[-1] = np.poly(pts)[::-1]
+    return a, g, bt
+
+
+# A stride-2 phase of the 7x7 kernel is (at most) 4x4, so the phase conv is
+# a stride-1 4x4 conv, computed in 4x4 output tiles from 7x7 input tiles.
+_TILE = _PHASE_KERNEL = 4
+_ALPHA = _TILE + _PHASE_KERNEL - 1
+_WINO_A, _WINO_G, _WINO_BT = _winograd_matrices((0.0, 1.0, -1.0, 2.0, -2.0, 0.5),
+                                                _TILE, _PHASE_KERNEL)
+_WINO_B = _WINO_BT.T.copy()
+# The 2D transforms of a kernel and of an output tile, [49, 16] and [16, 49]:
+# kron(M, M) @ t.ravel() is M t M^T, for t small enough that one matmul
+# beats two.
+_WINO_GG = np.kron(_WINO_G, _WINO_G)
+_WINO_AA = np.kron(_WINO_A.T, _WINO_A.T)
+
+
+def _phase_slices(pad: int, extent: int):
+    """``[(phase_rows, input_rows)]`` for the phases a = 0, 1 of one axis:
+    padded row 2r + a is input row 2r + a - pad, so phase a's rows
+    ``phase_rows`` hold the input's rows ``input_rows``; the rest is padding."""
+    out = []
+    for a in (0, 1):
+        r0 = (pad - a + 1) // 2
+        s0 = 2 * r0 + a - pad
+        out.append((slice(r0, r0 + len(range(s0, extent, 2))), slice(s0, extent, 2)))
+    return out
+
+
+def _phase_split(x, pads, out_sp) -> np.ndarray:
+    """[N, H, W, C] -> [N, OH + 3, OW + 3, 4 * C]: the zero-padded input's
+    four stride-2 phases, stacked on the channel axis as (a, b, c) for padded
+    position (2r + a, 2s + b). OH + 3 = ceil((H + 2 * pad) / 2), so this has
+    the padded input's size."""
+    n, h, w, c = x.shape
+    q = np.zeros((n, out_sp[0] + _PHASE_KERNEL - 1, out_sp[1] + _PHASE_KERNEL - 1, 2, 2, c))
+    for a, (qr, xr) in enumerate(_phase_slices(pads[0], h)):
+        for b, (qc, xc) in enumerate(_phase_slices(pads[1], w)):
+            q[:, qr, qc, a, b] = x[:, xr, xc]
+    return q.reshape(*q.shape[:3], 4 * c)
+
+
+def _transformed_kernels(weights) -> np.ndarray:
+    """U^T, [49, C_out, 4 * C_in], of U = G W' G^T for the phase kernel
+    W'[p, q, (a, b, c), o] = w[o, c, 2p + a, 2q + b], which is zero past
+    tap 6. Stored transposed: the input gradient's dM @ U^T runs faster on
+    it, and the forward's V @ U as fast."""
+    c_out, c_in = weights.shape[:2]
+    wp = np.zeros((_PHASE_KERNEL, _PHASE_KERNEL, c_out, 2, 2, c_in))
+    for a, b in np.ndindex(2, 2):
+        taps = weights[:, :, a::2, b::2].transpose(2, 3, 0, 1)
+        wp[: taps.shape[0], : taps.shape[1], :, a, b] = taps
+    return (_WINO_GG @ wp.reshape(_PHASE_KERNEL**2, -1)).reshape(_ALPHA**2, c_out, 4 * c_in)
+
+
+def _phase_kernel_grad(d_u, weights_shape) -> np.ndarray:
+    """The weight gradient from dU [49, K, C_out]: dW' = G^T dU G, read back
+    at the 7x7 taps."""
+    c_out, c_in = weights_shape[:2]
+    d_wp = (_WINO_GG.T @ d_u.reshape(_ALPHA**2, -1)).reshape(
+        _PHASE_KERNEL, _PHASE_KERNEL, 2, 2, c_in, c_out)
+    d_weights = np.empty(weights_shape)
+    for a, b in np.ndindex(2, 2):
+        taps = d_weights[:, :, a::2, b::2]
+        taps[...] = d_wp[: taps.shape[2], : taps.shape[3], a, b].transpose(3, 2, 0, 1)
+    return d_weights
+
+
+def _overlap_add(out, parts, axis: int) -> None:
+    """``out`` along ``axis`` (extent 4t + 3) = the sum of t 7-long tiles at
+    stride 4, ``parts[v]`` holding offset v of every tile: the first four
+    offsets are written, the last three added, in offset order."""
+    t = parts[0].shape[axis]
+    at = (slice(None),) * axis
+    for v, part in enumerate(parts):
+        if v == _TILE:
+            out[at + (slice(_TILE * t, None),)] = 0.0
+        window = out[at + (slice(v, v + _TILE * t, _TILE),)]
+        if v < _TILE:
+            window[...] = part
+        else:
+            window += part
+
+
+def _windows(x, axis: int, count: int) -> np.ndarray:
+    """The view of ``x`` with ``count`` 7-long tiles at stride 4 along
+    ``axis``: that axis becomes (tile, offset)."""
+    view = np.lib.stride_tricks.sliding_window_view(x, _ALPHA, axis=axis)
+    view = view[(slice(None),) * axis + (slice(None, _TILE * count, _TILE),)]
+    return np.moveaxis(view, -1, axis + 1)
+
+
+# Bytes of one block's transformed tiles V, [49, tiles, K]; the route's
+# buffers hold about three times this per stream.
+_WINOGRAD_BLOCK_BYTES = 2 << 20
+
+
+class _Tiles:
+    """The route's tiles for blocks of samples, and the buffers of their
+    transforms. Tile (n, ti, tj) reads phase rows 4ti .. 4ti + 6 and columns
+    4tj .. 4tj + 6 and gives output rows 4ti .. 4ti + 3 and columns 4tj ..
+    4tj + 3; past the saved phases it reads zeros, and past the output
+    extent its outputs are cropped. Both transforms are matmuls over strided
+    views: one [7, 7] @ [7, row] per tile row, one [7, 7] @ [7, K] per
+    tile and row offset."""
+
+    def __init__(self, q, out_sp):
+        n, k = q.shape[0], q.shape[-1]
+        self.th, self.tw = (-(-e // _TILE) for e in out_sp)
+        self.ext = (_TILE * self.th + _ALPHA - _TILE, _TILE * self.tw + _ALPHA - _TILE)
+        step = max(1, _WINOGRAD_BLOCK_BYTES // (_ALPHA**2 * self.th * self.tw * k * q.itemsize))
+        self.blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        block = self.blocks[0].stop
+        self.rows = np.empty((block, self.th, _ALPHA, self.ext[1], k))  # BT d per tile row
+        self.v = np.empty((_ALPHA, _ALPHA, block, self.th, self.tw, k))
+        self.cols = self.q = None  # allocated on first use
+
+    def _phase_buffer(self, m):
+        """A [m, *ext, K] buffer for a block's phases or their gradient."""
+        if self.q is None:
+            self.q = np.empty((self.blocks[0].stop, *self.ext, self.rows.shape[-1]))
+        return self.q[:m]
+
+    def v_buffer(self, m) -> np.ndarray:
+        """The buffer of a block's V (or dV), [49, tiles, K]."""
+        return self.v[:, :, :m].reshape(_ALPHA**2, -1, self.v.shape[-1])
+
+    def transform(self, qb) -> np.ndarray:
+        """V = BT d B of each 7x7 tile d of the block's phases ``qb``, as
+        [49, tiles, K]."""
+        m = qb.shape[0]
+        if qb.shape[1:3] != self.ext:
+            buf = self._phase_buffer(m)
+            buf[...] = 0.0
+            buf[:, : qb.shape[1], : qb.shape[2]] = qb
+            qb = buf
+        rows = self.rows[:m]
+        np.matmul(_WINO_BT, _windows(qb, 1, self.th).reshape(m, self.th, _ALPHA, -1),
+                  out=rows.reshape(m, self.th, _ALPHA, -1))
+        np.matmul(_WINO_BT, _windows(rows, 3, self.tw),
+                  out=self.v[:, :, :m].transpose(2, 3, 0, 4, 1, 5))
+        return self.v_buffer(m)
+
+    def adjoint(self, d_v) -> np.ndarray:
+        """The block's phase gradient at the tile extent, [m, *ext, K], from
+        the gradient ``d_v`` [49, tiles, K] of its V: ``transform``'s steps
+        reversed, B dV BT per tile, the tiles' overlapping columns and rows
+        added."""
+        th, tw, k = self.th, self.tw, d_v.shape[-1]
+        m = d_v.shape[1] // (th * tw)
+        if self.cols is None:
+            self.cols = np.empty((self.blocks[0].stop, th, _ALPHA, tw, _ALPHA, k))
+        cols, rows = self.cols[:m], self.rows[:m]
+        np.matmul(_WINO_B, d_v.reshape(_ALPHA, _ALPHA, m, th, tw, k).transpose(2, 3, 0, 4, 1, 5),
+                  out=cols)
+        _overlap_add(rows, [cols[:, :, :, :, v] for v in range(_ALPHA)], 3)
+        d_rows = self.cols.reshape(-1)[: rows.size].reshape(m, th, _ALPHA, -1)  # cols is spent
+        np.matmul(_WINO_B, rows.reshape(m, th, _ALPHA, -1), out=d_rows)
+        d_rows = d_rows.reshape(rows.shape)
+        d_q = self._phase_buffer(m)
+        _overlap_add(d_q, [d_rows[:, :, v] for v in range(_ALPHA)], 1)
+        return d_q
+
+
+def _winograd_forward(x, weights, bias, spec, out_sp):
+    """The 7x7 stride-2 convolution as one stride-1 4x4 convolution over the
+    stacked phases, by Winograd F(4x4, 4x4): per block of samples, the
+    tiles' transform V, one batched [49, tiles, K] @ [49, K, C_out] matmul
+    with the transformed kernel U, and the output transform A^T M A."""
+    q = _phase_split(x, spec.padding, out_sp)
+    tiles = _Tiles(q, out_sp)
+    th, tw, c_out = tiles.th, tiles.tw, spec.out_channels
+    out = np.empty((x.shape[0], _TILE * th, _TILE * tw, c_out))
+    prod = np.empty((_ALPHA**2, tiles.blocks[0].stop * th * tw, c_out))
+    with np.errstate(invalid="ignore"):  # see the module docstring
+        u = _transformed_kernels(weights).transpose(0, 2, 1)
+        for blk in tiles.blocks:
+            m = blk.stop - blk.start
+            mm = np.matmul(tiles.transform(q[blk]), u, out=prod[:, : m * th * tw])
+            y = (_WINO_AA @ mm.reshape(_ALPHA**2, -1)).reshape(_TILE, _TILE, m, th, tw, c_out)
+            out[blk].reshape(m, th, _TILE, tw, _TILE, c_out)[...] = y.transpose(2, 3, 0, 4, 1, 5)
+        if out.shape[1:3] != out_sp:
+            out = np.ascontiguousarray(out[:, : out_sp[0], : out_sp[1]])
+        out += bias
+    check_finite("conv forward", out)
+    return out, (q, weights, spec, x.shape[1:3])
+
+
+def _winograd_backward(saved, output_grad, want_input_grad):
+    """Two passes over the blocks, so that dU and U are never held at once.
+    Both start from dM = A dY A^T of the zero-padded output gradient's
+    tiles. The weights' pass adds dU += V^T dM, with V recomputed from the
+    saved phases. The input gradient's pass takes dV = dM U^T, whose
+    adjoint transform gives the block's phase gradient, written straight
+    into the input gradient's positions."""
+    q, weights, spec, in_sp = saved
+    out_sp = spec.out_extents(in_sp)
+    k, c_out = q.shape[-1], spec.out_channels
+    _check_output_grad(output_grad, (q.shape[0], *out_sp, c_out))
+    tiles = _Tiles(q, out_sp)
+    th, tw, block = tiles.th, tiles.tw, tiles.blocks[0].stop
+    g = output_grad
+    if g.shape[1:3] != (_TILE * th, _TILE * tw):
+        g = np.pad(g, [(0, 0), (0, _TILE * th - out_sp[0]), (0, _TILE * tw - out_sp[1]), (0, 0)])
+    g_tiles = np.empty((_TILE, _TILE, block, th, tw, c_out))
+    d_m_buf = np.empty((_ALPHA**2, block * th * tw, c_out))
+
+    def d_m(blk):
+        m = blk.stop - blk.start
+        g_blk = g_tiles[:, :, :m]
+        g_blk[...] = g[blk].reshape(m, th, _TILE, tw, _TILE, c_out).transpose(2, 4, 0, 1, 3, 5)
+        out = d_m_buf[:, : m * th * tw]
+        np.matmul(_WINO_AA.T, g_blk.reshape(_TILE**2, -1), out=out.reshape(_ALPHA**2, -1))
+        return out
+
+    gx = None
+    with np.errstate(invalid="ignore"):  # see the module docstring
+        d_u = np.zeros((_ALPHA**2, k, c_out))
+        d_u_part = np.empty((_ALPHA, k, c_out))  # one row of dU at a time stays in cache
+        for blk in tiles.blocks:
+            d_m_blk, v = d_m(blk), tiles.transform(q[blk])
+            for lo in range(0, _ALPHA**2, _ALPHA):
+                row = slice(lo, lo + _ALPHA)
+                d_u[row] += np.matmul(v[row].transpose(0, 2, 1), d_m_blk[row], out=d_u_part)
+        d_weights = _phase_kernel_grad(d_u, weights.shape)
+        del d_u, d_u_part
+        if want_input_grad:
+            u_t = _transformed_kernels(weights)
+            gx = np.empty((q.shape[0], *in_sp, weights.shape[1]))
+            phases = [(a, b, qr, qc, xr, xc)
+                      for a, (qr, xr) in enumerate(_phase_slices(spec.padding[0], in_sp[0]))
+                      for b, (qc, xc) in enumerate(_phase_slices(spec.padding[1], in_sp[1]))]
+            for blk in tiles.blocks:
+                m = blk.stop - blk.start
+                d_q = tiles.adjoint(np.matmul(d_m(blk), u_t, out=tiles.v_buffer(m)))
+                d_q = d_q.reshape(m, *tiles.ext, 2, 2, -1)
+                for a, b, qr, qc, xr, xc in phases:
+                    gx[blk, xr, xc] = d_q[:, qr, qc, a, b]
+    d_bias = output_grad.reshape(-1, c_out).sum(axis=0)
+    return gx, d_weights, d_bias
 
 
 def _conv_forward(x, weights, bias, spec, return_cols=False):

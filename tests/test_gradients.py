@@ -85,6 +85,7 @@ class TestConv2dBackward:
         w = rng.standard_normal((3, 2, 7, 7))
         b = rng.standard_normal(3)
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 2, 3)
+        assert ops._winograd_route(spec)
         probe = _loss_weights(rng, conv(x, w, b, spec).shape)
         gx, gw, gb = conv_grads(x, w, spec, probe)
         gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
@@ -137,6 +138,63 @@ class TestConvSavedOperand:
         assert skip_x is None
         assert full_w.tobytes() == skip_w.tobytes()
         assert full_b.tobytes() == skip_b.tobytes()
+
+
+class TestWinogradStemBackward:
+    """The 7x7 stride-2 route's backward (the phase-split Winograd
+    convolution) against finite differences, and its bitwise contracts."""
+
+    @staticmethod
+    def stem(shape, pad=3, c_out=3):
+        spec = ops.ConvSpec((7, 7), (2, 2), (pad, pad), shape[1], c_out)
+        assert ops._winograd_route(spec)
+        return spec
+
+    @pytest.mark.parametrize("shape,pad", [((2, 3, 9, 11), 3), ((1, 2, 10, 7), 1)])
+    def test_finite_differences(self, rng, shape, pad):
+        """Odd extents and another pad; TestConv2dBackward has the 8x8 stem."""
+        x = rng.standard_normal(shape)
+        spec = self.stem(shape, pad)
+        w = rng.standard_normal(spec.weight_shape())
+        b = rng.standard_normal(3)
+        probe = _loss_weights(rng, conv(x, w, b, spec).shape)
+        gx, gw, gb = conv_grads(x, w, spec, probe)
+        gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()), x, gx, rtol=1e-4)
+        gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()), w, gw, rtol=1e-4)
+        gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()), b, gb, rtol=1e-4)
+
+    def test_saved_operand_is_the_phase_split_input(self, rng):
+        """Four stride-2 phases of the padded input on the channel axis,
+        the padded input's size."""
+        x = nhwc(rng.standard_normal((2, 5, 16, 16)))
+        spec = self.stem((2, 5, 16, 16), c_out=4)
+        w = rng.standard_normal(spec.weight_shape())
+        _, (q, *_) = ops.conv_forward(x, w, np.zeros(4), spec)
+        assert q.shape == (2, 11, 11, 20) and q.nbytes == 2 * 22 * 22 * 5 * 8
+        xp = np.pad(x, [(0, 0), (3, 3), (3, 3), (0, 0)])
+        for a, b in np.ndindex(2, 2):
+            phase = q[..., (2 * a + b) * 5 : (2 * a + b + 1) * 5]
+            assert np.array_equal(phase, xp[:, a::2, b::2])
+
+    @pytest.mark.parametrize("shape", [(3, 64, 32, 32), (7, 16, 32, 32), (3, 2, 9, 13)])
+    def test_skipped_input_grad_and_repeat_calls_bitwise(self, rng, shape):
+        """``want_input_grad=False`` gives the weight and bias gradients bit
+        for bit, and two calls of the forward and backward are bitwise equal:
+        at the stem's geometry (a sample per block), with blocks of five
+        samples, the last one short, and with tiles that overhang."""
+        x = nhwc(rng.standard_normal(shape))
+        spec = self.stem(shape, c_out=5)
+        w, b = rng.standard_normal(spec.weight_shape()), rng.standard_normal(5)
+        out, saved = ops.conv_forward(x, w, b, spec)
+        out2, saved2 = ops.conv_forward(x, w, b, spec)
+        assert out.tobytes() == out2.tobytes() and saved[0].tobytes() == saved2[0].tobytes()
+        g = rng.standard_normal(out.shape)
+        full = ops.conv_backward(saved, g)
+        again = ops.conv_backward(saved2, g)
+        skip_x, skip_w, skip_b = ops.conv_backward(saved, g, want_input_grad=False)
+        assert skip_x is None
+        assert all(a.tobytes() == c.tobytes() for a, c in zip(full, again))
+        assert full[1].tobytes() == skip_w.tobytes() and full[2].tobytes() == skip_b.tobytes()
 
 
 class TestConv3dBackward:

@@ -177,6 +177,38 @@ class TestExpectedImprovement:
         want = improve * ndtr(z) + sigma * np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi)
         np.testing.assert_allclose(H.ei_value(mean, sigma, best), want, rtol=1e-10, atol=0)
 
+    def test_tail_form_matches_scipy_erfcx(self):
+        """Below ``EI_TAIL_Z``, EI agrees with sigma * pdf(z) * (1 - x * M(x)),
+        x = -z, the Mills ratio M(x) = sqrt(pi / 2) * erfcx(x / sqrt(2)) from
+        ``scipy.special.erfcx``, to 1e-12 relative down to z = -37, beyond
+        which EI underflows. That form cancels about x**2-fold too, which
+        erfcx's accuracy keeps below 1e-12 here; the two-term form is off by
+        up to 1e-10."""
+        from scipy.special import erfcx  # the oracle only
+
+        for sigma, best in ((1.0, 0.0), (2.5, 1.5), (1e-3, -4.0)):
+            mean = best - np.linspace(-37.0, H.EI_TAIL_Z, 3201)[:-1] * sigma
+            z = (best - mean) / sigma
+            sig = np.full_like(mean, sigma)
+            assert (z < H.EI_TAIL_Z).all()
+            mills = np.sqrt(np.pi / 2) * erfcx(-z / np.sqrt(2))
+            want = sigma * np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi) * (1 + z * mills)
+            np.testing.assert_allclose(H.ei_value(mean, sig, best), want, rtol=1e-12, atol=0)
+
+    def test_untouched_above_the_tail_cutoff(self):
+        """From ``EI_TAIL_Z`` up, EI is the two-term form, bit for bit."""
+        rng = np.random.default_rng(8)
+        sigma = 10.0 ** rng.uniform(-3, 2, 4000)
+        best = 0.25
+        mean = best - np.append(rng.uniform(H.EI_TAIL_Z, 8, 3999), H.EI_TAIL_Z) * sigma
+        improve = best - mean
+        z = improve / sigma
+        keep = z >= H.EI_TAIL_Z
+        want = improve * H._normal_cdf(z) + sigma * np.exp(-0.5 * z * z) / H._SQRT_2PI
+        got = H.ei_value(mean, sigma, best)
+        assert keep.sum() > 3900
+        assert got[keep].tobytes() == want[keep].tobytes()
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             ei_at(0.0, -1.0, 1.0)

@@ -4,6 +4,7 @@ export, and full-model gradients."""
 
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -405,6 +406,36 @@ class TestForwardCacheMemory:
         _, _, cache = M.fpnn_forward(batch, params, mode="train", want_cache=True)
         mib = _cache_nbytes(cache, set()) / 2**20
         assert mib < 128, f"forward cache holds {mib:.1f} MiB"
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_forward_without_cache_keeps_no_saved_values(self, monkeypatch, mode):
+        """Without ``want_cache`` no conv's saved operand outlives its layer:
+        by the time the head runs, all are freed. With it, all are alive.
+        The predictions are bitwise the same either way."""
+        operands = []
+
+        def record(*args):
+            out, saved = ops.conv_forward(*args)
+            operands.append(weakref.ref(saved[0]))
+            return out, saved
+
+        alive = []
+
+        def head(*args):
+            alive.append(sum(ref() is not None for ref in operands))
+            return ops.linear_forward(*args)
+
+        monkeypatch.setattr(M, "conv_forward", record)
+        monkeypatch.setattr(M, "linear_forward", head)
+        config = micro_config(noi=2)
+        params, batch = M.build_model(config), random_batch(config)
+        cached = M.fpnn_forward(batch, params, mode=mode, want_cache=True)[0]
+        n_convs = len(operands)
+        operands.clear()
+        bare = M.fpnn_forward(batch, params, mode=mode)
+        assert n_convs == len(operands) == len(M.conv_layout(config))
+        assert alive[0] == n_convs and alive[-1] == 0
+        assert bare.tobytes() == cached.tobytes()
 
     def test_leaky_relus_cache_bool_masks(self, monkeypatch):
         # every Leaky ReLU's saved value reaches the cache, and it holds the

@@ -146,11 +146,86 @@ class TestConv2d:
         x = rng.standard_normal((2, 3, 10, 10))
         w = rng.standard_normal((4, 3, 7, 7))
         b = rng.standard_normal(4)
-        spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 3, 4)
-        got = conv_nchw(x, w, b, spec)
+        got = stem_conv(x, w, b)
         assert got.shape == (2, 4, 5, 5)
         np.testing.assert_allclose(got, per_sample(conv2d_loop, x, w, b, (2, 2), (3, 3)),
                                    atol=1e-12, rtol=0)
+
+
+def stem_conv(x, w, b, pad=3):
+    """The 7x7 stride-2 convolution of NCHW ``x``, asserting that it took
+    the Winograd route: its saved operand is the phase-split input."""
+    spec = ops.ConvSpec((7, 7), (2, 2), (pad, pad), w.shape[1], w.shape[0])
+    assert ops._winograd_route(spec)
+    out, saved = ops.conv_forward(nhwc(x), w, b, spec)
+    assert saved[0].shape[-1] == 4 * w.shape[1]
+    return nchw(out)
+
+
+class TestWinogradStem:
+    """The 7x7 stride-2 route: the four stride-2 phases of the padded input,
+    convolved by Winograd F(4x4, 4x4)."""
+
+    @pytest.mark.parametrize("h,w_,pad", [(8, 8, 3), (16, 16, 3), (32, 32, 3), (9, 13, 3),
+                                          (11, 7, 0), (12, 9, 5)])
+    def test_matches_loop_oracle(self, rng, h, w_, pad):
+        """Output extents 4, 8, 16 and odd ones, so tiles overhang and are
+        cropped; C_in != C_out. TestConv2d has input 10."""
+        n = 1 if h == 32 else 2
+        x = rng.standard_normal((n, 3, h, w_))
+        w = rng.standard_normal((4, 3, 7, 7))
+        b = rng.standard_normal(4)
+        np.testing.assert_allclose(stem_conv(x, w, b, pad),
+                                   per_sample(conv2d_loop, x, w, b, (2, 2), (pad, pad)),
+                                   atol=1e-12, rtol=0)
+
+    def test_folded_input_rejected(self, rng):
+        """The route takes [N, H, W, C] only: no kernel axis folds into the
+        channels."""
+        spec = ops.ConvSpec((7, 7), (2, 2), (0, 0), 2, 3)
+        with pytest.raises(ShapeError):
+            ops.conv_forward(rng.standard_normal((2, 9, 14)), rng.standard_normal((3, 2, 7, 7)),
+                             np.zeros(3), spec)
+
+    def test_transform_matrices_compute_correlation(self):
+        """A^T [(G g) * (BT d)] is the correlation y[i] = sum_k d[i + k] g[k]
+        of integer vectors, to rounding."""
+        a, g_mat, bt = ops._WINO_A, ops._WINO_G, ops._WINO_BT
+        assert a.shape == (7, 4) and g_mat.shape == (7, 4) and bt.shape == (7, 7)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            d = rng.integers(-9, 10, 7).astype(float)
+            g = rng.integers(-9, 10, 4).astype(float)
+            want = np.array([d[i:i + 4] @ g for i in range(4)])
+            got = a.T @ ((g_mat @ g) * (bt @ d))
+            np.testing.assert_allclose(got, want, atol=1e-11, rtol=0)
+            assert np.array_equal(np.rint(got), want)
+
+    @pytest.mark.parametrize("n,c_in,c_out", [(3, 64, 64), (7, 16, 24)])
+    def test_within_stated_tolerance_of_direct_sum(self, rng, n, c_in, c_out):
+        """At the network's stem geometry (32x32, 64 -> 64 channels, one
+        sample per block) and at 16 -> 24 channels (blocks of five samples,
+        the last one short), the output and the input and weight gradients
+        are within 1e-13 of their largest magnitude of the direct sum over
+        the 49 kernel offsets."""
+        x = rng.standard_normal((n, 32, 32, c_in))
+        w = rng.standard_normal((c_out, c_in, 7, 7)) * 0.02
+        b = rng.standard_normal(c_out)
+        spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), c_in, c_out)
+        out, saved = ops.conv_forward(x, w, b, spec)
+        g = rng.standard_normal(out.shape)
+        gx, gw, _ = ops.conv_backward(saved, g)
+
+        xp = np.pad(x, [(0, 0), (3, 3), (3, 3), (0, 0)])
+        want, want_gx, want_gw = np.zeros_like(out) + b, np.zeros_like(xp), np.empty_like(w)
+        for u, v in np.ndindex(7, 7):
+            window = (slice(None), slice(u, u + 31, 2), slice(v, v + 31, 2))
+            want += xp[window] @ w[:, :, u, v].T
+            want_gx[window] += g @ w[:, :, u, v]
+            want_gw[:, :, u, v] = np.einsum("nijc,nijo->oc", xp[window], g)
+        want_gx = want_gx[:, 3:-3, 3:-3]
+        for got, ref in ((out, want), (gx, want_gx), (gw, want_gw)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestConv3d:

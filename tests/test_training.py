@@ -188,6 +188,7 @@ class TestTrainLoop:
             T.train(build_model(config), train_set.subset([]), val_set,
                     T.TrainConfig(epochs=1))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # NonFiniteError is the only signal
     def test_overflow_names_epoch_and_batch(self, tiny_splits):
         train_set, val_set = tiny_splits
         params = build_model(FpnnConfig(noi=0, grid_side=8, head_hidden=(4,), seed=0))
