@@ -9,6 +9,9 @@ A dataset directory holds one subdirectory per battery:
                                      rows grouped by ascending cycle, then
                                      ascending charge_q_ah
 
+``cycles.csv`` is parsed in one ``np.loadtxt`` call. A cycle's rows must be
+contiguous, and a row that does not parse is reported by its line number.
+
 The life label is supplied by the data source (cycle where discharge
 capacity falls to 80% of the 1.1 Ah nominal); it is never recomputed here.
 """
@@ -16,6 +19,7 @@ capacity falls to 80% of the 1.1 Ah nominal); it is never recomputed here.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,6 +117,38 @@ def save_battery(record: BatteryRecord, root: str | Path) -> Path:
     return bdir
 
 
+# One cycles.csv row: an integer cycle number, then charge_q_ah, voltage_v,
+# current_a and temperature_c; fields past the fifth are ignored.
+_ROW_DTYPE = np.dtype([("cycle", np.int64), ("values", np.float64, (4,))])
+
+
+def _read_rows(lines) -> np.ndarray:
+    return np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None,
+                      usecols=range(len(CYCLES_CSV_HEADER)), ndmin=1)
+
+
+def _parse_cycle_rows(body: str, battery: str) -> np.ndarray:
+    """The rows after the header, parsed in one call. An empty body has no
+    rows; a row that does not parse is named by its line number."""
+    if not body.strip():
+        return np.empty(0, dtype=_ROW_DTYPE)
+    try:
+        return _read_rows(io.StringIO(body))
+    except ValueError as exc:
+        # the first line that does not parse alone is the one at fault
+        lineno = next((n for n, line in enumerate(body.split("\n"), start=2)
+                       if line and not _parses(line)), "?")
+        raise DataValidationError(f"battery {battery!r}: bad row {lineno} in cycles.csv") from exc
+
+
+def _parses(line: str) -> bool:
+    try:
+        _read_rows([line])
+    except ValueError:
+        return False
+    return True
+
+
 def _load_battery_dir(bdir: Path) -> BatteryRecord:
     meta_path = bdir / "meta.json"
     if not meta_path.exists():
@@ -128,40 +164,26 @@ def _load_battery_dir(bdir: Path) -> BatteryRecord:
     if not csv_path.exists():
         raise DataValidationError(f"battery dir {bdir.name!r}: missing cycles.csv")
 
-    by_cycle: dict[int, list[list[float]]] = {}
-    order: list[int] = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CYCLES_CSV_HEADER:
-            raise DataValidationError(
-                f"battery {meta['battery_id']!r}: bad cycles.csv header {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                cyc = int(row[0])
-                vals = [float(x) for x in row[1:5]]
-            except (ValueError, IndexError) as exc:
-                raise DataValidationError(
-                    f"battery {meta['battery_id']!r}: bad row {lineno} in cycles.csv"
-                ) from exc
-            if cyc not in by_cycle:
-                by_cycle[cyc] = []
-                order.append(cyc)
-            by_cycle[cyc].append(vals)
-
-    cycles = []
-    for cyc in order:
-        block = np.asarray(by_cycle[cyc])
-        cycles.append(
-            CycleCurve(
-                cycle_index=cyc,
-                charged_capacity=block[:, 0],
-                voltage=block[:, 1],
-                current=block[:, 2],
-                temperature=block[:, 3],
-            )
+    battery = meta["battery_id"]
+    header, _, body = csv_path.read_text().partition("\n")
+    header = next(csv.reader([header]), None)
+    if header != CYCLES_CSV_HEADER:
+        raise DataValidationError(f"battery {battery!r}: bad cycles.csv header {header}")
+    rows = _parse_cycle_rows(body, battery)
+    index = rows["cycle"]
+    starts = np.flatnonzero(index[1:] != index[:-1]) + 1
+    cycle_ids = [int(c) for c in index[np.r_[0, starts]]] if index.size else []
+    if len(set(cycle_ids)) != len(cycle_ids):
+        repeated = next(c for i, c in enumerate(cycle_ids) if c in cycle_ids[:i])
+        raise DataValidationError(
+            f"battery {battery!r}: rows of cycle {repeated} in cycles.csv are not contiguous"
         )
+    values = np.ascontiguousarray(rows["values"])  # [rows, 4], as one array per cycle was
+    cycles = [
+        CycleCurve(cycle_index=cyc, charged_capacity=block[:, 0], voltage=block[:, 1],
+                   current=block[:, 2], temperature=block[:, 3])
+        for cyc, block in zip(cycle_ids, np.split(values, starts))
+    ]
     record = BatteryRecord(
         battery_id=str(meta["battery_id"]),
         cycles=cycles,

@@ -274,9 +274,11 @@ def build_model(config: FpnnConfig) -> FpnnParams:
 # ---------------------------------------------------------------------------
 
 def _cba_forward(x, params, specs, name, mode, new_states, keep=True):
-    """A non-finite value anywhere in the unit raises NonFiniteError
-    prefixed with the unit's conv name (``diff.front.conv3d: ...``). The
-    cache is None unless ``keep``, so the unit's saved values die with it."""
+    """A non-finite value anywhere in the unit raises NonFiniteError, and
+    an input the unit cannot take (such as a train-mode batchnorm over one
+    value per channel) ShapeError, prefixed with the unit's conv name
+    (``diff.front.conv3d: ...``). The cache is None unless ``keep``, so the
+    unit's saved values die with it."""
     bn = _bn_name(name)
     try:
         z, conv = conv_forward(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
@@ -286,8 +288,8 @@ def _cba_forward(x, params, specs, name, mode, new_states, keep=True):
             params.bn_states[bn], mode,
         )
         out, act = leaky_relu_forward(z, params.config.alpha)
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"{name}: {exc}") from exc
+    except (NonFiniteError, ShapeError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
     new_states[bn] = state
     return out, ({"name": name, "conv": conv, "bn": norm, "act": act} if keep else None)
 

@@ -12,6 +12,15 @@ output_grad)``, reads nothing else: no shape, geometry, slope or weight. It
 returns the input gradient, or ``(input_grad, *param_grads)`` in forward
 order for a layer with parameters.
 
+No masked ufunc (a ``where=`` argument, ``np.where``, ``np.copyto(where=)``)
+runs on an activation-sized array: with random signs its per-element
+branch mispredicts, and such a select costs several flat passes. A choice
+between two values is a flat operation instead: the Leaky ReLU is
+``max(x, alpha * x)`` forward and a product with the slope its mask picks
+backward, the max pool keeps its argmax as ``max(argmax, better * k)``,
+and its backward adds ``g * (argmax == k)``. Each of these gives the
+masked form's result bit for bit.
+
 Convolutions and pools share one window machinery: ``_padded`` zero-pads
 the spatial axes, or returns its input when nothing is padded, and
 ``_shifted`` is the view that one window offset reads. A convolution adds
@@ -209,7 +218,7 @@ def conv_forward(x, weights, bias, spec: ConvSpec):
         for offset in np.ndindex(*wk.shape[:-2]):
             np.copyto(x_shift, _shifted(xs[blk], offset, stride, out_sp))
             out_blk += np.matmul(x_shift.reshape(-1, c), wk[offset], out=prod)
-    out += bias
+        out_blk += bias  # last, as a whole-output add would, but while the block is in cache
     check_finite("conv forward", out)
     return out, (xs, weights, spec)
 
@@ -470,9 +479,9 @@ def _winograd_forward(x, weights, bias, spec, out_sp):
             mm = np.matmul(tiles.transform(q[blk]), u, out=prod[:, : m * th * tw])
             y = (_WINO_AA @ mm.reshape(_ALPHA**2, -1)).reshape(_TILE, _TILE, m, th, tw, c_out)
             out[blk].reshape(m, th, _TILE, tw, _TILE, c_out)[...] = y.transpose(2, 3, 0, 4, 1, 5)
+            out[blk] += bias
         if out.shape[1:3] != out_sp:
             out = np.ascontiguousarray(out[:, : out_sp[0], : out_sp[1]])
-        out += bias
     check_finite("conv forward", out)
     return out, (q, weights, spec, x.shape[1:3])
 
@@ -562,19 +571,27 @@ def leaky_relu_forward(x: np.ndarray, alpha: float):
     """Elementwise x if x > 0 else alpha * x; saves the mask x > 0 and alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"leaky ReLU slope must lie in (0, 1), got {alpha}")
-    positive = x > 0
-    return check_finite("leaky_relu", np.where(positive, x, alpha * x)), (positive, alpha)
+    # max(x, alpha * x) is x where x > 0 and alpha * x elsewhere, signed
+    # zeros included, since 0 < alpha < 1.
+    out = np.multiply(x, alpha, out=np.empty(np.shape(x)))
+    np.maximum(x, out, out=out)
+    return check_finite("leaky_relu", out), (x > 0, alpha)
 
 
 def leaky_relu_backward(saved, output_grad: np.ndarray) -> np.ndarray:
     """Slope 1 where x > 0, alpha where x <= 0 (boundary follows the
-    forward branch assignment)."""
+    forward branch assignment): ``output_grad`` times the slope the mask
+    picks from ``[alpha, 1.0]``, and ``g * 1.0`` is ``g`` bit for bit."""
     positive, alpha = saved
     if positive.shape != output_grad.shape:
         raise ShapeError("output_grad shape must match input")
-    out = np.asarray(output_grad * alpha)  # a 0-d array, not a scalar, for 0-d input
-    np.copyto(out, output_grad, where=positive)  # output_grad * 1.0, bit for bit
-    return out
+    # The pick on the slopes' bit patterns, alpha's + mask * (1.0's - alpha's),
+    # is exact integer arithmetic and runs at twice the speed of a gather.
+    low, high = np.array([alpha, 1.0]).view(np.int64)
+    bits = np.multiply(positive.view(np.uint8), high - low, out=np.empty(positive.shape, np.int64))
+    bits += low
+    slope = bits.view(np.float64)
+    return np.multiply(output_grad, slope, out=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +632,11 @@ def max_pool2d(x, window: int, stride: int, pad: int):
     out = views[0].copy()
     argmax = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
     better = np.empty(out.shape, dtype=bool)
+    offer = np.empty_like(argmax)
     for k, view in enumerate(views[1:], 1):
         np.greater(view, out, out=better)
-        np.copyto(argmax, k, where=better)
+        # k grows, so the largest offer is the last strict win
+        np.maximum(argmax, np.multiply(better, argmax.dtype.type(k), out=offer), out=argmax)
         np.maximum(out, view, out=out)  # propagates NaN into the finiteness check
     return check_finite("max_pool2d", out), (x.shape, window, stride, pad, argmax)
 
@@ -644,8 +663,15 @@ def pool2d_backward(saved, output_grad) -> np.ndarray:
         for view in views:
             view += g
     else:
+        # g * (argmax == k) on the bits: an integer product is g's bits or
+        # those of +0.0, where a float inf * 0 would be nan. Adding +0.0
+        # leaves a cell as it was, since a sum started at +0.0 is never -0.0.
+        bits = np.asarray(output_grad, dtype=np.float64).view(np.int64)
+        hit = np.empty(bits.shape, dtype=bool)
+        share = np.empty(bits.shape, dtype=np.int64)
         for k in reversed(range(len(views))):
-            np.add(views[k], output_grad, out=views[k], where=argmax == k)
+            np.multiply(bits, np.equal(argmax, k, out=hit), out=share)
+            views[k] += share.view(np.float64)
     return _unpadded(gx, (pad, pad))
 
 
@@ -687,23 +713,27 @@ def batchnorm2d_forward(x, scale, shift, state: BnState, mode: str):
     c = x.shape[-1]
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError("scale/shift must have one entry per channel")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"unknown mode {mode!r}")
+    m = x.size // c
+    if mode == "train" and m < 2:
+        raise ShapeError(f"train-mode batchnorm needs N*H*W >= 2, got input {x.shape}")
+    mean = x.mean(axis=_LEADING) if mode == "train" else state.mean
+    xhat = np.subtract(x, mean)  # the deviations, normalized in place below
+    out = np.empty_like(xhat)
     if mode == "train":
-        if x.size // c < 2:
-            raise ShapeError("train-mode batchnorm needs N*H*W >= 2")
-        mean = x.mean(axis=_LEADING)
-        var = x.var(axis=_LEADING)
+        # x.var's own arithmetic, from the deviations already at hand
+        var = np.square(xhat, out=out).sum(axis=_LEADING) / m
         new_state = BnState(
             (1 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mean,
             (1 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var,
         )
-    elif mode == "eval":
-        mean, var = state.mean, state.var
-        new_state = state
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        var, new_state = state.var, state
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x - mean) * inv_std
-    out = scale * xhat + shift
+    xhat *= inv_std
+    np.multiply(xhat, scale, out=out)
+    out += shift
     check_finite("batchnorm2d", out)
     return out, new_state, (xhat, inv_std, scale, mode)
 
@@ -712,7 +742,8 @@ def batchnorm2d_backward(saved, output_grad):
     xhat, inv_std, scale, mode = saved
     if output_grad.shape != xhat.shape:
         raise ShapeError("output_grad shape must match forward input")
-    d_scale = (output_grad * xhat).sum(axis=_LEADING)
+    scratch = np.multiply(output_grad, xhat, out=np.empty_like(xhat))  # every product below
+    d_scale = scratch.sum(axis=_LEADING)
     d_shift = output_grad.sum(axis=_LEADING)
     dxhat = output_grad * scale
     # The input gradient is built in dxhat's buffer, with the operations and
@@ -720,10 +751,10 @@ def batchnorm2d_backward(saved, output_grad):
     if mode == "train":
         m = xhat.size // xhat.shape[-1]
         sum_d = dxhat.sum(axis=_LEADING)
-        sum_dx = (dxhat * xhat).sum(axis=_LEADING)
+        sum_dx = np.multiply(dxhat, xhat, out=scratch).sum(axis=_LEADING)
         dxhat *= m
         dxhat -= sum_d
-        dxhat -= xhat * sum_dx
+        dxhat -= np.multiply(xhat, sum_dx, out=scratch)
         dxhat *= inv_std / m
     else:
         dxhat *= inv_std

@@ -4,6 +4,12 @@ These are deliberately naive nested-loop implementations that share no code
 with the library; they exist to cross-check the vectorized operations. They
 take one NCHW sample, [C, *spatial]; fpnn's layers take channels-last
 batches, so tests convert at the boundary with ``nhwc`` and ``nchw``.
+
+The ``*_masked`` functions and ``adam_step_temporaries`` are the earlier
+formulas of ops that now run branch-free or in fewer passes (masked
+selects, a second mean inside ``x.var``, one temporary per operation). The
+new ops must match them bit for bit, so they take the same batched,
+channels-last arrays as the library.
 """
 
 import numpy as np
@@ -212,3 +218,89 @@ def gp_posterior_dense(train_x, train_y, query_x, lengthscales, signal_var, nois
     mean = k_qt @ k_inv @ train_y
     var = signal_var - np.sum((k_qt @ k_inv) * k_qt, axis=1)
     return mean, var
+
+
+# ---------------------------------------------------------------------------
+# earlier formulas of the rewritten ops, for bitwise comparison
+# ---------------------------------------------------------------------------
+
+def leaky_relu_masked(x, alpha):
+    return np.where(x > 0, x, alpha * x)
+
+
+def leaky_relu_backward_masked(x, alpha, output_grad):
+    out = np.asarray(output_grad * alpha)
+    np.copyto(out, output_grad, where=x > 0)
+    return out
+
+
+def _pool_views(xp, window, stride, out_sp):
+    return [xp[:, i : i + stride * (out_sp[0] - 1) + 1 : stride,
+               j : j + stride * (out_sp[1] - 1) + 1 : stride]
+            for i in range(window) for j in range(window)]
+
+
+def max_pool_masked(x, window, stride, pad):
+    """``(out, argmax)`` of a zero-padded max pool over [N, H, W, C]: the
+    first maximum in row-major window order, by masked copies."""
+    xp = np.pad(x, [(0, 0), (pad, pad), (pad, pad), (0, 0)])
+    out_sp = ((xp.shape[1] - window) // stride + 1, (xp.shape[2] - window) // stride + 1)
+    views = _pool_views(xp, window, stride, out_sp)
+    out = views[0].copy()
+    argmax = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
+    for k, view in enumerate(views[1:], 1):
+        np.copyto(argmax, k, where=view > out)
+        np.maximum(out, view, out=out)
+    return out, argmax
+
+
+def max_pool_backward_masked(x_shape, window, stride, pad, argmax, output_grad):
+    """Routes each output grad to its window's argmax by masked adds, the
+    offsets in reverse row-major order."""
+    n, h, w, c = x_shape
+    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c))
+    views = _pool_views(gx, window, stride, output_grad.shape[1:3])
+    for k in reversed(range(len(views))):
+        np.add(views[k], output_grad, out=views[k], where=argmax == k)
+    return gx[:, pad : pad + h, pad : pad + w]
+
+
+def batchnorm_forward_twice_mean(x, scale, shift, mean, var, eps):
+    """``(out, xhat, inv_std)``, and the batch ``(mean, var)`` when ``mean``
+    is None (train mode), where ``x.var`` takes the mean a second time."""
+    stats = None
+    if mean is None:
+        mean, var = x.mean(axis=(0, 1, 2)), x.var(axis=(0, 1, 2))
+        stats = (mean, var)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    return scale * xhat + shift, xhat, inv_std, stats
+
+
+def batchnorm_backward_temporaries(xhat, inv_std, scale, train, output_grad):
+    d_scale = (output_grad * xhat).sum(axis=(0, 1, 2))
+    d_shift = output_grad.sum(axis=(0, 1, 2))
+    dxhat = output_grad * scale
+    if train:
+        m = xhat.size // xhat.shape[-1]
+        sum_d = dxhat.sum(axis=(0, 1, 2))
+        sum_dx = (dxhat * xhat).sum(axis=(0, 1, 2))
+        dxhat *= m
+        dxhat -= sum_d
+        dxhat -= xhat * sum_dx
+        dxhat *= inv_std / m
+    else:
+        dxhat *= inv_std
+    return dxhat, d_scale, d_shift
+
+
+def adam_step_temporaries(x, g, m, v, t, lr, decay, b1=0.9, b2=0.999, eps=1e-8):
+    """One bias-corrected Adam update of one tensor, one temporary per
+    operation: ``(x, m, v)`` after the step."""
+    if decay:
+        g = g + decay * x
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    return x - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

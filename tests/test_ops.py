@@ -1,5 +1,6 @@
 """Forward-pass contracts for the layer primitives: trivial identities,
-brute-force loop-oracle equivalence, and shape/linearity properties."""
+brute-force loop-oracle equivalence, shape/linearity properties, and bitwise
+equality of the branch-free ops with their earlier masked formulas."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,20 @@ from hypothesis import strategies as st
 from fpnn import ops
 from fpnn.errors import NonFiniteError, ShapeError
 
-from oracles import avg_pool_loop, conv2d_loop, conv3d_loop, max_pool_loop, nchw, nhwc
+from oracles import (
+    avg_pool_loop,
+    batchnorm_backward_temporaries,
+    batchnorm_forward_twice_mean,
+    conv2d_loop,
+    conv3d_loop,
+    leaky_relu_backward_masked,
+    leaky_relu_masked,
+    max_pool_backward_masked,
+    max_pool_loop,
+    max_pool_masked,
+    nchw,
+    nhwc,
+)
 
 
 @pytest.fixture
@@ -529,3 +543,113 @@ class TestOracleSweep:
             )
             np.testing.assert_array_equal(nchw(ops.max_pool2d(nhwc(x), k, s, p)[0]),
                                           per_sample(max_pool_loop, x, (k, k), s, p))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def awkward(rng, shape):
+    """Normal values, a quarter of them replaced by signed zeros, signed
+    subnormals and +-1 (ties in any window), with the last channel all
+    negative."""
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    at = rng.choice(flat.size, size=flat.size // 4, replace=False)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0])
+    flat[at] = specials[rng.integers(0, specials.size, at.size)]
+    x[..., -1] = -np.abs(x[..., -1]) - 0.5
+    return x
+
+
+class TestBitwiseAgainstMaskedForms:
+    """The branch-free, fewer-pass ops against their earlier formulas
+    (``oracles.*_masked``, ``*_twice_mean``, ``*_temporaries``), bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.999])
+    def test_leaky_relu(self, rng, alpha):
+        x, g = awkward(rng, (4, 5, 6, 7)), awkward(rng, (4, 5, 6, 7))
+        out, saved = ops.leaky_relu_forward(x, alpha)
+        same_bits(out, leaky_relu_masked(x, alpha))
+        same_bits(ops.leaky_relu_backward(saved, g), leaky_relu_backward_masked(x, alpha, g))
+        # an output gradient that is a channel slice, as the unit's split gives
+        g_slice = awkward(rng, (4, 5, 6, 10))[..., 2:9]
+        same_bits(ops.leaky_relu_backward(saved, g_slice),
+                  leaky_relu_backward_masked(x, alpha, g_slice))
+
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 5e-324, -2.5])
+    def test_leaky_relu_zero_dim(self, value):
+        x, g = np.array(value), np.array(-3.0)
+        out, saved = ops.leaky_relu_forward(x, 0.2)
+        same_bits(out, leaky_relu_masked(x, 0.2))
+        got = ops.leaky_relu_backward(saved, g)
+        assert isinstance(got, np.ndarray) and got.ndim == 0
+        same_bits(got, leaky_relu_backward_masked(x, 0.2, g))
+
+    @pytest.mark.parametrize("window,stride,pad", [(3, 2, 1), (3, 1, 1), (2, 2, 0), (3, 3, 0)])
+    def test_max_pool(self, rng, window, stride, pad):
+        x = awkward(rng, (3, 9, 8, 4))
+        x[1] = np.round(x[1])  # many ties, signed zeros among them
+        out, saved = ops.max_pool2d(x, window, stride, pad)
+        want, want_argmax = max_pool_masked(x, window, stride, pad)
+        same_bits(out, want)
+        argmax = saved[-1]
+        assert argmax.dtype == want_argmax.dtype and np.array_equal(argmax, want_argmax)
+        g = awkward(rng, out.shape)
+        same_bits(ops.pool2d_backward(saved, g),
+                  max_pool_backward_masked(x.shape, window, stride, pad, argmax, g))
+
+    def test_max_pool_backward_of_infinite_grad(self, rng):
+        """inf * 0 is nan: a gradient that reaches the non-argmax cells of a
+        window as g * 0 would put nan where the masked add leaves a cell
+        alone."""
+        x = awkward(rng, (2, 8, 8, 3))
+        out, saved = ops.max_pool2d(x, 3, 2, 1)
+        g = awkward(rng, out.shape)
+        g[0, 1, 1, 0], g[1, 2, 3, 2] = np.inf, -np.inf
+        want = max_pool_backward_masked(x.shape, 3, 2, 1, saved[-1], g)
+        assert np.isinf(want).sum() == 2 and not np.isnan(want).any()
+        same_bits(ops.pool2d_backward(saved, g), want)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_batchnorm(self, rng, mode, sliced):
+        c = 6
+        x = awkward(rng, (4, 5, 5, c + 3 if sliced else c)) * 3.0
+        x = x[..., 1 : c + 1] if sliced else x
+        scale, shift = rng.standard_normal(c), rng.standard_normal(c)
+        state = ops.BnState(rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
+        out, new_state, saved = ops.batchnorm2d_forward(x, scale, shift, state, mode)
+        train = mode == "train"
+        want, xhat, inv_std, stats = batchnorm_forward_twice_mean(
+            x, scale, shift, None if train else state.mean, state.var, ops.BN_EPS)
+        same_bits(out, want)
+        same_bits(saved[0], xhat)
+        same_bits(saved[1], inv_std)
+        if train:
+            mean, var = stats
+            same_bits(new_state.mean, (1 - ops.BN_MOMENTUM) * state.mean + ops.BN_MOMENTUM * mean)
+            same_bits(new_state.var, (1 - ops.BN_MOMENTUM) * state.var + ops.BN_MOMENTUM * var)
+        else:
+            assert new_state is state
+        g = awkward(rng, (4, 5, 5, c + 4))[..., 2 : c + 2]  # a channel slice, as a split gives
+        for got, ref in zip(ops.batchnorm2d_backward(saved, g),
+                            batchnorm_backward_temporaries(xhat, inv_std, scale, train, g)):
+            same_bits(got, ref)
+
+    @pytest.mark.parametrize("kernel,stride,pad,shape", [
+        ((3, 3), (1, 1), (1, 1), (10, 8, 8, 5)),  # the offset loop
+        ((7, 7), (2, 2), (3, 3), (5, 18, 18, 3)),  # the Winograd route, cropped
+    ])
+    def test_conv_bias_is_added_last(self, rng, monkeypatch, kernel, stride, pad, shape):
+        """Adding the bias block by block keeps it the last add of every
+        output element: the output equals the bias-free output plus the
+        bias, over several sample blocks."""
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", 8 * 1024)
+        monkeypatch.setattr(ops, "_WINOGRAD_BLOCK_BYTES", 64 * 1024)
+        spec = ops.ConvSpec(kernel, stride, pad, shape[-1], 7)
+        x = rng.standard_normal(shape)
+        w, b = rng.standard_normal(spec.weight_shape()), rng.standard_normal(7)
+        same_bits(ops.conv_forward(x, w, b, spec)[0], ops.conv_forward(x, w, 0 * b, spec)[0] + b)

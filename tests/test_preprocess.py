@@ -447,6 +447,55 @@ class TestCanonicalDataset:
         with pytest.raises(DataValidationError, match="meta.json"):
             load_canonical_dataset(tmp_path)
 
+    def test_values_bitwise_those_of_a_per_field_parse(self, tmp_path):
+        """The one-call parse gives every value bit for bit as float() of
+        its field, grouped into cycles as the rows run."""
+        record = make_battery(battery_id="bits-1", n_cycles=4)
+        record.cycles[2].temperature[:2] = [0.0, -0.0]
+        save_canonical_dataset([record], tmp_path)
+        by_cycle = {}
+        lines = (tmp_path / "bits-1" / "cycles.csv").read_text().splitlines()[1:]
+        for line in lines:
+            cycle, *fields = line.split(",")
+            by_cycle.setdefault(int(cycle), []).append([float(f) for f in fields])
+        (loaded,) = load_canonical_dataset(tmp_path)
+        assert [c.cycle_index for c in loaded.cycles] == list(by_cycle)
+        for curve, rows in zip(loaded.cycles, by_cycle.values()):
+            got = np.stack([curve.charged_capacity, curve.voltage, curve.current,
+                            curve.temperature], axis=1)
+            assert got.tobytes() == np.asarray(rows).tobytes()
+
+    @pytest.mark.parametrize("line", [
+        "x,0.1,3.5,1.0,30.0", "1.5,0.1,3.5,1.0,30.0", "1.0,0.1,3.5,1.0,30.0",
+        "1,abc,3.5,1.0,30.0", "1,0.1,3.5,1.0", "1,0.1,3.5,1.0,", "   "])
+    def test_bad_row_names_battery_and_line(self, tmp_path, line):
+        save_canonical_dataset([make_battery(battery_id="row-1", n_cycles=2)], tmp_path)
+        path = tmp_path / "row-1" / "cycles.csv"
+        lines = path.read_text().splitlines()
+        lines.insert(2, line)  # line 3 of the file
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError, match="^battery 'row-1': bad row 3 in cycles.csv$"):
+            load_canonical_dataset(tmp_path)
+
+    def test_header_only_file_has_no_cycles(self, tmp_path):
+        save_canonical_dataset([make_battery(battery_id="empty-1", n_cycles=2)], tmp_path)
+        path = tmp_path / "empty-1" / "cycles.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        with pytest.raises(DataValidationError, match="^battery 'empty-1': no cycles$"):
+            load_canonical_dataset(tmp_path)
+
+    def test_non_contiguous_cycle_rows_name_battery_and_cycle(self, tmp_path):
+        save_canonical_dataset([make_battery(battery_id="split-1", n_cycles=3)], tmp_path)
+        path = tmp_path / "split-1" / "cycles.csv"
+        header, *rows = path.read_text().splitlines()
+        # the last row of cycle 2 moved after cycle 3's rows
+        last_of_2 = max(i for i, row in enumerate(rows) if row.startswith("2,"))
+        rows.append(rows.pop(last_of_2))
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(DataValidationError, match="^battery 'split-1': rows of cycle 2 in "
+                                                      "cycles.csv are not contiguous$"):
+            load_canonical_dataset(tmp_path)
+
 
 class TestPipeline:
     def test_deterministic_bitwise(self):

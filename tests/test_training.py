@@ -16,11 +16,11 @@ from fpnn import io as tio
 from fpnn import training as T
 from fpnn.dataset import BatteryRecord, CycleCurve
 from fpnn.datagen import generate_fleet
-from fpnn.errors import CheckpointError, NonFiniteError, TrainingError
+from fpnn.errors import CheckpointError, NonFiniteError, ShapeError, TrainingError
 from fpnn.model import DetachFlags, FpnnConfig, build_model, fpnn_forward
 from fpnn.preprocess import SampleSet, preprocess_fleet
 
-from oracles import metrics_loop
+from oracles import adam_step_temporaries, metrics_loop
 
 
 class TestMseLoss:
@@ -130,6 +130,27 @@ class TestAdam:
         with pytest.raises(ValueError):
             T.adam_step(x, {"b": np.zeros(2)}, state, self.cfg())
 
+    @pytest.mark.parametrize("decay", [0.0, 1e-5])
+    def test_bitwise_equals_one_temporary_per_operation(self, decay):
+        rng = np.random.default_rng(8)
+        shapes = {"w": (4, 3, 3, 3), "b": (4,), "s": (7, 5)}
+        x = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+        x["b"][:2] = [0.0, -0.0]
+        cfg = self.cfg(learning_rate=3e-3, weight_decay=decay)
+        state = T.AdamState.initial(x)
+        for t in range(1, 4):
+            grads = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+            grads["s"][0, :3] = [0.0, -0.0, 5e-324]
+            inputs = [*x.values(), *grads.values(), *state.m.values(), *state.v.values()]
+            copies = [a.copy() for a in inputs]
+            want = {k: adam_step_temporaries(x[k], grads[k], state.m[k], state.v[k], t, 3e-3, decay)
+                    for k in x}
+            x, state = T.adam_step(x, grads, state, cfg)
+            for k in x:
+                for got, ref in zip((x[k], state.m[k], state.v[k]), want[k]):
+                    assert got.tobytes() == ref.tobytes()
+            assert all(a.tobytes() == c.tobytes() for a, c in zip(inputs, copies))
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             T.TrainConfig(batch_size=1)
@@ -210,6 +231,22 @@ class TestTrainLoop:
                                                 r"batch 1 \(samples 8\.\.15\)$") as info:
             T.train(params, bad, val_set, cfg)
         assert isinstance(info.value.__cause__, NonFiniteError)
+
+    def test_one_value_per_batchnorm_channel_names_layer_epoch_and_batch(self):
+        """At G=4 the inception unit runs at 1x1, so a last minibatch of one
+        sample leaves its batchnorms one value per channel."""
+        n, grid = 3, 4
+        rng = np.random.default_rng(0)
+        samples = SampleSet(raw=rng.standard_normal((n, 3, 4, grid, grid)),
+                            diff=rng.standard_normal((n, 3, 3, grid, grid)),
+                            labels=np.array([300.0, 500.0, 700.0]), battery_ids=["b0"] * n,
+                            anchor_cycles=np.full(n, 10))
+        params = build_model(FpnnConfig(noi=1, grid_side=grid, head_hidden=(4,), seed=0))
+        with pytest.raises(TrainingError, match=r"^raw\.block0\.b1\.conv: train-mode batchnorm "
+                                                r"needs N\*H\*W >= 2, got input \(1, 1, 1, 16\) "
+                                                r"at epoch 1, batch 1 \(samples 2\.\.2\)$") as info:
+            T.train(params, samples, samples, T.TrainConfig(epochs=1, batch_size=2))
+        assert isinstance(info.value.__cause__, ShapeError)
 
     def test_overfits_small_set(self, tiny_splits):
         # capacity sanity: a micro model memorizes 16 samples
