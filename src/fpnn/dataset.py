@@ -117,14 +117,16 @@ def save_battery(record: BatteryRecord, root: str | Path) -> Path:
     return bdir
 
 
-# One cycles.csv row: an integer cycle number, then charge_q_ah, voltage_v,
-# current_a and temperature_c; fields past the fifth are ignored.
+# One cycles.csv row: the cycle number, read by int() (numpy's own int parse
+# reads "1.5" as 1, with only a DeprecationWarning, on some releases), then
+# charge_q_ah, voltage_v, current_a and temperature_c; fields past the fifth
+# are ignored.
 _ROW_DTYPE = np.dtype([("cycle", np.int64), ("values", np.float64, (4,))])
 
 
 def _read_rows(lines) -> np.ndarray:
     return np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None,
-                      usecols=range(len(CYCLES_CSV_HEADER)), ndmin=1)
+                      usecols=range(len(CYCLES_CSV_HEADER)), converters={0: int}, ndmin=1)
 
 
 def _parse_cycle_rows(body: str, battery: str) -> np.ndarray:
@@ -134,19 +136,16 @@ def _parse_cycle_rows(body: str, battery: str) -> np.ndarray:
         return np.empty(0, dtype=_ROW_DTYPE)
     try:
         return _read_rows(io.StringIO(body))
-    except ValueError as exc:
-        # the first line that does not parse alone is the one at fault
-        lineno = next((n for n, line in enumerate(body.split("\n"), start=2)
-                       if line and not _parses(line)), "?")
-        raise DataValidationError(f"battery {battery!r}: bad row {lineno} in cycles.csv") from exc
-
-
-def _parses(line: str) -> bool:
-    try:
-        _read_rows([line])
     except ValueError:
-        return False
-    return True
+        pass
+    # the first line that does not parse alone is the one at fault
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        try:
+            if line:
+                _read_rows([line])
+        except ValueError as exc:
+            raise DataValidationError(f"battery {battery!r}: bad row {lineno} in cycles.csv") from exc
+    raise DataValidationError(f"battery {battery!r}: bad rows in cycles.csv")
 
 
 def _load_battery_dir(bdir: Path) -> BatteryRecord:
@@ -166,7 +165,7 @@ def _load_battery_dir(bdir: Path) -> BatteryRecord:
 
     battery = meta["battery_id"]
     header, _, body = csv_path.read_text().partition("\n")
-    header = next(csv.reader([header]), None)
+    header = header.split(",")
     if header != CYCLES_CSV_HEADER:
         raise DataValidationError(f"battery {battery!r}: bad cycles.csv header {header}")
     rows = _parse_cycle_rows(body, battery)

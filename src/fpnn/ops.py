@@ -742,8 +742,7 @@ def batchnorm2d_backward(saved, output_grad):
     xhat, inv_std, scale, mode = saved
     if output_grad.shape != xhat.shape:
         raise ShapeError("output_grad shape must match forward input")
-    scratch = np.multiply(output_grad, xhat, out=np.empty_like(xhat))  # every product below
-    d_scale = scratch.sum(axis=_LEADING)
+    d_scale = (output_grad * xhat).sum(axis=_LEADING)
     d_shift = output_grad.sum(axis=_LEADING)
     dxhat = output_grad * scale
     # The input gradient is built in dxhat's buffer, with the operations and
@@ -751,10 +750,10 @@ def batchnorm2d_backward(saved, output_grad):
     if mode == "train":
         m = xhat.size // xhat.shape[-1]
         sum_d = dxhat.sum(axis=_LEADING)
-        sum_dx = np.multiply(dxhat, xhat, out=scratch).sum(axis=_LEADING)
+        sum_dx = (dxhat * xhat).sum(axis=_LEADING)
         dxhat *= m
         dxhat -= sum_d
-        dxhat -= np.multiply(xhat, sum_dx, out=scratch)
+        dxhat -= xhat * sum_dx
         dxhat *= inv_std / m
     else:
         dxhat *= inv_std

@@ -141,22 +141,13 @@ def adam_step(
         g = grads[k]
         if g.shape != x.shape:
             raise ValueError(f"grad shape mismatch for {k}: {g.shape} vs {x.shape}")
-        # Two scratch arrays serve every temporary of
-        #   g + decay * x;  b1 * m + (1 - b1) * g;  b2 * v + (1 - b2) * g * g;
-        #   x - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
-        # with the operations and their order unchanged.
-        s1, s2 = np.empty_like(x), np.empty_like(x)
         if config.weight_decay:
-            g = np.add(g, np.multiply(x, config.weight_decay, out=s1), out=s1)
-        m = np.multiply(state.m[k], b1)
-        m += np.multiply(g, 1 - b1, out=s2)
-        v = np.multiply(state.v[k], b2)
-        np.multiply(g, 1 - b2, out=s2)
-        v += np.multiply(s2, g, out=s2)
-        step = np.divide(m, 1 - b1**t, out=s1)
-        step *= config.learning_rate
-        step /= np.add(np.sqrt(np.divide(v, 1 - b2**t, out=s2), out=s2), ADAM_EPS, out=s2)
-        new_tensors[k] = np.subtract(x, step)
+            g = g + config.weight_decay * x
+        m = b1 * state.m[k] + (1 - b1) * g
+        v = b2 * state.v[k] + (1 - b2) * g * g
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        new_tensors[k] = x - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[k] = m
         new_v[k] = v
     return new_tensors, AdamState(new_m, new_v, t)

@@ -5,11 +5,11 @@ with the library; they exist to cross-check the vectorized operations. They
 take one NCHW sample, [C, *spatial]; fpnn's layers take channels-last
 batches, so tests convert at the boundary with ``nhwc`` and ``nchw``.
 
-The ``*_masked`` functions and ``adam_step_temporaries`` are the earlier
-formulas of ops that now run branch-free or in fewer passes (masked
-selects, a second mean inside ``x.var``, one temporary per operation). The
-new ops must match them bit for bit, so they take the same batched,
-channels-last arrays as the library.
+The ``*_masked`` functions and ``batchnorm_forward_twice_mean`` are the
+earlier formulas of ops that now run branch-free or in fewer passes (masked
+selects, a second mean inside ``x.var``). The new ops must match them bit
+for bit, so they take the same batched, channels-last arrays as the
+library.
 """
 
 import numpy as np
@@ -275,32 +275,3 @@ def batchnorm_forward_twice_mean(x, scale, shift, mean, var, eps):
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean) * inv_std
     return scale * xhat + shift, xhat, inv_std, stats
-
-
-def batchnorm_backward_temporaries(xhat, inv_std, scale, train, output_grad):
-    d_scale = (output_grad * xhat).sum(axis=(0, 1, 2))
-    d_shift = output_grad.sum(axis=(0, 1, 2))
-    dxhat = output_grad * scale
-    if train:
-        m = xhat.size // xhat.shape[-1]
-        sum_d = dxhat.sum(axis=(0, 1, 2))
-        sum_dx = (dxhat * xhat).sum(axis=(0, 1, 2))
-        dxhat *= m
-        dxhat -= sum_d
-        dxhat -= xhat * sum_dx
-        dxhat *= inv_std / m
-    else:
-        dxhat *= inv_std
-    return dxhat, d_scale, d_shift
-
-
-def adam_step_temporaries(x, g, m, v, t, lr, decay, b1=0.9, b2=0.999, eps=1e-8):
-    """One bias-corrected Adam update of one tensor, one temporary per
-    operation: ``(x, m, v)`` after the step."""
-    if decay:
-        g = g + decay * x
-    m = b1 * m + (1 - b1) * g
-    v = b2 * v + (1 - b2) * g * g
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
-    return x - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
