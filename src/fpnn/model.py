@@ -87,6 +87,7 @@ from .preprocess import DEFAULT_GRID_SIDE, N_CHANNELS, SAMPLE_DEPTH
 FRONT_CHANNELS = 64
 INIT_CHANNELS = 64
 MAX_NOI = 8
+_STEM_POOL = (3, 2, 1)  # window, stride, pad of the max pool after the stem
 
 # The inception unit, one row per conv: (layer, exported name, out channels,
 # square kernel), branch by branch in concatenation order. A chain's first
@@ -218,6 +219,22 @@ def conv_layout(config: FpnnConfig) -> dict[str, ConvSpec]:
             if not config.detach.residual:
                 conv2(f"{p}.proj", c_in, BLOCK_CHANNELS, 1)
     return specs
+
+
+def smallest_bn_side(config: FpnnConfig) -> int:
+    """The smallest spatial side over which a batchnorm of the network
+    takes statistics: the front unit keeps the grid, the stem and then its
+    max pool each about halve it, and the inception units keep the pooled
+    side. Both streams share this geometry."""
+    side = config.grid_side
+    if config.detach.initial_layers:
+        return side
+    stem = conv_layout(config)[f"{config.streams()[0]}.init.conv"]
+    side = stem.out_extents((side, side))[0]
+    if config.noi == 0:
+        return side
+    window, stride, pad = _STEM_POOL
+    return (side + 2 * pad - window) // stride + 1
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +395,7 @@ def _stream_forward(x5, params, specs, stream, mode, keep=True):
 
     if f"{stream}.init.conv" in specs:
         h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", mode, new_states, keep)
-        h, pool = max_pool2d(h, 3, 2, 1)
+        h, pool = max_pool2d(h, *_STEM_POOL)
         cache["init"] = {"cba": init_cba, "pool": pool}
 
     for i in range(cfg.noi):

@@ -739,25 +739,37 @@ def batchnorm2d_forward(x, scale, shift, state: BnState, mode: str):
 
 
 def batchnorm2d_backward(saved, output_grad):
+    """Gradients of :func:`batchnorm2d_forward`: ``(gx, d_scale, d_shift)``.
+
+    ``saved`` is the forward's ``(xhat, inv_std, scale, mode)``: the
+    normalized input, ``1 / sqrt(var + eps)`` per channel, the scale and
+    the mode. With ``g`` the output gradient and ``m = N*H*W``, the channel
+    sums over [N, H, W] are ``d_shift = sum(g)`` and
+    ``d_scale = sum(g * xhat)``. In train mode the batch mean and variance
+    depend on x, and since the sums of ``dxhat = g * scale`` and of
+    ``dxhat * xhat`` are ``scale * d_shift`` and ``scale * d_scale``,
+
+        gx = (scale * inv_std) * (g - d_shift / m - xhat * (d_scale / m)).
+
+    In eval mode ``gx = g * (scale * inv_std)``. ``gx`` is the only array of
+    ``g``'s size made: ``d_scale`` is an einsum, which makes no product
+    temporary, and every step after ``gx``'s first is done in its buffer.
+    Neither ``saved`` nor ``g`` is written.
+    """
     xhat, inv_std, scale, mode = saved
     if output_grad.shape != xhat.shape:
         raise ShapeError("output_grad shape must match forward input")
-    d_scale = (output_grad * xhat).sum(axis=_LEADING)
+    c = xhat.shape[-1]
+    m = xhat.size // c
     d_shift = output_grad.sum(axis=_LEADING)
-    dxhat = output_grad * scale
-    # The input gradient is built in dxhat's buffer, with the operations and
-    # their order of (inv_std / m) * (m * dxhat - sum_d - xhat * sum_dx).
-    if mode == "train":
-        m = xhat.size // xhat.shape[-1]
-        sum_d = dxhat.sum(axis=_LEADING)
-        sum_dx = (dxhat * xhat).sum(axis=_LEADING)
-        dxhat *= m
-        dxhat -= sum_d
-        dxhat -= xhat * sum_dx
-        dxhat *= inv_std / m
-    else:
-        dxhat *= inv_std
-    return dxhat, d_scale, d_shift
+    d_scale = np.einsum("ij,ij->j", output_grad.reshape(m, c), xhat.reshape(m, c))
+    if mode == "eval":
+        return output_grad * (scale * inv_std), d_scale, d_shift
+    gx = np.multiply(xhat, d_scale / m)
+    np.subtract(output_grad, gx, out=gx)
+    gx -= d_shift / m
+    gx *= scale * inv_std
+    return gx, d_scale, d_shift
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,14 @@ import numpy as np
 
 from . import io as tio
 from .errors import CheckpointError, NonFiniteError, ShapeError, TrainingError
-from .model import FpnnConfig, FpnnParams, build_model, fpnn_backward, fpnn_forward
+from .model import (
+    FpnnConfig,
+    FpnnParams,
+    build_model,
+    fpnn_backward,
+    fpnn_forward,
+    smallest_bn_side,
+)
 from .ops import BnState
 from .preprocess import HOLDOUT_FRACTION, SampleSet, holdout_by_battery, preprocess_fleet
 
@@ -203,9 +210,22 @@ def train(
     backward/Adam, then scores validation MAPE in eval mode. The best-
     validation snapshot is returned; training stops once validation has
     not improved for more than ``patience`` consecutive epochs.
+
+    A split whose last minibatch would hold one sample is rejected before
+    the first step when a batchnorm runs at 1x1 (``smallest_bn_side``).
+    It is not merged into the minibatch before it: that would also change
+    the batches at grids where a one-sample minibatch trains fine.
     """
     if len(train_samples) == 0 or len(val_samples) == 0:
         raise TrainingError("train and validation splits must be nonempty")
+    n, model = len(train_samples), params.config
+    if (n - 1) % config.batch_size == 0 and smallest_bn_side(model) == 1:
+        raise TrainingError(
+            f"a train split of {n} samples at batch size {config.batch_size} ends in a "
+            f"one-sample minibatch, and at grid {model.grid_side} with noi {model.noi} a "
+            "batchnorm runs at 1x1: its train-mode statistics would rest on one value "
+            "per channel; choose another batch size"
+        )
     rng = np.random.default_rng(config.seed)
     work = params.copy()
     opt = AdamState.initial(work.tensors)

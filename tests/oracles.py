@@ -9,7 +9,9 @@ The ``*_masked`` functions and ``batchnorm_forward_twice_mean`` are the
 earlier formulas of ops that now run branch-free or in fewer passes (masked
 selects, a second mean inside ``x.var``). The new ops must match them bit
 for bit, so they take the same batched, channels-last arrays as the
-library.
+library. ``batchnorm_backward_closed_form`` is the textbook batchnorm
+backward, which the library's reordered arithmetic matches within a stated
+bound.
 """
 
 import numpy as np
@@ -275,3 +277,20 @@ def batchnorm_forward_twice_mean(x, scale, shift, mean, var, eps):
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean) * inv_std
     return scale * xhat + shift, xhat, inv_std, stats
+
+
+def batchnorm_backward_closed_form(saved, output_grad):
+    """``(gx, d_scale, d_shift)`` from the forward's ``saved``, with the
+    sums of ``dxhat = g * scale`` taken afresh:
+    ``gx = (inv_std / m) * (m * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))``
+    in train mode and ``dxhat * inv_std`` in eval mode."""
+    xhat, inv_std, scale, mode = saved
+    axes = (0, 1, 2)
+    dxhat = output_grad * scale
+    if mode == "train":
+        m = xhat.size // xhat.shape[-1]
+        gx = (inv_std / m) * (m * dxhat - dxhat.sum(axis=axes)
+                              - xhat * (dxhat * xhat).sum(axis=axes))
+    else:
+        gx = dxhat * inv_std
+    return gx, (output_grad * xhat).sum(axis=axes), output_grad.sum(axis=axes)

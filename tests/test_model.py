@@ -167,6 +167,22 @@ class TestForwardShapes:
         _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
         assert cache["streams"]["raw"]["gap"] == (1, 8, 8, 88)
 
+    @pytest.mark.parametrize("grid", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("noi", [0, 1])
+    @pytest.mark.parametrize("detach", DETACH_VARIANTS)
+    def test_smallest_bn_side_is_the_smallest_batchnorm_input(self, monkeypatch, grid, noi,
+                                                              detach):
+        sides = []
+
+        def record(x, *args):
+            sides.append(x.shape[1])
+            return ops.batchnorm2d_forward(x, *args)
+
+        monkeypatch.setattr(M, "batchnorm2d_forward", record)
+        config = micro_config(noi=noi, grid_side=grid, detach=detach)
+        M.fpnn_forward(random_batch(config, n=1), M.build_model(config), mode="eval")
+        assert M.smallest_bn_side(config) == min(sides)
+
     def test_block_emits_88_channels(self):
         config = micro_config(noi=3)
         params = M.build_model(config)

@@ -2,6 +2,8 @@
 brute-force loop-oracle equivalence, shape/linearity properties, and bitwise
 equality of the branch-free ops with their earlier masked formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from fpnn.errors import NonFiniteError, ShapeError
 
 from oracles import (
     avg_pool_loop,
+    batchnorm_backward_closed_form,
     batchnorm_forward_twice_mean,
     conv2d_loop,
     conv3d_loop,
@@ -438,26 +441,42 @@ class TestBatchNorm:
         assert same_state is state
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_backward_bitwise_equals_closed_form(self, rng, mode):
-        x = rng.standard_normal((4, 5, 5, 3)) * 2.0 + 1.0
-        scale, shift = rng.standard_normal(3), rng.standard_normal(3)
-        state = ops.BnState(rng.uniform(-1, 1, 3), rng.uniform(0.5, 2, 3))
-        _, _, cache = ops.batchnorm2d_forward(x, scale, shift, state, mode)
-        g = rng.standard_normal(x.shape)
-        g_before, xhat_before = g.copy(), cache[0].copy()
-        got_x, got_scale, _ = ops.batchnorm2d_backward(cache, g)
-        xhat, inv_std, _, _ = cache
-        dxhat = g * scale
-        if mode == "train":
-            m = 4 * 5 * 5
-            want = (inv_std / m) * (m * dxhat - dxhat.sum(axis=(0, 1, 2))
-                                    - xhat * (dxhat * xhat).sum(axis=(0, 1, 2)))
-        else:
-            want = dxhat * inv_std
-        assert got_x.tobytes() == want.tobytes()
-        assert got_scale.tobytes() == (g * xhat).sum(axis=(0, 1, 2)).tobytes()
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_backward_matches_closed_form_oracle(self, rng, mode, sliced):
+        """Each result within 1e-14 of its largest magnitude: the op reuses
+        the sums it takes for the parameter gradients, in another order of
+        operations than the oracle. The sliced case passes the gradient as a
+        channel slice of a wider array, a view that is not contiguous."""
+        c = 3
+        x = rng.standard_normal((4, 5, 5, c)) * 2.0 + 1.0
+        scale, shift = rng.standard_normal(c), rng.standard_normal(c)
+        state = ops.BnState(rng.uniform(-1, 1, c), rng.uniform(0.5, 2, c))
+        _, _, saved = ops.batchnorm2d_forward(x, scale, shift, state, mode)
+        g = rng.standard_normal((4, 5, 5, c + 3 if sliced else c))
+        g = g[..., 1 : c + 1] if sliced else g
+        g_before, xhat_before = g.copy(), saved[0].copy()
+        got = ops.batchnorm2d_backward(saved, g)
+        for have, want in zip(got, batchnorm_backward_closed_form(saved, g)):
+            assert have.shape == want.shape
+            assert np.abs(have - want).max() <= 1e-14 * np.abs(want).max()
         assert g.tobytes() == g_before.tobytes()
-        assert xhat.tobytes() == xhat_before.tobytes()
+        assert saved[0].tobytes() == xhat_before.tobytes()
+
+    def test_train_backward_makes_one_activation_sized_array(self, rng):
+        """On the front unit's [16, 32, 32, 64], the backward holds no more
+        than its input gradient plus 1 MiB at any time."""
+        x = rng.standard_normal((16, 32, 32, 64))
+        _, _, saved = ops.batchnorm2d_forward(
+            x, np.ones(64), np.zeros(64), ops.BnState.initial(64), "train"
+        )
+        g = rng.standard_normal(x.shape)
+        tracemalloc.start()
+        try:
+            gx = ops.batchnorm2d_backward(saved, g)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gx.nbytes + 2**20
 
     def test_tiny_batch_rejected(self):
         with pytest.raises(ShapeError):

@@ -212,8 +212,9 @@ class TestTrainLoop:
         assert isinstance(info.value.__cause__, NonFiniteError)
 
     def test_one_value_per_batchnorm_channel_names_layer_epoch_and_batch(self):
-        """At G=4 the inception unit runs at 1x1, so a last minibatch of one
-        sample leaves its batchnorms one value per channel."""
+        """At G=4 the inception unit runs at 1x1, so a one-sample minibatch
+        leaves its batchnorms one value per channel: the forward names the
+        conv, and train() rejects a split that ends in one before any step."""
         n, grid = 3, 4
         rng = np.random.default_rng(0)
         samples = SampleSet(raw=rng.standard_normal((n, 3, 4, grid, grid)),
@@ -221,11 +222,15 @@ class TestTrainLoop:
                             labels=np.array([300.0, 500.0, 700.0]), battery_ids=["b0"] * n,
                             anchor_cycles=np.full(n, 10))
         params = build_model(FpnnConfig(noi=1, grid_side=grid, head_hidden=(4,), seed=0))
-        with pytest.raises(TrainingError, match=r"^raw\.block0\.b1\.conv: train-mode batchnorm "
-                                                r"needs N\*H\*W >= 2, got input \(1, 1, 1, 16\) "
-                                                r"at epoch 1, batch 1 \(samples 2\.\.2\)$") as info:
+        with pytest.raises(ShapeError, match=r"^raw\.block0\.b1\.conv: train-mode batchnorm "
+                                             r"needs N\*H\*W >= 2, got input \(1, 1, 1, 16\)$"):
+            fpnn_forward((samples.raw[:1], samples.diff[:1]), params, mode="train")
+        with pytest.raises(TrainingError, match=r"^a train split of 3 samples at batch size 2 "
+                                                r"ends in a one-sample minibatch, and at grid 4 "
+                                                r"with noi 1 a batchnorm runs at 1x1") as info:
             T.train(params, samples, samples, T.TrainConfig(epochs=1, batch_size=2))
-        assert isinstance(info.value.__cause__, ShapeError)
+        assert info.value.__cause__ is None  # raised before any step, not by one
+        T.train(params, samples, samples, T.TrainConfig(epochs=1, batch_size=3))
 
     def test_overfits_small_set(self, tiny_splits):
         # capacity sanity: a micro model memorizes 16 samples
