@@ -21,35 +21,37 @@ backward, the max pool keeps its argmax as ``max(argmax, better * k)``,
 and its backward adds ``g * (argmax == k)``. Each of these gives the
 masked form's result bit for bit.
 
-Convolutions and pools share one window machinery: ``_padded`` zero-pads
-the spatial axes, or returns its input when nothing is padded, and
-``_shifted`` is the view that one window offset reads. A convolution adds
-``shifted input @ W[offset]`` over the kernel offsets (cross-correlation,
-one BLAS matmul each), and its backward runs the same loop over the saved
-padded input, so no window matrix is ever built. Kernel axes the input
-lacks are folded into its channels (``channels_last``): the 3D front end's
-kernel spans all frames, so it runs as a 3x3 convolution over 3 * D
-channels.
+Convolutions and pools share one window machinery: ``_placed`` zero-pads
+the spatial axes (or zero-inserts between rows), or returns its input when
+nothing is padded, and ``_shifted`` is the view that one window offset
+reads. A convolution adds ``shifted input @ W[offset]`` over the kernel
+offsets (cross-correlation, one BLAS matmul each), so no window matrix is
+ever built; its weight gradient runs the same loop over the saved padded
+input. Kernel axes the input lacks are folded into its channels
+(``channels_last``): the 3D front end's kernel spans all frames, so it runs
+as a 3x3 convolution over 3 * D channels.
+
+One rule gives every input gradient: it is the forward convolution of the
+output gradient, zero-inserted by the stride and zero-padded by k - 1 - p,
+with the kernel flipped on its spatial axes and its channel axes swapped
+(Lavin & Gray 2015, arXiv:1509.09308), run by the route the forward took.
 
 One rule, ``_winograd_route(spec)``, gives a 7x7 kernel at stride 2 (the
 network's stem) a second route; every other convolution runs the offset
 loop. The zero-padded input is split into its four stride-2 phases,
 stacked on the channel axis (K = 4 * C_in), which makes the convolution
 one stride-1 convolution with a 4x4 kernel whose taps past the 7x7 are
-zero. That runs as Winograd minimal filtering F(4x4, 4x4) (Lavin & Gray
-2015, arXiv:1509.09308), alpha = 7, at the points 0, +-1, +-2, 1/2 and
-infinity: per block of samples, the 7x7 input tiles are transformed (V =
-BT d B, one matmul per axis over strided views), multiplied by the
-transformed kernel (U = G W' G^T) in one batched [49, tiles, K] @ [49, K,
-C_out] matmul, and transformed back (A^T M A). The kernel and output
-transforms are one matmul each, by kron(G, G) and kron(A^T, A^T). That is
-a quarter of the offset loop's multiplies. Tiles cover any output extent;
-what they compute past it is cropped. The backward makes two passes over
-the blocks: dU += V^T dM, with V recomputed from the saved phases, then
-dV = dM U^T, whose adjoint transform gives the input gradient, written
-block by block straight into its unpadded positions. ``saved`` holds the
-phase-split padded input, which has the padded input's size, in place of
-the padded input.
+zero. That runs as Winograd minimal filtering F(4x4, 4x4), alpha = 7, at
+the points 0, +-1, +-2, 1/2 and infinity: per block of samples, the 7x7
+input tiles are transformed (V = BT d B, one matmul per axis over strided
+views), multiplied by the transformed kernel (U = G W' G^T) in one batched
+[49, tiles, K] @ [49, K, C_out] matmul, and transformed back (A^T M A).
+That is a quarter of the offset loop's multiplies. Tiles cover any output
+extent; what they compute past it is cropped. The weight gradient adds dU
++= V^T dM over the blocks, V recomputed from the saved phases; the input
+gradient is this stride-1 convolution again, of the output gradient with
+the flipped kernel's phases. ``saved`` holds the phase-split padded input,
+which has the padded input's size, in place of the padded input.
 
 The route differs from the loop by rounding only: at the stem's geometry,
 outputs and gradients lie within 1e-13 of their largest magnitude. Its
@@ -69,6 +71,7 @@ kernel's depth axis goes into the channels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -139,16 +142,30 @@ def channels_last(x: np.ndarray, n_folded: int = 0) -> np.ndarray:
     return np.moveaxis(x.reshape(x.shape[0], -1, *x.shape[2 + n_folded:]), 1, -1)
 
 
-def _padded(x: np.ndarray, pads) -> np.ndarray:
-    """``x`` zero-padded by ``pads[i]`` on both sides of spatial axis i, or
-    ``x`` itself when no axis is padded."""
-    if not any(pads):
-        return x
-    return np.pad(x, [(0, 0), *((p, p) for p in pads), (0, 0)])
+def _placed(g, ext, before, stride=None, buf=None) -> np.ndarray:
+    """``g`` [N, *spatial, C] in a zeroed [N, *ext, C] array (``buf`` if
+    given), its row i on each axis at ``before + stride * i``; rows that
+    land outside are dropped. ``g`` itself when it already is that array."""
+    stride = stride or (1,) * len(ext)
+    if g.shape[1:-1] == ext and not any(before) and all(s == 1 for s in stride):
+        return g
+    if buf is None:
+        buf = np.zeros((g.shape[0], *ext, g.shape[-1]))
+    else:
+        buf[...] = 0.0
+    src, dst = [slice(None)], [slice(None)]
+    for n, e, b, s in zip(g.shape[1:-1], ext, before, stride):
+        lo, hi = -(-max(0, -b) // s), min(n, (e - 1 - b) // s + 1)
+        if hi <= lo:
+            return buf
+        src.append(slice(lo, hi))
+        dst.append(slice(b + s * lo, b + s * (hi - 1) + 1, s))
+    buf[tuple(dst)] = g[tuple(src)]
+    return buf
 
 
 def _unpadded(xs: np.ndarray, pads) -> np.ndarray:
-    """The view of ``xs`` that ``_padded(x, pads)`` copied ``x`` into."""
+    """The view of ``xs`` that ``_placed(x, ext, pads)`` copied ``x`` into."""
     return xs[(slice(None), *(slice(p, e - p) for p, e in zip(pads, xs.shape[1:-1])))]
 
 
@@ -202,9 +219,17 @@ def conv_forward(x, weights, bias, spec: ConvSpec):
         if nf:
             raise ShapeError(f"a 7x7 stride-2 convolution takes [N, H, W, C], got {x.shape}")
         return _winograd_forward(x, weights, bias, spec, out_sp)
-    xs = _padded(x, spec.padding[nf:])
-    wk = _kernel_matrices(weights, nf)
-    n, c_out, stride, rows = x.shape[0], spec.out_channels, spec.stride[nf:], math.prod(out_sp)
+    pads = spec.padding[nf:]
+    xs = _placed(x, tuple(e + 2 * p for e, p in zip(x.shape[1:-1], pads)), pads)
+    out = _offset_loop(xs, _kernel_matrices(weights, nf), spec.stride[nf:], out_sp, bias)
+    check_finite("conv forward", out)
+    return out, (xs, weights, spec)
+
+
+def _offset_loop(xs, wk, stride, out_sp, bias=None) -> np.ndarray:
+    """[N, *out_sp, C_out]: the sum over kernel offsets of ``xs``'s shifted
+    view @ ``wk[offset]`` ([*kernel, C, C_out]), then the bias if given."""
+    n, c, c_out, rows = xs.shape[0], xs.shape[-1], wk.shape[-1], math.prod(out_sp)
     blocks = _sample_blocks(n, rows, c_out, xs.itemsize)
     # One shift buffer and one product buffer serve every offset: fresh
     # multi-MiB temporaries per offset page-fault, which in a fresh process
@@ -218,50 +243,50 @@ def conv_forward(x, weights, bias, spec: ConvSpec):
         for offset in np.ndindex(*wk.shape[:-2]):
             np.copyto(x_shift, _shifted(xs[blk], offset, stride, out_sp))
             out_blk += np.matmul(x_shift.reshape(-1, c), wk[offset], out=prod)
-        out_blk += bias  # last, as a whole-output add would, but while the block is in cache
-    check_finite("conv forward", out)
-    return out, (xs, weights, spec)
+        if bias is not None:
+            out_blk += bias  # last, as a whole-output add would, but while the block is in cache
+    return out
 
 
 def conv_backward(saved, output_grad, want_input_grad=True):
-    """``(input_grad, d_weights, d_bias)`` from what ``conv_forward`` saved,
-    by its offset loop again (or its Winograd route). With
-    ``want_input_grad=False`` the input gradient is None and its matmuls
-    are skipped; the rest is the same.
+    """``(input_grad, d_weights, d_bias)`` from what ``conv_forward`` saved.
+    The weight gradient runs the offset loop over the saved padded input.
+    Input position j gathers ``g[i] @ W[u].T`` over s * i + u = j + p,
+    which is ``_offset_loop`` at stride 1 over the output gradient placed k -
+    1 - p rows in, s apart, with the flipped kernel's transposed matrices.
+    With ``want_input_grad=False`` the input gradient is None and not
+    computed; the rest is the same.
     """
     if _winograd_route(saved[2]):
         return _winograd_backward(saved, output_grad, want_input_grad)
     xs, weights, spec = saved
     nf = spec.ndim - (xs.ndim - 2)
-    pads = spec.padding[nf:]
+    pads, kernel = spec.padding[nf:], spec.kernel[nf:]
     in_sp = tuple(e - 2 * p for e, p in zip(xs.shape[1:-1], pads))
     out_sp = spec.out_extents((*spec.kernel[:nf], *in_sp))[nf:]
     n, c, c_out = xs.shape[0], xs.shape[-1], spec.out_channels
     _check_output_grad(output_grad, (n, *out_sp, c_out))
-    wk = _kernel_matrices(weights, nf)
     stride, rows = spec.stride[nf:], math.prod(out_sp)
     gmat = output_grad.reshape(n, rows, c_out)
     blocks = _sample_blocks(n, rows, c_out, xs.itemsize)
     shift_buf = np.empty((blocks[0].stop, *out_sp, c))
-    dw = np.empty(wk.shape[-2:])
-    d_wk = np.zeros_like(wk)
-    if want_input_grad:
-        gx_buf = np.empty_like(shift_buf)
-        gxs = np.zeros(xs.shape)
+    dw = np.empty((c, c_out))
+    d_wk = np.zeros((*kernel, c, c_out))
     for blk in blocks:
-        m = blk.stop - blk.start
-        x_shift, g_blk = shift_buf[:m], gmat[blk].reshape(-1, c_out)
-        if want_input_grad:
-            gx_shift = gx_buf[:m]
-        for offset in np.ndindex(*wk.shape[:-2]):
+        x_shift, g_blk = shift_buf[: blk.stop - blk.start], gmat[blk].reshape(-1, c_out)
+        for offset in np.ndindex(*kernel):
             np.copyto(x_shift, _shifted(xs[blk], offset, stride, out_sp))
             d_wk[offset] += np.matmul(x_shift.reshape(-1, c).T, g_blk, out=dw)
-            if want_input_grad:
-                np.matmul(g_blk, wk[offset].T, out=gx_shift.reshape(-1, c))
-                _shifted(gxs[blk], offset, stride, out_sp)[...] += gx_shift
+    del shift_buf, x_shift
     d_weights = np.ascontiguousarray(np.moveaxis(d_wk, (-1, -2), (0, 1))).reshape(weights.shape)
     d_bias = gmat.reshape(-1, c_out).sum(axis=0)
-    return (_unpadded(gxs, pads) if want_input_grad else None), d_weights, d_bias
+    gx = None
+    if want_input_grad:
+        ext = tuple(e + k - 1 for e, k in zip(in_sp, kernel))
+        gp = _placed(output_grad, ext, tuple(k - 1 - p for k, p in zip(kernel, pads)), stride)
+        flipped = np.flip(weights.reshape(c_out, c, *kernel), tuple(range(2, 2 + len(kernel))))
+        gx = _offset_loop(gp, _kernel_matrices(flipped.swapaxes(0, 1), 0), (1,) * len(kernel), in_sp)
+    return gx, d_weights, d_bias
 
 
 def _check_output_grad(output_grad, want):
@@ -307,7 +332,6 @@ _TILE = _PHASE_KERNEL = 4
 _ALPHA = _TILE + _PHASE_KERNEL - 1
 _WINO_A, _WINO_G, _WINO_BT = _winograd_matrices((0.0, 1.0, -1.0, 2.0, -2.0, 0.5),
                                                 _TILE, _PHASE_KERNEL)
-_WINO_B = _WINO_BT.T.copy()
 # The 2D transforms of a kernel and of an output tile, [49, 16] and [16, 49]:
 # kron(M, M) @ t.ravel() is M t M^T, for t small enough that one matmul
 # beats two.
@@ -342,9 +366,8 @@ def _phase_split(x, pads, out_sp) -> np.ndarray:
 
 def _transformed_kernels(weights) -> np.ndarray:
     """U^T, [49, C_out, 4 * C_in], of U = G W' G^T for the phase kernel
-    W'[p, q, (a, b, c), o] = w[o, c, 2p + a, 2q + b], which is zero past
-    tap 6. Stored transposed: the input gradient's dM @ U^T runs faster on
-    it, and the forward's V @ U as fast."""
+    W'[p, q, (a, b, c), o] = w[o, c, 2p + a, 2q + b], zero past tap 6. The
+    forward convolves with U; U^T of the flipped w is the input gradient's."""
     c_out, c_in = weights.shape[:2]
     wp = np.zeros((_PHASE_KERNEL, _PHASE_KERNEL, c_out, 2, 2, c_in))
     for a, b in np.ndindex(2, 2):
@@ -366,22 +389,6 @@ def _phase_kernel_grad(d_u, weights_shape) -> np.ndarray:
     return d_weights
 
 
-def _overlap_add(out, parts, axis: int) -> None:
-    """``out`` along ``axis`` (extent 4t + 3) = the sum of t 7-long tiles at
-    stride 4, ``parts[v]`` holding offset v of every tile: the first four
-    offsets are written, the last three added, in offset order."""
-    t = parts[0].shape[axis]
-    at = (slice(None),) * axis
-    for v, part in enumerate(parts):
-        if v == _TILE:
-            out[at + (slice(_TILE * t, None),)] = 0.0
-        window = out[at + (slice(v, v + _TILE * t, _TILE),)]
-        if v < _TILE:
-            window[...] = part
-        else:
-            window += part
-
-
 def _windows(x, axis: int, count: int) -> np.ndarray:
     """The view of ``x`` with ``count`` 7-long tiles at stride 4 along
     ``axis``: that axis becomes (tile, offset)."""
@@ -390,154 +397,140 @@ def _windows(x, axis: int, count: int) -> np.ndarray:
     return np.moveaxis(view, -1, axis + 1)
 
 
-# Bytes of one block's transformed tiles V, [49, tiles, K]; the route's
-# buffers hold about three times this per stream.
+# Bytes of one block's transformed tiles [49, tiles, width], width the
+# wider channel side of the convolution: its V and M buffers stay within
+# this, and the rest of its buffers within about as much again, per stream.
 _WINOGRAD_BLOCK_BYTES = 2 << 20
 
 
 class _Tiles:
-    """The route's tiles for blocks of samples, and the buffers of their
-    transforms. Tile (n, ti, tj) reads phase rows 4ti .. 4ti + 6 and columns
-    4tj .. 4tj + 6 and gives output rows 4ti .. 4ti + 3 and columns 4tj ..
-    4tj + 3; past the saved phases it reads zeros, and past the output
-    extent its outputs are cropped. Both transforms are matmuls over strided
-    views: one [7, 7] @ [7, row] per tile row, one [7, 7] @ [7, K] per
-    tile and row offset."""
+    """The route's 4x4 output tiles for blocks of samples, and the transform
+    V = BT d B of their 7x7 input tiles: tile (n, ti, tj) reads input rows
+    4ti .. 4ti + 6 (zeros past the input) for output rows 4ti .. 4ti + 3
+    (cropped past the output extent), and so for columns. The transform is
+    one [7, 7] @ [7, row] matmul per tile row and one [7, 7] @ [7, K] per
+    tile and row offset, over strided views. A block holds as many samples
+    as keep [49, tiles, width] within _WINOGRAD_BLOCK_BYTES."""
 
-    def __init__(self, q, out_sp):
-        n, k = q.shape[0], q.shape[-1]
+    def __init__(self, n, k, out_sp, width):
         self.th, self.tw = (-(-e // _TILE) for e in out_sp)
         self.ext = (_TILE * self.th + _ALPHA - _TILE, _TILE * self.tw + _ALPHA - _TILE)
-        step = max(1, _WINOGRAD_BLOCK_BYTES // (_ALPHA**2 * self.th * self.tw * k * q.itemsize))
+        step = max(1, _WINOGRAD_BLOCK_BYTES // (_ALPHA**2 * self.th * self.tw * width * 8))
         self.blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
         block = self.blocks[0].stop
         self.rows = np.empty((block, self.th, _ALPHA, self.ext[1], k))  # BT d per tile row
         self.v = np.empty((_ALPHA, _ALPHA, block, self.th, self.tw, k))
-        self.cols = self.q = None  # allocated on first use
+        self.buf = None  # a block's input at the tile extent, made on first use
 
-    def _phase_buffer(self, m):
-        """A [m, *ext, K] buffer for a block's phases or their gradient."""
-        if self.q is None:
-            self.q = np.empty((self.blocks[0].stop, *self.ext, self.rows.shape[-1]))
-        return self.q[:m]
-
-    def v_buffer(self, m) -> np.ndarray:
-        """The buffer of a block's V (or dV), [49, tiles, K]."""
-        return self.v[:, :, :m].reshape(_ALPHA**2, -1, self.v.shape[-1])
-
-    def transform(self, qb) -> np.ndarray:
-        """V = BT d B of each 7x7 tile d of the block's phases ``qb``, as
-        [49, tiles, K]."""
-        m = qb.shape[0]
-        if qb.shape[1:3] != self.ext:
-            buf = self._phase_buffer(m)
-            buf[...] = 0.0
-            buf[:, : qb.shape[1], : qb.shape[2]] = qb
-            qb = buf
+    def transform(self, qb, before=(0, 0)) -> np.ndarray:
+        """V of each 7x7 tile of the block's input ``qb`` [m, rows, cols,
+        K], whose row and column 0 sit at ``before`` in the tiled extent
+        (negative: cropped), as [49, tiles, K]."""
+        m, k = qb.shape[0], qb.shape[-1]
+        if qb.shape[1:3] != self.ext or any(before):
+            if self.buf is None:
+                self.buf = np.empty((self.blocks[0].stop, *self.ext, k))
+            qb = _placed(qb, self.ext, before, buf=self.buf[:m])
         rows = self.rows[:m]
         np.matmul(_WINO_BT, _windows(qb, 1, self.th).reshape(m, self.th, _ALPHA, -1),
                   out=rows.reshape(m, self.th, _ALPHA, -1))
         np.matmul(_WINO_BT, _windows(rows, 3, self.tw),
                   out=self.v[:, :, :m].transpose(2, 3, 0, 4, 1, 5))
-        return self.v_buffer(m)
+        return self.v[:, :, :m].reshape(_ALPHA**2, -1, k)
 
-    def adjoint(self, d_v) -> np.ndarray:
-        """The block's phase gradient at the tile extent, [m, *ext, K], from
-        the gradient ``d_v`` [49, tiles, K] of its V: ``transform``'s steps
-        reversed, B dV BT per tile, the tiles' overlapping columns and rows
-        added."""
-        th, tw, k = self.th, self.tw, d_v.shape[-1]
-        m = d_v.shape[1] // (th * tw)
-        if self.cols is None:
-            self.cols = np.empty((self.blocks[0].stop, th, _ALPHA, tw, _ALPHA, k))
-        cols, rows = self.cols[:m], self.rows[:m]
-        np.matmul(_WINO_B, d_v.reshape(_ALPHA, _ALPHA, m, th, tw, k).transpose(2, 3, 0, 4, 1, 5),
-                  out=cols)
-        _overlap_add(rows, [cols[:, :, :, :, v] for v in range(_ALPHA)], 3)
-        d_rows = self.cols.reshape(-1)[: rows.size].reshape(m, th, _ALPHA, -1)  # cols is spent
-        np.matmul(_WINO_B, rows.reshape(m, th, _ALPHA, -1), out=d_rows)
-        d_rows = d_rows.reshape(rows.shape)
-        d_q = self._phase_buffer(m)
-        _overlap_add(d_q, [d_rows[:, :, v] for v in range(_ALPHA)], 1)
-        return d_q
+
+def _winograd_conv(d, u, out_sp, before=(0, 0)):
+    """Winograd F(4x4, 4x4) of ``d`` [N, rows, cols, K], placed at ``before``
+    as in ``_Tiles.transform``, with the transformed kernel ``u`` [49, K, C]:
+    per block of samples, V, one batched [49, tiles, K] @ [49, K, C] matmul
+    and A^T M A. Yields ``(blk, y)``, y the block's [m, *out_sp, C] stride-1
+    4x4 convolution, in a buffer the next block reuses."""
+    k, c = u.shape[1:]
+    tiles = _Tiles(d.shape[0], k, out_sp, max(k, c))
+    th, tw, block = tiles.th, tiles.tw, tiles.blocks[0].stop
+    prod = np.empty((_ALPHA**2, block * th * tw, c))
+    y_tiles = np.empty((_TILE**2, block * th * tw * c))
+    y = np.empty((block, _TILE * th, _TILE * tw, c))
+    for blk in tiles.blocks:
+        m = blk.stop - blk.start
+        mm = np.matmul(tiles.transform(d[blk], before), u, out=prod[:, : m * th * tw])
+        yt = np.matmul(_WINO_AA, mm.reshape(_ALPHA**2, -1), out=y_tiles[:, : m * th * tw * c])
+        y[:m].reshape(m, th, _TILE, tw, _TILE, c)[...] = (
+            yt.reshape(_TILE, _TILE, m, th, tw, c).transpose(2, 3, 0, 4, 1, 5))
+        yield blk, y[:m, : out_sp[0], : out_sp[1]]
 
 
 def _winograd_forward(x, weights, bias, spec, out_sp):
     """The 7x7 stride-2 convolution as one stride-1 4x4 convolution over the
-    stacked phases, by Winograd F(4x4, 4x4): per block of samples, the
-    tiles' transform V, one batched [49, tiles, K] @ [49, K, C_out] matmul
-    with the transformed kernel U, and the output transform A^T M A."""
+    stacked phases: ``_winograd_conv`` of the phase-split input with U of
+    the weights, plus the bias."""
     q = _phase_split(x, spec.padding, out_sp)
-    tiles = _Tiles(q, out_sp)
-    th, tw, c_out = tiles.th, tiles.tw, spec.out_channels
-    out = np.empty((x.shape[0], _TILE * th, _TILE * tw, c_out))
-    prod = np.empty((_ALPHA**2, tiles.blocks[0].stop * th * tw, c_out))
+    out = np.empty((x.shape[0], *out_sp, spec.out_channels))
     with np.errstate(invalid="ignore"):  # see the module docstring
         u = _transformed_kernels(weights).transpose(0, 2, 1)
-        for blk in tiles.blocks:
-            m = blk.stop - blk.start
-            mm = np.matmul(tiles.transform(q[blk]), u, out=prod[:, : m * th * tw])
-            y = (_WINO_AA @ mm.reshape(_ALPHA**2, -1)).reshape(_TILE, _TILE, m, th, tw, c_out)
-            out[blk].reshape(m, th, _TILE, tw, _TILE, c_out)[...] = y.transpose(2, 3, 0, 4, 1, 5)
-            out[blk] += bias
-        if out.shape[1:3] != out_sp:
-            out = np.ascontiguousarray(out[:, : out_sp[0], : out_sp[1]])
+        for blk, y in _winograd_conv(q, u, out_sp):
+            np.add(y, bias, out=out[blk])
     check_finite("conv forward", out)
     return out, (q, weights, spec, x.shape[1:3])
 
 
 def _winograd_backward(saved, output_grad, want_input_grad):
-    """Two passes over the blocks, so that dU and U are never held at once.
-    Both start from dM = A dY A^T of the zero-padded output gradient's
-    tiles. The weights' pass adds dU += V^T dM, with V recomputed from the
-    saved phases. The input gradient's pass takes dV = dM U^T, whose
-    adjoint transform gives the block's phase gradient, written straight
-    into the input gradient's positions."""
+    """The weight pass, then the input gradient as a forward convolution;
+    dU and U are never held at once."""
     q, weights, spec, in_sp = saved
-    out_sp = spec.out_extents(in_sp)
-    k, c_out = q.shape[-1], spec.out_channels
-    _check_output_grad(output_grad, (q.shape[0], *out_sp, c_out))
-    tiles = _Tiles(q, out_sp)
-    th, tw, block = tiles.th, tiles.tw, tiles.blocks[0].stop
-    g = output_grad
-    if g.shape[1:3] != (_TILE * th, _TILE * tw):
-        g = np.pad(g, [(0, 0), (0, _TILE * th - out_sp[0]), (0, _TILE * tw - out_sp[1]), (0, 0)])
-    g_tiles = np.empty((_TILE, _TILE, block, th, tw, c_out))
-    d_m_buf = np.empty((_ALPHA**2, block * th * tw, c_out))
-
-    def d_m(blk):
-        m = blk.stop - blk.start
-        g_blk = g_tiles[:, :, :m]
-        g_blk[...] = g[blk].reshape(m, th, _TILE, tw, _TILE, c_out).transpose(2, 4, 0, 1, 3, 5)
-        out = d_m_buf[:, : m * th * tw]
-        np.matmul(_WINO_AA.T, g_blk.reshape(_TILE**2, -1), out=out.reshape(_ALPHA**2, -1))
-        return out
-
-    gx = None
+    _check_output_grad(output_grad, (q.shape[0], *spec.out_extents(in_sp), spec.out_channels))
     with np.errstate(invalid="ignore"):  # see the module docstring
-        d_u = np.zeros((_ALPHA**2, k, c_out))
-        d_u_part = np.empty((_ALPHA, k, c_out))  # one row of dU at a time stays in cache
-        for blk in tiles.blocks:
-            d_m_blk, v = d_m(blk), tiles.transform(q[blk])
-            for lo in range(0, _ALPHA**2, _ALPHA):
-                row = slice(lo, lo + _ALPHA)
-                d_u[row] += np.matmul(v[row].transpose(0, 2, 1), d_m_blk[row], out=d_u_part)
-        d_weights = _phase_kernel_grad(d_u, weights.shape)
-        del d_u, d_u_part
-        if want_input_grad:
-            u_t = _transformed_kernels(weights)
-            gx = np.empty((q.shape[0], *in_sp, weights.shape[1]))
-            phases = [(a, b, qr, qc, xr, xc)
-                      for a, (qr, xr) in enumerate(_phase_slices(spec.padding[0], in_sp[0]))
-                      for b, (qc, xc) in enumerate(_phase_slices(spec.padding[1], in_sp[1]))]
-            for blk in tiles.blocks:
-                m = blk.stop - blk.start
-                d_q = tiles.adjoint(np.matmul(d_m(blk), u_t, out=tiles.v_buffer(m)))
-                d_q = d_q.reshape(m, *tiles.ext, 2, 2, -1)
-                for a, b, qr, qc, xr, xc in phases:
-                    gx[blk, xr, xc] = d_q[:, qr, qc, a, b]
-    d_bias = output_grad.reshape(-1, c_out).sum(axis=0)
-    return gx, d_weights, d_bias
+        d_weights = _winograd_weight_grad(q, output_grad, weights.shape)
+        gx = (_winograd_input_grad(output_grad, weights, spec.padding, in_sp)
+              if want_input_grad else None)
+    return gx, d_weights, output_grad.reshape(-1, spec.out_channels).sum(axis=0)
+
+
+def _winograd_weight_grad(q, output_grad, weights_shape) -> np.ndarray:
+    """dW = G^T dU G, dU the sum over blocks of V^T dM, with V recomputed
+    from the saved phases ``q`` and dM = A dY A^T of the zero-padded output
+    gradient's tiles."""
+    k, c_out = q.shape[-1], output_grad.shape[-1]
+    tiles = _Tiles(q.shape[0], k, output_grad.shape[1:3], k)
+    th, tw, block = tiles.th, tiles.tw, tiles.blocks[0].stop
+    g = _placed(output_grad, (_TILE * th, _TILE * tw), (0, 0))
+    g_tiles = np.empty((_TILE, _TILE, block, th, tw, c_out))
+    d_m = np.empty((_ALPHA**2, block * th * tw, c_out))
+    d_u = np.zeros((_ALPHA**2, k, c_out))
+    d_u_part = np.empty((_ALPHA, k, c_out))  # one row of dU at a time stays in cache
+    for blk in tiles.blocks:
+        m = blk.stop - blk.start
+        g_blk, d_m_blk = g_tiles[:, :, :m], d_m[:, : m * th * tw]
+        g_blk[...] = g[blk].reshape(m, th, _TILE, tw, _TILE, c_out).transpose(2, 4, 0, 1, 3, 5)
+        np.matmul(_WINO_AA.T, g_blk.reshape(_TILE**2, -1), out=d_m_blk.reshape(_ALPHA**2, -1))
+        v = tiles.transform(q[blk])
+        for lo in range(0, _ALPHA**2, _ALPHA):
+            row = slice(lo, lo + _ALPHA)
+            d_u[row] += np.matmul(v[row].transpose(0, 2, 1), d_m_blk[row], out=d_u_part)
+    return _phase_kernel_grad(d_u, weights_shape)
+
+
+def _winograd_input_grad(output_grad, weights, pads, in_sp) -> np.ndarray:
+    """The input gradient, by ``_winograd_conv`` of the output gradient dY.
+    Input row h is padded row h + P, which output rows i reach through taps
+    u = h + P - 2i of one parity a = (h + P) mod 2. With the kernel flipped,
+    u' = 6 - u = 2p + a, so row h is sum_p dY[ceil((h + P) / 2) - 3 + p]
+    w'[2p + a]: row ceil((h + P) / 2) - ceil(P / 2) of phase a of the 4x4
+    phase convolution of dY, padded by 3 - ceil(P / 2) before, with the
+    flipped kernel's U^T, whose C_out channels go in and (a, b, c) out."""
+    half = [-(-p // 2) for p in pads]
+    z_sp = tuple((e + p) // 2 - h + 1 for e, p, h in zip(in_sp, pads, half))
+    rows = [[(a, slice(zr.start + a - h, zr.stop + a - h), xr)
+             for a, (zr, xr) in enumerate(_phase_slices(p, e))]
+            for p, e, h in zip(pads, in_sp, half)]
+    u_t = _transformed_kernels(weights[:, :, ::-1, ::-1])
+    gx = np.empty((output_grad.shape[0], *in_sp, weights.shape[1]))
+    before = tuple(_PHASE_KERNEL - 1 - h for h in half)
+    for blk, z in _winograd_conv(output_grad, u_t, z_sp, before):
+        z = z.reshape(*z.shape[:3], 2, 2, -1)
+        for (a, zr, xr), (b, zc, xc) in itertools.product(*rows):
+            gx[blk, xr, xc] = z[:, zr, zc, a, b]
+    return gx
 
 
 def _conv_forward(x, weights, bias, spec, return_cols=False):
@@ -609,7 +602,7 @@ def _pool_windows(x, window: int, stride: int, pad: int):
     if hp < window or wp < window:
         raise ShapeError(f"pool window {window} larger than padded input {(hp, wp)}")
     out_sp = ((hp - window) // stride + 1, (wp - window) // stride + 1)
-    xp = _padded(x, (pad, pad))
+    xp = _placed(x, (hp, wp), (pad, pad))
     return xp, [_shifted(xp, o, (stride, stride), out_sp) for o in np.ndindex(window, window)]
 
 

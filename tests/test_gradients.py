@@ -150,9 +150,13 @@ class TestWinogradStemBackward:
         assert ops._winograd_route(spec)
         return spec
 
-    @pytest.mark.parametrize("shape,pad", [((2, 3, 9, 11), 3), ((1, 2, 10, 7), 1)])
+    @pytest.mark.parametrize("shape,pad", [((2, 3, 9, 11), 3), ((1, 2, 10, 7), 1),
+                                           ((2, 2, 9, 8), 6), ((1, 2, 8, 9), 7),
+                                           ((1, 3, 8, 8), 8)])
     def test_finite_differences(self, rng, shape, pad):
-        """Odd extents and another pad; TestConv2dBackward has the 8x8 stem."""
+        """Odd extents and other pads, up to those where the input
+        gradient's convolution crops the output gradient (3 - ceil(pad / 2)
+        < 0); TestConv2dBackward has the 8x8 stem."""
         x = rng.standard_normal(shape)
         spec = self.stem(shape, pad)
         w = rng.standard_normal(spec.weight_shape())

@@ -167,6 +167,24 @@ class TestConv2d:
         np.testing.assert_allclose(got, per_sample(conv2d_loop, x, w, b, (2, 2), (3, 3)),
                                    atol=1e-12, rtol=0)
 
+    def test_backward_holds_one_input_sized_array(self, rng):
+        """A 3x3 64 -> 16 backward on [16, 16, 16, 64] holds its input
+        gradient and less than another array of its size at any time: the
+        input gradient is the forward loop over the padded output gradient,
+        with no scatter-add into an input-sized buffer."""
+        spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 64, 16)
+        x = rng.standard_normal((16, 16, 16, 64))
+        out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()), np.zeros(16),
+                                      spec)
+        g = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            gx = ops.conv_backward(saved, g)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.shape and peak < 2 * gx.nbytes
+
 
 def stem_conv(x, w, b, pad=3):
     """The 7x7 stride-2 convolution of NCHW ``x``, asserting that it took
@@ -183,10 +201,13 @@ class TestWinogradStem:
     convolved by Winograd F(4x4, 4x4)."""
 
     @pytest.mark.parametrize("h,w_,pad", [(8, 8, 3), (16, 16, 3), (32, 32, 3), (9, 13, 3),
-                                          (11, 7, 0), (12, 9, 5)])
+                                          (11, 7, 0), (12, 9, 5), (10, 9, 6), (9, 11, 7),
+                                          (8, 8, 8)])
     def test_matches_loop_oracle(self, rng, h, w_, pad):
         """Output extents 4, 8, 16 and odd ones, so tiles overhang and are
-        cropped; C_in != C_out. TestConv2d has input 10."""
+        cropped; C_in != C_out; pads past 5, where the input gradient's
+        convolution reads the output gradient from its first row or crops
+        it. TestConv2d has input 10."""
         n = 1 if h == 32 else 2
         x = rng.standard_normal((n, 3, h, w_))
         w = rng.standard_normal((4, 3, 7, 7))
@@ -242,6 +263,23 @@ class TestWinogradStem:
         want_gx = want_gx[:, 3:-3, 3:-3]
         for got, ref in ((out, want), (gx, want_gx), (gw, want_gw)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_backward_peak_memory(self, rng):
+        """At the stem's [16, 32, 32, 64] -> 64 the backward holds at most
+        21.2 MiB at any time (about 19 MiB measured): the 8 MiB input
+        gradient, the 6.1 MiB transformed kernel and one block's buffers."""
+        spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 64, 64)
+        x = rng.standard_normal((16, 32, 32, 64))
+        out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()) * 0.02,
+                                      np.zeros(64), spec)
+        g = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            ops.conv_backward(saved, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21.2 * 2**20
 
 
 class TestConv3d:

@@ -253,6 +253,24 @@ class TestEvaluate:
         assert len(report.residuals) == 10
         assert all("mae" in v and "life" in v for v in report.per_battery.values())
 
+    @pytest.mark.parametrize("noi", [0, 1, 2])
+    def test_predictions_do_not_depend_on_chunk_size(self, monkeypatch, noi):
+        """Chunks of 64, 16 and 8 samples give the same predictions bit for
+        bit at G=32 (chunks of 4 or fewer do not: their matmuls round
+        differently)."""
+        rng = np.random.default_rng(noi)
+        n = 21
+        samples = SampleSet(raw=rng.standard_normal((n, 3, 4, 32, 32)),
+                            diff=rng.standard_normal((n, 3, 3, 32, 32)),
+                            labels=rng.uniform(200, 900, n), battery_ids=["b0"] * n,
+                            anchor_cycles=np.full(n, 10))
+        params = build_model(FpnnConfig(noi=noi, grid_side=32, seed=3))
+        got = []
+        for chunk in (64, 16, 8):
+            monkeypatch.setattr(T, "EVAL_CHUNK", chunk)
+            got.append(T.evaluate(params, samples).residuals.tobytes())
+        assert got[0] == got[1] == got[2]
+
     def test_equal_magnitude_errors_give_a_report(self, monkeypatch):
         # 18 errors of one magnitude: rounding puts the RMSE an ulp below the MAE
         n, error = 18, 980.8355304228423
