@@ -42,16 +42,19 @@ loop. The zero-padded input is split into its four stride-2 phases,
 stacked on the channel axis (K = 4 * C_in), which makes the convolution
 one stride-1 convolution with a 4x4 kernel whose taps past the 7x7 are
 zero. That runs as Winograd minimal filtering F(4x4, 4x4), alpha = 7, at
-the points 0, +-1, +-2, 1/2 and infinity: per block of samples, the 7x7
+the points 0, +-1, +-2, 1/2 and infinity: per block of samples, the
+block's phases are written into one buffer at the tile extent, its 7x7
 input tiles are transformed (V = BT d B, one matmul per axis over strided
 views), multiplied by the transformed kernel (U = G W' G^T) in one batched
 [49, tiles, K] @ [49, K, C_out] matmul, and transformed back (A^T M A).
 That is a quarter of the offset loop's multiplies. Tiles cover any output
-extent; what they compute past it is cropped. The weight gradient adds dU
-+= V^T dM over the blocks, V recomputed from the saved phases; the input
-gradient is this stride-1 convolution again, of the output gradient with
-the flipped kernel's phases. ``saved`` holds the phase-split padded input,
-which has the padded input's size, in place of the padded input.
+extent; what they compute past it is cropped. ``saved`` holds the input
+itself: no phase-split copy of the batch is built. The backward runs phase
+by phase, so it holds one phase's [49, C_in, C_out] kernel state at a
+time. The weight gradient of phase (a, b) is G^T dU G, with dU the sum
+over blocks of V^T dM and V of that phase of the saved input; the input
+gradient's phase (a, b) is a stride-1 4x4 convolution of the output
+gradient with U^T of that phase of the flipped kernel.
 
 The route differs from the loop by rounding only: at the stem's geometry,
 outputs and gradients lie within 1e-13 of their largest magnitude. Its
@@ -145,9 +148,10 @@ def channels_last(x: np.ndarray, n_folded: int = 0) -> np.ndarray:
 def _placed(g, ext, before, stride=None, buf=None) -> np.ndarray:
     """``g`` [N, *spatial, C] in a zeroed [N, *ext, C] array (``buf`` if
     given), its row i on each axis at ``before + stride * i``; rows that
-    land outside are dropped. ``g`` itself when it already is that array."""
+    land outside are dropped. ``g`` itself when it already is that array
+    and no ``buf`` is given."""
     stride = stride or (1,) * len(ext)
-    if g.shape[1:-1] == ext and not any(before) and all(s == 1 for s in stride):
+    if buf is None and g.shape[1:-1] == ext and not any(before) and all(s == 1 for s in stride):
         return g
     if buf is None:
         buf = np.zeros((g.shape[0], *ext, g.shape[-1]))
@@ -193,6 +197,16 @@ def _sample_blocks(n: int, rows_per_sample: int, width: int, itemsize: int) -> l
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
+def _as_rows(view, buf) -> np.ndarray:
+    """``view`` [m, *out_sp, C] as [rows, C], the GEMM operand of one window
+    offset: a reshape when it is C-contiguous (a 1x1 stride-1 window of an
+    unpadded input), else a copy into ``buf`` first."""
+    if not view.flags.c_contiguous:
+        np.copyto(buf, view)
+        view = buf
+    return view.reshape(-1, view.shape[-1])
+
+
 def conv_forward(x, weights, bias, spec: ConvSpec):
     """``(out, saved)``: ``out`` [N, *out_spatial, C_out], the sum over
     kernel offsets of shifted ``x`` @ W[offset], plus the bias.
@@ -200,9 +214,8 @@ def conv_forward(x, weights, bias, spec: ConvSpec):
     ``x`` is [N, *spatial, C]. When it has fewer spatial axes than the
     kernel, the leading kernel axes are folded into its channels, C = C_in *
     prod(folded kernel). ``saved``, what ``conv_backward`` reads, is the
-    padded input (``x`` itself when nothing is padded), weights and spec; on
-    the Winograd route, the phase-split padded input, weights, spec and the
-    input's spatial extents.
+    padded input (``x`` itself when nothing is padded; on the Winograd
+    route, ``x`` itself always), weights and spec.
     """
     nf = spec.ndim - (x.ndim - 2)
     if not 0 <= nf <= spec.ndim or any(spec.padding[:nf]):
@@ -233,7 +246,7 @@ def _offset_loop(xs, wk, stride, out_sp, bias=None) -> np.ndarray:
     blocks = _sample_blocks(n, rows, c_out, xs.itemsize)
     # One shift buffer and one product buffer serve every offset: fresh
     # multi-MiB temporaries per offset page-fault, which in a fresh process
-    # doubled the 7x7 stem's forward time.
+    # doubled the 7x7 stem's forward time. A contiguous window is not copied.
     shift_buf = np.empty((blocks[0].stop, *out_sp, c))
     prod_buf = np.empty((blocks[0].stop * rows, c_out))
     out = np.zeros((n, *out_sp, c_out))
@@ -241,8 +254,8 @@ def _offset_loop(xs, wk, stride, out_sp, bias=None) -> np.ndarray:
         m = blk.stop - blk.start
         x_shift, prod, out_blk = shift_buf[:m], prod_buf[: m * rows], out[blk].reshape(-1, c_out)
         for offset in np.ndindex(*wk.shape[:-2]):
-            np.copyto(x_shift, _shifted(xs[blk], offset, stride, out_sp))
-            out_blk += np.matmul(x_shift.reshape(-1, c), wk[offset], out=prod)
+            x_rows = _as_rows(_shifted(xs[blk], offset, stride, out_sp), x_shift)
+            out_blk += np.matmul(x_rows, wk[offset], out=prod)
         if bias is not None:
             out_blk += bias  # last, as a whole-output add would, but while the block is in cache
     return out
@@ -275,9 +288,9 @@ def conv_backward(saved, output_grad, want_input_grad=True):
     for blk in blocks:
         x_shift, g_blk = shift_buf[: blk.stop - blk.start], gmat[blk].reshape(-1, c_out)
         for offset in np.ndindex(*kernel):
-            np.copyto(x_shift, _shifted(xs[blk], offset, stride, out_sp))
-            d_wk[offset] += np.matmul(x_shift.reshape(-1, c).T, g_blk, out=dw)
-    del shift_buf, x_shift
+            x_rows = _as_rows(_shifted(xs[blk], offset, stride, out_sp), x_shift)
+            d_wk[offset] += np.matmul(x_rows.T, g_blk, out=dw)
+    del shift_buf, x_shift, x_rows
     d_weights = np.ascontiguousarray(np.moveaxis(d_wk, (-1, -2), (0, 1))).reshape(weights.shape)
     d_bias = gmat.reshape(-1, c_out).sum(axis=0)
     gx = None
@@ -351,42 +364,46 @@ def _phase_slices(pad: int, extent: int):
     return out
 
 
-def _phase_split(x, pads, out_sp) -> np.ndarray:
-    """[N, H, W, C] -> [N, OH + 3, OW + 3, 4 * C]: the zero-padded input's
-    four stride-2 phases, stacked on the channel axis as (a, b, c) for padded
-    position (2r + a, 2s + b). OH + 3 = ceil((H + 2 * pad) / 2), so this has
-    the padded input's size."""
-    n, h, w, c = x.shape
-    q = np.zeros((n, out_sp[0] + _PHASE_KERNEL - 1, out_sp[1] + _PHASE_KERNEL - 1, 2, 2, c))
-    for a, (qr, xr) in enumerate(_phase_slices(pads[0], h)):
-        for b, (qc, xc) in enumerate(_phase_slices(pads[1], w)):
-            q[:, qr, qc, a, b] = x[:, xr, xc]
-    return q.reshape(*q.shape[:3], 4 * c)
+# The four stride-2 phases (a, b), in the order they stack on the channel axis.
+_PHASES = tuple(np.ndindex(2, 2))
 
 
-def _transformed_kernels(weights) -> np.ndarray:
-    """U^T, [49, C_out, 4 * C_in], of U = G W' G^T for the phase kernel
-    W'[p, q, (a, b, c), o] = w[o, c, 2p + a, 2q + b], zero past tap 6. The
-    forward convolves with U; U^T of the flipped w is the input gradient's."""
+def _phase_split(x, pads, buf, phases=_PHASES) -> None:
+    """``buf`` [N, rows, cols, len(phases) * C], zeroed, then holding the
+    listed stride-2 phases (a, b) of the zero-padded ``x`` [N, H, W, C],
+    stacked on the channel axis: padded position (2r + a, 2s + b) at (r, s).
+    Rows past ceil((H + 2 * pad) / 2) (and so for columns) stay zero."""
+    buf[...] = 0.0
+    q = buf.reshape(*buf.shape[:3], len(phases), -1)
+    for i, (a, b) in enumerate(phases):
+        (qr, xr), (qc, xc) = (_phase_slices(pads[0], x.shape[1])[a],
+                              _phase_slices(pads[1], x.shape[2])[b])
+        q[:, qr, qc, i] = x[:, xr, xc]
+
+
+def _transformed_kernels(weights, phases=_PHASES) -> np.ndarray:
+    """U^T, [49, C_out, len(phases) * C_in], of U = G W' G^T for the phase
+    kernel W'[p, q, (a, b, c), o] = w[o, c, 2p + a, 2q + b] over the listed
+    phases (a, b), zero past tap 6. The forward convolves with U of all four
+    phases; U^T of one phase of the flipped w gives that phase of the input
+    gradient."""
     c_out, c_in = weights.shape[:2]
-    wp = np.zeros((_PHASE_KERNEL, _PHASE_KERNEL, c_out, 2, 2, c_in))
-    for a, b in np.ndindex(2, 2):
+    wp = np.zeros((_PHASE_KERNEL, _PHASE_KERNEL, c_out, len(phases), c_in), weights.dtype)
+    for i, (a, b) in enumerate(phases):
         taps = weights[:, :, a::2, b::2].transpose(2, 3, 0, 1)
-        wp[: taps.shape[0], : taps.shape[1], :, a, b] = taps
-    return (_WINO_GG @ wp.reshape(_PHASE_KERNEL**2, -1)).reshape(_ALPHA**2, c_out, 4 * c_in)
+        wp[: taps.shape[0], : taps.shape[1], :, i] = taps
+    return (_WINO_GG @ wp.reshape(_PHASE_KERNEL**2, -1)).reshape(_ALPHA**2, c_out, -1)
 
 
-def _phase_kernel_grad(d_u, weights_shape) -> np.ndarray:
-    """The weight gradient from dU [49, K, C_out]: dW' = G^T dU G, read back
-    at the 7x7 taps."""
-    c_out, c_in = weights_shape[:2]
+def _phase_kernel_grad(d_u, d_weights, phase) -> None:
+    """Fills the taps of ``d_weights`` [C_out, C_in, 7, 7] that ``phase``
+    (a, b) holds from its dU [49, C_in, C_out]: dW' = G^T dU G, read back at
+    the 7x7 taps."""
+    (a, b), (c_out, c_in) = phase, d_weights.shape[:2]
     d_wp = (_WINO_GG.T @ d_u.reshape(_ALPHA**2, -1)).reshape(
-        _PHASE_KERNEL, _PHASE_KERNEL, 2, 2, c_in, c_out)
-    d_weights = np.empty(weights_shape)
-    for a, b in np.ndindex(2, 2):
-        taps = d_weights[:, :, a::2, b::2]
-        taps[...] = d_wp[: taps.shape[2], : taps.shape[3], a, b].transpose(3, 2, 0, 1)
-    return d_weights
+        _PHASE_KERNEL, _PHASE_KERNEL, c_in, c_out)
+    taps = d_weights[:, :, a::2, b::2]
+    taps[...] = d_wp[: taps.shape[2], : taps.shape[3]].transpose(3, 2, 0, 1)
 
 
 def _windows(x, axis: int, count: int) -> np.ndarray:
@@ -397,63 +414,65 @@ def _windows(x, axis: int, count: int) -> np.ndarray:
     return np.moveaxis(view, -1, axis + 1)
 
 
-# Bytes of one block's transformed tiles [49, tiles, width], width the
-# wider channel side of the convolution: its V and M buffers stay within
-# this, and the rest of its buffers within about as much again, per stream.
+# Bytes of one block's transformed tiles [49, tiles, width] (see _Tiles): its
+# V and M buffers stay within this, and the rest of its buffers within about
+# as much again, per stream.
 _WINOGRAD_BLOCK_BYTES = 2 << 20
 
 
 class _Tiles:
-    """The route's 4x4 output tiles for blocks of samples, and the transform
-    V = BT d B of their 7x7 input tiles: tile (n, ti, tj) reads input rows
-    4ti .. 4ti + 6 (zeros past the input) for output rows 4ti .. 4ti + 3
-    (cropped past the output extent), and so for columns. The transform is
-    one [7, 7] @ [7, row] matmul per tile row and one [7, 7] @ [7, K] per
-    tile and row offset, over strided views. A block holds as many samples
-    as keep [49, tiles, width] within _WINOGRAD_BLOCK_BYTES."""
+    """The route's 4x4 output tiles for blocks of samples, a block's K-channel
+    input at the tile extent (``buf``), and the transform V = BT d B of its
+    7x7 input tiles: tile (n, ti, tj) reads input rows 4ti .. 4ti + 6 for
+    output rows 4ti .. 4ti + 3 (cropped past the output extent), and so for
+    columns. The transform is one [7, 7] @ [7, row] matmul per tile row and
+    one [7, 7] @ [7, K] per tile and row offset, over strided views. A block
+    holds as many samples as keep [49, tiles, width] within
+    _WINOGRAD_BLOCK_BYTES. ``width`` counts all four phases' channels also
+    in a pass that holds one phase, so that pass keeps the blocks of the
+    all-phase pass, in buffers a quarter of their size."""
 
-    def __init__(self, n, k, out_sp, width):
+    def __init__(self, n, k, out_sp, width, dtype):
         self.th, self.tw = (-(-e // _TILE) for e in out_sp)
         self.ext = (_TILE * self.th + _ALPHA - _TILE, _TILE * self.tw + _ALPHA - _TILE)
-        step = max(1, _WINOGRAD_BLOCK_BYTES // (_ALPHA**2 * self.th * self.tw * width * 8))
+        tile_bytes = _ALPHA**2 * self.th * self.tw * width * np.dtype(dtype).itemsize
+        step = max(1, _WINOGRAD_BLOCK_BYTES // tile_bytes)
         self.blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
         block = self.blocks[0].stop
-        self.rows = np.empty((block, self.th, _ALPHA, self.ext[1], k))  # BT d per tile row
-        self.v = np.empty((_ALPHA, _ALPHA, block, self.th, self.tw, k))
-        self.buf = None  # a block's input at the tile extent, made on first use
+        self.buf = np.empty((block, *self.ext, k), dtype)
+        self.rows = np.empty((block, self.th, _ALPHA, self.ext[1], k), dtype)  # BT d per tile row
+        self.v = np.empty((_ALPHA, _ALPHA, block, self.th, self.tw, k), dtype)
+        # The strided views transform() reads and writes, made once: built in
+        # every call, they cost about 9 ms of a one-sample-per-block backward.
+        self._buf_tiles = _windows(self.buf, 1, self.th).reshape(block, self.th, _ALPHA, -1)
+        self._rows_flat = self.rows.reshape(block, self.th, _ALPHA, -1)
+        self._row_tiles = _windows(self.rows, 3, self.tw)
+        self._v_tiles = self.v.transpose(2, 3, 0, 4, 1, 5)
 
-    def transform(self, qb, before=(0, 0)) -> np.ndarray:
-        """V of each 7x7 tile of the block's input ``qb`` [m, rows, cols,
-        K], whose row and column 0 sit at ``before`` in the tiled extent
-        (negative: cropped), as [49, tiles, K]."""
-        m, k = qb.shape[0], qb.shape[-1]
-        if qb.shape[1:3] != self.ext or any(before):
-            if self.buf is None:
-                self.buf = np.empty((self.blocks[0].stop, *self.ext, k))
-            qb = _placed(qb, self.ext, before, buf=self.buf[:m])
-        rows = self.rows[:m]
-        np.matmul(_WINO_BT, _windows(qb, 1, self.th).reshape(m, self.th, _ALPHA, -1),
-                  out=rows.reshape(m, self.th, _ALPHA, -1))
-        np.matmul(_WINO_BT, _windows(rows, 3, self.tw),
-                  out=self.v[:, :, :m].transpose(2, 3, 0, 4, 1, 5))
-        return self.v[:, :, :m].reshape(_ALPHA**2, -1, k)
+    def transform(self, m) -> np.ndarray:
+        """V of each 7x7 tile of ``buf[:m]``, as [49, tiles, K]."""
+        np.matmul(_WINO_BT, self._buf_tiles[:m], out=self._rows_flat[:m])
+        np.matmul(_WINO_BT, self._row_tiles[:m], out=self._v_tiles[:m])
+        return self.v[:, :, :m].reshape(_ALPHA**2, -1, self.buf.shape[-1])
 
 
-def _winograd_conv(d, u, out_sp, before=(0, 0)):
-    """Winograd F(4x4, 4x4) of ``d`` [N, rows, cols, K], placed at ``before``
-    as in ``_Tiles.transform``, with the transformed kernel ``u`` [49, K, C]:
-    per block of samples, V, one batched [49, tiles, K] @ [49, K, C] matmul
-    and A^T M A. Yields ``(blk, y)``, y the block's [m, *out_sp, C] stride-1
-    4x4 convolution, in a buffer the next block reuses."""
-    k, c = u.shape[1:]
-    tiles = _Tiles(d.shape[0], k, out_sp, max(k, c))
+def _winograd_conv(tiles, fill, u, out_sp):
+    """Winograd F(4x4, 4x4) with the transformed kernel ``u`` [49, K, C] over
+    ``tiles``' blocks: ``fill(blk, buf)`` writes the block's input at the
+    tile extent into ``buf`` (``tiles.buf[:m]``), then come V, one batched
+    [49, tiles, K] @ [49, K, C] matmul and A^T M A. Yields ``(blk, y)``, y
+    the block's [m, *out_sp, C] stride-1 4x4 convolution, in a buffer the
+    next block reuses."""
+    c, dtype = u.shape[-1], tiles.buf.dtype
     th, tw, block = tiles.th, tiles.tw, tiles.blocks[0].stop
-    prod = np.empty((_ALPHA**2, block * th * tw, c))
-    y_tiles = np.empty((_TILE**2, block * th * tw * c))
-    y = np.empty((block, _TILE * th, _TILE * tw, c))
+    prod = np.empty((_ALPHA**2, block * th * tw, c), dtype)
+    y_tiles = np.empty((_TILE**2, block * th * tw * c), dtype)
+    y = np.empty((block, _TILE * th, _TILE * tw, c), dtype)
     for blk in tiles.blocks:
         m = blk.stop - blk.start
-        mm = np.matmul(tiles.transform(d[blk], before), u, out=prod[:, : m * th * tw])
+        fill(blk, tiles.buf[:m])
+        v = tiles.transform(m)
+        mm = np.matmul(v, u, out=prod[:, : m * th * tw])
         yt = np.matmul(_WINO_AA, mm.reshape(_ALPHA**2, -1), out=y_tiles[:, : m * th * tw * c])
         y[:m].reshape(m, th, _TILE, tw, _TILE, c)[...] = (
             yt.reshape(_TILE, _TILE, m, th, tw, c).transpose(2, 3, 0, 4, 1, 5))
@@ -462,74 +481,86 @@ def _winograd_conv(d, u, out_sp, before=(0, 0)):
 
 def _winograd_forward(x, weights, bias, spec, out_sp):
     """The 7x7 stride-2 convolution as one stride-1 4x4 convolution over the
-    stacked phases: ``_winograd_conv`` of the phase-split input with U of
-    the weights, plus the bias."""
-    q = _phase_split(x, spec.padding, out_sp)
-    out = np.empty((x.shape[0], *out_sp, spec.out_channels))
+    stacked phases: ``_winograd_conv`` of the phases, which each block
+    writes into its tile buffer, with U of the weights, plus the bias.
+    Saves ``x`` itself."""
+    n, c = x.shape[0], x.shape[-1]
+    out = np.empty((n, *out_sp, spec.out_channels), x.dtype)
+    tiles = _Tiles(n, 4 * c, out_sp, max(4 * c, spec.out_channels), x.dtype)
     with np.errstate(invalid="ignore"):  # see the module docstring
         u = _transformed_kernels(weights).transpose(0, 2, 1)
-        for blk, y in _winograd_conv(q, u, out_sp):
+        fill = lambda blk, buf: _phase_split(x[blk], spec.padding, buf)
+        for blk, y in _winograd_conv(tiles, fill, u, out_sp):
             np.add(y, bias, out=out[blk])
     check_finite("conv forward", out)
-    return out, (q, weights, spec, x.shape[1:3])
+    return out, (x, weights, spec)
 
 
 def _winograd_backward(saved, output_grad, want_input_grad):
     """The weight pass, then the input gradient as a forward convolution;
-    dU and U are never held at once."""
-    q, weights, spec, in_sp = saved
-    _check_output_grad(output_grad, (q.shape[0], *spec.out_extents(in_sp), spec.out_channels))
+    each holds one phase's dU or U^T at a time."""
+    x, weights, spec = saved
+    _check_output_grad(output_grad, (x.shape[0], *spec.out_extents(x.shape[1:3]),
+                                     spec.out_channels))
     with np.errstate(invalid="ignore"):  # see the module docstring
-        d_weights = _winograd_weight_grad(q, output_grad, weights.shape)
-        gx = (_winograd_input_grad(output_grad, weights, spec.padding, in_sp)
+        d_weights = _winograd_weight_grad(x, output_grad, spec.padding, weights.shape)
+        gx = (_winograd_input_grad(output_grad, weights, spec.padding, x.shape[1:3])
               if want_input_grad else None)
     return gx, d_weights, output_grad.reshape(-1, spec.out_channels).sum(axis=0)
 
 
-def _winograd_weight_grad(q, output_grad, weights_shape) -> np.ndarray:
-    """dW = G^T dU G, dU the sum over blocks of V^T dM, with V recomputed
-    from the saved phases ``q`` and dM = A dY A^T of the zero-padded output
-    gradient's tiles."""
-    k, c_out = q.shape[-1], output_grad.shape[-1]
-    tiles = _Tiles(q.shape[0], k, output_grad.shape[1:3], k)
+def _winograd_weight_grad(x, output_grad, pads, weights_shape) -> np.ndarray:
+    """dW = G^T dU G, phase by phase: a phase's dU is the sum over blocks of
+    V^T dM, with V of that phase of the saved input ``x`` and dM = A dY A^T
+    of the zero-padded output gradient's tiles. Each phase computes dM
+    again, which costs less than holding all four phases' dU."""
+    (c_out, c_in), dtype = weights_shape[:2], x.dtype
+    tiles = _Tiles(x.shape[0], c_in, output_grad.shape[1:3], 4 * c_in, dtype)
     th, tw, block = tiles.th, tiles.tw, tiles.blocks[0].stop
     g = _placed(output_grad, (_TILE * th, _TILE * tw), (0, 0))
-    g_tiles = np.empty((_TILE, _TILE, block, th, tw, c_out))
-    d_m = np.empty((_ALPHA**2, block * th * tw, c_out))
-    d_u = np.zeros((_ALPHA**2, k, c_out))
-    d_u_part = np.empty((_ALPHA, k, c_out))  # one row of dU at a time stays in cache
-    for blk in tiles.blocks:
-        m = blk.stop - blk.start
-        g_blk, d_m_blk = g_tiles[:, :, :m], d_m[:, : m * th * tw]
-        g_blk[...] = g[blk].reshape(m, th, _TILE, tw, _TILE, c_out).transpose(2, 4, 0, 1, 3, 5)
-        np.matmul(_WINO_AA.T, g_blk.reshape(_TILE**2, -1), out=d_m_blk.reshape(_ALPHA**2, -1))
-        v = tiles.transform(q[blk])
-        for lo in range(0, _ALPHA**2, _ALPHA):
-            row = slice(lo, lo + _ALPHA)
-            d_u[row] += np.matmul(v[row].transpose(0, 2, 1), d_m_blk[row], out=d_u_part)
-    return _phase_kernel_grad(d_u, weights_shape)
+    g_tiles = np.empty((_TILE, _TILE, block, th, tw, c_out), dtype)
+    d_m = np.empty((_ALPHA**2, block * th * tw, c_out), dtype)
+    d_u = np.empty((_ALPHA**2, c_in, c_out), dtype)
+    d_u_part = np.empty((_ALPHA, c_in, c_out), dtype)  # one row of dU at a time stays in cache
+    d_weights = np.empty(weights_shape, dtype)
+    for phase in _PHASES:
+        d_u[...] = 0.0
+        for blk in tiles.blocks:
+            m = blk.stop - blk.start
+            g_blk, d_m_blk = g_tiles[:, :, :m], d_m[:, : m * th * tw]
+            g_blk[...] = g[blk].reshape(m, th, _TILE, tw, _TILE, c_out).transpose(2, 4, 0, 1, 3, 5)
+            np.matmul(_WINO_AA.T, g_blk.reshape(_TILE**2, -1), out=d_m_blk.reshape(_ALPHA**2, -1))
+            _phase_split(x[blk], pads, tiles.buf[:m], (phase,))
+            v = tiles.transform(m)
+            for lo in range(0, _ALPHA**2, _ALPHA):
+                row = slice(lo, lo + _ALPHA)
+                d_u[row] += np.matmul(v[row].transpose(0, 2, 1), d_m_blk[row], out=d_u_part)
+        _phase_kernel_grad(d_u, d_weights, phase)
+    return d_weights
 
 
 def _winograd_input_grad(output_grad, weights, pads, in_sp) -> np.ndarray:
-    """The input gradient, by ``_winograd_conv`` of the output gradient dY.
-    Input row h is padded row h + P, which output rows i reach through taps
-    u = h + P - 2i of one parity a = (h + P) mod 2. With the kernel flipped,
-    u' = 6 - u = 2p + a, so row h is sum_p dY[ceil((h + P) / 2) - 3 + p]
-    w'[2p + a]: row ceil((h + P) / 2) - ceil(P / 2) of phase a of the 4x4
-    phase convolution of dY, padded by 3 - ceil(P / 2) before, with the
-    flipped kernel's U^T, whose C_out channels go in and (a, b, c) out."""
+    """The input gradient, phase by phase, by ``_winograd_conv`` of the
+    output gradient dY. Input row h is padded row h + P, which output rows i
+    reach through taps u = h + P - 2i of one parity a = (h + P) mod 2. With
+    the kernel flipped, u' = 6 - u = 2p + a, so row h is sum_p dY[ceil((h +
+    P) / 2) - 3 + p] w'[2p + a]: row ceil((h + P) / 2) - ceil(P / 2) of the
+    4x4 convolution of dY, padded by 3 - ceil(P / 2) before, with U^T of
+    phase a of the flipped kernel, whose C_out channels go in and C_in out."""
     half = [-(-p // 2) for p in pads]
     z_sp = tuple((e + p) // 2 - h + 1 for e, p, h in zip(in_sp, pads, half))
     rows = [[(a, slice(zr.start + a - h, zr.stop + a - h), xr)
              for a, (zr, xr) in enumerate(_phase_slices(p, e))]
             for p, e, h in zip(pads, in_sp, half)]
-    u_t = _transformed_kernels(weights[:, :, ::-1, ::-1])
-    gx = np.empty((output_grad.shape[0], *in_sp, weights.shape[1]))
+    (c_out, c_in), dtype = weights.shape[:2], output_grad.dtype
+    gx = np.empty((output_grad.shape[0], *in_sp, c_in), dtype)
+    tiles = _Tiles(output_grad.shape[0], c_out, z_sp, max(c_out, 4 * c_in), dtype)
     before = tuple(_PHASE_KERNEL - 1 - h for h in half)
-    for blk, z in _winograd_conv(output_grad, u_t, z_sp, before):
-        z = z.reshape(*z.shape[:3], 2, 2, -1)
-        for (a, zr, xr), (b, zc, xc) in itertools.product(*rows):
-            gx[blk, xr, xc] = z[:, zr, zc, a, b]
+    fill = lambda blk, buf: _placed(output_grad[blk], tiles.ext, before, buf=buf)
+    for (a, zr, xr), (b, zc, xc) in itertools.product(*rows):
+        u_t = _transformed_kernels(weights[:, :, ::-1, ::-1], ((a, b),))
+        for blk, z in _winograd_conv(tiles, fill, u_t, z_sp):
+            gx[blk, xr, xc] = z[:, zr, zc]
     return gx
 
 

@@ -167,18 +167,20 @@ class TestWinogradStemBackward:
         gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()), w, gw, rtol=1e-4)
         gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()), b, gb, rtol=1e-4)
 
-    def test_saved_operand_is_the_phase_split_input(self, rng):
-        """Four stride-2 phases of the padded input on the channel axis,
-        the padded input's size."""
-        x = nhwc(rng.standard_normal((2, 5, 16, 16)))
-        spec = self.stem((2, 5, 16, 16), c_out=4)
+    @pytest.mark.parametrize("shape,pad", [((2, 5, 16, 16), 3), ((3, 2, 9, 13), 0),
+                                           ((1, 3, 8, 9), 7)])
+    def test_saved_operand_is_the_input_unchanged(self, rng, shape, pad):
+        """The forward saves the caller's ``x`` itself, not a padded or
+        phase-split copy, and neither the forward nor the backward writes
+        into it."""
+        x = nhwc(rng.standard_normal(shape))
+        x_before = x.copy()
+        spec = self.stem(shape, pad, c_out=4)
         w = rng.standard_normal(spec.weight_shape())
-        _, (q, *_) = ops.conv_forward(x, w, np.zeros(4), spec)
-        assert q.shape == (2, 11, 11, 20) and q.nbytes == 2 * 22 * 22 * 5 * 8
-        xp = np.pad(x, [(0, 0), (3, 3), (3, 3), (0, 0)])
-        for a, b in np.ndindex(2, 2):
-            phase = q[..., (2 * a + b) * 5 : (2 * a + b + 1) * 5]
-            assert np.array_equal(phase, xp[:, a::2, b::2])
+        out, saved = ops.conv_forward(x, w, np.zeros(4), spec)
+        assert saved[0] is x
+        ops.conv_backward(saved, rng.standard_normal(out.shape))
+        assert x.tobytes() == x_before.tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 64, 32, 32), (7, 16, 32, 32), (3, 2, 9, 13)])
     def test_skipped_input_grad_and_repeat_calls_bitwise(self, rng, shape):

@@ -188,11 +188,12 @@ class TestConv2d:
 
 def stem_conv(x, w, b, pad=3):
     """The 7x7 stride-2 convolution of NCHW ``x``, asserting that it took
-    the Winograd route: its saved operand is the phase-split input."""
+    the Winograd route, which saves its input itself, unpadded."""
     spec = ops.ConvSpec((7, 7), (2, 2), (pad, pad), w.shape[1], w.shape[0])
     assert ops._winograd_route(spec)
-    out, saved = ops.conv_forward(nhwc(x), w, b, spec)
-    assert saved[0].shape[-1] == 4 * w.shape[1]
+    x = nhwc(x)
+    out, saved = ops.conv_forward(x, w, b, spec)
+    assert saved[0] is x
     return nchw(out)
 
 
@@ -264,22 +265,47 @@ class TestWinogradStem:
         for got, ref in ((out, want), (gx, want_gx), (gw, want_gw)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_forward_peak_memory(self, rng):
+        """At the stem's [16, 32, 32, 64] -> 64 the forward holds at most
+        14.5 MiB at any time (13.4 MiB measured): the 4 MiB output, the
+        6.1 MiB transformed kernel and one block's buffers. A phase-split
+        copy of the whole padded batch (11.3 MiB) does not fit beside them."""
+        spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 64, 64)
+        x = rng.standard_normal((16, 32, 32, 64))
+        w = rng.standard_normal(spec.weight_shape()) * 0.02
+        assert self.traced_peak(lambda: ops.conv_forward(x, w, np.zeros(64), spec)) <= 14.5 * 2**20
+
     def test_backward_peak_memory(self, rng):
         """At the stem's [16, 32, 32, 64] -> 64 the backward holds at most
-        21.2 MiB at any time (about 19 MiB measured): the 8 MiB input
-        gradient, the 6.1 MiB transformed kernel and one block's buffers."""
+        15 MiB at any time (14.1 MiB measured): the 8 MiB input gradient,
+        the 1.5 MiB weight gradient, one phase's 1.5 MiB transformed kernel
+        and one block's buffers. All four phases' U^T or dU (6.1 MiB) do not
+        fit beside them."""
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 64, 64)
         x = rng.standard_normal((16, 32, 32, 64))
         out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()) * 0.02,
                                       np.zeros(64), spec)
         g = rng.standard_normal(out.shape)
-        tracemalloc.start()
-        try:
-            ops.conv_backward(saved, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 21.2 * 2**20
+        assert self.traced_peak(lambda: ops.conv_backward(saved, g)) <= 15 * 2**20
+
+    def test_float32_input_keeps_its_dtype(self, rng):
+        """The route's buffers take the input's dtype: a float32 forward
+        and backward return float32 arrays."""
+        spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 4, 5)
+        x = rng.standard_normal((3, 16, 16, 4)).astype(np.float32)
+        w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+        out, saved = ops.conv_forward(x, w, np.zeros(5, np.float32), spec)
+        grads = ops.conv_backward(saved, rng.standard_normal(out.shape).astype(np.float32))
+        assert [a.dtype for a in (out, *grads)] == [np.float32] * 4
 
 
 class TestConv3d:
