@@ -4,7 +4,9 @@ Activations are channels-last, ``[N, *spatial, C]``, the layout the
 convolution's matmuls read; weights are ``[C_out, C_in, *kernel]``. Every
 operation is a pure function of its arguments (batch normalization returns
 a new state) and writes into no array it was given, since a forward may
-save its caller's array for its backward pass. All arithmetic is float64.
+save its caller's array for its backward pass. Convolutions compute in
+their input's dtype (the network's is float64), and every convolution's
+``saved`` holds its input itself.
 
 Every layer's forward returns ``(out, saved)`` (batch normalization
 ``(out, new_state, saved)``), and its backward, ``backward(saved,
@@ -26,8 +28,10 @@ the spatial axes (or zero-inserts between rows), or returns its input when
 nothing is padded, and ``_shifted`` is the view that one window offset
 reads. A convolution adds ``shifted input @ W[offset]`` over the kernel
 offsets (cross-correlation, one BLAS matmul each), so no window matrix is
-ever built; its weight gradient runs the same loop over the saved padded
-input. Kernel axes the input lacks are folded into its channels
+ever built. ``_block_windows`` walks the samples in blocks, pads each block
+as it reads it, and yields each offset's GEMM operand; the forward, the
+weight gradient and the input gradient all read it, so no padded copy of
+the batch is built. Kernel axes the input lacks are folded into its channels
 (``channels_last``): the 3D front end's kernel spans all frames, so it runs
 as a 3x3 convolution over 3 * D channels.
 
@@ -146,17 +150,16 @@ def channels_last(x: np.ndarray, n_folded: int = 0) -> np.ndarray:
 
 
 def _placed(g, ext, before, stride=None, buf=None) -> np.ndarray:
-    """``g`` [N, *spatial, C] in a zeroed [N, *ext, C] array (``buf`` if
-    given), its row i on each axis at ``before + stride * i``; rows that
-    land outside are dropped. ``g`` itself when it already is that array
-    and no ``buf`` is given."""
+    """``g`` [N, *spatial, C] in a zeroed [N, *ext, C] array, its row i on
+    each axis at ``before + stride * i``; rows that land outside are
+    dropped. ``g`` itself when it already is that array and no ``buf`` is
+    given. A given ``buf`` must be zero where ``g`` does not land, as one
+    zeroed once and refilled only by ``_placed`` of same-shaped arrays is."""
     stride = stride or (1,) * len(ext)
     if buf is None and g.shape[1:-1] == ext and not any(before) and all(s == 1 for s in stride):
         return g
     if buf is None:
-        buf = np.zeros((g.shape[0], *ext, g.shape[-1]))
-    else:
-        buf[...] = 0.0
+        buf = np.zeros((g.shape[0], *ext, g.shape[-1]), g.dtype)
     src, dst = [slice(None)], [slice(None)]
     for n, e, b, s in zip(g.shape[1:-1], ext, before, stride):
         lo, hi = -(-max(0, -b) // s), min(n, (e - 1 - b) // s + 1)
@@ -179,11 +182,11 @@ def _shifted(xs: np.ndarray, offset, stride, out_sp) -> np.ndarray:
     return xs[(slice(None),) + window]
 
 
-def _kernel_matrices(weights: np.ndarray, nf: int) -> np.ndarray:
-    """[C_out, C_in, *kernel] -> [*unfolded kernel, C_in * prod(folded), C_out]:
-    one [C_in, C_out] matrix per kernel offset."""
+def _kernel_matrices(weights: np.ndarray, nf: int, dtype) -> np.ndarray:
+    """[C_out, C_in, *kernel] -> [*unfolded kernel, C_in * prod(folded), C_out]
+    in ``dtype``: one [C_in, C_out] matrix per kernel offset."""
     w = weights.reshape(weights.shape[0], -1, *weights.shape[2 + nf:])
-    return np.ascontiguousarray(np.moveaxis(w, (0, 1), (-1, -2)))
+    return np.ascontiguousarray(np.moveaxis(w, (0, 1), (-1, -2)), dtype)
 
 
 # Samples per block of the offset loop: the block's [rows, C_out] output (or
@@ -192,19 +195,35 @@ def _kernel_matrices(weights: np.ndarray, nf: int) -> np.ndarray:
 _BLOCK_BYTES = 256 * 1024
 
 
-def _sample_blocks(n: int, rows_per_sample: int, width: int, itemsize: int) -> list[slice]:
-    step = max(1, _BLOCK_BYTES // (itemsize * rows_per_sample * width))
+def _sample_blocks(n: int, sample_bytes: int, budget: int) -> list[slice]:
+    """Consecutive blocks of as many of ``n`` samples as keep ``sample_bytes``
+    per sample within ``budget`` bytes, and at least one."""
+    step = max(1, budget // sample_bytes)
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _as_rows(view, buf) -> np.ndarray:
-    """``view`` [m, *out_sp, C] as [rows, C], the GEMM operand of one window
-    offset: a reshape when it is C-contiguous (a 1x1 stride-1 window of an
-    unpadded input), else a copy into ``buf`` first."""
-    if not view.flags.c_contiguous:
-        np.copyto(buf, view)
-        view = buf
-    return view.reshape(-1, view.shape[-1])
+def _block_windows(x, blocks, kernel, stride, out_sp, before, insert=None):
+    """Yields ``(blk, offset, rows)`` for each block of ``blocks`` and each
+    kernel offset: ``rows`` [m * prod(out_sp), C] is the window that offset
+    reads of ``x[blk]`` [m, *spatial, C] zero-padded by ``before`` rows on
+    each axis, its rows ``insert`` apart (zeros between) if given. Each
+    block is padded once, into one buffer zeroed once for all blocks; an
+    unpadded block is read in place, and a C-contiguous window (1x1, stride
+    1) is reshaped, not copied. ``rows`` is valid until the next yield."""
+    insert = insert or (1,) * len(kernel)
+    ext = tuple(s * (e - 1) + k for s, e, k in zip(stride, out_sp, kernel))
+    m, c = blocks[0].stop, x.shape[-1]
+    placed = np.zeros((m, *ext, c), x.dtype) if any(before) or max(insert) > 1 else None
+    shift_buf = np.empty((m, *out_sp, c), x.dtype)
+    for blk in blocks:
+        m = blk.stop - blk.start
+        xb = x[blk] if placed is None else _placed(x[blk], ext, before, insert, placed[:m])
+        for offset in np.ndindex(*kernel):
+            view = _shifted(xb, offset, stride, out_sp)
+            if not view.flags.c_contiguous:
+                np.copyto(shift_buf[:m], view)
+                view = shift_buf[:m]
+            yield blk, offset, view.reshape(-1, c)
 
 
 def conv_forward(x, weights, bias, spec: ConvSpec):
@@ -213,9 +232,8 @@ def conv_forward(x, weights, bias, spec: ConvSpec):
 
     ``x`` is [N, *spatial, C]. When it has fewer spatial axes than the
     kernel, the leading kernel axes are folded into its channels, C = C_in *
-    prod(folded kernel). ``saved``, what ``conv_backward`` reads, is the
-    padded input (``x`` itself when nothing is padded; on the Winograd
-    route, ``x`` itself always), weights and spec.
+    prod(folded kernel). The output is in ``x``'s dtype. ``saved``, what
+    ``conv_backward`` reads, is ``(x, weights, spec)``, ``x`` itself.
     """
     nf = spec.ndim - (x.ndim - 2)
     if not 0 <= nf <= spec.ndim or any(spec.padding[:nf]):
@@ -231,80 +249,74 @@ def conv_forward(x, weights, bias, spec: ConvSpec):
     if _winograd_route(spec):
         if nf:
             raise ShapeError(f"a 7x7 stride-2 convolution takes [N, H, W, C], got {x.shape}")
-        return _winograd_forward(x, weights, bias, spec, out_sp)
-    pads = spec.padding[nf:]
-    xs = _placed(x, tuple(e + 2 * p for e, p in zip(x.shape[1:-1], pads)), pads)
-    out = _offset_loop(xs, _kernel_matrices(weights, nf), spec.stride[nf:], out_sp, bias)
-    check_finite("conv forward", out)
-    return out, (xs, weights, spec)
+        out = _winograd_forward(x, weights, bias, spec.padding, out_sp)
+    else:
+        out = _offset_loop(x, _kernel_matrices(weights, nf, x.dtype), spec.stride[nf:], out_sp,
+                           spec.padding[nf:], bias=bias)
+    return check_finite("conv forward", out), (x, weights, spec)
 
 
-def _offset_loop(xs, wk, stride, out_sp, bias=None) -> np.ndarray:
-    """[N, *out_sp, C_out]: the sum over kernel offsets of ``xs``'s shifted
-    view @ ``wk[offset]`` ([*kernel, C, C_out]), then the bias if given."""
-    n, c, c_out, rows = xs.shape[0], xs.shape[-1], wk.shape[-1], math.prod(out_sp)
-    blocks = _sample_blocks(n, rows, c_out, xs.itemsize)
-    # One shift buffer and one product buffer serve every offset: fresh
-    # multi-MiB temporaries per offset page-fault, which in a fresh process
-    # doubled the 7x7 stem's forward time. A contiguous window is not copied.
-    shift_buf = np.empty((blocks[0].stop, *out_sp, c))
-    prod_buf = np.empty((blocks[0].stop * rows, c_out))
-    out = np.zeros((n, *out_sp, c_out))
-    for blk in blocks:
-        m = blk.stop - blk.start
-        x_shift, prod, out_blk = shift_buf[:m], prod_buf[: m * rows], out[blk].reshape(-1, c_out)
-        for offset in np.ndindex(*wk.shape[:-2]):
-            x_rows = _as_rows(_shifted(xs[blk], offset, stride, out_sp), x_shift)
-            out_blk += np.matmul(x_rows, wk[offset], out=prod)
-        if bias is not None:
+def _offset_loop(x, wk, stride, out_sp, before, insert=None, bias=None) -> np.ndarray:
+    """[N, *out_sp, C_out] in ``x``'s dtype: the sum over kernel offsets of
+    the ``_block_windows`` rows of ``x`` (padded by ``before``, rows
+    ``insert`` apart) @ ``wk[offset]`` ([*kernel, C, C_out]), then the bias
+    if given."""
+    n, c_out, rows = x.shape[0], wk.shape[-1], math.prod(out_sp)
+    blocks = _sample_blocks(n, rows * c_out * x.itemsize, _BLOCK_BYTES)
+    # One product buffer serves every block and offset: a fresh temporary per
+    # offset page-faults.
+    prod_buf = np.empty((blocks[0].stop * rows, c_out), x.dtype)
+    out = np.zeros((n, *out_sp, c_out), x.dtype)
+    last = tuple(k - 1 for k in wk.shape[:-2])
+    for blk, offset, x_rows in _block_windows(x, blocks, wk.shape[:-2], stride, out_sp, before,
+                                              insert):
+        out_blk = out[blk].reshape(-1, c_out)
+        out_blk += np.matmul(x_rows, wk[offset], out=prod_buf[: len(x_rows)])
+        if bias is not None and offset == last:
             out_blk += bias  # last, as a whole-output add would, but while the block is in cache
     return out
 
 
 def conv_backward(saved, output_grad, want_input_grad=True):
-    """``(input_grad, d_weights, d_bias)`` from what ``conv_forward`` saved.
-    The weight gradient runs the offset loop over the saved padded input.
-    Input position j gathers ``g[i] @ W[u].T`` over s * i + u = j + p,
-    which is ``_offset_loop`` at stride 1 over the output gradient placed k -
-    1 - p rows in, s apart, with the flipped kernel's transposed matrices.
-    With ``want_input_grad=False`` the input gradient is None and not
-    computed; the rest is the same.
+    """``(input_grad, d_weights, d_bias)`` from what ``conv_forward`` saved,
+    ``(x, weights, spec)``. On the offset route the weight gradient reads
+    the same ``_block_windows`` rows of ``x`` as the forward. Input position
+    j gathers ``g[i] @ W[u].T`` over s * i + u = j + p, which is
+    ``_offset_loop`` at stride 1 over the output gradient placed k - 1 - p
+    rows in, s apart, with the flipped kernel's transposed matrices. With
+    ``want_input_grad=False`` the input gradient is None and not computed;
+    the rest is the same.
     """
-    if _winograd_route(saved[2]):
-        return _winograd_backward(saved, output_grad, want_input_grad)
-    xs, weights, spec = saved
-    nf = spec.ndim - (xs.ndim - 2)
-    pads, kernel = spec.padding[nf:], spec.kernel[nf:]
-    in_sp = tuple(e - 2 * p for e, p in zip(xs.shape[1:-1], pads))
+    x, weights, spec = saved
+    nf = spec.ndim - (x.ndim - 2)
+    in_sp, c_out = x.shape[1:-1], spec.out_channels
     out_sp = spec.out_extents((*spec.kernel[:nf], *in_sp))[nf:]
-    n, c, c_out = xs.shape[0], xs.shape[-1], spec.out_channels
-    _check_output_grad(output_grad, (n, *out_sp, c_out))
-    stride, rows = spec.stride[nf:], math.prod(out_sp)
-    gmat = output_grad.reshape(n, rows, c_out)
-    blocks = _sample_blocks(n, rows, c_out, xs.itemsize)
-    shift_buf = np.empty((blocks[0].stop, *out_sp, c))
-    dw = np.empty((c, c_out))
-    d_wk = np.zeros((*kernel, c, c_out))
-    for blk in blocks:
-        x_shift, g_blk = shift_buf[: blk.stop - blk.start], gmat[blk].reshape(-1, c_out)
-        for offset in np.ndindex(*kernel):
-            x_rows = _as_rows(_shifted(xs[blk], offset, stride, out_sp), x_shift)
-            d_wk[offset] += np.matmul(x_rows.T, g_blk, out=dw)
-    del shift_buf, x_shift, x_rows
-    d_weights = np.ascontiguousarray(np.moveaxis(d_wk, (-1, -2), (0, 1))).reshape(weights.shape)
-    d_bias = gmat.reshape(-1, c_out).sum(axis=0)
-    gx = None
-    if want_input_grad:
-        ext = tuple(e + k - 1 for e, k in zip(in_sp, kernel))
-        gp = _placed(output_grad, ext, tuple(k - 1 - p for k, p in zip(kernel, pads)), stride)
-        flipped = np.flip(weights.reshape(c_out, c, *kernel), tuple(range(2, 2 + len(kernel))))
-        gx = _offset_loop(gp, _kernel_matrices(flipped.swapaxes(0, 1), 0), (1,) * len(kernel), in_sp)
-    return gx, d_weights, d_bias
-
-
-def _check_output_grad(output_grad, want):
+    want = (x.shape[0], *out_sp, c_out)
     if output_grad.shape != want:
         raise ShapeError(f"output_grad {output_grad.shape} does not match forward output {want}")
+    d_bias = output_grad.reshape(-1, c_out).sum(axis=0)
+    if _winograd_route(spec):
+        with np.errstate(invalid="ignore"):  # see the module docstring
+            d_weights = _winograd_weight_grad(x, output_grad, spec.padding, weights.shape)
+            gx = (_winograd_input_grad(output_grad, weights, spec.padding, in_sp)
+                  if want_input_grad else None)
+        return gx, d_weights, d_bias
+    pads, kernel, stride = spec.padding[nf:], spec.kernel[nf:], spec.stride[nf:]
+    n, c, rows = x.shape[0], x.shape[-1], math.prod(out_sp)
+    gmat = output_grad.reshape(n, rows, c_out)
+    blocks = _sample_blocks(n, rows * c_out * x.itemsize, _BLOCK_BYTES)
+    dw = np.empty((c, c_out), x.dtype)
+    d_wk = np.zeros((*kernel, c, c_out), x.dtype)
+    for blk, offset, x_rows in _block_windows(x, blocks, kernel, stride, out_sp, pads):
+        d_wk[offset] += np.matmul(x_rows.T, gmat[blk].reshape(-1, c_out), out=dw)
+    d_weights = np.ascontiguousarray(np.moveaxis(d_wk, (-1, -2), (0, 1))).reshape(weights.shape)
+    gx = None
+    if want_input_grad:
+        flipped = np.flip(weights.reshape(c_out, c, *kernel), tuple(range(2, 2 + len(kernel))))
+        gx = _offset_loop(output_grad, _kernel_matrices(flipped.swapaxes(0, 1), 0, x.dtype),
+                          (1,) * len(kernel), in_sp, tuple(k - 1 - p for k, p in zip(kernel, pads)),
+                          stride)
+    return gx, d_weights, d_bias
 
 
 # ---------------------------------------------------------------------------
@@ -436,42 +448,44 @@ class _Tiles:
         self.th, self.tw = (-(-e // _TILE) for e in out_sp)
         self.ext = (_TILE * self.th + _ALPHA - _TILE, _TILE * self.tw + _ALPHA - _TILE)
         tile_bytes = _ALPHA**2 * self.th * self.tw * width * np.dtype(dtype).itemsize
-        step = max(1, _WINOGRAD_BLOCK_BYTES // tile_bytes)
-        self.blocks = [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        self.blocks = _sample_blocks(n, tile_bytes, _WINOGRAD_BLOCK_BYTES)
         block = self.blocks[0].stop
-        self.buf = np.empty((block, *self.ext, k), dtype)
+        self.buf = np.zeros((block, *self.ext, k), dtype)  # see _placed
         self.rows = np.empty((block, self.th, _ALPHA, self.ext[1], k), dtype)  # BT d per tile row
         self.v = np.empty((_ALPHA, _ALPHA, block, self.th, self.tw, k), dtype)
-        # The strided views transform() reads and writes, made once: built in
-        # every call, they cost about 9 ms of a one-sample-per-block backward.
+        # The strided views the transform reads and writes, made once: built
+        # per block, they cost about 9 ms of a one-sample-per-block backward.
         self._buf_tiles = _windows(self.buf, 1, self.th).reshape(block, self.th, _ALPHA, -1)
         self._rows_flat = self.rows.reshape(block, self.th, _ALPHA, -1)
         self._row_tiles = _windows(self.rows, 3, self.tw)
         self._v_tiles = self.v.transpose(2, 3, 0, 4, 1, 5)
 
-    def transform(self, m) -> np.ndarray:
-        """V of each 7x7 tile of ``buf[:m]``, as [49, tiles, K]."""
-        np.matmul(_WINO_BT, self._buf_tiles[:m], out=self._rows_flat[:m])
-        np.matmul(_WINO_BT, self._row_tiles[:m], out=self._v_tiles[:m])
-        return self.v[:, :, :m].reshape(_ALPHA**2, -1, self.buf.shape[-1])
+    def transformed(self, fill):
+        """Yields ``(blk, v)`` for each block: ``fill(blk, buf)`` writes the
+        block's input at the tile extent into ``buf`` (``self.buf[:m]``),
+        and ``v`` [49, tiles, K] is V of its 7x7 tiles, in a buffer the next
+        block reuses."""
+        for blk in self.blocks:
+            m = blk.stop - blk.start
+            fill(blk, self.buf[:m])
+            np.matmul(_WINO_BT, self._buf_tiles[:m], out=self._rows_flat[:m])
+            np.matmul(_WINO_BT, self._row_tiles[:m], out=self._v_tiles[:m])
+            yield blk, self.v[:, :, :m].reshape(_ALPHA**2, -1, self.buf.shape[-1])
 
 
 def _winograd_conv(tiles, fill, u, out_sp):
     """Winograd F(4x4, 4x4) with the transformed kernel ``u`` [49, K, C] over
-    ``tiles``' blocks: ``fill(blk, buf)`` writes the block's input at the
-    tile extent into ``buf`` (``tiles.buf[:m]``), then come V, one batched
-    [49, tiles, K] @ [49, K, C] matmul and A^T M A. Yields ``(blk, y)``, y
-    the block's [m, *out_sp, C] stride-1 4x4 convolution, in a buffer the
-    next block reuses."""
+    ``tiles.transformed(fill)``: per block, one batched [49, tiles, K] @
+    [49, K, C] matmul of V, then A^T M A. Yields ``(blk, y)``, y the block's
+    [m, *out_sp, C] stride-1 4x4 convolution, in a buffer the next block
+    reuses."""
     c, dtype = u.shape[-1], tiles.buf.dtype
     th, tw, block = tiles.th, tiles.tw, tiles.blocks[0].stop
     prod = np.empty((_ALPHA**2, block * th * tw, c), dtype)
     y_tiles = np.empty((_TILE**2, block * th * tw * c), dtype)
     y = np.empty((block, _TILE * th, _TILE * tw, c), dtype)
-    for blk in tiles.blocks:
+    for blk, v in tiles.transformed(fill):
         m = blk.stop - blk.start
-        fill(blk, tiles.buf[:m])
-        v = tiles.transform(m)
         mm = np.matmul(v, u, out=prod[:, : m * th * tw])
         yt = np.matmul(_WINO_AA, mm.reshape(_ALPHA**2, -1), out=y_tiles[:, : m * th * tw * c])
         y[:m].reshape(m, th, _TILE, tw, _TILE, c)[...] = (
@@ -479,34 +493,19 @@ def _winograd_conv(tiles, fill, u, out_sp):
         yield blk, y[:m, : out_sp[0], : out_sp[1]]
 
 
-def _winograd_forward(x, weights, bias, spec, out_sp):
+def _winograd_forward(x, weights, bias, pads, out_sp):
     """The 7x7 stride-2 convolution as one stride-1 4x4 convolution over the
     stacked phases: ``_winograd_conv`` of the phases, which each block
-    writes into its tile buffer, with U of the weights, plus the bias.
-    Saves ``x`` itself."""
-    n, c = x.shape[0], x.shape[-1]
-    out = np.empty((n, *out_sp, spec.out_channels), x.dtype)
-    tiles = _Tiles(n, 4 * c, out_sp, max(4 * c, spec.out_channels), x.dtype)
+    writes into its tile buffer, with U of the weights, plus the bias."""
+    n, c, c_out = x.shape[0], x.shape[-1], weights.shape[0]
+    out = np.empty((n, *out_sp, c_out), x.dtype)
+    tiles = _Tiles(n, 4 * c, out_sp, max(4 * c, c_out), x.dtype)
     with np.errstate(invalid="ignore"):  # see the module docstring
         u = _transformed_kernels(weights).transpose(0, 2, 1)
-        fill = lambda blk, buf: _phase_split(x[blk], spec.padding, buf)
+        fill = lambda blk, buf: _phase_split(x[blk], pads, buf)
         for blk, y in _winograd_conv(tiles, fill, u, out_sp):
             np.add(y, bias, out=out[blk])
-    check_finite("conv forward", out)
-    return out, (x, weights, spec)
-
-
-def _winograd_backward(saved, output_grad, want_input_grad):
-    """The weight pass, then the input gradient as a forward convolution;
-    each holds one phase's dU or U^T at a time."""
-    x, weights, spec = saved
-    _check_output_grad(output_grad, (x.shape[0], *spec.out_extents(x.shape[1:3]),
-                                     spec.out_channels))
-    with np.errstate(invalid="ignore"):  # see the module docstring
-        d_weights = _winograd_weight_grad(x, output_grad, spec.padding, weights.shape)
-        gx = (_winograd_input_grad(output_grad, weights, spec.padding, x.shape[1:3])
-              if want_input_grad else None)
-    return gx, d_weights, output_grad.reshape(-1, spec.out_channels).sum(axis=0)
+    return out
 
 
 def _winograd_weight_grad(x, output_grad, pads, weights_shape) -> np.ndarray:
@@ -525,13 +524,12 @@ def _winograd_weight_grad(x, output_grad, pads, weights_shape) -> np.ndarray:
     d_weights = np.empty(weights_shape, dtype)
     for phase in _PHASES:
         d_u[...] = 0.0
-        for blk in tiles.blocks:
+        fill = lambda blk, buf: _phase_split(x[blk], pads, buf, (phase,))
+        for blk, v in tiles.transformed(fill):
             m = blk.stop - blk.start
             g_blk, d_m_blk = g_tiles[:, :, :m], d_m[:, : m * th * tw]
             g_blk[...] = g[blk].reshape(m, th, _TILE, tw, _TILE, c_out).transpose(2, 4, 0, 1, 3, 5)
             np.matmul(_WINO_AA.T, g_blk.reshape(_TILE**2, -1), out=d_m_blk.reshape(_ALPHA**2, -1))
-            _phase_split(x[blk], pads, tiles.buf[:m], (phase,))
-            v = tiles.transform(m)
             for lo in range(0, _ALPHA**2, _ALPHA):
                 row = slice(lo, lo + _ALPHA)
                 d_u[row] += np.matmul(v[row].transpose(0, 2, 1), d_m_blk[row], out=d_u_part)

@@ -73,22 +73,23 @@ class SampleSet:
 # series cleaning
 # ---------------------------------------------------------------------------
 
-def hampel_filter(series: np.ndarray, window: int = HAMPEL_WINDOW, n_sigmas: float = HAMPEL_SIGMAS) -> np.ndarray:
+def hampel_filter(series: np.ndarray) -> np.ndarray:
     """Replace rolling-median outliers along the last axis of ``[..., points]``.
 
     A point deviating from its window median by more than
-    n_sigmas * 1.4826 * MAD is replaced with that median. The window spans
-    ``window // 2`` points on each side. Full windows are taken in one
-    sliding-window pass; the positions within ``window // 2`` of either end
-    use windows truncated to the available points, filtered in mirrored
-    pairs (positions i and n-1-i have truncated windows of equal length).
+    HAMPEL_SIGMAS * 1.4826 * MAD is replaced with that median. The window
+    spans ``HAMPEL_WINDOW // 2`` points on each side. Full windows are taken
+    in one sliding-window pass; the positions within that many points of
+    either end use windows truncated to the available points, filtered in
+    mirrored pairs (positions i and n-1-i have truncated windows of equal
+    length).
     """
     x = np.asarray(series, dtype=float)
     n = x.shape[-1] if x.ndim else 0
     if n < 3:
         raise ValueError(f"hampel_filter needs at least 3 points, got {n}")
-    half = window // 2
-    thresh = n_sigmas * _MAD_SCALE
+    half = HAMPEL_WINDOW // 2
+    thresh = HAMPEL_SIGMAS * _MAD_SCALE
     out = x.copy()
 
     def replace_outliers(positions, windows):
@@ -105,29 +106,26 @@ def hampel_filter(series: np.ndarray, window: int = HAMPEL_WINDOW, n_sigmas: flo
     return out
 
 
-def _savgol_coeffs(window: int, polyorder: int) -> np.ndarray:
-    """Savitzky-Golay smoothing weights in convolution order: the least-squares
-    solution of the flipped Vandermonde grid against the unit vector e0."""
-    half = window // 2
-    grid = np.arange(-half, window - half, dtype=float)[::-1]
-    grid = grid ** np.arange(polyorder + 1)[:, None]
-    return np.linalg.lstsq(grid, np.eye(polyorder + 1)[0], rcond=None)[0]
+# Savitzky-Golay smoothing weights in convolution order: the least-squares
+# solution of the flipped Vandermonde grid against the unit vector e0.
+_SG_COEFFS = np.linalg.lstsq(
+    np.arange(SG_WINDOW // 2, -(SG_WINDOW // 2) - 1, -1, dtype=float)
+    ** np.arange(SG_POLYORDER + 1)[:, None],
+    np.eye(SG_POLYORDER + 1)[0], rcond=None)[0]
 
 
-_SG_COEFFS = _savgol_coeffs(SG_WINDOW, SG_POLYORDER)
-
-
-def savitzky_golay(series: np.ndarray, window: int = SG_WINDOW, polyorder: int = SG_POLYORDER) -> np.ndarray:
+def savitzky_golay(series: np.ndarray) -> np.ndarray:
     """Least-squares polynomial smoothing along the last axis of ``[..., points]``.
 
     Each interior point takes the center value of its window's polynomial
-    fit; the first and last ``window // 2`` points are evaluated from the
-    polynomial fitted to the nearest full window. For the pipeline's
-    (9, 3) this is ``scipy.signal.savgol_filter(x, 9, 3, mode="interp")`` on
-    each 1-D series, bitwise, because it repeats scipy's arithmetic:
+    fit (window SG_WINDOW = 9, order SG_POLYORDER = 3); the first and last
+    ``window // 2`` points are evaluated from the polynomial fitted to the
+    nearest full window. This is ``scipy.signal.savgol_filter(x, 9, 3,
+    mode="interp")`` on each 1-D series, bitwise, because it repeats
+    scipy's arithmetic:
 
     - the weights ``c`` are scipy's ``savgol_coeffs``: ``lstsq`` of the
-      flipped Vandermonde grid against e0 (see :func:`_savgol_coeffs`);
+      flipped Vandermonde grid against e0 (``_SG_COEFFS``);
     - an interior point is ``x[i]*c[h]``, then ``+ (x[i-j] + x[i+j]) * c[h+j]``
       for ``j = h..1``, outermost pair first, with ``h = window // 2``: the
       summation order ``ndimage.convolve1d`` uses on weights symmetric to
@@ -136,23 +134,12 @@ def savitzky_golay(series: np.ndarray, window: int = SG_WINDOW, polyorder: int =
       over its own 1-D window ``w``. Fitting the stacked series' windows in
       one ``polyfit`` would round differently, so the edges are fitted per
       series.
-
-    Low orders such as (7, 2) and (11, 3) also match bitwise. Some orders
-    of 4 and above leave ``lstsq``'s weights less symmetric than that;
-    ndimage then sums in another order and the two differ by rounding.
     """
     x = np.asarray(series, dtype=float)
-    if window % 2 == 0 or window < 5:
-        raise ValueError(f"window must be odd and >= 5, got {window}")
-    if polyorder >= window:
-        raise ValueError(f"polyorder {polyorder} must be < window {window}")
+    window, polyorder, c = SG_WINDOW, SG_POLYORDER, _SG_COEFFS
     n = x.shape[-1] if x.ndim else x.size
     if n < window:
         raise ValueError(f"series length {n} shorter than window {window}")
-    if (window, polyorder) == (SG_WINDOW, SG_POLYORDER):
-        c = _SG_COEFFS
-    else:
-        c = _savgol_coeffs(window, polyorder)
     half = window // 2
     out = np.empty(x.shape)
     interior = x[..., half : n - half] * c[half]

@@ -98,6 +98,32 @@ class TestConv2dBackward:
 
 class TestConvSavedOperand:
     @pytest.mark.parametrize("shape,kernel,stride,pad", [
+        ((2, 6, 5, 5), (1, 1), (1, 1), (0, 0)),
+        ((2, 3, 6, 6), (3, 3), (1, 1), (1, 1)),
+        ((2, 3, 7, 8), (3, 3), (2, 2), (1, 1)),
+        ((2, 3, 4, 6, 6), (4, 3, 3), (1, 1, 1), (0, 1, 1)),
+        ((2, 5, 16, 16), (7, 7), (2, 2), (3, 3)),
+        ((3, 2, 9, 13), (7, 7), (2, 2), (0, 0)),
+        ((1, 3, 8, 9), (7, 7), (2, 2), (7, 7)),
+    ], ids=["1x1", "3x3", "3x3-stride2", "front", "stem", "stem-pad0", "stem-pad7"])
+    def test_saved_operand_is_the_input_unchanged(self, rng, shape, kernel, stride, pad):
+        """Every convolution saves the caller's ``x`` itself, not a padded,
+        zero-inserted or phase-split copy, and neither the forward nor the
+        backward writes into it. The 3D front end reads the non-contiguous
+        channels-last view with its frames folded into the channels, as the
+        network passes it; the 2D convs read a contiguous array."""
+        x = ops.channels_last(rng.standard_normal(shape), len(kernel) - 2)
+        if len(kernel) == 2:
+            x = np.ascontiguousarray(x)
+        x_before = x.copy()
+        spec = ops.ConvSpec(kernel, stride, pad, shape[1], 4)
+        out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()), np.zeros(4),
+                                      spec)
+        assert saved[0] is x
+        ops.conv_backward(saved, rng.standard_normal(out.shape))
+        assert x.tobytes() == x_before.tobytes()
+
+    @pytest.mark.parametrize("shape,kernel,stride,pad", [
         ((2, 9, 8), (7, 7), (2, 2), (3, 3)),
         ((3, 4, 5, 5), (4, 3, 3), (1, 1, 1), (0, 1, 1)),
         ((3, 4, 5, 5), (2, 3, 3), (1, 2, 1), (0, 1, 1)),
@@ -166,21 +192,6 @@ class TestWinogradStemBackward:
         gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()), x, gx, rtol=1e-4)
         gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()), w, gw, rtol=1e-4)
         gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()), b, gb, rtol=1e-4)
-
-    @pytest.mark.parametrize("shape,pad", [((2, 5, 16, 16), 3), ((3, 2, 9, 13), 0),
-                                           ((1, 3, 8, 9), 7)])
-    def test_saved_operand_is_the_input_unchanged(self, rng, shape, pad):
-        """The forward saves the caller's ``x`` itself, not a padded or
-        phase-split copy, and neither the forward nor the backward writes
-        into it."""
-        x = nhwc(rng.standard_normal(shape))
-        x_before = x.copy()
-        spec = self.stem(shape, pad, c_out=4)
-        w = rng.standard_normal(spec.weight_shape())
-        out, saved = ops.conv_forward(x, w, np.zeros(4), spec)
-        assert saved[0] is x
-        ops.conv_backward(saved, rng.standard_normal(out.shape))
-        assert x.tobytes() == x_before.tobytes()
 
     @pytest.mark.parametrize("shape", [(3, 64, 32, 32), (7, 16, 32, 32), (3, 2, 9, 13)])
     def test_skipped_input_grad_and_repeat_calls_bitwise(self, rng, shape):

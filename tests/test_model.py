@@ -14,7 +14,7 @@ from fpnn import ops
 from fpnn.preprocess import SAMPLE_DEPTH
 
 from gradcheck import relative_error
-from oracles import conv3d_loop, nchw
+from oracles import conv3d_loop, nchw, nhwc
 
 
 def micro_config(**kw):
@@ -228,9 +228,9 @@ class TestStreamLayout:
         params = M.build_model(config)
         x5 = np.random.default_rng(3).standard_normal((2, 3, 4, 6, 6))
         _, cache, _ = M._stream_forward(x5, params, M.conv_layout(config), "raw", "train")
-        padded, w, spec = cache["front"]["conv"]
-        out, _ = ops.conv_forward(padded[:, 1:-1, 1:-1], w, params.tensors["raw.front.conv3d.b"],
-                                  spec)
+        folded, w, spec = cache["front"]["conv"]
+        assert folded.tobytes() == nhwc(x5.reshape(2, 12, 6, 6)).tobytes()
+        out, _ = ops.conv_forward(folded, w, params.tensors["raw.front.conv3d.b"], spec)
         want = np.stack([conv3d_loop(x, w, params.tensors["raw.front.conv3d.b"], (1, 1, 1),
                                      (0, 1, 1)) for x in x5])
         np.testing.assert_allclose(nchw(out)[:, :, None], want, atol=1e-12, rtol=0)
@@ -415,7 +415,7 @@ def _cache_nbytes(obj, seen) -> int:
 
 class TestForwardCacheMemory:
     def test_train_cache_under_128_mib(self):
-        # batch 16, G=32, noi=1: each conv keeps only its padded input
+        # batch 16, G=32, noi=1: each conv keeps only its input, which it does not copy
         config = M.FpnnConfig(noi=1, grid_side=32)
         params = M.build_model(config)
         batch = random_batch(config, n=16, seed=4)
