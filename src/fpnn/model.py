@@ -31,7 +31,12 @@ whose ``(input_grad, *param_grads)`` tuples are unpacked straight into the
 gradient dict; there is no autograd tape. A cache holds only the ``saved``
 values the ops' forwards returned, plus the names that key the gradients,
 and each backward call passes an op its ``saved`` and the output gradient
-alone. A forward without ``want_cache`` keeps no cache: each layer's saved
+alone. One rule, ``_rebuilt``, replaces a saved value: a conv that reads
+the output of a conv -> batchnorm -> Leaky ReLU unit (the stem, a chain's
+later convs, and block0's convs when the initial layers are detached)
+saves in that output's place a stand-in that rebuilds each sample block of
+it, bitwise, from the unit's batchnorm cache, so no cache holds such an
+output. A forward without ``want_cache`` keeps no cache: each layer's saved
 values die with the layer, so evaluation holds one layer's temporaries at a
 time. Detach flags prune the layout for ablation studies:
 ``initial_layers`` skips the 7x7 + max-pool stage, ``conv3d`` replaces the
@@ -66,6 +71,7 @@ from .errors import NonFiniteError, ShapeError
 from .ops import (
     BnState,
     ConvSpec,
+    RebuiltActivation,
     avg_pool2d,
     batchnorm2d_backward,
     batchnorm2d_forward,
@@ -290,16 +296,35 @@ def build_model(config: FpnnConfig) -> FpnnParams:
 # conv -> batchnorm -> leaky relu: the unit every conv with a bias runs in
 # ---------------------------------------------------------------------------
 
-def _cba_forward(x, params, specs, name, mode, new_states, keep=True):
+def _rebuilt(cache, params):
+    """The rule for a conv that reads the output of a conv -> batchnorm ->
+    Leaky ReLU unit: it saves, in place of that output, this stand-in,
+    which rebuilds any sample block of it from the unit's ``cache``; None
+    when there is no cache. The output itself is then held by no cache."""
+    if cache is None:
+        return None
+    shift = params.tensors[f"{_bn_name(cache['name'])}.shift"]
+    return RebuiltActivation(cache["bn"], shift, params.config.alpha)
+
+
+def _conv(x, x_saved, weights, bias, spec):
+    """``conv_forward``, saving ``x_saved`` (see ``_rebuilt``) in place of
+    ``x`` when it is not None."""
+    out, saved = conv_forward(x, weights, bias, spec)
+    return out, saved if x_saved is None else (x_saved, *saved[1:])
+
+
+def _cba_forward(x, params, specs, name, mode, new_states, keep=True, x_saved=None):
     """A non-finite value anywhere in the unit raises NonFiniteError, and
     an input the unit cannot take (such as a train-mode batchnorm over one
     value per channel) ShapeError, prefixed with the unit's conv name
     (``diff.front.conv3d: ...``). The cache is None unless ``keep``, so the
-    unit's saved values die with it."""
+    unit's saved values die with it; the conv saves ``x_saved`` in place of
+    ``x`` when it is given."""
     bn = _bn_name(name)
     try:
-        z, conv = conv_forward(x, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
-                               specs[name])
+        z, conv = _conv(x, x_saved, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
+                        specs[name])
         z, state, norm = batchnorm2d_forward(
             z, params.tensors[f"{bn}.scale"], params.tensors[f"{bn}.shift"],
             params.bn_states[bn], mode,
@@ -328,27 +353,31 @@ def _cba_backward(gout, cache, grads, want_input_grad=True, activated=False):
 # inception unit
 # ---------------------------------------------------------------------------
 
-def _block_forward(x, params, specs, prefix, mode, new_states, keep=True):
+def _block_forward(x, params, specs, prefix, mode, new_states, keep=True, x_saved=None):
     """The chains of ``_BRANCHES`` concatenated to 88 channels, plus the
-    projected skip; the cache is None unless ``keep``."""
+    projected skip; the cache is None unless ``keep``. The convs that read
+    ``x`` save ``x_saved`` in its place when it is given."""
     cache = {"prefix": prefix, "branches": [], "proj": None}
     outs = []
     for chain in _BRANCHES:
-        h = x
+        h, h_saved = x, x_saved
         if chain is _BRANCHES[-1]:  # keeps H x W
             h, cache["pool"] = avg_pool2d(x, 3, 1, 1)
+            h_saved = None
         caches = []
         for layer, *_ in chain:
-            h, c = _cba_forward(h, params, specs, f"{prefix}.{layer}", mode, new_states, keep)
+            h, c = _cba_forward(h, params, specs, f"{prefix}.{layer}", mode, new_states, keep,
+                                h_saved)
             caches.append(c)
+            h_saved = _rebuilt(c, params)
         outs.append(h)
         cache["branches"].append(caches)
     out = np.concatenate(outs, axis=-1)
     proj = f"{prefix}.proj"
     if proj in specs:
         spec = specs[proj]
-        skip, cache["proj"] = conv_forward(x, params.tensors[f"{proj}.w"],
-                                           np.zeros(spec.out_channels), spec)
+        skip, cache["proj"] = _conv(x, x_saved, params.tensors[f"{proj}.w"],
+                                    np.zeros(spec.out_channels), spec)
         out = out + skip
     check_finite(f"{prefix} inception block", out)
     return out, (cache if keep else None)
@@ -392,15 +421,19 @@ def _stream_forward(x5, params, specs, stream, mode, keep=True):
     else:  # kernel depth spans all frames: the frames fold into channels
         front, x = f"{stream}.front.conv3d", channels_last(x5, 1)
     h, cache["front"] = _cba_forward(x, params, specs, front, mode, new_states, keep)
+    h_saved = _rebuilt(cache["front"], params)
 
     if f"{stream}.init.conv" in specs:
-        h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", mode, new_states, keep)
+        h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", mode, new_states, keep,
+                                   h_saved)
         h, pool = max_pool2d(h, *_STEM_POOL)
-        cache["init"] = {"cba": init_cba, "pool": pool}
+        cache["init"], h_saved = {"cba": init_cba, "pool": pool}, None
 
     for i in range(cfg.noi):
-        h, bc = _block_forward(h, params, specs, f"{stream}.block{i}", mode, new_states, keep)
+        h, bc = _block_forward(h, params, specs, f"{stream}.block{i}", mode, new_states, keep,
+                               h_saved)
         cache["blocks"].append(bc)
+        h_saved = None
     feat, cache["gap"] = global_avg_pool(h)
     return feat, (cache if keep else None), new_states
 

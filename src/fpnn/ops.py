@@ -4,9 +4,12 @@ Activations are channels-last, ``[N, *spatial, C]``, the layout the
 convolution's matmuls read; weights are ``[C_out, C_in, *kernel]``. Every
 operation is a pure function of its arguments (batch normalization returns
 a new state) and writes into no array it was given, since a forward may
-save its caller's array for its backward pass. Convolutions compute in
-their input's dtype (the network's is float64), and every convolution's
-``saved`` holds its input itself.
+save its caller's array for its backward pass. Convolutions, the Leaky
+ReLU and the pools' backward compute in their input's dtype (the network's
+is float64). Every convolution's ``saved`` holds its input itself; a caller
+may put in its place a stand-in that rebuilds the input's sample blocks
+(``RebuiltActivation``), since ``conv_backward`` reads the input only
+through its shape, its dtype and ``x[blk]``, each block once.
 
 Every layer's forward returns ``(out, saved)`` (batch normalization
 ``(out, new_state, saved)``), and its backward, ``backward(saved,
@@ -53,11 +56,12 @@ views), multiplied by the transformed kernel (U = G W' G^T) in one batched
 [49, tiles, K] @ [49, K, C_out] matmul, and transformed back (A^T M A).
 That is a quarter of the offset loop's multiplies. Tiles cover any output
 extent; what they compute past it is cropped. ``saved`` holds the input
-itself: no phase-split copy of the batch is built. The backward runs phase
-by phase, so it holds one phase's [49, C_in, C_out] kernel state at a
-time. The weight gradient of phase (a, b) is G^T dU G, with dU the sum
-over blocks of V^T dM and V of that phase of the saved input; the input
-gradient's phase (a, b) is a stride-1 4x4 convolution of the output
+itself: no phase-split copy of the batch is built. The weight gradient of
+phase (a, b) is G^T dU G, with dU the sum over blocks of V^T dM and V of
+that phase of the saved input; the weight pass reads each block of the
+input once, for all four phases, and holds their four dU. The input
+gradient runs phase by phase, holding one phase's [49, C_out, C_in] U^T at
+a time: its phase (a, b) is a stride-1 4x4 convolution of the output
 gradient with U^T of that phase of the flipped kernel.
 
 The route differs from the loop by rounding only: at the stem's geometry,
@@ -279,8 +283,11 @@ def _offset_loop(x, wk, stride, out_sp, before, insert=None, bias=None) -> np.nd
 
 def conv_backward(saved, output_grad, want_input_grad=True):
     """``(input_grad, d_weights, d_bias)`` from what ``conv_forward`` saved,
-    ``(x, weights, spec)``. On the offset route the weight gradient reads
-    the same ``_block_windows`` rows of ``x`` as the forward. Input position
+    ``(x, weights, spec)``. ``x`` is read only through ``x.shape``,
+    ``x.dtype`` and sample blocks ``x[blk]``, each once, so a
+    ``RebuiltActivation`` may stand in for it. On the offset route the
+    weight gradient reads the same ``_block_windows`` rows of ``x`` as the
+    forward. Input position
     j gathers ``g[i] @ W[u].T`` over s * i + u = j + p, which is
     ``_offset_loop`` at stride 1 over the output gradient placed k - 1 - p
     rows in, s apart, with the flipped kernel's transposed matrices. With
@@ -288,7 +295,7 @@ def conv_backward(saved, output_grad, want_input_grad=True):
     the rest is the same.
     """
     x, weights, spec = saved
-    nf = spec.ndim - (x.ndim - 2)
+    nf = spec.ndim - (len(x.shape) - 2)
     in_sp, c_out = x.shape[1:-1], spec.out_channels
     out_sp = spec.out_extents((*spec.kernel[:nf], *in_sp))[nf:]
     want = (x.shape[0], *out_sp, c_out)
@@ -304,7 +311,7 @@ def conv_backward(saved, output_grad, want_input_grad=True):
     pads, kernel, stride = spec.padding[nf:], spec.kernel[nf:], spec.stride[nf:]
     n, c, rows = x.shape[0], x.shape[-1], math.prod(out_sp)
     gmat = output_grad.reshape(n, rows, c_out)
-    blocks = _sample_blocks(n, rows * c_out * x.itemsize, _BLOCK_BYTES)
+    blocks = _sample_blocks(n, rows * c_out * x.dtype.itemsize, _BLOCK_BYTES)
     dw = np.empty((c, c_out), x.dtype)
     d_wk = np.zeros((*kernel, c, c_out), x.dtype)
     for blk, offset, x_rows in _block_windows(x, blocks, kernel, stride, out_sp, pads):
@@ -381,11 +388,12 @@ _PHASES = tuple(np.ndindex(2, 2))
 
 
 def _phase_split(x, pads, buf, phases=_PHASES) -> None:
-    """``buf`` [N, rows, cols, len(phases) * C], zeroed, then holding the
-    listed stride-2 phases (a, b) of the zero-padded ``x`` [N, H, W, C],
-    stacked on the channel axis: padded position (2r + a, 2s + b) at (r, s).
-    Rows past ceil((H + 2 * pad) / 2) (and so for columns) stay zero."""
-    buf[...] = 0.0
+    """Writes into ``buf`` [N, rows, cols, len(phases) * C] the listed
+    stride-2 phases (a, b) of the zero-padded ``x`` [N, H, W, C], stacked on
+    the channel axis: padded position (2r + a, 2s + b) at (r, s). ``buf``
+    must be zero where no phase lands (the padding, and rows past
+    ceil((H + 2 * pad) / 2), and so for columns), as one zeroed once and
+    refilled only with the same phases of same-shaped blocks is."""
     q = buf.reshape(*buf.shape[:3], len(phases), -1)
     for i, (a, b) in enumerate(phases):
         (qr, xr), (qc, xc) = (_phase_slices(pads[0], x.shape[1])[a],
@@ -441,8 +449,11 @@ class _Tiles:
     one [7, 7] @ [7, K] per tile and row offset, over strided views. A block
     holds as many samples as keep [49, tiles, width] within
     _WINOGRAD_BLOCK_BYTES. ``width`` counts all four phases' channels also
-    in a pass that holds one phase, so that pass keeps the blocks of the
-    all-phase pass, in buffers a quarter of their size."""
+    in a buffer that holds one phase at a time, as the weight pass's does,
+    so that pass keeps the blocks of the all-phase forward, in buffers a
+    quarter of their size. ``buf`` is zeroed once, here: a pass whose every
+    block fills the same positions (the forward, the input gradient) never
+    zeroes it again."""
 
     def __init__(self, n, k, out_sp, width, dtype):
         self.th, self.tw = (-(-e // _TILE) for e in out_sp)
@@ -460,33 +471,30 @@ class _Tiles:
         self._row_tiles = _windows(self.rows, 3, self.tw)
         self._v_tiles = self.v.transpose(2, 3, 0, 4, 1, 5)
 
-    def transformed(self, fill):
-        """Yields ``(blk, v)`` for each block: ``fill(blk, buf)`` writes the
-        block's input at the tile extent into ``buf`` (``self.buf[:m]``),
-        and ``v`` [49, tiles, K] is V of its 7x7 tiles, in a buffer the next
-        block reuses."""
-        for blk in self.blocks:
-            m = blk.stop - blk.start
-            fill(blk, self.buf[:m])
-            np.matmul(_WINO_BT, self._buf_tiles[:m], out=self._rows_flat[:m])
-            np.matmul(_WINO_BT, self._row_tiles[:m], out=self._v_tiles[:m])
-            yield blk, self.v[:, :, :m].reshape(_ALPHA**2, -1, self.buf.shape[-1])
+    def transform(self, m: int) -> np.ndarray:
+        """V [49, tiles, K] of the 7x7 tiles of the first ``m`` samples in
+        ``buf``, in a buffer the next call reuses."""
+        np.matmul(_WINO_BT, self._buf_tiles[:m], out=self._rows_flat[:m])
+        np.matmul(_WINO_BT, self._row_tiles[:m], out=self._v_tiles[:m])
+        return self.v[:, :, :m].reshape(_ALPHA**2, -1, self.buf.shape[-1])
 
 
 def _winograd_conv(tiles, fill, u, out_sp):
-    """Winograd F(4x4, 4x4) with the transformed kernel ``u`` [49, K, C] over
-    ``tiles.transformed(fill)``: per block, one batched [49, tiles, K] @
-    [49, K, C] matmul of V, then A^T M A. Yields ``(blk, y)``, y the block's
-    [m, *out_sp, C] stride-1 4x4 convolution, in a buffer the next block
-    reuses."""
+    """Winograd F(4x4, 4x4) with the transformed kernel ``u`` [49, K, C]:
+    per block of ``tiles``, ``fill(blk, buf)`` writes the block's input at
+    the tile extent into ``buf`` (``tiles.buf[:m]``), then one batched
+    [49, tiles, K] @ [49, K, C] matmul of its V, then A^T M A. Yields
+    ``(blk, y)``, y the block's [m, *out_sp, C] stride-1 4x4 convolution, in
+    a buffer the next block reuses."""
     c, dtype = u.shape[-1], tiles.buf.dtype
     th, tw, block = tiles.th, tiles.tw, tiles.blocks[0].stop
     prod = np.empty((_ALPHA**2, block * th * tw, c), dtype)
     y_tiles = np.empty((_TILE**2, block * th * tw * c), dtype)
     y = np.empty((block, _TILE * th, _TILE * tw, c), dtype)
-    for blk, v in tiles.transformed(fill):
+    for blk in tiles.blocks:
         m = blk.stop - blk.start
-        mm = np.matmul(v, u, out=prod[:, : m * th * tw])
+        fill(blk, tiles.buf[:m])
+        mm = np.matmul(tiles.transform(m), u, out=prod[:, : m * th * tw])
         yt = np.matmul(_WINO_AA, mm.reshape(_ALPHA**2, -1), out=y_tiles[:, : m * th * tw * c])
         y[:m].reshape(m, th, _TILE, tw, _TILE, c)[...] = (
             yt.reshape(_TILE, _TILE, m, th, tw, c).transpose(2, 3, 0, 4, 1, 5))
@@ -509,31 +517,37 @@ def _winograd_forward(x, weights, bias, pads, out_sp):
 
 
 def _winograd_weight_grad(x, output_grad, pads, weights_shape) -> np.ndarray:
-    """dW = G^T dU G, phase by phase: a phase's dU is the sum over blocks of
-    V^T dM, with V of that phase of the saved input ``x`` and dM = A dY A^T
-    of the zero-padded output gradient's tiles. Each phase computes dM
-    again, which costs less than holding all four phases' dU."""
+    """dW = G^T dU G per phase: a phase's dU is the sum over blocks of V^T
+    dM, with V of that phase of the saved input ``x`` and dM = A dY A^T of
+    the zero-padded output gradient's tiles. Each block of ``x`` is read
+    once, and its dM computed once, for all four phases, whose dU are held
+    together ([4, 49, C_in, C_out], 6.1 MiB at the stem's 64 -> 64
+    channels) before the input gradient is made. The tile buffer holds one
+    phase at a time, so it is zeroed before each fill."""
     (c_out, c_in), dtype = weights_shape[:2], x.dtype
     tiles = _Tiles(x.shape[0], c_in, output_grad.shape[1:3], 4 * c_in, dtype)
     th, tw, block = tiles.th, tiles.tw, tiles.blocks[0].stop
     g = _placed(output_grad, (_TILE * th, _TILE * tw), (0, 0))
     g_tiles = np.empty((_TILE, _TILE, block, th, tw, c_out), dtype)
     d_m = np.empty((_ALPHA**2, block * th * tw, c_out), dtype)
-    d_u = np.empty((_ALPHA**2, c_in, c_out), dtype)
+    d_u = np.zeros((len(_PHASES), _ALPHA**2, c_in, c_out), dtype)
     d_u_part = np.empty((_ALPHA, c_in, c_out), dtype)  # one row of dU at a time stays in cache
-    d_weights = np.empty(weights_shape, dtype)
-    for phase in _PHASES:
-        d_u[...] = 0.0
-        fill = lambda blk, buf: _phase_split(x[blk], pads, buf, (phase,))
-        for blk, v in tiles.transformed(fill):
-            m = blk.stop - blk.start
-            g_blk, d_m_blk = g_tiles[:, :, :m], d_m[:, : m * th * tw]
-            g_blk[...] = g[blk].reshape(m, th, _TILE, tw, _TILE, c_out).transpose(2, 4, 0, 1, 3, 5)
-            np.matmul(_WINO_AA.T, g_blk.reshape(_TILE**2, -1), out=d_m_blk.reshape(_ALPHA**2, -1))
+    for blk in tiles.blocks:
+        m = blk.stop - blk.start
+        xb, buf = x[blk], tiles.buf[:m]
+        g_blk, d_m_blk = g_tiles[:, :, :m], d_m[:, : m * th * tw]
+        g_blk[...] = g[blk].reshape(m, th, _TILE, tw, _TILE, c_out).transpose(2, 4, 0, 1, 3, 5)
+        np.matmul(_WINO_AA.T, g_blk.reshape(_TILE**2, -1), out=d_m_blk.reshape(_ALPHA**2, -1))
+        for phase, d_u_phase in zip(_PHASES, d_u):
+            buf[...] = 0.0
+            _phase_split(xb, pads, buf, (phase,))
+            v = tiles.transform(m)
             for lo in range(0, _ALPHA**2, _ALPHA):
                 row = slice(lo, lo + _ALPHA)
-                d_u[row] += np.matmul(v[row].transpose(0, 2, 1), d_m_blk[row], out=d_u_part)
-        _phase_kernel_grad(d_u, d_weights, phase)
+                d_u_phase[row] += np.matmul(v[row].transpose(0, 2, 1), d_m_blk[row], out=d_u_part)
+    d_weights = np.empty(weights_shape, dtype)
+    for phase, d_u_phase in zip(_PHASES, d_u):
+        _phase_kernel_grad(d_u_phase, d_weights, phase)
     return d_weights
 
 
@@ -589,30 +603,43 @@ def _conv_backward(x, weights, spec, output_grad, cols):
 # activation
 # ---------------------------------------------------------------------------
 
+def _bits(dtype) -> np.dtype:
+    """The signed integer dtype as wide as float ``dtype``, whose view of an
+    array reads its values' bit patterns."""
+    return np.dtype(f"i{np.dtype(dtype).itemsize}")
+
+
+def _leaky(x: np.ndarray, alpha: float) -> np.ndarray:
+    """max(x, alpha * x) in a new array of ``x``'s dtype: x where x > 0 and
+    alpha * x elsewhere, signed zeros included, since 0 < alpha < 1."""
+    out = np.multiply(x, alpha, out=np.empty(x.shape, x.dtype))
+    return np.maximum(x, out, out=out)
+
+
 def leaky_relu_forward(x: np.ndarray, alpha: float):
-    """Elementwise x if x > 0 else alpha * x; saves the mask x > 0 and alpha."""
+    """Elementwise x if x > 0 else alpha * x, in ``x``'s dtype; saves the
+    mask x > 0 and alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"leaky ReLU slope must lie in (0, 1), got {alpha}")
-    # max(x, alpha * x) is x where x > 0 and alpha * x elsewhere, signed
-    # zeros included, since 0 < alpha < 1.
-    out = np.multiply(x, alpha, out=np.empty(np.shape(x)))
-    np.maximum(x, out, out=out)
-    return check_finite("leaky_relu", out), (x > 0, alpha)
+    return check_finite("leaky_relu", _leaky(x, alpha)), (x > 0, alpha)
 
 
 def leaky_relu_backward(saved, output_grad: np.ndarray) -> np.ndarray:
     """Slope 1 where x > 0, alpha where x <= 0 (boundary follows the
     forward branch assignment): ``output_grad`` times the slope the mask
-    picks from ``[alpha, 1.0]``, and ``g * 1.0`` is ``g`` bit for bit."""
+    picks from ``[alpha, 1.0]``, in ``output_grad``'s dtype, and ``g * 1.0``
+    is ``g`` bit for bit."""
     positive, alpha = saved
     if positive.shape != output_grad.shape:
         raise ShapeError("output_grad shape must match input")
     # The pick on the slopes' bit patterns, alpha's + mask * (1.0's - alpha's),
     # is exact integer arithmetic and runs at twice the speed of a gather.
-    low, high = np.array([alpha, 1.0]).view(np.int64)
-    bits = np.multiply(positive.view(np.uint8), high - low, out=np.empty(positive.shape, np.int64))
+    dtype = output_grad.dtype
+    low, high = np.array([alpha, 1.0], dtype).view(_bits(dtype))
+    bits = np.multiply(positive.view(np.uint8), high - low,
+                       out=np.empty(positive.shape, _bits(dtype)))
     bits += low
-    slope = bits.view(np.float64)
+    slope = bits.view(dtype)
     return np.multiply(output_grad, slope, out=slope)
 
 
@@ -676,7 +703,8 @@ def pool2d_backward(saved, output_grad) -> np.ndarray:
     would.
     """
     (n, h, w, c), window, stride, pad, argmax = saved
-    gx, views = _pool_windows(np.zeros((n, h + 2 * pad, w + 2 * pad, c)), window, stride, 0)
+    dtype = output_grad.dtype
+    gx, views = _pool_windows(np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype), window, stride, 0)
     if output_grad.shape != views[0].shape:
         raise ShapeError(f"output_grad {output_grad.shape} does not match pool output "
                          f"{views[0].shape}")
@@ -688,12 +716,12 @@ def pool2d_backward(saved, output_grad) -> np.ndarray:
         # g * (argmax == k) on the bits: an integer product is g's bits or
         # those of +0.0, where a float inf * 0 would be nan. Adding +0.0
         # leaves a cell as it was, since a sum started at +0.0 is never -0.0.
-        bits = np.asarray(output_grad, dtype=np.float64).view(np.int64)
+        bits = output_grad.view(_bits(dtype))
         hit = np.empty(bits.shape, dtype=bool)
-        share = np.empty(bits.shape, dtype=np.int64)
+        share = np.empty(bits.shape, dtype=bits.dtype)
         for k in reversed(range(len(views))):
             np.multiply(bits, np.equal(argmax, k, out=hit), out=share)
-            views[k] += share.view(np.float64)
+            views[k] += share.view(dtype)
     return _unpadded(gx, (pad, pad))
 
 
@@ -754,10 +782,36 @@ def batchnorm2d_forward(x, scale, shift, state: BnState, mode: str):
         var, new_state = state.var, state
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
+    check_finite("batchnorm2d", _bn_affine(xhat, scale, shift, out))
+    return out, new_state, (xhat, inv_std, scale, mode)
+
+
+def _bn_affine(xhat, scale, shift, out) -> np.ndarray:
+    """``out`` = xhat * scale + shift, batchnorm's output from its
+    normalized input."""
     np.multiply(xhat, scale, out=out)
     out += shift
-    check_finite("batchnorm2d", out)
-    return out, new_state, (xhat, inv_std, scale, mode)
+    return out
+
+
+class RebuiltActivation:
+    """Stands in, as a convolution's saved input, for the output of a conv
+    -> batchnorm -> Leaky ReLU unit, rebuilt one sample block at a time
+    from what the unit's batchnorm saved (Chen et al. 2016,
+    arXiv:1604.06174). ``self[blk]`` runs ``_bn_affine`` and ``_leaky``,
+    the forward's own code, on ``xhat[blk]``: elementwise arithmetic, so the
+    block is bitwise the one the forward made. ``conv_backward`` reads its
+    saved input only through ``shape``, ``dtype`` and ``x[blk]``."""
+
+    def __init__(self, bn_saved, shift, alpha: float):
+        self._xhat, _, self._scale, _ = bn_saved
+        self._shift, self._alpha = shift, alpha
+        self.shape, self.dtype = self._xhat.shape, self._xhat.dtype
+
+    def __getitem__(self, blk) -> np.ndarray:
+        xhat = self._xhat[blk]
+        z = _bn_affine(xhat, self._scale, self._shift, np.empty_like(xhat))
+        return _leaky(z, self._alpha)
 
 
 def batchnorm2d_backward(saved, output_grad):

@@ -4,6 +4,7 @@ export, and full-model gradients."""
 
 import dataclasses
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -413,6 +414,74 @@ def _cache_nbytes(obj, seen) -> int:
     return 0
 
 
+def _conv_saved(obj):
+    """Every conv's saved ``(x, weights, spec)`` reachable from a cache."""
+    if isinstance(obj, tuple) and len(obj) == 3 and isinstance(obj[2], ops.ConvSpec):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _conv_saved(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _conv_saved(v)
+
+
+class TestRebuiltActivation:
+    """A conv that reads a conv -> batchnorm -> Leaky ReLU unit's output
+    saves a stand-in that rebuilds it from the unit's cache."""
+
+    @staticmethod
+    def forward_reads(monkeypatch, config, n):
+        """The train forward's cache, and each conv's input as it read it."""
+        read = {}
+
+        def record(x, weights, bias, spec):
+            read[id(weights)] = x.copy()
+            return ops.conv_forward(x, weights, bias, spec)
+
+        monkeypatch.setattr(M, "conv_forward", record)
+        params = M.build_model(config)
+        _, _, cache = M.fpnn_forward(random_batch(config, n=n, seed=8), params, mode="train",
+                                     want_cache=True)
+        return params, cache, read
+
+    def test_blocks_are_the_stems_input_bitwise(self, monkeypatch):
+        config = micro_config(grid_side=16)
+        params, cache, read = self.forward_reads(monkeypatch, config, 5)
+        for stream in config.streams():
+            x, weights, _ = cache["streams"][stream]["init"]["cba"]["conv"]
+            assert weights is params.tensors[f"{stream}.init.conv.w"]
+            assert isinstance(x, ops.RebuiltActivation)
+            want = read[id(weights)]
+            assert x.shape == want.shape and x.dtype == want.dtype
+            for blk in (slice(0, 1), slice(1, 3), slice(4, 5), slice(0, 5)):
+                assert x[blk].tobytes() == want[blk].tobytes()
+
+    @pytest.mark.parametrize("detach,layers", [
+        (M.DetachFlags(), ("init.conv",)),
+        (M.DetachFlags(initial_layers=True),
+         ("block0.b1.conv", "block0.b2.reduce", "block0.b3.reduce", "block0.proj")),
+    ], ids=["stem", "offset-route"])
+    def test_backward_fed_the_stand_in_is_bitwise(self, monkeypatch, detach, layers):
+        """On the stem (three one-sample Winograd blocks) and on block0's
+        1x1 convs when the initial layers are detached (offset-loop blocks
+        of two samples and a short last one, or of one), ``conv_backward``
+        returns the same bits from the stand-in as from the array it stands
+        in for."""
+        config = micro_config(grid_side=32, detach=detach)
+        params, cache, read = self.forward_reads(monkeypatch, config, 3)
+        rng = np.random.default_rng(2)
+        saved = {id(s[1]): s for s in _conv_saved(cache)}
+        for layer in layers:
+            x, weights, spec = saved[id(params.tensors[f"raw.{layer}.w"])]
+            assert isinstance(x, ops.RebuiltActivation), layer
+            g = rng.standard_normal((3, *spec.out_extents(x.shape[1:-1]), spec.out_channels))
+            got = ops.conv_backward((x, weights, spec), g)
+            want = ops.conv_backward((read[id(weights)], weights, spec), g)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), layer
+
+
 class TestForwardCacheMemory:
     def test_train_cache_under_128_mib(self):
         # batch 16, G=32, noi=1: each conv keeps only its input, which it does not copy
@@ -423,34 +492,62 @@ class TestForwardCacheMemory:
         mib = _cache_nbytes(cache, set()) / 2**20
         assert mib < 128, f"forward cache holds {mib:.1f} MiB"
 
+    def test_train_cache_under_30_mib(self):
+        """At noi=1, G=32, batch 16 the arrays a train forward leaves alive,
+        its cache, hold at most 30 MiB (27.2 MiB measured): a cached copy of
+        either stream's 8 MiB front activation does not fit beside them."""
+        config = M.FpnnConfig(noi=1, grid_side=32)
+        params = M.build_model(config)
+        batch = random_batch(config, n=16, seed=4)
+        tracemalloc.start()
+        try:
+            _, _, cache = M.fpnn_forward(batch, params, mode="train", want_cache=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 30 * 2**20, f"forward cache holds {held / 2**20:.1f} MiB"
+
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_forward_without_cache_keeps_no_saved_values(self, monkeypatch, mode):
         """Without ``want_cache`` no conv's saved operand outlives its layer:
-        by the time the head runs, all are freed. With it, all are alive.
-        The predictions are bitwise the same either way."""
-        operands = []
+        by the time the head runs, all are freed. With it, every conv's
+        saved input is alive, saved itself, or is a stand-in whose blocks
+        rebuild it bitwise: the latter exactly for the convs that read a
+        conv -> batchnorm -> Leaky ReLU unit (the stem, and ``b2.conv``,
+        ``b3.conv1``, ``b3.conv2`` of each unit). The predictions are
+        bitwise the same either way."""
+        inputs = []  # (weakref to a conv's input, its bytes, its weights)
 
         def record(*args):
-            out, saved = ops.conv_forward(*args)
-            operands.append(weakref.ref(saved[0]))
-            return out, saved
+            inputs.append((weakref.ref(args[0]), args[0].tobytes(), args[1]))
+            return ops.conv_forward(*args)
 
         alive = []
 
         def head(*args):
-            alive.append(sum(ref() is not None for ref in operands))
+            alive.append(sum(ref() is not None for ref, *_ in inputs))
             return ops.linear_forward(*args)
 
         monkeypatch.setattr(M, "conv_forward", record)
         monkeypatch.setattr(M, "linear_forward", head)
         config = micro_config(noi=2)
         params, batch = M.build_model(config), random_batch(config)
-        cached = M.fpnn_forward(batch, params, mode=mode, want_cache=True)[0]
-        n_convs = len(operands)
-        operands.clear()
+        cached, _, cache = M.fpnn_forward(batch, params, mode=mode, want_cache=True)
+        saved = {id(s[1]): s[0] for s in _conv_saved(cache)}
+        n_convs, rebuilt = len(inputs), 0
+        for ref, data, weights in inputs:
+            x = saved[id(weights)]
+            if isinstance(x, ops.RebuiltActivation):
+                rebuilt += 1
+                assert x[0:x.shape[0]].tobytes() == data
+            else:
+                assert x is ref()
+        assert rebuilt == 2 * (1 + 3 * config.noi)
+        assert alive[0] == n_convs - rebuilt
+        inputs.clear()
         bare = M.fpnn_forward(batch, params, mode=mode)
-        assert n_convs == len(operands) == len(M.conv_layout(config))
-        assert alive[0] == n_convs and alive[-1] == 0
+        assert n_convs == len(inputs) == len(M.conv_layout(config))
+        assert alive[-1] == 0
         assert bare.tobytes() == cached.tobytes()
 
     def test_leaky_relus_cache_bool_masks(self, monkeypatch):

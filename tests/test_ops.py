@@ -310,8 +310,9 @@ class TestWinogradStem:
         """At the stem's [16, 32, 32, 64] -> 64 the backward holds at most
         15 MiB at any time (14.1 MiB measured): the 8 MiB input gradient,
         the 1.5 MiB weight gradient, one phase's 1.5 MiB transformed kernel
-        and one block's buffers. All four phases' U^T or dU (6.1 MiB) do not
-        fit beside them."""
+        and one block's buffers. The weight pass holds all four phases' dU
+        (6.1 MiB), which fit because they are freed before the input
+        gradient is made; all four phases' U^T beside it would not fit."""
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 64, 64)
         x = rng.standard_normal((16, 32, 32, 64))
         out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()) * 0.02,
@@ -447,6 +448,29 @@ class TestLeakyRelu:
         got = ops.leaky_relu_backward(ops.leaky_relu_forward(x, 0.07)[1], g)
         assert got.tobytes() == (g * np.where(x > 0, 1.0, 0.07)).tobytes()
         assert g.tobytes() == g_before.tobytes()
+
+
+class TestFloat32Activations:
+    @pytest.mark.parametrize("pool", ["max", "avg"])
+    def test_float32_forward_backward_keeps_its_dtype(self, rng, pool):
+        """Leaky ReLU, a pool and their backwards, fed float32, return
+        float32 arrays within float32 rounding of the float64 results; the
+        max pool routes to the same argmax."""
+        x = rng.standard_normal((3, 9, 9, 5))
+        x[0, 0, 0, :3] = [0.0, -0.0, 1e-30]
+        g = rng.standard_normal((3, 5, 5, 5))
+        results = []
+        for dtype in (np.float32, np.float64):
+            a, act = ops.leaky_relu_forward(x.astype(dtype), 0.07)
+            y, saved = (ops.max_pool2d if pool == "max" else ops.avg_pool2d)(a, 3, 2, 1)
+            gx = ops.leaky_relu_backward(act, ops.pool2d_backward(saved, g.astype(dtype)))
+            results.append((a, y, gx, saved[-1]))
+        (*got, argmax32), (*want, argmax64) = results
+        assert [a.dtype for a in got] == [np.float32] * 3
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-6 * np.abs(b).max())
+        if pool == "max":
+            assert np.array_equal(argmax32, argmax64)
 
 
 class TestPooling:
