@@ -33,6 +33,7 @@ NOMINAL_CAPACITY_AH = 1.1
 MIN_CURVE_POINTS = 16
 
 CYCLES_CSV_HEADER = ["cycle", "charge_q_ah", "voltage_v", "current_a", "temperature_c"]
+_SERIES = ("charged_capacity", "voltage", "current", "temperature")  # a CycleCurve's arrays
 
 
 @dataclass
@@ -46,17 +47,15 @@ class CycleCurve:
     temperature: np.ndarray  # degC
 
     def __post_init__(self):
-        self.charged_capacity = np.asarray(self.charged_capacity, dtype=float)
-        self.voltage = np.asarray(self.voltage, dtype=float)
-        self.current = np.asarray(self.current, dtype=float)
-        self.temperature = np.asarray(self.temperature, dtype=float)
+        for name in _SERIES:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def validate(self, battery_id: str = "?") -> None:
         where = f"battery {battery_id!r} cycle {self.cycle_index}"
         if self.cycle_index < 1:
             raise DataValidationError(f"{where}: cycle index must be positive")
         n = len(self.charged_capacity)
-        for name in ("charged_capacity", "voltage", "current", "temperature"):
+        for name in _SERIES:
             series = getattr(self, name)
             if len(series) != n:
                 raise DataValidationError(f"{where}: {name} length != capacity length")
@@ -203,10 +202,7 @@ def load_canonical_dataset(path: str | Path) -> list[BatteryRecord]:
     root = Path(path)
     if not root.is_dir():
         raise DataValidationError(f"dataset directory {root} does not exist")
-    records = []
-    for bdir in sorted(p for p in root.iterdir() if p.is_dir()):
-        records.append(_load_battery_dir(bdir))
-    return records
+    return [_load_battery_dir(bdir) for bdir in sorted(p for p in root.iterdir() if p.is_dir())]
 
 
 def save_canonical_dataset(records: list[BatteryRecord], root: str | Path) -> Path:

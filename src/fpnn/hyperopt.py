@@ -14,6 +14,7 @@ lives in :mod:`fpnn.training`).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import FpnnError
 
+log = logging.getLogger(__name__)
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
@@ -333,6 +335,7 @@ def bayes_optimize(objective, space: SearchSpace, budget: int, seed: int) -> tup
             else:
                 trials.append(Trial(point, float("nan"), "failed", "non-finite objective"))
         except Exception as exc:  # noqa: BLE001 - failed trials are data
+            log.warning("trial %d at %s failed", len(trials), point, exc_info=True)
             trials.append(Trial(point, float("nan"), "failed", f"{type(exc).__name__}: {exc}"))
         unit_points.append(space.to_unit(point) if trials[-1].status == "ok" else u)
 

@@ -16,11 +16,12 @@ regressed to a single life value (in cycles) by a small linear head.
 :func:`conv_layout` is the one description of the network: every conv the
 config instantiates, by name, in build order. :func:`build_model` walks it;
 each conv gets a weight and, except the residual projections
-(``*.block{i}.proj``), a bias and the batchnorm after it. Every such conv,
-the 3D front end included, runs in one conv -> batchnorm -> Leaky ReLU unit
-(``_cba_forward``/``_cba_backward``). ``_BRANCHES`` is the one statement of
-the inception unit: ``conv_layout``, the unit's forward and backward,
-``BLOCK_CHANNELS`` and the exported weight names all walk it.
+(``*.block{i}.proj``), the batchnorm after it, but no bias (a train-mode
+batchnorm cancels one: Ioffe & Szegedy 2015, arXiv:1502.03167). Every such
+conv, the 3D front end included, runs in one conv -> batchnorm -> Leaky ReLU
+unit (``_cba_forward``/``_cba_backward``). ``_BRANCHES`` is the one
+statement of the inception unit: ``conv_layout``, the unit's forward and
+backward, ``BLOCK_CHANNELS`` and the exported weight names all walk it.
 
 Activations are channels-last, ``[N, H, W, C]``, from each stream's input
 to its global pool: ``_stream_forward`` folds the frames into channels
@@ -248,11 +249,11 @@ def smallest_bn_side(config: FpnnConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _is_residual_proj(name: str) -> bool:
-    """Block skip projections are the only convs without bias and batchnorm."""
+    """Block skip projections are the only convs without a batchnorm."""
     return ".block" in name and name.endswith(".proj")
 
 
-def _bn_name(name: str) -> str:
+def bn_name(name: str) -> str:
     """The batchnorm after conv ``name``; the front conv's is ``{stream}.front.bn``."""
     stream, stage = name.split(".")[:2]
     return f"{stream}.front.bn" if stage == "front" else f"{name}.bn"
@@ -263,7 +264,7 @@ def build_model(config: FpnnConfig) -> FpnnParams:
     :func:`conv_layout` at a time.
 
     Conv/linear weights are Kaiming-uniform with the gain adjusted for the
-    Leaky ReLU slope; biases start at zero, batchnorm at scale 1 / shift 0.
+    Leaky ReLU slope; head biases start at zero, batchnorm at scale 1 / shift 0.
     """
     rng = np.random.default_rng(config.seed)
     gain = math.sqrt(2.0 / (1.0 + config.alpha**2))
@@ -279,8 +280,7 @@ def build_model(config: FpnnConfig) -> FpnnParams:
         tensors[f"{name}.w"] = kaiming(spec.weight_shape(), fan_in)
         if _is_residual_proj(name):
             continue
-        c, bn = spec.out_channels, _bn_name(name)
-        tensors[f"{name}.b"] = np.zeros(c)
+        c, bn = spec.out_channels, bn_name(name)
         tensors[f"{bn}.scale"] = np.ones(c)
         tensors[f"{bn}.shift"] = np.zeros(c)
         states[bn] = BnState.initial(c)
@@ -293,7 +293,7 @@ def build_model(config: FpnnConfig) -> FpnnParams:
 
 
 # ---------------------------------------------------------------------------
-# conv -> batchnorm -> leaky relu: the unit every conv with a bias runs in
+# conv -> batchnorm -> leaky relu: the unit every conv but the projections runs in
 # ---------------------------------------------------------------------------
 
 def _rebuilt(cache, params):
@@ -303,14 +303,14 @@ def _rebuilt(cache, params):
     when there is no cache. The output itself is then held by no cache."""
     if cache is None:
         return None
-    shift = params.tensors[f"{_bn_name(cache['name'])}.shift"]
+    shift = params.tensors[f"{bn_name(cache['name'])}.shift"]
     return RebuiltActivation(cache["bn"], shift, params.config.alpha)
 
 
-def _conv(x, x_saved, weights, bias, spec):
+def _conv(x, x_saved, weights, spec):
     """``conv_forward``, saving ``x_saved`` (see ``_rebuilt``) in place of
     ``x`` when it is not None."""
-    out, saved = conv_forward(x, weights, bias, spec)
+    out, saved = conv_forward(x, weights, spec)
     return out, saved if x_saved is None else (x_saved, *saved[1:])
 
 
@@ -321,10 +321,9 @@ def _cba_forward(x, params, specs, name, mode, new_states, keep=True, x_saved=No
     (``diff.front.conv3d: ...``). The cache is None unless ``keep``, so the
     unit's saved values die with it; the conv saves ``x_saved`` in place of
     ``x`` when it is given."""
-    bn = _bn_name(name)
+    bn = bn_name(name)
     try:
-        z, conv = _conv(x, x_saved, params.tensors[f"{name}.w"], params.tensors[f"{name}.b"],
-                        specs[name])
+        z, conv = _conv(x, x_saved, params.tensors[f"{name}.w"], specs[name])
         z, state, norm = batchnorm2d_forward(
             z, params.tensors[f"{bn}.scale"], params.tensors[f"{bn}.shift"],
             params.bn_states[bn], mode,
@@ -343,9 +342,9 @@ def _cba_backward(gout, cache, grads, want_input_grad=True, activated=False):
     name = cache["name"]
     if not activated:
         gout = leaky_relu_backward(cache["act"], gout)
-    bn = _bn_name(name)  # rebinding gout below frees the activation gradient it held
+    bn = bn_name(name)  # rebinding gout below frees the activation gradient it held
     gout, grads[f"{bn}.scale"], grads[f"{bn}.shift"] = batchnorm2d_backward(cache["bn"], gout)
-    gx, grads[f"{name}.w"], grads[f"{name}.b"] = conv_backward(cache["conv"], gout, want_input_grad)
+    gx, grads[f"{name}.w"] = conv_backward(cache["conv"], gout, want_input_grad)
     return gx
 
 
@@ -375,9 +374,7 @@ def _block_forward(x, params, specs, prefix, mode, new_states, keep=True, x_save
     out = np.concatenate(outs, axis=-1)
     proj = f"{prefix}.proj"
     if proj in specs:
-        spec = specs[proj]
-        skip, cache["proj"] = _conv(x, x_saved, params.tensors[f"{proj}.w"],
-                                    np.zeros(spec.out_channels), spec)
+        skip, cache["proj"] = _conv(x, x_saved, params.tensors[f"{proj}.w"], specs[proj])
         out = out + skip
     check_finite(f"{prefix} inception block", out)
     return out, (cache if keep else None)
@@ -394,7 +391,7 @@ def _block_backward(gout, cache, grads):
         gx = g if gx is None else gx + g
 
     if cache["proj"] is not None:
-        g, grads[f"{cache['prefix']}.proj.w"], _ = conv_backward(cache["proj"], gout)
+        g, grads[f"{cache['prefix']}.proj.w"] = conv_backward(cache["proj"], gout)
         gx = gx + g
     return gx
 
@@ -524,7 +521,7 @@ def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool
 
 
 def fpnn_backward(params: FpnnParams, cache, pred_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Reverse-mode gradients of every learnable tensor, given d(loss)/d(preds)."""
+    """Gradients of every learnable tensor, in build order, given d(loss)/d(preds)."""
     cfg = params.config
     grads: dict[str, np.ndarray] = {}
 
@@ -538,7 +535,7 @@ def fpnn_backward(params: FpnnParams, cache, pred_grad: np.ndarray) -> dict[str,
     for stream_grads in _map_streams(lambda s: _stream_backward(g_feats[s], cache["streams"][s]),
                                      cfg.streams()):
         grads.update(stream_grads)
-    return grads
+    return {k: grads[k] for k in params.tensors}
 
 
 # ---------------------------------------------------------------------------

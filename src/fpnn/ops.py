@@ -75,9 +75,9 @@ way.
 ``_conv_forward`` (also named ``conv2d_forward`` and ``conv3d_forward``) and
 ``_conv_backward`` are NCHW adapters over ``conv_forward`` and
 ``conv_backward``, used only by the benchmark's per-layer probe, which
-calls them with NCHW arrays; each moves the layout at both ends, which the
-network never does. They fold frames by the network's one rule: a 3D
-kernel's depth axis goes into the channels.
+calls them with NCHW arrays and a bias, which the forward adds; each moves
+the layout at both ends, which the network never does. They fold frames by
+the network's one rule: a 3D kernel's depth axis goes into the channels.
 """
 
 from __future__ import annotations
@@ -230,9 +230,9 @@ def _block_windows(x, blocks, kernel, stride, out_sp, before, insert=None):
             yield blk, offset, view.reshape(-1, c)
 
 
-def conv_forward(x, weights, bias, spec: ConvSpec):
+def conv_forward(x, weights, spec: ConvSpec):
     """``(out, saved)``: ``out`` [N, *out_spatial, C_out], the sum over
-    kernel offsets of shifted ``x`` @ W[offset], plus the bias.
+    kernel offsets of shifted ``x`` @ W[offset].
 
     ``x`` is [N, *spatial, C]. When it has fewer spatial axes than the
     kernel, the leading kernel axes are folded into its channels, C = C_in *
@@ -247,53 +247,45 @@ def conv_forward(x, weights, bias, spec: ConvSpec):
         raise ShapeError(f"input has {x.shape[-1]} channels, spec expects {c}")
     if weights.shape != spec.weight_shape():
         raise ShapeError(f"weights {weights.shape} do not match spec {spec.weight_shape()}")
-    if bias.shape != (spec.out_channels,):
-        raise ShapeError(f"bias {bias.shape} must be ({spec.out_channels},)")
     out_sp = spec.out_extents((*spec.kernel[:nf], *x.shape[1:-1]))[nf:]
     if _winograd_route(spec):
         if nf:
             raise ShapeError(f"a 7x7 stride-2 convolution takes [N, H, W, C], got {x.shape}")
-        out = _winograd_forward(x, weights, bias, spec.padding, out_sp)
+        out = _winograd_forward(x, weights, spec.padding, out_sp)
     else:
         out = _offset_loop(x, _kernel_matrices(weights, nf, x.dtype), spec.stride[nf:], out_sp,
-                           spec.padding[nf:], bias=bias)
+                           spec.padding[nf:])
     return check_finite("conv forward", out), (x, weights, spec)
 
 
-def _offset_loop(x, wk, stride, out_sp, before, insert=None, bias=None) -> np.ndarray:
+def _offset_loop(x, wk, stride, out_sp, before, insert=None) -> np.ndarray:
     """[N, *out_sp, C_out] in ``x``'s dtype: the sum over kernel offsets of
     the ``_block_windows`` rows of ``x`` (padded by ``before``, rows
-    ``insert`` apart) @ ``wk[offset]`` ([*kernel, C, C_out]), then the bias
-    if given."""
+    ``insert`` apart) @ ``wk[offset]`` ([*kernel, C, C_out])."""
     n, c_out, rows = x.shape[0], wk.shape[-1], math.prod(out_sp)
     blocks = _sample_blocks(n, rows * c_out * x.itemsize, _BLOCK_BYTES)
     # One product buffer serves every block and offset: a fresh temporary per
     # offset page-faults.
     prod_buf = np.empty((blocks[0].stop * rows, c_out), x.dtype)
     out = np.zeros((n, *out_sp, c_out), x.dtype)
-    last = tuple(k - 1 for k in wk.shape[:-2])
     for blk, offset, x_rows in _block_windows(x, blocks, wk.shape[:-2], stride, out_sp, before,
                                               insert):
         out_blk = out[blk].reshape(-1, c_out)
         out_blk += np.matmul(x_rows, wk[offset], out=prod_buf[: len(x_rows)])
-        if bias is not None and offset == last:
-            out_blk += bias  # last, as a whole-output add would, but while the block is in cache
     return out
 
 
 def conv_backward(saved, output_grad, want_input_grad=True):
-    """``(input_grad, d_weights, d_bias)`` from what ``conv_forward`` saved,
-    ``(x, weights, spec)``. ``x`` is read only through ``x.shape``,
-    ``x.dtype`` and sample blocks ``x[blk]``, each once, so a
-    ``RebuiltActivation`` may stand in for it. On the offset route the
-    weight gradient reads the same ``_block_windows`` rows of ``x`` as the
-    forward. Input position
-    j gathers ``g[i] @ W[u].T`` over s * i + u = j + p, which is
+    """``(input_grad, d_weights)`` from what ``conv_forward`` saved, ``(x,
+    weights, spec)``. ``x`` is read only through ``x.shape``, ``x.dtype``
+    and sample blocks ``x[blk]``, each once, so a ``RebuiltActivation`` may
+    stand in for it. On the offset route the weight gradient reads the same
+    ``_block_windows`` rows of ``x`` as the forward. Input position j
+    gathers ``g[i] @ W[u].T`` over s * i + u = j + p, which is
     ``_offset_loop`` at stride 1 over the output gradient placed k - 1 - p
     rows in, s apart, with the flipped kernel's transposed matrices. With
     ``want_input_grad=False`` the input gradient is None and not computed;
-    the rest is the same.
-    """
+    the rest is the same."""
     x, weights, spec = saved
     nf = spec.ndim - (len(x.shape) - 2)
     in_sp, c_out = x.shape[1:-1], spec.out_channels
@@ -301,13 +293,12 @@ def conv_backward(saved, output_grad, want_input_grad=True):
     want = (x.shape[0], *out_sp, c_out)
     if output_grad.shape != want:
         raise ShapeError(f"output_grad {output_grad.shape} does not match forward output {want}")
-    d_bias = output_grad.reshape(-1, c_out).sum(axis=0)
     if _winograd_route(spec):
         with np.errstate(invalid="ignore"):  # see the module docstring
             d_weights = _winograd_weight_grad(x, output_grad, spec.padding, weights.shape)
             gx = (_winograd_input_grad(output_grad, weights, spec.padding, in_sp)
                   if want_input_grad else None)
-        return gx, d_weights, d_bias
+        return gx, d_weights
     pads, kernel, stride = spec.padding[nf:], spec.kernel[nf:], spec.stride[nf:]
     n, c, rows = x.shape[0], x.shape[-1], math.prod(out_sp)
     gmat = output_grad.reshape(n, rows, c_out)
@@ -323,7 +314,7 @@ def conv_backward(saved, output_grad, want_input_grad=True):
         gx = _offset_loop(output_grad, _kernel_matrices(flipped.swapaxes(0, 1), 0, x.dtype),
                           (1,) * len(kernel), in_sp, tuple(k - 1 - p for k, p in zip(kernel, pads)),
                           stride)
-    return gx, d_weights, d_bias
+    return gx, d_weights
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +492,10 @@ def _winograd_conv(tiles, fill, u, out_sp):
         yield blk, y[:m, : out_sp[0], : out_sp[1]]
 
 
-def _winograd_forward(x, weights, bias, pads, out_sp):
+def _winograd_forward(x, weights, pads, out_sp):
     """The 7x7 stride-2 convolution as one stride-1 4x4 convolution over the
     stacked phases: ``_winograd_conv`` of the phases, which each block
-    writes into its tile buffer, with U of the weights, plus the bias."""
+    writes into its tile buffer, with U of the weights."""
     n, c, c_out = x.shape[0], x.shape[-1], weights.shape[0]
     out = np.empty((n, *out_sp, c_out), x.dtype)
     tiles = _Tiles(n, 4 * c, out_sp, max(4 * c, c_out), x.dtype)
@@ -512,7 +503,7 @@ def _winograd_forward(x, weights, bias, pads, out_sp):
         u = _transformed_kernels(weights).transpose(0, 2, 1)
         fill = lambda blk, buf: _phase_split(x[blk], pads, buf)
         for blk, y in _winograd_conv(tiles, fill, u, out_sp):
-            np.add(y, bias, out=out[blk])
+            out[blk] = y
     return out
 
 
@@ -577,14 +568,13 @@ def _winograd_input_grad(output_grad, weights, pads, in_sp) -> np.ndarray:
 
 
 def _conv_forward(x, weights, bias, spec, return_cols=False):
-    """NCHW adapter: ``conv_forward`` of ``x`` [N, C_in, *spatial], the
-    output [N, C_out, *out_spatial]; with ``return_cols`` also what it saved.
-    A 3D kernel's depth axis folds into the channels (``channels_last(x,
-    spec.ndim - 2)``), as the network folds its front end's frames, so the
-    kernel must span the input's depth."""
+    """NCHW adapter: ``conv_forward`` of ``x`` [N, C_in, *spatial] plus
+    ``bias``, [N, C_out, *out_spatial]; with ``return_cols`` also what it
+    saved. A 3D kernel folds its depth into the channels, as the network's
+    front end does, so it must span the input's depth."""
     out_sp = spec.out_extents(x.shape[2:])
-    out, saved = conv_forward(channels_last(x, spec.ndim - 2), weights, bias, spec)
-    out = np.ascontiguousarray(np.moveaxis(out, -1, 1)).reshape(x.shape[0], spec.out_channels, *out_sp)
+    out, saved = conv_forward(channels_last(x, spec.ndim - 2), weights, spec)
+    out = np.ascontiguousarray(np.moveaxis(out + bias, -1, 1)).reshape(len(x), spec.out_channels, *out_sp)
     return (out, saved) if return_cols else out
 
 
@@ -595,8 +585,8 @@ def _conv_backward(x, weights, spec, output_grad, cols):
     """NCHW adapter: ``conv_backward`` of ``cols``, what ``_conv_forward(x,
     weights, ..., spec, return_cols=True)`` saved, with an NCHW output
     gradient; the input gradient comes back shaped like ``x``."""
-    gx, d_weights, d_bias = conv_backward(cols, channels_last(output_grad, spec.ndim - 2))
-    return np.ascontiguousarray(np.moveaxis(gx, -1, 1)).reshape(x.shape), d_weights, d_bias
+    gx, d_weights = conv_backward(cols, channels_last(output_grad, spec.ndim - 2))
+    return np.ascontiguousarray(np.moveaxis(gx, -1, 1)).reshape(x.shape), d_weights
 
 
 # ---------------------------------------------------------------------------

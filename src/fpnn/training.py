@@ -11,6 +11,7 @@ train and score one model per cell config on the same loop.
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -24,7 +25,9 @@ from .errors import CheckpointError, NonFiniteError, ShapeError, TrainingError
 from .model import (
     FpnnConfig,
     FpnnParams,
+    bn_name,
     build_model,
+    conv_layout,
     fpnn_backward,
     fpnn_forward,
     smallest_bn_side,
@@ -32,6 +35,7 @@ from .model import (
 from .ops import BnState
 from .preprocess import HOLDOUT_FRACTION, SampleSet, holdout_by_battery, preprocess_fleet
 
+log = logging.getLogger(__name__)
 CHECKPOINT_KIND = "fpnn-checkpoint"
 CHECKPOINT_VERSION = 1
 EVAL_CHUNK = 64  # samples per eval-mode forward pass
@@ -309,6 +313,7 @@ def run_sweep_cell(train_set: SampleSet, test_set: SampleSet, n_input_cycles: in
         cell.mape, cell.mae, cell.rmse = report.mape, report.mae, report.rmse
     except Exception as exc:  # noqa: BLE001 - recorded as a NaN row
         cell.error = f"{type(exc).__name__}: {exc}"
+        log.warning("failed: %s", cell, exc_info=True)
     return cell
 
 
@@ -330,7 +335,10 @@ def run_sweep_window(records, n_input_cycles: int, model_configs: list[FpnnConfi
         )
     except Exception as exc:  # noqa: BLE001 - recorded as NaN rows
         error = f"{type(exc).__name__}: {exc}"
-        return [SweepCell(n_input_cycles, c.noi, c.seed, error=error) for c in model_configs]
+        cells = [SweepCell(n_input_cycles, c.noi, c.seed, error=error) for c in model_configs]
+        for cell in cells:
+            log.warning("failed: %s", cell, exc_info=True)
+        return cells
     return [run_sweep_cell(train_set, test_set, n_input_cycles, c, train_config)
             for c in model_configs]
 
@@ -380,7 +388,8 @@ def save_checkpoint(params: FpnnParams, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> FpnnParams:
     """Read a checkpoint and check it against ``build_model`` of its config:
-    every tensor and batchnorm state by name and shape, nothing extra."""
+    every tensor and batchnorm state by name and shape, nothing extra. An older
+    checkpoint's conv bias ``{conv}.b`` folds into its running mean (``- b``)."""
     meta, tensors = tio.read_tensors(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise CheckpointError(f"{path}: not a model checkpoint")
@@ -395,7 +404,9 @@ def load_checkpoint(path: str | Path) -> FpnnParams:
     for name, state in expected.bn_states.items():
         shapes[f"{name}.running_mean"] = state.mean.shape
         shapes[f"{name}.running_var"] = state.var.shape
-    for name, shape in shapes.items():
+    folds = {f"{n}.b": f"{bn_name(n)}.running_mean" for n in conv_layout(config)
+             if f"{n}.b" in tensors and bn_name(n) in expected.bn_states}
+    for name, shape in {**shapes, **{b: shapes[m] for b, m in folds.items()}}.items():
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name!r}")
         if tensors[name].shape != shape:
@@ -404,8 +415,10 @@ def load_checkpoint(path: str | Path) -> FpnnParams:
                 f"the config needs {shape}"
             )
     for name in tensors:
-        if name not in shapes:
+        if name not in shapes and name not in folds:
             raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+    for bias, mean in folds.items():
+        tensors[mean] = tensors[mean] - tensors.pop(bias)
     bn_states = {name: BnState(tensors.pop(f"{name}.running_mean"),
                                tensors.pop(f"{name}.running_var"))
                  for name in expected.bn_states}  # build order

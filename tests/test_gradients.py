@@ -25,13 +25,13 @@ def _loss_weights(rng, shape):
 def conv_grads(x, w, spec, output_grad):
     """Conv gradients as the model takes them, from what the forward pass
     saved, with NCHW arrays at the boundary."""
-    _, saved = ops.conv_forward(nhwc(x), w, np.zeros(spec.out_channels), spec)
-    gx, gw, gb = ops.conv_backward(saved, nhwc(output_grad))
-    return nchw(gx), gw, gb
+    _, saved = ops.conv_forward(nhwc(x), w, spec)
+    gx, gw = ops.conv_backward(saved, nhwc(output_grad))
+    return nchw(gx), gw
 
 
-def conv(x, w, b, spec):
-    return nchw(ops.conv_forward(nhwc(x), w, b, spec)[0])
+def conv(x, w, spec):
+    return nchw(ops.conv_forward(nhwc(x), w, spec)[0])
 
 
 class TestConv2dBackward:
@@ -39,10 +39,9 @@ class TestConv2dBackward:
         x = rng.standard_normal((2, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
-        gx, gw, gb = conv_grads(x, w, spec, np.zeros((2, 3, 5, 5)))
+        gx, gw = conv_grads(x, w, spec, np.zeros((2, 3, 5, 5)))
         assert not gx.any()
         assert not gw.any()
-        assert not gb.any()
 
     def test_scalar_chain(self):
         # 1x1 kernel: input grad is w * output_grad elementwise
@@ -50,50 +49,43 @@ class TestConv2dBackward:
         w = np.full((1, 1, 1, 1), 1.75)
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 1, 1)
         gout = np.array([[[[2.0, -1.0], [4.0, 0.5]]]])
-        gx, _, _ = conv_grads(x, w, spec, gout)
+        gx, _ = conv_grads(x, w, spec, gout)
         np.testing.assert_allclose(gx, 1.75 * gout, atol=1e-12)
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (1, 0)])
     def test_finite_differences(self, rng, stride, pad):
         x = rng.standard_normal((2, 2, 6, 5))
         w = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal(3)
         spec = ops.ConvSpec((3, 3), (stride, stride), (pad, pad), 2, 3)
-        probe = _loss_weights(rng, conv(x, w, b, spec).shape)
+        probe = _loss_weights(rng, conv(x, w, spec).shape)
 
-        gx, gw, gb = conv_grads(x, w, spec, probe)
-        gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
+        gx, gw = conv_grads(x, w, spec, probe)
+        gradcheck(lambda v: float((conv(v, w, spec) * probe).sum()),
                   x, gx, rtol=1e-4)
-        gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, v, spec) * probe).sum()),
                   w, gw, rtol=1e-4)
-        gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()),
-                  b, gb, rtol=1e-4)
 
     def test_grad_shapes_match_values(self, rng):
         x = rng.standard_normal((2, 2, 4, 4))
         w = rng.standard_normal((3, 2, 2, 2))
         spec = ops.ConvSpec((2, 2), (2, 2), (0, 0), 2, 3)
-        gx, gw, gb = conv_grads(x, w, spec, rng.standard_normal((2, 3, 2, 2)))
+        gx, gw = conv_grads(x, w, spec, rng.standard_normal((2, 3, 2, 2)))
         assert gx.shape == x.shape
         assert gw.shape == w.shape
-        assert gb.shape == (3,)
 
 
     def test_stem_geometry_finite_differences(self, rng):
         # 7x7 stride 2 pad 3 on an even input, as in the network's stem
         x = rng.standard_normal((2, 2, 8, 8))
         w = rng.standard_normal((3, 2, 7, 7))
-        b = rng.standard_normal(3)
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 2, 3)
         assert ops._winograd_route(spec)
-        probe = _loss_weights(rng, conv(x, w, b, spec).shape)
-        gx, gw, gb = conv_grads(x, w, spec, probe)
-        gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
+        probe = _loss_weights(rng, conv(x, w, spec).shape)
+        gx, gw = conv_grads(x, w, spec, probe)
+        gradcheck(lambda v: float((conv(v, w, spec) * probe).sum()),
                   x, gx, rtol=1e-4)
-        gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, v, spec) * probe).sum()),
                   w, gw, rtol=1e-4)
-        gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()),
-                  b, gb, rtol=1e-4)
 
 
 class TestConvSavedOperand:
@@ -117,8 +109,7 @@ class TestConvSavedOperand:
             x = np.ascontiguousarray(x)
         x_before = x.copy()
         spec = ops.ConvSpec(kernel, stride, pad, shape[1], 4)
-        out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()), np.zeros(4),
-                                      spec)
+        out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()), spec)
         assert saved[0] is x
         ops.conv_backward(saved, rng.standard_normal(out.shape))
         assert x.tobytes() == x_before.tobytes()
@@ -135,16 +126,14 @@ class TestConvSavedOperand:
         x = nhwc(rng.standard_normal((2, *shape)))
         spec = ops.ConvSpec(kernel, stride, pad, shape[0], 4)
         w = rng.standard_normal(spec.weight_shape())
-        b = rng.standard_normal(4)
-        out, saved = ops.conv_forward(x, w, b, spec)
+        out, saved = ops.conv_forward(x, w, spec)
         g = rng.standard_normal(out.shape)
-        a_x, a_w, a_b = ops.conv_backward(saved, g)
-        _, rebuilt = ops.conv_forward(x.copy(), w, b, spec)
-        b_x, b_w, b_b = ops.conv_backward(rebuilt, g)
+        a_x, a_w = ops.conv_backward(saved, g)
+        _, rebuilt = ops.conv_forward(x.copy(), w, spec)
+        b_x, b_w = ops.conv_backward(rebuilt, g)
         assert a_x.shape == x.shape and a_w.shape == w.shape
         assert np.array_equal(a_x, b_x)
         assert np.array_equal(a_w, b_w)
-        assert np.array_equal(a_b, b_b)
 
     @pytest.mark.parametrize("shape,kernel,stride,pad", [
         ((2, 9, 8), (7, 7), (2, 2), (3, 3)),
@@ -152,18 +141,17 @@ class TestConvSavedOperand:
         ((3, 4, 5, 5), (2, 3, 3), (1, 2, 1), (0, 1, 1)),
     ])
     def test_skipped_input_grad_keeps_param_grads_bitwise(self, rng, shape, kernel, stride, pad):
-        """Skipping the input gradient leaves the weight and bias gradients
-        bit for bit as they are with it."""
+        """Skipping the input gradient leaves the weight gradient bit for
+        bit as it is with it."""
         x = rng.standard_normal((2, *shape))
         spec = ops.ConvSpec(kernel, stride, pad, shape[0], 4)
         w = rng.standard_normal(spec.weight_shape())
-        out, saved = ops.conv_forward(nhwc(x), w, rng.standard_normal(4), spec)
+        out, saved = ops.conv_forward(nhwc(x), w, spec)
         g = rng.standard_normal(out.shape)
-        full_x, full_w, full_b = ops.conv_backward(saved, g)
-        skip_x, skip_w, skip_b = ops.conv_backward(saved, g, want_input_grad=False)
+        full_x, full_w = ops.conv_backward(saved, g)
+        skip_x, skip_w = ops.conv_backward(saved, g, want_input_grad=False)
         assert skip_x is None
         assert full_w.tobytes() == skip_w.tobytes()
-        assert full_b.tobytes() == skip_b.tobytes()
 
 
 class TestWinogradStemBackward:
@@ -186,32 +174,30 @@ class TestWinogradStemBackward:
         x = rng.standard_normal(shape)
         spec = self.stem(shape, pad)
         w = rng.standard_normal(spec.weight_shape())
-        b = rng.standard_normal(3)
-        probe = _loss_weights(rng, conv(x, w, b, spec).shape)
-        gx, gw, gb = conv_grads(x, w, spec, probe)
-        gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()), x, gx, rtol=1e-4)
-        gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()), w, gw, rtol=1e-4)
-        gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()), b, gb, rtol=1e-4)
+        probe = _loss_weights(rng, conv(x, w, spec).shape)
+        gx, gw = conv_grads(x, w, spec, probe)
+        gradcheck(lambda v: float((conv(v, w, spec) * probe).sum()), x, gx, rtol=1e-4)
+        gradcheck(lambda v: float((conv(x, v, spec) * probe).sum()), w, gw, rtol=1e-4)
 
     @pytest.mark.parametrize("shape", [(3, 64, 32, 32), (7, 16, 32, 32), (3, 2, 9, 13)])
     def test_skipped_input_grad_and_repeat_calls_bitwise(self, rng, shape):
-        """``want_input_grad=False`` gives the weight and bias gradients bit
-        for bit, and two calls of the forward and backward are bitwise equal:
+        """``want_input_grad=False`` gives the weight gradient bit for bit,
+        and two calls of the forward and backward are bitwise equal:
         at the stem's geometry (a sample per block), with blocks of five
         samples, the last one short, and with tiles that overhang."""
         x = nhwc(rng.standard_normal(shape))
         spec = self.stem(shape, c_out=5)
-        w, b = rng.standard_normal(spec.weight_shape()), rng.standard_normal(5)
-        out, saved = ops.conv_forward(x, w, b, spec)
-        out2, saved2 = ops.conv_forward(x, w, b, spec)
+        w = rng.standard_normal(spec.weight_shape())
+        out, saved = ops.conv_forward(x, w, spec)
+        out2, saved2 = ops.conv_forward(x, w, spec)
         assert out.tobytes() == out2.tobytes() and saved[0].tobytes() == saved2[0].tobytes()
         g = rng.standard_normal(out.shape)
         full = ops.conv_backward(saved, g)
         again = ops.conv_backward(saved2, g)
-        skip_x, skip_w, skip_b = ops.conv_backward(saved, g, want_input_grad=False)
+        skip_x, skip_w = ops.conv_backward(saved, g, want_input_grad=False)
         assert skip_x is None
         assert all(a.tobytes() == c.tobytes() for a, c in zip(full, again))
-        assert full[1].tobytes() == skip_w.tobytes() and full[2].tobytes() == skip_b.tobytes()
+        assert full[1].tobytes() == skip_w.tobytes()
 
 
 class TestConv3dBackward:
@@ -220,7 +206,7 @@ class TestConv3dBackward:
         w = rng.standard_normal((3, 2, 3, 2, 2))
         spec = ops.ConvSpec((3, 2, 2), (1, 1, 1), (0, 0, 0), 2, 3)
         gout_shape = (2, 3, 1, 3, 3)
-        gx, gw, _ = conv_grads(x, w, spec, np.zeros(gout_shape))
+        gx, gw = conv_grads(x, w, spec, np.zeros(gout_shape))
         assert not gx.any() and not gw.any()
 
     def test_depth1_reduces_to_conv2d(self, rng):
@@ -229,37 +215,33 @@ class TestConv3dBackward:
         gout = rng.standard_normal((2, 3, 5, 5))
         spec2 = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
         spec3 = ops.ConvSpec((1, 3, 3), (1, 1, 1), (0, 1, 1), 2, 3)
-        g2x, g2w, _ = conv_grads(x2, w2, spec2, gout)
-        g3x, g3w, _ = conv_grads(x2[:, :, None], w2[:, :, None], spec3, gout[:, :, None])
+        g2x, g2w = conv_grads(x2, w2, spec2, gout)
+        g3x, g3w = conv_grads(x2[:, :, None], w2[:, :, None], spec3, gout[:, :, None])
         np.testing.assert_allclose(g3x[:, :, 0], g2x, atol=1e-12)
         np.testing.assert_allclose(g3w[:, :, 0], g2w, atol=1e-12)
 
     def test_finite_differences(self, rng):
         x = rng.standard_normal((2, 2, 3, 4, 4))
         w = rng.standard_normal((2, 2, 3, 3, 3))
-        b = rng.standard_normal(2)
         spec = ops.ConvSpec((3, 3, 3), (1, 1, 1), (0, 1, 1), 2, 2)
-        probe = _loss_weights(rng, conv(x, w, b, spec).shape)
-        gx, gw, _ = conv_grads(x, w, spec, probe)
-        gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
+        probe = _loss_weights(rng, conv(x, w, spec).shape)
+        gx, gw = conv_grads(x, w, spec, probe)
+        gradcheck(lambda v: float((conv(v, w, spec) * probe).sum()),
                   x, gx, rtol=1e-4)
-        gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, v, spec) * probe).sum()),
                   w, gw, rtol=1e-4)
 
     def test_short_depth_kernel_finite_differences(self, rng):
         # kernel depth 2 < input depth 4: the unfolded n-d path
         x = rng.standard_normal((2, 2, 4, 4, 5))
         w = rng.standard_normal((3, 2, 2, 3, 3))
-        b = rng.standard_normal(3)
         spec = ops.ConvSpec((2, 3, 3), (1, 2, 1), (0, 1, 1), 2, 3)
-        probe = _loss_weights(rng, conv(x, w, b, spec).shape)
-        gx, gw, gb = conv_grads(x, w, spec, probe)
-        gradcheck(lambda v: float((conv(v, w, b, spec) * probe).sum()),
+        probe = _loss_weights(rng, conv(x, w, spec).shape)
+        gx, gw = conv_grads(x, w, spec, probe)
+        gradcheck(lambda v: float((conv(v, w, spec) * probe).sum()),
                   x, gx, rtol=1e-4)
-        gradcheck(lambda v: float((conv(x, v, b, spec) * probe).sum()),
+        gradcheck(lambda v: float((conv(x, v, spec) * probe).sum()),
                   w, gw, rtol=1e-4)
-        gradcheck(lambda v: float((conv(x, w, v, spec) * probe).sum()),
-                  b, gb, rtol=1e-4)
 
 
 class TestLeakyReluBackward:

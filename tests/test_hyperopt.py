@@ -1,6 +1,8 @@
 """GP surrogate vs dense linear-algebra oracle, expected-improvement
 properties, and optimizer behavior on a known objective."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -255,7 +257,7 @@ class TestBayesOptimize:
             assert 1 <= t.point["k"] <= 5
             assert isinstance(t.point["k"], int)
 
-    def test_failed_trials_recorded_and_excluded(self):
+    def test_failed_trials_recorded_and_excluded(self, caplog):
         calls = {"n": 0}
 
         def flaky(point):
@@ -264,11 +266,17 @@ class TestBayesOptimize:
                 raise RuntimeError("boom")
             return (point["x"] - 0.5) ** 2
 
-        best, trials = H.bayes_optimize(flaky, self.space(), budget=12, seed=3)
+        with caplog.at_level(logging.WARNING, logger=H.__name__):
+            best, trials = H.bayes_optimize(flaky, self.space(), budget=12, seed=3)
         failed = [t for t in trials if t.status == "failed"]
         assert failed and all(np.isnan(t.objective) for t in failed)
         assert {t.message for t in failed} == {"RuntimeError: boom"}
         assert best.status == "ok"
+        # each failure is also logged, with its traceback
+        records = [r for r in caplog.records if r.name == H.__name__]
+        assert len(records) == len(failed)
+        assert all(r.levelno == logging.WARNING and r.exc_info[0] is RuntimeError
+                   for r in records)
 
     def test_all_failures_raise(self):
         def bad(point):

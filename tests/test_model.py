@@ -79,28 +79,23 @@ class TestBuild:
         with pytest.raises(ValueError):
             micro_config(noi=-1)
 
-    def test_zero_bias_and_bn_init(self):
+    def test_batchnorm_init(self):
         p = M.build_model(micro_config())
-        assert not p.tensors["raw.init.conv.b"].any()
         assert np.array_equal(p.tensors["raw.front.bn.scale"], np.ones(64))
         assert not p.tensors["raw.front.bn.shift"].any()
 
 
 # Checkpoint tensor names of one stream of the default noi=1 model, in build order.
 STREAM_TENSORS = [
-    "front.conv3d.w", "front.conv3d.b", "front.bn.scale", "front.bn.shift",
-    "init.conv.w", "init.conv.b", "init.conv.bn.scale", "init.conv.bn.shift",
-    "block0.b1.conv.w", "block0.b1.conv.b", "block0.b1.conv.bn.scale", "block0.b1.conv.bn.shift",
-    "block0.b2.reduce.w", "block0.b2.reduce.b",
-    "block0.b2.reduce.bn.scale", "block0.b2.reduce.bn.shift",
-    "block0.b2.conv.w", "block0.b2.conv.b", "block0.b2.conv.bn.scale", "block0.b2.conv.bn.shift",
-    "block0.b3.reduce.w", "block0.b3.reduce.b",
-    "block0.b3.reduce.bn.scale", "block0.b3.reduce.bn.shift",
-    "block0.b3.conv1.w", "block0.b3.conv1.b",
-    "block0.b3.conv1.bn.scale", "block0.b3.conv1.bn.shift",
-    "block0.b3.conv2.w", "block0.b3.conv2.b",
-    "block0.b3.conv2.bn.scale", "block0.b3.conv2.bn.shift",
-    "block0.b4.conv.w", "block0.b4.conv.b", "block0.b4.conv.bn.scale", "block0.b4.conv.bn.shift",
+    "front.conv3d.w", "front.bn.scale", "front.bn.shift",
+    "init.conv.w", "init.conv.bn.scale", "init.conv.bn.shift",
+    "block0.b1.conv.w", "block0.b1.conv.bn.scale", "block0.b1.conv.bn.shift",
+    "block0.b2.reduce.w", "block0.b2.reduce.bn.scale", "block0.b2.reduce.bn.shift",
+    "block0.b2.conv.w", "block0.b2.conv.bn.scale", "block0.b2.conv.bn.shift",
+    "block0.b3.reduce.w", "block0.b3.reduce.bn.scale", "block0.b3.reduce.bn.shift",
+    "block0.b3.conv1.w", "block0.b3.conv1.bn.scale", "block0.b3.conv1.bn.shift",
+    "block0.b3.conv2.w", "block0.b3.conv2.bn.scale", "block0.b3.conv2.bn.shift",
+    "block0.b4.conv.w", "block0.b4.conv.bn.scale", "block0.b4.conv.bn.shift",
     "block0.proj.w",
 ]
 
@@ -231,9 +226,8 @@ class TestStreamLayout:
         _, cache, _ = M._stream_forward(x5, params, M.conv_layout(config), "raw", "train")
         folded, w, spec = cache["front"]["conv"]
         assert folded.tobytes() == nhwc(x5.reshape(2, 12, 6, 6)).tobytes()
-        out, _ = ops.conv_forward(folded, w, params.tensors["raw.front.conv3d.b"], spec)
-        want = np.stack([conv3d_loop(x, w, params.tensors["raw.front.conv3d.b"], (1, 1, 1),
-                                     (0, 1, 1)) for x in x5])
+        out, _ = ops.conv_forward(folded, w, spec)
+        want = np.stack([conv3d_loop(x, w, np.zeros(64), (1, 1, 1), (0, 1, 1)) for x in x5])
         np.testing.assert_allclose(nchw(out)[:, :, None], want, atol=1e-12, rtol=0)
 
 
@@ -282,7 +276,7 @@ class TestDetachBehavior:
 
         proj = with_res.tensors["raw.block0.proj.w"]
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 64, 88)
-        skip, _ = ops.conv_forward(x, proj, np.zeros(88), spec)
+        skip, _ = ops.conv_forward(x, proj, spec)
         np.testing.assert_allclose(out_res - out_plain, skip, atol=1e-12)
 
 
@@ -305,14 +299,19 @@ class TestBackward:
         last = f"head.fc{len(config.head_widths()) - 2}.b"
         np.testing.assert_allclose(grads[last], [pred_grad.sum()], atol=1e-12)
 
+    @pytest.mark.parametrize("noi", [0, 1, 2])
     @pytest.mark.parametrize("detach", DETACH_VARIANTS)
-    def test_every_tensor_gets_a_gradient(self, detach):
-        config = micro_config(detach=detach)
+    def test_every_tensor_gets_a_gradient(self, detach, noi):
+        """No conv has a bias, which the train-mode batchnorm after it would
+        cancel; the backward returns a gradient for exactly the model's
+        tensors, in build order, each shaped like its tensor."""
+        config = micro_config(noi=noi, detach=detach)
         params = M.build_model(config)
+        assert not [k for k in params.tensors if k.endswith(".b") and not k.startswith("head.")]
         _, _, cache = M.fpnn_forward(random_batch(config), params, mode="train",
                                      want_cache=True)
         grads = M.fpnn_backward(params, cache, np.ones(2))
-        assert sorted(grads) == sorted(params.tensors)
+        assert list(grads) == list(params.tensors)
         assert all(grads[k].shape == t.shape for k, t in params.tensors.items())
 
     def test_gradient_flow_everywhere(self):
@@ -339,7 +338,7 @@ class TestBackward:
         full, skip = {}, {}
         assert M._cba_backward(gout, front, full) is not None
         assert M._cba_backward(gout, front, skip, want_input_grad=False) is None
-        assert list(full) == list(skip) and len(full) == 4
+        assert list(full) == list(skip) and len(full) == 3
         for name in full:
             assert full[name].tobytes() == skip[name].tobytes(), name
 
@@ -435,9 +434,9 @@ class TestRebuiltActivation:
         """The train forward's cache, and each conv's input as it read it."""
         read = {}
 
-        def record(x, weights, bias, spec):
+        def record(x, weights, spec):
             read[id(weights)] = x.copy()
-            return ops.conv_forward(x, weights, bias, spec)
+            return ops.conv_forward(x, weights, spec)
 
         monkeypatch.setattr(M, "conv_forward", record)
         params = M.build_model(config)

@@ -76,10 +76,10 @@ def per_sample(oracle, x, *args):
     return np.stack([oracle(xi, *args) for xi in x])
 
 
-def conv_nchw(x, w, b, spec):
+def conv_nchw(x, w, spec):
     """``conv_forward`` with NCHW arrays at the boundary; no axis folds into
     the channels, so a 3D kernel runs as a 3D convolution."""
-    return nchw(ops.conv_forward(nhwc(x), w, b, spec)[0])
+    return nchw(ops.conv_forward(nhwc(x), w, spec)[0])
 
 
 class TestConv2d:
@@ -87,7 +87,7 @@ class TestConv2d:
         x = np.ones((1, 1, 3, 3))
         w = np.full((1, 1, 1, 1), 2.0)
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 1, 1)
-        out = conv_nchw(x, w, np.zeros(1), spec)
+        out = conv_nchw(x, w, spec)
         assert out.shape == (1, 1, 3, 3)
         np.testing.assert_array_equal(out, np.full((1, 1, 3, 3), 2.0))
 
@@ -95,76 +95,71 @@ class TestConv2d:
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         w = np.ones((1, 1, 2, 2))
         spec = ops.ConvSpec((2, 2), (1, 1), (0, 0), 1, 1)
-        out = conv_nchw(x, w, np.zeros(1), spec)
+        out = conv_nchw(x, w, spec)
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 10.0
 
     def test_matches_loop_oracle(self, rng):
         x = rng.standard_normal((2, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
-        b = rng.standard_normal(4)
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 3, 4)
-        got = conv_nchw(x, w, b, spec)
-        want = per_sample(conv2d_loop, x, w, b, (1, 1), (1, 1))
+        got = conv_nchw(x, w, spec)
+        want = per_sample(conv2d_loop, x, w, np.zeros(4), (1, 1), (1, 1))
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2), (3, 0)])
     def test_loop_oracle_strided(self, rng, stride, pad):
         x = rng.standard_normal((2, 2, 9, 7))
         w = rng.standard_normal((3, 2, 3, 2))
-        b = rng.standard_normal(3)
         spec = ops.ConvSpec((3, 2), (stride, stride), (pad, pad), 2, 3)
-        got = conv_nchw(x, w, b, spec)
-        want = per_sample(conv2d_loop, x, w, b, (stride, stride), (pad, pad))
+        got = conv_nchw(x, w, spec)
+        want = per_sample(conv2d_loop, x, w, np.zeros(3), (stride, stride), (pad, pad))
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_linearity(self, rng):
         w = rng.standard_normal((4, 2, 3, 3))
-        b = np.zeros(4)
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 4)
         x = rng.standard_normal((2, 2, 6, 6))
         y = rng.standard_normal((2, 2, 6, 6))
         a, c = 1.7, -0.4
-        lhs = conv_nchw(a * x + c * y, w, b, spec)
-        rhs = a * conv_nchw(x, w, b, spec) + c * conv_nchw(y, w, b, spec)
+        lhs = conv_nchw(a * x + c * y, w, spec)
+        rhs = a * conv_nchw(x, w, spec) + c * conv_nchw(y, w, spec)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10, rtol=0)
 
     def test_deterministic(self, rng):
         x = rng.standard_normal((2, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3))
-        b = rng.standard_normal(3)
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 2, 3)
-        a = conv_nchw(x, w, b, spec)
-        c = conv_nchw(x.copy(), w.copy(), b.copy(), spec)
+        a = conv_nchw(x, w, spec)
+        c = conv_nchw(x.copy(), w.copy(), spec)
         assert np.array_equal(a, c)
 
     def test_shape_mismatch_rejected(self, rng):
         spec = ops.ConvSpec((3, 3), (1, 1), (0, 0), 2, 4)
         with pytest.raises(ShapeError):
             conv_nchw(rng.standard_normal((1, 3, 5, 5)),
-                      rng.standard_normal((4, 2, 3, 3)), np.zeros(4), spec)
+                      rng.standard_normal((4, 2, 3, 3)), spec)
         with pytest.raises(ShapeError):
             conv_nchw(rng.standard_normal((1, 2, 5, 5)),
-                      rng.standard_normal((4, 2, 2, 3)), np.zeros(4), spec)
+                      rng.standard_normal((4, 2, 2, 3)), spec)
         with pytest.raises(ShapeError):  # a batch axis is required
             conv_nchw(rng.standard_normal((2, 5, 5)),
-                      rng.standard_normal((4, 2, 3, 3)), np.zeros(4), spec)
+                      rng.standard_normal((4, 2, 3, 3)), spec)
 
     def test_nonfinite_rejected(self):
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 1, 1)
         x = np.full((1, 1, 2, 2), np.inf)
         with pytest.raises(NonFiniteError):
-            conv_nchw(x, np.ones((1, 1, 1, 1)), np.zeros(1), spec)
+            conv_nchw(x, np.ones((1, 1, 1, 1)), spec)
 
     def test_stem_geometry_matches_loop_oracle(self, rng):
         # the network's 7x7 stride-2 pad-3 stem on an even input: the last
         # padded row and column are never read
         x = rng.standard_normal((2, 3, 10, 10))
         w = rng.standard_normal((4, 3, 7, 7))
-        b = rng.standard_normal(4)
-        got = stem_conv(x, w, b)
+        got = stem_conv(x, w)
         assert got.shape == (2, 4, 5, 5)
-        np.testing.assert_allclose(got, per_sample(conv2d_loop, x, w, b, (2, 2), (3, 3)),
+        np.testing.assert_allclose(got, per_sample(conv2d_loop, x, w, np.zeros(4), (2, 2), (3, 3)),
                                    atol=1e-12, rtol=0)
 
     def test_backward_holds_one_input_sized_array(self, rng):
@@ -174,8 +169,7 @@ class TestConv2d:
         with no scatter-add into an input-sized buffer."""
         spec = ops.ConvSpec((3, 3), (1, 1), (1, 1), 64, 16)
         x = rng.standard_normal((16, 16, 16, 64))
-        out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()), np.zeros(16),
-                                      spec)
+        out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()), spec)
         g = rng.standard_normal(out.shape)
         tracemalloc.start()
         try:
@@ -198,23 +192,23 @@ class TestConv2d:
         x = ops.channels_last(rng.standard_normal((2, *shape)), len(kernel) - 2)
         spec = ops.ConvSpec(kernel, stride, pad, shape[0], 5)
         w = rng.standard_normal(spec.weight_shape())
-        g = rng.standard_normal(ops.conv_forward(x, w, np.zeros(5), spec)[0].shape)
+        g = rng.standard_normal(ops.conv_forward(x, w, spec)[0].shape)
         results = []
         for dtype in (np.float32, np.float64):
-            out, saved = ops.conv_forward(x.astype(dtype), w.astype(dtype), np.zeros(5, dtype), spec)
+            out, saved = ops.conv_forward(x.astype(dtype), w.astype(dtype), spec)
             results.append((out, *ops.conv_backward(saved, g.astype(dtype))))
-        assert [a.dtype for a in results[0]] == [np.float32] * 4
+        assert [a.dtype for a in results[0]] == [np.float32] * 3
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
 
 
-def stem_conv(x, w, b, pad=3):
+def stem_conv(x, w, pad=3):
     """The 7x7 stride-2 convolution of NCHW ``x``, asserting that it took
     the Winograd route, which saves its input itself, unpadded."""
     spec = ops.ConvSpec((7, 7), (2, 2), (pad, pad), w.shape[1], w.shape[0])
     assert ops._winograd_route(spec)
     x = nhwc(x)
-    out, saved = ops.conv_forward(x, w, b, spec)
+    out, saved = ops.conv_forward(x, w, spec)
     assert saved[0] is x
     return nchw(out)
 
@@ -234,9 +228,8 @@ class TestWinogradStem:
         n = 1 if h == 32 else 2
         x = rng.standard_normal((n, 3, h, w_))
         w = rng.standard_normal((4, 3, 7, 7))
-        b = rng.standard_normal(4)
-        np.testing.assert_allclose(stem_conv(x, w, b, pad),
-                                   per_sample(conv2d_loop, x, w, b, (2, 2), (pad, pad)),
+        np.testing.assert_allclose(stem_conv(x, w, pad),
+                                   per_sample(conv2d_loop, x, w, np.zeros(4), (2, 2), (pad, pad)),
                                    atol=1e-12, rtol=0)
 
     def test_folded_input_rejected(self, rng):
@@ -245,7 +238,7 @@ class TestWinogradStem:
         spec = ops.ConvSpec((7, 7), (2, 2), (0, 0), 2, 3)
         with pytest.raises(ShapeError):
             ops.conv_forward(rng.standard_normal((2, 9, 14)), rng.standard_normal((3, 2, 7, 7)),
-                             np.zeros(3), spec)
+                             spec)
 
     def test_transform_matrices_compute_correlation(self):
         """A^T [(G g) * (BT d)] is the correlation y[i] = sum_k d[i + k] g[k]
@@ -270,14 +263,13 @@ class TestWinogradStem:
         the 49 kernel offsets."""
         x = rng.standard_normal((n, 32, 32, c_in))
         w = rng.standard_normal((c_out, c_in, 7, 7)) * 0.02
-        b = rng.standard_normal(c_out)
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), c_in, c_out)
-        out, saved = ops.conv_forward(x, w, b, spec)
+        out, saved = ops.conv_forward(x, w, spec)
         g = rng.standard_normal(out.shape)
-        gx, gw, _ = ops.conv_backward(saved, g)
+        gx, gw = ops.conv_backward(saved, g)
 
         xp = np.pad(x, [(0, 0), (3, 3), (3, 3), (0, 0)])
-        want, want_gx, want_gw = np.zeros_like(out) + b, np.zeros_like(xp), np.empty_like(w)
+        want, want_gx, want_gw = np.zeros_like(out), np.zeros_like(xp), np.empty_like(w)
         for u, v in np.ndindex(7, 7):
             window = (slice(None), slice(u, u + 31, 2), slice(v, v + 31, 2))
             want += xp[window] @ w[:, :, u, v].T
@@ -304,7 +296,7 @@ class TestWinogradStem:
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 64, 64)
         x = rng.standard_normal((16, 32, 32, 64))
         w = rng.standard_normal(spec.weight_shape()) * 0.02
-        assert self.traced_peak(lambda: ops.conv_forward(x, w, np.zeros(64), spec)) <= 14.5 * 2**20
+        assert self.traced_peak(lambda: ops.conv_forward(x, w, spec)) <= 14.5 * 2**20
 
     def test_backward_peak_memory(self, rng):
         """At the stem's [16, 32, 32, 64] -> 64 the backward holds at most
@@ -315,8 +307,7 @@ class TestWinogradStem:
         gradient is made; all four phases' U^T beside it would not fit."""
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 64, 64)
         x = rng.standard_normal((16, 32, 32, 64))
-        out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()) * 0.02,
-                                      np.zeros(64), spec)
+        out, saved = ops.conv_forward(x, rng.standard_normal(spec.weight_shape()) * 0.02, spec)
         g = rng.standard_normal(out.shape)
         assert self.traced_peak(lambda: ops.conv_backward(saved, g)) <= 15 * 2**20
 
@@ -326,9 +317,9 @@ class TestWinogradStem:
         spec = ops.ConvSpec((7, 7), (2, 2), (3, 3), 4, 5)
         x = rng.standard_normal((3, 16, 16, 4)).astype(np.float32)
         w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
-        out, saved = ops.conv_forward(x, w, np.zeros(5, np.float32), spec)
+        out, saved = ops.conv_forward(x, w, spec)
         grads = ops.conv_backward(saved, rng.standard_normal(out.shape).astype(np.float32))
-        assert [a.dtype for a in (out, *grads)] == [np.float32] * 4
+        assert [a.dtype for a in (out, *grads)] == [np.float32] * 3
 
 
 class TestConv3d:
@@ -337,7 +328,7 @@ class TestConv3d:
         x[0, 0, 0, 0, 0], x[0, 0, 1, 0, 0] = 3.0, 4.0
         w = np.ones((1, 1, 2, 1, 1))
         spec = ops.ConvSpec((2, 1, 1), (1, 1, 1), (0, 0, 0), 1, 1)
-        out = conv_nchw(x, w, np.zeros(1), spec)
+        out = conv_nchw(x, w, spec)
         assert out.shape == (1, 1, 1, 1, 1)
         assert out[0, 0, 0, 0, 0] == 7.0
 
@@ -345,15 +336,14 @@ class TestConv3d:
         x = rng.standard_normal((2, 1, 1, 4, 4))
         w = np.ones((1, 1, 1, 1, 1))
         spec = ops.ConvSpec((1, 1, 1), (1, 1, 1), (0, 0, 0), 1, 1)
-        np.testing.assert_array_equal(conv_nchw(x, w, np.zeros(1), spec), x)
+        np.testing.assert_array_equal(conv_nchw(x, w, spec), x)
 
     def test_matches_loop_oracle(self, rng):
         x = rng.standard_normal((2, 3, 4, 6, 6))
         w = rng.standard_normal((8, 3, 4, 3, 3))
-        b = rng.standard_normal(8)
         spec = ops.ConvSpec((4, 3, 3), (1, 1, 1), (0, 1, 1), 3, 8)
-        got = conv_nchw(x, w, b, spec)
-        want = per_sample(conv3d_loop, x, w, b, (1, 1, 1), (0, 1, 1))
+        got = conv_nchw(x, w, spec)
+        want = per_sample(conv3d_loop, x, w, np.zeros(8), (1, 1, 1), (0, 1, 1))
         assert got.shape == (2, 8, 1, 6, 6)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -361,18 +351,18 @@ class TestConv3d:
         # kernel depth < input depth: no axis folds into channels
         x = rng.standard_normal((2, 2, 5, 6, 6))
         w = rng.standard_normal((3, 2, 2, 3, 3))
-        b = rng.standard_normal(3)
         spec = ops.ConvSpec((2, 3, 3), (1, 2, 1), (0, 1, 1), 2, 3)
-        got = conv_nchw(x, w, b, spec)
+        got = conv_nchw(x, w, spec)
         assert got.shape == (2, 3, 4, 3, 6)
-        np.testing.assert_allclose(got, per_sample(conv3d_loop, x, w, b, (1, 2, 1), (0, 1, 1)),
+        np.testing.assert_allclose(got, per_sample(conv3d_loop, x, w, np.zeros(3), (1, 2, 1),
+                                                   (0, 1, 1)),
                                    atol=1e-12, rtol=0)
 
     def test_full_depth_kernel_collapses_depth(self, rng):
         x = rng.standard_normal((2, 2, 3, 5, 5))
         w = rng.standard_normal((4, 2, 3, 3, 3))
         spec = ops.ConvSpec((3, 3, 3), (1, 1, 1), (0, 1, 1), 2, 4)
-        out = conv_nchw(x, w, np.zeros(4), spec)
+        out = conv_nchw(x, w, spec)
         assert out.shape == (2, 4, 1, 5, 5)
 
     def test_front_forward_peak_memory(self, rng):
@@ -386,7 +376,7 @@ class TestConv3d:
         w = rng.standard_normal(spec.weight_shape())
         tracemalloc.start()
         try:
-            out = ops.conv_forward(x, w, np.zeros(64), spec)[0]
+            out = ops.conv_forward(x, w, spec)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -395,7 +385,8 @@ class TestConv3d:
 
 class TestLayoutBoundary:
     """The NCHW adapters give the channels-last convolution's numbers bit
-    for bit, forward and backward, at the network's conv geometries."""
+    for bit, forward (plus the bias the forward adapter adds) and backward,
+    at the network's conv geometries."""
 
     @pytest.mark.parametrize("shape,kernel,stride,pad", [
         ((4, 10, 10), (7, 7), (2, 2), (3, 3)),  # stem
@@ -408,18 +399,18 @@ class TestLayoutBoundary:
         spec = ops.ConvSpec(kernel, stride, pad, shape[0], 5)
         w, b = rng.standard_normal(spec.weight_shape()), rng.standard_normal(5)
         folded = nhwc(x.reshape(2, -1, *shape[-2:]))  # frames into channels, c * depth + d
-        out, saved = ops.conv_forward(folded, w, b, spec)
+        out, saved = ops.conv_forward(folded, w, spec)
         adapter = ops.conv3d_forward if len(kernel) == 3 else ops.conv2d_forward
         out_nchw, cols = ops._conv_forward(x, w, b, spec, return_cols=True)
-        want = nchw(out).reshape(out_nchw.shape)
+        want = nchw(out).reshape(out_nchw.shape) + b.reshape(-1, *(1,) * (len(kernel)))
         assert out_nchw.tobytes() == want.tobytes()
         assert adapter(x, w, b, spec).tobytes() == want.tobytes()
 
         g = rng.standard_normal(out.shape)
-        gx, gw, gb = ops.conv_backward(saved, g)
-        a_x, a_w, a_b = ops._conv_backward(x, w, spec, nchw(g).reshape(out_nchw.shape), cols)
+        gx, gw = ops.conv_backward(saved, g)
+        a_x, a_w = ops._conv_backward(x, w, spec, nchw(g).reshape(out_nchw.shape), cols)
         assert a_x.tobytes() == nchw(gx).reshape(x.shape).tobytes()
-        assert a_w.tobytes() == gw.tobytes() and a_b.tobytes() == gb.tobytes()
+        assert a_w.tobytes() == gw.tobytes()
 
 
 class TestLeakyRelu:
@@ -637,11 +628,10 @@ class TestOracleSweep:
             w = int(rng.integers(k, 9))
             x = rng.standard_normal((2, c_in, h, w))
             wts = rng.standard_normal((c_out, c_in, k, k))
-            b = rng.standard_normal(c_out)
             spec = ops.ConvSpec((k, k), (s, s), (p, p), c_in, c_out)
             np.testing.assert_allclose(
-                conv_nchw(x, wts, b, spec),
-                per_sample(conv2d_loop, x, wts, b, (s, s), (p, p)),
+                conv_nchw(x, wts, spec),
+                per_sample(conv2d_loop, x, wts, np.zeros(c_out), (s, s), (p, p)),
                 atol=1e-12, rtol=0,
             )
 
@@ -658,11 +648,10 @@ class TestOracleSweep:
             p = int(rng.integers(0, 2))
             x = rng.standard_normal((2, c_in, d, h, w))
             wts = rng.standard_normal((c_out, c_in, kd, k, k))
-            b = rng.standard_normal(c_out)
             spec = ops.ConvSpec((kd, k, k), (1, 1, 1), (0, p, p), c_in, c_out)
             np.testing.assert_allclose(
-                conv_nchw(x, wts, b, spec),
-                per_sample(conv3d_loop, x, wts, b, (1, 1, 1), (0, p, p)),
+                conv_nchw(x, wts, spec),
+                per_sample(conv3d_loop, x, wts, np.zeros(c_out), (1, 1, 1), (0, p, p)),
                 atol=1e-12, rtol=0,
             )
 
@@ -773,18 +762,3 @@ class TestBitwiseAgainstMaskedForms:
             same_bits(new_state.var, (1 - ops.BN_MOMENTUM) * state.var + ops.BN_MOMENTUM * var)
         else:
             assert new_state is state
-
-    @pytest.mark.parametrize("kernel,stride,pad,shape", [
-        ((3, 3), (1, 1), (1, 1), (10, 8, 8, 5)),  # the offset loop
-        ((7, 7), (2, 2), (3, 3), (5, 18, 18, 3)),  # the Winograd route, cropped
-    ])
-    def test_conv_bias_is_added_last(self, rng, monkeypatch, kernel, stride, pad, shape):
-        """Adding the bias block by block keeps it the last add of every
-        output element: the output equals the bias-free output plus the
-        bias, over several sample blocks."""
-        monkeypatch.setattr(ops, "_BLOCK_BYTES", 8 * 1024)
-        monkeypatch.setattr(ops, "_WINOGRAD_BLOCK_BYTES", 64 * 1024)
-        spec = ops.ConvSpec(kernel, stride, pad, shape[-1], 7)
-        x = rng.standard_normal(shape)
-        w, b = rng.standard_normal(spec.weight_shape()), rng.standard_normal(7)
-        same_bits(ops.conv_forward(x, w, b, spec)[0], ops.conv_forward(x, w, 0 * b, spec)[0] + b)

@@ -61,9 +61,8 @@ class TestThreadedStreams:
         threaded = step(params, batch)
         monkeypatch.setattr(M, "_map_streams", sequential)
         assert step(params, batch) == threaded
-        # head first (backward order), then each stream's gradients in stream order
-        owners = [key.split(".")[0] for key in threaded["grad_keys"]]
-        assert owners == sorted(owners, key=["head", *config.streams()].index)
+        # gradients in build order: each stream's in stream order, then the head's
+        assert threaded["grad_keys"] == list(params.tensors)
 
     def test_no_thread_outlives_a_call(self):
         config = M.FpnnConfig(noi=1, grid_side=8, head_hidden=(8,), seed=4)

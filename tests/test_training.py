@@ -3,6 +3,7 @@ stopping, checkpoint round trips and validation, and the depth sweep's
 once-per-window preprocessing and cell bookkeeping."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from fpnn import training as T
 from fpnn.dataset import BatteryRecord, CycleCurve
 from fpnn.datagen import generate_fleet
 from fpnn.errors import CheckpointError, NonFiniteError, ShapeError, TrainingError
-from fpnn.model import DetachFlags, FpnnConfig, build_model, fpnn_forward
+from fpnn.model import DetachFlags, FpnnConfig, bn_name, build_model, fpnn_forward
 from fpnn.preprocess import SampleSet, preprocess_fleet
 
 from oracles import metrics_loop
@@ -237,8 +238,8 @@ class TestTrainLoop:
         train_set, _ = tiny_splits
         subset = train_set.subset(np.arange(16))
         config = FpnnConfig(noi=1, grid_side=8, head_hidden=(32,), seed=11)
-        cfg = T.TrainConfig(epochs=200, batch_size=4, learning_rate=0.05,
-                            weight_decay=0.0, patience=200, seed=4)
+        cfg = T.TrainConfig(epochs=50, batch_size=4, learning_rate=1e-3,
+                            weight_decay=0.0, patience=50, seed=4)
         best, history = T.train(build_model(config), subset, subset, cfg)
         report = T.evaluate(best, subset)
         assert report.mape < 2.0, f"train MAPE {report.mape:.2f}%"
@@ -400,6 +401,58 @@ class TestCheckpoint:
                  for name in ("now.fpt", "former.fpt")]
         assert preds[0].tobytes() == preds[1].tobytes()
 
+    def _with_conv_biases(self, tmp_path, rng, params):
+        """``params`` saved as a checkpoint was while every conv with a
+        batchnorm had a bias: a random ``{conv}.b`` after each such conv's
+        weight, and the running mean that bias shifted, ``running_mean + b``."""
+        T.save_checkpoint(params, tmp_path / "now.fpt")
+        meta, tensors = tio.read_tensors(tmp_path / "now.fpt")
+        former = {}
+        for name, t in tensors.items():
+            former[name] = t
+            conv = name.removesuffix(".w")
+            if name.endswith(".w") and bn_name(conv) in params.bn_states:
+                former[f"{conv}.b"] = b = rng.standard_normal(t.shape[0])
+                tensors[f"{bn_name(conv)}.running_mean"] += b
+        path = tmp_path / "former.fpt"
+        tio.write_tensors(path, former, meta)
+        return path, former
+
+    def test_checkpoint_with_conv_biases_predicts_what_it_encodes(self, tmp_path):
+        """Each bias folds into its batchnorm's running mean: the loaded
+        parameters have the model's tensors, in build order, and predict in
+        eval mode within 1e-12 relative of the bias-free ones they encode."""
+        params = self._params()
+        rng = np.random.default_rng(10)
+        for state in params.bn_states.values():
+            state.mean += rng.standard_normal(state.mean.shape)
+            state.var += rng.random(state.var.shape)
+        path, former = self._with_conv_biases(tmp_path, rng, params)
+        assert len(former) - len(params.tensors) - 2 * len(params.bn_states) == 18
+        loaded = T.load_checkpoint(path)
+        assert list(loaded.tensors) == list(params.tensors)
+        assert list(loaded.bn_states) == list(params.bn_states)
+        batch = (rng.uniform(-1, 1, (4, 3, 4, 8, 8)), rng.uniform(-1, 1, (4, 3, 3, 8, 8)))
+        got, want = fpnn_forward(batch, loaded), fpnn_forward(batch, params)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_conv_bias_of_wrong_shape_named(self, tmp_path):
+        params = self._params()
+        path, former = self._with_conv_biases(tmp_path, np.random.default_rng(11), params)
+        former["raw.block0.b2.conv.b"] = np.zeros(5)
+        tio.write_tensors(path, former, tio.read_tensors(path)[0])
+        with pytest.raises(CheckpointError,
+                           match=r"former\.fpt.*'raw\.block0\.b2\.conv\.b' has shape \(5,\)"):
+            T.load_checkpoint(path)
+
+    def test_residual_projection_bias_is_unexpected(self, tmp_path):
+        """Only a conv with a batchnorm ever had a bias to fold."""
+        params = self._params()
+        params.tensors["raw.block0.proj.b"] = np.zeros(88)
+        T.save_checkpoint(params, tmp_path / "model.fpt")
+        with pytest.raises(CheckpointError, match=r"unexpected tensor 'raw\.block0\.proj\.b'"):
+            T.load_checkpoint(tmp_path / "model.fpt")
+
 
 def short_fleet(n_batteries=3, n_cycles=8):
     """Batteries with too few cycles for any input window, so no cell trains."""
@@ -431,21 +484,39 @@ def count_preprocessing(monkeypatch) -> list[int]:
 
 
 class TestSweep:
-    def test_failed_cell_is_nan_row_with_error(self, sweep_fleet):
+    def test_failed_cell_is_nan_row_with_error(self, sweep_fleet, caplog):
         train_set, test_set, _, _ = preprocess_fleet(sweep_fleet, 10, grid_side=8, seed=5)
         one_battery = train_set.subset(
             [i for i, b in enumerate(train_set.battery_ids) if b == train_set.battery_ids[0]])
-        cell = T.run_sweep_cell(one_battery, test_set, 10,
-                                FpnnConfig(noi=1, grid_side=8, seed=42), T.TrainConfig(epochs=1))
+        config = FpnnConfig(noi=1, grid_side=8, seed=42)
+        with caplog.at_level(logging.WARNING, logger=T.__name__):
+            cell = T.run_sweep_cell(one_battery, test_set, 10, config, T.TrainConfig(epochs=1))
         assert (cell.n_input_cycles, cell.noi, cell.seed) == (10, 1, 42)
         assert np.isnan([cell.mape, cell.mae, cell.rmse]).all()
         assert cell.error == "ValueError: need at least 2 batteries to hold one out"
+        [record] = [r for r in caplog.records if r.name == T.__name__]
+        assert record.getMessage() == f"failed: {cell}" and record.exc_info[0] is ValueError
 
     def test_cells_window_major_with_offset_seeds(self):
         cells = T.noi_sweep(short_fleet(), [10, 20], [0, 2], 8, T.TrainConfig(epochs=1), seed=7)
         assert [(c.n_input_cycles, c.noi) for c in cells] == [(10, 0), (10, 2), (20, 0), (20, 2)]
         assert [c.seed for c in cells] == [7, 1007, 2007, 3007]
         assert all(c.error and np.isnan(c.mape) for c in cells)
+
+    def test_failed_cells_logged_with_traceback(self, caplog):
+        """Each failed cell is one WARNING record of the module's logger,
+        carrying the exception and its traceback; the cell keeps its
+        one-line error."""
+        with caplog.at_level(logging.WARNING, logger=T.__name__):
+            cells = T.noi_sweep(short_fleet(), [10, 20], [0, 2], 8, T.TrainConfig(epochs=1),
+                                seed=7)
+        records = [r for r in caplog.records if r.name == T.__name__]
+        assert len(records) == len(cells) == 4
+        for record, cell in zip(records, cells):
+            assert record.levelno == logging.WARNING
+            exc_type, exc, tb = record.exc_info
+            assert tb is not None and cell.error == f"{exc_type.__name__}: {exc}"
+            assert record.getMessage() == f"failed: {cell}"
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
