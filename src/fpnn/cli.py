@@ -30,8 +30,11 @@ or ``--patience`` below 0 (a life min above the max fails naming the range,
 before any fleet is made). All randomness flows from one ``--seed`` through
 fixed named offsets (split +1, init +2, shuffle +3, bayesian search +4):
 every command splits a fleet with the split sub-seed, and in ``sweep-noi``
-and ``ablate`` each cell's seed drives its init, holdout and shuffle. A failed cell or trial keeps its exception
-type in its CSV row. ``FPNN_LOG`` selects error|info|debug.
+and ``ablate`` each cell's seed drives its init, holdout and shuffle. A
+failed cell or trial keeps its exception type in its CSV row, and its
+traceback goes to a WARNING record. ``FPNN_LOG`` selects
+error|warning|info|debug; ``warning`` shows those tracebacks without the
+INFO records.
 """
 
 from __future__ import annotations
@@ -102,9 +105,9 @@ DETACH_KEYS = [f.name for f in fields(DetachFlags)]
 
 
 def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("FPNN_LOG", "error").lower(), logging.ERROR
-    )
+    levels = {"error": logging.ERROR, "warning": logging.WARNING, "info": logging.INFO,
+              "debug": logging.DEBUG}
+    level = levels.get(os.environ.get("FPNN_LOG", "error").lower(), logging.ERROR)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr, force=True)
 

@@ -39,11 +39,15 @@ saves in that output's place a stand-in that rebuilds each sample block of
 it, bitwise, from the unit's batchnorm cache, so no cache holds such an
 output. A forward without ``want_cache`` keeps no cache: each layer's saved
 values die with the layer, so evaluation holds one layer's temporaries at a
-time. Detach flags prune the layout for ablation studies:
-``initial_layers`` skips the 7x7 + max-pool stage, ``conv3d`` replaces the
-3D front end with depth-averaging plus a 1x1 conv (keeping downstream
-shapes legal), ``residual`` removes the projected skip connections, and
-``diff_branch`` drops the differential stream entirely.
+time. Only a train-mode forward runs a batchnorm: in eval mode a batchnorm
+with running statistics is a fixed per-channel affine, so each unit runs
+as one conv whose weights and bias fold it in (``ops.bn_fold``), then the
+Leaky ReLU, and an eval forward has no cache and no backward. Detach flags
+prune the layout for ablation studies: ``initial_layers`` skips the 7x7 +
+max-pool stage, ``conv3d`` replaces the 3D front end with depth-averaging
+plus a 1x1 conv (keeping downstream shapes legal), ``residual`` removes
+the projected skip connections, and ``diff_branch`` drops the
+differential stream entirely.
 
 The two streams share no tensor until their global pools are concatenated,
 so :func:`fpnn_forward` and :func:`fpnn_backward` run them at the same time
@@ -76,6 +80,7 @@ from .ops import (
     avg_pool2d,
     batchnorm2d_backward,
     batchnorm2d_forward,
+    bn_fold,
     channels_last,
     check_finite,
     conv_backward,
@@ -318,20 +323,24 @@ def _cba_forward(x, params, specs, name, mode, new_states, keep=True, x_saved=No
     """A non-finite value anywhere in the unit raises NonFiniteError, and
     an input the unit cannot take (such as a train-mode batchnorm over one
     value per channel) ShapeError, prefixed with the unit's conv name
-    (``diff.front.conv3d: ...``). The cache is None unless ``keep``, so the
-    unit's saved values die with it; the conv saves ``x_saved`` in place of
-    ``x`` when it is given."""
+    (``diff.front.conv3d: ...``). In eval mode the unit is one conv by the
+    ``bn_fold`` of its weights and running statistics, then the Leaky ReLU,
+    and keeps no cache. In train mode the cache is None unless ``keep``, and
+    the conv saves ``x_saved`` in place of ``x`` when it is given."""
     bn = bn_name(name)
+    w, scale, shift = (params.tensors[f"{name}.w"], params.tensors[f"{bn}.scale"],
+                       params.tensors[f"{bn}.shift"])
     try:
-        z, conv = _conv(x, x_saved, params.tensors[f"{name}.w"], specs[name])
-        z, state, norm = batchnorm2d_forward(
-            z, params.tensors[f"{bn}.scale"], params.tensors[f"{bn}.shift"],
-            params.bn_states[bn], mode,
-        )
+        if mode == "eval":
+            w, bias = bn_fold(w, scale, shift, params.bn_states[bn])
+            z, _ = conv_forward(x, w, specs[name])
+            z += bias
+            return leaky_relu_forward(z, params.config.alpha)[0], None
+        z, conv = _conv(x, x_saved, w, specs[name])
+        z, new_states[bn], norm = batchnorm2d_forward(z, scale, shift, params.bn_states[bn])
         out, act = leaky_relu_forward(z, params.config.alpha)
     except (NonFiniteError, ShapeError) as exc:
         raise type(exc)(f"{name}: {exc}") from exc
-    new_states[bn] = state
     return out, ({"name": name, "conv": conv, "bn": norm, "act": act} if keep else None)
 
 
@@ -481,12 +490,19 @@ def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool
 
     ``batch`` is a (raw, diff) array tuple with shapes [N, N_CHANNELS,
     SAMPLE_DEPTH, G, G] and [N, N_CHANNELS, SAMPLE_DEPTH - 1, G, G]; ``diff`` may be None when the config has no
-    differential stream. Returns predictions of shape [N]; with
-    ``want_cache`` also returns the updated batchnorm states and the cache
-    consumed by :func:`fpnn_backward`.
+    differential stream. Returns predictions of shape [N].
+
+    In ``"train"`` mode every batchnorm normalizes with its batch's
+    statistics; with ``want_cache`` the forward also returns the updated
+    batchnorm states and the cache consumed by :func:`fpnn_backward`. In
+    ``"eval"`` mode every unit runs as one conv with its batchnorm's running
+    statistics folded in; an eval forward has no backward, so ``want_cache``
+    with it raises ValueError.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "eval" and want_cache:
+        raise ValueError("an eval-mode forward has no backward: want_cache needs mode='train'")
     cfg = params.config
     specs = conv_layout(cfg)
     raw, diff = batch

@@ -6,10 +6,13 @@ operation is a pure function of its arguments (batch normalization returns
 a new state) and writes into no array it was given, since a forward may
 save its caller's array for its backward pass. Convolutions, the Leaky
 ReLU and the pools' backward compute in their input's dtype (the network's
-is float64). Every convolution's ``saved`` holds its input itself; a caller
-may put in its place a stand-in that rebuilds the input's sample blocks
-(``RebuiltActivation``), since ``conv_backward`` reads the input only
-through its shape, its dtype and ``x[blk]``, each block once.
+is float64). Batch normalization takes batch statistics only: with running
+statistics it is a fixed per-channel affine, which ``bn_fold`` folds into
+the weights and a bias of the convolution before it, so an eval-mode
+network runs no batchnorm. Every convolution's ``saved`` holds its input
+itself; a caller may put in its place a stand-in that rebuilds the input's
+sample blocks (``RebuiltActivation``), since ``conv_backward`` reads the
+input only through its shape, its dtype and ``x[blk]``, each block once.
 
 Every layer's forward returns ``(out, saved)`` (batch normalization
 ``(out, new_state, saved)``), and its backward, ``backward(saved,
@@ -726,7 +729,8 @@ _LEADING = (0, 1, 2)  # the axes a [N, H, W, C] batch statistic reduces over
 
 @dataclass
 class BnState:
-    """Per-channel running statistics used in eval mode."""
+    """Per-channel running statistics, which eval mode folds into the
+    convolution before the batchnorm (``bn_fold``)."""
 
     mean: np.ndarray
     var: np.ndarray
@@ -739,41 +743,44 @@ class BnState:
         return BnState(self.mean.copy(), self.var.copy())
 
 
-def batchnorm2d_forward(x, scale, shift, state: BnState, mode: str):
-    """Per-channel batch normalization over [N, H, W, C].
+def bn_fold(weights, scale, shift, state: BnState):
+    """``(weights * s, shift - mean * s)`` with s = scale / sqrt(var + eps)
+    per output channel: the weights and bias of the one convolution that
+    equals convolving by ``weights``, then normalizing with the running
+    statistics ``state`` (Jacob et al. 2018, arXiv:1712.05877, §3.2)."""
+    s = scale / np.sqrt(state.var + BN_EPS)
+    return weights * s.reshape(-1, *(1,) * (weights.ndim - 1)), shift - state.mean * s
 
-    Train mode normalizes with batch statistics, taken over the leading
-    axes, and returns an updated running-stats state (momentum 0.1); eval
-    mode normalizes with the running stats. Returns ``(out, new_state,
-    saved)``; ``saved`` is the normalized input, the inverse deviations,
-    ``scale`` and the mode.
+
+def batchnorm2d_forward(x, scale, shift, state: BnState):
+    """Per-channel batch normalization over [N, H, W, C] with the batch
+    statistics, taken over the leading axes.
+
+    Returns ``(out, new_state, saved)``: ``new_state`` is ``state`` updated
+    with momentum 0.1, and ``saved`` the normalized input, the inverse
+    deviations and ``scale``.
     """
     if x.ndim != 4:
         raise ShapeError("batchnorm2d expects [N, H, W, C]")
     c = x.shape[-1]
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError("scale/shift must have one entry per channel")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
     m = x.size // c
-    if mode == "train" and m < 2:
+    if m < 2:
         raise ShapeError(f"train-mode batchnorm needs N*H*W >= 2, got input {x.shape}")
-    mean = x.mean(axis=_LEADING) if mode == "train" else state.mean
+    mean = x.mean(axis=_LEADING)
     xhat = np.subtract(x, mean)  # the deviations, normalized in place below
     out = np.empty_like(xhat)
-    if mode == "train":
-        # x.var's own arithmetic, from the deviations already at hand
-        var = np.square(xhat, out=out).sum(axis=_LEADING) / m
-        new_state = BnState(
-            (1 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mean,
-            (1 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var,
-        )
-    else:
-        var, new_state = state.var, state
+    # x.var's own arithmetic, from the deviations already at hand
+    var = np.square(xhat, out=out).sum(axis=_LEADING) / m
+    new_state = BnState(
+        (1 - BN_MOMENTUM) * state.mean + BN_MOMENTUM * mean,
+        (1 - BN_MOMENTUM) * state.var + BN_MOMENTUM * var,
+    )
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     check_finite("batchnorm2d", _bn_affine(xhat, scale, shift, out))
-    return out, new_state, (xhat, inv_std, scale, mode)
+    return out, new_state, (xhat, inv_std, scale)
 
 
 def _bn_affine(xhat, scale, shift, out) -> np.ndarray:
@@ -794,7 +801,7 @@ class RebuiltActivation:
     saved input only through ``shape``, ``dtype`` and ``x[blk]``."""
 
     def __init__(self, bn_saved, shift, alpha: float):
-        self._xhat, _, self._scale, _ = bn_saved
+        self._xhat, _, self._scale = bn_saved
         self._shift, self._alpha = shift, alpha
         self.shape, self.dtype = self._xhat.shape, self._xhat.dtype
 
@@ -807,30 +814,26 @@ class RebuiltActivation:
 def batchnorm2d_backward(saved, output_grad):
     """Gradients of :func:`batchnorm2d_forward`: ``(gx, d_scale, d_shift)``.
 
-    ``saved`` is the forward's ``(xhat, inv_std, scale, mode)``: the
-    normalized input, ``1 / sqrt(var + eps)`` per channel, the scale and
-    the mode. With ``g`` the output gradient and ``m = N*H*W``, the channel
-    sums over [N, H, W] are ``d_shift = sum(g)`` and
-    ``d_scale = sum(g * xhat)``. In train mode the batch mean and variance
-    depend on x, and since the sums of ``dxhat = g * scale`` and of
+    ``saved`` is the forward's ``(xhat, inv_std, scale)``: the normalized
+    input, ``1 / sqrt(var + eps)`` per channel and the scale. With ``g`` the
+    output gradient and ``m = N*H*W``, the channel sums over [N, H, W] are
+    ``d_shift = sum(g)`` and ``d_scale = sum(g * xhat)``. The batch mean and
+    variance depend on x, and since the sums of ``dxhat = g * scale`` and of
     ``dxhat * xhat`` are ``scale * d_shift`` and ``scale * d_scale``,
 
         gx = (scale * inv_std) * (g - d_shift / m - xhat * (d_scale / m)).
 
-    In eval mode ``gx = g * (scale * inv_std)``. ``gx`` is the only array of
-    ``g``'s size made: ``d_scale`` is an einsum, which makes no product
-    temporary, and every step after ``gx``'s first is done in its buffer.
-    Neither ``saved`` nor ``g`` is written.
+    ``gx`` is the only array of ``g``'s size made: ``d_scale`` is an
+    einsum, which makes no product temporary, and every step after ``gx``'s
+    first is done in its buffer. Neither ``saved`` nor ``g`` is written.
     """
-    xhat, inv_std, scale, mode = saved
+    xhat, inv_std, scale = saved
     if output_grad.shape != xhat.shape:
         raise ShapeError("output_grad shape must match forward input")
     c = xhat.shape[-1]
     m = xhat.size // c
     d_shift = output_grad.sum(axis=_LEADING)
     d_scale = np.einsum("ij,ij->j", output_grad.reshape(m, c), xhat.reshape(m, c))
-    if mode == "eval":
-        return output_grad * (scale * inv_std), d_scale, d_shift
     gx = np.multiply(xhat, d_scale / m)
     np.subtract(output_grad, gx, out=gx)
     gx -= d_shift / m

@@ -38,7 +38,9 @@ from .preprocess import HOLDOUT_FRACTION, SampleSet, holdout_by_battery, preproc
 log = logging.getLogger(__name__)
 CHECKPOINT_KIND = "fpnn-checkpoint"
 CHECKPOINT_VERSION = 1
-EVAL_CHUNK = 64  # samples per eval-mode forward pass
+# Samples per eval-mode forward pass, which runs every conv -> batchnorm ->
+# Leaky ReLU unit as one folded conv: the chunk bounds evaluate's peak memory.
+EVAL_CHUNK = 64
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9

@@ -282,15 +282,10 @@ def batchnorm_forward_twice_mean(x, scale, shift, mean, var, eps):
 def batchnorm_backward_closed_form(saved, output_grad):
     """``(gx, d_scale, d_shift)`` from the forward's ``saved``, with the
     sums of ``dxhat = g * scale`` taken afresh:
-    ``gx = (inv_std / m) * (m * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))``
-    in train mode and ``dxhat * inv_std`` in eval mode."""
-    xhat, inv_std, scale, mode = saved
+    ``gx = (inv_std / m) * (m * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))``."""
+    xhat, inv_std, scale = saved
     axes = (0, 1, 2)
     dxhat = output_grad * scale
-    if mode == "train":
-        m = xhat.size // xhat.shape[-1]
-        gx = (inv_std / m) * (m * dxhat - dxhat.sum(axis=axes)
-                              - xhat * (dxhat * xhat).sum(axis=axes))
-    else:
-        gx = dxhat * inv_std
+    m = xhat.size // xhat.shape[-1]
+    gx = (inv_std / m) * (m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes))
     return gx, (output_grad * xhat).sum(axis=axes), output_grad.sum(axis=axes)

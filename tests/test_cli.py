@@ -14,6 +14,7 @@ module."""
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -336,6 +337,33 @@ class TestSweepCommands:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["mape"] == "NaN" for r in rows)
         assert {r["error"] for r in rows} == {"TrainingError: no epochs, thanks"}
+
+    @pytest.fixture
+    def root_logging(self):
+        """Puts back the root logger's level and handlers, which ``cli.main``
+        sets from ``FPNN_LOG``."""
+        root = logging.getLogger()
+        level, handlers = root.level, root.handlers[:]
+        yield
+        root.handlers[:] = handlers
+        root.setLevel(level)
+
+    def test_warning_log_shows_failed_cells_and_no_info(self, fleet, tmp_path, monkeypatch,
+                                                        capsys, root_logging):
+        """Under ``FPNN_LOG=warning`` a failed cell's WARNING record, with its
+        traceback, reaches stderr, and an INFO record does not."""
+        def failing_train(*args, **kwargs):
+            logging.getLogger("fpnn.training").info("about to fail")
+            raise TrainingError("no epochs, thanks")
+
+        monkeypatch.setattr(training, "train", failing_train)
+        monkeypatch.setenv("FPNN_LOG", "warning")
+        run("ablate", "--data", fleet, "--cycles", 10, "--grid", 8, "--epochs", 1,
+            "--batch-size", 4, "--out", tmp_path)
+        err = capsys.readouterr().err
+        assert err.count("WARNING fpnn.training: failed: ") == len(cli.ABLATE_FLAGS)
+        assert "Traceback" in err and "TrainingError: no epochs, thanks" in err
+        assert "INFO" not in err and "about to fail" not in err
 
     @pytest.mark.parametrize("argv,flag,value", [
         *(pytest.param(SWEEP_ARGS, flag, value, id=f"{flag}-{value}")

@@ -340,29 +340,14 @@ class TestBatchNormBackward:
         probe = _loss_weights(rng, x.shape)
 
         def loss(xv, sv, bv):
-            out, _, _ = ops.batchnorm2d_forward(xv, sv, bv, state, "train")
+            out, _, _ = ops.batchnorm2d_forward(xv, sv, bv, state)
             return float((out * probe).sum())
 
-        _, _, cache = ops.batchnorm2d_forward(x, scale, shift, state, "train")
+        _, _, cache = ops.batchnorm2d_forward(x, scale, shift, state)
         gx, gscale, gshift = ops.batchnorm2d_backward(cache, probe)
         gradcheck(lambda v: loss(v, scale, shift), x, gx, rtol=1e-3)
         gradcheck(lambda v: loss(x, v, shift), scale, gscale, rtol=1e-3)
         gradcheck(lambda v: loss(x, scale, v), shift, gshift, rtol=1e-3)
-
-    def test_eval_mode_backward(self, rng):
-        x = rng.standard_normal((2, 3, 3, 2))
-        state = ops.BnState(np.array([0.3, -0.2]), np.array([1.5, 0.7]))
-        scale = np.array([1.2, 0.8])
-        shift = np.zeros(2)
-        probe = _loss_weights(rng, x.shape)
-        _, _, cache = ops.batchnorm2d_forward(x, scale, shift, state, "eval")
-        gx, _, _ = ops.batchnorm2d_backward(cache, probe)
-
-        def loss(v):
-            out, _, _ = ops.batchnorm2d_forward(v, scale, shift, state, "eval")
-            return float((out * probe).sum())
-
-        gradcheck(loss, x, gx, rtol=1e-4)
 
 
 class TestLinearBackward:

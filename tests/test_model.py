@@ -15,7 +15,14 @@ from fpnn import ops
 from fpnn.preprocess import SAMPLE_DEPTH
 
 from gradcheck import relative_error
-from oracles import conv3d_loop, nchw, nhwc
+from oracles import (
+    batchnorm_forward_twice_mean,
+    conv2d_loop,
+    conv3d_loop,
+    leaky_relu_masked,
+    nchw,
+    nhwc,
+)
 
 
 def micro_config(**kw):
@@ -160,7 +167,7 @@ class TestForwardShapes:
         config = M.FpnnConfig(noi=1, grid_side=32, seed=0)
         params = M.build_model(config)
         raw, diff = random_batch(config, n=1)
-        _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
+        _, _, cache = M.fpnn_forward((raw, diff), params, mode="train", want_cache=True)
         assert cache["streams"]["raw"]["gap"] == (1, 8, 8, 88)
 
     @pytest.mark.parametrize("grid", [2, 3, 4, 5, 8])
@@ -176,7 +183,7 @@ class TestForwardShapes:
 
         monkeypatch.setattr(M, "batchnorm2d_forward", record)
         config = micro_config(noi=noi, grid_side=grid, detach=detach)
-        M.fpnn_forward(random_batch(config, n=1), M.build_model(config), mode="eval")
+        M.fpnn_forward(random_batch(config, n=2), M.build_model(config), mode="train")
         assert M.smallest_bn_side(config) == min(sides)
 
     def test_block_emits_88_channels(self):
@@ -195,7 +202,7 @@ class TestForwardShapes:
         config = micro_config(noi=0)
         params = M.build_model(config)
         raw, diff = random_batch(config)
-        _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
+        _, _, cache = M.fpnn_forward((raw, diff), params, mode="train", want_cache=True)
         assert cache["streams"]["raw"]["gap"][-1] == 64
 
     def test_eval_deterministic_bitwise(self):
@@ -231,6 +238,64 @@ class TestStreamLayout:
         np.testing.assert_allclose(nchw(out)[:, :, None], want, atol=1e-12, rtol=0)
 
 
+class TestEvalMode:
+    """An eval forward runs each conv -> batchnorm -> Leaky ReLU unit as one
+    conv whose weights and bias fold in the batchnorm's running statistics."""
+
+    # One unit of each kind the network runs, with fewer channels, so that
+    # the loop oracles stay fast: the 3D front conv, the 1x1 front of
+    # ``detach.conv3d``, the Winograd stem, and a 1x1 and a 3x3 unit conv.
+    UNITS = [
+        ("raw.front.conv3d", ops.ConvSpec((SAMPLE_DEPTH, 3, 3), (1, 1, 1), (0, 1, 1), 3, 5)),
+        ("raw.front.proj", ops.ConvSpec((1, 1), (1, 1), (0, 0), 3, 5)),
+        ("raw.init.conv", ops.ConvSpec((7, 7), (2, 2), (3, 3), 4, 5)),
+        ("raw.block0.b1.conv", ops.ConvSpec((1, 1), (1, 1), (0, 0), 6, 5)),
+        ("raw.block0.b2.conv", ops.ConvSpec((3, 3), (1, 1), (1, 1), 6, 5)),
+    ]
+
+    @pytest.mark.parametrize("name,spec", UNITS, ids=[name for name, _ in UNITS])
+    def test_unit_matches_loop_oracle(self, name, spec):
+        """Within 1e-13 of the largest magnitude of Leaky ReLU(batchnorm over
+        the running statistics(loop conv)), with random running statistics,
+        scale and shift; no cache is kept."""
+        rng = np.random.default_rng(21)
+        config, bn, c_out = micro_config(), M.bn_name(name), spec.out_channels
+        scale = rng.uniform(0.5, 1.5, c_out) * rng.choice([-1.0, 1.0], c_out)
+        shift = rng.standard_normal(c_out)
+        state = ops.BnState(rng.standard_normal(c_out), rng.uniform(0.25, 4.0, c_out))
+        w = rng.standard_normal(spec.weight_shape())
+        params = M.FpnnParams(config, {f"{name}.w": w, f"{bn}.scale": scale,
+                                       f"{bn}.shift": shift}, {bn: state})
+        x = rng.standard_normal((2, spec.in_channels, *spec.kernel[:-2], 9, 9))  # NC(D)HW
+        out, cache = M._cba_forward(ops.channels_last(x, spec.ndim - 2), params, {name: spec},
+                                    name, "eval", {})
+        assert cache is None
+        loop = conv3d_loop if spec.ndim == 3 else conv2d_loop
+        z = np.stack([loop(s, w, np.zeros(c_out), spec.stride, spec.padding) for s in x])
+        z = nhwc(z.reshape(len(x), c_out, *out.shape[1:3]))
+        normed, *_ = batchnorm_forward_twice_mean(z, scale, shift, state.mean, state.var,
+                                                  ops.BN_EPS)
+        want = leaky_relu_masked(normed, config.alpha)
+        assert out.shape == want.shape
+        assert np.abs(out - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("detach", DETACH_VARIANTS)
+    def test_eval_forward_runs_no_batchnorm(self, monkeypatch, detach):
+        def refuse(*args):
+            raise AssertionError("an eval forward ran a batchnorm")
+
+        monkeypatch.setattr(M, "batchnorm2d_forward", refuse)
+        config = micro_config(noi=2, detach=detach)
+        preds = M.fpnn_forward(random_batch(config), M.build_model(config), mode="eval")
+        assert preds.shape == (2,) and np.isfinite(preds).all()
+
+    def test_eval_forward_with_cache_is_rejected(self):
+        config = micro_config()
+        with pytest.raises(ValueError, match="want_cache needs mode='train'"):
+            M.fpnn_forward(random_batch(config), M.build_model(config), mode="eval",
+                           want_cache=True)
+
+
 class TestDetachBehavior:
     def test_diff_branch_detached_ignores_diff(self):
         config = micro_config(detach=M.DetachFlags(diff_branch=True))
@@ -252,7 +317,7 @@ class TestDetachBehavior:
         config = micro_config(detach=M.DetachFlags(initial_layers=True))
         params = M.build_model(config)
         raw, diff = random_batch(config)
-        _, _, cache = M.fpnn_forward((raw, diff), params, mode="eval", want_cache=True)
+        _, _, cache = M.fpnn_forward((raw, diff), params, mode="train", want_cache=True)
         g = config.grid_side
         assert cache["streams"]["raw"]["gap"][1:3] == (g, g)
 
@@ -509,12 +574,12 @@ class TestForwardCacheMemory:
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_forward_without_cache_keeps_no_saved_values(self, monkeypatch, mode):
         """Without ``want_cache`` no conv's saved operand outlives its layer:
-        by the time the head runs, all are freed. With it, every conv's
-        saved input is alive, saved itself, or is a stand-in whose blocks
-        rebuild it bitwise: the latter exactly for the convs that read a
-        conv -> batchnorm -> Leaky ReLU unit (the stem, and ``b2.conv``,
-        ``b3.conv1``, ``b3.conv2`` of each unit). The predictions are
-        bitwise the same either way."""
+        by the time the head runs, all are freed. With it (train mode only),
+        every conv's saved input is alive, saved itself, or is a stand-in
+        whose blocks rebuild it bitwise: the latter exactly for the convs
+        that read a conv -> batchnorm -> Leaky ReLU unit (the stem, and
+        ``b2.conv``, ``b3.conv1``, ``b3.conv2`` of each unit). The
+        predictions are bitwise the same either way."""
         inputs = []  # (weakref to a conv's input, its bytes, its weights)
 
         def record(*args):
@@ -531,23 +596,25 @@ class TestForwardCacheMemory:
         monkeypatch.setattr(M, "linear_forward", head)
         config = micro_config(noi=2)
         params, batch = M.build_model(config), random_batch(config)
-        cached, _, cache = M.fpnn_forward(batch, params, mode=mode, want_cache=True)
-        saved = {id(s[1]): s[0] for s in _conv_saved(cache)}
-        n_convs, rebuilt = len(inputs), 0
-        for ref, data, weights in inputs:
-            x = saved[id(weights)]
-            if isinstance(x, ops.RebuiltActivation):
-                rebuilt += 1
-                assert x[0:x.shape[0]].tobytes() == data
-            else:
-                assert x is ref()
-        assert rebuilt == 2 * (1 + 3 * config.noi)
-        assert alive[0] == n_convs - rebuilt
-        inputs.clear()
         bare = M.fpnn_forward(batch, params, mode=mode)
-        assert n_convs == len(inputs) == len(M.conv_layout(config))
+        assert len(inputs) == len(M.conv_layout(config))
         assert alive[-1] == 0
-        assert bare.tobytes() == cached.tobytes()
+        if mode == "train":
+            inputs.clear()
+            alive.clear()
+            cached, _, cache = M.fpnn_forward(batch, params, mode=mode, want_cache=True)
+            saved = {id(s[1]): s[0] for s in _conv_saved(cache)}
+            rebuilt = 0
+            for ref, data, weights in inputs:
+                x = saved[id(weights)]
+                if isinstance(x, ops.RebuiltActivation):
+                    rebuilt += 1
+                    assert x[0:x.shape[0]].tobytes() == data
+                else:
+                    assert x is ref()
+            assert rebuilt == 2 * (1 + 3 * config.noi)
+            assert alive[0] == len(inputs) - rebuilt
+            assert bare.tobytes() == cached.tobytes()
 
     def test_leaky_relus_cache_bool_masks(self, monkeypatch):
         # every Leaky ReLU's saved value reaches the cache, and it holds the

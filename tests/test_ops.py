@@ -525,36 +525,25 @@ class TestBatchNorm:
     def test_train_normalizes(self, rng):
         x = rng.standard_normal((4, 5, 5, 3)) * 5.0 + 2.0
         state = ops.BnState.initial(3)
-        out, new_state, _ = ops.batchnorm2d_forward(x, np.ones(3), np.zeros(3), state, "train")
+        out, new_state, _ = ops.batchnorm2d_forward(x, np.ones(3), np.zeros(3), state)
         np.testing.assert_allclose(out.mean(axis=(0, 1, 2)), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.var(axis=(0, 1, 2)), 1.0, atol=1e-4)
         assert new_state is not state
 
     def test_constant_channel(self):
         x = np.full((2, 3, 3, 1), 7.0)
-        out, _, _ = ops.batchnorm2d_forward(
-            x, np.ones(1), np.zeros(1), ops.BnState.initial(1), "train"
-        )
+        out, _, _ = ops.batchnorm2d_forward(x, np.ones(1), np.zeros(1), ops.BnState.initial(1))
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_running_stats_update(self, rng):
         x = rng.standard_normal((4, 4, 4, 2)) + 3.0
         state = ops.BnState.initial(2)
-        _, new_state, _ = ops.batchnorm2d_forward(x, np.ones(2), np.zeros(2), state, "train")
+        _, new_state, _ = ops.batchnorm2d_forward(x, np.ones(2), np.zeros(2), state)
         want_mean = 0.9 * state.mean + 0.1 * x.mean(axis=(0, 1, 2))
         np.testing.assert_allclose(new_state.mean, want_mean, atol=1e-12)
 
-    def test_eval_uses_running_stats(self, rng):
-        x = rng.standard_normal((4, 4, 4, 2))
-        state = ops.BnState(np.array([1.0, -1.0]), np.array([4.0, 0.25]))
-        out, same_state, _ = ops.batchnorm2d_forward(x, np.ones(2), np.zeros(2), state, "eval")
-        want = (x - state.mean) / np.sqrt(state.var + 1e-5)
-        np.testing.assert_allclose(out, want, atol=1e-12)
-        assert same_state is state
-
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("sliced", [False, True])
-    def test_backward_matches_closed_form_oracle(self, rng, mode, sliced):
+    def test_backward_matches_closed_form_oracle(self, rng, sliced):
         """Each result within 1e-14 of its largest magnitude: the op reuses
         the sums it takes for the parameter gradients, in another order of
         operations than the oracle. The sliced case passes the gradient as a
@@ -563,7 +552,7 @@ class TestBatchNorm:
         x = rng.standard_normal((4, 5, 5, c)) * 2.0 + 1.0
         scale, shift = rng.standard_normal(c), rng.standard_normal(c)
         state = ops.BnState(rng.uniform(-1, 1, c), rng.uniform(0.5, 2, c))
-        _, _, saved = ops.batchnorm2d_forward(x, scale, shift, state, mode)
+        _, _, saved = ops.batchnorm2d_forward(x, scale, shift, state)
         g = rng.standard_normal((4, 5, 5, c + 3 if sliced else c))
         g = g[..., 1 : c + 1] if sliced else g
         g_before, xhat_before = g.copy(), saved[0].copy()
@@ -578,9 +567,8 @@ class TestBatchNorm:
         """On the front unit's [16, 32, 32, 64], the backward holds no more
         than its input gradient plus 1 MiB at any time."""
         x = rng.standard_normal((16, 32, 32, 64))
-        _, _, saved = ops.batchnorm2d_forward(
-            x, np.ones(64), np.zeros(64), ops.BnState.initial(64), "train"
-        )
+        _, _, saved = ops.batchnorm2d_forward(x, np.ones(64), np.zeros(64),
+                                              ops.BnState.initial(64))
         g = rng.standard_normal(x.shape)
         tracemalloc.start()
         try:
@@ -592,9 +580,8 @@ class TestBatchNorm:
 
     def test_tiny_batch_rejected(self):
         with pytest.raises(ShapeError):
-            ops.batchnorm2d_forward(
-                np.zeros((1, 1, 1, 2)), np.ones(2), np.zeros(2), ops.BnState.initial(2), "train"
-            )
+            ops.batchnorm2d_forward(np.zeros((1, 1, 1, 2)), np.ones(2), np.zeros(2),
+                                    ops.BnState.initial(2))
 
 
 class TestLinear:
@@ -741,24 +728,18 @@ class TestBitwiseAgainstMaskedForms:
         assert np.isinf(want).sum() == 2 and not np.isnan(want).any()
         same_bits(ops.pool2d_backward(saved, g), want)
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("sliced", [False, True])
-    def test_batchnorm(self, rng, mode, sliced):
+    def test_batchnorm(self, rng, sliced):
         c = 6
         x = awkward(rng, (4, 5, 5, c + 3 if sliced else c)) * 3.0
         x = x[..., 1 : c + 1] if sliced else x
         scale, shift = rng.standard_normal(c), rng.standard_normal(c)
         state = ops.BnState(rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
-        out, new_state, saved = ops.batchnorm2d_forward(x, scale, shift, state, mode)
-        train = mode == "train"
-        want, xhat, inv_std, stats = batchnorm_forward_twice_mean(
-            x, scale, shift, None if train else state.mean, state.var, ops.BN_EPS)
+        out, new_state, saved = ops.batchnorm2d_forward(x, scale, shift, state)
+        want, xhat, inv_std, (mean, var) = batchnorm_forward_twice_mean(
+            x, scale, shift, None, None, ops.BN_EPS)
         same_bits(out, want)
         same_bits(saved[0], xhat)
         same_bits(saved[1], inv_std)
-        if train:
-            mean, var = stats
-            same_bits(new_state.mean, (1 - ops.BN_MOMENTUM) * state.mean + ops.BN_MOMENTUM * mean)
-            same_bits(new_state.var, (1 - ops.BN_MOMENTUM) * state.var + ops.BN_MOMENTUM * var)
-        else:
-            assert new_state is state
+        same_bits(new_state.mean, (1 - ops.BN_MOMENTUM) * state.mean + ops.BN_MOMENTUM * mean)
+        same_bits(new_state.var, (1 - ops.BN_MOMENTUM) * state.var + ops.BN_MOMENTUM * var)

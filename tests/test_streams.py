@@ -82,13 +82,14 @@ class TestThreadedStreams:
             assert list(grads) == list(runs[0])
             assert all(grads[k].tobytes() == runs[0][k].tobytes() for k in grads)
 
-    def test_diff_stream_error_names_the_layer(self):
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_diff_stream_error_names_the_layer(self, mode):
         config = M.FpnnConfig(noi=1, grid_side=8, head_hidden=(8,), seed=4)
         raw, diff = random_batch(config)
         diff[0, 1, 0, 2, 2] = np.nan
         before = threading.active_count()
         with pytest.raises(NonFiniteError, match=r"^diff\.front\.conv3d: conv forward"):
-            M.fpnn_forward((raw, diff), M.build_model(config), mode="train")
+            M.fpnn_forward((raw, diff), M.build_model(config), mode=mode)
         assert threading.active_count() == before
 
     def test_worker_thread_keeps_the_callers_errstate(self):
