@@ -34,7 +34,7 @@ and ``ablate`` each cell's seed drives its init, holdout and shuffle. A
 failed cell or trial keeps its exception type in its CSV row, and its
 traceback goes to a WARNING record. ``FPNN_LOG`` selects
 error|warning|info|debug; ``warning`` shows those tracebacks without the
-INFO records.
+INFO records, and any other value fails the command before it runs.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from . import BLAS_THREAD_VARS, __version__
 from .datagen import DEFAULT_LIFE_RANGE, generate_fleet
 from .dataset import load_canonical_dataset
 from .hyperopt import bayes_optimize, default_search_space
-from .io import sha256_file
+from .io import read_json_object, sha256_file
 from .model import MAX_NOI, STREAMS, DetachFlags, FpnnConfig, build_model, export_block_weights
 from .preprocess import (
     DEFAULT_GRID_SIDE,
@@ -70,6 +70,7 @@ from .preprocess import (
 )
 from .training import (
     TrainConfig,
+    cell_seed,
     evaluate,
     load_checkpoint,
     noi_sweep,
@@ -105,10 +106,13 @@ DETACH_KEYS = [f.name for f in fields(DetachFlags)]
 
 
 def _setup_logging() -> None:
+    """Log at ``FPNN_LOG``'s level; any other value raises ValueError."""
     levels = {"error": logging.ERROR, "warning": logging.WARNING, "info": logging.INFO,
               "debug": logging.DEBUG}
-    level = levels.get(os.environ.get("FPNN_LOG", "error").lower(), logging.ERROR)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s",
+    name = os.environ.get("FPNN_LOG", "error")
+    if name.lower() not in levels:
+        raise ValueError(f"FPNN_LOG={name!r} is not one of {', '.join(levels)}")
+    logging.basicConfig(level=levels[name.lower()], format="%(levelname)s %(name)s: %(message)s",
                         stream=sys.stderr, force=True)
 
 
@@ -180,13 +184,7 @@ def _merge_config(args) -> dict:
     range, is an error naming the file."""
     merged = dict(TRAIN_DEFAULTS)
     if args.config:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ValueError(f"{args.config}: must hold a JSON object, got "
-                             f"{type(doc).__name__}")
+        doc = read_json_object(args.config, error=ValueError)
         unknown = sorted(set(doc) - CONFIG_KEYS)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {', '.join(unknown)} "
@@ -328,7 +326,7 @@ def cmd_ablate(args, out: Path) -> dict:
     records = load_canonical_dataset(args.data)
     cells = run_sweep_window(
         records, args.cycles,
-        [replace(model_config, seed=args.seed + 1000 * i, detach=flags)
+        [replace(model_config, seed=cell_seed(args.seed, i), detach=flags)
          for i, flags in enumerate(ABLATE_FLAGS.values())],
         replace(train_config, seed=_sub_seeds(args.seed)["split"]),  # each cell reseeds the rest
     )
@@ -491,11 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse ``argv``, make the out dir, run the command, write its manifest."""
-    _setup_logging()
+    """Parse ``argv``, set up logging, make the out dir, run the command,
+    write its manifest."""
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        _setup_logging()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_manifest(args, args.func(args, out), started)

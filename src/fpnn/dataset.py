@@ -21,12 +21,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataValidationError
+from .io import read_json_object
 
 NOMINAL_CAPACITY_AH = 1.1
 
@@ -147,17 +149,26 @@ def _parse_cycle_rows(body: str, battery: str) -> np.ndarray:
     raise DataValidationError(f"battery {battery!r}: bad rows in cycles.csv")
 
 
+def _meta_number(meta: dict, key: str, bdir: Path, default=None, whole=False) -> float:
+    """meta.json's ``key`` (``default`` when it is absent), which must be a
+    finite JSON number, a whole one with ``whole``; anything else is an
+    error naming the battery dir and the key."""
+    value = meta.get(key, default)
+    if (type(value) not in (int, float) or not math.isfinite(value)
+            or (whole and value != int(value))):
+        raise DataValidationError(
+            f"battery dir {bdir.name!r}: meta.json {key!r} must be a "
+            f"{'whole ' if whole else ''}number, got {json.dumps(value)}")
+    return value
+
+
 def _load_battery_dir(bdir: Path) -> BatteryRecord:
     meta_path = bdir / "meta.json"
     if not meta_path.exists():
         raise DataValidationError(f"battery dir {bdir.name!r}: missing meta.json")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"battery dir {bdir.name!r}: invalid meta.json: {exc}") from exc
-    for key in ("battery_id", "life"):
-        if key not in meta:
-            raise DataValidationError(f"battery dir {bdir.name!r}: meta.json missing {key!r}")
+    meta = read_json_object(meta_path, ("battery_id", "life"))
+    life = int(_meta_number(meta, "life", bdir, whole=True))
+    capacity = float(_meta_number(meta, "nominal_capacity_ah", bdir, NOMINAL_CAPACITY_AH))
     csv_path = bdir / "cycles.csv"
     if not csv_path.exists():
         raise DataValidationError(f"battery dir {bdir.name!r}: missing cycles.csv")
@@ -185,9 +196,9 @@ def _load_battery_dir(bdir: Path) -> BatteryRecord:
     record = BatteryRecord(
         battery_id=str(meta["battery_id"]),
         cycles=cycles,
-        life=int(meta["life"]),
+        life=life,
         charge_policy=str(meta.get("charge_policy", "")),
-        nominal_capacity_ah=float(meta.get("nominal_capacity_ah", NOMINAL_CAPACITY_AH)),
+        nominal_capacity_ah=capacity,
     )
     record.validate()
     return record

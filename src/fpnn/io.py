@@ -12,6 +12,11 @@ Layout (all integers little-endian):
 
 The same container backs preprocessed sample archives and model
 checkpoints. Files are written atomically (temp file + rename).
+
+``read_json_object`` reads every JSON file the package takes in (an
+archive's manifest, a battery's meta.json, a CLI config file): a file that
+is not valid JSON, holds another JSON value or lacks a required key is an
+error naming the file and the key.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, DataValidationError
 
 MAGIC = b"FPNNTBIN"
 FORMAT_VERSION = 1
@@ -97,6 +102,30 @@ def read_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
         tensors[name] = arr.astype(np.float64)
     return meta, tensors
+
+
+def require_keys(obj: dict, keys, where: str,
+                 error: type[Exception] = DataValidationError) -> None:
+    """Raise ``error`` naming ``where`` and the first of ``keys`` that
+    ``obj`` lacks."""
+    for key in keys:
+        if key not in obj:
+            raise error(f"{where} has no {key!r}")
+
+
+def read_json_object(path: str | Path, keys=(),
+                     error: type[Exception] = DataValidationError) -> dict:
+    """The JSON object in file ``path``, which must hold each of ``keys``.
+    Invalid JSON, another JSON value or a missing key raises ``error``
+    naming the file (and the key)."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: must hold a JSON object, got {type(doc).__name__}")
+    require_keys(doc, keys, str(path), error)
+    return doc
 
 
 def sha256_file(path: str | Path) -> str:

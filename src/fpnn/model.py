@@ -37,27 +37,32 @@ the output of a conv -> batchnorm -> Leaky ReLU unit (the stem, a chain's
 later convs, and block0's convs when the initial layers are detached)
 saves in that output's place a stand-in that rebuilds each sample block of
 it, bitwise, from the unit's batchnorm cache, so no cache holds such an
-output. A forward without ``want_cache`` keeps no cache: each layer's saved
-values die with the layer, so evaluation holds one layer's temporaries at a
-time. Only a train-mode forward runs a batchnorm: in eval mode a batchnorm
-with running statistics is a fixed per-channel affine, so each unit runs
-as one conv whose weights and bias fold it in (``ops.bn_fold``), then the
-Leaky ReLU, and an eval forward has no cache and no backward. Detach flags
-prune the layout for ablation studies: ``initial_layers`` skips the 7x7 +
-max-pool stage, ``conv3d`` replaces the 3D front end with depth-averaging
-plus a 1x1 conv (keeping downstream shapes legal), ``residual`` removes
-the projected skip connections, and ``diff_branch`` drops the
-differential stream entirely.
+output. The walk has one train/eval switch, the dict of new batchnorm
+states, which is None in eval mode. A train forward always builds its
+cache (``want_cache`` only decides whether the caller gets it). Only a
+train forward runs a batchnorm: in eval mode a batchnorm with running
+statistics is a fixed per-channel affine, so each unit runs as one conv
+whose weights and bias fold it in (``ops.bn_fold``), then the Leaky ReLU
+alone (``ops.leaky_relu``), with no mask. An eval forward has no backward
+and keeps no cache: each layer's saved values die with the layer, so it
+holds one layer's temporaries at a time. Detach flags prune the layout
+for ablation studies: ``initial_layers`` skips the 7x7 + max-pool stage,
+``conv3d`` replaces the 3D front end with depth-averaging plus a 1x1 conv
+(keeping downstream shapes legal), ``residual`` removes the projected
+skip connections, and ``diff_branch`` drops the differential stream
+entirely.
 
 The two streams share no tensor until their global pools are concatenated,
 so :func:`fpnn_forward` and :func:`fpnn_backward` run them at the same time
 (``_map_streams``): the differential stream on a worker thread, the raw
 stream in the calling thread. numpy releases the GIL inside BLAS calls and
 ufunc loops, so the two stems and batchnorm passes overlap on two cores.
-Each stream writes its batchnorm states and gradients into its own dict,
-and the dicts are merged in stream order, so predictions, states and
-gradients (key order included) are bitwise those of running the streams
-one after the other: no arithmetic is shared or reordered across streams.
+A forward's streams write their batchnorm states into one dict that holds
+every key from the start, each stream only its own keys; a backward's
+streams write their gradients into one dict each, merged in stream order.
+So predictions, states and gradients (key order included) are bitwise
+those of running the streams one after the other: no arithmetic is shared
+or reordered across streams.
 The worker thread lives for one call only, so no thread is alive when a
 caller forks worker processes.
 """
@@ -87,6 +92,7 @@ from .ops import (
     conv_forward,
     global_avg_pool,
     global_avg_pool_backward,
+    leaky_relu,
     leaky_relu_backward,
     leaky_relu_forward,
     linear_backward,
@@ -168,15 +174,20 @@ class FpnnConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "FpnnConfig":
         """Inverse of :meth:`to_dict`; a missing optional key takes its field
-        default, and keys that are not fields are ignored."""
-        return cls(
-            noi=int(d["noi"]),
-            grid_side=int(d["grid_side"]),
-            alpha=float(d["alpha"]),
-            head_hidden=tuple(int(h) for h in d.get("head_hidden", cls.head_hidden)),
-            detach=DetachFlags(**d.get("detach", {})),
-            seed=int(d.get("seed", cls.seed)),
-        )
+        default, and keys that are not fields are ignored. A missing required
+        key, or a value that does not convert (an unknown detach flag
+        included), raises ValueError naming the key."""
+        d = {"head_hidden": cls.head_hidden, "detach": {}, "seed": cls.seed, **d}
+        readers = {"noi": int, "grid_side": int, "alpha": float,
+                   "head_hidden": lambda v: tuple(int(h) for h in v),
+                   "detach": lambda v: DetachFlags(**v), "seed": int}
+        values = {}
+        for key, read in readers.items():
+            try:
+                values[key] = read(d[key])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"config {key!r}: {exc if key in d else 'missing'}") from None
+        return cls(**values)
 
 
 @dataclass
@@ -319,29 +330,30 @@ def _conv(x, x_saved, weights, spec):
     return out, saved if x_saved is None else (x_saved, *saved[1:])
 
 
-def _cba_forward(x, params, specs, name, mode, new_states, keep=True, x_saved=None):
+def _cba_forward(x, params, specs, name, new_states, x_saved=None):
     """A non-finite value anywhere in the unit raises NonFiniteError, and
     an input the unit cannot take (such as a train-mode batchnorm over one
     value per channel) ShapeError, prefixed with the unit's conv name
-    (``diff.front.conv3d: ...``). In eval mode the unit is one conv by the
-    ``bn_fold`` of its weights and running statistics, then the Leaky ReLU,
-    and keeps no cache. In train mode the cache is None unless ``keep``, and
-    the conv saves ``x_saved`` in place of ``x`` when it is given."""
+    (``diff.front.conv3d: ...``). ``new_states`` is None in eval mode: the
+    unit is one conv by the ``bn_fold`` of its weights and running
+    statistics, then the Leaky ReLU, and returns no cache. In train mode the
+    unit writes its batchnorm's new state into ``new_states`` and returns its
+    cache, and the conv saves ``x_saved`` in place of ``x`` when it is given."""
     bn = bn_name(name)
     w, scale, shift = (params.tensors[f"{name}.w"], params.tensors[f"{bn}.scale"],
                        params.tensors[f"{bn}.shift"])
     try:
-        if mode == "eval":
+        if new_states is None:
             w, bias = bn_fold(w, scale, shift, params.bn_states[bn])
             z, _ = conv_forward(x, w, specs[name])
             z += bias
-            return leaky_relu_forward(z, params.config.alpha)[0], None
+            return check_finite("leaky_relu", leaky_relu(z, params.config.alpha)), None
         z, conv = _conv(x, x_saved, w, specs[name])
         z, new_states[bn], norm = batchnorm2d_forward(z, scale, shift, params.bn_states[bn])
         out, act = leaky_relu_forward(z, params.config.alpha)
     except (NonFiniteError, ShapeError) as exc:
         raise type(exc)(f"{name}: {exc}") from exc
-    return out, ({"name": name, "conv": conv, "bn": norm, "act": act} if keep else None)
+    return out, {"name": name, "conv": conv, "bn": norm, "act": act}
 
 
 def _cba_backward(gout, cache, grads, want_input_grad=True, activated=False):
@@ -361,10 +373,11 @@ def _cba_backward(gout, cache, grads, want_input_grad=True, activated=False):
 # inception unit
 # ---------------------------------------------------------------------------
 
-def _block_forward(x, params, specs, prefix, mode, new_states, keep=True, x_saved=None):
+def _block_forward(x, params, specs, prefix, new_states, x_saved=None):
     """The chains of ``_BRANCHES`` concatenated to 88 channels, plus the
-    projected skip; the cache is None unless ``keep``. The convs that read
-    ``x`` save ``x_saved`` in its place when it is given."""
+    projected skip, and the unit's cache, None in eval mode (``new_states``
+    None). The convs that read ``x`` save ``x_saved`` in its place when it
+    is given."""
     cache = {"prefix": prefix, "branches": [], "proj": None}
     outs = []
     for chain in _BRANCHES:
@@ -374,8 +387,7 @@ def _block_forward(x, params, specs, prefix, mode, new_states, keep=True, x_save
             h_saved = None
         caches = []
         for layer, *_ in chain:
-            h, c = _cba_forward(h, params, specs, f"{prefix}.{layer}", mode, new_states, keep,
-                                h_saved)
+            h, c = _cba_forward(h, params, specs, f"{prefix}.{layer}", new_states, h_saved)
             caches.append(c)
             h_saved = _rebuilt(c, params)
         outs.append(h)
@@ -386,7 +398,7 @@ def _block_forward(x, params, specs, prefix, mode, new_states, keep=True, x_save
         skip, cache["proj"] = _conv(x, x_saved, params.tensors[f"{proj}.w"], specs[proj])
         out = out + skip
     check_finite(f"{prefix} inception block", out)
-    return out, (cache if keep else None)
+    return out, (None if new_states is None else cache)
 
 
 def _block_backward(gout, cache, grads):
@@ -409,9 +421,10 @@ def _block_backward(gout, cache, grads):
 # stream: front end + initial layers + blocks
 # ---------------------------------------------------------------------------
 
-def _stream_forward(x5, params, specs, stream, mode, keep=True):
-    """The stream's globally pooled features [N, C], its cache (None unless
-    ``keep``), and the new states of its batchnorms."""
+def _stream_forward(x5, params, specs, stream, new_states):
+    """The stream's globally pooled features [N, C] and its cache, None in
+    eval mode (``new_states`` None); in train mode the stream writes its
+    batchnorms' new states into ``new_states``."""
     cfg = params.config
     depth = cfg.stream_depth(stream)
     if x5.shape[1:] != (N_CHANNELS, depth, cfg.grid_side, cfg.grid_side):
@@ -419,29 +432,27 @@ def _stream_forward(x5, params, specs, stream, mode, keep=True):
             f"{stream} stream expects [N, {N_CHANNELS}, {depth}, {cfg.grid_side}, "
             f"{cfg.grid_side}], got {x5.shape}"
         )
-    cache, new_states = {"init": None, "blocks": []}, {}
+    cache = {"init": None, "blocks": []}
 
     # The one layout decision: channels-last from here to the global pool.
     if cfg.detach.conv3d:  # frame mean, then a 1x1 conv
         front, x = f"{stream}.front.proj", channels_last(x5.mean(axis=2))
     else:  # kernel depth spans all frames: the frames fold into channels
         front, x = f"{stream}.front.conv3d", channels_last(x5, 1)
-    h, cache["front"] = _cba_forward(x, params, specs, front, mode, new_states, keep)
+    h, cache["front"] = _cba_forward(x, params, specs, front, new_states)
     h_saved = _rebuilt(cache["front"], params)
 
     if f"{stream}.init.conv" in specs:
-        h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", mode, new_states, keep,
-                                   h_saved)
+        h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", new_states, h_saved)
         h, pool = max_pool2d(h, *_STEM_POOL)
         cache["init"], h_saved = {"cba": init_cba, "pool": pool}, None
 
     for i in range(cfg.noi):
-        h, bc = _block_forward(h, params, specs, f"{stream}.block{i}", mode, new_states, keep,
-                               h_saved)
+        h, bc = _block_forward(h, params, specs, f"{stream}.block{i}", new_states, h_saved)
         cache["blocks"].append(bc)
         h_saved = None
     feat, cache["gap"] = global_avg_pool(h)
-    return feat, (cache if keep else None), new_states
+    return feat, (None if new_states is None else cache)
 
 
 def _stream_backward(g_feat, cache):
@@ -489,14 +500,17 @@ def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool
     """Predict life (in cycles) for a batch of samples.
 
     ``batch`` is a (raw, diff) array tuple with shapes [N, N_CHANNELS,
-    SAMPLE_DEPTH, G, G] and [N, N_CHANNELS, SAMPLE_DEPTH - 1, G, G]; ``diff`` may be None when the config has no
-    differential stream. Returns predictions of shape [N].
+    SAMPLE_DEPTH, G, G] and [N, N_CHANNELS, SAMPLE_DEPTH - 1, G, G]; the
+    diff array is read only when the config has a differential stream.
+    Returns predictions of shape [N].
 
     In ``"train"`` mode every batchnorm normalizes with its batch's
-    statistics; with ``want_cache`` the forward also returns the updated
-    batchnorm states and the cache consumed by :func:`fpnn_backward`. In
-    ``"eval"`` mode every unit runs as one conv with its batchnorm's running
-    statistics folded in; an eval forward has no backward, so ``want_cache``
+    statistics, and the forward builds the cache consumed by
+    :func:`fpnn_backward`; ``want_cache`` only picks the return value: with
+    it the forward also returns the updated batchnorm states and that cache,
+    without it both are dropped on return. In ``"eval"`` mode every unit
+    runs as one conv with its batchnorm's running statistics folded in and
+    no cache is built; an eval forward has no backward, so ``want_cache``
     with it raises ValueError.
     """
     if mode not in ("train", "eval"):
@@ -505,22 +519,16 @@ def fpnn_forward(batch, params: FpnnParams, mode: str = "eval", want_cache: bool
         raise ValueError("an eval-mode forward has no backward: want_cache needs mode='train'")
     cfg = params.config
     specs = conv_layout(cfg)
-    raw, diff = batch
-    inputs = {"raw": np.asarray(raw, dtype=float),
-              "diff": None if diff is None else np.asarray(diff, dtype=float)}
-    if "diff" in cfg.streams() and diff is None:
-        raise ShapeError("diff stream required but batch has no diff tensor")
+    inputs = {s: np.asarray(x, dtype=float) for s, x in zip(STREAMS, batch)}
 
-    new_states: dict[str, BnState] = dict(params.bn_states)
-    cache = {"streams": {}, "head": []}
-    feats = []
-    runs = _map_streams(lambda s: _stream_forward(inputs[s], params, specs, s, mode, want_cache),
+    # The walk's one train/eval switch. Each stream writes only its own
+    # batchnorms' states, and every key is in the dict from the start, so
+    # its order is the build order whichever stream finishes first.
+    new_states = dict(params.bn_states) if mode == "train" else None
+    runs = _map_streams(lambda s: _stream_forward(inputs[s], params, specs, s, new_states),
                         cfg.streams())
-    for stream, (feat, sc, states) in zip(cfg.streams(), runs):
-        feats.append(feat)
-        cache["streams"][stream] = sc
-        new_states.update(states)  # keys exist already: build order is kept
-    h = np.concatenate(feats, axis=1)
+    cache = {"streams": {s: sc for s, (_, sc) in zip(cfg.streams(), runs)}, "head": []}
+    h = np.concatenate([feat for feat, _ in runs], axis=1)
 
     n_fc = len(cfg.head_widths()) - 1
     for i in range(n_fc):

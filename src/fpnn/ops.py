@@ -18,7 +18,11 @@ Every layer's forward returns ``(out, saved)`` (batch normalization
 ``(out, new_state, saved)``), and its backward, ``backward(saved,
 output_grad)``, reads nothing else: no shape, geometry, slope or weight. It
 returns the input gradient, or ``(input_grad, *param_grads)`` in forward
-order for a layer with parameters.
+order for a layer with parameters. One op has no backward: ``leaky_relu``
+is the Leaky ReLU alone, its output and no mask, for the layers of a
+forward that will not be differentiated (an eval-mode network's, and the
+blocks a ``RebuiltActivation`` rebuilds); ``leaky_relu_forward`` runs it
+and saves the x > 0 mask its backward reads.
 
 No masked ufunc (a ``where=`` argument, ``np.where``, ``np.copyto(where=)``)
 runs on an activation-sized array: with random signs its per-element
@@ -602,9 +606,10 @@ def _bits(dtype) -> np.dtype:
     return np.dtype(f"i{np.dtype(dtype).itemsize}")
 
 
-def _leaky(x: np.ndarray, alpha: float) -> np.ndarray:
-    """max(x, alpha * x) in a new array of ``x``'s dtype: x where x > 0 and
-    alpha * x elsewhere, signed zeros included, since 0 < alpha < 1."""
+def leaky_relu(x: np.ndarray, alpha: float) -> np.ndarray:
+    """The Leaky ReLU alone, for a forward with no backward: max(x, alpha *
+    x) in a new array of ``x``'s dtype, x where x > 0 and alpha * x
+    elsewhere, signed zeros included, since 0 < alpha < 1."""
     out = np.multiply(x, alpha, out=np.empty(x.shape, x.dtype))
     return np.maximum(x, out, out=out)
 
@@ -614,7 +619,7 @@ def leaky_relu_forward(x: np.ndarray, alpha: float):
     mask x > 0 and alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"leaky ReLU slope must lie in (0, 1), got {alpha}")
-    return check_finite("leaky_relu", _leaky(x, alpha)), (x > 0, alpha)
+    return check_finite("leaky_relu", leaky_relu(x, alpha)), (x > 0, alpha)
 
 
 def leaky_relu_backward(saved, output_grad: np.ndarray) -> np.ndarray:
@@ -795,7 +800,7 @@ class RebuiltActivation:
     """Stands in, as a convolution's saved input, for the output of a conv
     -> batchnorm -> Leaky ReLU unit, rebuilt one sample block at a time
     from what the unit's batchnorm saved (Chen et al. 2016,
-    arXiv:1604.06174). ``self[blk]`` runs ``_bn_affine`` and ``_leaky``,
+    arXiv:1604.06174). ``self[blk]`` runs ``_bn_affine`` and ``leaky_relu``,
     the forward's own code, on ``xhat[blk]``: elementwise arithmetic, so the
     block is bitwise the one the forward made. ``conv_backward`` reads its
     saved input only through ``shape``, ``dtype`` and ``x[blk]``."""
@@ -808,7 +813,7 @@ class RebuiltActivation:
     def __getitem__(self, blk) -> np.ndarray:
         xhat = self._xhat[blk]
         z = _bn_affine(xhat, self._scale, self._shift, np.empty_like(xhat))
-        return _leaky(z, self._alpha)
+        return leaky_relu(z, self._alpha)
 
 
 def batchnorm2d_backward(saved, output_grad):

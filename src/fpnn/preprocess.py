@@ -395,17 +395,22 @@ def save_sample_archive(
 def load_sample_archive(path: str | Path) -> tuple[dict[str, SampleSet], ScalerParams, dict]:
     """Inverse of save_sample_archive; returns (splits, scaler, manifest).
 
-    Each split's tensor shapes must match the manifest's sample count, the
-    length of its sample list and its grid side.
+    A manifest that is not a JSON object, or lacks a key the archive needs,
+    is an error naming the manifest and the key. Each split's tensor shapes
+    must match the manifest's sample count, the length of its sample list
+    and its grid side.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise DataValidationError(f"{root}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = tio.read_json_object(manifest_path, ("grid_side", "splits", "scaler"))
+    tio.require_keys(manifest["scaler"], [f.name for f in fields(ScalerParams)],
+                     f"{manifest_path}: scaler")
     g = manifest["grid_side"]
     splits = {}
     for name, info in manifest["splits"].items():
+        tio.require_keys(info, ("file", "n_samples", "samples"), f"{manifest_path}: split {name!r}")
         _, tensors = tio.read_tensors(root / info["file"])
         n = info["n_samples"]
         want = {"raw": (n, N_CHANNELS, SAMPLE_DEPTH, g, g),

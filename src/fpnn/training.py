@@ -345,20 +345,26 @@ def run_sweep_window(records, n_input_cycles: int, model_configs: list[FpnnConfi
             for c in model_configs]
 
 
+def cell_seed(seed: int, index: int) -> int:
+    """The seed of a sweep's or an ablation's cell ``index`` (0-based, in
+    the order the cells are returned) under the base ``seed``."""
+    return seed + 1000 * index
+
+
 def noi_sweep(records, cycles_values, noi_values, grid_side: int, train_config: TrainConfig,
               seed: int, jobs: int = 1, *,
               model_config: FpnnConfig = FpnnConfig()) -> list[SweepCell]:
     """Grid of (input window, unit count) cells, returned window-major.
     Each cell is ``model_config`` with its ``noi``, ``grid_side`` and seed
-    (the base seed plus a fixed 1000 * index offset) replaced. Each window
-    runs through ``run_sweep_window``, which splits the fleet with
+    (``cell_seed`` of the base seed and the cell's index) replaced. Each
+    window runs through ``run_sweep_window``, which splits the fleet with
     ``train_config.seed``, the split seed; with ``jobs`` > 1 the windows run
     in worker processes, which receive the records once per window."""
     windows = list(cycles_values)
     if not windows or not noi_values:
         raise ValueError("empty sweep grid")
     configs = [[replace(model_config, noi=noi, grid_side=grid_side,
-                        seed=seed + 1000 * (w * len(noi_values) + j))
+                        seed=cell_seed(seed, w * len(noi_values) + j))
                 for j, noi in enumerate(noi_values)]
                for w in range(len(windows))]
     run = partial(run_sweep_window, records, train_config=train_config)
@@ -400,7 +406,11 @@ def load_checkpoint(path: str | Path) -> FpnnParams:
             f"{path}: checkpoint version {meta.get('checkpoint_version')} "
             f"incompatible with {CHECKPOINT_VERSION}"
         )
-    config = FpnnConfig.from_dict(meta["config"])
+    tio.require_keys(meta, ("config",), f"{path}: meta", CheckpointError)
+    try:
+        config = FpnnConfig.from_dict(meta["config"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     expected = build_model(config)
     shapes = {name: t.shape for name, t in expected.tensors.items()}
     for name, state in expected.bn_states.items():

@@ -1,16 +1,16 @@
 """The command-line entry point end to end: a tiny gen -> preprocess ->
 train -> eval -> export-weights chain reproduces every artifact checksum
-under the same seed, errors exit 1 with one line, the manifest clock
-covers the command's work, the manifest records the numeric environment,
-every parsed argument, the configs each command built and its input files,
-a config file with an unknown key or a mistyped value and arguments out of
-range are rejected before any work, preprocess, sweep-noi, ablate and
-hyperopt split a fleet with the same sub-seed, sweep-noi and ablate write
-one CSV row per cell with the cell seeds in the manifest, a failed cell's
-exception type in its row, and build each cell's model from the command's
-model options, and hyperopt writes its trials and a best config that train
-accepts, reproducibly. Importing the package and its CLI loads no scipy
-module."""
+under the same seed, errors (an unknown ``FPNN_LOG`` level among them)
+exit 1 with one line, the manifest clock covers the command's work, the
+manifest records the numeric environment, every parsed argument, the
+configs each command built and its input files, a config file with an
+unknown key or a mistyped value and arguments out of range are rejected
+before any work, preprocess, sweep-noi, ablate and hyperopt split a fleet
+with the same sub-seed, sweep-noi and ablate write one CSV row per cell
+with the cell seeds in the manifest, a failed cell's exception type in its
+row, and build each cell's model from the command's model options, and
+hyperopt writes its trials and a best config that train accepts,
+reproducibly. Importing the package and its CLI loads no scipy module."""
 
 import csv
 import json
@@ -152,6 +152,14 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert err == (f"error: ValueError: checkpoint {checkpoint} has grid_side 8, "
                        f"but archive {archive} has grid_side 16\n")
+
+    def test_unknown_log_level_fails_before_the_command(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FPNN_LOG", "warn")
+        out = tmp_path / "fleet"
+        assert cli.main(["gen", "--n", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: ValueError: FPNN_LOG='warn' is not one of "
+                                           "error, warning, info, debug\n")
+        assert not out.exists()
 
     def test_missing_checkpoint_is_one_error_line(self, tmp_path, capsys):
         code = cli.main(["eval", "--checkpoint", str(tmp_path / "none.fpt"),

@@ -373,12 +373,12 @@ class TestResidualBackward:
         specs = M.conv_layout(config)
         x = rng.standard_normal((1, 2, 2, 64))
         probe = _loss_weights(rng, (1, 2, 2, 88))
-        _, cache = M._block_forward(x, params, specs, "raw.block0", "train", {})
+        _, cache = M._block_forward(x, params, specs, "raw.block0", {})
         grads = {}
         gx = M._block_backward(probe, cache, grads)
 
         def loss(v):
-            out, _ = M._block_forward(v, params, specs, "raw.block0", "train", {})
+            out, _ = M._block_forward(v, params, specs, "raw.block0", {})
             return float((out * probe).sum())
 
         def loss_proj(rows):  # first four output channels of the projection

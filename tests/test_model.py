@@ -3,6 +3,7 @@ table and checkpoint names, the stream's frame fold, detach behavior, residual i
 export, and full-model gradients."""
 
 import dataclasses
+import inspect
 import json
 import tracemalloc
 import weakref
@@ -192,10 +193,10 @@ class TestForwardShapes:
         rng = np.random.default_rng(0)
         specs = M.conv_layout(config)
         x = rng.standard_normal((2, 5, 5, 64))
-        out, _ = M._block_forward(x, params, specs, "raw.block0", "eval", {})
+        out, _ = M._block_forward(x, params, specs, "raw.block0", None)
         assert out.shape == (2, 5, 5, 88)
         x2 = rng.standard_normal((1, 5, 5, 88))
-        out2, _ = M._block_forward(x2, params, specs, "raw.block1", "eval", {})
+        out2, _ = M._block_forward(x2, params, specs, "raw.block1", None)
         assert out2.shape == (1, 5, 5, 88)
 
     def test_noi_zero_stream_keeps_64_channels(self):
@@ -230,7 +231,7 @@ class TestStreamLayout:
         config = M.FpnnConfig(noi=0, grid_side=6, seed=2)
         params = M.build_model(config)
         x5 = np.random.default_rng(3).standard_normal((2, 3, 4, 6, 6))
-        _, cache, _ = M._stream_forward(x5, params, M.conv_layout(config), "raw", "train")
+        _, cache = M._stream_forward(x5, params, M.conv_layout(config), "raw", {})
         folded, w, spec = cache["front"]["conv"]
         assert folded.tobytes() == nhwc(x5.reshape(2, 12, 6, 6)).tobytes()
         out, _ = ops.conv_forward(folded, w, spec)
@@ -268,7 +269,7 @@ class TestEvalMode:
                                        f"{bn}.shift": shift}, {bn: state})
         x = rng.standard_normal((2, spec.in_channels, *spec.kernel[:-2], 9, 9))  # NC(D)HW
         out, cache = M._cba_forward(ops.channels_last(x, spec.ndim - 2), params, {name: spec},
-                                    name, "eval", {})
+                                    name, None)
         assert cache is None
         loop = conv3d_loop if spec.ndim == 3 else conv2d_loop
         z = np.stack([loop(s, w, np.zeros(c_out), spec.stride, spec.padding) for s in x])
@@ -327,8 +328,7 @@ class TestDetachBehavior:
         with_res = M.build_model(config)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 5, 5, 64))
-        out_res, _ = M._block_forward(x, with_res, M.conv_layout(config), "raw.block0",
-                                      "eval", {})
+        out_res, _ = M._block_forward(x, with_res, M.conv_layout(config), "raw.block0", None)
 
         no_res_cfg = micro_config(noi=1, detach=M.DetachFlags(residual=True))
         no_res = M.build_model(no_res_cfg)
@@ -337,7 +337,7 @@ class TestDetachBehavior:
             if k in no_res.tensors:
                 no_res.tensors[k] = v.copy()
         out_plain, _ = M._block_forward(x, no_res, M.conv_layout(no_res_cfg), "raw.block0",
-                                        "eval", {})
+                                        None)
 
         proj = with_res.tensors["raw.block0.proj.w"]
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 64, 88)
@@ -571,22 +571,16 @@ class TestForwardCacheMemory:
             tracemalloc.stop()
         assert held <= 30 * 2**20, f"forward cache holds {held / 2**20:.1f} MiB"
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_forward_without_cache_keeps_no_saved_values(self, monkeypatch, mode):
-        """Without ``want_cache`` no conv's saved operand outlives its layer:
-        by the time the head runs, all are freed. With it (train mode only),
-        every conv's saved input is alive, saved itself, or is a stand-in
-        whose blocks rebuild it bitwise: the latter exactly for the convs
-        that read a conv -> batchnorm -> Leaky ReLU unit (the stem, and
-        ``b2.conv``, ``b3.conv1``, ``b3.conv2`` of each unit). The
-        predictions are bitwise the same either way."""
-        inputs = []  # (weakref to a conv's input, its bytes, its weights)
+    @staticmethod
+    def _record_conv_inputs(monkeypatch):
+        """Patches the model's convs and head: returns ``inputs``, (weakref to
+        each conv's input, its bytes, its weights), and ``alive``, the number
+        of those inputs alive as each head layer runs."""
+        inputs, alive = [], []
 
         def record(*args):
             inputs.append((weakref.ref(args[0]), args[0].tobytes(), args[1]))
             return ops.conv_forward(*args)
-
-        alive = []
 
         def head(*args):
             alive.append(sum(ref() is not None for ref, *_ in inputs))
@@ -594,27 +588,78 @@ class TestForwardCacheMemory:
 
         monkeypatch.setattr(M, "conv_forward", record)
         monkeypatch.setattr(M, "linear_forward", head)
+        return inputs, alive
+
+    def test_eval_forward_keeps_no_saved_values(self, monkeypatch):
+        """No conv's saved operand outlives its layer in an eval forward: by
+        the time the head runs, all are freed."""
+        inputs, alive = self._record_conv_inputs(monkeypatch)
         config = micro_config(noi=2)
-        params, batch = M.build_model(config), random_batch(config)
-        bare = M.fpnn_forward(batch, params, mode=mode)
+        M.fpnn_forward(random_batch(config), M.build_model(config), mode="eval")
         assert len(inputs) == len(M.conv_layout(config))
         assert alive[-1] == 0
-        if mode == "train":
-            inputs.clear()
-            alive.clear()
-            cached, _, cache = M.fpnn_forward(batch, params, mode=mode, want_cache=True)
-            saved = {id(s[1]): s[0] for s in _conv_saved(cache)}
-            rebuilt = 0
-            for ref, data, weights in inputs:
-                x = saved[id(weights)]
-                if isinstance(x, ops.RebuiltActivation):
-                    rebuilt += 1
-                    assert x[0:x.shape[0]].tobytes() == data
-                else:
-                    assert x is ref()
-            assert rebuilt == 2 * (1 + 3 * config.noi)
-            assert alive[0] == len(inputs) - rebuilt
-            assert bare.tobytes() == cached.tobytes()
+
+    def test_train_forward_saves_each_conv_input_or_a_stand_in(self, monkeypatch):
+        """A train forward builds its cache with or without ``want_cache``.
+        Every conv's saved input is alive, saved itself, or is a stand-in
+        whose blocks rebuild it bitwise: the latter exactly for the convs
+        that read a conv -> batchnorm -> Leaky ReLU unit (the stem, and
+        ``b2.conv``, ``b3.conv1``, ``b3.conv2`` of each unit). The
+        predictions are bitwise the same either way."""
+        inputs, alive = self._record_conv_inputs(monkeypatch)
+        config = micro_config(noi=2)
+        params, batch = M.build_model(config), random_batch(config)
+        bare = M.fpnn_forward(batch, params, mode="train")
+        bare_alive = alive[0]
+        inputs.clear()
+        alive.clear()
+        cached, _, cache = M.fpnn_forward(batch, params, mode="train", want_cache=True)
+        assert len(inputs) == len(M.conv_layout(config))
+        saved = {id(s[1]): s[0] for s in _conv_saved(cache)}
+        rebuilt = 0
+        for ref, data, weights in inputs:
+            x = saved[id(weights)]
+            if isinstance(x, ops.RebuiltActivation):
+                rebuilt += 1
+                assert x[0:x.shape[0]].tobytes() == data
+            else:
+                assert x is ref()
+        assert rebuilt == 2 * (1 + 3 * config.noi)
+        assert alive[0] == bare_alive == len(inputs) - rebuilt
+        assert bare.tobytes() == cached.tobytes()
+
+    @pytest.mark.parametrize("detach", DETACH_VARIANTS)
+    def test_eval_forward_makes_no_activation_sized_bool_array(self, monkeypatch, detach):
+        """No op an eval forward calls returns a bool array the size of a
+        conv activation (any [N, H, W, C] one): the units' Leaky ReLUs keep
+        no x > 0 mask. The ops are traced at the names the model calls them
+        by; only the head's [N, hidden] Leaky ReLU still saves its mask."""
+        returned = []
+
+        def traced(fn):
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                returned.append((fn.__name__, out))
+                return out
+            return call
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for v in obj:
+                    yield from arrays(v)
+
+        for name, value in list(vars(M).items()):
+            if inspect.isfunction(value) and value.__module__ == ops.__name__:
+                monkeypatch.setattr(M, name, traced(value))
+        config = micro_config(noi=2, detach=detach)
+        M.fpnn_forward(random_batch(config), M.build_model(config), mode="eval")
+        called = {name for name, _ in returned}
+        assert {"conv_forward", "leaky_relu"} <= called
+        masks = [name for name, out in returned for a in arrays(out)
+                 if a.dtype == np.bool_ and a.ndim == 4]
+        assert masks == []
 
     def test_leaky_relus_cache_bool_masks(self, monkeypatch):
         # every Leaky ReLU's saved value reaches the cache, and it holds the

@@ -1,6 +1,8 @@
 """Preprocessing pipeline: cleaning, gridding, sample assembly, scaling,
 splitting, and archive round trips."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -436,6 +438,32 @@ class TestCanonicalDataset:
         with pytest.raises(DataValidationError, match="meta.json"):
             load_canonical_dataset(tmp_path)
 
+    @pytest.mark.parametrize("key,value,wanted", [
+        ("life", "abc", "whole number"), ("life", None, "whole number"),
+        ("life", 500.5, "whole number"), ("nominal_capacity_ah", "a", "number"),
+    ], ids=["life-string", "life-null", "life-fraction", "capacity-string"])
+    def test_bad_meta_value_names_battery_and_key(self, tmp_path, key, value, wanted):
+        import json
+
+        save_canonical_dataset([make_battery(battery_id="meta-1", n_cycles=2)], tmp_path)
+        path = tmp_path / "meta-1" / "meta.json"
+        meta = json.loads(path.read_text())
+        meta[key] = value
+        path.write_text(json.dumps(meta))
+        with pytest.raises(DataValidationError,
+                           match=f"^battery dir 'meta-1': meta.json '{key}' must be a {wanted}, "
+                                 f"got {json.dumps(value)}$"):
+            load_canonical_dataset(tmp_path)
+
+    def test_whole_float_life_loads_as_int(self, tmp_path):
+        import json
+
+        save_canonical_dataset([make_battery(battery_id="meta-2", n_cycles=2, life=400)], tmp_path)
+        path = tmp_path / "meta-2" / "meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "life": 400.0}))
+        (loaded,) = load_canonical_dataset(tmp_path)
+        assert loaded.life == 400 and type(loaded.life) is int
+
     def test_values_bitwise_those_of_a_per_field_parse(self, tmp_path):
         """The one-call parse gives every value bit for bit as float() of
         its field, grouped into cycles as the rows run."""
@@ -537,4 +565,35 @@ class TestPipeline:
             manifest["splits"]["test"]["samples"].pop()
         path.write_text(json.dumps(manifest))
         with pytest.raises(DataValidationError, match=r"test\.fpt: split 'test'"):
+            pp.load_sample_archive(tmp_path)
+
+    @pytest.mark.parametrize("edit,fault", [
+        (lambda m: m.pop("grid_side"), r"manifest\.json has no 'grid_side'"),
+        (lambda m: m.pop("splits"), r"manifest\.json has no 'splits'"),
+        (lambda m: m.pop("scaler"), r"manifest\.json has no 'scaler'"),
+        (lambda m: m["scaler"].pop("diff_max"), r"manifest\.json: scaler has no 'diff_max'"),
+        (lambda m: m["splits"]["test"].pop("samples"),
+         r"manifest\.json: split 'test' has no 'samples'"),
+    ], ids=["grid_side", "splits", "scaler", "scaler-field", "split-samples"])
+    def test_manifest_missing_key_names_file_and_key(self, tmp_path, edit, fault):
+        import json
+
+        records = generate_fleet(4, seed=6, life_range=(200, 800))
+        train, test, scaler, _ = pp.preprocess_fleet(records, 10, grid_side=8, seed=2)
+        pp.save_sample_archive(tmp_path, {"train": train, "test": test}, scaler, 10, 8, 2)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(tmp_path))}/{fault}$"):
+            pp.load_sample_archive(tmp_path)
+
+    @pytest.mark.parametrize("text,fault", [
+        ("[1, 2]", "must hold a JSON object, got list"),
+        ("{\"grid_side\": 8,", "not valid JSON: "),
+    ], ids=["list", "invalid-json"])
+    def test_manifest_that_is_no_json_object_names_file(self, tmp_path, text, fault):
+        (tmp_path / "manifest.json").write_text(text)
+        where = re.escape(str(tmp_path / "manifest.json"))
+        with pytest.raises(DataValidationError, match=f"^{where}: {fault}"):
             pp.load_sample_archive(tmp_path)

@@ -1,6 +1,7 @@
 """The two streams on two threads: bitwise the results of running them one
-after the other, errors as a loop would raise them, no thread alive after a
-call, a cache that survives repeated backward passes, and the BLAS thread
+after the other, batchnorm states that keep every stream's write under fast
+thread switching, errors as a loop would raise them, no thread alive after
+a call, a cache that survives repeated backward passes, and the BLAS thread
 default that ``import fpnn`` sets, with its warning when numpy came first."""
 
 import json
@@ -63,6 +64,27 @@ class TestThreadedStreams:
         assert step(params, batch) == threaded
         # gradients in build order: each stream's in stream order, then the head's
         assert threaded["grad_keys"] == list(params.tensors)
+
+    def test_no_state_write_is_lost_under_fast_thread_switching(self, monkeypatch):
+        """Both streams write their batchnorm states into one dict, each
+        into its own keys: with the interpreter switching threads every
+        microsecond, every write lands and the key order stays build order."""
+        config = M.FpnnConfig(noi=2, grid_side=8, head_hidden=(8,), seed=4)
+        params, batch = M.build_model(config), random_batch(config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [M.fpnn_forward(batch, params, mode="train", want_cache=True)[1]
+                    for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(M, "_map_streams", sequential)
+        _, want, _ = M.fpnn_forward(batch, params, mode="train", want_cache=True)
+        assert not any(np.array_equal(want[k].mean, s.mean) for k, s in params.bn_states.items())
+        for states in runs:
+            assert list(states) == list(params.bn_states)
+            assert all(states[k].mean.tobytes() == s.mean.tobytes()
+                       and states[k].var.tobytes() == s.var.tobytes() for k, s in want.items())
 
     def test_no_thread_outlives_a_call(self):
         config = M.FpnnConfig(noi=1, grid_side=8, head_hidden=(8,), seed=4)

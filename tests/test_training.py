@@ -5,6 +5,7 @@ once-per-window preprocessing and cell bookkeeping."""
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -363,6 +364,22 @@ class TestCheckpoint:
         path = self._saved(tmp_path, edit)
         with pytest.raises(CheckpointError, match=r"model\.fpt.*'raw\.block7\.proj\.w'"):
             T.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,fault", [
+        (lambda m: m.pop("config"), "meta has no 'config'$"),
+        (lambda m: m["config"].pop("noi"), "config 'noi': missing$"),
+        (lambda m: m["config"].update(noi="x"), "config 'noi': invalid literal for int"),
+        (lambda m: m["config"].update(detach={"residul": True}),
+         "config 'detach': .*unexpected keyword argument 'residul'$"),
+    ], ids=["no-config", "no-noi", "string-noi", "unknown-detach"])
+    def test_bad_config_names_file_and_key(self, tmp_path, edit, fault):
+        T.save_checkpoint(self._params(), tmp_path / "model.fpt")
+        meta, tensors = tio.read_tensors(tmp_path / "model.fpt")
+        edit(meta)
+        tio.write_tensors(tmp_path / "model.fpt", tensors, meta)
+        where = re.escape(str(tmp_path / "model.fpt"))
+        with pytest.raises(CheckpointError, match=f"^{where}: {fault}"):
+            T.load_checkpoint(tmp_path / "model.fpt")
 
     def test_valid_checkpoint_loads_bitwise(self, tmp_path):
         params = self._params()
