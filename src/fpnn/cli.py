@@ -20,10 +20,13 @@ of ``FpnnConfig`` and ``TrainConfig``. A config file may set ``noi``,
 ``alpha``, ``head_hidden``, ``detach`` and the ``TrainConfig`` fields but
 ``seed``, and not the field a command sets per cell: ``sweep-noi`` rejects
 ``noi`` and ``ablate`` rejects ``detach``. An unknown or per-cell key, a
-mistyped value or a value out of range is rejected by name, with the
-file's name, and every command builds its configs before it reads any
-data. Only ``_train_configs`` turns settings into configs, so
-``hyperopt``'s ``best_config.json`` is a valid ``--config`` file. Counts,
+value of the wrong kind or a value out of range is rejected by name, with
+the file's name, and every command builds its configs before it reads any
+data. Only ``_train_configs`` turns settings into configs, and it reads
+every value by ``io.json_value``, the rule a checkpoint's config is read
+by: a file value is rejected exactly when the same value in a checkpoint
+is, and a whole float such as ``"epochs": 2.0`` builds what ``2`` does.
+So ``hyperopt``'s ``best_config.json`` is a valid ``--config`` file. Counts,
 grids and windows out of range are rejected while parsing, among them
 ``gen --life-min``/``--life-max`` below 1 and ``hyperopt --epochs`` below 1
 or ``--patience`` below 0 (a life min above the max fails naming the range,
@@ -57,7 +60,7 @@ from . import BLAS_THREAD_VARS, __version__
 from .datagen import DEFAULT_LIFE_RANGE, generate_fleet
 from .dataset import load_canonical_dataset
 from .hyperopt import bayes_optimize, default_search_space
-from .io import read_json_object, sha256_file
+from .io import json_value, read_json_object, sha256_file
 from .model import MAX_NOI, STREAMS, DetachFlags, FpnnConfig, build_model, export_block_weights
 from .preprocess import (
     DEFAULT_GRID_SIDE,
@@ -102,7 +105,6 @@ TRAIN_DEFAULTS = {**{k: getattr(FpnnConfig, k) for k in MODEL_KEYS},
                   **{f.name: f.default for f in fields(TrainConfig) if f.name != "seed"}}
 CONFIG_KEYS = {*TRAIN_DEFAULTS, "head_hidden", "detach"}
 PER_CELL_KEYS = {"sweep-noi": "noi", "ablate": "detach"}  # command -> the field it sets per cell
-DETACH_KEYS = [f.name for f in fields(DetachFlags)]
 
 
 def _setup_logging() -> None:
@@ -160,28 +162,11 @@ def write_manifest(args, recorded: dict, started: float) -> None:
     (out_dir / MANIFEST_FILENAME).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _check_config_value(path: str, key: str, value) -> None:
-    """Raise unless ``value`` from config file ``path`` is what ``key`` takes."""
-    if key == "head_hidden":
-        ok = isinstance(value, list) and value and all(type(h) is int and h > 0 for h in value)
-        wanted = "a nonempty list of positive ints"
-    elif key == "detach":
-        ok = (isinstance(value, dict) and set(value) <= set(DETACH_KEYS)
-              and all(type(flag) is bool for flag in value.values()))
-        wanted = f"an object mapping some of {', '.join(DETACH_KEYS)} to bools"
-    elif type(TRAIN_DEFAULTS[key]) is int:
-        ok, wanted = type(value) is int, "an int"
-    else:
-        ok, wanted = type(value) in (int, float), "a number"
-    if not ok:
-        raise ValueError(f"{path}: {key} must be {wanted}, got {json.dumps(value)}")
-
-
 def _merge_config(args) -> dict:
     """Flags > ``--config`` file > ``TRAIN_DEFAULTS``. A file that is not a
     JSON object, a file key outside ``CONFIG_KEYS`` or the command's
-    ``PER_CELL_KEYS`` key, or a file value of the wrong type or out of
-    range, is an error naming the file."""
+    ``PER_CELL_KEYS`` key, or a file value that ``_train_configs`` rejects
+    (of the wrong kind or out of range) is an error naming the file."""
     merged = dict(TRAIN_DEFAULTS)
     if args.config:
         doc = read_json_object(args.config, error=ValueError)
@@ -193,10 +178,8 @@ def _merge_config(args) -> dict:
         if per_cell in doc:
             raise ValueError(f"{args.config}: {args.command} sets {per_cell} per cell, "
                              "so a config file may not set it")
-        for key, value in doc.items():
-            _check_config_value(args.config, key, value)
         merged.update(doc)
-        try:  # the ranges the configs check
+        try:  # the kinds and ranges the configs check
             _train_configs(merged, args.seed, FpnnConfig.grid_side)
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
@@ -205,14 +188,14 @@ def _merge_config(args) -> dict:
 
 
 def _train_configs(settings: dict, seed: int, grid_side: int) -> tuple[FpnnConfig, TrainConfig]:
-    """The one place settings become configs: the model through
-    ``FpnnConfig.from_dict``, training with each value cast to its
-    default's type, seeded with the init and shuffle sub-seeds."""
+    """The one place settings become configs, each value read by
+    ``io.json_value`` (the model's through ``FpnnConfig.from_dict``), seeded
+    with the init and shuffle sub-seeds."""
     seeds = _sub_seeds(seed)
     model_config = FpnnConfig.from_dict({**settings, "grid_side": grid_side,
                                          "seed": seeds["init"]})
-    train_config = TrainConfig(**{k: type(v)(settings[k]) for k, v in TRAIN_DEFAULTS.items()
-                                  if k not in MODEL_KEYS}, seed=seeds["shuffle"])
+    train_config = json_value({k: settings[k] for k in TRAIN_DEFAULTS if k not in MODEL_KEYS},
+                              TrainConfig(seed=seeds["shuffle"]), "config", ValueError)
     return model_config, train_config
 
 

@@ -16,15 +16,21 @@ checkpoints. Files are written atomically (temp file + rename).
 ``read_json_object`` reads every JSON file the package takes in (an
 archive's manifest, a battery's meta.json, a CLI config file): a file that
 is not valid JSON, holds another JSON value or lacks a required key is an
-error naming the file and the key.
+error naming the file and the key. A container's meta is checked the same
+way. Every JSON value read from outside (a checkpoint's config, a CLI config
+file, a battery's meta.json) gets its kind by one rule, ``json_value``: a
+value of the wrong kind is an error naming where it was read and the key.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import sys
 import zlib
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +93,7 @@ def read_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         return out
 
     (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(str(take(meta_len), "utf-8"))
+    meta = _json_object(bytes(take(meta_len)), f"{path}: meta", CheckpointError)
     (n_tensors,) = struct.unpack("<I", take(4))
     entries = []
     for _ in range(n_tensors):
@@ -98,7 +104,7 @@ def read_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         entries.append((name, shape))
     tensors = {}
     for name, shape in entries:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: an int64 product can wrap to 0
         arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
         tensors[name] = arr.astype(np.float64)
     return meta, tensors
@@ -113,19 +119,64 @@ def require_keys(obj: dict, keys, where: str,
             raise error(f"{where} has no {key!r}")
 
 
+def _json_object(text: bytes, where: str, error: type[Exception]) -> dict:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise error(f"{where}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{where}: must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def read_json_object(path: str | Path, keys=(),
                      error: type[Exception] = DataValidationError) -> dict:
     """The JSON object in file ``path``, which must hold each of ``keys``.
     Invalid JSON, another JSON value or a missing key raises ``error``
     naming the file (and the key)."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise error(f"{path}: must hold a JSON object, got {type(doc).__name__}")
+    doc = _json_object(Path(path).read_bytes(), str(path), error)
     require_keys(doc, keys, str(path), error)
     return doc
+
+
+def _number(value, whole: bool = False) -> bool:
+    """A finite JSON number (a bool is not one), with no fraction if ``whole``."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and (not whole or value == int(value)))
+
+
+def json_value(value, like, where: str, error: type[Exception] = DataValidationError):
+    """``value``, read from JSON, as the kind of ``like`` (a field default):
+
+    - bool: true or false only;
+    - int: a finite number with no fraction, returned as an int;
+    - float: any finite number, returned as a float;
+    - tuple: a list of whole numbers, returned as a tuple of ints;
+    - dataclass instance: an object holding some of its fields, each read
+      by this rule against its value in ``like``, returned as ``like`` with
+      those fields replaced (so the dataclass checks its ranges).
+
+    Anything else raises ``error`` naming ``where``, a field as
+    ``where 'key'``, and the value."""
+    if is_dataclass(like):
+        names = [f.name for f in fields(like)]
+        if not isinstance(value, dict) or not value.keys() <= set(names):
+            raise error(f"{where} must be an object with some of {', '.join(names)}, "
+                        f"got {json.dumps(value)}")
+        return replace(like, **{key: json_value(v, getattr(like, key), f"{where} {key!r}", error)
+                                for key, v in value.items()})
+    if isinstance(like, bool):
+        ok, wanted = isinstance(value, bool), "true or false"
+    elif isinstance(like, tuple):
+        ok = isinstance(value, (list, tuple)) and all(_number(v, whole=True) for v in value)
+        wanted = "a list of whole numbers"
+    elif isinstance(like, int):
+        ok, wanted = _number(value, whole=True), "a whole number"
+    else:
+        ok, wanted = _number(value), "a number"
+    if not ok:
+        raise error(f"{where} must be {wanted}, got {json.dumps(value)}")
+    return tuple(map(int, value)) if isinstance(like, tuple) else type(like)(value)
 
 
 def sha256_file(path: str | Path) -> str:

@@ -72,12 +72,13 @@ from __future__ import annotations
 import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError
+from .io import json_value, require_keys
 from .ops import (
     BnState,
     ConvSpec,
@@ -173,21 +174,18 @@ class FpnnConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FpnnConfig":
-        """Inverse of :meth:`to_dict`; a missing optional key takes its field
-        default, and keys that are not fields are ignored. A missing required
-        key, or a value that does not convert (an unknown detach flag
-        included), raises ValueError naming the key."""
-        d = {"head_hidden": cls.head_hidden, "detach": {}, "seed": cls.seed, **d}
-        readers = {"noi": int, "grid_side": int, "alpha": float,
-                   "head_hidden": lambda v: tuple(int(h) for h in v),
-                   "detach": lambda v: DetachFlags(**v), "seed": int}
-        values = {}
-        for key, read in readers.items():
-            try:
-                values[key] = read(d[key])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"config {key!r}: {exc if key in d else 'missing'}") from None
-        return cls(**values)
+        """Inverse of :meth:`to_dict`, each field read by ``io.json_value``.
+        ``noi``, ``grid_side`` and ``alpha`` are required, a missing optional
+        key takes its field default, and keys that are not fields (an older
+        checkpoint's ``sample_depth``) are ignored. A value of the wrong kind
+        (``noi: 1.7``, ``head_hidden: "64"``, ``detach: {"residual": 1}``), a
+        missing required key or a ``d`` that is not an object raises
+        ValueError naming the key."""
+        names = {f.name for f in fields(cls)}
+        d = {k: v for k, v in d.items() if k in names} if isinstance(d, dict) else d
+        config = json_value(d, cls(), "config", ValueError)
+        require_keys(d, ("noi", "grid_side", "alpha"), "config", ValueError)
+        return config
 
 
 @dataclass

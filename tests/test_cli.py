@@ -4,13 +4,15 @@ under the same seed, errors (an unknown ``FPNN_LOG`` level among them)
 exit 1 with one line, the manifest clock covers the command's work, the
 manifest records the numeric environment, every parsed argument, the
 configs each command built and its input files, a config file with an
-unknown key or a mistyped value and arguments out of range are rejected
-before any work, preprocess, sweep-noi, ablate and hyperopt split a fleet
-with the same sub-seed, sweep-noi and ablate write one CSV row per cell
-with the cell seeds in the manifest, a failed cell's exception type in its
-row, and build each cell's model from the command's model options, and
-hyperopt writes its trials and a best config that train accepts,
-reproducibly. Importing the package and its CLI loads no scipy module."""
+unknown key or a value of the wrong kind and arguments out of range are
+rejected before any work (a value exactly when a checkpoint's config
+rejects it, and a whole float builds what its int does), preprocess,
+sweep-noi, ablate and hyperopt split a fleet with the same sub-seed,
+sweep-noi and ablate write one CSV row per cell with the cell seeds in the
+manifest, a failed cell's exception type in its row, and build each cell's
+model from the command's model options, and hyperopt writes its trials and
+a best config that train accepts, reproducibly. Importing the package and
+its CLI loads no scipy module."""
 
 import csv
 import json
@@ -26,8 +28,9 @@ import pytest
 
 import fpnn
 from fpnn import cli, training
+from fpnn import io as tio
 from fpnn import model as M
-from fpnn.errors import TrainingError
+from fpnn.errors import CheckpointError, TrainingError
 
 
 def run(*argv):
@@ -182,6 +185,20 @@ BAD_CONFIGS = [  # (test id suffix, config file, the key its error names)
 ]
 
 
+# Rejected alike by a checkpoint's config and a config file (test id suffix,
+# config, the key its error names): the model-field rows of BAD_CONFIGS, among
+# them "-int-detach", {"detach": {"residual": 1}}, then values of the wrong kind
+# and a config that is not an object.
+KINDS_AGREE = [row for row in BAD_CONFIGS if row[2] in ("head_hidden", "detach")] + [
+    ("-fraction", {"noi": 1.7}, "noi"),
+    ("-fraction", {"grid_side": 8.9}, "grid_side"),
+    ("-fraction", {"head_hidden": [8.5]}, "head_hidden"),
+    ("-string", {"head_hidden": "64"}, "head_hidden"),
+    ("-bool", {"noi": True}, "noi"),
+    ("-not-an-object", 5, "config"),
+]
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("command,doc,key", [
         pytest.param(command, doc, key, id=command + suffix)
@@ -242,6 +259,49 @@ class TestConfigFile:
                          "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: ValueError: {config_file}: {message}\n"
+
+    @pytest.mark.parametrize("doc,key", [pytest.param(doc, key, id=key + suffix)
+                                         for suffix, doc, key in KINDS_AGREE])
+    def test_checkpoint_config_and_config_file_reject_alike(self, tmp_path, capsys, doc, key):
+        """The same value fails a checkpoint's config with a CheckpointError
+        naming the checkpoint and the key, and a config file with the one
+        error line naming the file and the key."""
+        checkpoint = tmp_path / "model.fpt"
+        training.save_checkpoint(M.build_model(M.FpnnConfig(grid_side=8, head_hidden=(8,))),
+                                 checkpoint)
+        meta, tensors = tio.read_tensors(checkpoint)
+        meta["config"] = {**meta["config"], **doc} if isinstance(doc, dict) else doc
+        tio.write_tensors(checkpoint, tensors, meta)
+        with pytest.raises(CheckpointError) as caught:
+            training.load_checkpoint(checkpoint)
+        where, _, message = str(caught.value).partition(": ")
+        assert where == str(checkpoint) and key in message
+
+        config_file = tmp_path / "settings.json"
+        config_file.write_text(json.dumps(doc))
+        code = cli.main(["train", "--data", str(tmp_path / "none"), "--config", str(config_file),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        head = f"error: ValueError: {config_file}: "
+        assert err.startswith(head)
+        assert key in err[len(head):] or not isinstance(doc, dict)  # 5 has no key to name
+
+    def test_whole_float_builds_the_configs_of_its_int(self, tmp_path):
+        """``"epochs": 2.0`` in a config file trains as ``2`` does: the
+        manifest's config and every artifact are the same."""
+        fleet, archive = tmp_path / "fleet", tmp_path / "archive"
+        run("gen", "--n", 6, "--seed", 5, "--life-min", 200, "--life-max", 700, "--out", fleet)
+        run("preprocess", "--data", fleet, "--cycles", 10, "--grid", 8, "--out", archive)
+        docs = []
+        for name, epochs in (("int", 2), ("float", 2.0)):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"epochs": epochs}))
+            run("train", "--data", archive, "--config", tmp_path / f"{name}.json",
+                "--batch-size", 4, "--out", tmp_path / name)
+            docs.append(manifest(tmp_path / name))
+        assert docs[0]["config"] == docs[1]["config"] and docs[0]["config"]["epochs"] == 2
+        assert docs[0]["outputs"] == docs[1]["outputs"]
 
     def test_inverted_life_range_is_one_error_line_naming_it(self, tmp_path, capsys):
         code = cli.main(["gen", "--n", "2", "--life-min", "500", "--life-max", "100",

@@ -367,10 +367,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit,fault", [
         (lambda m: m.pop("config"), "meta has no 'config'$"),
-        (lambda m: m["config"].pop("noi"), "config 'noi': missing$"),
-        (lambda m: m["config"].update(noi="x"), "config 'noi': invalid literal for int"),
+        (lambda m: m["config"].pop("noi"), "config has no 'noi'$"),
+        (lambda m: m["config"].update(noi="x"), "config 'noi' must be a whole number, got \"x\"$"),
         (lambda m: m["config"].update(detach={"residul": True}),
-         "config 'detach': .*unexpected keyword argument 'residul'$"),
+         "config 'detach' must be an object with some of initial_layers, conv3d, residual, "
+         "diff_branch, got {\"residul\": true}$"),
     ], ids=["no-config", "no-noi", "string-noi", "unknown-detach"])
     def test_bad_config_names_file_and_key(self, tmp_path, edit, fault):
         T.save_checkpoint(self._params(), tmp_path / "model.fpt")
@@ -398,10 +399,9 @@ class TestCheckpoint:
             assert loaded.bn_states[k].mean.tobytes() == state.mean.tobytes(), k
             assert loaded.bn_states[k].var.tobytes() == state.var.tobytes(), k
 
-    def test_checkpoint_with_former_meta_keys_predicts_bitwise(self, tmp_path):
-        """A checkpoint whose meta still holds ``sample_depth`` in its config
-        and a ``bn_names`` list, as they were once written, loads and
-        predicts in eval mode bit for bit what the same tensors saved now do."""
+    def _predictions(self, tmp_path, edit):
+        """Eval-mode predictions of a checkpoint with random running
+        statistics, and of a copy whose meta ``edit`` changed."""
         params = self._params()
         rng = np.random.default_rng(9)
         for state in params.bn_states.values():
@@ -409,14 +409,51 @@ class TestCheckpoint:
             state.var += rng.random(state.var.shape)
         T.save_checkpoint(params, tmp_path / "now.fpt")
         meta, tensors = tio.read_tensors(tmp_path / "now.fpt")
-        assert "bn_names" not in meta and "sample_depth" not in meta["config"]
-        former = {**meta, "config": {**meta["config"], "sample_depth": 4},
-                  "bn_names": sorted(params.bn_states)}
-        tio.write_tensors(tmp_path / "former.fpt", tensors, former)
+        tio.write_tensors(tmp_path / "edited.fpt", tensors, edit(meta, params))
         batch = (rng.uniform(-1, 1, (4, 3, 4, 8, 8)), rng.uniform(-1, 1, (4, 3, 3, 8, 8)))
-        preds = [fpnn_forward(batch, T.load_checkpoint(tmp_path / name))
-                 for name in ("now.fpt", "former.fpt")]
-        assert preds[0].tobytes() == preds[1].tobytes()
+        return [fpnn_forward(batch, T.load_checkpoint(tmp_path / name))
+                for name in ("now.fpt", "edited.fpt")]
+
+    def test_checkpoint_with_former_meta_keys_predicts_bitwise(self, tmp_path):
+        """A checkpoint whose meta still holds ``sample_depth`` in its config
+        and a ``bn_names`` list, as they were once written, loads and
+        predicts in eval mode bit for bit what the same tensors saved now do."""
+        def former(meta, params):
+            assert "bn_names" not in meta and "sample_depth" not in meta["config"]
+            return {**meta, "config": {**meta["config"], "sample_depth": 4},
+                    "bn_names": sorted(params.bn_states)}
+        now, edited = self._predictions(tmp_path, former)
+        assert now.tobytes() == edited.tobytes()
+
+    def test_whole_float_noi_predicts_bitwise(self, tmp_path):
+        """``noi: 1.0`` reads as the int 1, as meta.json's ``life: 400.0`` does."""
+        def whole_float(meta, params):
+            assert meta["config"]["noi"] == 1
+            return {**meta, "config": {**meta["config"], "noi": 1.0}}
+        now, edited = self._predictions(tmp_path, whole_float)
+        assert now.tobytes() == edited.tobytes()
+
+    @pytest.mark.parametrize("meta,tensors,fault", [
+        (b"{}", [(2**32,) * 3], "truncated container"),
+        (b"{bad", [], "meta: not valid JSON: Expecting property name"),
+        (b"[]", [], "meta: must hold a JSON object, got list"),
+    ], ids=["extents-overflow-int64", "meta-not-json", "meta-a-list"])
+    def test_checksum_valid_container_that_does_not_parse_names_file(self, tmp_path, meta,
+                                                                      tensors, fault):
+        """A container under a valid checksum, with one tensor ``w`` of no
+        payload per extents in ``tensors``: the product of (2**32,)*3 wraps to
+        0 in int64, and a meta that is no JSON object cannot be a checkpoint's."""
+        import struct
+        import zlib
+
+        body = struct.pack("<I", len(meta)) + meta + struct.pack("<I", len(tensors))
+        for extents in tensors:
+            body += struct.pack(f"<H1sB{len(extents)}Q", 1, b"w", len(extents), *extents)
+        path = tmp_path / "model.fpt"
+        path.write_bytes(tio.MAGIC + struct.pack("<II", tio.FORMAT_VERSION, zlib.crc32(body))
+                         + body)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {fault}"):
+            T.load_checkpoint(path)
 
     def _with_conv_biases(self, tmp_path, rng, params):
         """``params`` saved as a checkpoint was while every conv with a
