@@ -68,8 +68,11 @@ def write_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict |
 
 
 def read_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Load a container; returns (meta, tensors). Raises CheckpointError on
-    bad magic, unsupported version, or checksum mismatch. Parsing goes
+    """Load a container; returns (meta, tensors). Reads back only what
+    ``write_tensors`` can write: bad magic, an unsupported version, a
+    checksum mismatch, a meta that is no JSON object, a tensor name that is
+    not UTF-8 or appears twice, extents past the data, and bytes after the
+    last payload each raise CheckpointError naming the file. Parsing goes
     through a memoryview: a payload's one copy is its returned array."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:8] != MAGIC:
@@ -95,18 +98,25 @@ def read_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     (meta_len,) = struct.unpack("<I", take(4))
     meta = _json_object(bytes(take(meta_len)), f"{path}: meta", CheckpointError)
     (n_tensors,) = struct.unpack("<I", take(4))
-    entries = []
+    shapes = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<H", take(2))
-        name = str(take(name_len), "utf-8")
+        name_bytes = bytes(take(name_len))
+        try:
+            name = name_bytes.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8: {name_bytes!r}") from None
+        if name in shapes:
+            raise CheckpointError(f"{path}: tensor name {name!r} appears twice")
         (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
-        entries.append((name, shape))
+        shapes[name] = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
     tensors = {}
-    for name, shape in entries:
+    for name, shape in shapes.items():
         count = math.prod(shape)  # exact: an int64 product can wrap to 0
         arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
         tensors[name] = arr.astype(np.float64)
+    if off != len(body):
+        raise CheckpointError(f"{path}: {len(body) - off} bytes after the last payload")
     return meta, tensors
 
 

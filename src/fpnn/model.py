@@ -106,6 +106,7 @@ from .preprocess import DEFAULT_GRID_SIDE, N_CHANNELS, SAMPLE_DEPTH
 FRONT_CHANNELS = 64
 INIT_CHANNELS = 64
 MAX_NOI = 8
+_STEM = ConvSpec((7, 7), (2, 2), (3, 3), FRONT_CHANNELS, INIT_CHANNELS)  # the one strided conv
 _STEM_POOL = (3, 2, 1)  # window, stride, pad of the max pool after the stem
 
 # The inception unit, one row per conv: (layer, exported name, out channels,
@@ -211,13 +212,12 @@ class FpnnParams:
 # ---------------------------------------------------------------------------
 
 def conv_layout(config: FpnnConfig) -> dict[str, ConvSpec]:
-    """Name -> ConvSpec for every convolution the config instantiates."""
+    """Name -> ConvSpec for every convolution the config instantiates. Only
+    the 7x7 stem strides; every other conv keeps its input's grid."""
     specs: dict[str, ConvSpec] = {}
 
-    def conv2(name, c_in, c_out, k, stride=1, pad=None):
-        if pad is None:
-            pad = (k - 1) // 2
-        specs[name] = ConvSpec((k, k), (stride, stride), (pad, pad), c_in, c_out)
+    def conv2(name, c_in, c_out, k):  # stride 1, "same" padding
+        specs[name] = ConvSpec((k, k), (1, 1), ((k - 1) // 2,) * 2, c_in, c_out)
 
     for s in config.streams():
         depth = config.stream_depth(s)
@@ -228,7 +228,7 @@ def conv_layout(config: FpnnConfig) -> dict[str, ConvSpec]:
                 (depth, 3, 3), (1, 1, 1), (0, 1, 1), N_CHANNELS, FRONT_CHANNELS
             )
         if not config.detach.initial_layers:
-            conv2(f"{s}.init.conv", FRONT_CHANNELS, INIT_CHANNELS, 7, stride=2, pad=3)
+            specs[f"{s}.init.conv"] = _STEM
         for i in range(config.noi):
             c_in = INIT_CHANNELS if i == 0 else BLOCK_CHANNELS
             p = f"{s}.block{i}"
@@ -250,8 +250,7 @@ def smallest_bn_side(config: FpnnConfig) -> int:
     side = config.grid_side
     if config.detach.initial_layers:
         return side
-    stem = conv_layout(config)[f"{config.streams()[0]}.init.conv"]
-    side = stem.out_extents((side, side))[0]
+    side = _STEM.out_extents((side, side))[0]
     if config.noi == 0:
         return side
     window, stride, pad = _STEM_POOL

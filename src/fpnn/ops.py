@@ -34,7 +34,7 @@ and its backward adds ``g * (argmax == k)``. Each of these gives the
 masked form's result bit for bit.
 
 Convolutions and pools share one window machinery: ``_placed`` zero-pads
-the spatial axes (or zero-inserts between rows), or returns its input when
+the spatial axes of an array by given rows, or returns the array when
 nothing is padded, and ``_shifted`` is the view that one window offset
 reads. A convolution adds ``shifted input @ W[offset]`` over the kernel
 offsets (cross-correlation, one BLAS matmul each), so no window matrix is
@@ -46,13 +46,15 @@ the batch is built. Kernel axes the input lacks are folded into its channels
 as a 3x3 convolution over 3 * D channels.
 
 One rule gives every input gradient: it is the forward convolution of the
-output gradient, zero-inserted by the stride and zero-padded by k - 1 - p,
-with the kernel flipped on its spatial axes and its channel axes swapped
-(Lavin & Gray 2015, arXiv:1509.09308), run by the route the forward took.
+output gradient, zero-padded by k - 1 - p, with the kernel flipped on its
+spatial axes and its channel axes swapped (Lavin & Gray 2015,
+arXiv:1509.09308), run by the route the forward took. A pad lies below its
+kernel (``ConvSpec``), so no input gradient's pad is negative.
 
 One rule, ``_winograd_route(spec)``, gives a 7x7 kernel at stride 2 (the
 network's stem) a second route; every other convolution runs the offset
-loop. The zero-padded input is split into its four stride-2 phases,
+loop, at stride 1 only: ``conv_forward`` rejects any other strided
+spec. The zero-padded input is split into its four stride-2 phases,
 stacked on the channel axis (K = 4 * C_in), which makes the convolution
 one stride-1 convolution with a 4x4 kernel whose taps past the 7x7 are
 zero. That runs as Winograd minimal filtering F(4x4, 4x4), alpha = 7, at
@@ -107,7 +109,9 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ConvSpec:
     """Geometry of a convolution: kernel extents, stride and zero padding
-    per spatial axis, plus channel counts. Works for 2 or 3 spatial axes."""
+    per spatial axis, plus channel counts. Works for 2 or 3 spatial axes.
+    Padding lies below the kernel extent on every axis, so every output row
+    reads an input row."""
 
     kernel: tuple[int, ...]
     stride: tuple[int, ...]
@@ -121,8 +125,9 @@ class ConvSpec:
             raise ShapeError("kernel/stride/padding must have equal rank")
         if any(k < 1 for k in self.kernel) or any(s < 1 for s in self.stride):
             raise ShapeError("kernel and stride extents must be positive")
-        if any(p < 0 for p in self.padding):
-            raise ShapeError("padding must be nonnegative")
+        if not all(0 <= p < k for p, k in zip(self.padding, self.kernel)):
+            raise ShapeError(f"padding {self.padding} must be nonnegative and below the kernel "
+                             f"{self.kernel} on every axis")
         if self.in_channels < 1 or self.out_channels < 1:
             raise ShapeError("channel counts must be positive")
 
@@ -160,25 +165,17 @@ def channels_last(x: np.ndarray, n_folded: int = 0) -> np.ndarray:
     return np.moveaxis(x.reshape(x.shape[0], -1, *x.shape[2 + n_folded:]), 1, -1)
 
 
-def _placed(g, ext, before, stride=None, buf=None) -> np.ndarray:
-    """``g`` [N, *spatial, C] in a zeroed [N, *ext, C] array, its row i on
-    each axis at ``before + stride * i``; rows that land outside are
-    dropped. ``g`` itself when it already is that array and no ``buf`` is
-    given. A given ``buf`` must be zero where ``g`` does not land, as one
-    zeroed once and refilled only by ``_placed`` of same-shaped arrays is."""
-    stride = stride or (1,) * len(ext)
-    if buf is None and g.shape[1:-1] == ext and not any(before) and all(s == 1 for s in stride):
+def _placed(g, ext, before, buf=None) -> np.ndarray:
+    """``g`` [N, *spatial, C] in a zeroed [N, *ext, C] array, ``before``
+    rows in on each axis, where it must fit. ``g`` itself when it already
+    is that array and no ``buf`` is given. A given ``buf`` must be zero
+    where ``g`` does not land, as one zeroed once and refilled only by
+    ``_placed`` of same-shaped arrays is."""
+    if buf is None and g.shape[1:-1] == ext and not any(before):
         return g
     if buf is None:
         buf = np.zeros((g.shape[0], *ext, g.shape[-1]), g.dtype)
-    src, dst = [slice(None)], [slice(None)]
-    for n, e, b, s in zip(g.shape[1:-1], ext, before, stride):
-        lo, hi = -(-max(0, -b) // s), min(n, (e - 1 - b) // s + 1)
-        if hi <= lo:
-            return buf
-        src.append(slice(lo, hi))
-        dst.append(slice(b + s * lo, b + s * (hi - 1) + 1, s))
-    buf[tuple(dst)] = g[tuple(src)]
+    buf[(slice(None), *(slice(b, b + n) for b, n in zip(before, g.shape[1:-1])))] = g
     return buf
 
 
@@ -213,24 +210,24 @@ def _sample_blocks(n: int, sample_bytes: int, budget: int) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _block_windows(x, blocks, kernel, stride, out_sp, before, insert=None):
+def _block_windows(x, blocks, kernel, out_sp, before):
     """Yields ``(blk, offset, rows)`` for each block of ``blocks`` and each
     kernel offset: ``rows`` [m * prod(out_sp), C] is the window that offset
-    reads of ``x[blk]`` [m, *spatial, C] zero-padded by ``before`` rows on
-    each axis, its rows ``insert`` apart (zeros between) if given. Each
-    block is padded once, into one buffer zeroed once for all blocks; an
-    unpadded block is read in place, and a C-contiguous window (1x1, stride
-    1) is reshaped, not copied. ``rows`` is valid until the next yield."""
-    insert = insert or (1,) * len(kernel)
-    ext = tuple(s * (e - 1) + k for s, e, k in zip(stride, out_sp, kernel))
+    reads, at stride 1, of ``x[blk]`` [m, *spatial, C] zero-padded by
+    ``before`` rows on each axis. Each block is padded once, into one buffer
+    zeroed once for all blocks; an unpadded block is read in place, and a
+    C-contiguous window (1x1) is reshaped, not copied. ``rows`` is valid
+    until the next yield."""
+    unit = (1,) * len(kernel)
+    ext = tuple(e + k - 1 for e, k in zip(out_sp, kernel))
     m, c = blocks[0].stop, x.shape[-1]
-    placed = np.zeros((m, *ext, c), x.dtype) if any(before) or max(insert) > 1 else None
+    placed = np.zeros((m, *ext, c), x.dtype) if any(before) else None
     shift_buf = np.empty((m, *out_sp, c), x.dtype)
     for blk in blocks:
         m = blk.stop - blk.start
-        xb = x[blk] if placed is None else _placed(x[blk], ext, before, insert, placed[:m])
+        xb = x[blk] if placed is None else _placed(x[blk], ext, before, placed[:m])
         for offset in np.ndindex(*kernel):
-            view = _shifted(xb, offset, stride, out_sp)
+            view = _shifted(xb, offset, unit, out_sp)
             if not view.flags.c_contiguous:
                 np.copyto(shift_buf[:m], view)
                 view = shift_buf[:m]
@@ -244,7 +241,9 @@ def conv_forward(x, weights, spec: ConvSpec):
     ``x`` is [N, *spatial, C]. When it has fewer spatial axes than the
     kernel, the leading kernel axes are folded into its channels, C = C_in *
     prod(folded kernel). The output is in ``x``'s dtype. ``saved``, what
-    ``conv_backward`` reads, is ``(x, weights, spec)``, ``x`` itself.
+    ``conv_backward`` reads, is ``(x, weights, spec)``, ``x`` itself. A
+    convolution runs at stride 1 unless ``_winograd_route`` takes it; any
+    other stride is a ShapeError naming the spec.
     """
     nf = spec.ndim - (x.ndim - 2)
     if not 0 <= nf <= spec.ndim or any(spec.padding[:nf]):
@@ -259,24 +258,24 @@ def conv_forward(x, weights, spec: ConvSpec):
         if nf:
             raise ShapeError(f"a 7x7 stride-2 convolution takes [N, H, W, C], got {x.shape}")
         out = _winograd_forward(x, weights, spec.padding, out_sp)
+    elif any(s != 1 for s in spec.stride):
+        raise ShapeError(f"{spec}: only the 7x7 stride-2 convolution strides")
     else:
-        out = _offset_loop(x, _kernel_matrices(weights, nf, x.dtype), spec.stride[nf:], out_sp,
-                           spec.padding[nf:])
+        out = _offset_loop(x, _kernel_matrices(weights, nf, x.dtype), out_sp, spec.padding[nf:])
     return check_finite("conv forward", out), (x, weights, spec)
 
 
-def _offset_loop(x, wk, stride, out_sp, before, insert=None) -> np.ndarray:
+def _offset_loop(x, wk, out_sp, before) -> np.ndarray:
     """[N, *out_sp, C_out] in ``x``'s dtype: the sum over kernel offsets of
-    the ``_block_windows`` rows of ``x`` (padded by ``before``, rows
-    ``insert`` apart) @ ``wk[offset]`` ([*kernel, C, C_out])."""
+    the ``_block_windows`` rows of ``x`` (padded by ``before``) @
+    ``wk[offset]`` ([*kernel, C, C_out])."""
     n, c_out, rows = x.shape[0], wk.shape[-1], math.prod(out_sp)
     blocks = _sample_blocks(n, rows * c_out * x.itemsize, _BLOCK_BYTES)
     # One product buffer serves every block and offset: a fresh temporary per
     # offset page-faults.
     prod_buf = np.empty((blocks[0].stop * rows, c_out), x.dtype)
     out = np.zeros((n, *out_sp, c_out), x.dtype)
-    for blk, offset, x_rows in _block_windows(x, blocks, wk.shape[:-2], stride, out_sp, before,
-                                              insert):
+    for blk, offset, x_rows in _block_windows(x, blocks, wk.shape[:-2], out_sp, before):
         out_blk = out[blk].reshape(-1, c_out)
         out_blk += np.matmul(x_rows, wk[offset], out=prod_buf[: len(x_rows)])
     return out
@@ -286,13 +285,13 @@ def conv_backward(saved, output_grad, want_input_grad=True):
     """``(input_grad, d_weights)`` from what ``conv_forward`` saved, ``(x,
     weights, spec)``. ``x`` is read only through ``x.shape``, ``x.dtype``
     and sample blocks ``x[blk]``, each once, so a ``RebuiltActivation`` may
-    stand in for it. On the offset route the weight gradient reads the same
-    ``_block_windows`` rows of ``x`` as the forward. Input position j
-    gathers ``g[i] @ W[u].T`` over s * i + u = j + p, which is
-    ``_offset_loop`` at stride 1 over the output gradient placed k - 1 - p
-    rows in, s apart, with the flipped kernel's transposed matrices. With
-    ``want_input_grad=False`` the input gradient is None and not computed;
-    the rest is the same."""
+    stand in for it. On the offset route, which runs at stride 1, the
+    weight gradient reads the same ``_block_windows`` rows of ``x`` as the
+    forward. Input position j gathers ``g[i] @ W[u].T`` over i + u = j + p,
+    which is ``_offset_loop`` over the output gradient padded by k - 1 - p,
+    never negative since p < k, with the flipped kernel's transposed
+    matrices. With ``want_input_grad=False`` the input gradient is None and
+    not computed; the rest is the same."""
     x, weights, spec = saved
     nf = spec.ndim - (len(x.shape) - 2)
     in_sp, c_out = x.shape[1:-1], spec.out_channels
@@ -306,21 +305,20 @@ def conv_backward(saved, output_grad, want_input_grad=True):
             gx = (_winograd_input_grad(output_grad, weights, spec.padding, in_sp)
                   if want_input_grad else None)
         return gx, d_weights
-    pads, kernel, stride = spec.padding[nf:], spec.kernel[nf:], spec.stride[nf:]
+    pads, kernel = spec.padding[nf:], spec.kernel[nf:]
     n, c, rows = x.shape[0], x.shape[-1], math.prod(out_sp)
     gmat = output_grad.reshape(n, rows, c_out)
     blocks = _sample_blocks(n, rows * c_out * x.dtype.itemsize, _BLOCK_BYTES)
     dw = np.empty((c, c_out), x.dtype)
     d_wk = np.zeros((*kernel, c, c_out), x.dtype)
-    for blk, offset, x_rows in _block_windows(x, blocks, kernel, stride, out_sp, pads):
+    for blk, offset, x_rows in _block_windows(x, blocks, kernel, out_sp, pads):
         d_wk[offset] += np.matmul(x_rows.T, gmat[blk].reshape(-1, c_out), out=dw)
     d_weights = np.ascontiguousarray(np.moveaxis(d_wk, (-1, -2), (0, 1))).reshape(weights.shape)
     gx = None
     if want_input_grad:
         flipped = np.flip(weights.reshape(c_out, c, *kernel), tuple(range(2, 2 + len(kernel))))
         gx = _offset_loop(output_grad, _kernel_matrices(flipped.swapaxes(0, 1), 0, x.dtype),
-                          (1,) * len(kernel), in_sp, tuple(k - 1 - p for k, p in zip(kernel, pads)),
-                          stride)
+                          in_sp, tuple(k - 1 - p for k, p in zip(kernel, pads)))
     return gx, d_weights
 
 
@@ -330,8 +328,10 @@ def conv_backward(saved, output_grad, want_input_grad=True):
 
 def _winograd_route(spec: ConvSpec) -> bool:
     """The one rule that picks a convolution's route: a 7x7 kernel at
-    stride 2 runs as Winograd F(4x4, 4x4) over its four stride-2 phases,
-    every other convolution as the offset loop."""
+    stride 2, at any pad from 0 to 6, runs as Winograd F(4x4, 4x4) over its
+    four stride-2 phases; every other convolution runs as the offset loop,
+    which takes stride 1 only. The route's input gradient pads the output
+    gradient by 3 - ceil(pad / 2), which is never negative."""
     return spec.kernel == (7, 7) and spec.stride == (2, 2)
 
 

@@ -144,6 +144,16 @@ class TestLayerTable:
         conv_weights = {k for k in params.tensors if k.endswith(".w") and not k.startswith("head.")}
         assert {f"{n}.w" for n in M.conv_layout(config)} == conv_weights
 
+    @pytest.mark.parametrize("detach", DETACH_VARIANTS)
+    def test_only_the_stem_strides(self, detach):
+        """At every noi, each conv of the layout runs at stride 1 or takes
+        the Winograd route (the stem), and pads below its kernel: the offset
+        loop never strides, and no input gradient's pad is negative."""
+        for noi in range(M.MAX_NOI + 1):
+            for name, spec in M.conv_layout(micro_config(noi=noi, detach=detach)).items():
+                assert set(spec.stride) == {1} or ops._winograd_route(spec), name
+                assert all(p < k for p, k in zip(spec.padding, spec.kernel)), name
+
     def test_checkpoint_names_in_build_order(self):
         params = M.build_model(M.FpnnConfig())
         streams = [f"{s}.{n}" for s in ("raw", "diff") for n in STREAM_TENSORS]

@@ -2,11 +2,12 @@
 brute-force loop-oracle equivalence, shape/linearity properties, and bitwise
 equality of the branch-free ops with their earlier masked formulas."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpnn import ops
@@ -51,6 +52,17 @@ class TestConvSpec:
         with pytest.raises(ShapeError):
             ops.ConvSpec((3, 3), (1,), (0, 0), 1, 1)
 
+    @pytest.mark.parametrize("kernel,pad", [
+        ((7, 7), (7, 7)),
+        ((3, 3), (3, 3)),
+        ((2, 3, 3), (2, 1, 1)),
+    ], ids=["stem-pad7", "3x3-pad3", "depth-pad2"])
+    def test_pad_reaching_the_kernel_rejected(self, kernel, pad):
+        """A pad as large as its kernel extent on any axis is rejected, so no
+        input gradient's pad, k - 1 - p, is negative."""
+        with pytest.raises(ShapeError, match="below the kernel"):
+            ops.ConvSpec(kernel, (1,) * len(kernel), pad, 1, 1)
+
     @given(
         n=st.integers(1, 24),
         k=st.integers(1, 7),
@@ -59,7 +71,9 @@ class TestConvSpec:
     )
     @settings(max_examples=200, deadline=None)
     def test_extent_matches_enumeration(self, n, k, s, p):
-        """The closed-form extent equals counting valid window positions."""
+        """The closed-form extent equals counting valid window positions,
+        for pads below the kernel."""
+        assume(p < k)
         positions = sum(
             1 for start in range(0, n + 2 * p - k + 1) if start % s == 0
         )
@@ -107,7 +121,7 @@ class TestConv2d:
         want = per_sample(conv2d_loop, x, w, np.zeros(4), (1, 1), (1, 1))
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), (1, 2), (3, 0)])
+    @pytest.mark.parametrize("stride,pad", [(1, 0)])
     def test_loop_oracle_strided(self, rng, stride, pad):
         x = rng.standard_normal((2, 2, 9, 7))
         w = rng.standard_normal((3, 2, 3, 2))
@@ -146,6 +160,20 @@ class TestConv2d:
             conv_nchw(rng.standard_normal((2, 5, 5)),
                       rng.standard_normal((4, 2, 3, 3)), spec)
 
+    @pytest.mark.parametrize("kernel,stride,pad", [
+        ((3, 3), (2, 2), (1, 1)),
+        ((1, 1), (2, 2), (0, 0)),
+        ((2, 3, 3), (1, 2, 1), (0, 1, 1)),
+    ], ids=["3x3-stride2", "1x1-stride2", "3d-stride121"])
+    def test_strided_offset_conv_rejected(self, rng, kernel, stride, pad):
+        """Only the 7x7 stride-2 stem strides: any other strided spec is a
+        ShapeError naming the spec."""
+        spec = ops.ConvSpec(kernel, stride, pad, 2, 3)
+        assert not ops._winograd_route(spec)
+        x = rng.standard_normal((2, *(6,) * len(kernel), 2))
+        with pytest.raises(ShapeError, match=re.escape(str(spec))):
+            ops.conv_forward(x, rng.standard_normal(spec.weight_shape()), spec)
+
     def test_nonfinite_rejected(self):
         spec = ops.ConvSpec((1, 1), (1, 1), (0, 0), 1, 1)
         x = np.full((1, 1, 2, 2), np.inf)
@@ -182,9 +210,8 @@ class TestConv2d:
     @pytest.mark.parametrize("shape,kernel,stride,pad", [
         ((6, 5, 5), (1, 1), (1, 1), (0, 0)),
         ((3, 6, 6), (3, 3), (1, 1), (1, 1)),
-        ((3, 7, 8), (3, 3), (2, 2), (1, 1)),
         ((3, 4, 6, 6), (4, 3, 3), (1, 1, 1), (0, 1, 1)),
-    ], ids=["1x1", "3x3", "3x3-stride2", "front"])
+    ], ids=["1x1", "3x3", "front"])
     def test_float32_input_keeps_its_dtype(self, rng, shape, kernel, stride, pad):
         """The offset loop's arrays take the input's dtype: float32 inputs
         and weights give a float32 output and float32 gradients, within
@@ -218,13 +245,11 @@ class TestWinogradStem:
     convolved by Winograd F(4x4, 4x4)."""
 
     @pytest.mark.parametrize("h,w_,pad", [(8, 8, 3), (16, 16, 3), (32, 32, 3), (9, 13, 3),
-                                          (11, 7, 0), (12, 9, 5), (10, 9, 6), (9, 11, 7),
-                                          (8, 8, 8)])
+                                          (11, 7, 0), (12, 9, 5), (10, 9, 6)])
     def test_matches_loop_oracle(self, rng, h, w_, pad):
         """Output extents 4, 8, 16 and odd ones, so tiles overhang and are
-        cropped; C_in != C_out; pads past 5, where the input gradient's
-        convolution reads the output gradient from its first row or crops
-        it. TestConv2d has input 10."""
+        cropped; C_in != C_out; pads up to 6, the largest below the kernel.
+        TestConv2d has input 10."""
         n = 1 if h == 32 else 2
         x = rng.standard_normal((n, 3, h, w_))
         w = rng.standard_normal((4, 3, 7, 7))
@@ -351,10 +376,10 @@ class TestConv3d:
         # kernel depth < input depth: no axis folds into channels
         x = rng.standard_normal((2, 2, 5, 6, 6))
         w = rng.standard_normal((3, 2, 2, 3, 3))
-        spec = ops.ConvSpec((2, 3, 3), (1, 2, 1), (0, 1, 1), 2, 3)
+        spec = ops.ConvSpec((2, 3, 3), (1, 1, 1), (0, 1, 1), 2, 3)
         got = conv_nchw(x, w, spec)
-        assert got.shape == (2, 3, 4, 3, 6)
-        np.testing.assert_allclose(got, per_sample(conv3d_loop, x, w, np.zeros(3), (1, 2, 1),
+        assert got.shape == (2, 3, 4, 6, 6)
+        np.testing.assert_allclose(got, per_sample(conv3d_loop, x, w, np.zeros(3), (1, 1, 1),
                                                    (0, 1, 1)),
                                    atol=1e-12, rtol=0)
 
@@ -609,16 +634,15 @@ class TestOracleSweep:
             c_in = int(rng.integers(1, 4))
             c_out = int(rng.integers(1, 5))
             k = int(rng.integers(1, 4))
-            s = int(rng.integers(1, 3))
-            p = int(rng.integers(0, 2))
+            p = int(rng.integers(0, min(k, 2)))
             h = int(rng.integers(k, 9))
             w = int(rng.integers(k, 9))
             x = rng.standard_normal((2, c_in, h, w))
             wts = rng.standard_normal((c_out, c_in, k, k))
-            spec = ops.ConvSpec((k, k), (s, s), (p, p), c_in, c_out)
+            spec = ops.ConvSpec((k, k), (1, 1), (p, p), c_in, c_out)
             np.testing.assert_allclose(
                 conv_nchw(x, wts, spec),
-                per_sample(conv2d_loop, x, wts, np.zeros(c_out), (s, s), (p, p)),
+                per_sample(conv2d_loop, x, wts, np.zeros(c_out), (1, 1), (p, p)),
                 atol=1e-12, rtol=0,
             )
 
@@ -632,7 +656,7 @@ class TestOracleSweep:
             d = int(rng.integers(kd, 6))
             h = int(rng.integers(k, 7))
             w = int(rng.integers(k, 7))
-            p = int(rng.integers(0, 2))
+            p = int(rng.integers(0, min(k, 2)))
             x = rng.standard_normal((2, c_in, d, h, w))
             wts = rng.standard_normal((c_out, c_in, kd, k, k))
             spec = ops.ConvSpec((kd, k, k), (1, 1, 1), (0, p, p), c_in, c_out)

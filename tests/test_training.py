@@ -433,27 +433,53 @@ class TestCheckpoint:
         now, edited = self._predictions(tmp_path, whole_float)
         assert now.tobytes() == edited.tobytes()
 
-    @pytest.mark.parametrize("meta,tensors,fault", [
-        (b"{}", [(2**32,) * 3], "truncated container"),
-        (b"{bad", [], "meta: not valid JSON: Expecting property name"),
-        (b"[]", [], "meta: must hold a JSON object, got list"),
-    ], ids=["extents-overflow-int64", "meta-not-json", "meta-a-list"])
-    def test_checksum_valid_container_that_does_not_parse_names_file(self, tmp_path, meta,
-                                                                      tensors, fault):
-        """A container under a valid checksum, with one tensor ``w`` of no
-        payload per extents in ``tensors``: the product of (2**32,)*3 wraps to
-        0 in int64, and a meta that is no JSON object cannot be a checkpoint's."""
+    @staticmethod
+    def _sealed(path, body):
+        """``body`` written at ``path`` as a container under a valid checksum."""
         import struct
         import zlib
 
-        body = struct.pack("<I", len(meta)) + meta + struct.pack("<I", len(tensors))
-        for extents in tensors:
-            body += struct.pack(f"<H1sB{len(extents)}Q", 1, b"w", len(extents), *extents)
-        path = tmp_path / "model.fpt"
         path.write_bytes(tio.MAGIC + struct.pack("<II", tio.FORMAT_VERSION, zlib.crc32(body))
                          + body)
+
+    @pytest.mark.parametrize("meta,tensors,tail,fault", [
+        (b"{}", [(b"w", (2**32,) * 3)], b"", "truncated container"),
+        (b"{bad", [], b"", "meta: not valid JSON: Expecting property name"),
+        (b"[]", [], b"", "meta: must hold a JSON object, got list"),
+        (b"{}", [], bytes(8), "8 bytes after the last payload"),
+        (b"{}", [(b"w", (0,)), (b"w", (0,))], b"", "tensor name 'w' appears twice"),
+        (b"{}", [(b"\xff\xfe", (0,))], b"", "tensor name is not UTF-8"),
+    ], ids=["extents-overflow-int64", "meta-not-json", "meta-a-list", "trailing-bytes",
+            "repeated-name", "name-not-utf8"])
+    def test_checksum_valid_container_that_does_not_parse_names_file(self, tmp_path, meta,
+                                                                      tensors, tail, fault):
+        """A container under a valid checksum, with a tensor of no payload
+        per (name, extents) in ``tensors`` and then ``tail``: the product of
+        (2**32,)*3 wraps to 0 in int64, a meta that is no JSON object cannot
+        be a checkpoint's, and ``write_tensors`` writes no bytes after the
+        last payload, no name twice and only UTF-8 names."""
+        import struct
+
+        body = struct.pack("<I", len(meta)) + meta + struct.pack("<I", len(tensors))
+        for name, extents in tensors:
+            body += struct.pack(f"<H{len(name)}sB{len(extents)}Q", len(name), name, len(extents),
+                                *extents)
+        path = tmp_path / "model.fpt"
+        self._sealed(path, body + tail)
         with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {fault}"):
             T.load_checkpoint(path)
+
+    def test_every_truncation_of_a_container_names_file(self, tmp_path):
+        """Each proper prefix of a small container's body, resealed under a
+        valid checksum, raises CheckpointError naming the file."""
+        whole = tmp_path / "whole.fpt"
+        tio.write_tensors(whole, {"a": np.arange(3.0), "bc": np.ones((2, 1))}, {"k": [1]})
+        body = whole.read_bytes()[16:]
+        path = tmp_path / "cut.fpt"
+        for end in range(len(body)):
+            self._sealed(path, body[:end])
+            with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: "):
+                tio.read_tensors(path)
 
     def _with_conv_biases(self, tmp_path, rng, params):
         """``params`` saved as a checkpoint was while every conv with a
