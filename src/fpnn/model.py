@@ -43,14 +43,19 @@ cache (``want_cache`` only decides whether the caller gets it). Only a
 train forward runs a batchnorm: in eval mode a batchnorm with running
 statistics is a fixed per-channel affine, so each unit runs as one conv
 whose weights and bias fold it in (``ops.bn_fold``), then the Leaky ReLU
-alone (``ops.leaky_relu``), with no mask. An eval forward has no backward
-and keeps no cache: each layer's saved values die with the layer, so it
-holds one layer's temporaries at a time. Detach flags prune the layout
-for ablation studies: ``initial_layers`` skips the 7x7 + max-pool stage,
-``conv3d`` replaces the 3D front end with depth-averaging plus a 1x1 conv
-(keeping downstream shapes legal), ``residual`` removes the projected
-skip connections, and ``diff_branch`` drops the differential stream
-entirely.
+alone (``ops.leaky_relu``), with no mask, and the stem's max pool runs as
+``ops.max_pool``, with no argmax. An eval forward has no backward and
+keeps no cache: each layer's saved values die with the layer. A train
+unit writes only into arrays its own ops made (``_cba_forward``): its
+batchnorm normalizes the conv's output in place and its Leaky ReLU
+overwrites the batchnorm's output, so it makes two activation-sized
+arrays, its output and the cached ``xhat``. A unit's backward takes over
+the output gradient it is handed (``_cba_backward``). Detach
+flags prune the layout for ablation studies: ``initial_layers`` skips the
+7x7 + max-pool stage, ``conv3d`` replaces the 3D front end with
+depth-averaging plus a 1x1 conv (keeping downstream shapes legal),
+``residual`` removes the projected skip connections, and ``diff_branch``
+drops the differential stream entirely.
 
 The two streams share no tensor until their global pools are concatenated,
 so :func:`fpnn_forward` and :func:`fpnn_backward` run them at the same time
@@ -98,6 +103,7 @@ from .ops import (
     leaky_relu_forward,
     linear_backward,
     linear_forward,
+    max_pool,
     max_pool2d,
     pool2d_backward,
 )
@@ -335,7 +341,12 @@ def _cba_forward(x, params, specs, name, new_states, x_saved=None):
     unit is one conv by the ``bn_fold`` of its weights and running
     statistics, then the Leaky ReLU, and returns no cache. In train mode the
     unit writes its batchnorm's new state into ``new_states`` and returns its
-    cache, and the conv saves ``x_saved`` in place of ``x`` when it is given."""
+    cache, and the conv saves ``x_saved`` in place of ``x`` when it is given.
+
+    A train unit writes only into the arrays its own ops made, never into
+    ``x``: its batchnorm takes over the conv's output and normalizes it in
+    place, which makes it the cached ``xhat``, and its Leaky ReLU overwrites
+    the batchnorm's output, which is the unit's output."""
     bn = bn_name(name)
     w, scale, shift = (params.tensors[f"{name}.w"], params.tensors[f"{bn}.scale"],
                        params.tensors[f"{bn}.shift"])
@@ -353,14 +364,14 @@ def _cba_forward(x, params, specs, name, new_states, x_saved=None):
     return out, {"name": name, "conv": conv, "bn": norm, "act": act}
 
 
-def _cba_backward(gout, cache, grads, want_input_grad=True, activated=False):
+def _cba_backward(gout, cache, grads, want_input_grad=True):
     """Fills the unit's parameter gradients into ``grads``; returns the
-    input gradient, or None when ``want_input_grad`` is False. With
-    ``activated``, ``gout`` is already the gradient at the Leaky ReLU's input."""
-    name = cache["name"]
-    if not activated:
-        gout = leaky_relu_backward(cache["act"], gout)
-    bn = bn_name(name)  # rebinding gout below frees the activation gradient it held
+    input gradient, or None when ``want_input_grad`` is False. Takes over
+    ``gout``: the Leaky ReLU's backward and then the batchnorm's write their
+    gradients into it, so the caller must not read it afterwards. The
+    unit's cache is only read."""
+    name, bn = cache["name"], bn_name(cache["name"])
+    gout = leaky_relu_backward(cache["act"], gout)
     gout, grads[f"{bn}.scale"], grads[f"{bn}.shift"] = batchnorm2d_backward(cache["bn"], gout)
     gx, grads[f"{name}.w"] = conv_backward(cache["conv"], gout, want_input_grad)
     return gx
@@ -393,12 +404,20 @@ def _block_forward(x, params, specs, prefix, new_states, x_saved=None):
     proj = f"{prefix}.proj"
     if proj in specs:
         skip, cache["proj"] = _conv(x, x_saved, params.tensors[f"{proj}.w"], specs[proj])
-        out = out + skip
+        out += skip
     check_finite(f"{prefix} inception block", out)
     return out, (None if new_states is None else cache)
 
 
 def _block_backward(gout, cache, grads):
+    """The block's input gradient; fills its parameter gradients into
+    ``grads``. Takes over ``gout``: each chain's backward writes into its
+    channel view of it, so the projection's backward, which reads all of
+    it, runs first. The input gradient adds the chains' in order, then the
+    projection's, in the array of the first chain's."""
+    g_proj = None
+    if cache["proj"] is not None:
+        g_proj, grads[f"{cache['prefix']}.proj.w"] = conv_backward(cache["proj"], gout)
     gx = None
     for chain, caches, g in zip(_BRANCHES, cache["branches"],
                                 np.split(gout, _BRANCH_SPLITS, axis=-1)):
@@ -406,11 +425,9 @@ def _block_backward(gout, cache, grads):
             g = _cba_backward(g, c, grads)
         if chain is _BRANCHES[-1]:
             g = pool2d_backward(cache["pool"], g)
-        gx = g if gx is None else gx + g
-
-    if cache["proj"] is not None:
-        g, grads[f"{cache['prefix']}.proj.w"] = conv_backward(cache["proj"], gout)
-        gx = gx + g
+        gx = g if gx is None else np.add(gx, g, out=gx)
+    if g_proj is not None:
+        gx += g_proj
     return gx
 
 
@@ -441,7 +458,10 @@ def _stream_forward(x5, params, specs, stream, new_states):
 
     if f"{stream}.init.conv" in specs:
         h, init_cba = _cba_forward(h, params, specs, f"{stream}.init.conv", new_states, h_saved)
-        h, pool = max_pool2d(h, *_STEM_POOL)
+        if new_states is None:  # no backward reads an argmax
+            h, pool = max_pool(h, *_STEM_POOL), None
+        else:
+            h, pool = max_pool2d(h, *_STEM_POOL)
         cache["init"], h_saved = {"cba": init_cba, "pool": pool}, None
 
     for i in range(cfg.noi):
@@ -464,11 +484,7 @@ def _stream_backward(g_feat, cache):
     if init is not None:
         g = pool2d_backward(init["pool"], g)
         g = _cba_backward(g, init["cba"], grads)
-
-    # The front's activation backward runs here, so that rebinding g frees
-    # the stem's input gradient before the front unit's batchnorm and conv.
-    g = leaky_relu_backward(cache["front"]["act"], g)
-    _cba_backward(g, cache["front"], grads, want_input_grad=False, activated=True)
+    _cba_backward(g, cache["front"], grads, want_input_grad=False)
     return grads
 
 

@@ -2,27 +2,38 @@
 
 Activations are channels-last, ``[N, *spatial, C]``, the layout the
 convolution's matmuls read; weights are ``[C_out, C_in, *kernel]``. Every
-operation is a pure function of its arguments (batch normalization returns
-a new state) and writes into no array it was given, since a forward may
-save its caller's array for its backward pass. Convolutions, the Leaky
-ReLU and the pools' backward compute in their input's dtype (the network's
-is float64). Batch normalization takes batch statistics only: with running
-statistics it is a fixed per-channel affine, which ``bn_fold`` folds into
-the weights and a bias of the convolution before it, so an eval-mode
-network runs no batchnorm. Every convolution's ``saved`` holds its input
-itself; a caller may put in its place a stand-in that rebuilds the input's
-sample blocks (``RebuiltActivation``), since ``conv_backward`` reads the
-input only through its shape, its dtype and ``x[blk]``, each block once.
+operation returns its results (batch normalization a new state) and writes
+into no array it was given, since a forward may save its caller's array
+for its backward pass, with one exception: the train-mode ops of a conv
+-> batchnorm -> Leaky ReLU unit take over the array they are given.
+``batchnorm2d_forward`` normalizes its input in place and saves it as
+``xhat``, ``leaky_relu_forward`` overwrites its input with its output, and
+``batchnorm2d_backward`` and ``leaky_relu_backward`` write the input
+gradient into the output gradient; each returns that array, and its caller
+must not read it again for its old values. ``leaky_relu_forward``, both
+backwards and ``check_finite`` run in sample blocks with one block-sized
+scratch (``_scratch_blocks``), so none of them makes an activation-sized
+temporary. Convolutions, the Leaky ReLU and the pools' backward compute in
+their input's dtype (the network's is float64). Batch normalization takes
+batch statistics only: with running statistics it is a fixed per-channel
+affine, which ``bn_fold`` folds into the weights and a bias of the
+convolution before it, so an eval-mode network runs no batchnorm. Every
+convolution's ``saved`` holds its input itself; a caller may put in its
+place a stand-in that rebuilds the input's sample blocks
+(``RebuiltActivation``), since ``conv_backward`` reads the input only
+through its shape, its dtype and ``x[blk]``, each block once.
 
 Every layer's forward returns ``(out, saved)`` (batch normalization
 ``(out, new_state, saved)``), and its backward, ``backward(saved,
 output_grad)``, reads nothing else: no shape, geometry, slope or weight. It
 returns the input gradient, or ``(input_grad, *param_grads)`` in forward
-order for a layer with parameters. One op has no backward: ``leaky_relu``
-is the Leaky ReLU alone, its output and no mask, for the layers of a
-forward that will not be differentiated (an eval-mode network's, and the
-blocks a ``RebuiltActivation`` rebuilds); ``leaky_relu_forward`` runs it
-and saves the x > 0 mask its backward reads.
+order for a layer with parameters. Two ops have no backward, for the
+layers of a forward that will not be differentiated (an eval-mode
+network's, and the blocks a ``RebuiltActivation`` rebuilds): ``leaky_relu``
+is the Leaky ReLU alone, its output and no mask, and ``leaky_relu_forward``
+writes the same values into its input and saves the x > 0 mask its
+backward reads; ``max_pool`` is the running maximum alone, and
+``max_pool2d`` computes the same maximum and saves each window's argmax.
 
 No masked ufunc (a ``where=`` argument, ``np.where``, ``np.copyto(where=)``)
 runs on an activation-sized array: with random signs its per-element
@@ -101,8 +112,11 @@ from .errors import NonFiniteError, ShapeError
 
 
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} produced non-finite values")
+    """``arr``, or NonFiniteError naming ``name`` if it holds a nan or an
+    inf. Checked one sample block at a time, into a block-sized bool array."""
+    for blk, finite in _scratch_blocks(arr, bool):
+        if not np.isfinite(arr[blk], out=finite).all():
+            raise NonFiniteError(f"{name} produced non-finite values")
     return arr
 
 
@@ -199,7 +213,8 @@ def _kernel_matrices(weights: np.ndarray, nf: int, dtype) -> np.ndarray:
 
 # Samples per block of the offset loop: the block's [rows, C_out] output (or
 # output gradient) stays cache-resident across all kernel offsets, where a
-# whole-batch pass per offset streams it from memory every time.
+# whole-batch pass per offset streams it from memory every time. The
+# elementwise passes (``_scratch_blocks``) keep their scratch within it too.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -208,6 +223,18 @@ def _sample_blocks(n: int, sample_bytes: int, budget: int) -> list[slice]:
     per sample within ``budget`` bytes, and at least one."""
     step = max(1, budget // sample_bytes)
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _scratch_blocks(x, dtype) -> list:
+    """``[(blk, scratch)]`` for an elementwise pass over ``x`` [N, ...]:
+    consecutive sample blocks within _BLOCK_BYTES (at least one sample
+    each; a 0-d ``x`` is one block, ``...``), each with an empty ``dtype``
+    array of its shape, all views of the pass's one temporary."""
+    if x.ndim == 0:
+        return [(..., np.empty((), dtype))]
+    blocks = _sample_blocks(len(x), max(1, x[:1].nbytes), _BLOCK_BYTES)
+    buf = np.empty((blocks[0].stop if blocks else 0, *x.shape[1:]), dtype)
+    return [(blk, buf[: blk.stop - blk.start]) for blk in blocks]
 
 
 def _block_windows(x, blocks, kernel, out_sp, before):
@@ -615,18 +642,21 @@ def leaky_relu(x: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def leaky_relu_forward(x: np.ndarray, alpha: float):
-    """Elementwise x if x > 0 else alpha * x, in ``x``'s dtype; saves the
-    mask x > 0 and alpha."""
+    """``leaky_relu``'s values, written into ``x`` itself one sample block
+    at a time; saves the mask x > 0 and alpha."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"leaky ReLU slope must lie in (0, 1), got {alpha}")
-    return check_finite("leaky_relu", leaky_relu(x, alpha)), (x > 0, alpha)
+    positive = x > 0
+    for blk, scaled in _scratch_blocks(x, x.dtype):
+        np.maximum(x[blk], np.multiply(x[blk], alpha, out=scaled), out=x[blk])
+    return check_finite("leaky_relu", x), (positive, alpha)
 
 
 def leaky_relu_backward(saved, output_grad: np.ndarray) -> np.ndarray:
     """Slope 1 where x > 0, alpha where x <= 0 (boundary follows the
     forward branch assignment): ``output_grad`` times the slope the mask
-    picks from ``[alpha, 1.0]``, in ``output_grad``'s dtype, and ``g * 1.0``
-    is ``g`` bit for bit."""
+    picks from ``[alpha, 1.0]``, in ``output_grad``'s dtype and written
+    into ``output_grad`` itself, and ``g * 1.0`` is ``g`` bit for bit."""
     positive, alpha = saved
     if positive.shape != output_grad.shape:
         raise ShapeError("output_grad shape must match input")
@@ -634,11 +664,11 @@ def leaky_relu_backward(saved, output_grad: np.ndarray) -> np.ndarray:
     # is exact integer arithmetic and runs at twice the speed of a gather.
     dtype = output_grad.dtype
     low, high = np.array([alpha, 1.0], dtype).view(_bits(dtype))
-    bits = np.multiply(positive.view(np.uint8), high - low,
-                       out=np.empty(positive.shape, _bits(dtype)))
-    bits += low
-    slope = bits.view(dtype)
-    return np.multiply(output_grad, slope, out=slope)
+    for blk, bits in _scratch_blocks(output_grad, _bits(dtype)):
+        slope = np.multiply(positive[blk].view(np.uint8), high - low, out=bits)
+        slope += low
+        np.multiply(output_grad[blk], slope.view(dtype), out=output_grad[blk])
+    return output_grad
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +700,16 @@ def avg_pool2d(x, window: int, stride: int, pad: int):
         out += view
     out /= window * window
     return check_finite("avg_pool2d", out), (x.shape, window, stride, pad, None)
+
+
+def max_pool(x, window: int, stride: int, pad: int) -> np.ndarray:
+    """The max pool alone, for a forward with no backward: ``max_pool2d``'s
+    running maximum over each window, bit for bit, without its argmax."""
+    _, views = _pool_windows(x, window, stride, pad)
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    return out
 
 
 def max_pool2d(x, window: int, stride: int, pad: int):
@@ -763,7 +803,8 @@ def batchnorm2d_forward(x, scale, shift, state: BnState):
 
     Returns ``(out, new_state, saved)``: ``new_state`` is ``state`` updated
     with momentum 0.1, and ``saved`` the normalized input, the inverse
-    deviations and ``scale``.
+    deviations and ``scale``. The input is normalized in ``x`` itself,
+    which ``saved`` then holds; ``out`` is a new array.
     """
     if x.ndim != 4:
         raise ShapeError("batchnorm2d expects [N, H, W, C]")
@@ -774,7 +815,7 @@ def batchnorm2d_forward(x, scale, shift, state: BnState):
     if m < 2:
         raise ShapeError(f"train-mode batchnorm needs N*H*W >= 2, got input {x.shape}")
     mean = x.mean(axis=_LEADING)
-    xhat = np.subtract(x, mean)  # the deviations, normalized in place below
+    xhat = np.subtract(x, mean, out=x)  # the deviations, normalized in place below
     out = np.empty_like(xhat)
     # x.var's own arithmetic, from the deviations already at hand
     var = np.square(xhat, out=out).sum(axis=_LEADING) / m
@@ -828,9 +869,9 @@ def batchnorm2d_backward(saved, output_grad):
 
         gx = (scale * inv_std) * (g - d_shift / m - xhat * (d_scale / m)).
 
-    ``gx`` is the only array of ``g``'s size made: ``d_scale`` is an
-    einsum, which makes no product temporary, and every step after ``gx``'s
-    first is done in its buffer. Neither ``saved`` nor ``g`` is written.
+    ``d_scale`` is an einsum, which makes no product temporary, and ``gx``
+    is written into ``g`` itself after both sums, one sample block at a
+    time. ``saved`` is never written.
     """
     xhat, inv_std, scale = saved
     if output_grad.shape != xhat.shape:
@@ -839,11 +880,13 @@ def batchnorm2d_backward(saved, output_grad):
     m = xhat.size // c
     d_shift = output_grad.sum(axis=_LEADING)
     d_scale = np.einsum("ij,ij->j", output_grad.reshape(m, c), xhat.reshape(m, c))
-    gx = np.multiply(xhat, d_scale / m)
-    np.subtract(output_grad, gx, out=gx)
-    gx -= d_shift / m
-    gx *= scale * inv_std
-    return gx, d_scale, d_shift
+    per_xhat, per_g, factor = d_scale / m, d_shift / m, scale * inv_std
+    for blk, part in _scratch_blocks(xhat, xhat.dtype):
+        gb = np.subtract(output_grad[blk], np.multiply(xhat[blk], per_xhat, out=part),
+                         out=output_grad[blk])
+        gb -= per_g
+        gb *= factor
+    return output_grad, d_scale, d_shift
 
 
 # ---------------------------------------------------------------------------

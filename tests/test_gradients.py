@@ -257,8 +257,9 @@ class TestLeakyReluBackward:
         x = np.where(np.abs(x) < 1e-3, 0.5, x)  # keep clear of the kink
         alpha = 0.07
         probe = _loss_weights(rng, x.shape)
-        analytic = ops.leaky_relu_backward(ops.leaky_relu_forward(x, alpha)[1], probe)
-        gradcheck(lambda v: float((ops.leaky_relu_forward(v, alpha)[0] * probe).sum()),
+        analytic = ops.leaky_relu_backward(ops.leaky_relu_forward(x.copy(), alpha)[1],
+                                           probe.copy())
+        gradcheck(lambda v: float((ops.leaky_relu_forward(v.copy(), alpha)[0] * probe).sum()),
                   x, analytic, rtol=1e-4)
 
 
@@ -337,11 +338,11 @@ class TestBatchNormBackward:
         probe = _loss_weights(rng, x.shape)
 
         def loss(xv, sv, bv):
-            out, _, _ = ops.batchnorm2d_forward(xv, sv, bv, state)
+            out, _, _ = ops.batchnorm2d_forward(xv.copy(), sv, bv, state)
             return float((out * probe).sum())
 
-        _, _, cache = ops.batchnorm2d_forward(x, scale, shift, state)
-        gx, gscale, gshift = ops.batchnorm2d_backward(cache, probe)
+        _, _, cache = ops.batchnorm2d_forward(x.copy(), scale, shift, state)
+        gx, gscale, gshift = ops.batchnorm2d_backward(cache, probe.copy())
         gradcheck(lambda v: loss(v, scale, shift), x, gx, rtol=1e-3)
         gradcheck(lambda v: loss(x, v, shift), scale, gscale, rtol=1e-3)
         gradcheck(lambda v: loss(x, scale, v), shift, gshift, rtol=1e-3)
@@ -372,7 +373,7 @@ class TestResidualBackward:
         probe = _loss_weights(rng, (1, 2, 2, 88))
         _, cache = M._block_forward(x, params, specs, "raw.block0", {})
         grads = {}
-        gx = M._block_backward(probe, cache, grads)
+        gx = M._block_backward(probe.copy(), cache, grads)
 
         def loss(v):
             out, _ = M._block_forward(v, params, specs, "raw.block0", {})

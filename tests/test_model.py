@@ -411,7 +411,7 @@ class TestBackward:
         front = cache["streams"]["raw"]["front"]
         gout = np.random.default_rng(5).standard_normal(front["act"][0].shape)
         full, skip = {}, {}
-        assert M._cba_backward(gout, front, full) is not None
+        assert M._cba_backward(gout.copy(), front, full) is not None
         assert M._cba_backward(gout, front, skip, want_input_grad=False) is None
         assert list(full) == list(skip) and len(full) == 3
         for name in full:
@@ -582,6 +582,45 @@ class TestForwardCacheMemory:
         assert held <= 30 * 2**20, f"forward cache holds {held / 2**20:.1f} MiB"
 
     @staticmethod
+    def _front_unit():
+        """The raw stream's front unit at batch 16, G=32 (a [16, 32, 32, 64]
+        float64 output, 8 MiB): its params, specs and folded input."""
+        config = M.FpnnConfig(noi=1, grid_side=32)
+        raw, _ = random_batch(config, n=16, seed=4)
+        return M.build_model(config), M.conv_layout(config), ops.channels_last(raw, 1)
+
+    def test_front_unit_forward_peaks_at_two_activations(self):
+        """A train-mode front unit holds at most two activation-sized float
+        arrays, its output and its cached ``xhat``, plus 2 MiB at any time:
+        its batchnorm normalizes the conv's output in place, and its Leaky
+        ReLU overwrites the batchnorm's output."""
+        params, specs, x = self._front_unit()
+        tracemalloc.start()
+        try:
+            out, _ = M._cba_forward(x, params, specs, "raw.front.conv3d", {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes + 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_front_unit_backward_peaks_at_the_handed_over_gradient(self):
+        """The front unit's backward, as ``_stream_backward`` runs it (no
+        input gradient), holds at most the output gradient handed to it plus
+        2 MiB: the Leaky ReLU's and the batchnorm's backward write into it."""
+        params, specs, x = self._front_unit()
+        out, cache = M._cba_forward(x, params, specs, "raw.front.conv3d", {})
+        g = np.random.default_rng(5).standard_normal(out.shape)
+        del out
+        tracemalloc.start()
+        try:
+            gout = g.copy()
+            M._cba_backward(gout, cache, {}, want_input_grad=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gout.nbytes + 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @staticmethod
     def _record_conv_inputs(monkeypatch):
         """Patches the model's convs and head: returns ``inputs``, (weakref to
         each conv's input, its bytes, its weights), and ``alive``, the number
@@ -638,12 +677,12 @@ class TestForwardCacheMemory:
         assert alive[0] == bare_alive == len(inputs) - rebuilt
         assert bare.tobytes() == cached.tobytes()
 
-    @pytest.mark.parametrize("detach", DETACH_VARIANTS)
-    def test_eval_forward_makes_no_activation_sized_bool_array(self, monkeypatch, detach):
-        """No op an eval forward calls returns a bool array the size of a
-        conv activation (any [N, H, W, C] one): the units' Leaky ReLUs keep
-        no x > 0 mask. The ops are traced at the names the model calls them
-        by; only the head's [N, hidden] Leaky ReLU still saves its mask."""
+    @staticmethod
+    def _eval_op_arrays(monkeypatch, config):
+        """``(called, returned)`` for an eval forward of ``config``: the names
+        of the ops it called, traced at the names the model calls them by,
+        and ``(name, array)`` for each array an op returned, its saved values
+        included."""
         returned = []
 
         def traced(fn):
@@ -663,13 +702,30 @@ class TestForwardCacheMemory:
         for name, value in list(vars(M).items()):
             if inspect.isfunction(value) and value.__module__ == ops.__name__:
                 monkeypatch.setattr(M, name, traced(value))
-        config = micro_config(noi=2, detach=detach)
         M.fpnn_forward(random_batch(config), M.build_model(config), mode="eval")
-        called = {name for name, _ in returned}
+        return ({name for name, _ in returned},
+                [(name, a) for name, out in returned for a in arrays(out)])
+
+    @pytest.mark.parametrize("detach", DETACH_VARIANTS)
+    def test_eval_forward_makes_no_activation_sized_bool_array(self, monkeypatch, detach):
+        """No op an eval forward calls returns a bool array the size of a
+        conv activation (any [N, H, W, C] one): the units' Leaky ReLUs keep
+        no x > 0 mask. The ops are traced at the names the model calls them
+        by; only the head's [N, hidden] Leaky ReLU still saves its mask."""
+        called, returned = self._eval_op_arrays(monkeypatch, micro_config(noi=2, detach=detach))
         assert {"conv_forward", "leaky_relu"} <= called
-        masks = [name for name, out in returned for a in arrays(out)
-                 if a.dtype == np.bool_ and a.ndim == 4]
+        masks = [name for name, a in returned if a.dtype == np.bool_ and a.ndim == 4]
         assert masks == []
+
+    @pytest.mark.parametrize("detach", [d for d in DETACH_VARIANTS if not d.initial_layers])
+    def test_eval_forward_makes_no_argmax(self, monkeypatch, detach):
+        """No op an eval forward calls returns an integer array the size of
+        a pooled activation: the stem's max pool runs as ``ops.max_pool``,
+        the running maximum without ``max_pool2d``'s argmax."""
+        called, returned = self._eval_op_arrays(monkeypatch, micro_config(noi=2, detach=detach))
+        argmaxes = [name for name, a in returned if a.dtype.kind in "iu" and a.ndim == 4]
+        assert argmaxes == []
+        assert "max_pool" in called
 
     def test_leaky_relus_cache_bool_masks(self, monkeypatch):
         # every Leaky ReLU's saved value reaches the cache, and it holds the

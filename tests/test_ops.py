@@ -460,10 +460,10 @@ class TestLeakyRelu:
         x = rng.standard_normal((4, 3, 5, 5))
         x[0, 0, 0, :3] = [0.0, -0.0, 1e-300]
         g = rng.standard_normal(x.shape)
-        g_before = g.copy()
+        want = g * np.where(x > 0, 1.0, 0.07)
         got = ops.leaky_relu_backward(ops.leaky_relu_forward(x, 0.07)[1], g)
-        assert got.tobytes() == (g * np.where(x > 0, 1.0, 0.07)).tobytes()
-        assert g.tobytes() == g_before.tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert got is g
 
 
 class TestFloat32Activations:
@@ -563,7 +563,7 @@ class TestBatchNorm:
     def test_running_stats_update(self, rng):
         x = rng.standard_normal((4, 4, 4, 2)) + 3.0
         state = ops.BnState.initial(2)
-        _, new_state, _ = ops.batchnorm2d_forward(x, np.ones(2), np.zeros(2), state)
+        _, new_state, _ = ops.batchnorm2d_forward(x.copy(), np.ones(2), np.zeros(2), state)
         want_mean = 0.9 * state.mean + 0.1 * x.mean(axis=(0, 1, 2))
         np.testing.assert_allclose(new_state.mean, want_mean, atol=1e-12)
 
@@ -580,12 +580,12 @@ class TestBatchNorm:
         _, _, saved = ops.batchnorm2d_forward(x, scale, shift, state)
         g = rng.standard_normal((4, 5, 5, c + 3 if sliced else c))
         g = g[..., 1 : c + 1] if sliced else g
-        g_before, xhat_before = g.copy(), saved[0].copy()
+        wants, xhat_before = batchnorm_backward_closed_form(saved, g), saved[0].copy()
         got = ops.batchnorm2d_backward(saved, g)
-        for have, want in zip(got, batchnorm_backward_closed_form(saved, g)):
+        for have, want in zip(got, wants):
             assert have.shape == want.shape
             assert np.abs(have - want).max() <= 1e-14 * np.abs(want).max()
-        assert g.tobytes() == g_before.tobytes()
+        assert got[0] is g
         assert saved[0].tobytes() == xhat_before.tobytes()
 
     def test_train_backward_makes_one_activation_sized_array(self, rng):
@@ -710,22 +710,28 @@ class TestBitwiseAgainstMaskedForms:
     @pytest.mark.parametrize("alpha", [0.01, 0.3, 0.999])
     def test_leaky_relu(self, rng, alpha):
         x, g = awkward(rng, (4, 5, 6, 7)), awkward(rng, (4, 5, 6, 7))
-        out, saved = ops.leaky_relu_forward(x, alpha)
-        same_bits(out, leaky_relu_masked(x, alpha))
-        same_bits(ops.leaky_relu_backward(saved, g), leaky_relu_backward_masked(x, alpha, g))
         # an output gradient that is a channel slice, as the unit's split gives
         g_slice = awkward(rng, (4, 5, 6, 10))[..., 2:9]
-        same_bits(ops.leaky_relu_backward(saved, g_slice),
-                  leaky_relu_backward_masked(x, alpha, g_slice))
+        # the oracles first: each op writes into the array it is given
+        want, want_g = leaky_relu_masked(x, alpha), leaky_relu_backward_masked(x, alpha, g)
+        want_slice = leaky_relu_backward_masked(x, alpha, g_slice)
+        out, saved = ops.leaky_relu_forward(x, alpha)
+        assert out is x
+        same_bits(out, want)
+        assert ops.leaky_relu_backward(saved, g) is g
+        same_bits(g, want_g)
+        assert ops.leaky_relu_backward(saved, g_slice) is g_slice
+        same_bits(g_slice, want_slice)
 
     @pytest.mark.parametrize("value", [-0.0, 0.0, 5e-324, -2.5])
     def test_leaky_relu_zero_dim(self, value):
         x, g = np.array(value), np.array(-3.0)
+        want, want_g = leaky_relu_masked(x, 0.2), leaky_relu_backward_masked(x, 0.2, g)
         out, saved = ops.leaky_relu_forward(x, 0.2)
-        same_bits(out, leaky_relu_masked(x, 0.2))
+        same_bits(out, want)
         got = ops.leaky_relu_backward(saved, g)
         assert isinstance(got, np.ndarray) and got.ndim == 0
-        same_bits(got, leaky_relu_backward_masked(x, 0.2, g))
+        same_bits(got, want_g)
 
     @pytest.mark.parametrize("window,stride,pad", [(3, 2, 1), (3, 1, 1), (2, 2, 0), (3, 3, 0)])
     def test_max_pool(self, rng, window, stride, pad):
@@ -759,11 +765,21 @@ class TestBitwiseAgainstMaskedForms:
         x = x[..., 1 : c + 1] if sliced else x
         scale, shift = rng.standard_normal(c), rng.standard_normal(c)
         state = ops.BnState(rng.standard_normal(c), rng.uniform(0.5, 2.0, c))
-        out, new_state, saved = ops.batchnorm2d_forward(x, scale, shift, state)
         want, xhat, inv_std, (mean, var) = batchnorm_forward_twice_mean(
             x, scale, shift, None, None, ops.BN_EPS)
+        out, new_state, saved = ops.batchnorm2d_forward(x, scale, shift, state)
+        assert saved[0] is x  # normalized in place
         same_bits(out, want)
         same_bits(saved[0], xhat)
         same_bits(saved[1], inv_std)
         same_bits(new_state.mean, (1 - ops.BN_MOMENTUM) * state.mean + ops.BN_MOMENTUM * mean)
         same_bits(new_state.var, (1 - ops.BN_MOMENTUM) * state.var + ops.BN_MOMENTUM * var)
+
+    @pytest.mark.parametrize("window,stride,pad", [(3, 2, 1), (3, 1, 1), (2, 2, 0), (3, 3, 0)])
+    def test_max_pool_alone(self, rng, window, stride, pad):
+        """``max_pool``, the eval form, is ``max_pool2d``'s output without
+        its argmax, bit for bit."""
+        x = awkward(rng, (3, 9, 8, 4))
+        x[1] = np.round(x[1])
+        same_bits(ops.max_pool(x, window, stride, pad), ops.max_pool2d(x, window, stride, pad)[0])
+
